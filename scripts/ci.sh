@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Tier-1 gate: tests + benchmark smoke + repo-invariant lint + (when
+# Tier-1 gate: tests + benchmark smoke + static analysis + (when
 # available) ruff.  Usage: scripts/ci.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -12,7 +12,7 @@ PYTHONPATH=src python -m pytest -x -q -m smoke
 
 echo "== bench smoke (event-loop traffic vs recorded ceiling) =="
 # --against auto gates against the newest checked-in BENCH_pr*.json
-# (excluding the one this run would write), so new PRs need no edit here.
+# (skipping the --out file this run writes), so new PRs need no edit here.
 PYTHONPATH=src python -m repro bench \
     --against auto --out /tmp/repro_bench_smoke.json
 
@@ -24,7 +24,7 @@ PYTHONPATH=src python -m repro bench --suite cluster-fattree-512 --shards 2 \
 PYTHONPATH=src python - <<'EOF'
 import json
 from repro.perf.bench import resolve_baseline
-base = json.load(open(resolve_baseline("auto", current_pr=10)))["suite"]["cluster-fattree-512"]
+base = json.load(open(resolve_baseline("auto")))["suite"]["cluster-fattree-512"]
 got = json.load(open("/tmp/repro_bench_cluster.json"))["suite"]["cluster-fattree-512"]
 for key in ("msg_digest", "messages", "windows", "cluster_events_popped",
             "per_shard_popped", "t_end_us"):
@@ -76,7 +76,7 @@ def rows(path):
 seq, mp = rows("/tmp/repro_fault_seq.txt"), rows("/tmp/repro_fault_mp.txt")
 assert seq and seq == mp, "faulted run: sequential vs --shards 2 diverged"
 msg = re.search(r"digest msg\s+(\S+)", open("/tmp/repro_fault_seq.txt").read()).group(1)
-base = json.load(open(resolve_baseline("auto", current_pr=10)))
+base = json.load(open(resolve_baseline("auto")))
 healthy = base["suite"]["cluster-fattree-512"]["msg_digest"]
 assert msg != healthy[:len(msg)], "fault schedule did not perturb the halo digest"
 print(f"fault-smoke: {len(seq)} rows identical across modes, digest differs from healthy")
@@ -118,9 +118,6 @@ for a, b in zip(first["cells"], second["cells"]):
     assert a["key"] == b["key"] and a["result"] == b["result"], a["key"]
 print(f"workload smoke: {len(second['cells'])} cells, 100% cache hits on re-run")
 EOF
-
-echo "== repo-invariant lint (scripts/lint_repro.py) =="
-python scripts/lint_repro.py src/repro
 
 echo "== static analysis (python -m repro analyze) =="
 # Fails on any finding that is neither inline-suppressed nor in

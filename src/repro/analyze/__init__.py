@@ -3,8 +3,9 @@
 One :class:`~repro.analyze.model.Project` (module table, symbol tables,
 call graph, per-function CFGs) shared by four pass families:
 
-* ``invariant``   — the repo-invariant lint rules migrated off
-  :mod:`repro.san.lint` (same rule ids, same findings);
+* ``invariant``   — per-module repo conventions: no wall-clock, unit
+  literals, dropped process returns, eager obs payloads, and the
+  table-driven ``module-ownership`` rule;
 * ``effects``     — DES coroutine effect checking: what can each
   simulation process generator yield, and are created waiters always
   awaited on every path;

@@ -1,11 +1,10 @@
 """The one rule registry.
 
-Every static rule in the repo — the migrated ``repro.san.lint``
-invariants and the three new pass families — registers here and nowhere
-else.  ``python -m repro analyze --list``, ``python -m repro san
---list-checks`` and ``scripts/lint_repro.py --list`` all enumerate this
-table, so the catalogues cannot drift (tests/analyze/test_registry.py
-pins it).
+Every static rule in the repo — the repo invariants and the effects,
+determinism and happens-before families — registers here and nowhere
+else.  ``python -m repro analyze --list`` and ``python -m repro san
+--list-checks`` both enumerate this table, so the catalogues cannot
+drift (tests/analyze/test_registry.py pins it).
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ of bandwidth sharing.  Wire latency is charged after serialization
 bumps a monotonic fabric **epoch** that route caches and captured plans
 compare against, and arms the dataplane's guarded execution path.  Direct
 writes to link fields outside this API are flagged by the
-``fabric-mutation-bypass`` lint (DESIGN.md §17).
+``module-ownership`` analyzer rule (DESIGN.md §17).
 
 :class:`repro.hw.topology.Fabric` composes links into routes.
 """

@@ -1,4 +1,4 @@
-"""Machine topology and the Fabric route/transfer facade.
+"""Machine topology and the Fabric: links, routes, and the dataplane.
 
 :class:`Topology` answers shape queries (which node owns a GPU, who is a
 peer) over a :class:`~repro.hw.spec.schema.MachineSpec` — or over a legacy
@@ -10,7 +10,9 @@ superchips with one ConnectX-7 NIC each).
 (:class:`~repro.hw.spec.graph.LinkGraph`), resolves a route for any
 (source buffer, destination buffer) pair by graph search — memoized per
 (src-port, dst-port) in a route cache, so the hot transfer path never
-re-searches — and runs transfers with real payload copies.
+re-searches — and owns the :class:`~repro.dataplane.plane.Dataplane`
+every transfer is submitted to (``fabric.dataplane.put`` / ``rma_put`` /
+``control``).
 """
 
 from __future__ import annotations
@@ -147,8 +149,6 @@ class Fabric:
         self.switch_down: Dict[GpuId, Link] = self.graph.switch_down
         self.d2h: Dict[GpuId, Link] = self.graph.d2h
         self.h2d: Dict[GpuId, Link] = self.graph.h2d
-        self.c2c_d2h: Dict[GpuId, Link] = self.graph.d2h  # legacy GH200 alias
-        self.c2c_h2d: Dict[GpuId, Link] = self.graph.h2d  # legacy GH200 alias
         self.nic_out: Dict[int, Link] = self.graph.nic_out
         self.nic_in: Dict[int, Link] = self.graph.nic_in
         self.hostmem_tx: Dict[int, Link] = self.graph.hostmem_tx
@@ -165,10 +165,9 @@ class Fabric:
             for g in range(self.topo.n_gpus)
         }
 
-        #: The single submission point for every simulated byte; the
-        #: legacy transfer methods below delegate here.  Path selection
-        #: (single route vs link-disjoint striping) is the dataplane
-        #: policy's call — see repro.dataplane and DESIGN.md §12.
+        #: The single submission point for every simulated byte.  Path
+        #: selection (single route vs link-disjoint striping) is the
+        #: dataplane policy's call — see repro.dataplane and DESIGN.md §12.
         self.dataplane = Dataplane(self)
 
         sched = hw_faults.active()
@@ -280,40 +279,6 @@ class Fabric:
                 self._route_cache[key] = links
                 loaded += 1
         return loaded
-
-    # -- transfers --------------------------------------------------------------
-    # Compatibility shims: the dataplane owns execution (descriptor
-    # validation, path policy, per-class ledger).  Producers inside
-    # repro.* submit descriptors with their own traffic classes; these
-    # keep the historic Fabric surface for tests and external callers.
-    def transfer(self, src: Buffer, dst: Buffer, name: str = "xfer") -> Event:
-        """Move ``src``'s payload into ``dst``; event fires when data landed.
-
-        The payload copy happens exactly at arrival time, so a reader that
-        waits for the event observes the new data and a reader that races
-        observes the old data — matching RMA visibility semantics.
-        """
-        return self.dataplane.put(src, dst, name=name)
-
-    def host_initiated_transfer(self, src: Buffer, dst: Buffer, name: str = "hxfer") -> Event:
-        """A transfer issued by *host* software (UCX put, MPI rendezvous).
-
-        Device-to-device payloads between peers that can IPC-map each
-        other ride the cuda_ipc path: a host-mediated async copy through
-        the source GPU's copy engine, paying the per-op setup cost — the
-        mechanism the Kernel-Copy design bypasses (paper Section IV-A4).
-        Everything else (host buffers, same-GPU, inter-node GPUDirect,
-        no-P2P staging) is a plain transfer.
-        """
-        return self.dataplane.rma_put(src, dst, name=name)
-
-    def transfer_bytes(self, src: Buffer, dst: Buffer, nbytes: int, name: str = "ctrl") -> Event:
-        """Timed transfer of ``nbytes`` along src->dst route without payload.
-
-        Used for control messages (flags, setup packets) whose logical
-        content is applied by the caller on completion.
-        """
-        return self.dataplane.control(src, dst, nbytes, name=name)
 
     def gpu_distance(self, a: GpuId, b: GpuId) -> str:
         """'local' | 'nvlink' | 'ib' — used by protocol selection."""

@@ -98,7 +98,6 @@ class World:
         self,
         config: MachineLike = PAPER_TESTBED,
         cost: Optional[CostModel] = None,
-        trace: bool = False,
         engine: Optional[Engine] = None,
     ) -> None:
         # Collect predecessors' cyclic garbage *before* allocating this
@@ -109,10 +108,8 @@ class World:
             import gc
 
             gc.collect()
-        elif trace:
-            raise ValueError("trace=True is not supported with an injected engine")
         self.config = config
-        self.engine = engine if engine is not None else Engine(trace=trace)
+        self.engine = engine if engine is not None else Engine()
         self.fabric = Fabric(self.engine, config)
         # An explicit cost model applies to every device; otherwise each
         # device derives its own from the machine spec's per-GPU constants.

@@ -22,7 +22,6 @@ from repro.obs.bus import (  # noqa: F401  (re-export surface)
     SPAN,
     Bus,
     ObsEvent,
-    TextLog,
     active,
     install,
     note_engine,

@@ -215,21 +215,6 @@ class Bus:
         self._emit(COUNTER, cat, name, None, at, at, tuple(sorted(samples.items())))
 
 
-class TextLog:
-    """Plain-text subscriber backing the deprecated ``Engine.trace_log``.
-
-    Collects ``(time, message)`` pairs from ``cat="engine", name="trace"``
-    instants — the exact shape the old free-form trace list had.
-    """
-
-    def __init__(self) -> None:
-        self.lines: List[Tuple[float, str]] = []
-
-    def on_event(self, ev: ObsEvent) -> None:
-        if ev.kind == INSTANT and ev.cat == "engine" and ev.name == "trace":
-            self.lines.append((ev.t0, ev.get("msg", "")))
-
-
 # --------------------------------------------------------------------------
 # ambient (process-global) bus — what `python -m repro profile` installs
 # --------------------------------------------------------------------------

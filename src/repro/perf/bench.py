@@ -277,12 +277,12 @@ def _check_against(results: Dict[str, dict], baseline: dict, tolerance: float) -
     return 1 if failures else 0
 
 
-def resolve_baseline(spec: Optional[str], current_pr: int) -> Optional[str]:
+def resolve_baseline(spec: Optional[str], exclude: Optional[str] = None) -> Optional[str]:
     """Resolve an ``--against`` value to a baseline path.
 
     ``auto`` (or an explicit directory) picks the newest checked-in
-    ``BENCH_pr<N>.json`` by PR number, excluding the file this run is
-    about to write, so CI needs no hard-coded baseline name.
+    ``BENCH_pr<N>.json`` by PR number, skipping ``exclude`` — the file
+    this run writes — so CI needs no hard-coded baseline name.
     """
     if spec is None:
         return None
@@ -291,10 +291,11 @@ def resolve_baseline(spec: Optional[str], current_pr: int) -> Optional[str]:
         if not os.path.isdir(spec):
             return spec
         directory = spec
+    skip = os.path.realpath(exclude) if exclude else None
     candidates = []
     for path in glob.glob(os.path.join(directory, "BENCH_pr*.json")):
         m = re.fullmatch(r"BENCH_pr(\d+)\.json", os.path.basename(path))
-        if m and int(m.group(1)) != current_pr:
+        if m and os.path.realpath(path) != skip:
             candidates.append((int(m.group(1)), path))
     if not candidates:
         raise FileNotFoundError(
@@ -356,7 +357,7 @@ def main(argv=None) -> int:
         fh.write("\n")
     print(f"wrote {out}")
 
-    baseline_path = resolve_baseline(args.against, args.pr)
+    baseline_path = resolve_baseline(args.against, exclude=out)
     if baseline_path:
         print(f"gating against {baseline_path}")
         with open(baseline_path) as fh:

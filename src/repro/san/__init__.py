@@ -14,8 +14,8 @@ Three layers (see DESIGN.md §8 and README "Sanitizing a run"):
   before ``Parrived``, send-partition overwrite in flight, uninitialized
   device reads, cross-node IPC misuse).
 
-Static companion: :mod:`repro.san.lint` (AST repo-invariant checks),
-exposed as ``scripts/lint_repro.py``.
+Static companion: :mod:`repro.analyze` (``python -m repro analyze``),
+whose rules ``--list-checks`` lists beside the dynamic ones.
 
 Usage::
 

@@ -51,7 +51,6 @@ class CheckInfo:
     """Catalogue entry, surfaced by ``python -m repro san --list-checks``."""
 
     id: str
-    kind: str        # "dynamic" (trace) or "static" (AST lint)
     summary: str
 
 
@@ -301,47 +300,47 @@ def check_data_race(events, allocs) -> List[Finding]:
 
 DYNAMIC_CHECKS: Dict[str, Tuple[CheckInfo, Optional[CheckFn]]] = {
     "double-pready": (
-        CheckInfo("double-pready", "dynamic",
+        CheckInfo("double-pready",
                   "one MPIX_Pready per partition per epoch (device + wave paths)"),
         check_double_pready,
     ),
     "pready-inactive": (
-        CheckInfo("pready-inactive", "dynamic",
+        CheckInfo("pready-inactive",
                   "MPIX_Pready outside an active epoch (missing MPI_Start)"),
         None,  # via check_guards
     ),
     "pready-freed": (
-        CheckInfo("pready-freed", "dynamic",
+        CheckInfo("pready-freed",
                   "MPIX_Pready on a freed MPIX_Prequest"),
         None,  # via check_guards
     ),
     "pready-wrong-device": (
-        CheckInfo("pready-wrong-device", "dynamic",
+        CheckInfo("pready-wrong-device",
                   "MPIX_Pready from a device the prequest was not created for"),
         None,  # via check_guards
     ),
     "ipc-misuse": (
-        CheckInfo("ipc-misuse", "dynamic",
+        CheckInfo("ipc-misuse",
                   "cross-node cudaIpc / Kernel-Copy mapping, non-device IPC export"),
         None,  # via check_guards
     ),
     "read-before-parrived": (
-        CheckInfo("read-before-parrived", "dynamic",
+        CheckInfo("read-before-parrived",
                   "receive partition read before its MPIX_Parrived flag"),
         check_read_before_parrived,
     ),
     "send-overwrite": (
-        CheckInfo("send-overwrite", "dynamic",
+        CheckInfo("send-overwrite",
                   "send partition written between MPI_Pready and transport completion"),
         check_send_overwrite,
     ),
     "uninit-read": (
-        CheckInfo("uninit-read", "dynamic",
+        CheckInfo("uninit-read",
                   "device-side read of never-written cudaMalloc memory"),
         check_uninit_read,
     ),
     "data-race": (
-        CheckInfo("data-race", "dynamic",
+        CheckInfo("data-race",
                   "happens-before (vector clock) race on overlapping byte ranges"),
         check_data_race,
     ),

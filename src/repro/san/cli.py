@@ -27,8 +27,7 @@ from repro.san.sanitizer import Sanitizer
 
 def list_checks() -> str:
     # One registry for every static rule (repro.analyze.registry): this
-    # listing, `repro analyze --list` and `lint_repro.py --list` all
-    # enumerate the same table.
+    # listing and `repro analyze --list` enumerate the same table.
     from repro.analyze.registry import all_rules
 
     lines = ["dynamic checks (python -m repro san <script>):"]

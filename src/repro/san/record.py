@@ -300,12 +300,6 @@ def on() -> bool:
     return _ACTIVE is not None
 
 
-def note_engine(engine: Any) -> None:
-    """Legacy direct registration (engines now announce via the obs bus)."""
-    if _ACTIVE is not None:
-        _ACTIVE.note_engine(engine)
-
-
 def note_alloc(buf: Any, zero_filled: bool) -> None:
     bus = _obs._AMBIENT
     if bus is not None:

@@ -6,7 +6,7 @@ cut of the cluster spec, and the workload processes resident on that
 node.  Nothing inside a shard holds a reference to another shard: the
 *only* egress is the :class:`ShardBridge` hanging off the local
 dataplane's ``bridge`` hook, and the only ingress is the shard's
-:class:`~repro.shard.mailbox.Mailbox` (the ``shard-shared-state`` lint
+:class:`~repro.shard.mailbox.Mailbox` (the ``module-ownership`` analyzer
 rule enforces this boundary statically).
 
 A workload addresses an off-shard endpoint with a :class:`RemoteBuffer`

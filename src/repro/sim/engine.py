@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import heapq
 import os
-import warnings
 from typing import Any, Callable, Generator, List, Optional, Tuple
 
 from repro.sim.events import Event, Timeout, _PooledTimeout
@@ -94,12 +93,12 @@ class Engine:
 
     __slots__ = (
         "_now", "_heap", "_seq", "_active_process", "_crashed",
-        "obs", "_trace_shim", "on_step", "_timeout_pool", "t_busy",
+        "obs", "on_step", "_timeout_pool", "t_busy",
         "events_popped", "events_coalesced", "events_cancelled", "peak_heap",
         "_flushed", "shard_id", "__weakref__",
     )
 
-    def __init__(self, trace: bool = False) -> None:
+    def __init__(self) -> None:
         self._now: float = 0.0
         self._heap: List[Tuple[float, int, int, Event]] = []
         self._seq: int = 0
@@ -109,7 +108,6 @@ class Engine:
         #: :meth:`repro.obs.bus.Bus.attach` populates it, and only while
         #: the bus has subscribers, so every hook is one ``is None`` test.
         self.obs: Optional[obs_bus.Bus] = None
-        self._trace_shim: Optional[obs_bus.TextLog] = None
         #: Optional hook called as ``on_step(time, priority, seq)`` for every
         #: popped event, in pop order.  The argument triple *is* the heap
         #: tie-break key — the determinism regression test hashes it.
@@ -134,20 +132,6 @@ class Engine:
         self.shard_id: Optional[int] = None
         self._flushed = [0, 0, 0]  # popped/coalesced/cancelled already in STATS
         obs_bus.note_engine(self)
-        if trace:
-            warnings.warn(
-                "Engine(trace=True) is deprecated; subscribe a consumer to "
-                "the repro.obs bus instead (DESIGN.md §10)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            self._trace_shim = obs_bus.TextLog()
-            if self.obs is not None:
-                self.obs.subscribe(self._trace_shim)
-            else:
-                shim_bus = obs_bus.Bus()
-                shim_bus.subscribe(self._trace_shim)
-                shim_bus.attach(self)
 
     # -- time --------------------------------------------------------------
     @property
@@ -218,29 +202,6 @@ class Engine:
     def _crash(self, process: Process, exc: BaseException) -> None:
         if self._crashed is None:
             self._crashed = ProcessFailed(process, exc)
-
-    def trace(self, msg: str) -> None:
-        """Publish a free-form trace line at the current simulated time.
-
-        A no-op unless a bus is attached; consumed by the deprecated
-        ``trace_log`` shim and visible to every other subscriber.
-        """
-        if self.obs is not None:
-            self.obs.instant("engine", "trace", None, t=self._now, msg=msg)
-
-    @property
-    def trace_enabled(self) -> bool:
-        """Deprecated alias: True when an instrumentation bus is attached."""
-        return self.obs is not None
-
-    @property
-    def trace_log(self) -> List[Tuple[float, str]]:
-        """Deprecated: ``(time, message)`` pairs kept by the trace shim.
-
-        Empty unless the engine was built with ``trace=True``; new code
-        should subscribe :class:`repro.obs.bus.TextLog` to a bus instead.
-        """
-        return self._trace_shim.lines if self._trace_shim is not None else []
 
     @property
     def coalescing(self) -> bool:

@@ -2,8 +2,8 @@
 
 Every workload that runs MPI-style rank coroutines goes through
 :func:`run_ranks` — the only place outside :mod:`repro.mpi` that builds a
-:class:`~repro.mpi.world.World` (the ``workload-bypass`` lint enforces
-this).  It does exactly what the hand-rolled drivers used to do —
+:class:`~repro.mpi.world.World` (the ``module-ownership`` analyzer rule
+enforces this).  It does exactly what the hand-rolled drivers used to do —
 construct the world, run the ranks, hand back the results — so every
 counter and timestamp stays pinned; it additionally keeps the world
 around so callers can read the dataplane ledger.

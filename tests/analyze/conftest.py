@@ -1,4 +1,5 @@
-"""Helpers for the analyzer test suite."""
+"""Helpers for the analyzer test suite (the in-memory ``analyze`` fixture
+lives in the top-level conftest, shared with tests/san)."""
 
 from __future__ import annotations
 
@@ -13,20 +14,6 @@ from repro.analyze.rules import apply_suppressions, run_passes
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 REPO_ROOT = Path(__file__).resolve().parents[2]
 REPRO_SRC = REPO_ROOT / "src" / "repro"
-
-
-@pytest.fixture
-def analyze():
-    """Analyze in-memory ``{path: source}``; returns kept findings."""
-
-    def run(sources, only=None, suppress=True):
-        project = Project.from_sources(sources)
-        findings = run_passes(project, all_passes(), only=only)
-        if suppress:
-            findings, _ = apply_suppressions(project, findings)
-        return findings
-
-    return run
 
 
 @pytest.fixture

@@ -1,16 +1,13 @@
-"""One registry: ids, families, and the three CLI listings that share it."""
+"""One registry: ids, families, and the CLI listings that share it."""
 
 from repro.analyze.registry import all_passes, all_rules, render_rules
 from repro.analyze.rules import FAMILIES
 from repro.san.cli import list_checks
-from repro.san.lint import STATIC_CHECKS
 
 EXPECTED_RULES = {
-    # migrated invariants
-    "wallclock", "raw-units", "dropped-return",
-    "obs-bypass", "eager-obs-payload", "fabric-bypass",
-    "shard-shared-state", "workload-bypass",
-    "fabric-mutation-bypass",
+    # repo invariants
+    "wallclock", "raw-units", "dropped-return", "eager-obs-payload",
+    "module-ownership",
     # effects
     "effect-illegal-yield", "effect-leaked-waiter",
     # determinism
@@ -32,39 +29,17 @@ def test_registry_contents_and_families():
             assert rule.family == p.family
 
 
-def test_migrated_ids_keep_their_summaries():
-    rules = all_rules()
-    for cid, info in STATIC_CHECKS.items():
-        assert rules[cid].summary == info.summary
-
-
-def test_lint_cli_list_matches_analyzer_list(capsys):
-    from repro.analyze.cli import main as analyze_main
-    from repro.san.lint import main as lint_main
-
-    assert analyze_main(["--list"]) == 0
-    analyze_out = capsys.readouterr().out
-    assert lint_main(["--list"]) == 0
-    lint_out = capsys.readouterr().out
-    assert analyze_out == lint_out          # same registry, zero drift
-    assert analyze_out.strip() == render_rules()
-
-
 def test_san_list_checks_covers_every_static_rule():
     text = list_checks()
     for rule_id in EXPECTED_RULES:
         assert rule_id in text, f"{rule_id} missing from san --list-checks"
+    for folded in ("fabric-bypass", "fabric-mutation-bypass", "shard-shared-state",
+                   "workload-bypass", "obs-bypass"):
+        assert folded not in text, f"{folded} is a module-ownership row now"
 
 
-def test_lint_repro_script_lists_same_registry(tmp_path):
-    import subprocess
-    import sys
+def test_analyze_list_prints_the_registry(capsys):
+    from repro.analyze.cli import main as analyze_main
 
-    from .conftest import REPO_ROOT
-
-    proc = subprocess.run(
-        [sys.executable, "scripts/lint_repro.py", "--list"],
-        cwd=REPO_ROOT, capture_output=True, text=True, check=True,
-    )
-    for rule_id in EXPECTED_RULES:
-        assert rule_id in proc.stdout
+    assert analyze_main(["--list"]) == 0
+    assert capsys.readouterr().out.strip() == render_rules()

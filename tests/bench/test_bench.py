@@ -86,6 +86,22 @@ def test_graph_replay_bench_entry_batches_pops():
     assert row["msg_digest"]
 
 
+def test_baseline_auto_picks_newest_but_never_the_runs_own_out(tmp_path, monkeypatch):
+    from repro.perf.bench import resolve_baseline
+
+    for pr in (9, 10):
+        (tmp_path / f"BENCH_pr{pr}.json").write_text("{}\n")
+    newest, older = tmp_path / "BENCH_pr10.json", tmp_path / "BENCH_pr9.json"
+    assert resolve_baseline(str(tmp_path)) == str(newest)
+    assert resolve_baseline(str(tmp_path), exclude=str(newest)) == str(older)
+    # `--against auto` resolves in the working directory; the --out file
+    # is excluded whether it is named relatively or absolutely.
+    monkeypatch.chdir(tmp_path)
+    assert resolve_baseline("auto", exclude="/elsewhere/out.json").endswith("BENCH_pr10.json")
+    assert resolve_baseline("auto", exclude="BENCH_pr10.json").endswith("BENCH_pr9.json")
+    assert resolve_baseline("auto", exclude=str(newest)).endswith("BENCH_pr9.json")
+
+
 def test_goodput_monotone_niceness():
     """Goodput grows with kernel size for the traditional model."""
     g_small = measure_p2p_goodput(4, "sendrecv", ONE_NODE)

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analyze.model import Project
+from repro.analyze.registry import all_passes
+from repro.analyze.rules import apply_suppressions, run_passes
 from repro.cuda.device import Device
 from repro.hw.params import ONE_NODE, PAPER_TESTBED, TestbedConfig
 from repro.hw.topology import Fabric
@@ -34,6 +37,20 @@ def one_node_world() -> World:
 @pytest.fixture
 def two_node_world() -> World:
     return World(PAPER_TESTBED)
+
+
+@pytest.fixture
+def analyze():
+    """Analyze in-memory ``{path: source}``; returns kept findings."""
+
+    def run(sources, only=None, suppress=True):
+        project = Project.from_sources(sources)
+        findings = run_passes(project, all_passes(), only=only)
+        if suppress:
+            findings, _ = apply_suppressions(project, findings)
+        return findings
+
+    return run
 
 
 def run_proc(engine: Engine, gen, name: str = "test"):

@@ -67,8 +67,8 @@ def test_bad_initiator_flagged():
 
 
 def test_fabric_shim_raises_descriptor_error():
-    """The legacy Fabric.transfer surface reports the byte-true check
+    """Submitting through a fabric's dataplane reports the byte-true check
     (DescriptorError is a ValueError, preserving the old contract)."""
     fab = Fabric(Engine(), ONE_NODE)
     with pytest.raises(ValueError, match="size mismatch"):
-        fab.transfer(dev(0), dev(1, dtype=np.float32))
+        fab.dataplane.put(dev(0), dev(1, dtype=np.float32))

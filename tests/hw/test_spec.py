@@ -112,7 +112,7 @@ def test_repeated_transfers_recompute_nothing():
     fab = Fabric(engine, gh200_spec(1, 4))
     src, dst = _buf(fab, MemSpace.DEVICE, gpu=0), _buf(fab, MemSpace.DEVICE, gpu=1)
     for _ in range(5):
-        engine.run(fab.transfer(src, dst))
+        engine.run(fab.dataplane.put(src, dst))
     assert fab.route_computations == 1
 
 

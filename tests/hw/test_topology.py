@@ -1,4 +1,4 @@
-"""Topology shape queries, route resolution, fabric transfers."""
+"""Topology shape queries, route resolution, dataplane transfers."""
 
 import numpy as np
 import pytest
@@ -89,7 +89,7 @@ def test_transfer_moves_payload():
     src = dev(fab, 0)
     src.data[:] = 4.5
     dst = dev(fab, 1)
-    done = fab.transfer(src, dst)
+    done = fab.dataplane.put(src, dst)
     eng.run(done)
     assert np.all(dst.data == 4.5)
 
@@ -99,7 +99,7 @@ def test_transfer_visibility_at_arrival():
     eng, fab = _mk()
     src, dst = dev(fab, 0, 1 << 20), dev(fab, 1, 1 << 20)
     src.data[:] = 1.0
-    fab.transfer(src, dst)
+    fab.dataplane.put(src, dst)
     eng.run(until=1 * us)  # well before the 8 MiB NVLink transfer ends
     assert dst.data[0] == 0.0
     eng.run()
@@ -109,7 +109,7 @@ def test_transfer_visibility_at_arrival():
 def test_transfer_size_mismatch():
     _e, fab = _mk()
     with pytest.raises(ValueError):
-        fab.transfer(dev(fab, 0, 4), dev(fab, 1, 8))
+        fab.dataplane.put(dev(fab, 0, 4), dev(fab, 1, 8))
 
 
 def test_gpu_distance():
@@ -123,28 +123,28 @@ def test_large_transfer_bandwidth_bound():
     """An 8 MiB NVLink transfer takes ~ size/bw + latency."""
     eng, fab = _mk()
     n = 1 << 20  # 8 MiB of float64
-    done = fab.transfer(dev(fab, 0, n), dev(fab, 1, n))
+    done = fab.dataplane.put(dev(fab, 0, n), dev(fab, 1, n))
     eng.run(done)
     expected = (n * 8) / (150 * GBps) + fab.config.params.nvlink_latency
     assert eng.now == pytest.approx(expected, rel=1e-6)
 
 
-def test_host_initiated_transfer_pays_engine_overhead():
+def test_rma_put_pays_copy_engine_overhead():
     eng, fab = _mk()
-    d = fab.host_initiated_transfer(dev(fab, 0), dev(fab, 1))
+    d = fab.dataplane.rma_put(dev(fab, 0), dev(fab, 1))
     eng.run(d)
     with_engine = eng.now
     eng2, fab2 = _mk()
-    d2 = fab2.transfer(dev(fab2, 0), dev(fab2, 1))
+    d2 = fab2.dataplane.put(dev(fab2, 0), dev(fab2, 1))
     eng2.run(d2)
     assert with_engine == pytest.approx(
         eng2.now + fab.config.params.cuda_ipc_put_overhead, rel=1e-6
     )
 
 
-def test_host_initiated_transfer_direct_for_host_buffers():
+def test_rma_put_direct_for_host_buffers():
     eng, fab = _mk()
-    d = fab.host_initiated_transfer(host(fab, 0), host(fab, 0))
+    d = fab.dataplane.rma_put(host(fab, 0), host(fab, 0))
     eng.run(d)
     no_penalty = eng.now
     assert no_penalty < fab.config.params.cuda_ipc_put_overhead
@@ -173,5 +173,5 @@ def test_property_every_location_pair_routes_and_delivers(s_space, d_space, s_gp
     src.data[:] = 7.0
     route = fab.route(src, dst)
     assert len(route) >= 1
-    eng.run(fab.transfer(src, dst))
+    eng.run(fab.dataplane.put(src, dst))
     assert np.all(dst.data == 7.0)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.obs import bus as obs_bus
-from repro.obs.bus import COUNTER, INSTANT, SPAN, Bus, ObsEvent, TextLog
+from repro.obs.bus import COUNTER, INSTANT, SPAN, Bus, ObsEvent
 from repro.sim.engine import Engine
 
 
@@ -121,15 +121,6 @@ def test_compact_degrades_objects_but_shares_scalars():
     assert compact.get("write") is True
     scalar = ObsEvent(SPAN, "link", "l", None, 0.0, 1.0, 6, (("nbytes", 8),))
     assert scalar.compact() is scalar
-
-
-def test_textlog_collects_engine_trace_instants_only():
-    bus, log = Bus(), TextLog()
-    bus.subscribe(log)
-    bus.instant("engine", "trace", t=1.0, msg="hello")
-    bus.instant("engine", "step", t=1.5, prio=0)
-    bus.instant("mpi", "trace", t=2.0, msg="not-engine")
-    assert log.lines == [(1.0, "hello")]
 
 
 # -- ambient install ---------------------------------------------------------

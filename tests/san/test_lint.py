@@ -1,63 +1,78 @@
-"""The AST lint: determinism, unit-literal, and dropped-return invariants."""
+"""The repo-invariant rules (the analyzer's ``invariant`` family):
+determinism, unit literals, dropped returns, eager obs payloads, and
+the table-driven ``module-ownership`` rule."""
 
 from pathlib import Path
 
-from repro.san.lint import lint_source, main
+import pytest
+
+from repro.analyze.cli import main
+from repro.analyze.passes import invariants
 
 REPO_SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
+INVARIANTS = list(invariants.RULES)
 
 
-def _checks(findings):
-    return [f.check for f in findings]
+@pytest.fixture
+def lint(analyze):
+    """Invariant findings for one in-memory module at ``src/repro/<rel>``."""
+
+    def run(src, rel):
+        return analyze({f"src/repro/{rel}": src}, only=INVARIANTS)
+
+    return run
+
+
+def _rules(findings):
+    return [f.rule for f in findings]
 
 
 # -- wallclock ---------------------------------------------------------------
 
-def test_wallclock_call_flagged():
+def test_wallclock_call_flagged(lint):
     src = "import time\n\ndef f():\n    return time.time()\n"
-    assert "wallclock" in _checks(lint_source(src, "sim/x.py"))
+    assert "wallclock" in _rules(lint(src, "sim/x.py"))
 
 
-def test_random_module_flagged():
+def test_random_module_flagged(lint):
     src = "import random\n\ndef f():\n    return random.random()\n"
-    findings = lint_source(src, "sim/x.py")
-    assert _checks(findings).count("wallclock") >= 1
+    assert _rules(lint(src, "sim/x.py")).count("wallclock") >= 1
 
 
-def test_numpy_random_flagged():
+def test_numpy_random_flagged(lint):
     src = "import numpy as np\n\ndef f():\n    return np.random.rand()\n"
-    assert "wallclock" in _checks(lint_source(src, "sim/x.py"))
+    assert "wallclock" in _rules(lint(src, "sim/x.py"))
 
 
-def test_wallclock_unscoped_files_exempt():
+def test_wallclock_unscoped_files_exempt(lint):
     src = "import time\n\ndef f():\n    return time.time()\n"
-    assert lint_source(src, "bench/x.py", scoped=False) == []
+    assert lint(src, "bench/x.py") == []
 
 
-def test_engine_now_is_fine():
+def test_engine_now_is_fine(lint):
     src = "def f(engine):\n    return engine.now\n"
-    assert lint_source(src, "sim/x.py") == []
+    assert lint(src, "sim/x.py") == []
 
 
 # -- raw-units ---------------------------------------------------------------
 
-def test_raw_unit_float_flagged():
+def test_raw_unit_float_flagged(lint):
     src = "LATENCY = 7.8 * 1e-6\n"
-    findings = lint_source(src, "cuda/x.py")
-    assert _checks(findings) == ["raw-units"]
+    findings = lint(src, "cuda/x.py")
+    assert _rules(findings) == ["raw-units"]
     assert "repro.units.us" in findings[0].message
 
 
-def test_raw_unit_pow_flagged():
+def test_raw_unit_pow_flagged(lint):
     src = "SIZE = 4 * 1024 ** 2\n"
-    findings = lint_source(src, "cuda/x.py")
-    assert _checks(findings) == ["raw-units"]
+    findings = lint(src, "cuda/x.py")
+    assert _rules(findings) == ["raw-units"]
     assert "MiB" in findings[0].message
 
 
-def test_non_unit_literals_pass():
+def test_non_unit_literals_pass(lint):
     src = "X = 0.5\nY = 1024\nZ = 2e-5\n"
-    assert lint_source(src, "cuda/x.py") == []
+    assert lint(src, "cuda/x.py") == []
 
 
 # -- dropped-return ----------------------------------------------------------
@@ -90,48 +105,42 @@ def spawn(engine):
 """
 
 
-def test_dropped_return_flagged():
-    findings = lint_source(DROPPED, "sim/x.py")
-    assert _checks(findings) == ["dropped-return"]
+def test_dropped_return_flagged(lint):
+    findings = lint(DROPPED, "sim/x.py")
+    assert _rules(findings) == ["dropped-return"]
     assert "'worker'" in findings[0].message
 
 
-def test_bound_process_event_passes():
-    assert lint_source(BOUND, "sim/x.py") == []
+def test_bound_process_event_passes(lint):
+    assert lint(BOUND, "sim/x.py") == []
 
 
-def test_valueless_body_passes():
-    assert lint_source(NO_VALUE, "sim/x.py") == []
+def test_valueless_body_passes(lint):
+    assert lint(NO_VALUE, "sim/x.py") == []
 
 
-# -- obs-bypass --------------------------------------------------------------
+# -- module-ownership: print in the core -------------------------------------
 
-def test_print_in_core_flagged():
+def test_print_in_core_flagged(lint):
     src = "def f(x):\n    print(x)\n"
-    findings = lint_source(src, "sim/x.py")
-    assert _checks(findings) == ["obs-bypass"]
+    findings = lint(src, "sim/x.py")
+    assert _rules(findings) == ["module-ownership"]
     assert "repro.obs" in findings[0].message
 
 
-def test_trace_log_append_flagged():
-    src = "def f(engine, msg):\n    engine.trace_log.append((0.0, msg))\n"
-    findings = lint_source(src, "mpi/x.py")
-    assert _checks(findings) == ["obs-bypass"]
-
-
-def test_cli_modules_may_print():
+def test_cli_modules_may_print(lint):
     src = "def main():\n    print('report')\n"
-    assert lint_source(src, "hw/spec/cli.py") == []
+    assert lint(src, "hw/spec/cli.py") == []
 
 
-def test_print_outside_core_passes():
+def test_print_outside_core_passes(lint):
     src = "def f(x):\n    print(x)\n"
-    assert lint_source(src, "bench/x.py", scoped=False) == []
+    assert lint(src, "bench/x.py") == []
 
 
-def test_other_append_calls_pass():
+def test_other_append_calls_pass(lint):
     src = "def f(items, x):\n    items.append(x)\n"
-    assert lint_source(src, "sim/x.py") == []
+    assert lint(src, "sim/x.py") == []
 
 
 # -- eager-obs-payload -------------------------------------------------------
@@ -173,141 +182,149 @@ def f(engine, x):
 """
 
 
-def test_eager_fstring_trace_flagged():
-    findings = lint_source(EAGER, "sim/x.py")
-    assert _checks(findings) == ["eager-obs-payload"]
+def test_eager_fstring_trace_flagged(lint):
+    findings = lint(EAGER, "sim/x.py")
+    assert _rules(findings) == ["eager-obs-payload"]
     assert "f-string" in findings[0].message
 
 
-def test_guarded_fstring_passes():
-    assert lint_source(GUARDED, "cuda/x.py") == []
+def test_guarded_fstring_passes(lint):
+    assert lint(GUARDED, "cuda/x.py") == []
 
 
-def test_guarded_dotted_obs_passes():
-    assert lint_source(GUARDED_DOTTED, "mpi/x.py") == []
+def test_guarded_dotted_obs_passes(lint):
+    assert lint(GUARDED_DOTTED, "mpi/x.py") == []
 
 
-def test_eager_fstring_kwarg_flagged():
-    assert _checks(lint_source(EAGER_KWARG, "sim/x.py")) == ["eager-obs-payload"]
+def test_eager_fstring_kwarg_flagged(lint):
+    assert _rules(lint(EAGER_KWARG, "sim/x.py")) == ["eager-obs-payload"]
 
 
-def test_plain_payload_passes():
-    assert lint_source(PLAIN_PAYLOAD, "sim/x.py") == []
+def test_plain_payload_passes(lint):
+    assert lint(PLAIN_PAYLOAD, "sim/x.py") == []
 
 
-def test_else_branch_not_guarded():
-    assert _checks(lint_source(ELSE_BRANCH, "sim/x.py")) == ["eager-obs-payload"]
+def test_else_branch_not_guarded(lint):
+    assert _rules(lint(ELSE_BRANCH, "sim/x.py")) == ["eager-obs-payload"]
 
 
-def test_eager_rule_unscoped_files_exempt():
-    assert lint_source(EAGER, "bench/x.py", scoped=False) == []
+def test_eager_rule_unscoped_files_exempt(lint):
+    assert lint(EAGER, "bench/x.py") == []
 
 
-# -- fabric-bypass -----------------------------------------------------------
+# -- module-ownership: start_transfer belongs to dataplane/hw ----------------
 
-def test_direct_start_transfer_flagged():
-    src = (
-        "from repro.hw.links import start_transfer\n\n"
-        "def f(engine, route, n):\n"
-        "    return start_transfer(engine, route, n, name='x')\n"
-    )
-    findings = lint_source(src, "ucx/x.py", scoped=False)
-    assert _checks(findings) == ["fabric-bypass", "fabric-bypass"]
+START_TRANSFER = (
+    "from repro.hw.links import start_transfer\n\n"
+    "def f(engine, route, n):\n"
+    "    return start_transfer(engine, route, n, name='x')\n"
+)
+
+
+def test_direct_start_transfer_flagged(lint):
+    findings = lint(START_TRANSFER, "ucx/x.py")
+    assert _rules(findings) == ["module-ownership", "module-ownership"]
     assert "dataplane" in findings[0].message
 
 
-def test_legacy_fabric_transfer_flagged():
-    src = "def f(rt, a, b):\n    return rt.fabric.transfer(a, b, name='x')\n"
-    findings = lint_source(src, "mpi/x.py")
-    assert _checks(findings) == ["fabric-bypass"]
-    assert "rt.fabric.transfer" in findings[0].message
-
-
-def test_legacy_fabric_shims_flagged_outside_core_packages():
-    # Producers outside CORE_PACKAGES (ucx, pcoll, nccl) are not exempt.
-    src = (
-        "def f(self, a, b, n):\n"
-        "    self.fabric.host_initiated_transfer(a, b)\n"
-        "    self.fabric.transfer_bytes(a, b, n)\n"
-    )
-    findings = lint_source(src, "ucx/x.py", scoped=False)
-    assert _checks(findings) == ["fabric-bypass", "fabric-bypass"]
-
-
-def test_dataplane_submission_passes():
+def test_dataplane_submission_passes(lint):
     src = (
         "def f(rt, a, b, n):\n"
         "    rt.fabric.dataplane.put(a, b, traffic_class='coll', name='x')\n"
         "    rt.fabric.dataplane.rma_put(a, b)\n"
         "    return rt.fabric.dataplane.control(a, b, n)\n"
     )
-    assert lint_source(src, "mpi/x.py") == []
+    assert lint(src, "mpi/x.py") == []
 
 
-def test_dataplane_and_hw_modules_exempt():
-    src = (
-        "from repro.hw.links import start_transfer\n\n"
-        "def f(engine, route, n):\n"
-        "    return start_transfer(engine, route, n, name='x')\n"
-    )
-    assert lint_source(src, "dataplane/plane.py", scoped=False) == []
-    assert lint_source(src, "hw/topology.py", scoped=False) == []
+def test_dataplane_and_hw_modules_exempt(lint):
+    assert lint(START_TRANSFER, "dataplane/plane.py") == []
+    assert lint(START_TRANSFER, "hw/topology.py") == []
 
 
-def test_unrelated_transfer_methods_pass():
-    # .transfer on a non-fabric receiver is someone else's API.
+def test_unrelated_transfer_methods_pass(lint):
     src = "def f(bank, a, b):\n    return bank.transfer(a, b)\n"
-    assert lint_source(src, "mpi/x.py") == []
+    assert lint(src, "mpi/x.py") == []
 
 
-# -- workload-bypass ---------------------------------------------------------
+# -- module-ownership: link-health writes belong to hw -----------------------
 
-def test_direct_world_construction_flagged():
+def test_link_field_writes_flagged_outside_hw(lint):
+    src = (
+        "def f(link):\n"
+        "    link.up = False\n"
+        "    link.bandwidth *= 0.5\n"
+    )
+    findings = lint(src, "ucx/x.py")
+    assert _rules(findings) == ["module-ownership", "module-ownership"]
+    assert "LinkState API" in findings[0].message
+    assert lint(src, "hw/links.py") == []
+
+
+def test_dataplane_ledger_owns_outstanding_bytes(lint):
+    src = "def charge(link, n):\n    link.outstanding_bytes += n\n"
+    assert lint(src, "dataplane/ledger.py") == []
+    assert _rules(lint(src, "mpi/x.py")) == ["module-ownership"]
+
+
+def test_link_state_epoch_write_flagged_outside_hw(lint):
+    src = "def bump(fabric):\n    fabric.link_state.epoch = 7\n"
+    findings = lint(src, "ucx/x.py")
+    assert _rules(findings) == ["module-ownership"]
+    assert "fabric.link_state.epoch" in findings[0].message
+
+
+def test_bare_epoch_write_not_flagged(lint):
+    src = "class Req:\n    def start(self):\n        self.epoch = self.epoch + 1\n"
+    assert lint(src, "partitioned/x.py") == []
+
+
+# -- module-ownership: World/ClusterJob belong to workload/mpi/shard ---------
+
+def test_direct_world_construction_flagged(lint):
     src = (
         "from repro.mpi.world import World\n\n"
         "def f(cfg, main):\n"
         "    return World(cfg).run(main, nprocs=2)\n"
     )
-    findings = lint_source(src, "bench/x.py", scoped=False)
-    assert _checks(findings) == ["workload-bypass"]
+    findings = lint(src, "bench/x.py")
+    assert _rules(findings) == ["module-ownership"]
     assert "run_ranks" in findings[0].message
 
 
-def test_direct_cluster_job_flagged():
+def test_direct_cluster_job_flagged(lint):
     src = (
         "from repro.shard import ClusterJob\n\n"
         "def f(spec):\n"
         "    return ClusterJob(spec, 'halo').run()\n"
     )
-    findings = lint_source(src, "perf/x.py", scoped=False)
-    assert _checks(findings) == ["workload-bypass"]
+    assert _rules(lint(src, "perf/x.py")) == ["module-ownership"]
 
 
-def test_attribute_launcher_flagged():
+def test_attribute_launcher_flagged(lint):
     src = "def f(mod, cfg):\n    return mod.World(cfg)\n"
-    findings = lint_source(src, "bench/x.py", scoped=False)
-    assert _checks(findings) == ["workload-bypass"]
+    assert _rules(lint(src, "bench/x.py")) == ["module-ownership"]
 
 
-def test_workload_owners_exempt_from_bypass():
+def test_workload_owners_exempt_from_bypass(lint):
     src = "from repro.mpi.world import World\n\ndef f(cfg):\n    return World(cfg)\n"
-    assert lint_source(src, "workload/runner.py", scoped=False) == []
-    assert lint_source(src, "mpi/world.py", scoped=False) == []
-    assert lint_source(src, "shard/workloads.py", scoped=False) == []
+    assert lint(src, "workload/runner.py") == []
+    assert lint(src, "mpi/world.py") == []
+    assert lint(src, "shard/workloads.py") == []
 
 
-def test_run_ranks_passes_bypass():
+def test_run_ranks_passes_bypass(lint):
     src = (
         "from repro.workload import run_ranks\n\n"
         "def f(cfg, main):\n"
         "    return run_ranks(cfg, main, nprocs=2).results\n"
     )
-    assert lint_source(src, "bench/x.py", scoped=False) == []
+    assert lint(src, "bench/x.py") == []
 
 
-# -- shard-shared-state ------------------------------------------------------
+# -- module-ownership: shard internals belong to shard -----------------------
 
-def test_shard_internal_access_flagged():
+def test_shard_internal_access_flagged(lint):
     src = (
         "def f(shard, other_shard, shards, job):\n"
         "    shard.engine.run()\n"
@@ -316,11 +333,10 @@ def test_shard_internal_access_flagged():
         "    job.shard.bridge.drain()\n"
         "    shard._step_hash.update(b'x')\n"
     )
-    findings = lint_source(src, "perf/x.py")
-    assert _checks(findings).count("shard-shared-state") == 5
+    assert _rules(lint(src, "perf/x.py")).count("module-ownership") == 5
 
 
-def test_shard_public_surface_passes():
+def test_shard_public_surface_passes(lint):
     src = (
         "def f(shard):\n"
         "    shard.put(None, shard.remote(9, 8, 't'))\n"
@@ -328,32 +344,32 @@ def test_shard_public_surface_passes():
         "    out = shard.step_window(1.0, [])\n"
         "    return shard.next_time(), shard.results(), shard.done\n"
     )
-    assert lint_source(src, "perf/x.py") == []
+    assert lint(src, "perf/x.py") == []
 
 
-def test_shard_package_modules_exempt():
+def test_shard_package_modules_exempt(lint):
     src = "def f(shard):\n    return shard.engine.peek()\n"
-    assert lint_source(src, "shard/cluster.py", scoped=False) == []
-    assert lint_source(src, "src/repro/shard/executor.py", scoped=False) == []
+    assert lint(src, "shard/cluster.py") == []
+    assert lint(src, "shard/executor.py") == []
 
 
-def test_non_shard_receivers_pass():
+def test_non_shard_receivers_pass(lint):
     # 'engine' etc. on receivers that are not shard-shaped are fine.
     src = (
         "def f(world, self):\n"
         "    world.engine.run()\n"
         "    return self.fabric.dataplane\n"
     )
-    assert lint_source(src, "mpi/x.py") == []
+    assert lint(src, "mpi/x.py") == []
 
 
-# -- drivers -----------------------------------------------------------------
+# -- the analyze CLI on files ------------------------------------------------
 
 def test_seeded_wallclock_file_fails(tmp_path, capsys):
     bad = tmp_path / "repro" / "sim" / "bad.py"
     bad.parent.mkdir(parents=True)
     bad.write_text("import time\n\ndef now():\n    return time.time()\n")
-    assert main([str(bad)]) == 1
+    assert main([str(bad), "--no-baseline"]) == 1
     out = capsys.readouterr().out
     assert "wallclock" in out and "bad.py" in out
 
@@ -362,9 +378,10 @@ def test_seeded_file_outside_core_passes(tmp_path, capsys):
     ok = tmp_path / "repro" / "bench" / "timer.py"
     ok.parent.mkdir(parents=True)
     ok.write_text("import time\n\ndef now():\n    return time.time()\n")
-    assert main([str(ok)]) == 0
+    assert main([str(ok), "--no-baseline"]) == 0
 
 
 def test_real_tree_is_clean(capsys):
-    assert main([str(REPO_SRC)]) == 0
-    assert "lint: 0 finding(s)" in capsys.readouterr().out
+    rules = [arg for rid in INVARIANTS for arg in ("--rule", rid)]
+    assert main([str(REPO_SRC), "--no-baseline", *rules]) == 0
+    assert "analyze: 0 finding(s)" in capsys.readouterr().out

@@ -209,38 +209,6 @@ def test_determinism_two_identical_runs():
     assert build() == build()
 
 
-def test_trace_log_shim_still_works_but_warns():
-    with pytest.warns(DeprecationWarning, match="Engine.trace=True. is deprecated"):
-        eng = Engine(trace=True)
-
-    def proc():
-        eng.trace("begin")
-        yield eng.timeout(1.0)
-        eng.trace("end")
-
-    eng.run(eng.process(proc()))
-    assert eng.trace_log == [(0.0, "begin"), (1.0, "end")]
-
-
 def test_trace_disabled_by_default(engine):
-    engine.trace("ignored")
-    assert engine.trace_log == []
-    assert engine.obs is None and not engine.trace_enabled
-
-
-def test_trace_reaches_bus_subscribers():
-    """Engine.trace is an ordinary obs instant: any subscriber sees it."""
-    from repro.obs import Bus
-
-    eng = Engine()
-    seen = []
-
-    class Sub:
-        def on_event(self, ev):
-            seen.append((ev.cat, ev.name, ev.t0, ev.get("msg")))
-
-    bus = Bus()
-    bus.subscribe(Sub())
-    bus.attach(eng)
-    eng.trace("hello")
-    assert seen == [("engine", "trace", 0.0, "hello")]
+    """No bus is attached unless one is subscribed: the unobserved fast path."""
+    assert engine.obs is None and engine.on_step is None
