@@ -64,6 +64,6 @@ def main(ctx):
 
 
 if __name__ == "__main__":
-    world = World(ONE_NODE)
-    times = world.run(main, nprocs=2)
+    with World(ONE_NODE) as world:
+        times = world.run(main, nprocs=2)
     print(f"simulation finished at t = {max(times) / us:.2f} us")

@@ -16,6 +16,12 @@ echo "== bench smoke (event-loop traffic vs recorded ceiling) =="
 PYTHONPATH=src python -m repro bench \
     --against auto --out /tmp/repro_bench_smoke.json
 
+echo "== hostbench-correctness (host-time benchmark outputs vs pinned fingerprints) =="
+# The shortest run hostbench allows (warm-up, three units and one traced
+# unit per workload): fails on any digest, t_end or counter drift from
+# hostbench/expected.json.
+python3 hostbench/run.py --seconds 0 --out /tmp/hostbench-ci.json
+
 echo "== bench-cluster smoke (512-GPU fat-tree, sharded executor) =="
 # The same cluster point through the multiprocessing path: every digest
 # and counter must match the sequential entry recorded in the baseline.

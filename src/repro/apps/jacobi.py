@@ -254,12 +254,9 @@ def run_jacobi(ctx, cfg: JacobiConfig) -> Generator:
         # work — stencil kernel plus one halo push per neighbour — into
         # a transfer graph.  Capture records without executing; every
         # iteration of the timed loop is then a single graph launch.
-        registry = getattr(ctx.world, "_jacobi_halo_registry", None)
-        if registry is None:
-            registry = {}
-            ctx.world._jacobi_halo_registry = registry
+        published = ctx.world.published
         for d in neighbours:
-            registry[(comm.rank, d)] = rbuf[d]
+            published[("jacobi-halo", comm.rank, d)] = rbuf[d]
         yield from comm.barrier()  # every rank's rbufs are published
         kernel = UniformKernel(
             grid_blocks, cfg.block, work, name="jacobi_g", apply=stencil_apply
@@ -268,7 +265,7 @@ def run_jacobi(ctx, cfg: JacobiConfig) -> Generator:
         stream.begin_capture()
         ctx.gpu.launch(kernel)
         for d, nbr in sorted(neighbours.items()):
-            ctx.gpu.memcpy_async(registry[(nbr, _OPPOSITE[d])], sbuf[d])
+            ctx.gpu.memcpy_async(published[("jacobi-halo", nbr, _OPPOSITE[d])], sbuf[d])
         jgraph = stream.end_capture()
 
     norm_val: Optional[float] = None

@@ -9,7 +9,7 @@ the device-side work runs asynchronously in the device's streams.
 from __future__ import annotations
 
 import math
-from typing import Any, Generator, Optional
+from typing import Any, Generator, List, Optional
 
 import numpy as np
 
@@ -48,7 +48,8 @@ class Device:
         from repro.cuda.stream import Stream  # local import to avoid cycle
 
         self.default_stream = Stream(self, name=f"{self.name}.s0")
-        self._stream_count = 1
+        #: Every stream created on this device; :meth:`close` stops their workers.
+        self.streams: List[Stream] = [self.default_stream]
 
     @staticmethod
     def _spec_cost(fabric: Fabric, gpu_id: int) -> CostModel:
@@ -87,8 +88,14 @@ class Device:
     def new_stream(self) -> "Any":
         from repro.cuda.stream import Stream
 
-        self._stream_count += 1
-        return Stream(self, name=f"{self.name}.s{self._stream_count - 1}")
+        stream = Stream(self, name=f"{self.name}.s{len(self.streams)}")
+        self.streams.append(stream)
+        return stream
+
+    def close(self) -> None:
+        """Stop every stream worker (they park forever on an empty queue)."""
+        for stream in self.streams:
+            stream.close()
 
     # -- kernel launch ------------------------------------------------------------
     def launch(self, kernel: KernelBase, stream=None) -> Event:

@@ -177,6 +177,10 @@ class Stream:
                 ev.succeed(None)
 
     # -- worker --------------------------------------------------------------------
+    def close(self) -> None:
+        """Kill the worker; ops enqueued afterwards never run."""
+        self._worker.kill()
+
     def _run(self):
         while True:
             op: StreamOp = yield self._ops.get()

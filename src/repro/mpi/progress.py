@@ -50,6 +50,11 @@ class ProgressEngine:
             for am_id in _PART_AM_IDS
         ]
 
+    def close(self) -> None:
+        """Kill the AM dispatch loops (they park forever on ``am_recv``)."""
+        for proc in self._procs:
+            proc.kill()
+
     # -- p2p state machine -------------------------------------------------------
     def _p2p_loop(self) -> Generator:
         worker = self.rt.worker

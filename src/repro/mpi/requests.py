@@ -36,7 +36,10 @@ class Request:
         if self._done_event.triggered:
             raise MpiStateError(f"{self} completed twice")
         self.status = status or {}
-        self._done_event.succeed(self)
+        # No value: succeeding with ``self`` would make request and event
+        # a reference cycle that pins the request's buffers until a
+        # collection.
+        self._done_event.succeed(None)
 
     def _fail(self, exc: BaseException) -> None:
         if not self._done_event.triggered:
@@ -82,6 +85,9 @@ class PersistentRequest(Request):
         super().__init__(rt, kind)
         self.epoch = 0
         self.active = False
+        #: Device request (MPIX_Prequest) driving this request, if created.
+        self.preq = None
+        rt.persistent.append(self)
 
     def _begin_epoch(self) -> None:
         if self.active:
@@ -102,3 +108,14 @@ class PersistentRequest(Request):
 
     def start(self) -> Generator:
         raise NotImplementedError
+
+    def release(self) -> None:
+        """MPI_Finalize of a request the rank never freed.
+
+        Releases the attached device request, whose progression watchers
+        and back-link to this request form a reference cycle, so the
+        request's buffers are freed by reference counting.  Called once by
+        :meth:`MpiRuntime.close`; the request is unusable afterwards.
+        """
+        if self.preq is not None:
+            self.preq.release()

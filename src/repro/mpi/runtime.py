@@ -8,7 +8,7 @@ rank process runs :meth:`MpiRuntime.init` (our MPI_Init).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Generator, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Generator, List, Optional, Tuple
 
 from repro.mpi.matching import KeyedMatcher, TagMatcher
 from repro.ucx.context import UcpContext, UcpWorker
@@ -17,6 +17,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cuda.device import Device
     from repro.mpi.comm import Communicator
     from repro.mpi.progress import ProgressEngine
+    from repro.mpi.requests import PersistentRequest
     from repro.mpi.world import World
 
 
@@ -45,6 +46,8 @@ class MpiRuntime:
         self.pending_sends: Dict[int, Tuple] = {}
         self.recv_by_seq: Dict[int, object] = {}
         self.comms: Dict[int, "Communicator"] = {}
+        #: Every persistent request created on this rank; close() releases them.
+        self.persistent: List["PersistentRequest"] = []
 
         # MCA partitioned component lazily initialized on first use
         # (its cost lands in the first MPIX_Pbuf_prepare — Table I).
@@ -73,6 +76,15 @@ class MpiRuntime:
             return
         yield self.engine.timeout(self.params.mpi_call_overhead)
         self.finalized = True
+
+    def close(self) -> None:
+        """Job teardown (see World.close): stop this rank's progression
+        and release its persistent requests."""
+        if self.progress is not None:
+            self.progress.close()
+        for req in self.persistent:
+            req.release()
+        self.persistent.clear()
 
     # -- endpoints --------------------------------------------------------------
     def ep_to(self, comm: "Communicator", comm_rank: int) -> Generator:

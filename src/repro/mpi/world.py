@@ -12,7 +12,11 @@ Application main functions are generators::
         yield from comm.barrier()
         return ctx.rank
 
-    results = World(ONE_NODE).run(main, nprocs=4)
+    with World(ONE_NODE) as world:
+        results = world.run(main, nprocs=4)
+
+:meth:`World.close` (or leaving the ``with`` block) releases the job's
+memory; :meth:`World.run` itself may be called again on an open World.
 """
 
 from __future__ import annotations
@@ -100,15 +104,10 @@ class World:
         cost: Optional[CostModel] = None,
         engine: Optional[Engine] = None,
     ) -> None:
-        # Collect predecessors' cyclic garbage *before* allocating this
-        # machine's buffers (see the note in run()).  Skipped for embedded
-        # worlds (``engine=`` injection): a shard hosting a node-local
-        # World must not pay a full collection per window.
-        if engine is None:
-            import gc
-
-            gc.collect()
         self.config = config
+        #: Only a World that built its engine tears it down in close(); an
+        #: embedded World (``engine=`` injection) leaves the host's alone.
+        self._owns_engine = engine is None
         self.engine = engine if engine is not None else Engine()
         self.fabric = Fabric(self.engine, config)
         # An explicit cost model applies to every device; otherwise each
@@ -117,7 +116,15 @@ class World:
         self.devices: List[Device] = [
             Device(self.fabric, g, cost) for g in range(self.fabric.topo.n_gpus)
         ]
+        # Registries; close() drops every one of them.
         self._addresses: Dict[int, WorkerAddress] = {}
+        self._runtimes: List[MpiRuntime] = []
+        self._split_slots: Dict[tuple, _SplitSlot] = {}
+        self._nccl_cliques: Dict[int, Any] = {}   # comm id -> nccl _CliqueState
+        self._fused_cliques: Dict[tuple, Any] = {}  # (comm id, seq) -> _FusedClique
+        #: Out-of-band key/value space ranks publish into (PMIx put/get),
+        #: e.g. graphed Jacobi's receive halos.
+        self.published: Dict[Any, Any] = {}
         self._comm_ids = itertools.count(0)
         self._nprocs = 0
         self._boot_counter: Optional[Counter] = None
@@ -150,7 +157,7 @@ class World:
         operation everywhere; the slot collects (color, key) submissions
         and assigns consistent CommGroups once all members arrived.
         """
-        slots = self.__dict__.setdefault("_split_slots", {})
+        slots = self._split_slots
         seq = getattr(parent_comm, "_split_seq", 0)
         parent_comm._split_seq = seq + 1
         key = (parent_comm.comm_id, seq)
@@ -186,6 +193,7 @@ class World:
 
         world_group = CommGroup(self.alloc_comm_id(), list(range(nprocs)))
         runtimes = [MpiRuntime(self, r, self.devices[r]) for r in range(nprocs)]
+        self._runtimes += runtimes
 
         def rank_main(rt: MpiRuntime):
             yield from rt.init()
@@ -218,16 +226,41 @@ class World:
         procs = self.launch(main, nprocs, args)
         done = AllOf(self.engine, procs)
         self.engine.run(done)
-        results = [p.value for p in procs]
-        # A finished world is a large reference cycle (progress-loop
-        # generators <-> engine <-> runtimes <-> NumPy buffers); collect
-        # it eagerly so back-to-back benchmark worlds do not accumulate
-        # gigabytes of cyclic garbage before the GC would get to them.
-        import gc
+        return [p.value for p in procs]
 
+    # -- teardown -------------------------------------------------------------------
+    def close(self) -> None:
+        """Release everything the job holds; idempotent.
+
+        ``MPI_Finalize`` for the whole machine: every rank's progress loops
+        and every stream worker are killed (they park forever on empty
+        queues), persistent requests the ranks never freed are released,
+        and the engine's pending heap and timeout pool are dropped.  No
+        reference cycle left behind reaches a payload buffer, so payloads
+        are freed by reference counting the moment the caller lets go,
+        with no collection.  An embedded World (``engine=`` injection)
+        only drops its registries: the host engine, and the processes
+        parked on it, are not its to tear down.  A second call finds
+        nothing left to release.
+        """
+        if self._owns_engine:
+            for rt in self._runtimes:
+                rt.close()
+            for device in self.devices:
+                device.close()
+            self.engine.close()
         self._addresses.clear()
-        gc.collect()
-        return results
+        self._runtimes.clear()
+        self._split_slots.clear()
+        self._nccl_cliques.clear()
+        self._fused_cliques.clear()
+        self.published.clear()
+
+    def __enter__(self) -> "World":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     @property
     def now(self) -> float:

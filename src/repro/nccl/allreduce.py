@@ -90,6 +90,8 @@ class _OpState:
         self.staging: List[Optional[Buffer]] = [None] * n_ranks
         self.chunk_elems = chunk_elems
         self.dtype = dtype
+        #: Ranks whose ring kernel has exited; the last one retires the op.
+        self.finished = 0
 
     def slot(self, rank: int, channel: int, step: int) -> Buffer:
         buf = self.staging[rank]
@@ -114,7 +116,7 @@ class NcclComm:
     def init(cls, ctx: "RankCtx") -> Generator:
         """ncclCommInitRank over ``ctx.comm``; every rank must call it."""
         comm = ctx.comm
-        registry = ctx.world.__dict__.setdefault("_nccl_cliques", {})
+        registry = ctx.world._nccl_cliques
         clique = registry.get(comm.comm_id)
         if clique is None:
             clique = _CliqueState(ctx.engine, comm.size)
@@ -231,4 +233,10 @@ class NcclComm:
         from repro.sim.events import AllOf
 
         yield AllOf(self.engine, channels)
+        # Every put into a rank's staging slot is awaited by that rank, so
+        # once all P kernels exited no transfer still targets this op's
+        # slots: retire it (a seq is never reused, not even by a replay).
+        state.finished += 1
+        if state.finished == P:
+            del self.clique.op_states[seq]
         return None

@@ -35,7 +35,6 @@ from repro.units import us
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.mpi.comm import Communicator
-    from repro.partitioned.prequest import Prequest
 
 #: Host-side CPU cost of issuing one ucp_put_nbx (pready hot path).
 PUT_ISSUE_COST = 0.65 * us
@@ -103,9 +102,6 @@ class PsendRequest(PersistentRequest):
 
         # One-byte source for chained completion-flag puts.
         self._flag_src = Buffer.alloc(1, np.int8, MemSpace.PINNED, node=self.rt.node, fill=1)
-
-        # Device request (MPIX_Prequest), if created.
-        self.preq: Optional["Prequest"] = None
 
     # -- MPI_Start -----------------------------------------------------------
     def start(self) -> Generator:

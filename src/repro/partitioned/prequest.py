@@ -103,7 +103,9 @@ class Prequest:
             self.gmem_counters[tp].reset()
             self.host_signals[tp].reset()
         record.mark("epoch-arm", req=record.ident(self.sreq), preq=record.ident(self), epoch=epoch)
-        self._watchers = [
+        # An earlier epoch's watcher that was never signalled (host-side
+        # Pready) stays parked; keep it listed so release() can stop it.
+        self._watchers = [w for w in self._watchers if w.is_alive] + [
             self.engine.process(self._watch(tp, expected, epoch), name=f"preq.watch{tp}")
             for tp in range(self.agg.n_transport)
         ]
@@ -147,6 +149,18 @@ class Prequest:
         yield self.engine.timeout(cost.memcpy_api_cost)  # cudaFree / cudaFreeHost
         self.freed = True
         record.mark("preq-free", preq=record.ident(self), req=record.ident(self.sreq))
+        self.sreq.preq = None
+
+    def release(self) -> None:
+        """Finalize-time teardown (see PersistentRequest.release).
+
+        Kills the watchers still parked (an epoch the device never
+        signalled leaves them waiting forever) and detaches from the
+        owning request.
+        """
+        for watcher in self._watchers:
+            watcher.kill()
+        self._watchers = []
         self.sreq.preq = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

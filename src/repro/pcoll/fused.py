@@ -121,7 +121,7 @@ class FusedPallreduce(PersistentRequest):
         self.chunk_elems = self.part_elems // comm.size
 
         # Shared clique state (stands for the rkey_ptr-mapped peer windows).
-        registry = comm.rt.world.__dict__.setdefault("_fused_cliques", {})
+        registry = comm.rt.world._fused_cliques
         seq = getattr(comm, "_fused_seq", 0)
         comm._fused_seq = seq + 1
         key = (comm.comm_id, seq)
@@ -145,7 +145,6 @@ class FusedPallreduce(PersistentRequest):
         self.done_count = Counter(self.engine)
         self._pready_called: List[bool] = []
         self.prepared_once = False
-        self.preq = None
 
     # -- geometry ------------------------------------------------------------
     def _w_chunk(self, u: int, chunk: int) -> Buffer:
@@ -287,6 +286,10 @@ class FusedPallreduce(PersistentRequest):
         if self.active:
             preq.arm_epoch()
         return preq
+
+    def release(self) -> None:
+        super().release()
+        self.clique.members.clear()  # member <-> clique is a reference cycle
 
 
 def fused_pallreduce_init(

@@ -99,7 +99,6 @@ class PcollRequest(PersistentRequest):
         self._prepared_flag = Flag(self.engine)
         self.done_count = Counter(self.engine)
         self._sms: List = []
-        self.preq = None  # device MPIX_Prequest, if created
 
         # Collective channels match by a per-communicator ordinal: MPI
         # requires every rank to initialize collectives on a communicator

@@ -26,7 +26,7 @@ import json
 import os
 import re
 import time
-from typing import Dict, Iterable, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.sim.engine import STATS
 
@@ -277,6 +277,22 @@ def _check_against(results: Dict[str, dict], baseline: dict, tolerance: float) -
     return 1 if failures else 0
 
 
+def _baselines(directory: str) -> List[Tuple[int, str]]:
+    """``(N, path)`` of every ``BENCH_pr<N>.json`` in ``directory``."""
+    found = []
+    for path in glob.glob(os.path.join(directory, "BENCH_pr*.json")):
+        m = re.fullmatch(r"BENCH_pr(\d+)\.json", os.path.basename(path))
+        if m:
+            found.append((int(m.group(1)), path))
+    return found
+
+
+def next_pr(directory: str = ".") -> int:
+    """One past the newest ``BENCH_pr<N>.json`` number: the default
+    ``--pr``, so a bare run never overwrites a checked-in baseline."""
+    return max((n for n, _ in _baselines(directory)), default=0) + 1
+
+
 def resolve_baseline(spec: Optional[str], exclude: Optional[str] = None) -> Optional[str]:
     """Resolve an ``--against`` value to a baseline path.
 
@@ -292,11 +308,8 @@ def resolve_baseline(spec: Optional[str], exclude: Optional[str] = None) -> Opti
             return spec
         directory = spec
     skip = os.path.realpath(exclude) if exclude else None
-    candidates = []
-    for path in glob.glob(os.path.join(directory, "BENCH_pr*.json")):
-        m = re.fullmatch(r"BENCH_pr(\d+)\.json", os.path.basename(path))
-        if m and os.path.realpath(path) != skip:
-            candidates.append((int(m.group(1)), path))
+    candidates = [(n, path) for n, path in _baselines(directory)
+                  if os.path.realpath(path) != skip]
     if not candidates:
         raise FileNotFoundError(
             f"--against {spec}: no BENCH_pr*.json baseline found in {directory!r}"
@@ -309,7 +322,11 @@ def main(argv=None) -> int:
         prog="python -m repro bench",
         description="Run the pinned simulator benchmark suite (DESIGN.md §11).",
     )
-    parser.add_argument("--pr", type=int, default=10, help="PR number for the output filename")
+    parser.add_argument(
+        "--pr", type=int,
+        help="PR number for the output filename "
+             "(default: one past the newest BENCH_pr<N>.json here)",
+    )
     parser.add_argument("--out", help="output JSON path (default BENCH_pr<N>.json)")
     parser.add_argument("--suite", help="comma-separated subset of suite entries")
     parser.add_argument(
@@ -331,10 +348,11 @@ def main(argv=None) -> int:
     global _CLUSTER_SHARDS
     _CLUSTER_SHARDS = args.shards
 
+    pr = args.pr if args.pr is not None else next_pr()
     names = args.suite.split(",") if args.suite else None
     results = run_suite(names)
     doc = {
-        "pr": args.pr,
+        "pr": pr,
         "metric_note": "events_popped is deterministic; wall_s is informational",
         "suite": results,
         "total": _totals(results),
@@ -351,7 +369,7 @@ def main(argv=None) -> int:
         f"coalesced {total['events_coalesced']:9d}"
     )
 
-    out = args.out or f"BENCH_pr{args.pr}.json"
+    out = args.out or f"BENCH_pr{pr}.json"
     with open(out, "w") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")

@@ -380,6 +380,17 @@ class Engine:
             self.events_cancelled += 1
         return heap[0][0] if heap else float("inf")
 
+    def close(self) -> None:
+        """Drop every pending event and the timeout free-list.
+
+        The heap is what keeps a finished simulation's parked processes
+        (and everything their frames hold) reachable; its owner calls this
+        once nothing will run on the engine again.  Time and counters stay
+        readable.
+        """
+        self._heap.clear()
+        self._timeout_pool.clear()
+
     def _flush_stats(self) -> None:
         flushed = self._flushed
         STATS.events_popped += self.events_popped - flushed[0]

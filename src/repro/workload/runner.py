@@ -5,8 +5,10 @@ Every workload that runs MPI-style rank coroutines goes through
 :class:`~repro.mpi.world.World` (the ``module-ownership`` analyzer rule
 enforces this).  It does exactly what the hand-rolled drivers used to do —
 construct the world, run the ranks, hand back the results — so every
-counter and timestamp stays pinned; it additionally keeps the world
-around so callers can read the dataplane ledger.
+counter and timestamp stays pinned.  The world is closed before
+:func:`run_ranks` returns: :class:`RankRun` carries the end time and the
+dataplane ledger as values, so a finished job's buffers are freed by
+reference counting rather than held until a collection.
 """
 
 from __future__ import annotations
@@ -20,19 +22,14 @@ from repro.mpi.world import World
 
 @dataclass
 class RankRun:
-    """One completed rank job: per-rank return values + the world."""
+    """One completed rank job, as values: the world itself is closed."""
 
-    world: World
+    #: Per-rank return values, in rank order.
     results: List[Any]
-
-    @property
-    def t_end(self) -> float:
-        return self.world.engine.now
-
-    @property
-    def class_bytes(self) -> dict:
-        """Per-traffic-class ledger snapshot for the run's dataplane."""
-        return self.world.fabric.dataplane.ledger.as_dict()
+    #: Simulated time at which the last rank finished.
+    t_end: float
+    #: Per-traffic-class ledger snapshot of the run's dataplane.
+    class_bytes: dict
 
 
 def run_ranks(
@@ -42,7 +39,11 @@ def run_ranks(
     args: Sequence[Any] = (),
     cost=None,
 ) -> RankRun:
-    """Build one World on ``machine`` and run ``nprocs`` ranks of ``main``."""
-    world = World(machine, cost=cost)
-    results = world.run(main, nprocs=nprocs, args=args)
-    return RankRun(world=world, results=results)
+    """Build one World on ``machine``, run ``nprocs`` ranks of ``main``, close it."""
+    with World(machine, cost=cost) as world:
+        results = world.run(main, nprocs=nprocs, args=args)
+        return RankRun(
+            results=results,
+            t_end=world.engine.now,
+            class_bytes=world.fabric.dataplane.ledger.as_dict(),
+        )

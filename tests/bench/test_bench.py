@@ -1,5 +1,7 @@
 """Bench harness: series container, renderer, decimated smoke runs."""
 
+import json
+
 import pytest
 
 from repro.bench.series import Series, render
@@ -100,6 +102,20 @@ def test_baseline_auto_picks_newest_but_never_the_runs_own_out(tmp_path, monkeyp
     assert resolve_baseline("auto", exclude="/elsewhere/out.json").endswith("BENCH_pr10.json")
     assert resolve_baseline("auto", exclude="BENCH_pr10.json").endswith("BENCH_pr9.json")
     assert resolve_baseline("auto", exclude=str(newest)).endswith("BENCH_pr9.json")
+
+
+def test_bare_bench_run_never_overwrites_a_baseline(tmp_path, monkeypatch, capsys):
+    from repro.perf.bench import main, next_pr
+
+    assert next_pr(str(tmp_path)) == 1
+    for pr in (9, 10):
+        (tmp_path / f"BENCH_pr{pr}.json").write_text("{}\n")
+    assert next_pr(str(tmp_path)) == 11
+    monkeypatch.chdir(tmp_path)
+    assert main(["--suite", "pingpong"]) == 0
+    assert (tmp_path / "BENCH_pr10.json").read_text() == "{}\n"
+    assert json.loads((tmp_path / "BENCH_pr11.json").read_text())["pr"] == 11
+    assert "wrote BENCH_pr11.json" in capsys.readouterr().out
 
 
 def test_goodput_monotone_niceness():

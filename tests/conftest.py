@@ -30,13 +30,15 @@ def gpu(fabric) -> Device:
 
 
 @pytest.fixture
-def one_node_world() -> World:
-    return World(ONE_NODE)
+def one_node_world():
+    with World(ONE_NODE) as world:
+        yield world
 
 
 @pytest.fixture
-def two_node_world() -> World:
-    return World(PAPER_TESTBED)
+def two_node_world():
+    with World(PAPER_TESTBED) as world:
+        yield world
 
 
 @pytest.fixture
