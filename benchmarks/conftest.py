@@ -11,11 +11,12 @@ assertions.
 import pytest
 
 from repro.bench.series import Series, render
+from repro.workload.registry import get
 
 
-def run_exhibit(benchmark, fn, *args, **kwargs) -> Series:
-    """Run one exhibit generator under pytest-benchmark and print it."""
-    series = benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1, iterations=1)
+def run_exhibit(benchmark, name: str, **params) -> Series:
+    """Run one registered workload under pytest-benchmark and print its series."""
+    series = benchmark.pedantic(get(name).run, kwargs=params, rounds=1, iterations=1).series
     print()
     print(render(series))
     return series

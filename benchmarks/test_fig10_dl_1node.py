@@ -10,13 +10,11 @@ Paper claims reproduced here:
 
 from conftest import run_exhibit
 
-from repro.bench import figures
-
 GRIDS = (256, 1024, 4096)
 
 
 def test_fig10_dl_1node(benchmark):
-    series = run_exhibit(benchmark, figures.fig10, grids=GRIDS)
+    series = run_exhibit(benchmark, "fig10", grids=GRIDS)
 
     for row in series.rows:
         assert row["traditional_us"] > row["partitioned_us"] > row["nccl_us"], (

@@ -10,11 +10,9 @@ Paper claims reproduced here:
 
 from conftest import run_exhibit, within
 
-from repro.bench import figures
-
 
 def test_fig2_motivation(benchmark):
-    series = run_exhibit(benchmark, figures.fig2)
+    series = run_exhibit(benchmark, "fig2")
 
     sync_times = series.column("sync_us")
     assert max(sync_times) - min(sync_times) < 0.2, "sync cost must be size-independent"

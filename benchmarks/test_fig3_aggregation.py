@@ -11,11 +11,9 @@ Paper claims reproduced here:
 
 from conftest import run_exhibit, within
 
-from repro.bench import figures
-
 
 def test_fig3_aggregation(benchmark):
-    series = run_exhibit(benchmark, figures.fig3)
+    series = run_exhibit(benchmark, "fig3")
 
     first = series.rows[0]
     assert first["threads"] == 1

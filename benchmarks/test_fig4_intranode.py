@@ -13,13 +13,11 @@ Paper claims reproduced here:
 
 from conftest import run_exhibit, within
 
-from repro.bench import figures
-
 GRIDS = (1, 16, 256, 2048, 32768)
 
 
 def test_fig4_intranode(benchmark):
-    series = run_exhibit(benchmark, figures.fig4, grids=GRIDS)
+    series = run_exhibit(benchmark, "fig4", grids=GRIDS)
 
     for row in series.rows:
         assert row["kernel_copy"] >= row["progression"] * 0.999, (

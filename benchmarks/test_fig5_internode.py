@@ -12,13 +12,11 @@ Paper claims reproduced here:
 
 from conftest import run_exhibit, within
 
-from repro.bench import figures
-
 GRIDS = (1, 16, 256, 8192, 131072)
 
 
 def test_fig5_internode(benchmark):
-    series = run_exhibit(benchmark, figures.fig5, grids=GRIDS)
+    series = run_exhibit(benchmark, "fig5", grids=GRIDS)
 
     for row in series.rows:
         assert row["pe_speedup"] >= 1.0, f"partitioned must win at grid {row['grid']}"

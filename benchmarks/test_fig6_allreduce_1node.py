@@ -12,13 +12,11 @@ Paper claims reproduced here:
 
 from conftest import run_exhibit, within
 
-from repro.bench import figures
-
 GRIDS = (1024, 4096, 16384)
 
 
 def test_fig6_allreduce_1node(benchmark):
-    series = run_exhibit(benchmark, figures.fig6, grids=GRIDS)
+    series = run_exhibit(benchmark, "fig6", grids=GRIDS)
 
     for row in series.rows:
         assert row["traditional_us"] > row["partitioned_us"] > row["nccl_us"], (

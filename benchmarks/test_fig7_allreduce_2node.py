@@ -6,13 +6,13 @@ the corresponding single-node times (the ring crosses the IB fabric).
 
 from conftest import run_exhibit, within
 
-from repro.bench import figures
+from repro.workload.registry import get
 
 GRIDS = (1024, 4096, 16384)
 
 
 def test_fig7_allreduce_2node(benchmark):
-    series = run_exhibit(benchmark, figures.fig7, grids=GRIDS)
+    series = run_exhibit(benchmark, "fig7", grids=GRIDS)
 
     for row in series.rows:
         assert row["traditional_us"] > row["partitioned_us"], (
@@ -26,6 +26,6 @@ def test_fig7_allreduce_2node(benchmark):
         assert row["trad_over_part"] > 3.0
 
     # Cross-check against Fig 6: two-node rings are slower than one-node.
-    one_node = figures.fig6(grids=(GRIDS[0],))
+    one_node = get("fig6").run(grids=(GRIDS[0],)).series
     assert series.rows[0]["nccl_us"] > one_node.rows[0]["nccl_us"]
     assert series.rows[0]["partitioned_us"] > one_node.rows[0]["partitioned_us"]

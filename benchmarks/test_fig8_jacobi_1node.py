@@ -9,13 +9,11 @@ Kernel-Copy variant strictly winning.
 
 from conftest import run_exhibit, within
 
-from repro.bench import figures
-
 MULTIPLIERS = (1, 4, 16)
 
 
 def test_fig8_jacobi_1node(benchmark):
-    series = run_exhibit(benchmark, figures.fig8, multipliers=MULTIPLIERS, iters=120)
+    series = run_exhibit(benchmark, "fig8", multipliers=MULTIPLIERS, iters=120)
 
     for row in series.rows:
         assert row["kc_speedup"] > 1.0, (

@@ -10,13 +10,11 @@ Paper claims reproduced here:
 
 from conftest import run_exhibit, within
 
-from repro.bench import figures
-
 MULTIPLIERS = (1, 4, 16)
 
 
 def test_fig9_jacobi_2node(benchmark):
-    series = run_exhibit(benchmark, figures.fig9, multipliers=MULTIPLIERS, iters=120)
+    series = run_exhibit(benchmark, "fig9", multipliers=MULTIPLIERS, iters=120)
 
     best_kc = max(series.column("kc_speedup"))
     within(best_kc, 1.15, 1.45, "best two-node speedup (paper 1.30x)")

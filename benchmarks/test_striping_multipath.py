@@ -15,11 +15,14 @@ Claims asserted here (DESIGN.md §12):
 
 from conftest import run_exhibit, within
 
-from repro.dataplane.bench import stripe_sweep
+from repro.units import KiB, MiB
+
+#: Overhead-dominated KiBs through bandwidth-bound GiB-scale.
+SIZES = (64 * KiB, 512 * KiB, 2 * MiB, 8 * MiB, 64 * MiB, 512 * MiB)
 
 
 def test_striping_crossover(benchmark):
-    series = run_exhibit(benchmark, stripe_sweep)
+    series = run_exhibit(benchmark, "striping", sizes=SIZES)
 
     small = series.rows[0]
     assert small["stripes"] == 1, "64 KiB must not stripe (min_stripe_bytes)"

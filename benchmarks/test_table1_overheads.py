@@ -11,8 +11,6 @@ init (multiple inits + schedule); first prepare >> later prepares.
 
 from conftest import run_exhibit, within
 
-from repro.bench import figures
-
 # call -> (paper mean, accepted band)
 BANDS = {
     "MPI_Psend_init": (17.2, (7.0, 28.0)),
@@ -25,7 +23,7 @@ BANDS = {
 
 
 def test_table1_overheads(benchmark):
-    series = run_exhibit(benchmark, figures.table1)
+    series = run_exhibit(benchmark, "table1")
     by_call = {row["call"]: row["measured_us"] for row in series.rows}
 
     for call, (_paper, (lo, hi)) in BANDS.items():

@@ -29,7 +29,7 @@ PYTHONPATH=src python -m repro bench --suite cluster-fattree-512 --shards 2 \
     --against auto --out /tmp/repro_bench_cluster.json
 PYTHONPATH=src python - <<'EOF'
 import json
-from repro.perf.bench import resolve_baseline
+from repro.bench.suite import resolve_baseline
 base = json.load(open(resolve_baseline("auto")))["suite"]["cluster-fattree-512"]
 got = json.load(open("/tmp/repro_bench_cluster.json"))["suite"]["cluster-fattree-512"]
 for key in ("msg_digest", "messages", "windows", "cluster_events_popped",
@@ -73,7 +73,7 @@ PYTHONPATH=src python -m repro fault examples/schedules/faults_fattree512.jsonl 
     --param iters=4 --param chunks=2 > /tmp/repro_fault_mp.txt
 PYTHONPATH=src python - <<'EOF'
 import json, re
-from repro.perf.bench import resolve_baseline
+from repro.bench.suite import resolve_baseline
 
 def rows(path):
     text = open(path).read()

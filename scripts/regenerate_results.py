@@ -10,8 +10,9 @@ default takes a few minutes and matches the benchmarks' resolution.
 import sys
 import time
 
-from repro.bench import figures, render
+from repro.bench import render
 from repro.sim.engine import STATS
+from repro.workload.registry import get
 
 FAST = "--fast" in sys.argv
 
@@ -36,7 +37,7 @@ def main() -> None:
     for name, kwargs in PLANS.items():
         STATS.reset()
         t0 = time.time()
-        series = figures.ALL_EXHIBITS[name](**kwargs)
+        series = get(name).run(**kwargs).series
         wall = time.time() - t0
         text = render(series)
         print(text)

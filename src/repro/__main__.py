@@ -26,7 +26,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.bench import figures, render
+from repro.bench import render
 
 
 def main(argv=None) -> int:
@@ -48,7 +48,7 @@ def main(argv=None) -> int:
 
         return profile_main(argv[1:])
     if argv and argv[0] == "bench":
-        from repro.perf.bench import main as bench_main
+        from repro.bench.suite import main as bench_main
 
         return bench_main(argv[1:])
     if argv and argv[0] == "sweep":
@@ -63,21 +63,22 @@ def main(argv=None) -> int:
         from repro.workload.cli import main_fault
 
         return main_fault(argv[1:])
+    from repro.workload.exhibits import EXHIBIT_WORKLOADS
+
+    exhibits = {wl.name: wl for wl in EXHIBIT_WORKLOADS}
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="Regenerate exhibits of the GPU-initiated MPI Partitioned paper.",
     )
-    parser.add_argument("exhibit", help="'list', 'all', or one of: "
-                        + ", ".join(figures.ALL_EXHIBITS))
+    parser.add_argument("exhibit", help="'list', 'all', or one of: " + ", ".join(exhibits))
     parser.add_argument("--grids", help="comma-separated grid sizes (p2p/coll/dl exhibits)")
     parser.add_argument("--multipliers", help="comma-separated multipliers (Jacobi exhibits)")
     parser.add_argument("--fast", action="store_true", help="decimate 'all' sweeps")
     args = parser.parse_args(argv)
 
     if args.exhibit == "list":
-        for name, fn in figures.ALL_EXHIBITS.items():
-            doc = (fn.__doc__ or "").strip().splitlines()[0]
-            print(f"{name:8s} {doc}")
+        for name, wl in exhibits.items():
+            print(f"{name:8s} {wl.__doc__.strip().splitlines()[0]}")
         return 0
 
     if args.exhibit == "all":
@@ -87,15 +88,15 @@ def main(argv=None) -> int:
         regenerate_results.main()
         return 0
 
-    fn = figures.ALL_EXHIBITS.get(args.exhibit)
-    if fn is None:
+    wl = exhibits.get(args.exhibit)
+    if wl is None:
         parser.error(f"unknown exhibit {args.exhibit!r}; try 'list'")
     kwargs = {}
     if args.grids:
         kwargs["grids"] = tuple(int(g) for g in args.grids.split(","))
     if args.multipliers:
         kwargs["multipliers"] = tuple(int(m) for m in args.multipliers.split(","))
-    print(render(fn(**kwargs)))
+    print(render(wl.run(**kwargs).series))
     return 0
 
 

@@ -1,11 +1,14 @@
 """Benchmark harness: regenerates every table and figure of the paper.
 
-Each ``fig*``/``table*`` function in :mod:`repro.bench.figures` runs the
-full simulation workload for one exhibit and returns a
-:class:`~repro.bench.series.Series` whose rows mirror what the paper
-plots; :func:`~repro.bench.series.render` prints them.  The
-``benchmarks/`` directory wraps these in pytest-benchmark targets, and
-EXPERIMENTS.md records paper-vs-measured values.
+The measurement modules (:mod:`~repro.bench.p2p`, :mod:`~repro.bench.coll`,
+:mod:`~repro.bench.apps`, :mod:`~repro.bench.multipath`) own the
+methodology; :mod:`repro.workload.exhibits` registers each exhibit as a
+Workload whose ``run(...).series`` is a :class:`~repro.bench.series.Series`
+mirroring what the paper plots, and :func:`~repro.bench.series.render`
+prints it.  :mod:`repro.bench.suite` is ``python -m repro bench``, the
+pinned event-counter suite over registered workloads.  The
+``benchmarks/`` directory wraps the exhibits in pytest-benchmark targets,
+and EXPERIMENTS.md records paper-vs-measured values.
 """
 
 from repro.bench.series import Series, render

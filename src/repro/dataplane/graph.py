@@ -43,7 +43,7 @@ import os
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.obs import bus as obs_bus
-from repro.sim.engine import STATS, Engine
+from repro.sim.engine import Engine
 
 
 class GraphError(RuntimeError):
@@ -106,23 +106,14 @@ class GraphEngine(Engine):
     ``(time, priority, seq)`` tie-breaks, pooled timeouts, horizon
     clamping — literally the same code, so a simulation moved onto a
     GraphEngine reproduces the eager event stream bit-for-bit.  Only the
-    stats flush differs: pops land in :data:`~repro.sim.engine.STATS`
+    stats field differs: pops land in :data:`~repro.sim.engine.STATS`
     as ``events_graphed``, keeping ``events_popped`` an honest count of
     host-heap traffic.
     """
 
     __slots__ = ()
 
-    def _flush_stats(self) -> None:
-        flushed = self._flushed
-        STATS.events_graphed += self.events_popped - flushed[0]
-        STATS.events_coalesced += self.events_coalesced - flushed[1]
-        STATS.events_cancelled += self.events_cancelled - flushed[2]
-        if self.peak_heap > STATS.peak_heap:
-            STATS.peak_heap = self.peak_heap
-        flushed[0] = self.events_popped
-        flushed[1] = self.events_coalesced
-        flushed[2] = self.events_cancelled
+    STATS_POPPED_FIELD = "events_graphed"
 
 
 # --------------------------------------------------------------------------

@@ -7,12 +7,11 @@ Determinism: heap entries are ``(time, priority, seq)``; ``seq`` is a
 monotone counter so ties break by insertion order.  Nothing in the engine
 consults wall-clock time or global randomness.
 
-Wall-clock fast path (DESIGN.md §11): :meth:`Engine.run` hoists the
-``obs is None`` / ``on_step is None`` observer checks out of the pop loop —
-an unobserved run executes an inlined loop with no per-event method calls,
-while any observer routes every pop through :meth:`step` so hooks fire
-exactly as before.  Observers must therefore be attached *before* ``run``
-is entered; nothing in the deterministic core attaches one mid-run.
+Wall-clock fast path (DESIGN.md §11): :meth:`Engine.run` is the only pop
+loop.  It hoists the ``obs`` / ``on_step`` observers into locals before
+the loop, so an unobserved pop costs two ``is None`` tests and no method
+calls.  Observers must therefore be attached *before* ``run`` is entered;
+nothing in the deterministic core attaches one mid-run.
 """
 
 from __future__ import annotations
@@ -24,6 +23,9 @@ from typing import Any, Callable, Generator, List, Optional, Tuple
 from repro.sim.events import Event, Timeout, _PooledTimeout
 from repro.sim.process import Process, ProcessFailed
 from repro.obs import bus as obs_bus
+
+
+_INF = float("inf")
 
 
 class EmptySchedule(Exception):
@@ -97,6 +99,9 @@ class Engine:
         "events_popped", "events_coalesced", "events_cancelled", "peak_heap",
         "_flushed", "shard_id", "__weakref__",
     )
+
+    #: The :data:`STATS` field this engine's pops are folded into.
+    STATS_POPPED_FIELD = "events_popped"
 
     def __init__(self) -> None:
         self._now: float = 0.0
@@ -222,151 +227,69 @@ class Engine:
         )
 
     # -- main loop ------------------------------------------------------------
-    def step(self) -> None:
-        """Process the single next live event (skipping cancelled entries)."""
-        heap = self._heap
-        while heap:
-            time, _prio, _seq, ev = heapq.heappop(heap)
-            if ev._cancelled:
-                self.events_cancelled += 1
-                continue
-            if time < self._now:  # pragma: no cover - defensive
-                raise RuntimeError("time went backwards")
-            self._now = time
-            self.events_popped += 1
-            if self.on_step is not None:
-                self.on_step(time, _prio, _seq)
-            if self.obs is not None:
-                self.obs.instant("engine", "step", None, t=time, prio=_prio, seq=_seq)
-            ev._run_callbacks()
-            if self._crashed is not None:
-                crashed, self._crashed = self._crashed, None
-                raise crashed
-            return
-
     def run(self, until: Optional[Any] = None) -> Any:
         """Run until ``until`` (an Event, a time, or None for exhaustion).
 
         Returns the event's value when ``until`` is an Event.  Raises
         :class:`~repro.sim.process.ProcessFailed` if an unwaited process
         crashed, or the original exception if ``until`` itself failed.
-        """
-        try:
-            if until is None:
-                return self._run_exhaust()
-            if isinstance(until, Event):
-                return self._run_until_event(until)
-            return self._run_horizon(float(until))
-        finally:
-            self._flush_stats()
 
-    def _run_exhaust(self) -> None:
+        One pop loop serves all three modes: it stops when the until-event
+        has fired (``done``), the heap is empty, or the next event lies past
+        ``horizon`` (``+inf`` unless ``until`` is a time).
+        """
+        horizon = _INF
+        done: Optional[List[Event]] = None
+        if isinstance(until, Event):
+            done = []
+            waiter = done.append
+            until.add_callback(waiter)
+        elif until is not None:
+            horizon = float(until)
+            if horizon < self._now:
+                raise ValueError(f"cannot run to the past: {horizon} < {self._now}")
         heap = self._heap
-        if self.on_step is not None or self.obs is not None:
-            while heap:
-                self.step()
-            return None
         pop = heapq.heappop
+        on_step, obs = self.on_step, self.obs
         popped = cancelled = 0
         try:
-            while heap:
-                time, _prio, _seq, ev = pop(heap)
+            while not done and heap and heap[0][0] <= horizon:
+                time, prio, seq, ev = pop(heap)
                 if ev._cancelled:
                     cancelled += 1
                     continue
                 self._now = time
                 popped += 1
+                if on_step is not None:
+                    on_step(time, prio, seq)
+                if obs is not None:
+                    obs.instant("engine", "step", None, t=time, prio=prio, seq=seq)
                 ev._run_callbacks()
                 if self._crashed is not None:
                     crashed, self._crashed = self._crashed, None
                     raise crashed
+            if done is not None and not done:
+                raise EmptySchedule(
+                    f"no more events at t={self._now}; target event never fired"
+                )
         finally:
             self.events_popped += popped
             self.events_cancelled += cancelled
-        return None
-
-    def _run_until_event(self, until: Event) -> Any:
-        done: List[Event] = []
-        waiter = done.append
-        until.add_callback(waiter)
-        heap = self._heap
-        try:
-            if self.on_step is not None or self.obs is not None:
-                while not done:
-                    if not heap:
-                        raise EmptySchedule(
-                            f"no more events at t={self._now}; target event never fired"
-                        )
-                    self.step()
-            else:
-                pop = heapq.heappop
-                popped = cancelled = 0
-                try:
-                    while not done:
-                        if not heap:
-                            raise EmptySchedule(
-                                f"no more events at t={self._now}; "
-                                "target event never fired"
-                            )
-                        time, _prio, _seq, ev = pop(heap)
-                        if ev._cancelled:
-                            cancelled += 1
-                            continue
-                        self._now = time
-                        popped += 1
-                        ev._run_callbacks()
-                        if self._crashed is not None:
-                            crashed, self._crashed = self._crashed, None
-                            raise crashed
-                finally:
-                    self.events_popped += popped
-                    self.events_cancelled += cancelled
-        finally:
+            if popped:
+                self.t_busy = self._now
+            self._flush_stats()
             # A propagating exception must not leave our waiter registered:
             # re-waiting the same event would then observe duplicate appends.
-            if not done and until.callbacks is not None:
-                try:
-                    until.callbacks.remove(waiter)
-                except ValueError:  # pragma: no cover - defensive
-                    pass
+            if done is not None and not done and until.callbacks is not None:
+                until.callbacks.remove(waiter)
+        if done is None:
+            if until is not None:
+                self._now = horizon
+            return None
         if until.ok:
             return until.value
         exc = until.value
         raise exc if isinstance(exc, BaseException) else RuntimeError(repr(exc))
-
-    def _run_horizon(self, horizon: float) -> None:
-        if horizon < self._now:
-            raise ValueError(f"cannot run to the past: {horizon} < {self._now}")
-        heap = self._heap
-        if self.on_step is not None or self.obs is not None:
-            before = self.events_popped
-            while heap and heap[0][0] <= horizon:
-                self.step()
-            if self.events_popped != before:
-                self.t_busy = self._now
-            self._now = horizon
-            return None
-        pop = heapq.heappop
-        popped = cancelled = 0
-        try:
-            while heap and heap[0][0] <= horizon:
-                time, _prio, _seq, ev = pop(heap)
-                if ev._cancelled:
-                    cancelled += 1
-                    continue
-                self._now = time
-                popped += 1
-                ev._run_callbacks()
-                if self._crashed is not None:
-                    crashed, self._crashed = self._crashed, None
-                    raise crashed
-        finally:
-            self.events_popped += popped
-            self.events_cancelled += cancelled
-        if popped:
-            self.t_busy = self._now
-        self._now = horizon
-        return None
 
     def peek(self) -> float:
         """Time of the next *live* scheduled event, or +inf when idle.
@@ -378,7 +301,7 @@ class Engine:
         while heap and heap[0][3]._cancelled:
             heapq.heappop(heap)
             self.events_cancelled += 1
-        return heap[0][0] if heap else float("inf")
+        return heap[0][0] if heap else _INF
 
     def close(self) -> None:
         """Drop every pending event and the timeout free-list.
@@ -393,7 +316,8 @@ class Engine:
 
     def _flush_stats(self) -> None:
         flushed = self._flushed
-        STATS.events_popped += self.events_popped - flushed[0]
+        field = self.STATS_POPPED_FIELD
+        setattr(STATS, field, getattr(STATS, field) + self.events_popped - flushed[0])
         STATS.events_coalesced += self.events_coalesced - flushed[1]
         STATS.events_cancelled += self.events_cancelled - flushed[2]
         if self.peak_heap > STATS.peak_heap:

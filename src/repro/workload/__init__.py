@@ -5,7 +5,8 @@ path policy, parameters) and emits a typed
 :class:`~repro.workload.base.WorkloadResult` (series + SHA-256 digests +
 run counters).  The registry holds every built-in workload — the paper
 exhibits (fig2–fig11, table1), the bench micro-workloads (pingpong,
-p2p-point, striping, jacobi, dl), the cluster workloads (halo,
+p2p-point, striping, fault-reroute, congestion, jacobi, dl), the
+cluster workloads (halo,
 allreduce-node) — loaded lazily on first :func:`get`/:func:`names`
 lookup; ``replay:<schedule.jsonl>`` resolves any trace-replay schedule
 (:mod:`repro.workload.replay`).

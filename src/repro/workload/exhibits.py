@@ -1,13 +1,12 @@
 """Every paper exhibit and bench micro-workload as a Workload.
 
-The series-building logic moved here verbatim from
-``repro.bench.figures`` (which is now a shim over this registry); the
-measurement layers — :mod:`repro.bench.p2p`, :mod:`repro.bench.coll`,
-:mod:`repro.bench.apps`, :mod:`repro.dataplane.bench` — are unchanged
-and still own the methodology, but they launch ranks through the
-:mod:`repro.workload.runner` choke point.  Outputs are pinned
-entry-for-entry against the pre-refactor seed
-(``tests/workload/fixtures/seed_outputs.json``).
+This module builds the series; the measurement layers —
+:mod:`repro.bench.p2p`, :mod:`repro.bench.coll`, :mod:`repro.bench.apps`,
+:mod:`repro.bench.multipath` — own the methodology and launch ranks
+through the :mod:`repro.workload.runner` choke point.  Run an exhibit as
+``get("fig4").run(grids=...).series``; :data:`EXHIBIT_WORKLOADS` lists
+the paper's exhibits in paper order.  Outputs are pinned entry-for-entry
+against the pre-refactor seed (``tests/workload/fixtures/seed_outputs.json``).
 
 Exhibits whose figure spans several canonical machines (fig4 intra-node
 vs fig5 inter-node, fig6 one-node vs fig7 two-node) honour a ``machine``
@@ -21,12 +20,13 @@ from typing import Optional, Sequence
 
 from repro.bench import apps as app_bench
 from repro.bench import coll as coll_bench
+from repro.bench import multipath
 from repro.bench import p2p as p2p_bench
 from repro.bench.series import Series
 from repro.hw.params import ONE_NODE, PAPER_TESTBED
 from repro.hw.topology import MachineLike
 from repro.partitioned.aggregation import SignalMode
-from repro.units import us, GBps, MiB
+from repro.units import us, GBps, MiB, fmt_bytes
 from repro.workload.base import ExecOutcome, Workload
 from repro.workload.registry import register
 from repro.workload.runner import run_ranks
@@ -367,35 +367,74 @@ class P2pPoint(Workload):
 
 
 class Striping(Workload):
-    """Single-path vs link-disjoint striped goodput, one large D2D point."""
+    """Single-path vs link-disjoint striped goodput over D2D transfer sizes.
+
+    ``extra`` and ``class_bytes`` describe the last size (the striped run).
+    """
 
     name = "striping"
     default_machine = ONE_NODE
-    defaults = {"nbytes": 64 * MiB}
+    defaults = {"sizes": (64 * MiB,)}
 
-    def _execute(self, machine, shards, nbytes: int) -> ExecOutcome:
-        from repro.dataplane.bench import measure_stripe_goodput
-
-        single = measure_stripe_goodput(nbytes, "single", machine)
-        multi = measure_stripe_goodput(nbytes, "multi", machine)
-        s = Series("striping", "single vs multi path goodput, one D2D transfer",
-                   ["policy", "goodput_GBps", "stripes"])
-        s.add(policy="single", goodput_GBps=round(single["goodput_Bps"] / 1e9, 2),
-              stripes=single["stripes"])
-        s.add(policy="multi", goodput_GBps=round(multi["goodput_Bps"] / 1e9, 2),
-              stripes=multi["stripes"])
-        return ExecOutcome(
-            series=s,
-            class_bytes=multi["ledger"],
-            extra={
+    def _execute(self, machine, shards, sizes: Sequence[int]) -> ExecOutcome:
+        s = Series(
+            "Striping",
+            "single-path vs link-disjoint striped goodput, D2D gpu0->gpu1",
+            ["size", "single_GBps", "multi_GBps", "stripes", "speedup"],
+        )
+        for nbytes in sizes:
+            single = multipath.measure_stripe_goodput(nbytes, "single", machine)
+            multi = multipath.measure_stripe_goodput(nbytes, "multi", machine)
+            extra = {
                 "single_GBps": round(single["goodput_Bps"] / 1e9, 2),
                 "multi_GBps": round(multi["goodput_Bps"] / 1e9, 2),
                 "stripes": multi["stripes"],
-                "stripe_speedup": round(
-                    multi["goodput_Bps"] / single["goodput_Bps"], 3
-                ),
-            },
-        )
+                "stripe_speedup": round(multi["goodput_Bps"] / single["goodput_Bps"], 3),
+            }
+            s.add(size=fmt_bytes(nbytes), single_GBps=extra["single_GBps"],
+                  multi_GBps=extra["multi_GBps"], stripes=extra["stripes"],
+                  speedup=extra["stripe_speedup"])
+        s.note("multi stripes across link-disjoint routes (MultiPathPolicy); "
+               "below min_stripe_bytes the plans coincide")
+        return ExecOutcome(series=s, class_bytes=multi["ledger"], extra=extra)
+
+
+class FaultReroute(Workload):
+    """Mid-run NVLink loss under a plan-cached D2D chunk pipeline (DESIGN.md §17)."""
+
+    name = "fault-reroute"
+    default_machine = ONE_NODE
+
+    def _execute(self, machine, shards) -> ExecOutcome:
+        r = multipath.measure_fault_reroute(config=machine)
+        s = Series("fault-reroute", "chunked D2D pipeline, nvl0->1 lost mid-run",
+                   ["run", "elapsed_us"])
+        for run in ("healthy", "faulted", "single"):
+            s.add(run=run, elapsed_us=r[f"{run}_s"] / us)
+        extra = {f"{run}_us": round(r[f"{run}_s"] * 1e6, 3)
+                 for run in ("healthy", "faulted", "single")}
+        extra.update((k, r[k]) for k in
+                     ("reroutes", "plan_hits", "replanned", "faults", "faulted_chunks"))
+        return ExecOutcome(series=s, extra=extra)
+
+
+class Congestion(Workload):
+    """Concurrent same-pair D2D puts: congestion-aware vs single-path goodput."""
+
+    name = "congestion"
+    default_machine = ONE_NODE
+
+    def _execute(self, machine, shards) -> ExecOutcome:
+        s = Series("congestion", "concurrent same-pair D2D puts",
+                   ["policy", "goodput_GBps"])
+        extra, elapsed = {}, {}
+        for policy in ("single", "congestion"):
+            r = multipath.measure_congestion_goodput(policy, config=machine)
+            extra[f"{policy}_GBps"] = round(r["goodput_Bps"] / 1e9, 2)
+            elapsed[policy] = r["elapsed_s"]
+            s.add(policy=policy, goodput_GBps=extra[f"{policy}_GBps"])
+        extra["congestion_speedup"] = round(elapsed["single"] / elapsed["congestion"], 3)
+        return ExecOutcome(series=s, extra=extra)
 
 
 # --------------------------------------------------------------------------
@@ -449,5 +488,6 @@ EXHIBIT_WORKLOADS = [
 
 for _wl in EXHIBIT_WORKLOADS:
     register(_wl)
-for _wl in (Pingpong(), P2pPoint(), Striping(), Jacobi(), Dl()):
+for _wl in (Pingpong(), P2pPoint(), Striping(), FaultReroute(), Congestion(),
+            Jacobi(), Dl()):
     register(_wl)

@@ -4,10 +4,12 @@ import json
 
 import pytest
 
-from repro.bench.series import Series, render
-from repro.bench import figures
 from repro.bench.p2p import auto_transport_partitions, measure_p2p_goodput
+from repro.bench.series import Series, render
+from repro.bench.suite import SUITE, main, next_pr, resolve_baseline, run_suite
 from repro.hw.params import ONE_NODE
+from repro.workload.exhibits import EXHIBIT_WORKLOADS
+from repro.workload.registry import get, names
 
 
 def test_series_add_and_columns():
@@ -43,42 +45,40 @@ def test_auto_transport_partitions_policy():
 
 
 def test_fig2_smoke_decimated():
-    s = figures.fig2(grids=(1, 256))
+    s = get("fig2").run(grids=(1, 256)).series
     assert len(s.rows) == 2
     assert s.rows[0]["sync_us"] == pytest.approx(7.8, abs=0.1)
 
 
 def test_fig3_smoke_decimated():
-    s = figures.fig3(threads=(1, 1024))
+    s = get("fig3").run(threads=(1, 1024)).series
     last = s.rows[-1]
     assert last["thread_us"] > last["warp_us"] > last["block_us"]
 
 
 def test_fig4_smoke_single_point():
-    s = figures.fig4(grids=(16,))
+    s = get("fig4").run(grids=(16,)).series
     row = s.rows[0]
     assert row["kernel_copy"] > row["sendrecv"]
 
 
 def test_exhibit_registry_complete():
-    assert set(figures.ALL_EXHIBITS) == {
+    exhibits = [wl.name for wl in EXHIBIT_WORKLOADS]
+    assert exhibits == [
         "fig2", "fig3", "fig4", "fig5", "fig6", "fig7",
         "table1", "fig8", "fig9", "fig10", "fig11",
-    }
-    for fn in figures.ALL_EXHIBITS.values():
-        assert callable(fn)
+    ]
+    assert set(exhibits) <= set(names())
+    for name in exhibits:
+        assert get(name).__doc__.startswith(("Fig", "Table"))
 
 
 def test_bench_suite_has_graph_replay_entries():
-    from repro.perf.bench import SUITE
-
     assert "graph-replay-jacobi" in SUITE
     assert "graph-replay-llm16" in SUITE
 
 
 def test_graph_replay_bench_entry_batches_pops():
-    from repro.perf.bench import run_suite
-
     row = run_suite(["graph-replay-jacobi"])["graph-replay-jacobi"]
     assert row["graph_launches"] > 0
     assert row["events_graphed"] > 0
@@ -89,8 +89,6 @@ def test_graph_replay_bench_entry_batches_pops():
 
 
 def test_baseline_auto_picks_newest_but_never_the_runs_own_out(tmp_path, monkeypatch):
-    from repro.perf.bench import resolve_baseline
-
     for pr in (9, 10):
         (tmp_path / f"BENCH_pr{pr}.json").write_text("{}\n")
     newest, older = tmp_path / "BENCH_pr10.json", tmp_path / "BENCH_pr9.json"
@@ -105,8 +103,6 @@ def test_baseline_auto_picks_newest_but_never_the_runs_own_out(tmp_path, monkeyp
 
 
 def test_bare_bench_run_never_overwrites_a_baseline(tmp_path, monkeypatch, capsys):
-    from repro.perf.bench import main, next_pr
-
     assert next_pr(str(tmp_path)) == 1
     for pr in (9, 10):
         (tmp_path / f"BENCH_pr{pr}.json").write_text("{}\n")
@@ -116,6 +112,32 @@ def test_bare_bench_run_never_overwrites_a_baseline(tmp_path, monkeypatch, capsy
     assert (tmp_path / "BENCH_pr10.json").read_text() == "{}\n"
     assert json.loads((tmp_path / "BENCH_pr11.json").read_text())["pr"] == 11
     assert "wrote BENCH_pr11.json" in capsys.readouterr().out
+
+
+def test_shards_flag_does_not_outlive_its_bench_run(tmp_path):
+    """--shards applies to its own run only: a later run_suite in the
+    same process is back on the sequential driver, with the same digest."""
+    out = tmp_path / "bench.json"
+    assert main(["--suite", "cluster-fattree-512", "--shards", "2", "--out", str(out)]) == 0
+    sharded = json.loads(out.read_text())["suite"]["cluster-fattree-512"]
+    assert sharded["mode"] == "mp"
+    row = run_suite(["cluster-fattree-512"])["cluster-fattree-512"]
+    assert row["mode"] == "sequential"
+    assert row["msg_digest"] == sharded["msg_digest"]
+
+
+def test_fault_reroute_lands_between_healthy_and_single_path():
+    """Dynamic-fabric acceptance bounds (DESIGN.md §17): the faulted run
+    lands strictly between the healthy multipath and single-path
+    timings, recovers via both tiers, and loses no chunk."""
+    r = get("fault-reroute").run().extra
+    assert r["healthy_us"] < r["faulted_us"] < r["single_us"], r
+    assert r["reroutes"] > 0 and r["replanned"] > 0, r
+    assert r["faults"] == 0 and r["faulted_chunks"] == 0, r
+
+
+def test_congestion_aware_routing_beats_single_path_twofold():
+    assert get("congestion").run().extra["congestion_speedup"] >= 2.0
 
 
 def test_goodput_monotone_niceness():

@@ -7,14 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bench.multipath import measure_stripe_goodput
 from repro.dataplane import MultiPathPolicy
-from repro.dataplane.bench import measure_stripe_goodput, stripe_sweep
 from repro.hw.memory import Buffer, MemSpace
 from repro.hw.params import ONE_NODE
 from repro.hw.spec import gh200_spec
 from repro.hw.topology import Fabric
 from repro.sim.engine import Engine
 from repro.units import MiB
+from repro.workload.registry import get
 
 
 def _mk(config=ONE_NODE):
@@ -161,7 +162,7 @@ def test_multipath_sweep_digest_stable(monkeypatch):
     """The whole sweep's simulated numbers are a pure function of the
     code: two runs hash identically (no RNG, no wall-clock leakage)."""
     def digest():
-        series = stripe_sweep(sizes=(2 * MiB, 16 * MiB))
+        series = get("striping").run(sizes=(2 * MiB, 16 * MiB)).series
         blob = repr([sorted(r.items()) for r in series.rows]).encode()
         return hashlib.sha256(blob).hexdigest()
 

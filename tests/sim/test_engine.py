@@ -4,6 +4,7 @@ import pytest
 
 from repro.sim.engine import EmptySchedule, Engine
 from repro.sim.events import Event, Timeout
+from repro.sim.process import ProcessFailed
 
 
 def test_time_starts_at_zero():
@@ -212,3 +213,76 @@ def test_determinism_two_identical_runs():
 def test_trace_disabled_by_default(engine):
     """No bus is attached unless one is subscribed: the unobserved fast path."""
     assert engine.obs is None and engine.on_step is None
+
+
+# -- every run mode, with and without an observer ------------------------------
+
+RUN_MODES = ["exhaust", "horizon", "until-event"]
+
+
+def _engine(observed):
+    eng = Engine()
+    steps = []
+    if observed:
+        eng.on_step = lambda *key: steps.append(key)
+    return eng, steps
+
+
+def _until(mode, ev):
+    return {"exhaust": None, "horizon": 5.0, "until-event": ev}[mode]
+
+
+def test_t_busy_is_the_last_processed_event_after_exhaustion(engine):
+    engine.timeout(4.0)
+    engine.run()
+    assert engine.t_busy == 4.0
+
+
+@pytest.mark.parametrize("mode", RUN_MODES)
+def test_observed_run_matches_unobserved(mode):
+    def run(observed):
+        eng, steps = _engine(observed)
+
+        def worker(k):
+            for _ in range(3):
+                yield eng.timeout(0.5 * (k + 1))
+
+        procs = [eng.process(worker(k)) for k in range(3)]
+        eng.timeout(0.7).cancel()
+        eng.run(_until(mode, procs[1]))
+        return (eng.now, eng.t_busy, eng.events_popped, eng.events_cancelled), steps
+
+    plain, _ = run(False)
+    observed, steps = run(True)
+    assert observed == plain
+    assert len(steps) == plain[2] > 0
+    assert plain[1] == {"exhaust": 4.5, "horizon": 4.5, "until-event": 3.0}[mode]
+
+
+@pytest.mark.parametrize("observed", [False, True], ids=["unobserved", "on_step"])
+@pytest.mark.parametrize("mode", RUN_MODES)
+def test_crash_propagates_in_every_mode(mode, observed):
+    eng, _ = _engine(observed)
+
+    def boom():
+        yield eng.timeout(1.0)
+        raise RuntimeError("boom")
+
+    eng.process(boom())
+    ev = eng.event()
+    with pytest.raises(ProcessFailed):
+        eng.run(_until(mode, ev))
+    assert (eng.now, eng.t_busy, eng.events_popped) == (1.0, 1.0, 2)  # start + timeout
+    assert ev.callbacks == []  # a failed run(until=ev) leaves no waiter
+
+
+@pytest.mark.parametrize("observed", [False, True], ids=["unobserved", "on_step"])
+def test_empty_schedule_leaves_no_waiter(observed):
+    eng, steps = _engine(observed)
+    eng.timeout(1.0)
+    ev = eng.event()
+    with pytest.raises(EmptySchedule):
+        eng.run(ev)
+    assert (eng.now, eng.t_busy, eng.events_popped) == (1.0, 1.0, 1)
+    assert ev.callbacks == []
+    assert len(steps) == (1 if observed else 0)
