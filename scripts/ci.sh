@@ -39,27 +39,6 @@ assert got["mode"] == "mp" and got["workers"] == 2, got["mode"]
 print("bench-cluster smoke: --shards 2 bit-identical to recorded sequential run")
 EOF
 
-echo "== graph-replay smoke (captured transfer graphs, DESIGN.md §16) =="
-# The same graph bench entry with capture on and off (REPRO_NO_GRAPHS=1):
-# digests and simulated end time must be bit-identical — graphs may only
-# move pops off the host heap, never change what the simulation computes.
-PYTHONPATH=src python -m repro bench --suite graph-replay-jacobi \
-    --out /tmp/repro_bench_graphs_on.json
-REPRO_NO_GRAPHS=1 PYTHONPATH=src python -m repro bench \
-    --suite graph-replay-jacobi --out /tmp/repro_bench_graphs_off.json
-PYTHONPATH=src python - <<'EOF'
-import json
-on = json.load(open("/tmp/repro_bench_graphs_on.json"))["suite"]["graph-replay-jacobi"]
-off = json.load(open("/tmp/repro_bench_graphs_off.json"))["suite"]["graph-replay-jacobi"]
-for key in ("msg_digest", "t_end_us"):
-    assert on[key] == off[key], f"{key}: {on[key]!r} != eager {off[key]!r}"
-ratio = off["cluster_events_popped"] / on["cluster_events_popped"]
-assert ratio >= 3.0, f"graph replay popped only {ratio:.2f}x fewer host events"
-assert on["events_graphed"] == off["cluster_events_popped"], \
-    "graphed pop count must equal the eager pop count exactly"
-print(f"graph-replay smoke: digests identical, {ratio:.1f}x fewer host pops")
-EOF
-
 echo "== fault-smoke (dynamic fabric: mid-run link loss, DESIGN.md §17) =="
 # One node-scoped NVLink loss halfway through the 512-GPU halo exhibit:
 # the faulted run must agree bit-for-bit between the sequential driver

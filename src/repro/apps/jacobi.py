@@ -20,8 +20,8 @@ Variants:
   neighbour's published receive buffer) is stream-captured once into a
   :class:`~repro.dataplane.graph.TransferGraph` and replayed as a single
   graph launch per iteration — no per-op host enqueues and no MPI
-  send/recv calls in the timed loop (``REPRO_NO_GRAPHS=1`` degrades the
-  launch to per-op enqueues with identical timing and numerics).
+  send/recv calls in the timed loop (an observed run degrades the launch
+  to per-op enqueues with identical timing and numerics).
 
 The numerics are real: tiles are NumPy arrays, and the distributed solve
 matches :func:`serial_jacobi` on the same global problem.

@@ -11,19 +11,19 @@ latency.  The dynamic-fabric measurements (DESIGN.md §17) add a mid-run
 link loss under a plan-cached chunk pipeline and congestion-aware
 spreading of concurrent puts.
 
-Policies are named as in ``REPRO_PATH_POLICY`` (``single`` / ``multi`` /
-``congestion``; see :func:`~repro.dataplane.policy.policy_from_env`).
+Each measurement names its own policies (``single`` / ``multi`` /
+``congestion``; see :func:`~repro.dataplane.policy.policy_by_name`), so a
+run's ``policy`` setting does not change these numbers.
 """
 
 from __future__ import annotations
 
 from repro.dataplane.graph import GRAPHS
 from repro.dataplane.plane import FabricFault
-from repro.dataplane.policy import policy_from_env
-from repro.hw.faults import FaultEvent, FaultSchedule, fault_schedule
+from repro.hw.faults import FaultEvent, FaultSchedule
 from repro.hw.memory import Buffer, MemSpace
 from repro.hw.params import ONE_NODE
-from repro.hw.topology import Fabric, MachineLike
+from repro.hw.topology import Fabric, MachineLike, fabric_settings
 from repro.sim.engine import Engine
 from repro.units import MiB
 
@@ -34,10 +34,9 @@ def _setup(policy: str, config: MachineLike, nbytes: int, faults=None):
     Payload buffers are virtual (zero stride), so GiB-scale points cost
     O(1) host memory.
     """
-    with fault_schedule(faults):
+    with fabric_settings(policy=policy, faults=faults):
         engine = Engine()
         fabric = Fabric(engine, config)
-    fabric.dataplane.policy = policy_from_env(policy)
     n = max(nbytes // 8, 1)  # float64 elements
 
     def buf(gpu: int) -> Buffer:

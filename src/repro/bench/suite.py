@@ -53,8 +53,8 @@ _GRAPH = _CLUSTER + ("events_graphed", "graph_launches", "pop_batching_factor")
 #: replay; run params; the :func:`metrics` its row reports).  The graph
 #: replays run in cluster graph mode: per-shard simulation moves onto
 #: private graph engines (``events_graphed``) behind one host graph-launch
-#: event per window; digests and ``t_end_us`` are bit-identical under
-#: ``REPRO_NO_GRAPHS=1``.
+#: event per window; digests and ``t_end_us`` are bit-identical on the
+#: exact (observed, eager) path.
 SUITE: Dict[str, Tuple[object, dict, Tuple[str, ...]]] = {
     "pingpong": ("pingpong", {}, ("class_bytes",)),
     "fig4-decimated": ("fig4", {"grids": (1, 256, 32768)}, ()),

@@ -19,6 +19,7 @@ from repro.cuda.timing import CostModel
 from repro.hw.memory import Buffer, MemSpace
 from repro.hw.topology import Fabric
 from repro.san import record
+from repro.sim.engine import collapsible
 from repro.sim.events import AllOf, Event
 from repro.sim.resources import Resource
 
@@ -206,7 +207,7 @@ class Device:
         # the same left-to-right float additions the exact loop performs,
         # and scheduled at those *absolute* times, so every externally
         # observable action lands on a byte-identical simulated timestamp.
-        if len(plan) > 1 and engine.coalescing:
+        if len(plan) > 1 and collapsible(engine):
             if kernel.wave_hook is None:
                 t = engine.now
                 for _blocks, dt in plan:

@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.san import record
+from repro.sim.engine import collapsible
 from repro.sim.events import Event
 from repro.sim.resources import Channel
 
@@ -112,11 +113,12 @@ class Stream:
         The recorded ops execute sequentially — the exact order and
         simulated timing of enqueueing each one individually — but the
         stream machinery runs once per launch instead of once per op.
-        Under ``REPRO_NO_GRAPHS`` (or any attached observer, which must
-        see per-op events) the launch degrades to per-op enqueues; both
-        paths return an event firing when the last op completed.
+        Under any observer (which must see per-op events; see
+        :func:`~repro.sim.engine.collapsible`) the launch degrades to
+        per-op enqueues; both paths return an event firing when the last
+        op completed.
         """
-        from repro.dataplane.graph import GRAPHS, GraphError, graphs_enabled
+        from repro.dataplane.graph import GRAPHS, GraphError
 
         if not graph.sealed:
             raise GraphError(
@@ -131,11 +133,7 @@ class Stream:
         graph.check_buffers()
         graph.launches += 1
         GRAPHS.launches += 1
-        if (
-            graphs_enabled()
-            and self.engine.obs is None
-            and self.engine.on_step is None
-        ):
+        if collapsible(self.engine):
             engine, name = self.engine, self.name
 
             def replay():

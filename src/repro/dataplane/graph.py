@@ -32,38 +32,22 @@ costs, mirroring CUDA stream capture + graph launch:
     executed, CUDA semantics) and later replayed by one
     ``graph_launch`` stream op per iteration (:mod:`repro.cuda.stream`).
 
-The ``REPRO_NO_GRAPHS`` environment variable (any non-empty value)
-forces the eager path everywhere — the A/B knob CI uses to assert that
+Graph replay collapses host-visible pops, so — like wave coalescing —
+it runs only while nothing observes them
+(:func:`repro.sim.engine.collapsible`).  Any observer, including an empty
+ambient obs bus, selects the eager path: that is how tests assert that
 simulated times and SHA-256 digests are unchanged by capture.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.obs import bus as obs_bus
 from repro.sim.engine import Engine
 
 
 class GraphError(RuntimeError):
     """An invalid capture: cross-stream dependency, freed buffer, misuse."""
-
-
-def graphs_enabled() -> bool:
-    """True when capture/replay fast paths may run (DESIGN.md §16).
-
-    Graph replay collapses host-visible pops, so — like coalescing
-    (DESIGN.md §11) — it is only legal when nothing observes individual
-    host pops: no ambient obs bus (its presence arms record hooks even
-    before a subscriber appears).  Engine-local observers (``obs`` /
-    ``on_step``) are checked by the call sites that own the engines.
-    ``REPRO_NO_GRAPHS`` forces the eager path for A/B equivalence runs.
-    """
-    return (
-        obs_bus._AMBIENT is None
-        and not os.environ.get("REPRO_NO_GRAPHS")
-    )
 
 
 class GraphCounters:
@@ -160,12 +144,9 @@ class PlanCache:
             desc.payload, desc.traffic_class,
         )
 
-    def lookup(self, desc, fabric=None) -> Optional[tuple]:
-        """Cached stripes for ``desc``, or None on miss (then validate).
-
-        ``fabric`` enables the epoch check; without it (legacy callers)
-        plans replay as captured — correct on a never-mutated fabric.
-        """
+    def lookup(self, desc, fabric) -> Optional[tuple]:
+        """Cached stripes for ``desc`` on ``fabric``, or None on miss
+        (then validate); an epoch-stale plan is re-bound first."""
         key = self._key(desc)
         entry = self._plans.get(key)
         if entry is None:
@@ -177,7 +158,7 @@ class PlanCache:
                     f"{desc.name}: captured plan references freed buffer "
                     f"{buf.label!r} — re-capture after freeing endpoints"
                 )
-        if fabric is not None and epoch != fabric.link_state.epoch:
+        if epoch != fabric.link_state.epoch:
             stripes = self._rebind(key, desc, stripes, fabric)
             if stripes is None:
                 return None
@@ -215,18 +196,17 @@ class PlanCache:
             )
         return stripes
 
-    def store(self, desc, stripes: tuple, fabric=None) -> None:
-        epoch = fabric.link_state.epoch if fabric is not None else 0
+    def store(self, desc, stripes: tuple, fabric) -> None:
+        epoch = fabric.link_state.epoch
         self._plans[self._key(desc)] = (desc.wire_bytes, tuple(stripes), epoch)
         self.misses += 1
         GRAPHS.captured_plans += 1
-        if fabric is not None:
-            obs = fabric.engine.obs
-            if obs is not None:
-                obs.instant(
-                    "plan", "build", t=fabric.engine.now, xfer=desc.name,
-                    epoch=epoch, stripes=len(stripes),
-                )
+        obs = fabric.engine.obs
+        if obs is not None:
+            obs.instant(
+                "plan", "build", t=fabric.engine.now, xfer=desc.name,
+                epoch=epoch, stripes=len(stripes),
+            )
 
 
 # --------------------------------------------------------------------------

@@ -18,12 +18,11 @@ bypasses (Section IV-A4) — before their wire stripes are planned.
 
 from __future__ import annotations
 
-import os
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from repro.dataplane.descriptor import TransferDescriptor
 from repro.dataplane.ledger import Ledger
-from repro.dataplane.policy import PathPolicy, policy_from_env
+from repro.dataplane.policy import PathPolicy
 from repro.hw.links import LinkDownError, start_transfer
 from repro.hw.memory import Buffer, MemSpace
 from repro.hw.spec.graph import Port, RouteSearchError
@@ -60,14 +59,11 @@ class FabricFault:
 class Dataplane:
     """Route resolution + policy execution + accounting for one machine."""
 
-    def __init__(self, fabric: "Fabric", policy: Optional[PathPolicy] = None) -> None:
+    def __init__(self, fabric: "Fabric", policy: PathPolicy) -> None:
         self.fabric = fabric
         self.engine = fabric.engine
         self.ledger = Ledger()
-        self.policy: PathPolicy = (
-            policy if policy is not None
-            else policy_from_env(os.environ.get("REPRO_PATH_POLICY"))
-        )
+        self.policy = policy
         #: (src-port, dst-port, max_paths) -> link-disjoint route tuple.
         self._multi_route_cache: Dict[Tuple[Port, Port, int], Tuple] = {}
         #: Fabric epoch the multi-route cache was filled under.

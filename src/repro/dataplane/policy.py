@@ -198,15 +198,11 @@ def _largest_remainder(total: int, weights: Sequence[float]) -> List[int]:
     return shares
 
 
-def policy_from_env(value: Optional[str]) -> PathPolicy:
-    """Map ``REPRO_PATH_POLICY`` to a policy instance ('' / None -> single)."""
-    if not value or value == "single":
-        return SinglePathPolicy()
-    if value == "multi":
-        return MultiPathPolicy()
-    if value == "congestion":
-        return CongestionAwarePolicy()
+def policy_by_name(name: Optional[str]) -> PathPolicy:
+    """A fresh policy instance for ``name`` (None -> single-path)."""
+    for cls in (SinglePathPolicy, MultiPathPolicy, CongestionAwarePolicy):
+        if cls.name == (name or "single"):
+            return cls()
     raise ValueError(
-        f"REPRO_PATH_POLICY={value!r} is not a known policy "
-        "(single|multi|congestion)"
+        f"unknown path policy {name!r} (single|multi|congestion)"
     )

@@ -7,31 +7,31 @@ fields — that any :class:`~repro.workload.base.Workload` run can plug in
 (``run(..., faults=...)``) and ``python -m repro fault`` drives from the
 command line.
 
-Installation is ambient, mirroring the path-policy axis: the schedule is
-made active around a run (:func:`fault_schedule`), and every
-:class:`~repro.hw.topology.Fabric` built while it is active installs the
-matching events on its engine as ordinary ``timeout_at`` heap entries
-whose callbacks call the :class:`~repro.hw.links.LinkState` mutation API.
+A run's schedule reaches its fabrics through the fabric-settings scope
+(:func:`repro.hw.topology.fabric_settings`, entered by ``Workload.run``):
+every :class:`~repro.hw.topology.Fabric` built inside it installs the
+events on its engine as ordinary ``timeout_at`` heap entries whose
+callbacks call the :class:`~repro.hw.links.LinkState` mutation API.
 Because installation happens at fabric construction (before any workload
 process is spawned) and fires in simulated time, sequential and sharded
 drivers observe the identical fabric history — the multiprocessing
-executor's forked workers inherit the ambient schedule and re-install it
-per shard.
+executor's forked workers inherit the scope and re-install it per shard.
 
 Shard scoping: ``node`` restricts an event to one engine shard (shard
 fabrics name links with node-local indices, so ``swup0`` exists on every
-shard; ``node`` picks which one fails).  Events without ``node`` apply to
-every fabric that sees them.  Cross-shard wire segments are priced
-analytically by the shard bridge and have no mutable links; faults apply
-to the links a fabric actually owns.
+shard; ``node`` picks which one fails).  Each shard narrows the run's
+schedule to its node (:meth:`FaultSchedule.for_shard`) while it builds
+its fabrics.  Events without ``node`` apply to every fabric that sees
+them.  Cross-shard wire segments are priced analytically by the shard
+bridge and have no mutable links; faults apply to the links a fabric
+actually owns.
 """
 
 from __future__ import annotations
 
 import json
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.hw.topology import Fabric
@@ -89,13 +89,8 @@ class FaultSchedule:
     def __init__(self, events: Sequence[FaultEvent], source: str = "<faults>") -> None:
         self.events = tuple(events)
         self.source = source
-        self.validate()
-
-    def validate(self) -> None:
-        if not self.events:
-            raise FaultError(f"{self.source}: empty fault schedule")
         for i, ev in enumerate(self.events):
-            ev.validate(f"{self.source}: event {i}")
+            ev.validate(f"{source}: event {i}")
 
     def __len__(self) -> int:
         return len(self.events)
@@ -127,6 +122,8 @@ class FaultSchedule:
             )
             ev.validate(f"{source}:{lineno}")
             events.append(ev)
+        if not events:
+            raise FaultError(f"{source}: empty fault schedule")
         return cls(events, source=source)
 
     @classmethod
@@ -139,62 +136,13 @@ class FaultSchedule:
             json.dumps(ev.as_dict(), sort_keys=True) + "\n" for ev in self.events
         )
 
-    def for_shard(self, shard_id: Optional[int]) -> List[FaultEvent]:
-        """Events a fabric on engine shard ``shard_id`` must install.
-
-        ``shard_id=None`` (an unsharded fabric) owns the whole machine and
-        installs everything; a shard installs unscoped events plus the
-        ones naming its node.
-        """
-        if shard_id is None:
-            return list(self.events)
-        return [ev for ev in self.events if ev.node is None or ev.node == shard_id]
-
-
-# --------------------------------------------------------------------------
-# ambient installation (mirrors the REPRO_PATH_POLICY axis)
-# --------------------------------------------------------------------------
-
-_AMBIENT: Optional[FaultSchedule] = None
-
-
-def active() -> Optional[FaultSchedule]:
-    """The schedule new fabrics install, or None."""
-    return _AMBIENT
-
-
-def install(sched: FaultSchedule) -> None:
-    global _AMBIENT
-    _AMBIENT = sched
-
-
-def uninstall() -> None:
-    global _AMBIENT
-    _AMBIENT = None
-
-
-@contextmanager
-def fault_schedule(sched: Union[FaultSchedule, str, None]):
-    """Make ``sched`` ambient for the duration of one run.
-
-    Accepts a :class:`FaultSchedule`, a JSONL path, or None (no-op, so
-    callers can thread an optional ``faults=`` argument straight through).
-    Nested installs restore the outer schedule on exit.
-    """
-    if sched is None:
-        yield None
-        return
-    if isinstance(sched, str):
-        sched = FaultSchedule.load(sched)
-    prev = _AMBIENT
-    install(sched)
-    try:
-        yield sched
-    finally:
-        if prev is None:
-            uninstall()
-        else:
-            install(prev)
+    def for_shard(self, node: int) -> "FaultSchedule":
+        """The events engine shard ``node`` installs: unscoped events plus
+        the ones naming its node (possibly none)."""
+        return FaultSchedule(
+            [ev for ev in self.events if ev.node is None or ev.node == node],
+            source=self.source,
+        )
 
 
 def install_on_fabric(fabric: "Fabric", sched: FaultSchedule) -> list:
@@ -208,13 +156,12 @@ def install_on_fabric(fabric: "Fabric", sched: FaultSchedule) -> list:
     """
     engine = fabric.engine
     state = fabric.link_state
-    mine = sched.for_shard(fabric.fault_scope)
     installed = []
-    if mine:
+    if sched.events:
         # Guarded execution from t=0: the run's event shape must not
         # change when the first fault fires mid-run.
         state.arm()
-    for ev in mine:
+    for ev in sched.events:
         state.find(ev.link)  # unknown names fail at install, not mid-run
         if ev.t <= engine.now:
             _apply(state, ev)

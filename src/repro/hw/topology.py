@@ -13,13 +13,20 @@ superchips with one ConnectX-7 NIC each).
 re-searches — and owns the :class:`~repro.dataplane.plane.Dataplane`
 every transfer is submitted to (``fabric.dataplane.put`` / ``rma_put`` /
 ``control``).
+
+:class:`FabricSettings` is what a run hands every fabric it builds — the
+path policy, the fault schedule and the route store.  A
+:func:`fabric_settings` scope sets it; only ``Fabric.__init__`` reads it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple, Union
+from contextlib import contextmanager
+from dataclasses import dataclass
+from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.dataplane.plane import Dataplane
+from repro.dataplane.policy import policy_by_name
 from repro.hw import faults as hw_faults
 from repro.hw.links import Link, LinkState
 from repro.hw.memory import Buffer, MemSpace
@@ -98,33 +105,60 @@ class RouteError(Exception):
     """No path exists between the requested buffer locations."""
 
 
+@dataclass(frozen=True)
+class FabricSettings:
+    """The run-level settings every :class:`Fabric` picks up at build.
+
+    ``policy`` names the dataplane path policy (None = single-path);
+    ``faults`` is the :class:`~repro.hw.faults.FaultSchedule` each fabric
+    installs on its engine (DESIGN.md §17); ``routes`` is a cross-run
+    route store (see :class:`repro.workload.sweep.RouteCacheStore`) with
+    ``preload(fabric)`` called at construction and ``record(fabric, key,
+    links)`` called on every healthy route-cache miss.
+    """
+
+    policy: Optional[str] = None
+    faults: Optional[hw_faults.FaultSchedule] = None
+    routes: Any = None
+
+
+_SETTINGS = FabricSettings()
+
+
+@contextmanager
+def fabric_settings(
+    policy: Optional[str] = None,
+    faults: Union[hw_faults.FaultSchedule, str, None] = None,
+    routes: Any = None,
+) -> Iterator[FabricSettings]:
+    """Set the fabric settings for the fabrics built inside the block.
+
+    Each field left None inherits the enclosing scope's value; ``faults``
+    may be a JSONL path.  The enclosing settings come back on exit, also
+    when the block raises.  Forked shard workers inherit the scope.
+    """
+    global _SETTINGS
+    if isinstance(faults, str):
+        faults = hw_faults.FaultSchedule.load(faults)
+    outer = _SETTINGS
+    _SETTINGS = FabricSettings(
+        policy if policy is not None else outer.policy,
+        faults if faults is not None else outer.faults,
+        routes if routes is not None else outer.routes,
+    )
+    try:
+        yield _SETTINGS
+    finally:
+        _SETTINGS = outer
+
+
 class Fabric:
     """All links of one machine plus route resolution and transfers."""
 
-    #: Optional cross-run route persistence hook (see
-    #: :class:`repro.workload.sweep.RouteCacheStore`): an object with
-    #: ``preload(fabric)`` called at construction and
-    #: ``record(fabric, key, links)`` called on every route-cache miss.
-    #: Class-level so sweeps can install it once for every fabric a
-    #: workload builds internally; None = no persistence.
-    route_store = None
-
-    def __init__(
-        self,
-        engine: Engine,
-        config: MachineLike,
-        fault_scope: "int | None" = None,
-    ) -> None:
+    def __init__(self, engine: Engine, config: MachineLike) -> None:
+        settings = _SETTINGS
         self.engine = engine
         self.config = config
-        #: Node id this fabric simulates when it is a shard-local cut
-        #: (scopes node-targeted fault events); None = whole machine.
-        #: Falls back to ``engine.shard_id`` so multiprocess shards are
-        #: scoped even through legacy construction paths.
-        self.fault_scope = (
-            fault_scope if fault_scope is not None
-            else getattr(engine, "shard_id", None)
-        )
         self.spec = as_spec(config)
         self.topo = Topology(config)
         self.graph = LinkGraph(engine, self.spec)
@@ -138,8 +172,8 @@ class Fabric:
         self._route_epoch = 0
         #: Number of cache-miss route computations (asserted by tests).
         self.route_computations = 0
-        #: Pending fault-schedule heap events (cancelled on rebuild).
-        self.fault_events: List[Event] = []
+        #: Cross-run route store, or None = no persistence.
+        self._routes = settings.routes
 
         # Structured link registries (views into the graph's registries;
         # keyed and named exactly like the original hard-coded testbed).
@@ -168,14 +202,16 @@ class Fabric:
         #: The single submission point for every simulated byte.  Path
         #: selection (single route vs link-disjoint striping) is the
         #: dataplane policy's call — see repro.dataplane and DESIGN.md §12.
-        self.dataplane = Dataplane(self)
+        self.dataplane = Dataplane(self, policy_by_name(settings.policy))
 
-        sched = hw_faults.active()
-        if sched is not None:
-            self.fault_events = hw_faults.install_on_fabric(self, sched)
+        #: Pending fault-schedule heap events (cancelled on rebuild).
+        self.fault_events: List[Event] = (
+            hw_faults.install_on_fabric(self, settings.faults)
+            if settings.faults is not None else []
+        )
 
-        if Fabric.route_store is not None:
-            Fabric.route_store.preload(self)
+        if self._routes is not None:
+            self._routes.preload(self)
 
     # -- link registry ---------------------------------------------------------
     def iter_links(self):
@@ -232,10 +268,10 @@ class Fabric:
             except RouteSearchError as exc:
                 raise RouteError(str(exc)) from exc
             self._route_cache[key] = cached
-            if Fabric.route_store is not None and not self.link_state.armed:
+            if self._routes is not None and not self.link_state.armed:
                 # Routes found under mutated fabric state are epoch-local;
                 # only healthy-fabric routes are worth persisting.
-                Fabric.route_store.record(self, key, cached)
+                self._routes.record(self, key, cached)
         return cached
 
     # -- route-cache persistence ------------------------------------------------

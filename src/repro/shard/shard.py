@@ -26,10 +26,10 @@ import hashlib
 
 from repro.dataplane.descriptor import DescriptorError, TransferDescriptor
 from repro.hw.spec.schema import MachineSpec
-from repro.hw.topology import Fabric
+from repro.hw.topology import Fabric, fabric_settings
 from repro.shard.mailbox import Mailbox, MailboxError
 from repro.shard.message import ShardMessage, WireModel
-from repro.sim.engine import Engine
+from repro.sim.engine import Engine, collapsible
 from repro.sim.events import Event
 from repro.sim.process import Process
 
@@ -175,25 +175,32 @@ class Shard:
         self.engine = Engine() if dedicated else engine
         if dedicated:
             self.engine.shard_id = shard_id
+        if collect_steps and not dedicated:
+            raise ValueError("step collection needs a dedicated shard engine")
         self.wire = wire if wire is not None else WireModel(cluster)
         self.local_spec = local_spec(cluster, shard_id)
-        # fault_scope pins node-targeted fault events to this shard even in
-        # reference mode, where the shared engine carries no shard_id.
-        self.fabric = Fabric(self.engine, self.local_spec, fault_scope=shard_id)
-        self.mailbox = Mailbox(self.engine, shard_id)
-        self.bridge = ShardBridge(self)
-        self.fabric.dataplane.bridge = self.bridge
-        self._step_hash = None
-        if collect_steps:
-            if not dedicated:
-                raise ValueError("step collection needs a dedicated shard engine")
-            self._step_hash = hashlib.sha256()
-            self.engine.on_step = self._hash_step
         #: Private replay engine when the resident build opted into graph
         #: mode (see :meth:`enter_graph_mode`); None = eager shard.
         self.graph_engine = None
-        #: Workload processes resident on this shard, in spawn order.
-        self.procs: List[Process] = build(self, cfg)
+        # Every fabric built for this node — the shard's own, a graph-mode
+        # rebuild, a World the build embeds — installs only the run's fault
+        # events scoped to this node, in every execution mode.
+        with fabric_settings() as run:
+            faults = run.faults.for_shard(shard_id) if run.faults is not None else None
+        with fabric_settings(faults=faults):
+            self.fabric = Fabric(self.engine, self.local_spec)
+            self.mailbox = Mailbox(self.engine, shard_id)
+            self.bridge = ShardBridge(self)
+            self.fabric.dataplane.bridge = self.bridge
+            #: Workload processes resident on this shard, in spawn order.
+            self.procs: List[Process] = build(self, cfg)
+        self._step_hash = None
+        if collect_steps:
+            # Hooked after the build so graph mode sees an unobserved
+            # engine; the graph engine replays the eager pop stream
+            # bit-for-bit, so hashing its pops yields the same digest.
+            self._step_hash = hashlib.sha256()
+            self.run_engine.on_step = self._hash_step
 
     # -- graph mode ----------------------------------------------------------
     @property
@@ -215,15 +222,16 @@ class Shard:
         pops collapse to one per window.
 
         Returns the graph engine, or None when graph mode is unavailable
-        (shared host engine, attached observer, or ``REPRO_NO_GRAPHS``)
-        — callers then simply stay on the eager shard engine.
+        (shared host engine, or any observer: see
+        :func:`~repro.sim.engine.collapsible`) — callers then simply stay
+        on the eager shard engine.  The shard's own step-hash hook does
+        not count: it is installed after the build, on the graph engine.
         """
-        from repro.dataplane.graph import GraphEngine, graphs_enabled
+        from repro.dataplane.graph import GraphEngine
 
         if (
             self.engine.shard_id is None    # reference mode: shared engine
-            or self.engine.obs is not None  # observers must see real pops
-            or not graphs_enabled()
+            or not collapsible(self.engine)
         ):
             return None
         if getattr(self, "procs", None):  # unset while build() is running
@@ -236,21 +244,16 @@ class Shard:
         self.graph_engine = graph
         # Rebuild the node-local state on the graph engine; the bridge
         # object survives (it addresses whichever engine run_engine names).
-        # The eager fabric's fault timers (installed from the ambient
-        # schedule at construction) are cancelled first — the graph-engine
-        # fabric re-installs the schedule, and a stale host-heap timer
-        # would mutate the orphaned fabric.
+        # The eager fabric's fault timers (installed at construction) are
+        # cancelled first — the graph-engine fabric re-installs the
+        # schedule, and a stale host-heap timer would mutate the orphaned
+        # fabric.
         for ev in self.fabric.fault_events:
             ev.cancel()
-        self.fabric = Fabric(graph, self.local_spec, fault_scope=self.id)
+        self.fabric = Fabric(graph, self.local_spec)
         self.mailbox = Mailbox(graph, self.id)
         self.fabric.dataplane.bridge = self.bridge
         self.fabric.dataplane.enable_plan_cache()
-        if self._step_hash is not None:
-            # The graph engine replays the eager pop stream bit-for-bit,
-            # so hashing its pops yields the same step digest.
-            graph.on_step = self._hash_step
-            self.engine.on_step = None
         return graph
 
     # -- id mapping ----------------------------------------------------------

@@ -17,7 +17,6 @@ nothing in the deterministic core attaches one mid-run.
 from __future__ import annotations
 
 import heapq
-import os
 from typing import Any, Callable, Generator, List, Optional, Tuple
 
 from repro.sim.events import Event, Timeout, _PooledTimeout
@@ -208,24 +207,6 @@ class Engine:
         if self._crashed is None:
             self._crashed = ProcessFailed(process, exc)
 
-    @property
-    def coalescing(self) -> bool:
-        """True when event-coalescing fast paths may run (DESIGN.md §11).
-
-        Coalescing collapses pops that have *no observable effect* — so it
-        is only legal when nothing can observe individual pops: no attached
-        bus, no ``on_step`` hook, no ambient bus (whose presence arms the
-        sanitizer's record hooks even before a subscriber appears).  The
-        ``REPRO_NO_COALESCE`` environment variable (any non-empty value)
-        forces the exact path for A/B equivalence testing.
-        """
-        return (
-            self.obs is None
-            and self.on_step is None
-            and obs_bus._AMBIENT is None
-            and not os.environ.get("REPRO_NO_COALESCE")
-        )
-
     # -- main loop ------------------------------------------------------------
     def run(self, until: Optional[Any] = None) -> Any:
         """Run until ``until`` (an Event, a time, or None for exhaustion).
@@ -328,3 +309,18 @@ class Engine:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Engine t={self._now:.9f} pending={len(self._heap)}>"
+
+
+def collapsible(engine: Optional[Engine] = None) -> bool:
+    """True when fast paths may collapse host pops (DESIGN.md §11, §16).
+
+    Wave coalescing and graph replay remove pops that have *no observable
+    effect*, so they are only legal while nothing can observe individual
+    pops: no ambient bus (whose presence arms the sanitizer's record hooks
+    even before a subscriber appears) and, for ``engine``, no attached bus
+    and no ``on_step`` hook.  Observation is the only switch: installing
+    an empty ambient bus selects the exact reference path everywhere.
+    """
+    return obs_bus._AMBIENT is None and (
+        engine is None or (engine.obs is None and engine.on_step is None)
+    )

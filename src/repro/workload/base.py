@@ -25,14 +25,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Union
 
 from repro.bench.series import Series
+from repro.dataplane.policy import policy_by_name
 from repro.hw.spec.catalog import as_spec
-from repro.hw.topology import MachineLike
+from repro.hw.topology import MachineLike, fabric_settings
 from repro.sim.engine import STATS
 
 
@@ -40,8 +39,8 @@ class WorkloadError(Exception):
     """A workload was misconfigured or asked to run somewhere it cannot."""
 
 
-#: Path-policy axis values (``PathPolicy.name`` strings); None = ambient
-#: default (the ``REPRO_PATH_POLICY`` environment, usually single-path).
+#: Path-policy axis values (``PathPolicy.name`` strings); None inherits
+#: the enclosing fabric-settings scope (single-path by default).
 POLICY_NAMES = ("single", "multi", "congestion")
 
 
@@ -96,34 +95,6 @@ def resolve_machine_arg(machine: Union[str, MachineLike]) -> MachineLike:
 
 def machine_label(machine: MachineLike) -> str:
     return as_spec(machine).name
-
-
-@contextmanager
-def path_policy(policy: Optional[str]):
-    """Pin ``REPRO_PATH_POLICY`` for the duration of one workload run.
-
-    ``None`` leaves the ambient environment untouched (workloads built
-    before the policy axis existed ran under whatever the environment
-    said; keeping that behaviour keeps their outputs pinned).
-    """
-    if policy is None:
-        yield
-        return
-    from repro.dataplane.policy import policy_from_env
-
-    try:
-        policy_from_env(policy)  # validate the name before touching env
-    except ValueError as exc:
-        raise WorkloadError(str(exc)) from exc
-    prev = os.environ.get("REPRO_PATH_POLICY")
-    os.environ["REPRO_PATH_POLICY"] = policy
-    try:
-        yield
-    finally:
-        if prev is None:
-            os.environ.pop("REPRO_PATH_POLICY", None)
-        else:
-            os.environ["REPRO_PATH_POLICY"] = prev
 
 
 # --------------------------------------------------------------------------
@@ -234,22 +205,29 @@ class Workload:
         multiprocessing executor (results are pinned bit-identical to the
         sequential driver, DESIGN.md §14).
 
-        ``faults`` plugs a :class:`~repro.hw.faults.FaultSchedule` (or a
-        JSONL path) into the run: every fabric the workload builds installs
-        the schedule's link mutations on its own timeline (DESIGN.md §17).
-        ``None`` — the default — leaves the fabric immutable and the run's
-        outputs bit-identical to a build without the fault layer.
+        ``policy`` and ``faults`` reach every fabric the workload builds
+        through one :func:`~repro.hw.topology.fabric_settings` scope;
+        ``None`` inherits the enclosing scope (single-path, no faults by
+        default).  ``faults`` plugs a
+        :class:`~repro.hw.faults.FaultSchedule` (or a JSONL path) into the
+        run: each fabric installs the schedule's link mutations on its own
+        timeline (DESIGN.md §17); without one the fabric stays immutable
+        and the run's outputs bit-identical to a build without the fault
+        layer.
         """
-        from repro.hw.faults import fault_schedule
-
         resolved = self.resolve_machine(machine)
         if shards is not None and not self.supports_shards:
             raise WorkloadError(
                 f"workload {self.name!r} runs on a single engine; "
                 "shards=N applies to cluster workloads only"
             )
+        if policy is not None:
+            try:
+                policy_by_name(policy)  # fail before any fabric is built
+            except ValueError as exc:
+                raise WorkloadError(str(exc)) from exc
         merged = {**self.defaults, **params}
-        with fault_schedule(faults), path_policy(policy):
+        with fabric_settings(policy=policy, faults=faults):
             before = STATS.snapshot()["events_popped"]
             outcome = self._execute(resolved, shards, **merged)
             popped = (

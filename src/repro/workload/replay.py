@@ -540,25 +540,24 @@ class _Board:
 # world-mode interpreter (single engine, full fabric)
 # --------------------------------------------------------------------------
 
-def _replay_on_fabric(
-    machine: MachineLike, ops: Dict[int, List[tuple]], graphs: bool = False,
-) -> dict:
+def _replay_on_fabric(machine: MachineLike, ops: Dict[int, List[tuple]]) -> dict:
     """Replay lowered ops on one engine + fabric; returns run facts.
 
-    With ``graphs=True`` the rank programs run on a private
-    :class:`~repro.dataplane.graph.GraphEngine` behind a *single* host
-    graph-launch event (stream-triggered issue: the host heap sees one
-    pop, not one per descriptor), with descriptor plans cached across
-    repeated submissions.  Timestamps and the per-class ledger are
-    bit-identical to the eager path; only where the pops are counted
-    changes (``events_graphed`` vs ``events_popped``).
+    Unobserved runs replay as a captured graph: the rank programs run on
+    a private :class:`~repro.dataplane.graph.GraphEngine` behind a
+    *single* host graph-launch event (stream-triggered issue: the host
+    heap sees one pop, not one per descriptor), with descriptor plans
+    cached across repeated submissions.  Timestamps and the per-class
+    ledger are bit-identical to the eager path; only where the pops are
+    counted changes (``events_graphed`` vs ``events_popped``).
     """
     from repro.hw.memory import Buffer, MemSpace
     from repro.hw.topology import Fabric
-    from repro.sim.engine import Engine
+    from repro.sim.engine import Engine, collapsible
 
     import numpy as np
 
+    graphs = collapsible()
     if graphs:
         from repro.dataplane.graph import GRAPHS, GraphEngine
 
@@ -703,9 +702,7 @@ class ReplayWorkload(Workload):
             )
         if mode == "cluster":
             return self._execute_cluster(spec, ops, shards)
-        from repro.dataplane.graph import graphs_enabled
-
-        facts = _replay_on_fabric(machine, ops, graphs=graphs_enabled())
+        facts = _replay_on_fabric(machine, ops)
         series = self._series(facts["class_bytes"], facts["t_end"])
         extra = {"t_end": facts["t_end"], "ranks": sched.ranks,
                  "steps": len(sched.steps)}
@@ -720,14 +717,9 @@ class ReplayWorkload(Workload):
         )
 
     def _execute_cluster(self, spec, ops, shards) -> ExecOutcome:
-        from repro.dataplane.graph import graphs_enabled
         from repro.shard import ClusterJob
 
-        job = ClusterJob(
-            spec, "replay",
-            cfg={"ops": ops, "graphs": graphs_enabled()},
-            collect_steps=True,
-        )
+        job = ClusterJob(spec, "replay", cfg={"ops": ops}, collect_steps=True)
         result = job.run(workers=shards)
         sig = result.signature()
         series = self._series(

@@ -140,11 +140,12 @@ class SweepCache:
 class RouteCacheStore:
     """Cross-run route-cache persistence, keyed by machine-spec hash.
 
-    Installed as :attr:`repro.hw.topology.Fabric.route_store` for the
-    duration of a sweep: every fabric the sweep's workloads build —
-    including each shard's node-local fabric — preloads the routes a
-    previous run resolved for the *same spec content* and records any
-    new resolutions.  :meth:`flush` writes one
+    Set as the ``routes`` fabric setting
+    (:func:`repro.hw.topology.fabric_settings`) for the duration of a
+    sweep: every fabric the sweep's workloads build — including each
+    shard's node-local fabric — preloads the routes a previous run
+    resolved for the *same spec content* and records any new
+    resolutions.  :meth:`flush` writes one
     ``routes/<spec-hash>.json`` per touched spec (atomic replace), so
     ``Fabric.route_computations`` drops to zero for warm pairs on the
     next run.
@@ -228,7 +229,7 @@ def run_sweep(
     applies only to shard-capable workloads; others run on their single
     engine regardless.
     """
-    from repro.hw.topology import Fabric
+    from repro.hw.topology import fabric_settings
 
     say = printer if printer is not None else (lambda _msg: None)
     cache = SweepCache(cache_dir, max_bytes=cache_max_bytes) if cache_dir else None
@@ -239,50 +240,50 @@ def run_sweep(
         raise WorkloadError("sweep needs at least one workload")
     if not machines:
         raise WorkloadError("sweep needs at least one machine")
-    route_store = None
-    prev_store = Fabric.route_store
+    routes = None
     if cache_dir:
-        route_store = RouteCacheStore(os.path.join(cache_dir, ROUTES_SUBDIR))
-        Fabric.route_store = route_store
+        routes = RouteCacheStore(os.path.join(cache_dir, ROUTES_SUBDIR))
     cells: List[dict] = []
     hits = misses = 0
+    grid = [
+        (wl, machine, policy)
+        for wl in resolved for machine in machines for policy in policies
+    ]
+    wl_params = params or {}
     try:
-        for wl in resolved:
-            wl_params = params or {}
-            for machine in machines:
-                for policy in policies:
-                    key = cell_key(machine, wl, policy, wl_params)
-                    label = f"{wl.name} × {machine} × {policy or 'default'}"
-                    cached = cache.load(key) if cache is not None else None
-                    if cached is not None:
-                        hits += 1
-                        say(f"HIT  {label}  [{key[:12]}]")
-                        result = cached
-                    else:
-                        misses += 1
-                        say(f"MISS {label}  [{key[:12]}] -> running")
-                        use_shards = shards if wl.supports_shards else None
-                        result = wl.run(
-                            machine=machine, policy=policy, shards=use_shards,
-                            **wl_params,
-                        )
-                        if cache is not None:
-                            cache.store(key, result)
-                    cells.append({
-                        "key": key,
-                        "workload": wl.name,
-                        "machine": machine,
-                        "policy": policy if policy is not None else "default",
-                        "cached": cached is not None,
-                        "result": result.as_dict(),
-                    })
+        with fabric_settings(routes=routes):
+            for wl, machine, policy in grid:
+                key = cell_key(machine, wl, policy, wl_params)
+                label = f"{wl.name} × {machine} × {policy or 'default'}"
+                cached = cache.load(key) if cache is not None else None
+                if cached is not None:
+                    hits += 1
+                    say(f"HIT  {label}  [{key[:12]}]")
+                    result = cached
+                else:
+                    misses += 1
+                    say(f"MISS {label}  [{key[:12]}] -> running")
+                    use_shards = shards if wl.supports_shards else None
+                    result = wl.run(
+                        machine=machine, policy=policy, shards=use_shards,
+                        **wl_params,
+                    )
+                    if cache is not None:
+                        cache.store(key, result)
+                cells.append({
+                    "key": key,
+                    "workload": wl.name,
+                    "machine": machine,
+                    "policy": policy if policy is not None else "default",
+                    "cached": cached is not None,
+                    "result": result.as_dict(),
+                })
     finally:
-        Fabric.route_store = prev_store
-        if route_store is not None:
-            route_store.flush()
+        if routes is not None:
+            routes.flush()
     out = {"cells": cells, "hits": hits, "misses": misses}
     if cache is not None and cache.evicted:
         out["evicted"] = cache.evicted
-    if route_store is not None:
-        out["routes_preloaded"] = route_store.preloaded
+    if routes is not None:
+        out["routes_preloaded"] = routes.preloaded
     return out

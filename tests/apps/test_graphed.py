@@ -8,6 +8,8 @@ from repro.apps.jacobi import JacobiConfig, run_jacobi, serial_jacobi
 from repro.hw.params import ONE_NODE, PAPER_TESTBED
 from repro.mpi.world import World
 
+from ..conftest import exact_path
+
 
 def _jacobi(ctx, cfg):
     return (yield from run_jacobi(ctx, cfg))
@@ -42,15 +44,15 @@ def test_jacobi_graphed_matches_serial_8_ranks_two_nodes():
     assert np.allclose(glob[1:-1, 1:-1], ref[1:-1, 1:-1])
 
 
-def test_jacobi_graphed_time_identical_without_graphs(monkeypatch):
+def test_jacobi_graphed_time_identical_without_graphs():
     cfg = JacobiConfig(multiplier=1, base_tile=8, iters=6, variant="graphed")
 
     def solve():
         return World(ONE_NODE).run(_jacobi, nprocs=4, args=(cfg,))
 
     on = solve()
-    monkeypatch.setenv("REPRO_NO_GRAPHS", "1")
-    off = solve()
+    with exact_path():
+        off = solve()
     assert [r.time for r in on] == [r.time for r in off]
     for a, b in zip(on, off):
         assert np.allclose(a.local, b.local)
@@ -71,14 +73,14 @@ def test_dl_graphed_matches_nccl_numerics():
         assert np.allclose(r.grad, base)
 
 
-def test_dl_graphed_time_identical_without_graphs(monkeypatch):
+def test_dl_graphed_time_identical_without_graphs():
     def run():
         cfg = DlConfig(grid=16, block=1024, steps=3, variant="graphed")
         return World(ONE_NODE).run(_dl, nprocs=4, args=(cfg,))
 
     on = run()
-    monkeypatch.setenv("REPRO_NO_GRAPHS", "1")
-    off = run()
+    with exact_path():
+        off = run()
     assert [r.time for r in on] == [r.time for r in off]
     for a, b in zip(on, off):
         assert a.losses == b.losses

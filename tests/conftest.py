@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import pytest
 
 from repro.analyze.model import Project
@@ -9,9 +11,31 @@ from repro.analyze.registry import all_passes
 from repro.analyze.rules import apply_suppressions, run_passes
 from repro.cuda.device import Device
 from repro.hw.params import ONE_NODE, PAPER_TESTBED, TestbedConfig
-from repro.hw.topology import Fabric
+from repro.hw.topology import Fabric, FabricSettings, fabric_settings
 from repro.mpi.world import World
+from repro.obs import bus as obs_bus
 from repro.sim.engine import Engine
+
+
+@contextmanager
+def exact_path():
+    """Run the block on the exact reference path.
+
+    An installed (empty) ambient obs bus counts as an observer, so every
+    pop-collapsing fast path — wave coalescing, graph replay — stands down
+    while it is in place (:func:`repro.sim.engine.collapsible`).
+    """
+    obs_bus.install(obs_bus.Bus())
+    try:
+        yield
+    finally:
+        obs_bus.uninstall()
+
+
+def current_settings() -> FabricSettings:
+    """The fabric settings in force here (an empty scope inherits them all)."""
+    with fabric_settings() as settings:
+        return settings
 
 
 @pytest.fixture

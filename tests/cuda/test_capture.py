@@ -7,6 +7,8 @@ from repro.cuda.kernel import UniformKernel
 from repro.cuda.timing import WorkSpec
 from repro.dataplane.graph import GraphError
 
+from ..conftest import exact_path
+
 WORK = WorkSpec.vector_add()
 
 
@@ -136,20 +138,19 @@ def test_graph_replay_time_identical_to_eager(engine, gpu):
     assert len(graph_hits) == 6       # 2 kernels x 3 launches
 
 
-def test_no_graphs_env_degrades_to_eager(engine, gpu, monkeypatch):
-    monkeypatch.setenv("REPRO_NO_GRAPHS", "1")
-    t_env, hits_env = _capture_and_replay(engine, gpu, launches=2)
-    monkeypatch.delenv("REPRO_NO_GRAPHS")
+def test_exact_path_degrades_to_eager(engine, gpu):
     from repro.cuda.device import Device
     from repro.hw.params import ONE_NODE
     from repro.hw.topology import Fabric
     from repro.sim.engine import Engine
 
+    with exact_path():
+        t_exact, hits_exact = _capture_and_replay(engine, gpu, launches=2)
     e2 = Engine()
     gpu2 = Device(Fabric(e2, ONE_NODE), 0)
     t_on, hits_on = _capture_and_replay(e2, gpu2, launches=2)
-    assert t_env == t_on              # A/B: same simulated completion time
-    assert hits_env == hits_on
+    assert t_exact == t_on            # A/B: same simulated completion time
+    assert hits_exact == hits_on
 
 
 def test_captured_memcpy_rereads_source(engine, gpu):

@@ -3,17 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.dataplane.graph import (
-    GRAPHS,
-    GraphEngine,
-    GraphError,
-    graphs_enabled,
-)
+from repro.dataplane.graph import GRAPHS, GraphEngine, GraphError
 from repro.hw.memory import Buffer, MemSpace
 from repro.hw.params import ONE_NODE
 from repro.hw.topology import Fabric
-from repro.sim.engine import STATS, Engine
+from repro.sim.engine import STATS, Engine, collapsible
 from repro.units import us
+
+from ..conftest import exact_path
 
 
 def _mk(engine_cls=Engine, config=ONE_NODE):
@@ -36,24 +33,19 @@ def _run(engine, gen):
 
 # -- gating -------------------------------------------------------------------
 
-def test_graphs_enabled_by_default():
-    assert graphs_enabled()
-
-
-def test_no_graphs_env_disables(monkeypatch):
-    monkeypatch.setenv("REPRO_NO_GRAPHS", "1")
-    assert not graphs_enabled()
+def test_collapsible_by_default():
+    assert collapsible()
+    assert collapsible(Engine())
 
 
 def test_ambient_obs_bus_disables():
-    from repro.obs import bus as obs_bus
-
-    obs_bus.install(obs_bus.Bus())
-    try:
-        assert not graphs_enabled()
-    finally:
-        obs_bus.uninstall()
-    assert graphs_enabled()
+    engine = Engine()
+    with exact_path():
+        assert not collapsible()
+        assert not collapsible(engine)
+    assert collapsible() and collapsible(engine)
+    engine.on_step = lambda *_: None
+    assert not collapsible(engine)
 
 
 # -- GraphEngine --------------------------------------------------------------

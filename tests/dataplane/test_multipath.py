@@ -17,6 +17,8 @@ from repro.sim.engine import Engine
 from repro.units import MiB
 from repro.workload.registry import get
 
+from ..conftest import exact_path
+
 
 def _mk(config=ONE_NODE):
     engine = Engine()
@@ -149,11 +151,10 @@ def test_multipath_is_bit_equal_across_runs():
     assert len(first) > 10
 
 
-def test_multipath_times_survive_no_coalesce(monkeypatch):
-    monkeypatch.delenv("REPRO_NO_COALESCE", raising=False)
+def test_multipath_times_survive_no_coalesce():
     base = measure_stripe_goodput(64 * MiB, "multi")
-    monkeypatch.setenv("REPRO_NO_COALESCE", "1")
-    nocoal = measure_stripe_goodput(64 * MiB, "multi")
+    with exact_path():
+        nocoal = measure_stripe_goodput(64 * MiB, "multi")
     assert base["elapsed_s"] == nocoal["elapsed_s"]
     assert base["stripes"] == nocoal["stripes"]
 

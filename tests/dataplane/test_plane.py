@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.dataplane import Dataplane, MultiPathPolicy, SinglePathPolicy, policy_from_env
+from repro.dataplane import Dataplane, MultiPathPolicy, SinglePathPolicy, policy_by_name
 from repro.hw.memory import Buffer, MemSpace
 from repro.hw.params import ONE_NODE, TestbedConfig
-from repro.hw.topology import Fabric
+from repro.hw.topology import Fabric, fabric_settings
 from repro.sim.engine import Engine
 
 
@@ -117,19 +117,19 @@ def test_ledger_totals_across_classes():
 
 
 def test_policy_from_env_values():
-    assert isinstance(policy_from_env(None), SinglePathPolicy)
-    assert isinstance(policy_from_env(""), SinglePathPolicy)
-    assert isinstance(policy_from_env("single"), SinglePathPolicy)
-    assert isinstance(policy_from_env("multi"), MultiPathPolicy)
-    with pytest.raises(ValueError, match="REPRO_PATH_POLICY"):
-        policy_from_env("fastest")
+    """policy_by_name (formerly policy_from_env) maps names to policies."""
+    assert isinstance(policy_by_name(None), SinglePathPolicy)
+    assert isinstance(policy_by_name(""), SinglePathPolicy)
+    assert isinstance(policy_by_name("single"), SinglePathPolicy)
+    assert isinstance(policy_by_name("multi"), MultiPathPolicy)
+    with pytest.raises(ValueError, match="unknown path policy 'fastest'"):
+        policy_by_name("fastest")
 
 
-def test_env_knob_selects_policy(monkeypatch):
-    monkeypatch.setenv("REPRO_PATH_POLICY", "multi")
-    _e, fab = _mk()
+def test_settings_scope_selects_policy():
+    with fabric_settings(policy="multi"):
+        _e, fab = _mk()
     assert isinstance(fab.dataplane.policy, MultiPathPolicy)
-    monkeypatch.delenv("REPRO_PATH_POLICY")
     _e, fab = _mk()
     assert isinstance(fab.dataplane.policy, SinglePathPolicy)
 

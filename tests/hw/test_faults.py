@@ -2,13 +2,14 @@
 
 import pytest
 
-from repro.hw import faults as hw_faults
-from repro.hw.faults import FaultError, FaultEvent, FaultSchedule, fault_schedule
+from repro.hw.faults import FaultError, FaultEvent, FaultSchedule
 from repro.hw.links import LinkDownError, start_transfer
 from repro.hw.memory import Buffer, MemSpace
 from repro.hw.spec.generators import resolve_machine
-from repro.hw.topology import Fabric, RouteError
+from repro.hw.topology import Fabric, RouteError, fabric_settings
 from repro.sim.engine import Engine
+
+from ..conftest import current_settings
 
 
 def _mk(machine="gh200-1x4"):
@@ -194,16 +195,16 @@ def test_for_shard_scopes_by_node():
         FaultEvent(0.2, "swup0", "down", node=1),
         FaultEvent(0.3, "hbm0", "degrade", factor=0.5),
     ])
-    assert len(sched.for_shard(None)) == 3      # unsharded fabric: everything
     mine = sched.for_shard(1)
     assert [e.t for e in mine] == [0.2, 0.3]    # node 1 + unscoped
+    assert len(sched.for_shard(2)) == 1         # unscoped only
 
 
-# -- ambient installation -----------------------------------------------------
+# -- installation through the fabric-settings scope ---------------------------
 
 def test_fabric_installs_ambient_schedule_as_timers():
     sched = FaultSchedule([FaultEvent(1e-3, "nvl0->1", "down")])
-    with fault_schedule(sched):
+    with fabric_settings(faults=sched):
         engine, fab = _mk()
     assert len(fab.fault_events) == 1
     assert fab.link_state.armed            # armed from t=0, epoch untouched
@@ -219,7 +220,7 @@ def test_past_events_apply_immediately_on_rebuild():
     engine.timeout(5e-3)
     engine.run()                           # now = 5 ms
     sched = FaultSchedule([FaultEvent(1e-3, "nvl0->1", "down")])
-    with fault_schedule(sched):
+    with fabric_settings(faults=sched):
         fab = Fabric(engine, resolve_machine("gh200-1x4"))
     assert not fab.link_state.find("nvl0->1").up
     assert fab.fault_events == []          # nothing pending
@@ -227,7 +228,7 @@ def test_past_events_apply_immediately_on_rebuild():
 
 def test_unknown_link_fails_at_install_not_midrun():
     sched = FaultSchedule([FaultEvent(1e-3, "nvl9->9", "down")])
-    with fault_schedule(sched):
+    with fabric_settings(faults=sched):
         with pytest.raises(KeyError, match="nvl9->9"):
             _mk()
 
@@ -235,19 +236,26 @@ def test_unknown_link_fails_at_install_not_midrun():
 def test_ambient_schedule_restores_previous_on_exit():
     a = FaultSchedule([FaultEvent(0.1, "x", "down")])
     b = FaultSchedule([FaultEvent(0.2, "y", "down")])
-    assert hw_faults.active() is None
-    with fault_schedule(a):
-        assert hw_faults.active() is a
-        with fault_schedule(b):
-            assert hw_faults.active() is b
-        assert hw_faults.active() is a
-    assert hw_faults.active() is None
+    assert current_settings().faults is None
+    with fabric_settings(faults=a):
+        assert current_settings().faults is a
+        with fabric_settings(faults=b):
+            assert current_settings().faults is b
+        with fabric_settings(policy="multi"):
+            assert current_settings().faults is a       # None inherits
+        assert current_settings().faults is a
+        with pytest.raises(RuntimeError):
+            with fabric_settings(faults=b):
+                raise RuntimeError("boom")
+        assert current_settings().faults is a
+    assert current_settings().faults is None
 
 
-def test_fault_schedule_accepts_path(tmp_path):
+def test_fabric_settings_accept_fault_path(tmp_path):
     p = tmp_path / "f.jsonl"
     p.write_text('{"t": 0.5, "link": "nvl0->1", "action": "down"}\n')
-    with fault_schedule(str(p)) as sched:
+    with fabric_settings(faults=str(p)) as settings:
+        sched = settings.faults
         assert len(sched) == 1 and sched.events[0].link == "nvl0->1"
 
 

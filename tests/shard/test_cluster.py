@@ -23,6 +23,8 @@ from repro.shard import ClusterError, ClusterJob, local_spec
 from repro.shard import workloads as workloads_mod
 from repro.sim.engine import STATS
 
+from ..conftest import exact_path
+
 MACHINES = ["fat-tree-32-r2-l2", "dragonfly-32-r2-g2"]
 
 #: Decimated configs keep the sweep fast; shapes still cross every shard.
@@ -57,11 +59,11 @@ def test_modes_bit_identical(machine, workload):
 
 
 @pytest.mark.parametrize("machine", MACHINES)
-def test_no_coalesce_keeps_modes_identical(machine, monkeypatch):
-    monkeypatch.setenv("REPRO_NO_COALESCE", "1")
+def test_no_coalesce_keeps_modes_identical(machine):
     job = _job(machine, "halo")
-    seq = job.run()
-    mp = job.run(workers=2)
+    with exact_path():
+        seq = job.run()
+        mp = job.run(workers=2)
     assert mp.signature() == seq.signature()
 
 

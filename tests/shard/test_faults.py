@@ -3,6 +3,9 @@
 import pytest
 
 from repro.hw.faults import FaultEvent, FaultSchedule
+from repro.hw.spec.generators import resolve_machine
+from repro.hw.topology import fabric_settings
+from repro.shard import ClusterJob
 from repro.workload.registry import resolve_spec
 
 MACHINE = "fat-tree-32-r2-l2"
@@ -68,6 +71,27 @@ def test_restore_heals_the_fabric(healthy):
     assert a.digests != healthy.digests
     assert b.digests != a.digests
     assert b.extra["signature"]["t_end"] <= a.extra["signature"]["t_end"]
+
+
+def test_reference_mode_scopes_embedded_world_faults():
+    """allreduce-node embeds a World per shard; on run_reference's shared
+    engine its fabric must still install only its own node's events, so
+    all three drivers agree on the faulted digest."""
+    degrade = [
+        FaultEvent(1e-6, f"c2c_{way}{g}", "degrade", factor=0.05, node=1)
+        for way in ("d2h", "h2d") for g in range(4)
+    ]
+    job = ClusterJob(
+        resolve_machine("fat-tree-16-n4-l2"), "allreduce-node", cfg={"iters": 2},
+    )
+    with fabric_settings(faults=FaultSchedule(degrade)):
+        seq = job.run_sequential()
+        mp = job.run(workers=2)
+        ref = job.run_reference()
+    assert seq.msg_digest.startswith("af0d8b9652a7")
+    assert mp.msg_digest == seq.msg_digest
+    assert ref.msg_digest == seq.msg_digest
+    assert job.run_sequential().msg_digest.startswith("acd291cf3598")  # healthy
 
 
 def test_healthy_run_unperturbed_after_faulted_runs(healthy):

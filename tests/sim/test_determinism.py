@@ -15,6 +15,8 @@ from repro.partitioned import device as pdev
 from repro.partitioned.aggregation import AggregationSpec, SignalMode
 from repro.san import Sanitizer
 
+from ..conftest import exact_path
+
 WORK = WorkSpec.vector_add()
 GRID, BLOCK = 4, 256
 
@@ -181,9 +183,9 @@ def test_step_stream_unchanged_under_full_observation():
 #
 # The wall-clock fast path (DESIGN.md §11) collapses same-instant partition
 # waves into aggregate events, but only when nothing observes the run.  The
-# contract has two halves: unobserved runs land on byte-identical simulated
-# times either way, and the REPRO_NO_COALESCE escape hatch never perturbs
-# observed (step-hashed / sanitized) streams.
+# contract: unobserved runs land on byte-identical simulated times whether
+# the fast path runs or an observer (here an empty ambient bus) forces the
+# exact per-wave path; observed streams are pinned by the tests above.
 
 @pytest.mark.parametrize(
     "grid,model,tps",
@@ -194,43 +196,24 @@ def test_step_stream_unchanged_under_full_observation():
     ],
     ids=["pe-1tp", "pe-8tp", "kc-2tp"],
 )
-def test_unobserved_times_equal_with_and_without_coalescing(monkeypatch, grid, model, tps):
+def test_unobserved_times_equal_with_and_without_coalescing(grid, model, tps):
     """Goodput (a pure function of simulated timestamps) is bit-equal with
     wave coalescing on and off, and the fast path actually engaged."""
     from repro.bench.p2p import measure_p2p_goodput
     from repro.sim.engine import STATS
 
-    monkeypatch.delenv("REPRO_NO_COALESCE", raising=False)
     STATS.reset()
     fast = measure_p2p_goodput(grid, model, ONE_NODE, tps=tps)
     fast_pops, fast_coalesced = STATS.events_popped, STATS.events_coalesced
 
-    monkeypatch.setenv("REPRO_NO_COALESCE", "1")
     STATS.reset()
-    exact = measure_p2p_goodput(grid, model, ONE_NODE, tps=tps)
+    with exact_path():
+        exact = measure_p2p_goodput(grid, model, ONE_NODE, tps=tps)
 
     assert fast == exact  # bit-equal simulated times, not approximately
     assert fast_coalesced > 0, "fast path never engaged"
-    assert STATS.events_coalesced == 0, "REPRO_NO_COALESCE did not disable it"
+    assert STATS.events_coalesced == 0, "an observed run still coalesced"
     assert fast_pops < STATS.events_popped
-
-
-def test_step_stream_unchanged_by_no_coalesce_env(monkeypatch):
-    """on_step observation already forces the exact path; the env knob must
-    be inert on top of it — same (time, priority, seq) stream either way."""
-    monkeypatch.delenv("REPRO_NO_COALESCE", raising=False)
-    baseline = _step_stream()
-    monkeypatch.setenv("REPRO_NO_COALESCE", "1")
-    assert _step_stream() == baseline
-
-
-def test_sanitized_digest_unchanged_by_no_coalesce_env(monkeypatch):
-    monkeypatch.setenv("REPRO_NO_COALESCE", "1")
-    with Sanitizer() as san:
-        _workload(World(ONE_NODE))
-    assert san.report.ok
-    digest = hashlib.sha256(san.trace_bytes()).hexdigest()
-    assert digest == _SEED_TRACES["one-node"]
 
 
 def test_idle_hook_overhead_is_bounded():

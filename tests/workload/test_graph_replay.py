@@ -5,6 +5,8 @@ import pytest
 from repro.workload.generators import jacobi_schedule, llm_schedule
 from repro.workload.replay import ReplayError, ReplayWorkload, parse_jsonl
 
+from ..conftest import exact_path
+
 HEADER = '{"schema": "repro.workload.replay/1", "ranks": %d, "name": "t"}\n'
 
 
@@ -114,18 +116,17 @@ def test_jacobi_schedule_deterministic_digest():
 
 # -- A/B equivalence: world mode ----------------------------------------------
 
-def _world_run(monkeypatch, graphs):
-    if graphs:
-        monkeypatch.delenv("REPRO_NO_GRAPHS", raising=False)
-    else:
-        monkeypatch.setenv("REPRO_NO_GRAPHS", "1")
+def _world_run(graphs):
     wl = ReplayWorkload(llm_schedule(dp=1, tp=2, pp=2, microbatches=2))
-    return wl.run(machine="gh200-1x4")
+    if graphs:
+        return wl.run(machine="gh200-1x4")
+    with exact_path():
+        return wl.run(machine="gh200-1x4")
 
 
-def test_world_graph_replay_bit_identical(monkeypatch):
-    on = _world_run(monkeypatch, graphs=True)
-    off = _world_run(monkeypatch, graphs=False)
+def test_world_graph_replay_bit_identical():
+    on = _world_run(graphs=True)
+    off = _world_run(graphs=False)
     assert on.mode == off.mode == "world"
     assert on.extra["t_end"] == off.extra["t_end"]
     assert on.class_bytes == off.class_bytes
@@ -142,18 +143,17 @@ def test_world_graph_replay_bit_identical(monkeypatch):
 
 # -- A/B equivalence: cluster mode --------------------------------------------
 
-def _cluster_run(monkeypatch, graphs, shards=None):
-    if graphs:
-        monkeypatch.delenv("REPRO_NO_GRAPHS", raising=False)
-    else:
-        monkeypatch.setenv("REPRO_NO_GRAPHS", "1")
+def _cluster_run(graphs, shards=None, policy=None):
     wl = ReplayWorkload(jacobi_schedule(py=4, px=2, iters=10))
-    return wl.run(machine="gh200-2x4", shards=shards)
+    if graphs:
+        return wl.run(machine="gh200-2x4", shards=shards, policy=policy)
+    with exact_path():
+        return wl.run(machine="gh200-2x4", shards=shards, policy=policy)
 
 
-def test_cluster_graph_replay_bit_identical(monkeypatch):
-    on = _cluster_run(monkeypatch, graphs=True)
-    off = _cluster_run(monkeypatch, graphs=False)
+def test_cluster_graph_replay_bit_identical():
+    on = _cluster_run(graphs=True)
+    off = _cluster_run(graphs=False)
     assert on.digests == off.digests               # msg + per-shard step hashes
     assert on.class_bytes == off.class_bytes
     assert (on.extra["signature"]["t_end"]
@@ -164,42 +164,32 @@ def test_cluster_graph_replay_bit_identical(monkeypatch):
     assert on.events_popped * 3 <= off.events_popped
 
 
-def test_cluster_graph_replay_shards_bit_identical(monkeypatch):
-    seq = _cluster_run(monkeypatch, graphs=True)
-    par = _cluster_run(monkeypatch, graphs=True, shards=2)
+def test_cluster_graph_replay_shards_bit_identical():
+    seq = _cluster_run(graphs=True)
+    par = _cluster_run(graphs=True, shards=2)
     assert seq.mode == "sequential" and par.mode == "mp"
     assert seq.digests == par.digests
     assert seq.events_popped == par.events_popped
     assert seq.extra["graphs"] == par.extra["graphs"]
 
 
-def test_cluster_shards_no_graphs_still_identical(monkeypatch):
-    seq = _cluster_run(monkeypatch, graphs=False)
-    par = _cluster_run(monkeypatch, graphs=False, shards=2)
+def test_cluster_shards_no_graphs_still_identical():
+    seq = _cluster_run(graphs=False)
+    par = _cluster_run(graphs=False, shards=2)
     assert seq.digests == par.digests
     assert seq.events_popped == par.events_popped
 
 
-def test_cluster_replay_digest_invariant_across_all_knobs(monkeypatch):
-    """One digest set across {graphs on/off} x {coalescing on/off} under
-    the multi-path policy: the perf knobs and the striping policy must
-    never change what the simulation computes (DESIGN.md §11, §16)."""
-    results = []
-    for no_graphs in (False, True):
-        for no_coalesce in (False, True):
-            if no_graphs:
-                monkeypatch.setenv("REPRO_NO_GRAPHS", "1")
-            else:
-                monkeypatch.delenv("REPRO_NO_GRAPHS", raising=False)
-            if no_coalesce:
-                monkeypatch.setenv("REPRO_NO_COALESCE", "1")
-            else:
-                monkeypatch.delenv("REPRO_NO_COALESCE", raising=False)
-            wl = ReplayWorkload(jacobi_schedule(py=4, px=2, iters=10))
-            results.append(wl.run(machine="gh200-2x4", policy="multi"))
-    base = results[0]
-    for res in results[1:]:
-        assert res.digests == base.digests
-        assert res.class_bytes == base.class_bytes
-        assert (res.extra["signature"]["t_end"]
-                == base.extra["signature"]["t_end"])
+def test_cluster_replay_digest_invariant_across_all_knobs():
+    """One digest set on the fast path (coalescing + graph replay) and the
+    exact path (observed: neither) under the multi-path policy: the fast
+    paths and the striping policy must never change what the simulation
+    computes (DESIGN.md §11, §16)."""
+    fast = _cluster_run(graphs=True, policy="multi")
+    exact = _cluster_run(graphs=False, policy="multi")
+    assert fast.extra["graphs"]["graph_launches"] > 0
+    assert exact.extra["graphs"]["graph_launches"] == 0
+    assert exact.digests == fast.digests
+    assert exact.class_bytes == fast.class_bytes
+    assert (exact.extra["signature"]["t_end"]
+            == fast.extra["signature"]["t_end"])

@@ -111,23 +111,19 @@ def test_oversized_single_entry_still_caches(tmp_path):
 def test_route_cache_store_warms_fresh_fabrics(tmp_path):
     from repro.hw.memory import Buffer, MemSpace
     from repro.hw.spec.generators import resolve_machine
-    from repro.hw.topology import Fabric
+    from repro.hw.topology import Fabric, fabric_settings
     from repro.sim.engine import Engine
     from repro.workload.sweep import RouteCacheStore
 
     spec = resolve_machine("gh200-1x4")
 
     def route_once(store):
-        prev = Fabric.route_store
-        Fabric.route_store = store
-        try:
+        with fabric_settings(routes=store):
             fab = Fabric(Engine(), spec)
-            src = Buffer.alloc(8, space=MemSpace.DEVICE, node=0, gpu=0)
-            dst = Buffer.alloc(8, space=MemSpace.DEVICE, node=0, gpu=1)
-            fab.route(src, dst)
-            return fab
-        finally:
-            Fabric.route_store = prev
+        src = Buffer.alloc(8, space=MemSpace.DEVICE, node=0, gpu=0)
+        dst = Buffer.alloc(8, space=MemSpace.DEVICE, node=0, gpu=1)
+        fab.route(src, dst)
+        return fab
 
     cold = RouteCacheStore(str(tmp_path / "routes"))
     fab = route_once(cold)
