@@ -15,6 +15,21 @@ echo "== bench smoke (event-loop traffic vs recorded ceiling) =="
 # (skipping the --out file this run writes), so new PRs need no edit here.
 PYTHONPATH=src python -m repro bench \
     --against auto --out /tmp/repro_bench_smoke.json
+# Every row is deterministic, so it must equal its baseline row exactly
+# (older baselines still carry a single-sample wall_s, which is dropped).
+PYTHONPATH=src python - <<'EOF'
+import json
+from repro.bench.suite import resolve_baseline
+path = resolve_baseline("auto", exclude="/tmp/repro_bench_smoke.json")
+base = json.load(open(path))["suite"]
+got = json.load(open("/tmp/repro_bench_smoke.json"))["suite"]
+assert sorted(got) == sorted(base), f"entries differ from {path}"
+for name, row in got.items():
+    want = {k: v for k, v in base[name].items() if k != "wall_s"}
+    diff = sorted(k for k in set(want) | set(row) if want.get(k) != row.get(k))
+    assert not diff, f"{name}: {diff} differ from {path}"
+print(f"bench smoke: {len(got)} rows equal {path}")
+EOF
 
 echo "== hostbench-correctness (host-time benchmark outputs vs pinned fingerprints) =="
 # The shortest run hostbench allows (warm-up, three units and one traced

@@ -1,10 +1,9 @@
 """``python -m repro bench``: the pinned simulator benchmark suite.
 
-Each suite entry runs one workload under ``time.perf_counter`` and
-records the engine's event-loop counters:
+Each suite entry runs one workload and records the engine's event-loop
+counters, all deterministic (host time is measured by ``hostbench/``,
+not here):
 
-* ``wall_s`` — host wall-clock seconds (informational; never gated,
-  machines differ);
 * ``events_popped`` — heap events actually dispatched.  Deterministic for
   a given code state, so it is the regression metric: ``--against`` fails
   when an entry pops more than ``tolerance`` above its recorded baseline;
@@ -18,9 +17,6 @@ The suite mirrors the paper exhibits that dominate ``regenerate_results``
 cluster and graph-replay workloads.  Each row also reports the named
 deterministic metrics of the entry's :class:`~repro.workload.base.
 WorkloadResult` (see :func:`metrics`).
-
-Everything here is outside the deterministic core, so it may consult
-``time.perf_counter``.
 """
 
 from __future__ import annotations
@@ -30,7 +26,6 @@ import glob
 import json
 import os
 import re
-import time
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.dataplane.graph import GRAPHS
@@ -127,14 +122,12 @@ def run_suite(
         wl = get(workload) if isinstance(workload, str) else workload()
         STATS.reset()
         GRAPHS.reset()
-        t0 = time.perf_counter()
         res = wl.run(shards=shards if wl.supports_shards else None, **params)
-        wall = time.perf_counter() - t0
         snap = STATS.snapshot()
         snap.pop("events_cancelled", None)
         if not snap.get("events_graphed"):
             snap.pop("events_graphed", None)
-        row = {"wall_s": round(wall, 3), **snap, "graph_launches": GRAPHS.launches}
+        row = {**snap, "graph_launches": GRAPHS.launches}
         if GRAPHS.replanned:
             row["events_replanned"] = GRAPHS.replanned
         view = metrics(res)
@@ -144,9 +137,8 @@ def run_suite(
 
 
 def _totals(results: Dict[str, dict]) -> dict:
-    total = {"wall_s": 0.0, "events_popped": 0, "events_coalesced": 0, "peak_heap": 0}
+    total = {"events_popped": 0, "events_coalesced": 0, "peak_heap": 0}
     for row in results.values():
-        total["wall_s"] = round(total["wall_s"] + row["wall_s"], 3)
         total["events_popped"] += row["events_popped"]
         total["events_coalesced"] += row["events_coalesced"]
         total["peak_heap"] = max(total["peak_heap"], row["peak_heap"])
@@ -246,19 +238,19 @@ def main(argv=None) -> int:
     results = run_suite(names, shards=args.shards)
     doc = {
         "pr": pr,
-        "metric_note": "events_popped is deterministic; wall_s is informational",
+        "metric_note": "every field is deterministic; host time is hostbench's",
         "suite": results,
         "total": _totals(results),
     }
 
     for name, row in results.items():
         print(
-            f"{name:16s} wall {row['wall_s']:8.3f}s  popped {row['events_popped']:9d}  "
+            f"{name:16s} popped {row['events_popped']:9d}  "
             f"coalesced {row['events_coalesced']:9d}  peak_heap {row['peak_heap']:6d}"
         )
     total = doc["total"]
     print(
-        f"{'TOTAL':16s} wall {total['wall_s']:8.3f}s  popped {total['events_popped']:9d}  "
+        f"{'TOTAL':16s} popped {total['events_popped']:9d}  "
         f"coalesced {total['events_coalesced']:9d}"
     )
 

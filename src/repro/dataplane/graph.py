@@ -22,7 +22,8 @@ costs, mirroring CUDA stream capture + graph launch:
     runs the *same* simulation generators on a private GraphEngine — so
     every timestamp, tie-break, and digest is bit-identical by
     construction — while the host-visible engine sees a single
-    graph-launch event per replayed window.  The work does not vanish:
+    graph-launch event per replayed window (:func:`launch`, shared by
+    world-mode replay and graph-mode shards).  The work does not vanish:
     it moves off the host heap into the graph executor, exactly the way
     a real CUDA graph moves launch work off the CPU.
 
@@ -98,6 +99,20 @@ class GraphEngine(Engine):
     __slots__ = ()
 
     STATS_POPPED_FIELD = "events_graphed"
+
+
+def launch(host: Engine, graph: GraphEngine, horizon: float) -> None:
+    """Run ``graph`` up to ``horizon`` behind one host graph-launch event.
+
+    The launch is a pre-priced host event at the graph's first pending
+    activity (none when nothing is due by ``horizon``); every other pop
+    runs on the graph engine and is accounted as ``events_graphed``.
+    """
+    nxt = graph.peek()
+    if nxt <= horizon:
+        host.timeout_at(nxt)
+    host.run(horizon)
+    graph.run(horizon)
 
 
 # --------------------------------------------------------------------------

@@ -149,10 +149,9 @@ def install_on_fabric(fabric: "Fabric", sched: FaultSchedule) -> list:
     """Install ``sched``'s events for this fabric; returns the heap events.
 
     Events at or before the engine's current time apply immediately (a
-    fabric rebuilt mid-run — e.g. a shard entering graph mode — must see
-    the fabric state its predecessor reached); future events become
-    ``timeout_at`` entries whose pop applies the mutation.  The returned
-    list lets the owner cancel pending events when it rebuilds the fabric.
+    fabric built mid-run must see the state the schedule already
+    reached); future events become ``timeout_at`` entries whose pop
+    applies the mutation.
     """
     engine = fabric.engine
     state = fabric.link_state

@@ -231,8 +231,11 @@ def transfer_process(
     ``on_wire_done`` runs (the caller copies payload data there) and the
     process returns.
 
-    Routes are always traversed source->destination and links are
-    direction-specific, so FIFO acquisition cannot deadlock.
+    Ports are taken in route order and held until the payload drains.
+    That is deadlock-free only while every route climbs the stage ladder
+    (:mod:`repro.hw.spec.schema`).  Multi-path two-hop NVLink detours
+    (``nvl0->3`` then ``nvl3->2``) take two stage-2 ports, so concurrent
+    detours can hold and wait on each other in a cycle — a known bug.
 
     Fault semantics: a down link is checked before *and after* each port
     acquisition (a fault can land while the transfer waits in the port

@@ -22,10 +22,13 @@ from typing import Optional, Tuple, Union
 
 from repro.hw.params import GH200Params
 
-# Hierarchical acquisition stages.  A route's links are strictly
-# increasing in stage, so concurrent transfers cannot deadlock on port
-# acquisition (they all climb the same ladder).  Only the relative order
-# matters — tests pin monotonicity, not absolute ranks.
+# Hierarchical acquisition stages.  A primary route's links are strictly
+# increasing in stage, so transfers along primaries cannot deadlock on
+# port acquisition (they all climb the same ladder).  The alternates the
+# multi-path policy peels around a primary can detour through a third
+# GPU, holding two STAGE_D2D ports, and those can deadlock (see
+# hw.links.transfer_process).  Only the relative order matters — tests
+# pin monotonicity, not absolute ranks.
 STAGE_HOSTMEM_TX = 0   # source-side pageable-memory read port
 STAGE_SRC_LOCAL = 1    # hbm self-copy / device->host egress (c2c, pcie)
 STAGE_D2D = 2          # direct pair link or switch up-port

@@ -204,7 +204,7 @@ class Fabric:
         #: dataplane policy's call — see repro.dataplane and DESIGN.md §12.
         self.dataplane = Dataplane(self, policy_by_name(settings.policy))
 
-        #: Pending fault-schedule heap events (cancelled on rebuild).
+        #: Pending fault-schedule heap events, in schedule order.
         self.fault_events: List[Event] = (
             hw_faults.install_on_fabric(self, settings.faults)
             if settings.faults is not None else []

@@ -109,7 +109,8 @@ class ClusterJob:
                 "sharding needs at least 2"
             )
         self.spec = spec
-        self.workload_name, self.build, defaults = resolve_workload(workload)
+        self.workload_name = workload
+        self.build, defaults, self.graph = resolve_workload(workload)
         self.cfg = {**defaults, **(cfg or {})}
         self.collect_steps = collect_steps
         self.wire = WireModel(spec)
@@ -132,6 +133,7 @@ class ClusterJob:
                 self.spec, sid, self.build, self.cfg,
                 engine=engine, wire=self.wire,
                 collect_steps=self.collect_steps and engine is None,
+                graph=self.graph,
             )
             for sid in range(self.spec.n_nodes)
         ]

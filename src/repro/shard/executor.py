@@ -58,7 +58,7 @@ def _worker_main(conn, job: "ClusterJob", sids: List[int]) -> None:
         shards: Dict[int, Shard] = {
             sid: Shard(
                 job.spec, sid, job.build, job.cfg,
-                wire=job.wire, collect_steps=job.collect_steps,
+                wire=job.wire, collect_steps=job.collect_steps, graph=job.graph,
             )
             for sid in sids
         }

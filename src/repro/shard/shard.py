@@ -25,6 +25,7 @@ from typing import Any, Callable, Dict, List, Optional
 import hashlib
 
 from repro.dataplane.descriptor import DescriptorError, TransferDescriptor
+from repro.dataplane.graph import GraphEngine, launch
 from repro.hw.spec.schema import MachineSpec
 from repro.hw.topology import Fabric, fabric_settings
 from repro.shard.mailbox import Mailbox, MailboxError
@@ -166,6 +167,7 @@ class Shard:
         engine: Optional[Engine] = None,
         wire: Optional[WireModel] = None,
         collect_steps: bool = False,
+        graph: bool = False,
     ) -> None:
         self.cluster = cluster
         self.id = shard_id
@@ -179,82 +181,44 @@ class Shard:
             raise ValueError("step collection needs a dedicated shard engine")
         self.wire = wire if wire is not None else WireModel(cluster)
         self.local_spec = local_spec(cluster, shard_id)
-        #: Private replay engine when the resident build opted into graph
-        #: mode (see :meth:`enter_graph_mode`); None = eager shard.
+        #: Graph mode (``graph=True``, a dedicated engine, nothing
+        #: observing): the node simulation — fabric, mailbox, resident
+        #: processes, step hashing — runs on this private GraphEngine,
+        #: whose pops count as ``events_graphed``, and the host engine
+        #: carries one pre-priced graph-launch event per active window
+        #: (:meth:`step_window`).  The window protocol, and with it every
+        #: digest and timestamp, is unchanged.  None = eager shard.
         self.graph_engine = None
-        # Every fabric built for this node — the shard's own, a graph-mode
-        # rebuild, a World the build embeds — installs only the run's fault
-        # events scoped to this node, in every execution mode.
+        if graph and dedicated and collapsible(self.engine):
+            self.graph_engine = GraphEngine()
+            self.graph_engine.shard_id = shard_id
+        run_engine = self.run_engine
+        # Every fabric built for this node — the shard's own, a World the
+        # build embeds — installs only the run's fault events scoped to
+        # this node, in every execution mode.
         with fabric_settings() as run:
             faults = run.faults.for_shard(shard_id) if run.faults is not None else None
         with fabric_settings(faults=faults):
-            self.fabric = Fabric(self.engine, self.local_spec)
-            self.mailbox = Mailbox(self.engine, shard_id)
+            self.fabric = Fabric(run_engine, self.local_spec)
+            if self.graph_engine is not None:
+                self.fabric.dataplane.enable_plan_cache()
+            self.mailbox = Mailbox(run_engine, shard_id)
             self.bridge = ShardBridge(self)
             self.fabric.dataplane.bridge = self.bridge
             #: Workload processes resident on this shard, in spawn order.
             self.procs: List[Process] = build(self, cfg)
         self._step_hash = None
         if collect_steps:
-            # Hooked after the build so graph mode sees an unobserved
-            # engine; the graph engine replays the eager pop stream
-            # bit-for-bit, so hashing its pops yields the same digest.
+            # Hooked after graph mode is chosen, so the shard's own hash
+            # is not an observer; the graph engine replays the eager pop
+            # stream bit-for-bit, so hashing its pops yields the same digest.
             self._step_hash = hashlib.sha256()
-            self.run_engine.on_step = self._hash_step
+            run_engine.on_step = self._hash_step
 
-    # -- graph mode ----------------------------------------------------------
     @property
     def run_engine(self) -> Engine:
         """The engine resident workload processes execute on."""
         return self.graph_engine if self.graph_engine is not None else self.engine
-
-    def enter_graph_mode(self) -> Optional[Engine]:
-        """Move the shard's node simulation onto a private GraphEngine.
-
-        Resident builds call this (before spawning processes) to run the
-        whole node — fabric, mailbox, rank processes, step hashing — on a
-        :class:`~repro.dataplane.graph.GraphEngine`, a same-semantics
-        engine whose pops are accounted as ``events_graphed``.  The host
-        engine then carries exactly one pre-priced *graph-launch* event
-        per active window (scheduled by :meth:`step_window`), so the
-        conservative window protocol — and therefore every message
-        digest, step hash, and timestamp — is unchanged while host-heap
-        pops collapse to one per window.
-
-        Returns the graph engine, or None when graph mode is unavailable
-        (shared host engine, or any observer: see
-        :func:`~repro.sim.engine.collapsible`) — callers then simply stay
-        on the eager shard engine.  The shard's own step-hash hook does
-        not count: it is installed after the build, on the graph engine.
-        """
-        from repro.dataplane.graph import GraphEngine
-
-        if (
-            self.engine.shard_id is None    # reference mode: shared engine
-            or not collapsible(self.engine)
-        ):
-            return None
-        if getattr(self, "procs", None):  # unset while build() is running
-            raise MailboxError(
-                f"shard {self.id}: graph mode must be entered before "
-                "resident processes spawn"
-            )
-        graph = GraphEngine()
-        graph.shard_id = self.id
-        self.graph_engine = graph
-        # Rebuild the node-local state on the graph engine; the bridge
-        # object survives (it addresses whichever engine run_engine names).
-        # The eager fabric's fault timers (installed at construction) are
-        # cancelled first — the graph-engine fabric re-installs the
-        # schedule, and a stale host-heap timer would mutate the orphaned
-        # fabric.
-        for ev in self.fabric.fault_events:
-            ev.cancel()
-        self.fabric = Fabric(graph, self.local_spec)
-        self.mailbox = Mailbox(graph, self.id)
-        self.fabric.dataplane.bridge = self.bridge
-        self.fabric.dataplane.enable_plan_cache()
-        return graph
 
     # -- id mapping ----------------------------------------------------------
     def to_global(self, local_gpu: int) -> int:
@@ -299,17 +263,8 @@ class Shard:
         """Inject one window's messages, run to the horizon, drain egress."""
         t0 = self.engine.now
         self.mailbox.schedule(batch)
-        graph = self.graph_engine
-        if graph is not None:
-            # One pre-priced host event per active window: the graph
-            # launch, scheduled at the window's first device activity.
-            # Everything else this window pops on the private graph
-            # engine (accounted as events_graphed).
-            nxt = graph.peek()
-            if nxt <= horizon:
-                self.engine.timeout_at(nxt)
-            self.engine.run(horizon)
-            graph.run(horizon)
+        if self.graph_engine is not None:
+            launch(self.engine, self.graph_engine, horizon)
         else:
             self.engine.run(horizon)
         out = self.bridge.drain()

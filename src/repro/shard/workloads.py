@@ -1,11 +1,12 @@
 """Cluster workloads: build functions that populate one shard with processes.
 
 A workload is a ``build(shard, cfg) -> [Process]`` function, registered in
-:data:`WORKLOADS` with its default config.  Builds run once per shard (in
-every execution mode, including inside forked workers), so they must be
-importable module-level functions and their ``cfg`` values picklable.
+:data:`WORKLOADS` with its default config and whether its shards run in
+graph mode.  Builds run once per shard (in every execution mode,
+including inside forked workers), so they must be importable
+module-level functions and their ``cfg`` values picklable.
 
-Two shapes ship with the package:
+Three shapes ship with the package:
 
 ``halo``
     A global ring halo exchange with node stride: every GPU pushes
@@ -19,6 +20,10 @@ Two shapes ship with the package:
     shard engine (the full MPI stack: init, ring allreduce, barrier) and
     rank 0 forwards a digest buffer around the inter-node ring — the
     hierarchical shape of the paper's multi-node partitioned runs.
+
+``replay``
+    One shard's slice of a lowered trace-replay schedule
+    (:mod:`repro.shard.replay`); the only graph-mode workload.
 """
 
 from __future__ import annotations
@@ -28,26 +33,20 @@ from typing import Callable, Dict, List, Tuple
 import numpy as np
 
 from repro.hw.memory import Buffer, MemSpace
+from repro.shard.replay import build_replay
 from repro.sim.process import Process
 
 
-def resolve_workload(name: str) -> Tuple[str, Callable, dict]:
-    """``name -> (name, build_fn, defaults)``; raises on unknown names."""
+def resolve_workload(name: str) -> Tuple[Callable, dict, bool]:
+    """``name -> (build_fn, defaults, graph)``; raises on unknown names."""
     entry = WORKLOADS.get(name)
-    if entry is None and name == "replay":
-        # Trace-replay schedules build shards from lowered micro-ops
-        # (repro.workload.replay lowers; repro.shard.replay executes);
-        # registered on demand so repro.shard stays import-light.
-        from repro.shard.replay import REPLAY_CLUSTER_DEFAULTS, build_replay
-
-        entry = WORKLOADS[name] = (build_replay, REPLAY_CLUSTER_DEFAULTS)
     if entry is None:
         from repro.shard.cluster import ClusterError
 
-        known = ", ".join(sorted(WORKLOADS) + ["replay"])
+        known = ", ".join(sorted(WORKLOADS))
         raise ClusterError(f"unknown workload {name!r} (known: {known})")
-    build, defaults = entry
-    return name, build, dict(defaults)
+    build, defaults, graph = entry
+    return build, dict(defaults), graph
 
 
 # -- halo ---------------------------------------------------------------------
@@ -153,8 +152,11 @@ def build_allreduce_node(shard, cfg: dict) -> List[Process]:
     return world.launch(main, nprocs=shard.n_local_gpus)
 
 
-#: name -> (build function, default cfg)
-WORKLOADS: Dict[str, Tuple[Callable, dict]] = {
-    "halo": (build_halo, HALO_DEFAULTS),
-    "allreduce-node": (build_allreduce_node, ALLREDUCE_DEFAULTS),
+#: name -> (build function, default cfg, graph mode).  A graph-mode
+#: workload's shards run on private graph engines (see Shard); its build
+#: must spawn on ``shard.run_engine``.
+WORKLOADS: Dict[str, Tuple[Callable, dict, bool]] = {
+    "halo": (build_halo, HALO_DEFAULTS, False),
+    "allreduce-node": (build_allreduce_node, ALLREDUCE_DEFAULTS, False),
+    "replay": (build_replay, {"ops": {}}, True),
 }

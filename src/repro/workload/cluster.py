@@ -27,9 +27,8 @@ class ClusterWorkload(Workload):
     def __init__(self, name: str):
         from repro.shard.workloads import resolve_workload
 
-        resolved, _build, defaults = resolve_workload(name)
-        self.name = resolved
-        self.defaults = dict(defaults)
+        self.name = name
+        self.defaults = resolve_workload(name)[1]
 
     def _execute(self, machine: Optional[MachineLike], shards, **params) -> ExecOutcome:
         from repro.shard import ClusterJob

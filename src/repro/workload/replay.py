@@ -51,10 +51,14 @@ prefixes.  Replay is deterministic: the same schedule on the same
 machine under the same policy reproduces every byte, timestamp, and
 digest — the schedule's SHA-256 is folded into the sweep cache key.
 
-Execution picks the engine by machine shape: multi-node specs replay
-under the sharded cluster engine (``shards=N`` fans out workers;
-results stay bit-identical), single-node machines — or schedules with
-``xfer`` steps — replay on one engine against the full fabric.
+One interpreter, :func:`rank_program`, runs every rank; only its
+transport depends on the engine, which the machine shape picks.
+Multi-node specs replay under the sharded cluster engine (``shards=N``
+fans out workers; results stay bit-identical), whose resident build
+(:mod:`repro.shard.replay`) adds cross-shard puts and receives to a
+:class:`LocalLink`.  Single-node machines — or schedules with ``xfer``
+steps — replay on one engine against the full fabric over a plain
+:class:`LocalLink`.
 """
 
 from __future__ import annotations
@@ -63,7 +67,10 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
+import numpy as np
+
 from repro.bench.series import Series
+from repro.hw.memory import Buffer, MemSpace
 from repro.hw.spec.catalog import as_spec
 from repro.hw.topology import MachineLike
 from repro.units import us
@@ -508,149 +515,86 @@ def lower(sched: Schedule) -> Dict[int, List[tuple]]:
 
 
 # --------------------------------------------------------------------------
-# rendezvous board
+# the rank program and its same-fabric transport
 # --------------------------------------------------------------------------
 
-class _Board:
-    """Key -> one-shot Event rendezvous between same-engine processes.
+def rank_program(engine, rank: int, ops: List[tuple], link):
+    """Interpret one rank's micro-ops over a two-method transport.
 
-    Either side may arrive first: the event is created on first touch,
-    succeeded once by the signaller, and yielding an already-processed
-    event resumes the waiter immediately (see ``Process._wait_on``).
+    ``link.send(rank, i, src_ep, dst_ep, nbytes, cls, key)`` is a
+    generator: it times op ``i``'s transfer, then signals ``key`` (if
+    any).  ``link.wait(rank, src_rank, key)`` returns the event that
+    ``key``'s send signals.  Returns ``(rank, now)`` after the last op.
+    """
+    for i, op in enumerate(ops):
+        kind = op[0]
+        if kind == "compute":
+            yield engine.timeout(op[1])
+        elif kind == "send":
+            _, dst, nbytes, cls, key = op
+            yield from link.send(rank, i, ("g", rank), ("g", dst), nbytes, cls, key)
+        elif kind == "wait":
+            yield link.wait(rank, op[1], op[2])
+        elif kind == "xfer":
+            _, src_ep, dst_ep, nbytes, cls = op
+            yield from link.send(rank, i, src_ep, dst_ep, nbytes, cls, None)
+    return (rank, engine.now)
+
+
+class LocalLink:
+    """Transport between ranks that share one engine and fabric.
+
+    Transfers are ``dataplane.control`` submissions between 1-byte
+    virtual anchors (distinct src/dst per endpoint).  Rendezvous is a
+    key -> one-shot event board: either side may arrive first, the event
+    is created on first touch and succeeded once by the sender, and
+    yielding an already-processed event resumes the waiter immediately.
+    ``gpu_base`` maps global GPU ids onto ``fabric``'s local ones (a
+    shard's fabric numbers its node's GPUs from 0).
     """
 
-    def __init__(self, engine):
+    def __init__(self, engine, fabric, gpu_base: int = 0) -> None:
         self.engine = engine
+        self.fabric = fabric
+        self.gpu_base = gpu_base
+        self._anchors: Dict[Tuple[Tuple[str, int], str], Any] = {}
         self._events: Dict[Any, Any] = {}
 
-    def _ev(self, key):
+    def _anchor(self, ep: Tuple[str, int], side: str):
+        buf = self._anchors.get((ep, side))
+        if buf is None:
+            kind, idx = ep
+            if kind == "g":
+                gpu = idx - self.gpu_base
+                buf = Buffer.alloc_virtual(
+                    1, np.uint8, MemSpace.DEVICE,
+                    node=self.fabric.topo.node_of(gpu), gpu=gpu,
+                    label=f"replay.g{idx}.{side}",
+                )
+            else:
+                buf = Buffer.alloc_virtual(
+                    1, np.uint8, MemSpace.HOST, node=idx,
+                    label=f"replay.h{idx}.{side}",
+                )
+            self._anchors[(ep, side)] = buf
+        return buf
+
+    def _event(self, key):
         ev = self._events.get(key)
         if ev is None:
             ev = self._events[key] = self.engine.event()
         return ev
 
-    def signal(self, key) -> None:
-        self._ev(key).succeed()
+    def send(self, rank, i, src_ep, dst_ep, nbytes, cls, key):
+        yield self.fabric.dataplane.control(
+            self._anchor(src_ep, "src"), self._anchor(dst_ep, "dst"),
+            nbytes, traffic_class=cls, name=f"replay.g{rank}.{i}",
+        )
+        if key is not None:
+            self._event(key).succeed()
 
-    def wait(self, key):
-        return self._ev(key)
-
-
-# --------------------------------------------------------------------------
-# world-mode interpreter (single engine, full fabric)
-# --------------------------------------------------------------------------
-
-def _replay_on_fabric(machine: MachineLike, ops: Dict[int, List[tuple]]) -> dict:
-    """Replay lowered ops on one engine + fabric; returns run facts.
-
-    Unobserved runs replay as a captured graph: the rank programs run on
-    a private :class:`~repro.dataplane.graph.GraphEngine` behind a
-    *single* host graph-launch event (stream-triggered issue: the host
-    heap sees one pop, not one per descriptor), with descriptor plans
-    cached across repeated submissions.  Timestamps and the per-class
-    ledger are bit-identical to the eager path; only where the pops are
-    counted changes (``events_graphed`` vs ``events_popped``).
-    """
-    from repro.hw.memory import Buffer, MemSpace
-    from repro.hw.topology import Fabric
-    from repro.sim.engine import Engine, collapsible
-
-    import numpy as np
-
-    graphs = collapsible()
-    if graphs:
-        from repro.dataplane.graph import GRAPHS, GraphEngine
-
-        host = Engine()
-        engine: Engine = GraphEngine()
-    else:
-        host = None
-        engine = Engine()
-    fabric = Fabric(engine, machine)
-    topo = fabric.topo
-    dataplane = fabric.dataplane
-    board = _Board(engine)
-
-    anchors: Dict[Tuple[str, int, str], Any] = {}
-
-    def anchor(ep: Tuple[str, int], side: str):
-        """1-byte virtual endpoint buffer; distinct src/dst per endpoint."""
-        key = (ep[0], ep[1], side)
-        buf = anchors.get(key)
-        if buf is None:
-            if ep[0] == "g":
-                buf = Buffer.alloc_virtual(
-                    1, np.uint8, MemSpace.DEVICE,
-                    node=topo.node_of(ep[1]), gpu=ep[1],
-                    label=f"replay.g{ep[1]}.{side}",
-                )
-            else:
-                buf = Buffer.alloc_virtual(
-                    1, np.uint8, MemSpace.HOST, node=ep[1],
-                    label=f"replay.h{ep[1]}.{side}",
-                )
-            anchors[key] = buf
-        return buf
-
-    def rank_proc(rank: int, my_ops: List[tuple]):
-        for i, op in enumerate(my_ops):
-            kind = op[0]
-            if kind == "compute":
-                yield engine.timeout(op[1])
-            elif kind == "send":
-                _, dst, nbytes, cls, key = op
-                yield dataplane.control(
-                    anchor(("g", rank), "src"), anchor(("g", dst), "dst"),
-                    nbytes, traffic_class=cls, name=f"replay.r{rank}.{i}",
-                )
-                if key is not None:
-                    board.signal(key)
-            elif kind == "wait":
-                yield board.wait(op[2])
-            elif kind == "xfer":
-                _, src_ep, dst_ep, nbytes, cls = op
-                yield dataplane.control(
-                    anchor(src_ep, "src"), anchor(dst_ep, "dst"),
-                    nbytes, traffic_class=cls, name=f"replay.r{rank}.{i}",
-                )
-
-    if graphs:
-        dataplane.enable_plan_cache()
-
-    procs = [
-        engine.process(rank_proc(rank, rank_ops), name=f"replay.r{rank}")
-        for rank, rank_ops in sorted(ops.items())
-        if rank_ops
-    ]
-    if host is not None:
-        def launcher():
-            # One host event replays the whole captured program: the
-            # graph engine drains synchronously, then the host clock
-            # advances to the graph's completion time.
-            engine.run()
-            GRAPHS.launches += 1
-            yield host.timeout_at(engine.now)
-
-        host.process(launcher(), name="replay.graph-launch")
-        host.run()
-    else:
-        engine.run()
-    for p in procs:
-        if not p.ok:  # pragma: no cover - surfacing simulation bugs
-            raise RuntimeError(f"replay rank failed: {p.value!r}")
-    facts = {
-        "t_end": engine.now,
-        "class_bytes": dataplane.ledger.as_dict(),
-    }
-    if graphs:
-        cache = dataplane.plan_cache
-        facts["graphs"] = {
-            "graph_launches": 1,
-            "events_graphed": engine.events_popped,
-            "captured_plans": cache.misses,
-            "replayed_descriptors": cache.hits,
-        }
-    return facts
+    def wait(self, rank, src_rank, key):
+        return self._event(key)
 
 
 # --------------------------------------------------------------------------
@@ -702,18 +646,57 @@ class ReplayWorkload(Workload):
             )
         if mode == "cluster":
             return self._execute_cluster(spec, ops, shards)
-        facts = _replay_on_fabric(machine, ops)
-        series = self._series(facts["class_bytes"], facts["t_end"])
-        extra = {"t_end": facts["t_end"], "ranks": sched.ranks,
-                 "steps": len(sched.steps)}
-        if "graphs" in facts:
-            extra["graphs"] = facts["graphs"]
+        return self._execute_world(machine, ops)
+
+    def _execute_world(self, machine: MachineLike, ops) -> ExecOutcome:
+        """Replay on one engine against the full fabric.
+
+        Unobserved runs replay as a captured graph: the fabric lives on a
+        private :class:`~repro.dataplane.graph.GraphEngine`, the whole run
+        is one host graph-launch event, and descriptor plans are cached
+        across repeated submissions.  Timestamps and the per-class ledger
+        are bit-identical to the eager path; only where the pops are
+        counted changes (``events_graphed`` vs ``events_popped``).
+        """
+        from repro.dataplane.graph import GRAPHS, GraphEngine, launch
+        from repro.hw.topology import Fabric
+        from repro.sim.engine import Engine, collapsible
+
+        graphs = collapsible()
+        engine = GraphEngine() if graphs else Engine()
+        fabric = Fabric(engine, machine)
+        if graphs:
+            fabric.dataplane.enable_plan_cache()
+        link = LocalLink(engine, fabric)
+        for rank, rank_ops in sorted(ops.items()):
+            if rank_ops:
+                # (rank, now) feeds cluster results; world mode reads the ledger.
+                # repro: ignore[dropped-return]
+                engine.process(rank_program(engine, rank, rank_ops, link),
+                               name=f"replay.r{rank}")
+        extra: Dict[str, Any] = {}
+        if graphs:
+            launch(Engine(), engine, float("inf"))
+            GRAPHS.launches += 1
+            cache = fabric.dataplane.plan_cache
+            extra["graphs"] = {
+                "graph_launches": 1,
+                "events_graphed": engine.events_popped,
+                "captured_plans": cache.misses,
+                "replayed_descriptors": cache.hits,
+            }
+        else:
+            engine.run()
+        class_bytes = fabric.dataplane.ledger.as_dict()
+        t_end = engine.t_busy
+        sched = self.schedule
         return ExecOutcome(
-            series=series,
+            series=self._series(class_bytes, t_end),
             mode="world",
-            class_bytes=facts["class_bytes"],
+            class_bytes=class_bytes,
             digests={"schedule": sched.digest},
-            extra=extra,
+            extra={"t_end": t_end, "ranks": sched.ranks,
+                   "steps": len(sched.steps), **extra},
         )
 
     def _execute_cluster(self, spec, ops, shards) -> ExecOutcome:
@@ -749,13 +732,8 @@ class ReplayWorkload(Workload):
             f"{len(self.schedule.steps)} step(s)",
             ["traffic_class", "bytes", "transfers"],
         )
-        for cls in sorted(class_bytes):
-            row = class_bytes[cls]
-            if isinstance(row, dict):
-                s.add(traffic_class=cls, bytes=row["bytes"],
-                      transfers=row.get("transfers"))
-            else:
-                s.add(traffic_class=cls, bytes=row, transfers=None)
+        for cls, row in sorted(class_bytes.items()):
+            s.add(traffic_class=cls, bytes=row["bytes"], transfers=row["transfers"])
         s.note(f"t_end={t_end!r}")
         return s
 

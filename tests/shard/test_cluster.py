@@ -22,6 +22,9 @@ from repro.hw.spec.schema import SpecError
 from repro.shard import ClusterError, ClusterJob, local_spec
 from repro.shard import workloads as workloads_mod
 from repro.sim.engine import STATS
+from repro.units import MiB
+from repro.workload.generators import expert_parallel_schedule
+from repro.workload.replay import ReplayWorkload
 
 from ..conftest import exact_path
 
@@ -108,10 +111,21 @@ def _build_stuck(shard, cfg):
 
 
 def test_cross_shard_deadlock_detected(monkeypatch):
-    monkeypatch.setitem(workloads_mod.WORKLOADS, "stuck", (_build_stuck, {}))
+    monkeypatch.setitem(workloads_mod.WORKLOADS, "stuck", (_build_stuck, {}, False))
     job = ClusterJob(resolve_machine("fat-tree-32-r2-l2"), "stuck")
     with pytest.raises(ClusterError, match="deadlock"):
         job.run()
+
+
+@pytest.mark.xfail(
+    strict=True, raises=ClusterError,
+    reason="multi-path two-hop NVLink detours break the stage ladder "
+           "transfer_process relies on: held ports nvl0->3, nvl3->2 and "
+           "nvl2->0 wait on each other in a cycle inside one node",
+)
+def test_multi_path_striped_all_to_all_completes():
+    sched = expert_parallel_schedule(ranks=16, steps=1, token_bytes=4 * MiB)
+    ReplayWorkload(sched).run(machine="fat-tree-512", policy="multi")
 
 
 def test_single_node_spec_rejected():
