@@ -37,21 +37,26 @@ echo "== hostbench-correctness (host-time benchmark outputs vs pinned fingerprin
 # hostbench/expected.json.
 python3 hostbench/run.py --seconds 0 --out /tmp/hostbench-ci.json
 
-echo "== bench-cluster smoke (512-GPU fat-tree, sharded executor) =="
-# The same cluster point through the multiprocessing path: every digest
-# and counter must match the sequential entry recorded in the baseline.
-PYTHONPATH=src python -m repro bench --suite cluster-fattree-512 --shards 2 \
+echo "== bench-cluster smoke (512-GPU fat-tree and graph replays, forked shards) =="
+# The cluster point and both graph-mode replays through forked shard
+# workers: every row must equal its recorded sequential row in every
+# field but the execution mode and, where reported, the worker count.
+PYTHONPATH=src python -m repro bench \
+    --suite cluster-fattree-512,graph-replay-jacobi,graph-replay-llm16 --shards 2 \
     --against auto --out /tmp/repro_bench_cluster.json
 PYTHONPATH=src python - <<'EOF'
 import json
 from repro.bench.suite import resolve_baseline
-base = json.load(open(resolve_baseline("auto")))["suite"]["cluster-fattree-512"]
-got = json.load(open("/tmp/repro_bench_cluster.json"))["suite"]["cluster-fattree-512"]
-for key in ("msg_digest", "messages", "windows", "cluster_events_popped",
-            "per_shard_popped", "t_end_us"):
-    assert got[key] == base[key], f"{key}: {got[key]!r} != baseline {base[key]!r}"
-assert got["mode"] == "mp" and got["workers"] == 2, got["mode"]
-print("bench-cluster smoke: --shards 2 bit-identical to recorded sequential run")
+path = resolve_baseline("auto")
+base = json.load(open(path))["suite"]
+got = json.load(open("/tmp/repro_bench_cluster.json"))["suite"]
+for name, row in got.items():
+    assert row["mode"] == "mp" and row.get("workers", 2) == 2, (name, row["mode"])
+    want = {k: v for k, v in base[name].items() if k not in ("wall_s", "mode", "workers")}
+    have = {k: v for k, v in row.items() if k not in ("mode", "workers")}
+    diff = sorted(k for k in set(want) | set(have) if want.get(k) != have.get(k))
+    assert not diff, f"{name}: {diff} differ from {path}"
+print(f"bench-cluster smoke: {len(got)} --shards 2 rows equal the recorded sequential rows")
 EOF
 
 echo "== fault-smoke (dynamic fabric: mid-run link loss, DESIGN.md §17) =="

@@ -78,9 +78,14 @@ class GraphCounters:
             "replanned": self.replanned,
         }
 
+    def absorb(self, snap: dict) -> None:
+        """Fold a :meth:`snapshot` from another process into this one."""
+        for name in self.__slots__:
+            setattr(self, name, getattr(self, name) + snap[name])
 
-#: Module-level accumulator (single-process paths; the sharded executor
-#: reports per-shard counts through the cluster signature instead).
+
+#: Module-level accumulator.  Forked shard workers count into their own
+#: copy from zero and the cluster driver absorbs each worker's snapshot.
 GRAPHS = GraphCounters()
 
 

@@ -3,14 +3,14 @@
 One :class:`~repro.shard.shard.Shard` per node, each with a private
 engine and node-local fabric; :class:`~repro.shard.message.ShardMessage`
 is the only thing that crosses a shard boundary, routed through
-driver-side window queues under a CMB-style lookahead horizon.  The
-sequential driver is the pinned-deterministic default;
-:class:`~repro.shard.executor.ShardedExecutor` fans shard blocks out to
-worker processes with bit-identical results (DESIGN.md §14).
+driver-side window queues under a CMB-style lookahead horizon.
+:class:`~repro.shard.cluster.ClusterJob` runs one window loop over
+shard blocks: one in-process block (the pinned-deterministic sequential
+default) or one forked worker per block (``--shards N``), with
+bit-identical results (DESIGN.md §14).
 """
 
 from repro.shard.cluster import ClusterError, ClusterJob, ClusterResult
-from repro.shard.executor import ShardedExecutor
 from repro.shard.mailbox import Mailbox, MailboxError, WindowQueue
 from repro.shard.message import MessageDigest, ShardMessage, WireModel
 from repro.shard.shard import RemoteBuffer, Shard, ShardBridge, local_spec
@@ -26,7 +26,6 @@ __all__ = [
     "RemoteBuffer",
     "Shard",
     "ShardBridge",
-    "ShardedExecutor",
     "ShardMessage",
     "WindowQueue",
     "WireModel",

@@ -14,28 +14,44 @@ CMB-style null-message windows:
 3. Each shard (ascending id) takes its merge-ordered batch, injects it,
    runs to ``H``, and hands its outbox back for routing.
 
-Every execution mode — the in-process sequential driver here (the
-pinned-deterministic default) and the multiprocessing
-:class:`~repro.shard.executor.ShardedExecutor` — computes batches with
-the *same* driver-side :class:`~repro.shard.mailbox.WindowQueue` logic,
-so injected streams, per-shard step hashes, and ``events_popped`` are
-bit-identical however shards are grouped onto workers.  The single-heap
-*reference* mode runs every shard on one shared engine with immediate
-delivery scheduling: timestamps, pop totals, message streams, and rank
-results match the windowed modes exactly; only heap sequence numbering
-differs (one global counter vs per-shard counters — DESIGN.md §14).
+:meth:`ClusterJob._drive` is the only window loop.  It talks to
+contiguous *shard blocks* with one request per window:
+
+====================================  =======================================
+driver -> block                       block -> driver
+====================================  =======================================
+(block built)                         ``("ready", {sid: peek})``
+``("run", horizon, {sid: batch})``    ``("out", [ShardMessage], {sid: peek})``
+``("finish",)``                       ``("result", [Shard.report()])``
+``("stop",)`` (forked workers)        (exit)
+====================================  =======================================
+
+The sequential mode (the pinned-deterministic default) drives one
+in-process block of every shard, which answers a request with a direct
+call; ``run(workers=N)`` forks one worker per block, each serving the
+same handler over a pipe.  Batches are taken driver-side with the same
+:class:`~repro.shard.mailbox.WindowQueue` logic in both, so injected
+streams, per-shard step hashes, and ``events_popped`` are bit-identical
+however shards are grouped onto workers.  The single-heap *reference*
+mode runs every shard on one shared engine with immediate delivery
+scheduling: timestamps, pop totals, message streams, and rank results
+match the windowed modes exactly; only heap sequence numbering differs
+(one global counter vs per-shard counters — DESIGN.md §14).
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import traceback
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
+from repro.dataplane.graph import GRAPHS
 from repro.hw.spec.schema import MachineSpec, SpecError
 from repro.shard.mailbox import WindowQueue
 from repro.shard.message import MessageDigest, WireModel
 from repro.shard.shard import Shard
-from repro.sim.engine import Engine
+from repro.sim.engine import STATS, Engine
 
 
 class ClusterError(Exception):
@@ -91,6 +107,114 @@ class ClusterResult:
         return sig
 
 
+class _Block:
+    """Contiguous shards answering window requests by direct call."""
+
+    def __init__(self, job: "ClusterJob", sids: range) -> None:
+        self.sids = sids
+        self.shards = [
+            Shard(
+                job.spec, sid, job.build, job.cfg, wire=job.wire,
+                collect_steps=job.collect_steps, graph=job.graph,
+            )
+            for sid in sids
+        ]
+        self._reply = ("ready", self._peeks())
+
+    def _peeks(self) -> Dict[int, float]:
+        return {s.id: s.next_time() for s in self.shards}
+
+    def handle(self, req: tuple) -> tuple:
+        if req[0] == "finish":
+            return ("result", [s.report() for s in self.shards])
+        _, horizon, batches = req
+        out = []
+        for s in self.shards:  # ascending shard id
+            out.extend(s.step_window(horizon, batches.get(s.id, [])))
+        return ("out", out, self._peeks())
+
+    def send(self, req: tuple) -> None:
+        self._reply = self.handle(req)
+
+    def recv(self) -> tuple:
+        return self._reply
+
+    def close(self) -> None:
+        """Stop resident processes a crash or deadlock left running."""
+        for s in self.shards:
+            s.kill_all()
+
+
+def _serve(conn, job: "ClusterJob", sids: range) -> None:
+    """Forked worker: build a block, then answer requests until ``stop``.
+
+    The worker's own process-wide counters start from zero, and their
+    snapshots ride back once with the ``finish`` reply, so the driver can
+    absorb what its engines and plan caches counted.
+    """
+    STATS.reset()
+    GRAPHS.reset()
+    try:
+        block = _Block(job, sids)
+        conn.send(block.recv())
+        while True:
+            req = conn.recv()
+            if req[0] == "stop":
+                return
+            reply = block.handle(req)
+            if req[0] == "finish":
+                reply += (STATS.snapshot(), GRAPHS.snapshot())
+            conn.send(reply)
+    except BaseException:
+        try:
+            conn.send(("error", traceback.format_exc()))
+        except OSError:  # pragma: no cover - driver already gone
+            pass
+    finally:
+        conn.close()
+
+
+class _Worker:
+    """A forked process serving one block over a pipe."""
+
+    def __init__(self, ctx, job: "ClusterJob", sids: range) -> None:
+        self.sids = sids
+        self.conn, child = ctx.Pipe()
+        self.proc = ctx.Process(target=_serve, args=(child, job, sids), daemon=True)
+        self.proc.start()
+        child.close()
+
+    def send(self, req: tuple) -> None:
+        self.conn.send(req)
+
+    def recv(self) -> tuple:
+        try:
+            msg = self.conn.recv()
+        except EOFError as exc:
+            raise ClusterError("worker died without reporting an error") from exc
+        if msg[0] == "error":
+            raise ClusterError(f"worker failed:\n{msg[1]}")
+        if msg[0] == "result":
+            _, reports, stats, graphs = msg
+            STATS.absorb(stats)
+            GRAPHS.absorb(graphs)
+            return ("result", reports)
+        return msg
+
+    def close(self) -> None:
+        # An explicit stop: forked siblings hold copies of this pipe end,
+        # so closing it would not reach the worker as EOF.
+        try:
+            self.conn.send(("stop",))
+        except OSError:  # the worker already exited after an error
+            pass
+        self.conn.close()
+        self.proc.join(timeout=10)
+        if self.proc.is_alive():  # pragma: no cover - hung worker
+            self.proc.terminate()
+            self.proc.join()
+
+
 class ClusterJob:
     """One cluster-scale workload, runnable in any execution mode."""
 
@@ -116,46 +240,47 @@ class ClusterJob:
         self.wire = WireModel(spec)
         self.lookahead = self.wire.lookahead()
 
-    # -- mode dispatch -------------------------------------------------------
+    # -- windowed modes ------------------------------------------------------
     def run(self, workers: Optional[int] = None) -> ClusterResult:
         """``workers=None``: pinned sequential default.  ``workers=N``:
-        multiprocessing over N worker processes (``--shards N``)."""
+        contiguous shard blocks on N forked workers (``--shards N``)."""
         if workers is None:
             return self.run_sequential()
-        from repro.shard.executor import ShardedExecutor
-
-        return ShardedExecutor(self, workers).run()
-
-    # -- sequential driver ---------------------------------------------------
-    def _build_shards(self, engine: Optional[Engine] = None) -> List[Shard]:
-        return [
-            Shard(
-                self.spec, sid, self.build, self.cfg,
-                engine=engine, wire=self.wire,
-                collect_steps=self.collect_steps and engine is None,
-                graph=self.graph,
-            )
-            for sid in range(self.spec.n_nodes)
-        ]
+        if workers < 1:
+            raise ClusterError(f"workers must be >= 1, got {workers}")
+        n = self.spec.n_nodes
+        k = min(workers, n)  # more workers than shards would fork idle ones
+        # fork: workers inherit the job (spec, workload build fn, cfg)
+        # without a pickle round-trip; only window traffic crosses pipes.
+        ctx = multiprocessing.get_context("fork")
+        return self._drive("mp", [
+            _Worker(ctx, self, range(n * w // k, n * (w + 1) // k))
+            for w in range(k)
+        ])
 
     def run_sequential(self) -> ClusterResult:
-        shards = self._build_shards()
-        queues = [WindowQueue() for _ in shards]
+        return self._drive("sequential", [_Block(self, range(self.spec.n_nodes))])
+
+    def _drive(self, mode: str, blocks: list) -> ClusterResult:
+        """The window loop, over blocks that together hold every shard."""
+        queues = [WindowQueue() for _ in range(self.spec.n_nodes)]
         digest = MessageDigest()
         windows = 0
         lookahead = self.lookahead
         try:
+            peeks: Dict[int, float] = {}
+            for block in blocks:
+                peeks.update(block.recv()[1])
             while True:
                 nxt = min(
-                    min(s.next_time() for s in shards),
+                    min(peeks.values()),
                     min(q.next_deliver() for q in queues),
                 )
                 if nxt == float("inf"):
                     break
                 horizon = nxt + lookahead
                 # Two-phase: take every batch before any shard runs, so a
-                # message emitted this window can never jump the barrier
-                # (the mp coordinator has the same shape by construction).
+                # message emitted this window can never jump the barrier.
                 batches = [q.take(horizon) for q in queues]
                 # Digest the window's messages in global merge order: each
                 # queue's batch is already sorted, but messages bound for
@@ -165,87 +290,88 @@ class ClusterJob:
                     key=lambda m: m.merge_key,
                 ):
                     digest.update(msg)
-                outbound = []
-                for shard, batch in zip(shards, batches):
-                    outbound.extend(shard.step_window(horizon, batch))
-                for msg in outbound:
-                    queues[msg.dst_shard].post(msg)
+                for block in blocks:
+                    block.send(("run", horizon, {
+                        sid: batches[sid] for sid in block.sids if batches[sid]
+                    }))
+                for block in blocks:
+                    _, out, pk = block.recv()
+                    for msg in out:
+                        queues[msg.dst_shard].post(msg)
+                    peeks.update(pk)
                 windows += 1
-        except Exception:
-            for shard in shards:
-                shard.kill_all()
-            raise
-        self._check_done(shards)
-        return self._assemble("sequential", 0, shards, windows, digest)
+            for block in blocks:
+                block.send(("finish",))
+            reports = [r for block in blocks for r in block.recv()[1]]
+        finally:
+            for block in blocks:
+                block.close()
+        workers = len(blocks) if mode == "mp" else 0
+        return self._assemble(mode, workers, windows, reports, digest)
 
     # -- single-heap reference ----------------------------------------------
     def run_reference(self) -> ClusterResult:
         """Every shard on one shared engine, no windows — the semantic
         baseline the windowed modes are pinned against."""
         engine = Engine()
-        shards = self._build_shards(engine=engine)
+        shards = [
+            Shard(self.spec, sid, self.build, self.cfg, engine=engine,
+                  wire=self.wire, graph=self.graph)
+            for sid in range(self.spec.n_nodes)
+        ]
         mailboxes = {s.id: s.mailbox for s in shards}
         sent: List = []
         for s in shards:
             s.bridge.enable_direct(mailboxes, sent)
         engine.run()
-        self._check_done(shards)
         digest = MessageDigest()
         for msg in sorted(sent, key=lambda m: m.merge_key):
             digest.update(msg)
-        result = self._assemble("reference", 0, shards, 0, digest)
-        result.events_popped = engine.events_popped
-        result.per_shard_popped = None
-        result.t_end = engine.now
-        return result
+        return self._assemble(
+            "reference", 0, 0, [s.report() for s in shards], digest
+        )
 
     # -- assembly ------------------------------------------------------------
-    def _check_done(self, shards: List[Shard]) -> None:
-        stuck = [s.id for s in shards if not s.done]
+    def _assemble(
+        self, mode: str, workers: int, windows: int,
+        reports: List[dict], digest: MessageDigest,
+    ) -> ClusterResult:
+        stuck = [r["sid"] for r in reports if not r["done"]]
         if stuck:
-            detail = []
-            for s in shards:
-                arrived, waiting = s.mailbox.unmatched()
-                if arrived or waiting:
-                    detail.append(
-                        f"shard {s.id}: {arrived} unread arrival(s), "
-                        f"{waiting} parked recv(s)"
-                    )
+            detail = "; ".join(
+                f"shard {r['sid']}: {r['unmatched'][0]} unread arrival(s), "
+                f"{r['unmatched'][1]} parked recv(s)"
+                for r in reports if any(r["unmatched"])
+            )
             raise ClusterError(
                 f"windows drained but shard(s) {stuck} never finished "
-                f"(cross-shard deadlock?); {'; '.join(detail) or 'no parked recvs'}"
+                f"(cross-shard deadlock?); {detail or 'no parked recvs'}"
             )
-
-    def _assemble(
-        self, mode: str, workers: int, shards: List[Shard],
-        windows: int, digest: MessageDigest,
-    ) -> ClusterResult:
         bytes_by_class: Dict[str, int] = {}
-        for s in shards:
-            for cls, n in s.bridge.bytes_by_class.items():
+        for r in reports:
+            for cls, n in r["bytes_by_class"].items():
                 bytes_by_class[cls] = bytes_by_class.get(cls, 0) + n
-        per_shard = [s.engine.events_popped for s in shards]
-        step_digests = None
-        if self.collect_steps and mode != "reference":
-            step_digests = {s.id: s.step_digest() for s in shards}
+        per_shard = [r["events_popped"] for r in reports]
+        # Reference shards share one engine: each reports its total.
+        reference = mode == "reference"
         return ClusterResult(
-            events_graphed=sum(
-                s.graph_engine.events_popped for s in shards
-                if s.graph_engine is not None
-            ),
-            graph_launches=sum(s.graph_launches() for s in shards),
             mode=mode,
             machine=self.spec.name,
             workload=self.workload_name,
-            shards=len(shards),
+            shards=len(reports),
             workers=workers,
             windows=windows,
             messages=digest.count,
             msg_digest=digest.hexdigest(),
-            events_popped=sum(per_shard),
-            per_shard_popped=per_shard,
-            step_digests=step_digests,
-            results={s.id: s.results() for s in shards},
-            t_end=max(s.busy_time() for s in shards),
+            events_popped=per_shard[0] if reference else sum(per_shard),
+            per_shard_popped=None if reference else per_shard,
+            step_digests=(
+                {r["sid"]: r["step_digest"] for r in reports}
+                if self.collect_steps and not reference else None
+            ),
+            results={r["sid"]: r["results"] for r in reports},
+            t_end=max(r["t_end"] for r in reports),
             bytes_by_class=bytes_by_class,
+            events_graphed=sum(r["events_graphed"] for r in reports),
+            graph_launches=sum(r["graph_launches"] for r in reports),
         )

@@ -2,12 +2,12 @@
 
 Two halves, split by who owns the state:
 
-* :class:`WindowQueue` lives **driver-side** (the sequential driver or
-  the multiprocessing coordinator — one queue per shard).  Routed
+* :class:`WindowQueue` lives **driver-side** (one queue per shard, in
+  the process that runs the window loop).  Routed
   :class:`~repro.shard.message.ShardMessage`s are posted here; at each
   window the driver *takes* the batch with ``deliver <= horizon``,
   **sorted by the merge key** ``(deliver, src_shard, seq)``.  Because the
-  take happens in the coordinating process for every execution mode, the
+  take happens in the driving process for every execution mode, the
   injection schedule — and therefore each shard's ``(time, priority,
   seq)`` step stream — is independent of how shards are grouped onto
   workers.

@@ -292,29 +292,30 @@ class Shard:
     def _hash_step(self, time: float, priority: int, seq: int) -> None:
         self._step_hash.update(f"{time.hex()}|{priority}|{seq};".encode())
 
-    def step_digest(self) -> Optional[str]:
-        """SHA-256 of the shard's ``(time, priority, seq)`` pop stream."""
-        return self._step_hash.hexdigest() if self._step_hash is not None else None
+    def report(self) -> dict:
+        """The shard's picklable end-of-run record the driver assembles.
 
-    def busy_time(self) -> float:
-        """Time of the last event processed on either shard engine."""
-        if self.graph_engine is not None:
-            return max(self.engine.t_busy, self.graph_engine.t_busy)
-        return self.engine.t_busy
-
-    def graph_launches(self) -> int:
-        """Host graph-launch events issued (0 on an eager shard)."""
-        return self.engine.events_popped if self.graph_engine is not None else 0
-
-    def stats_snapshot(self) -> dict:
-        e = self.engine
-        g = self.graph_engine
+        ``step_digest`` is the SHA-256 of the shard's ``(time, priority,
+        seq)`` pop stream (None unless collected), ``t_end`` the time of
+        the last event either shard engine processed, and
+        ``graph_launches`` the host graph-launch events (0 when eager).
+        """
+        e, g = self.engine, self.graph_engine
+        graphed = g is not None
+        done = self.done
         return {
+            "sid": self.id,
+            "done": done,
+            "results": self.results() if done else None,
+            "unmatched": self.mailbox.unmatched(),
             "events_popped": e.events_popped,
-            "events_coalesced": e.events_coalesced + (g.events_coalesced if g else 0),
-            "events_cancelled": e.events_cancelled + (g.events_cancelled if g else 0),
-            "events_graphed": g.events_popped if g else 0,
-            "peak_heap": max(e.peak_heap, g.peak_heap if g else 0),
+            "events_graphed": g.events_popped if graphed else 0,
+            "step_digest": (
+                self._step_hash.hexdigest() if self._step_hash is not None else None
+            ),
+            "t_end": max(e.t_busy, g.t_busy) if graphed else e.t_busy,
+            "bytes_by_class": self.bridge.bytes_by_class,
+            "graph_launches": e.events_popped if graphed else 0,
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

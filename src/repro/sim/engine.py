@@ -72,9 +72,9 @@ class SimStats:
     def absorb(self, snap: dict) -> None:
         """Fold a :meth:`snapshot` from another process into this one.
 
-        The sharded executor collects each worker's per-shard snapshots
-        and absorbs them **sorted by shard id**, so the process-wide
-        totals are identical however shards were grouped onto workers.
+        The cluster driver absorbs each forked worker's snapshot, in
+        ascending shard-block order, once the worker finishes; the sums
+        do not depend on how shards were grouped onto workers.
         ``peak_heap`` merges by max: shard heaps coexist, they don't sum.
         """
         self.events_popped += snap["events_popped"]

@@ -18,6 +18,7 @@ import json
 import sys
 from typing import List, Optional
 
+from repro.shard.cluster import ClusterError
 from repro.workload.base import WorkloadError
 from repro.workload.sweep import DEFAULT_CACHE_DIR, run_sweep
 
@@ -85,7 +86,7 @@ def main_sweep(argv=None) -> int:
             ),
             printer=print,
         )
-    except WorkloadError as exc:
+    except (WorkloadError, ClusterError) as exc:
         print(f"sweep error: {exc}", file=sys.stderr)
         return 1
     print(f"{len(grid['cells'])} cells: {grid['hits']} hits, "
@@ -158,7 +159,7 @@ def main_replay(argv=None) -> int:
         result = ReplayWorkload(sched).run(
             machine=args.machine, policy=args.policy, shards=args.shards,
         )
-    except (ReplayError, WorkloadError, FileNotFoundError) as exc:
+    except (ReplayError, WorkloadError, ClusterError, FileNotFoundError) as exc:
         print(f"replay error: {exc}", file=sys.stderr)
         return 1
 
@@ -219,7 +220,7 @@ def main_fault(argv=None) -> int:
             machine=args.machine, policy=args.policy, shards=args.shards,
             faults=sched, **_parse_params(args.param),
         )
-    except (WorkloadError, FaultError, SpecError, KeyError) as exc:
+    except (WorkloadError, ClusterError, FaultError, SpecError, KeyError) as exc:
         print(f"fault error: {exc}", file=sys.stderr)
         return 1
     print(f"workload  {result.workload}  machine={result.machine} "

@@ -17,13 +17,16 @@ import time
 
 import pytest
 
+from repro.dataplane.graph import GRAPHS
+from repro.hw.faults import FaultEvent, FaultSchedule
 from repro.hw.spec.generators import resolve_machine
 from repro.hw.spec.schema import SpecError
 from repro.shard import ClusterError, ClusterJob, local_spec
 from repro.shard import workloads as workloads_mod
 from repro.sim.engine import STATS
+from repro.sim.process import ProcessFailed
 from repro.units import MiB
-from repro.workload.generators import expert_parallel_schedule
+from repro.workload.generators import expert_parallel_schedule, jacobi_schedule
 from repro.workload.replay import ReplayWorkload
 
 from ..conftest import exact_path
@@ -100,6 +103,21 @@ def test_mp_stats_absorbed_into_module_stats():
     assert snap["events_popped"] == result.events_popped
     assert snap["events_popped"] == sum(result.per_shard_popped)
 
+    # A faulted graph-mode replay: plan captures, replays and re-plans
+    # happen inside the workers and must come back with them.
+    wl = ReplayWorkload(jacobi_schedule(py=4, px=2, iters=10))
+    healthy = wl.run(machine="gh200-2x4")
+    t = healthy.extra["signature"]["t_end"] / 2
+    faults = FaultSchedule([FaultEvent(t, "nvl0->1", "down", node=1)])
+    counters = {}
+    for shards in (None, 2):
+        STATS.reset()
+        GRAPHS.reset()
+        wl.run(machine="gh200-2x4", shards=shards, faults=faults)
+        counters[shards] = (STATS.snapshot(), GRAPHS.snapshot())
+    assert counters[2] == counters[None]
+    assert counters[None][1]["replanned"] > 0
+
 
 # -- failure modes ------------------------------------------------------------
 
@@ -110,11 +128,33 @@ def _build_stuck(shard, cfg):
     return [shard.engine.process(waiter(), name=f"stuck{shard.id}")]
 
 
-def test_cross_shard_deadlock_detected(monkeypatch):
+@pytest.mark.parametrize("workers", [None, 2])
+def test_cross_shard_deadlock_detected(monkeypatch, workers):
     monkeypatch.setitem(workloads_mod.WORKLOADS, "stuck", (_build_stuck, {}, False))
     job = ClusterJob(resolve_machine("fat-tree-32-r2-l2"), "stuck")
     with pytest.raises(ClusterError, match="deadlock"):
+        job.run(workers=workers)
+
+
+def _build_crash(shard, cfg):
+    def crash():
+        yield shard.engine.timeout(1e-6)
+        raise ValueError("boom")
+
+    def idle():
+        yield shard.engine.timeout(1e-6)
+
+    body = crash if shard.id == 1 else idle
+    return [shard.engine.process(body(), name=f"crash{shard.id}")]
+
+
+def test_workload_crash_surfaces_in_every_mode(monkeypatch):
+    monkeypatch.setitem(workloads_mod.WORKLOADS, "crash", (_build_crash, {}, False))
+    job = ClusterJob(resolve_machine("fat-tree-32-r2-l2"), "crash")
+    with pytest.raises(ProcessFailed, match="crash1"):
         job.run()
+    with pytest.raises(ClusterError, match="boom"):
+        job.run(workers=2)
 
 
 @pytest.mark.xfail(
