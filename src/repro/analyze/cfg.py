@@ -175,14 +175,6 @@ def build_cfg(func: ast.AST) -> CFG:
     return b.cfg
 
 
-def stmt_node(cfg: CFG, expr_to_stmt: Dict[int, ast.stmt], expr: ast.AST) -> Optional[int]:
-    """Graph node of the statement owning ``expr`` (see map_statements)."""
-    stmt = expr_to_stmt.get(id(expr))
-    if stmt is None:
-        return None
-    return cfg.node_of_stmt.get(id(stmt))
-
-
 def map_statements(func: ast.AST) -> Dict[int, ast.stmt]:
     """id(any owned expression node) -> its enclosing own-scope statement.
 

@@ -141,11 +141,6 @@ class JacobiResult:
     norm: Optional[float] = None
 
 
-def _global_boundary_value(gy: int, gx: int, gny: int, gnx: int) -> float:
-    """Dirichlet condition: top edge held at 1, other edges at 0."""
-    return 1.0 if gy == 0 else 0.0
-
-
 def serial_jacobi(gny: int, gnx: int, iters: int, dtype=np.float64) -> np.ndarray:
     """Reference single-process solve on the (gny x gnx) interior."""
     a = np.zeros((gny + 2, gnx + 2), dtype=dtype)

@@ -23,8 +23,9 @@ from repro.dataplane.plane import FabricFault
 from repro.hw.faults import FaultEvent, FaultSchedule
 from repro.hw.memory import Buffer, MemSpace
 from repro.hw.params import ONE_NODE
-from repro.hw.topology import Fabric, MachineLike, fabric_settings
+from repro.hw.topology import Fabric, MachineLike
 from repro.sim.engine import Engine
+from repro.sim.run import run_scope
 from repro.units import MiB
 
 
@@ -34,7 +35,7 @@ def _setup(policy: str, config: MachineLike, nbytes: int, faults=None):
     Payload buffers are virtual (zero stride), so GiB-scale points cost
     O(1) host memory.
     """
-    with fabric_settings(policy=policy, faults=faults):
+    with run_scope(policy=policy, faults=faults):
         engine = Engine()
         fabric = Fabric(engine, config)
     n = max(nbytes // 8, 1)  # float64 elements

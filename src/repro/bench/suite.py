@@ -4,9 +4,7 @@ Each suite entry runs one workload and records the engine's event-loop
 counters, all deterministic (host time is measured by ``hostbench/``,
 not here):
 
-* ``events_popped`` — heap events actually dispatched.  Deterministic for
-  a given code state, so it is the regression metric: ``--against`` fails
-  when an entry pops more than ``tolerance`` above its recorded baseline;
+* ``events_popped`` — heap events actually dispatched;
 * ``events_coalesced`` — per-wave events the coalescing fast path avoided
   scheduling (DESIGN.md §11);
 * ``peak_heap`` — high-water mark of the pending-event heap.
@@ -17,6 +15,9 @@ The suite mirrors the paper exhibits that dominate ``regenerate_results``
 cluster and graph-replay workloads.  Each row also reports the named
 deterministic metrics of the entry's :class:`~repro.workload.base.
 WorkloadResult` (see :func:`metrics`).
+
+Every field is deterministic for a given code state, so ``--against`` is
+an exact gate: each row run must equal its recorded baseline row.
 """
 
 from __future__ import annotations
@@ -26,19 +27,17 @@ import glob
 import json
 import os
 import re
+import sys
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.dataplane.graph import GRAPHS
 from repro.hw.spec.generators import fabric_metrics, resolve_machine
+from repro.shard.cluster import ClusterError
 from repro.sim.engine import STATS
+from repro.workload.base import WorkloadError
 from repro.workload.generators import jacobi_schedule, llm_schedule
 from repro.workload.registry import get
 from repro.workload.replay import ReplayWorkload
-
-#: Default tolerance for the --against gate: events_popped is exactly
-#: reproducible, but small headroom keeps unrelated cost-model tweaks from
-#: tripping the CI step.
-DEFAULT_TOLERANCE = 0.05
 
 #: Cluster-signature metrics shared by the sharded entries.
 _CLUSTER = ("mode", "msg_digest", "t_end_us", "cluster_events_popped")
@@ -114,10 +113,12 @@ def run_suite(
     ``shards`` is the worker count for shard-capable entries (None = the
     pinned in-process sequential driver; results are identical).
     """
+    names = list(names or SUITE)
+    unknown = [name for name in names if name not in SUITE]
+    if unknown:
+        raise WorkloadError(f"unknown bench suite entries {unknown}; have {sorted(SUITE)}")
     results: Dict[str, dict] = {}
-    for name in names or SUITE:
-        if name not in SUITE:
-            raise KeyError(f"unknown bench suite entry {name!r}; have {sorted(SUITE)}")
+    for name in names:
         workload, params, fields = SUITE[name]
         wl = get(workload) if isinstance(workload, str) else workload()
         STATS.reset()
@@ -145,23 +146,33 @@ def _totals(results: Dict[str, dict]) -> dict:
     return total
 
 
-def _check_against(results: Dict[str, dict], baseline: dict, tolerance: float) -> int:
-    """Gate events_popped against a recorded baseline; returns exit code."""
-    failures = 0
+def _check_against(
+    results: Dict[str, dict], baseline: dict, shards: Optional[int], complete: bool
+) -> int:
+    """Require every row run to equal its baseline row; returns the exit code.
+
+    A baseline's ``wall_s`` (a host sample older baselines carry) is not
+    compared, nor, under ``shards``, the execution ``mode`` and ``workers``.
+    ``complete``: every baseline row must have been run.
+    """
+    skip = {"wall_s"} | ({"mode", "workers"} if shards is not None else set())
     recorded = baseline.get("suite", {})
-    for name, row in results.items():
-        base = recorded.get(name)
-        if base is None:
-            print(f"  {name}: no baseline entry (skipped)")
+    failures = []
+    if complete:
+        failures += [f"{name}: not run" for name in recorded if name not in results]
+    # Compare rows as the JSON file holds them (tuples become lists).
+    for name, row in json.loads(json.dumps(results)).items():
+        if name not in recorded:
+            failures.append(f"{name}: no baseline row")
             continue
-        ceiling = base["events_popped"] * (1.0 + tolerance)
-        verdict = "ok" if row["events_popped"] <= ceiling else "REGRESSED"
-        print(
-            f"  {name}: events_popped {row['events_popped']} vs "
-            f"baseline {base['events_popped']} (ceiling {ceiling:.0f}) -> {verdict}"
-        )
-        if verdict != "ok":
-            failures += 1
+        want = {k: v for k, v in recorded[name].items() if k not in skip}
+        have = {k: v for k, v in row.items() if k not in skip}
+        diff = sorted(k for k in want.keys() | have.keys() if want.get(k) != have.get(k))
+        if diff:
+            failures.append(f"{name}: {', '.join(diff)} differ")
+    for failure in failures:
+        print(f"  {failure}")
+    print(f"{len(results)} rows: {'REGRESSED' if failures else 'all equal the baseline'}")
     return 1 if failures else 0
 
 
@@ -219,12 +230,8 @@ def main(argv=None) -> int:
     parser.add_argument("--suite", help="comma-separated subset of suite entries")
     parser.add_argument(
         "--against",
-        help="baseline BENCH_pr<N>.json to gate events_popped against; "
+        help="baseline BENCH_pr<N>.json every row run must equal; "
              "'auto' picks the newest checked-in BENCH_pr*.json",
-    )
-    parser.add_argument(
-        "--tolerance", type=float, default=DEFAULT_TOLERANCE,
-        help="allowed events_popped growth over the baseline (fraction)",
     )
     parser.add_argument(
         "--shards", type=int,
@@ -235,7 +242,11 @@ def main(argv=None) -> int:
 
     pr = args.pr if args.pr is not None else next_pr()
     names = args.suite.split(",") if args.suite else None
-    results = run_suite(names, shards=args.shards)
+    try:
+        results = run_suite(names, shards=args.shards)
+    except (ClusterError, WorkloadError) as exc:
+        print(f"bench error: {exc}", file=sys.stderr)
+        return 1
     doc = {
         "pr": pr,
         "metric_note": "every field is deterministic; host time is hostbench's",
@@ -265,5 +276,5 @@ def main(argv=None) -> int:
         print(f"gating against {baseline_path}")
         with open(baseline_path) as fh:
             baseline = json.load(fh)
-        return _check_against(results, baseline, args.tolerance)
+        return _check_against(results, baseline, args.shards, complete=names is None)
     return 0

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import Dict
 
 from repro.hw.topology import Fabric
-from repro.obs.bus import SPAN
 
 
 @dataclass
@@ -75,23 +74,3 @@ def report(fabric: Fabric) -> str:
     for name, st in snap.classes.items():
         lines.append(f"{name:<12} {fmt_bytes(st.bytes):<12} {st.transfers}")
     return "\n".join(lines)
-
-
-class LinkFlowCounters:
-    """Obs-bus subscriber deriving the per-class counters from link spans.
-
-    Subscribed to the same bus a run publishes on, its snapshot equals
-    ``snapshot(fabric).delta(...)`` over the subscription window — the
-    event stream and the in-place link counters are the same accounting
-    (see ``Link.account``), which tests assert.
-    """
-
-    def __init__(self) -> None:
-        self.snap = FabricSnapshot()
-
-    def on_event(self, ev) -> None:
-        if ev.kind != SPAN or ev.cat != "link":
-            return
-        st = self.snap.classes.setdefault(ev.get("kind", ev.name), LinkStats())
-        st.bytes += ev.get("nbytes", 0)
-        st.transfers += ev.get("transfers", 1)

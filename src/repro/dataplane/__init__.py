@@ -19,8 +19,8 @@ the descriptor, resolves routes over the
   max of the stripe arrivals.
 
 A run picks its policy by name (``Workload.run(policy="multi")``), which
-reaches every fabric the run builds through
-:class:`~repro.hw.topology.FabricSettings`.  See DESIGN.md §12.
+reaches every fabric the run builds through its
+:class:`~repro.sim.run.Run`.  See DESIGN.md §12.
 """
 
 from repro.dataplane.descriptor import DescriptorError, TransferDescriptor

@@ -36,7 +36,7 @@ costs, mirroring CUDA stream capture + graph launch:
 Graph replay collapses host-visible pops, so — like wave coalescing —
 it runs only while nothing observes them
 (:func:`repro.sim.engine.collapsible`).  Any observer, including an empty
-ambient obs bus, selects the eager path: that is how tests assert that
+run bus, selects the eager path: that is how tests assert that
 simulated times and SHA-256 digests are unchanged by capture.
 """
 

@@ -7,15 +7,15 @@ fields — that any :class:`~repro.workload.base.Workload` run can plug in
 (``run(..., faults=...)``) and ``python -m repro fault`` drives from the
 command line.
 
-A run's schedule reaches its fabrics through the fabric-settings scope
-(:func:`repro.hw.topology.fabric_settings`, entered by ``Workload.run``):
-every :class:`~repro.hw.topology.Fabric` built inside it installs the
-events on its engine as ordinary ``timeout_at`` heap entries whose
-callbacks call the :class:`~repro.hw.links.LinkState` mutation API.
-Because installation happens at fabric construction (before any workload
-process is spawned) and fires in simulated time, sequential and sharded
-drivers observe the identical fabric history — the multiprocessing
-executor's forked workers inherit the scope and re-install it per shard.
+A run's schedule reaches its fabrics through the run scope
+(:func:`repro.sim.run.run_scope`, entered by ``Workload.run``): every
+:class:`~repro.hw.topology.Fabric` built inside it installs the events on
+its engine as ordinary ``timeout_at`` heap entries whose callbacks call
+the :class:`~repro.hw.links.LinkState` mutation API.  Because
+installation happens at fabric construction (before any workload process
+is spawned) and fires in simulated time, sequential and sharded drivers
+observe the identical fabric history — forked shard workers inherit the
+run and re-install it per shard.
 
 Shard scoping: ``node`` restricts an event to one engine shard (shard
 fabrics name links with node-local indices, so ``swup0`` exists on every

@@ -14,16 +14,13 @@ re-searches — and owns the :class:`~repro.dataplane.plane.Dataplane`
 every transfer is submitted to (``fabric.dataplane.put`` / ``rma_put`` /
 ``control``).
 
-:class:`FabricSettings` is what a run hands every fabric it builds — the
-path policy, the fault schedule and the route store.  A
-:func:`fabric_settings` scope sets it; only ``Fabric.__init__`` reads it.
+Each fabric takes its path policy and fault schedule from the run it is
+built in (:func:`repro.sim.run.current`).
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, List, Tuple, Union
 
 from repro.dataplane.plane import Dataplane
 from repro.dataplane.policy import policy_by_name
@@ -36,6 +33,7 @@ from repro.hw.spec.graph import LinkGraph, Port, RouteSearchError
 from repro.hw.spec.schema import MachineSpec
 from repro.sim.engine import Engine
 from repro.sim.events import Event
+from repro.sim.run import current
 
 #: Global GPU index (0 .. n_gpus-1); node-local index is position on the node.
 GpuId = int
@@ -105,58 +103,11 @@ class RouteError(Exception):
     """No path exists between the requested buffer locations."""
 
 
-@dataclass(frozen=True)
-class FabricSettings:
-    """The run-level settings every :class:`Fabric` picks up at build.
-
-    ``policy`` names the dataplane path policy (None = single-path);
-    ``faults`` is the :class:`~repro.hw.faults.FaultSchedule` each fabric
-    installs on its engine (DESIGN.md §17); ``routes`` is a cross-run
-    route store (see :class:`repro.workload.sweep.RouteCacheStore`) with
-    ``preload(fabric)`` called at construction and ``record(fabric, key,
-    links)`` called on every healthy route-cache miss.
-    """
-
-    policy: Optional[str] = None
-    faults: Optional[hw_faults.FaultSchedule] = None
-    routes: Any = None
-
-
-_SETTINGS = FabricSettings()
-
-
-@contextmanager
-def fabric_settings(
-    policy: Optional[str] = None,
-    faults: Union[hw_faults.FaultSchedule, str, None] = None,
-    routes: Any = None,
-) -> Iterator[FabricSettings]:
-    """Set the fabric settings for the fabrics built inside the block.
-
-    Each field left None inherits the enclosing scope's value; ``faults``
-    may be a JSONL path.  The enclosing settings come back on exit, also
-    when the block raises.  Forked shard workers inherit the scope.
-    """
-    global _SETTINGS
-    if isinstance(faults, str):
-        faults = hw_faults.FaultSchedule.load(faults)
-    outer = _SETTINGS
-    _SETTINGS = FabricSettings(
-        policy if policy is not None else outer.policy,
-        faults if faults is not None else outer.faults,
-        routes if routes is not None else outer.routes,
-    )
-    try:
-        yield _SETTINGS
-    finally:
-        _SETTINGS = outer
-
-
 class Fabric:
     """All links of one machine plus route resolution and transfers."""
 
     def __init__(self, engine: Engine, config: MachineLike) -> None:
-        settings = _SETTINGS
+        run = current()
         self.engine = engine
         self.config = config
         self.spec = as_spec(config)
@@ -172,8 +123,6 @@ class Fabric:
         self._route_epoch = 0
         #: Number of cache-miss route computations (asserted by tests).
         self.route_computations = 0
-        #: Cross-run route store, or None = no persistence.
-        self._routes = settings.routes
 
         # Structured link registries (views into the graph's registries;
         # keyed and named exactly like the original hard-coded testbed).
@@ -202,16 +151,13 @@ class Fabric:
         #: The single submission point for every simulated byte.  Path
         #: selection (single route vs link-disjoint striping) is the
         #: dataplane policy's call — see repro.dataplane and DESIGN.md §12.
-        self.dataplane = Dataplane(self, policy_by_name(settings.policy))
+        self.dataplane = Dataplane(self, policy_by_name(run.policy))
 
         #: Pending fault-schedule heap events, in schedule order.
         self.fault_events: List[Event] = (
-            hw_faults.install_on_fabric(self, settings.faults)
-            if settings.faults is not None else []
+            hw_faults.install_on_fabric(self, run.faults)
+            if run.faults is not None else []
         )
-
-        if self._routes is not None:
-            self._routes.preload(self)
 
     # -- link registry ---------------------------------------------------------
     def iter_links(self):
@@ -268,53 +214,7 @@ class Fabric:
             except RouteSearchError as exc:
                 raise RouteError(str(exc)) from exc
             self._route_cache[key] = cached
-            if self._routes is not None and not self.link_state.armed:
-                # Routes found under mutated fabric state are epoch-local;
-                # only healthy-fabric routes are worth persisting.
-                self._routes.record(self, key, cached)
         return cached
-
-    # -- route-cache persistence ------------------------------------------------
-    @staticmethod
-    def route_key_str(key: Tuple[Port, Port]) -> str:
-        """Serialize a route-cache key: ``('gpu', 0), ('pag', 1)`` -> ``gpu:0|pag:1``."""
-        (skind, sid), (dkind, did) = key
-        return f"{skind}:{sid}|{dkind}:{did}"
-
-    def export_routes(self) -> Dict[str, List[str]]:
-        """JSON-serializable snapshot of the resolved route cache."""
-        return {
-            self.route_key_str(key): [link.name for link in links]
-            for key, links in self._route_cache.items()
-        }
-
-    def preload_routes(self, doc: Dict[str, List[str]]) -> int:
-        """Seed the route cache from an :meth:`export_routes` snapshot.
-
-        The snapshot must come from a fabric with the *same machine
-        spec* (callers key stores by spec hash); entries naming unknown
-        links or malformed keys are skipped — they simply recompute on
-        first use.  Returns the number of entries loaded.
-        """
-        by_name: Dict[str, Link] = {}
-        for link in self.graph.links:
-            if link.name in by_name:  # ambiguous registry: refuse to guess
-                return 0
-            by_name[link.name] = link
-        loaded = 0
-        for key_str, names in doc.items():
-            try:
-                s, d = key_str.split("|")
-                skind, sid = s.split(":")
-                dkind, did = d.split(":")
-                links = tuple(by_name[n] for n in names)
-            except (ValueError, KeyError):
-                continue
-            key = ((skind, int(sid)), (dkind, int(did)))
-            if key not in self._route_cache:
-                self._route_cache[key] = links
-                loaded += 1
-        return loaded
 
     def gpu_distance(self, a: GpuId, b: GpuId) -> str:
         """'local' | 'nvlink' | 'ib' — used by protocol selection."""

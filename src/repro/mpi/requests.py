@@ -61,9 +61,6 @@ class Request:
             yield self._done_event
         return self.status
 
-    def completion_event(self) -> Event:
-        return self._done_event
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "done" if self.done else "pending"
         return f"<Request#{self.seq} {self.kind} {state}>"

@@ -22,8 +22,4 @@ from repro.obs.bus import (  # noqa: F401  (re-export surface)
     SPAN,
     Bus,
     ObsEvent,
-    active,
-    install,
-    note_engine,
-    uninstall,
 )

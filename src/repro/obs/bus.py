@@ -31,10 +31,10 @@ attached, so every instrumentation site reduces to::
         obs.span("link", self.name, None, t0, engine.now, nbytes=n)
 
 Buses learn about engines two ways: explicitly (``bus.attach(engine)``)
-or ambiently — :func:`install` makes a bus process-global, and every
-:class:`~repro.sim.engine.Engine` constructed afterwards announces itself
-via :func:`note_engine` (mirroring ``repro.san.record``), which is how
-``python -m repro profile <script>`` observes Worlds it never sees built.
+or through the run — every :class:`~repro.sim.engine.Engine` built inside
+``with run_scope(bus=bus)`` (:mod:`repro.sim.run`) attaches itself, which
+is how ``python -m repro profile <script>`` observes Worlds it never sees
+built.
 
 Subscriber contract
 -------------------
@@ -213,36 +213,3 @@ class Bus:
         """Publish counter samples (one numeric series per payload key)."""
         at = self.now if t is None else t
         self._emit(COUNTER, cat, name, None, at, at, tuple(sorted(samples.items())))
-
-
-# --------------------------------------------------------------------------
-# ambient (process-global) bus — what `python -m repro profile` installs
-# --------------------------------------------------------------------------
-
-_AMBIENT: Optional[Bus] = None
-
-
-def install(bus: Bus) -> None:
-    """Make ``bus`` ambient: every Engine built afterwards attaches to it."""
-    global _AMBIENT
-    if _AMBIENT is not None:
-        raise RuntimeError("an ambient obs bus is already installed")
-    _AMBIENT = bus
-
-
-def uninstall() -> Bus:
-    global _AMBIENT
-    if _AMBIENT is None:
-        raise RuntimeError("no ambient obs bus to uninstall")
-    bus, _AMBIENT = _AMBIENT, None
-    return bus
-
-
-def active() -> Optional[Bus]:
-    return _AMBIENT
-
-
-def note_engine(engine: Any) -> None:
-    """Called by ``Engine.__init__``; attaches to the ambient bus, if any."""
-    if _AMBIENT is not None:
-        _AMBIENT.attach(engine)

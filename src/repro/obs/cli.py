@@ -7,9 +7,9 @@
     python -m repro profile pingpong_partitioned --chrome t.json --steps
 
 The target runs with ``__name__ == "__main__"`` exactly as if invoked
-directly; every ``World``/``Engine`` it creates attaches to an ambient
-:class:`~repro.obs.bus.Bus`.  Exit status: 0 on success, 2 when the
-target crashes.
+directly, inside ``run_scope(bus=...)``: every ``World``/``Engine`` it
+creates attaches to that :class:`~repro.obs.bus.Bus`.  Exit status: 0
+on success, 2 when the target crashes.
 """
 
 from __future__ import annotations
@@ -31,19 +31,17 @@ from repro.obs.profile import (
     utilization,
 )
 from repro.san.cli import resolve_target
+from repro.sim.run import run_scope
 from repro.units import fmt_time
 
 
 def profile_script(path: str) -> List:
-    """Execute ``path`` as ``__main__`` under an ambient bus; return events."""
+    """Execute ``path`` as ``__main__`` under the run's bus; return events."""
     bus = obs_bus.Bus()
     collector = Collector()
     bus.subscribe(collector)
-    obs_bus.install(bus)
-    try:
+    with run_scope(bus=bus):
         runpy.run_path(str(path), run_name="__main__")
-    finally:
-        obs_bus.uninstall()
     return collector.events
 
 

@@ -3,9 +3,9 @@
 A :class:`Recorder` collects a flat, deterministic list of
 :class:`TraceEvent` — accesses, sync edges, and semantic marks — from
 instrumented sites across the simulator.  Recording is **opt-in**: every
-hook is a no-op unless a recorder is installed (see
-:class:`repro.san.sanitizer.Sanitizer`), so the uninstrumented hot path
-costs one ``is None`` test.
+hook is a no-op unless the run has an obs bus (see
+:class:`repro.san.sanitizer.Sanitizer` and :mod:`repro.sim.run`), so the
+uninstrumented hot path costs one ``is None`` test.
 
 Identity model:
 
@@ -25,14 +25,13 @@ announces itself to the instrumentation bus at construction, the bus calls
 ``Recorder.on_attach``, and the recorder reads ``now`` from the most
 recent engine (simulations run one at a time).
 
-Since the :mod:`repro.obs` refactor the module-level hooks below publish
-onto the ambient obs bus as ``cat="san"`` instants carrying the raw call
-arguments; :class:`Recorder` is a bus *subscriber* that rebuilds the exact
-pre-bus :class:`TraceEvent` stream from them (its own ``seq`` counter, its
-own clock), so sanitizer verdicts and trace bytes are unchanged.  The
-recorder stays reachable through :func:`install`/:func:`active` for the
-synchronous identity queries (:func:`ident`, ``range_of``) the protocol
-layers make while tracing.
+The module-level hooks below publish onto the run's obs bus as
+``cat="san"`` instants carrying the raw call arguments; :class:`Recorder`
+is a bus *subscriber* that rebuilds the exact pre-bus :class:`TraceEvent`
+stream from them (its own ``seq`` counter, its own clock), so sanitizer
+verdicts and trace bytes are unchanged.  The sanitizer also makes its
+recorder the run's ``recorder``, which answers the synchronous identity
+queries (:func:`ident`) the protocol layers make while tracing.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.obs import bus as _obs
+from repro.sim.run import current
 from repro.units import fmt_time
 
 try:  # numpy >= 2.0
@@ -262,77 +261,46 @@ class Recorder:
 # --------------------------------------------------------------------------
 # module-level hook surface (what instrumented code calls)
 #
-# The hooks publish ``cat="san"`` events onto the ambient obs bus; every
+# The hooks publish ``cat="san"`` events onto the run's obs bus; every
 # subscriber sees them (the profiler's timeline shows pready marks), and a
 # subscribed Recorder rebuilds its TraceEvent stream from them.  The gate
-# is one ``is None`` test on the ambient bus, exactly as before.
+# is one ``is None`` test on the run's bus.
 # --------------------------------------------------------------------------
-
-_ACTIVE: Optional[Recorder] = None
-
-
-def install(rec: Recorder) -> None:
-    """Make ``rec`` the process-wide recorder for identity queries.
-
-    Event *flow* goes through the obs bus — the Sanitizer additionally
-    subscribes the recorder there; ``install`` only serves :func:`ident` /
-    ``range_of`` lookups and enforces the one-sanitizer-at-a-time rule.
-    """
-    global _ACTIVE
-    if _ACTIVE is not None:
-        raise RuntimeError("a Sanitizer is already active; they do not nest")
-    _ACTIVE = rec
-
-
-def uninstall() -> Recorder:
-    global _ACTIVE
-    if _ACTIVE is None:
-        raise RuntimeError("no active Sanitizer to uninstall")
-    rec, _ACTIVE = _ACTIVE, None
-    return rec
-
-
-def active() -> Optional[Recorder]:
-    return _ACTIVE
-
-
-def on() -> bool:
-    return _ACTIVE is not None
 
 
 def note_alloc(buf: Any, zero_filled: bool) -> None:
-    bus = _obs._AMBIENT
+    bus = current().bus
     if bus is not None:
         bus.instant(CAT, "alloc", None, buf=buf, zero_filled=zero_filled)
 
 
 def access(actor: Optional[Actor], buf: Any, write: bool, note: str = "") -> None:
-    bus = _obs._AMBIENT
+    bus = current().bus
     if bus is not None:
         bus.instant(CAT, ACCESS, actor, buf=buf, write=write, note=note)
 
 
 def acquire(actor: Actor, obj: SyncObj) -> None:
-    bus = _obs._AMBIENT
+    bus = current().bus
     if bus is not None:
         bus.instant(CAT, ACQUIRE, actor, obj=obj)
 
 
 def release(actor: Actor, obj: SyncObj) -> None:
-    bus = _obs._AMBIENT
+    bus = current().bus
     if bus is not None:
         bus.instant(CAT, RELEASE, actor, obj=obj)
 
 
 def mark(note: str, actor: Optional[Actor] = None, **info: Any) -> None:
-    bus = _obs._AMBIENT
+    bus = current().bus
     if bus is not None:
         bus.instant(CAT, MARK, actor, note=note, info=tuple(sorted(info.items())))
 
 
 def channel(note: str, buf: Any, **info: Any) -> None:
     """Mark channel geometry: the Recorder resolves ``buf`` to its alloc."""
-    bus = _obs._AMBIENT
+    bus = current().bus
     if bus is not None:
         bus.instant(
             CAT, "channel", None,
@@ -341,8 +309,9 @@ def channel(note: str, buf: Any, **info: Any) -> None:
 
 
 def ident(obj: Any) -> int:
-    """Stable trace token for ``obj`` (0 when no recorder is active)."""
-    return _ACTIVE.ident(obj) if _ACTIVE is not None else 0
+    """Stable trace token for ``obj`` (0 when no sanitizer is active)."""
+    rec = current().recorder
+    return rec.ident(obj) if rec is not None else 0
 
 
 def guard(check: str, actor: Optional[Actor], msg: str) -> None:

@@ -43,9 +43,6 @@ class Report:
     def ok(self) -> bool:
         return not self.findings
 
-    def by_check(self, check: str) -> List[Finding]:
-        return [f for f in self.findings if f.check == check]
-
     def render(self) -> str:
         if not self.findings:
             return f"san: 0 findings ({len(self.trace)} trace events)"

@@ -7,31 +7,34 @@
     if not san.report.ok:
         print(san.report.render())
 
-A sanitizer is global while active (exactly one at a time): every Engine
-built inside the window registers itself, so multi-``World`` programs —
-e.g. ``examples/jacobi_halo.py`` running six solves — are sanitized end
-to end.  Analysis (the happens-before detector plus the partitioned-
-semantics checks) runs once, at ``__exit__``; the report is also computed
-when the body raises, so guard-tripped runs still yield findings.
+A sanitizer is the run's ``recorder`` while active (exactly one at a
+time): every Engine built inside the window attaches to the run's bus,
+so multi-``World`` programs — e.g. ``examples/jacobi_halo.py`` running
+six solves — are sanitized end to end.  Analysis (the happens-before
+detector plus the partitioned-semantics checks) runs once, at
+``__exit__``; the report is also computed when the body raises, so
+guard-tripped runs still yield findings.
 """
 
 from __future__ import annotations
 
+from contextlib import ExitStack
 from typing import List, Optional, Sequence
 
 from repro.obs import bus as obs_bus
 from repro.san import record
 from repro.san.checks import run_checks
 from repro.san.report import Finding, Report
+from repro.sim.run import current, run_scope
 
 
 class Sanitizer:
     """Records one window of simulation and checks it.
 
     Recording rides the :mod:`repro.obs` bus: entering subscribes a fresh
-    :class:`~repro.san.record.Recorder` to the ambient bus (installing a
-    private one when no profiler already installed theirs), so sanitizing
-    and profiling the same run compose.
+    :class:`~repro.san.record.Recorder` to the run's bus (setting a
+    private one when no profiler already set theirs), so sanitizing and
+    profiling the same run compose.
 
     Parameters
     ----------
@@ -44,30 +47,24 @@ class Sanitizer:
         self.checks = list(checks) if checks is not None else None
         self.recorder: Optional[record.Recorder] = None
         self.report: Optional[Report] = None
-        self._bus: Optional[obs_bus.Bus] = None
-        self._own_bus = False
+        self._scope: Optional[ExitStack] = None
 
     # -- context management -------------------------------------------------
     def __enter__(self) -> "Sanitizer":
-        self.recorder = record.Recorder()
-        record.install(self.recorder)
-        bus = obs_bus.active()
-        if bus is None:
-            bus = obs_bus.Bus()
-            obs_bus.install(bus)
-            self._own_bus = True
-        self._bus = bus
-        bus.subscribe(self.recorder)
+        rec = record.Recorder()
+        bus = current().bus or obs_bus.Bus()
+        scope = ExitStack()
+        scope.enter_context(run_scope(bus=bus, recorder=rec))
+        bus.subscribe(rec)
+        scope.callback(bus.unsubscribe, rec)
+        self.recorder, self._scope = rec, scope
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        assert self._bus is not None
-        self._bus.unsubscribe(self.recorder)
-        if self._own_bus:
-            obs_bus.uninstall()
-        self._bus = None
-        self._own_bus = False
-        rec = record.uninstall()
+        assert self._scope is not None
+        self._scope.close()
+        self._scope = None
+        rec = self.recorder
         self.report = Report(
             findings=run_checks(rec.events, rec.allocs, only=self.checks),
             trace=rec.events,

@@ -27,12 +27,13 @@ import hashlib
 from repro.dataplane.descriptor import DescriptorError, TransferDescriptor
 from repro.dataplane.graph import GraphEngine, launch
 from repro.hw.spec.schema import MachineSpec
-from repro.hw.topology import Fabric, fabric_settings
+from repro.hw.topology import Fabric
 from repro.shard.mailbox import Mailbox, MailboxError
 from repro.shard.message import ShardMessage, WireModel
 from repro.sim.engine import Engine, collapsible
 from repro.sim.events import Event
 from repro.sim.process import Process
+from repro.sim.run import current, run_scope
 
 
 class RemoteBuffer:
@@ -196,9 +197,8 @@ class Shard:
         # Every fabric built for this node — the shard's own, a World the
         # build embeds — installs only the run's fault events scoped to
         # this node, in every execution mode.
-        with fabric_settings() as run:
-            faults = run.faults.for_shard(shard_id) if run.faults is not None else None
-        with fabric_settings(faults=faults):
+        faults = current().faults
+        with run_scope(faults=faults.for_shard(shard_id) if faults is not None else None):
             self.fabric = Fabric(run_engine, self.local_spec)
             if self.graph_engine is not None:
                 self.fabric.dataplane.enable_plan_cache()

@@ -21,6 +21,7 @@ from typing import Any, Callable, Generator, List, Optional, Tuple
 
 from repro.sim.events import Event, Timeout, _PooledTimeout
 from repro.sim.process import Process, ProcessFailed
+from repro.sim.run import current
 from repro.obs import bus as obs_bus
 
 
@@ -135,7 +136,9 @@ class Engine:
         #: engine carry the shard id as actor provenance.  None = unsharded.
         self.shard_id: Optional[int] = None
         self._flushed = [0, 0, 0]  # popped/coalesced/cancelled already in STATS
-        obs_bus.note_engine(self)
+        bus = current().bus
+        if bus is not None:
+            bus.attach(self)
 
     # -- time --------------------------------------------------------------
     @property
@@ -316,11 +319,11 @@ def collapsible(engine: Optional[Engine] = None) -> bool:
 
     Wave coalescing and graph replay remove pops that have *no observable
     effect*, so they are only legal while nothing can observe individual
-    pops: no ambient bus (whose presence arms the sanitizer's record hooks
+    pops: no run bus (whose presence arms the sanitizer's record hooks
     even before a subscriber appears) and, for ``engine``, no attached bus
-    and no ``on_step`` hook.  Observation is the only switch: installing
-    an empty ambient bus selects the exact reference path everywhere.
+    and no ``on_step`` hook.  Observation is the only switch: a run scope
+    with an empty bus selects the exact reference path everywhere.
     """
-    return obs_bus._AMBIENT is None and (
+    return current().bus is None and (
         engine is None or (engine.obs is None and engine.on_step is None)
     )

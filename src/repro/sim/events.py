@@ -194,9 +194,6 @@ class _Condition(Event):
     def _on_sub_event(self, ev: Event) -> None:
         raise NotImplementedError
 
-    def _collect(self) -> List[Any]:
-        return [ev.value for ev in self.events if ev.triggered and ev.ok]
-
 
 class AllOf(_Condition):
     """Fires when *all* sub-events have fired; value is their value list.

@@ -31,8 +31,10 @@ from typing import Any, Dict, Optional, Union
 from repro.bench.series import Series
 from repro.dataplane.policy import policy_by_name
 from repro.hw.spec.catalog import as_spec
-from repro.hw.topology import MachineLike, fabric_settings
+from repro.hw.faults import FaultSchedule
+from repro.hw.topology import MachineLike
 from repro.sim.engine import STATS
+from repro.sim.run import run_scope
 
 
 class WorkloadError(Exception):
@@ -206,14 +208,13 @@ class Workload:
         sequential driver, DESIGN.md §14).
 
         ``policy`` and ``faults`` reach every fabric the workload builds
-        through one :func:`~repro.hw.topology.fabric_settings` scope;
-        ``None`` inherits the enclosing scope (single-path, no faults by
-        default).  ``faults`` plugs a
-        :class:`~repro.hw.faults.FaultSchedule` (or a JSONL path) into the
-        run: each fabric installs the schedule's link mutations on its own
-        timeline (DESIGN.md §17); without one the fabric stays immutable
-        and the run's outputs bit-identical to a build without the fault
-        layer.
+        through one :func:`~repro.sim.run.run_scope`; ``None`` inherits
+        the enclosing run (single-path, no faults by default).  ``faults``
+        plugs a :class:`~repro.hw.faults.FaultSchedule` (or a JSONL path,
+        loaded here) into the run: each fabric installs the schedule's
+        link mutations on its own timeline (DESIGN.md §17); without one
+        the fabric stays immutable and the run's outputs bit-identical to
+        a build without the fault layer.
         """
         resolved = self.resolve_machine(machine)
         if shards is not None and not self.supports_shards:
@@ -227,7 +228,9 @@ class Workload:
             except ValueError as exc:
                 raise WorkloadError(str(exc)) from exc
         merged = {**self.defaults, **params}
-        with fabric_settings(policy=policy, faults=faults):
+        if isinstance(faults, str):
+            faults = FaultSchedule.load(faults)
+        with run_scope(policy=policy, faults=faults):
             before = STATS.snapshot()["events_popped"]
             outcome = self._execute(resolved, shards, **merged)
             popped = (

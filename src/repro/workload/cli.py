@@ -73,6 +73,8 @@ def main_sweep(argv=None) -> int:
 
     policies = [None if p == "default" else p for p in _split(args.policies)]
     try:
+        if args.cache_max_mb is not None and args.cache_max_mb <= 0:
+            raise WorkloadError(f"--cache-max-mb must be > 0, got {args.cache_max_mb:g}")
         grid = run_sweep(
             workloads=_split(args.workloads),
             machines=_split(args.machines),

@@ -66,14 +66,16 @@ def cell_key(
 class SweepCache:
     """One JSON file per cell, named by its content-addressed key.
 
-    ``max_bytes`` caps the total size of cached cells with LRU
-    eviction: every cache hit touches its file's mtime, and a store
+    ``max_bytes`` (None = unbounded, else > 0) caps the total size of
+    cached cells with LRU eviction: every cache hit touches its file's mtime, and a store
     that pushes the cache past the cap deletes least-recently-used
     cells until it fits again (the entry just written is exempt, so a
     single oversized cell still caches).
     """
 
     def __init__(self, root: str, max_bytes: Optional[int] = None) -> None:
+        if max_bytes is not None and max_bytes <= 0:
+            raise WorkloadError(f"sweep cache cap must be > 0 bytes, got {max_bytes}")
         self.root = root
         self.max_bytes = max_bytes
         self.evicted = 0
@@ -107,7 +109,7 @@ class SweepCache:
         self._evict(keep=path)
 
     def _evict(self, keep: str) -> None:
-        if not self.max_bytes:
+        if self.max_bytes is None:
             return
         entries = []  # (mtime, size, path) for every cached cell
         try:
@@ -137,75 +139,7 @@ class SweepCache:
             self.evicted += 1
 
 
-class RouteCacheStore:
-    """Cross-run route-cache persistence, keyed by machine-spec hash.
-
-    Set as the ``routes`` fabric setting
-    (:func:`repro.hw.topology.fabric_settings`) for the duration of a
-    sweep: every fabric the sweep's workloads build — including each
-    shard's node-local fabric — preloads the routes a previous run
-    resolved for the *same spec content* and records any new
-    resolutions.  :meth:`flush` writes one
-    ``routes/<spec-hash>.json`` per touched spec (atomic replace), so
-    ``Fabric.route_computations`` drops to zero for warm pairs on the
-    next run.
-    """
-
-    def __init__(self, root: str) -> None:
-        self.root = root
-        self._mem: Dict[str, Dict[str, list]] = {}   # spec hash -> snapshot
-        self._dirty: set = set()
-        self.preloaded = 0
-
-    def _path(self, shash: str) -> str:
-        return os.path.join(self.root, f"{shash}.json")
-
-    def _spec_hash(self, fabric) -> str:
-        return sha256_hex(canonical_json(dataclasses.asdict(fabric.spec)))
-
-    def _snapshot(self, shash: str) -> Dict[str, list]:
-        snap = self._mem.get(shash)
-        if snap is None:
-            try:
-                with open(self._path(shash)) as fh:
-                    snap = json.load(fh)
-            except (FileNotFoundError, json.JSONDecodeError):
-                snap = {}
-            if not isinstance(snap, dict):  # corrupt: start over
-                snap = {}
-            self._mem[shash] = snap
-        return snap
-
-    # -- Fabric hooks --------------------------------------------------------
-    def preload(self, fabric) -> None:
-        snap = self._snapshot(self._spec_hash(fabric))
-        if snap:
-            self.preloaded += fabric.preload_routes(snap)
-
-    def record(self, fabric, key, links) -> None:
-        shash = self._spec_hash(fabric)
-        snap = self._snapshot(shash)
-        snap[fabric.route_key_str(key)] = [link.name for link in links]
-        self._dirty.add(shash)
-
-    # -- persistence ---------------------------------------------------------
-    def flush(self) -> None:
-        if not self._dirty:
-            return
-        os.makedirs(self.root, exist_ok=True)
-        for shash in sorted(self._dirty):
-            path = self._path(shash)
-            tmp = f"{path}.tmp.{os.getpid()}"
-            with open(tmp, "w") as fh:
-                json.dump(self._mem[shash], fh, sort_keys=True)
-                fh.write("\n")
-            os.replace(tmp, path)
-        self._dirty.clear()
-
-
 DEFAULT_CACHE_DIR = ".sweep-cache"
-#: Route snapshots live beside the cell files, outside LRU accounting.
-ROUTES_SUBDIR = "routes"
 
 
 def run_sweep(
@@ -223,14 +157,10 @@ def run_sweep(
     Returns ``{"cells": [...], "hits": n, "misses": n}`` where each cell
     carries its key, coordinates, cache status, and the full
     ``WorkloadResult.as_dict()``.  ``cache_dir=None`` disables caching;
-    ``cache_max_bytes`` bounds the cell cache with LRU eviction.  While
-    caching is on, resolved fabric routes persist across runs per
-    machine-spec hash (see :class:`RouteCacheStore`).  ``shards``
-    applies only to shard-capable workloads; others run on their single
-    engine regardless.
+    ``cache_max_bytes`` bounds the cell cache with LRU eviction.
+    ``shards`` applies only to shard-capable workloads; others run on
+    their single engine regardless.
     """
-    from repro.hw.topology import fabric_settings
-
     say = printer if printer is not None else (lambda _msg: None)
     cache = SweepCache(cache_dir, max_bytes=cache_max_bytes) if cache_dir else None
     resolved: List[Workload] = [
@@ -240,9 +170,6 @@ def run_sweep(
         raise WorkloadError("sweep needs at least one workload")
     if not machines:
         raise WorkloadError("sweep needs at least one machine")
-    routes = None
-    if cache_dir:
-        routes = RouteCacheStore(os.path.join(cache_dir, ROUTES_SUBDIR))
     cells: List[dict] = []
     hits = misses = 0
     grid = [
@@ -250,40 +177,33 @@ def run_sweep(
         for wl in resolved for machine in machines for policy in policies
     ]
     wl_params = params or {}
-    try:
-        with fabric_settings(routes=routes):
-            for wl, machine, policy in grid:
-                key = cell_key(machine, wl, policy, wl_params)
-                label = f"{wl.name} × {machine} × {policy or 'default'}"
-                cached = cache.load(key) if cache is not None else None
-                if cached is not None:
-                    hits += 1
-                    say(f"HIT  {label}  [{key[:12]}]")
-                    result = cached
-                else:
-                    misses += 1
-                    say(f"MISS {label}  [{key[:12]}] -> running")
-                    use_shards = shards if wl.supports_shards else None
-                    result = wl.run(
-                        machine=machine, policy=policy, shards=use_shards,
-                        **wl_params,
-                    )
-                    if cache is not None:
-                        cache.store(key, result)
-                cells.append({
-                    "key": key,
-                    "workload": wl.name,
-                    "machine": machine,
-                    "policy": policy if policy is not None else "default",
-                    "cached": cached is not None,
-                    "result": result.as_dict(),
-                })
-    finally:
-        if routes is not None:
-            routes.flush()
+    for wl, machine, policy in grid:
+        key = cell_key(machine, wl, policy, wl_params)
+        label = f"{wl.name} × {machine} × {policy or 'default'}"
+        cached = cache.load(key) if cache is not None else None
+        if cached is not None:
+            hits += 1
+            say(f"HIT  {label}  [{key[:12]}]")
+            result = cached
+        else:
+            misses += 1
+            say(f"MISS {label}  [{key[:12]}] -> running")
+            use_shards = shards if wl.supports_shards else None
+            result = wl.run(
+                machine=machine, policy=policy, shards=use_shards,
+                **wl_params,
+            )
+            if cache is not None:
+                cache.store(key, result)
+        cells.append({
+            "key": key,
+            "workload": wl.name,
+            "machine": machine,
+            "policy": policy if policy is not None else "default",
+            "cached": cached is not None,
+            "result": result.as_dict(),
+        })
     out = {"cells": cells, "hits": hits, "misses": misses}
     if cache is not None and cache.evicted:
         out["evicted"] = cache.evicted
-    if routes is not None:
-        out["routes_preloaded"] = routes.preloaded
     return out

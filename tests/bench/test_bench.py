@@ -145,3 +145,48 @@ def test_goodput_monotone_niceness():
     g_small = measure_p2p_goodput(4, "sendrecv", ONE_NODE)
     g_large = measure_p2p_goodput(256, "sendrecv", ONE_NODE)
     assert g_large > g_small
+
+
+@pytest.mark.parametrize("argv,msg", [
+    (["--suite", "cluster-fattree-512", "--shards", "0"], "workers must be >= 1"),
+    (["--suite", "nope"], "unknown bench suite entries ['nope']"),
+], ids=["shards-0", "unknown-suite"])
+def test_bench_reports_bad_input_as_one_error_line(tmp_path, capsys, argv, msg):
+    out = tmp_path / "bench.json"
+    assert main([*argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("bench error: ") and msg in err
+    assert "Traceback" not in err and not out.exists()
+
+
+def test_against_requires_every_field_to_equal_the_baseline(tmp_path, capsys):
+    """A baseline row whose non-pop field was doctored fails the gate, and
+    the report names that field."""
+    good = tmp_path / "good.json"
+    assert main(["--suite", "pingpong", "--out", str(good)]) == 0
+    doc = json.loads(good.read_text())
+    assert main(["--suite", "pingpong", "--out", str(tmp_path / "a.json"),
+                 "--against", str(good)]) == 0
+    doc["suite"]["pingpong"]["peak_heap"] += 1
+    doc["suite"]["pingpong"]["wall_s"] = 1.0   # host time is never compared
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["--suite", "pingpong", "--out", str(tmp_path / "b.json"),
+                 "--against", str(bad)]) == 1
+    out = capsys.readouterr().out
+    assert "pingpong: peak_heap differ" in out
+
+
+def test_against_without_suite_requires_every_baseline_row(tmp_path, monkeypatch):
+    """A bare run must cover the whole baseline: a row it did not run fails."""
+    from repro.bench import suite
+
+    good = tmp_path / "good.json"
+    assert main(["--suite", "pingpong", "--out", str(good)]) == 0
+    doc = json.loads(good.read_text())
+    doc["suite"]["retired-entry"] = dict(doc["suite"]["pingpong"])
+    base = tmp_path / "base.json"
+    base.write_text(json.dumps(doc))
+    monkeypatch.setattr(suite, "SUITE", {"pingpong": suite.SUITE["pingpong"]})
+    assert main(["--out", str(tmp_path / "a.json"), "--against", str(base)]) == 1

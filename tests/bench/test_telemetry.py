@@ -113,31 +113,6 @@ def test_delta_reports_classes_missing_from_later_snapshot():
     assert delta["nic_out"].bytes == -7 and delta["nic_out"].transfers == -1
 
 
-@pytest.mark.parametrize("mode", [CopyMode.PROGRESSION_ENGINE, CopyMode.KERNEL_COPY])
-def test_bus_counters_match_link_snapshot_delta(mode):
-    """LinkFlowCounters (event-derived) agrees with the in-place counters
-    (snapshot delta) for every link class a run touched."""
-    from repro.bench.telemetry import LinkFlowCounters
-    from repro.obs import bus as obs_bus
-
-    bus = obs_bus.Bus()
-    flows = LinkFlowCounters()
-    bus.subscribe(flows)
-    obs_bus.install(bus)
-    try:
-        world, snaps = _partitioned_send(mode)
-    finally:
-        obs_bus.uninstall()
-    end = snapshot(world.fabric)
-    # Events cover the whole run; compare against a zero 'before'.
-    from repro.bench.telemetry import FabricSnapshot
-
-    full = FabricSnapshot().delta(end)
-    for kind, st in full.classes.items():
-        assert flows.snap[kind].bytes == st.bytes, kind
-        assert flows.snap[kind].transfers == st.transfers, kind
-
-
 def test_report_renders(one_node_world):
     def main(ctx):
         yield from ctx.comm.barrier()

@@ -11,31 +11,23 @@ from repro.analyze.registry import all_passes
 from repro.analyze.rules import apply_suppressions, run_passes
 from repro.cuda.device import Device
 from repro.hw.params import ONE_NODE, PAPER_TESTBED, TestbedConfig
-from repro.hw.topology import Fabric, FabricSettings, fabric_settings
+from repro.hw.topology import Fabric
 from repro.mpi.world import World
-from repro.obs import bus as obs_bus
+from repro.obs.bus import Bus
 from repro.sim.engine import Engine
+from repro.sim.run import run_scope
 
 
 @contextmanager
 def exact_path():
     """Run the block on the exact reference path.
 
-    An installed (empty) ambient obs bus counts as an observer, so every
+    A run's bus, even an empty one, counts as an observer, so every
     pop-collapsing fast path — wave coalescing, graph replay — stands down
-    while it is in place (:func:`repro.sim.engine.collapsible`).
+    while it is set (:func:`repro.sim.engine.collapsible`).
     """
-    obs_bus.install(obs_bus.Bus())
-    try:
+    with run_scope(bus=Bus()):
         yield
-    finally:
-        obs_bus.uninstall()
-
-
-def current_settings() -> FabricSettings:
-    """The fabric settings in force here (an empty scope inherits them all)."""
-    with fabric_settings() as settings:
-        return settings
 
 
 @pytest.fixture

@@ -12,8 +12,9 @@ from repro.hw.faults import FaultEvent, FaultSchedule
 from repro.hw.links import LinkDownError, start_transfer
 from repro.hw.memory import Buffer, MemSpace
 from repro.hw.spec.generators import resolve_machine
-from repro.hw.topology import Fabric, fabric_settings
+from repro.hw.topology import Fabric
 from repro.sim.engine import Engine
+from repro.sim.run import run_scope
 from repro.units import MiB
 
 
@@ -46,7 +47,7 @@ def _chunked_run(fault_t=None, chunks=8, chunk_bytes=MiB):
     sched = None
     if fault_t is not None:
         sched = FaultSchedule([FaultEvent(fault_t, "nvl0->1", "down")])
-    with fabric_settings(faults=sched):
+    with run_scope(faults=sched):
         engine, fab = _mk(policy=SinglePathPolicy())
     dp = fab.dataplane
     pairs = [(dev(fab, 0, n=chunk_bytes, fill=i + 1), dev(fab, 1, n=chunk_bytes))
@@ -167,7 +168,7 @@ def test_outstanding_bytes_drain_after_clean_run():
 def test_outstanding_bytes_drain_after_faulted_run():
     healthy_t, *_ = _chunked_run(fault_t=None)
     sched = FaultSchedule([FaultEvent(healthy_t / 2, "nvl0->1", "down")])
-    with fabric_settings(faults=sched):
+    with run_scope(faults=sched):
         engine, fab = _mk(policy=SinglePathPolicy())
     src, dst = dev(fab, 0, n=MiB, fill=5), dev(fab, 1, n=MiB)
 

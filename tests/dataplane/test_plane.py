@@ -6,8 +6,9 @@ import pytest
 from repro.dataplane import Dataplane, MultiPathPolicy, SinglePathPolicy, policy_by_name
 from repro.hw.memory import Buffer, MemSpace
 from repro.hw.params import ONE_NODE, TestbedConfig
-from repro.hw.topology import Fabric, fabric_settings
+from repro.hw.topology import Fabric
 from repro.sim.engine import Engine
+from repro.sim.run import run_scope
 
 
 def _mk(config=ONE_NODE):
@@ -127,7 +128,7 @@ def test_policy_from_env_values():
 
 
 def test_settings_scope_selects_policy():
-    with fabric_settings(policy="multi"):
+    with run_scope(policy="multi"):
         _e, fab = _mk()
     assert isinstance(fab.dataplane.policy, MultiPathPolicy)
     _e, fab = _mk()

@@ -9,7 +9,7 @@ seed's SHA-256 sanitizer digests from tests/sim/test_determinism.py.
 import hashlib
 
 from repro.hw.params import ONE_NODE
-from repro.hw.topology import fabric_settings
+from repro.sim.run import run_scope
 from repro.mpi.world import World
 from repro.san import Sanitizer
 
@@ -28,7 +28,7 @@ def test_default_policy_matches_seed_digest():
 
 
 def test_explicit_single_matches_seed_digest():
-    with fabric_settings(policy="single"):
+    with run_scope(policy="single"):
         assert _digest() == _SEED_TRACES["one-node"]
 
 

@@ -6,10 +6,9 @@ from repro.hw.faults import FaultError, FaultEvent, FaultSchedule
 from repro.hw.links import LinkDownError, start_transfer
 from repro.hw.memory import Buffer, MemSpace
 from repro.hw.spec.generators import resolve_machine
-from repro.hw.topology import Fabric, RouteError, fabric_settings
+from repro.hw.topology import Fabric, RouteError
 from repro.sim.engine import Engine
-
-from ..conftest import current_settings
+from repro.sim.run import current, run_scope
 
 
 def _mk(machine="gh200-1x4"):
@@ -200,11 +199,11 @@ def test_for_shard_scopes_by_node():
     assert len(sched.for_shard(2)) == 1         # unscoped only
 
 
-# -- installation through the fabric-settings scope ---------------------------
+# -- installation through the run scope ----------------------------------------
 
 def test_fabric_installs_ambient_schedule_as_timers():
     sched = FaultSchedule([FaultEvent(1e-3, "nvl0->1", "down")])
-    with fabric_settings(faults=sched):
+    with run_scope(faults=sched):
         engine, fab = _mk()
     assert len(fab.fault_events) == 1
     assert fab.link_state.armed            # armed from t=0, epoch untouched
@@ -220,7 +219,7 @@ def test_past_events_apply_immediately_on_rebuild():
     engine.timeout(5e-3)
     engine.run()                           # now = 5 ms
     sched = FaultSchedule([FaultEvent(1e-3, "nvl0->1", "down")])
-    with fabric_settings(faults=sched):
+    with run_scope(faults=sched):
         fab = Fabric(engine, resolve_machine("gh200-1x4"))
     assert not fab.link_state.find("nvl0->1").up
     assert fab.fault_events == []          # nothing pending
@@ -228,7 +227,7 @@ def test_past_events_apply_immediately_on_rebuild():
 
 def test_unknown_link_fails_at_install_not_midrun():
     sched = FaultSchedule([FaultEvent(1e-3, "nvl9->9", "down")])
-    with fabric_settings(faults=sched):
+    with run_scope(faults=sched):
         with pytest.raises(KeyError, match="nvl9->9"):
             _mk()
 
@@ -236,27 +235,19 @@ def test_unknown_link_fails_at_install_not_midrun():
 def test_ambient_schedule_restores_previous_on_exit():
     a = FaultSchedule([FaultEvent(0.1, "x", "down")])
     b = FaultSchedule([FaultEvent(0.2, "y", "down")])
-    assert current_settings().faults is None
-    with fabric_settings(faults=a):
-        assert current_settings().faults is a
-        with fabric_settings(faults=b):
-            assert current_settings().faults is b
-        with fabric_settings(policy="multi"):
-            assert current_settings().faults is a       # None inherits
-        assert current_settings().faults is a
+    assert current().faults is None
+    with run_scope(faults=a):
+        assert current().faults is a
+        with run_scope(faults=b):
+            assert current().faults is b
+        with run_scope(policy="multi"):
+            assert current().faults is a       # None inherits
+        assert current().faults is a
         with pytest.raises(RuntimeError):
-            with fabric_settings(faults=b):
+            with run_scope(faults=b):
                 raise RuntimeError("boom")
-        assert current_settings().faults is a
-    assert current_settings().faults is None
-
-
-def test_fabric_settings_accept_fault_path(tmp_path):
-    p = tmp_path / "f.jsonl"
-    p.write_text('{"t": 0.5, "link": "nvl0->1", "action": "down"}\n')
-    with fabric_settings(faults=str(p)) as settings:
-        sched = settings.faults
-        assert len(sched) == 1 and sched.events[0].link == "nvl0->1"
+        assert current().faults is a
+    assert current().faults is None
 
 
 def test_no_schedule_means_unarmed_fabric():

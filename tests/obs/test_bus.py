@@ -1,10 +1,10 @@
-"""Bus semantics: the fast-path contract, dispatch order, ambient install."""
+"""Bus semantics: the fast-path contract, dispatch order, the run bus."""
 
 import pytest
 
-from repro.obs import bus as obs_bus
 from repro.obs.bus import COUNTER, INSTANT, SPAN, Bus, ObsEvent
 from repro.sim.engine import Engine
+from repro.sim.run import run_scope
 
 
 class Sink:
@@ -123,25 +123,22 @@ def test_compact_degrades_objects_but_shares_scalars():
     assert scalar.compact() is scalar
 
 
-# -- ambient install ---------------------------------------------------------
+# -- run bus -------------------------------------------------------------------
 
-def test_install_makes_new_engines_attach():
+def test_run_bus_makes_new_engines_attach():
     bus, sink = Bus(), Sink()
     bus.subscribe(sink)
-    obs_bus.install(bus)
-    eng = Engine()
-    assert eng.obs is bus
-    assert obs_bus.uninstall() is bus
+    with run_scope(bus=bus):
+        eng = Engine()
+    assert eng.obs is bus and sink.attached == [eng]
     assert Engine().obs is None
 
 
-def test_second_install_rejected():
-    obs_bus.install(Bus())
-    with pytest.raises(RuntimeError):
-        obs_bus.install(Bus())
-    obs_bus.uninstall()
-
-
-def test_uninstall_without_install_rejected():
-    with pytest.raises(RuntimeError):
-        obs_bus.uninstall()
+def test_second_run_bus_rejected():
+    bus = Bus()
+    with run_scope(bus=bus):
+        with run_scope(bus=bus) as run:  # the same bus: inherited, not nested
+            assert run.bus is bus
+        with pytest.raises(RuntimeError, match="already has an obs bus"):
+            with run_scope(bus=Bus()):
+                pass  # pragma: no cover

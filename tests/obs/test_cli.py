@@ -1,6 +1,7 @@
 """``python -m repro profile``: end-to-end runs over real examples."""
 
 import json
+import textwrap
 
 import pytest
 
@@ -55,10 +56,51 @@ def test_crashing_target_exits_2(tmp_path, capsys):
 
 
 def test_profile_script_uninstalls_bus_on_crash(tmp_path):
-    from repro.obs import bus as obs_bus
+    from repro.sim.run import current
 
     bad = tmp_path / "bad.py"
     bad.write_text("raise RuntimeError('boom')\n")
     with pytest.raises(RuntimeError):
         profile_script(str(bad))
-    assert obs_bus.active() is None
+    assert current().bus is None
+
+
+def test_sanitizer_inside_profiled_script_shares_the_profiler_bus(tmp_path):
+    """A Sanitizer opened by a profiled script subscribes to the profiler's
+    bus rather than setting its own, and still reports its findings."""
+    out = tmp_path / "findings.json"
+    script = tmp_path / "seeded.py"
+    script.write_text(textwrap.dedent(f"""
+        import json
+        from repro.cuda.device import Device
+        from repro.cuda.kernel import BlockKernel
+        from repro.cuda.timing import WorkSpec
+        from repro.hw.params import ONE_NODE
+        from repro.hw.topology import Fabric
+        from repro.san import Sanitizer
+        from repro.sim.engine import Engine
+        from repro.sim.run import current
+
+        profiler_bus = current().bus
+        with Sanitizer(checks=["uninit-read"]) as san:
+            assert current().bus is profiler_bus
+            engine = Engine()
+            gpu = Device(Fabric(engine, ONE_NODE), 0)
+            buf = gpu.alloc(256)
+
+            def body(blk):
+                blk.note_read(buf)  # nothing ever wrote this allocation
+                yield blk.compute(WorkSpec.vector_add())
+
+            def host():
+                yield from gpu.launch_h(BlockKernel(1, 256, body))
+                yield from gpu.sync_h()
+
+            engine.run(engine.process(host()))
+        with open({str(out)!r}, "w") as fh:
+            json.dump([f.check for f in san.findings], fh)
+    """))
+    events = profile_script(str(script))
+    assert json.loads(out.read_text()) == ["uninit-read"]
+    assert any(ev.cat == "san" and ev.name == "access" for ev in events)
+    assert any(ev.cat == "kernel" for ev in events)

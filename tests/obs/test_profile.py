@@ -21,6 +21,7 @@ from repro.obs.profile import (
 )
 from repro.partitioned import device as pdev
 from repro.partitioned.prequest import CopyMode
+from repro.sim.run import run_scope
 
 
 def _span(name, cat, t0, t1, seq, actor=None, **payload):
@@ -104,8 +105,7 @@ def _profiled_send(mode=CopyMode.PROGRESSION_ENGINE, n=4096, partitions=4):
     bus = obs_bus.Bus()
     collector = Collector()
     bus.subscribe(collector)
-    obs_bus.install(bus)
-    try:
+    with run_scope(bus=bus):
         world = World(ONE_NODE)
 
         def main(ctx):
@@ -136,8 +136,6 @@ def _profiled_send(mode=CopyMode.PROGRESSION_ENGINE, n=4096, partitions=4):
                 assert np.all(rbuf.data == 1.0)
 
         world.run(main, nprocs=2)
-    finally:
-        obs_bus.uninstall()
     return world, collector.events
 
 
@@ -157,14 +155,16 @@ def test_workload_busy_tracks_are_plausible():
 
 def test_link_busy_bytes_match_fabric_telemetry():
     """Acceptance: per-class byte totals derived from link events equal the
-    bench.telemetry in-place counters for the same run."""
-    world, events = _profiled_send()
-    flows = link_kind_totals(events)
-    counters = FabricSnapshot().delta(snapshot(world.fabric))
-    for kind, st in counters.classes.items():
-        ev_bytes, ev_transfers = flows.get(kind, (0, 0))
-        assert ev_bytes == st.bytes, kind
-        assert ev_transfers == st.transfers, kind
+    bench.telemetry in-place counters for the same run, on both the
+    progression-engine and the Kernel-Copy path."""
+    for mode in (CopyMode.PROGRESSION_ENGINE, CopyMode.KERNEL_COPY):
+        world, events = _profiled_send(mode)
+        flows = link_kind_totals(events)
+        counters = FabricSnapshot().delta(snapshot(world.fabric))
+        for kind, st in counters.classes.items():
+            ev_bytes, ev_transfers = flows.get(kind, (0, 0))
+            assert ev_bytes == st.bytes, (mode, kind)
+            assert ev_transfers == st.transfers, (mode, kind)
 
 
 def test_workload_critical_path_properties():

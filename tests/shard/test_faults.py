@@ -4,7 +4,7 @@ import pytest
 
 from repro.hw.faults import FaultEvent, FaultSchedule
 from repro.hw.spec.generators import resolve_machine
-from repro.hw.topology import fabric_settings
+from repro.sim.run import run_scope
 from repro.shard import ClusterJob
 from repro.workload.registry import resolve_spec
 
@@ -84,7 +84,7 @@ def test_reference_mode_scopes_embedded_world_faults():
     job = ClusterJob(
         resolve_machine("fat-tree-16-n4-l2"), "allreduce-node", cfg={"iters": 2},
     )
-    with fabric_settings(faults=FaultSchedule(degrade)):
+    with run_scope(faults=FaultSchedule(degrade)):
         seq = job.run_sequential()
         mp = job.run(workers=2)
         ref = job.run_reference()

@@ -14,6 +14,7 @@ from repro.mpi.world import World
 from repro.partitioned import device as pdev
 from repro.partitioned.aggregation import AggregationSpec, SignalMode
 from repro.san import Sanitizer
+from repro.sim.run import current, run_scope
 
 from ..conftest import exact_path
 
@@ -117,22 +118,19 @@ def test_gh200_spec_trace_matches_pre_refactor_seed(config, key):
 
 # -- the obs bus must be invisible ------------------------------------------
 #
-# The instrumentation refactor's contract: with a bus installed but *idle*
+# The instrumentation refactor's contract: with a run bus set but *idle*
 # (zero subscribers) every hook stays one `is None` test, and even a fully
 # subscribed bus must never perturb the simulated timeline.
 
 def test_sanitized_digest_unchanged_with_idle_ambient_bus():
-    """An installed-but-subscriber-less bus leaves engine.obs None; the
+    """A run bus without subscribers leaves engine.obs None; the
     sanitizer (which rides the same bus) still reproduces the seed digest."""
     from repro.obs import bus as obs_bus
 
-    obs_bus.install(obs_bus.Bus())
-    try:
+    with run_scope(bus=obs_bus.Bus()):
         with Sanitizer() as san:
             world = World(ONE_NODE)
             _workload(world)
-    finally:
-        obs_bus.uninstall()
     assert san.report.ok
     digest = hashlib.sha256(san.trace_bytes()).hexdigest()
     assert digest == _SEED_TRACES["one-node"]
@@ -142,16 +140,12 @@ def test_step_stream_unchanged_with_idle_bus():
     baseline = _step_stream()
     from repro.obs import bus as obs_bus
 
-    bus = obs_bus.Bus()
-    obs_bus.install(bus)
-    try:
+    with run_scope(bus=obs_bus.Bus()):
         world = World(ONE_NODE)
         assert world.engine.obs is None  # no subscribers: fast path intact
         steps = []
         world.engine.on_step = lambda t, prio, seq: steps.append((t, prio, seq))
         _workload(world)
-    finally:
-        obs_bus.uninstall()
     assert steps == baseline
 
 
@@ -165,15 +159,12 @@ def test_step_stream_unchanged_under_full_observation():
     bus = obs_bus.Bus()
     collector = Collector()
     bus.subscribe(collector)
-    obs_bus.install(bus)
-    try:
+    with run_scope(bus=bus):
         world = World(ONE_NODE)
         assert world.engine.obs is bus
         steps = []
         world.engine.on_step = lambda t, prio, seq: steps.append((t, prio, seq))
         _workload(world)
-    finally:
-        obs_bus.uninstall()
     assert steps == baseline
     cats = {ev.cat for ev in collector.events}
     assert {"engine", "kernel", "link", "pe", "stream", "ucx", "san"} <= cats
@@ -184,7 +175,7 @@ def test_step_stream_unchanged_under_full_observation():
 # The wall-clock fast path (DESIGN.md §11) collapses same-instant partition
 # waves into aggregate events, but only when nothing observes the run.  The
 # contract: unobserved runs land on byte-identical simulated times whether
-# the fast path runs or an observer (here an empty ambient bus) forces the
+# the fast path runs or an observer (here an empty run bus) forces the
 # exact per-wave path; observed streams are pinned by the tests above.
 
 @pytest.mark.parametrize(
@@ -217,16 +208,15 @@ def test_unobserved_times_equal_with_and_without_coalescing(grid, model, tps):
 
 
 def test_idle_hook_overhead_is_bounded():
-    """Micro-benchmark: with no ambient bus, a sanitizer hook
-    (``repro.san.record.mark``: one global load + is-None test) stays in
+    """Micro-benchmark: with no run bus, a sanitizer hook
+    (``repro.san.record.mark``: one run lookup + is-None test) stays in
     the tens-of-nanoseconds range.  The bound is generous to survive
     loaded CI boxes."""
     from time import perf_counter
 
-    from repro.obs import bus as obs_bus
     from repro.san.record import mark
 
-    assert obs_bus.active() is None
+    assert current().bus is None
     n = 100_000
     t0 = perf_counter()
     for _ in range(n):

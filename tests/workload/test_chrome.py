@@ -7,8 +7,9 @@ reproduce the original run's per-class ledger byte and transfer counts.
 """
 
 from repro.hw.params import ONE_NODE
-from repro.obs.bus import Bus, install, uninstall
+from repro.obs.bus import Bus
 from repro.obs.chrome import ChromeTraceExporter, validate_trace
+from repro.sim.run import run_scope
 from repro.workload import get
 from repro.workload.replay import ReplayWorkload, from_chrome
 
@@ -17,11 +18,8 @@ def _traced_pingpong():
     bus = Bus()
     exporter = ChromeTraceExporter()
     bus.subscribe(exporter)
-    install(bus)
-    try:
+    with run_scope(bus=bus):
         result = get("pingpong").run()
-    finally:
-        uninstall()
     return result, exporter.to_obj()
 
 

@@ -1,6 +1,8 @@
-"""CLI frontends report a failed cluster run as one error line."""
+"""CLI frontends report bad input and a failed cluster run as one error line."""
 
 from pathlib import Path
+
+import pytest
 
 from repro.workload.cli import main_fault, main_replay, main_sweep
 
@@ -32,3 +34,13 @@ def test_sweep_reports_cluster_error(capsys):
             "--no-cache", "--shards", "0"]
     assert main_sweep(argv) == 1
     _one_error_line(capsys, "sweep")
+
+
+@pytest.mark.parametrize("mb", ["0", "-1"])
+def test_sweep_rejects_non_positive_cache_cap(capsys, tmp_path, mb):
+    argv = ["--workloads", "halo", "--machines", "fat-tree-32-r2-l2",
+            "--cache-dir", str(tmp_path / "cache"), "--cache-max-mb", mb]
+    assert main_sweep(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("sweep error: --cache-max-mb must be > 0")
+    assert not (tmp_path / "cache").exists()

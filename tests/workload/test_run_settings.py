@@ -1,5 +1,5 @@
-"""A run's policy, faults and route store reach its fabrics through one
-scope, which leaves no process state behind — not even when the run raises."""
+"""A run's policy and faults reach its fabrics through one run scope, which
+leaves no process state behind — not even when the run raises."""
 
 import os
 
@@ -9,12 +9,10 @@ from repro.bench.series import Series
 from repro.dataplane import MultiPathPolicy, SinglePathPolicy
 from repro.hw.faults import FaultEvent, FaultSchedule
 from repro.hw.params import ONE_NODE
-from repro.hw.topology import FabricSettings, fabric_settings
 from repro.mpi.world import World
+from repro.obs.bus import Bus
+from repro.sim.run import Run, current, run_scope
 from repro.workload.base import ExecOutcome, Workload
-from repro.workload.sweep import RouteCacheStore
-
-from ..conftest import current_settings
 
 
 class _Probe(Workload):
@@ -29,9 +27,10 @@ class _Probe(Workload):
 
     def _execute(self, machine, shards, **params):
         with World(machine) as world:
+            self.seen["engine"] = world.engine
             self.seen["policy"] = world.fabric.dataplane.policy
             self.seen["armed"] = world.fabric.link_state.armed
-        self.seen["settings"] = current_settings()
+        self.seen["run"] = current()
         self.seen["environ"] = dict(os.environ)
         if self.fail:
             raise RuntimeError("workload crashed")
@@ -48,20 +47,42 @@ def test_run_policy_reaches_fabrics_without_touching_environ():
     assert dict(os.environ) == before
     with World(ONE_NODE) as world:
         assert isinstance(world.fabric.dataplane.policy, SinglePathPolicy)
-    assert current_settings() == FabricSettings()
+    assert current() == Run()
 
 
-def test_raising_run_restores_outer_settings(tmp_path):
+def test_raising_run_restores_outer_settings():
     outer = FaultSchedule([FaultEvent(1.0, "nvl0->1", "down")])
     inner = FaultSchedule([FaultEvent(2.0, "nvl0->1", "down")])
-    store = RouteCacheStore(str(tmp_path / "routes"))
     probe = _Probe(fail=True)
-    with fabric_settings(policy="congestion", faults=outer, routes=store):
+    with run_scope(policy="congestion", faults=outer):
         with pytest.raises(RuntimeError, match="workload crashed"):
             probe.run(policy="multi", faults=inner)
-        assert current_settings() == FabricSettings("congestion", outer, store)
-    assert current_settings() == FabricSettings()
-    # inside the run: its own policy and faults, the sweep's route store
-    assert probe.seen["settings"] == FabricSettings("multi", inner, store)
+        assert current() == Run("congestion", outer)
+    assert current() == Run()
+    # inside the run: its own policy and faults
+    assert probe.seen["run"] == Run("multi", inner)
     assert isinstance(probe.seen["policy"], MultiPathPolicy)
     assert probe.seen["armed"]
+
+
+def test_workload_run_loads_a_fault_path(tmp_path):
+    path = tmp_path / "f.jsonl"
+    path.write_text('{"t": 0.5, "link": "nvl0->1", "action": "down"}\n')
+    probe = _Probe()
+    probe.run(faults=str(path))
+    sched = probe.seen["run"].faults
+    assert len(sched) == 1 and sched.events[0].link == "nvl0->1"
+    assert probe.seen["armed"]
+
+
+def test_nested_run_gets_its_own_policy_under_the_outer_bus():
+    """A nested Workload.run(policy="multi") inside an observed single-path
+    run builds multi-path fabrics, and the outer bus sees their engines."""
+    bus = Bus()
+    probe = _Probe()
+    with run_scope(policy="single", bus=bus):
+        probe.run(policy="multi")
+        assert current() == Run("single", None, bus)
+    assert isinstance(probe.seen["policy"], MultiPathPolicy)
+    assert probe.seen["run"] == Run("multi", None, bus)
+    assert probe.seen["engine"] in bus.engines

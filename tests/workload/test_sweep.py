@@ -108,55 +108,12 @@ def test_oversized_single_entry_still_caches(tmp_path):
     assert cache.load(key) is not None
 
 
-def test_route_cache_store_warms_fresh_fabrics(tmp_path):
-    from repro.hw.memory import Buffer, MemSpace
-    from repro.hw.spec.generators import resolve_machine
-    from repro.hw.topology import Fabric, fabric_settings
-    from repro.sim.engine import Engine
-    from repro.workload.sweep import RouteCacheStore
+@pytest.mark.parametrize("max_bytes", [0, -1])
+def test_non_positive_cache_cap_rejected(tmp_path, max_bytes):
+    from repro.workload.sweep import SweepCache
 
-    spec = resolve_machine("gh200-1x4")
-
-    def route_once(store):
-        with fabric_settings(routes=store):
-            fab = Fabric(Engine(), spec)
-        src = Buffer.alloc(8, space=MemSpace.DEVICE, node=0, gpu=0)
-        dst = Buffer.alloc(8, space=MemSpace.DEVICE, node=0, gpu=1)
-        fab.route(src, dst)
-        return fab
-
-    cold = RouteCacheStore(str(tmp_path / "routes"))
-    fab = route_once(cold)
-    assert fab.route_computations == 1
-    cold.flush()
-
-    warm_store = RouteCacheStore(str(tmp_path / "routes"))
-    fab2 = route_once(warm_store)
-    assert warm_store.preloaded >= 1
-    assert fab2.route_computations == 0          # served from the snapshot
-    assert fab2.export_routes() == fab.export_routes()
-
-
-def test_sweep_persists_routes_across_runs(tmp_path):
-    import glob
-    import os
-
-    cache = str(tmp_path / "cache")
-    kwargs = dict(workloads=[_workload()], machines=["gh200-1x4"],
-                  cache_dir=cache)
-    first = run_sweep(**kwargs)
-    assert first["routes_preloaded"] == 0
-    route_files = glob.glob(os.path.join(cache, "routes", "*.json"))
-    assert route_files                           # snapshot written
-    # Drop the cell cache but keep the route snapshots: the re-run
-    # recomputes the cell yet reuses every previously resolved route.
-    for path in glob.glob(os.path.join(cache, "*.json")):
-        os.remove(path)
-    second = run_sweep(**kwargs)
-    assert second["misses"] == 1
-    assert second["routes_preloaded"] > 0
-    assert (first["cells"][0]["result"]["digests"]
-            == second["cells"][0]["result"]["digests"])
+    with pytest.raises(WorkloadError, match="must be > 0"):
+        SweepCache(str(tmp_path / "cache"), max_bytes=max_bytes)
 
 
 def test_registry_names_resolve_in_sweep(tmp_path):
