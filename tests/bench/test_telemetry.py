@@ -113,6 +113,29 @@ def test_delta_reports_classes_missing_from_later_snapshot():
     assert delta["nic_out"].bytes == -7 and delta["nic_out"].transfers == -1
 
 
+@pytest.mark.parametrize("mode", [CopyMode.PROGRESSION_ENGINE, CopyMode.KERNEL_COPY])
+def test_bus_counters_match_link_snapshot_delta(mode):
+    """Per-class totals derived from link events on the obs bus agree with
+    the in-place counters (snapshot delta) for every link class a run
+    touched."""
+    from repro.bench.telemetry import FabricSnapshot
+    from repro.obs import bus as obs_bus
+    from repro.obs.profile import Collector, link_kind_totals
+    from repro.sim.run import run_scope
+
+    bus = obs_bus.Bus()
+    collector = Collector()
+    bus.subscribe(collector)
+    with run_scope(bus=bus):
+        world, snaps = _partitioned_send(mode)
+    flows = link_kind_totals(collector.events)
+    # Events cover the whole run; compare against a zero 'before'.
+    full = FabricSnapshot().delta(snapshot(world.fabric))
+    assert full.classes
+    for kind, st in full.classes.items():
+        assert flows.get(kind, (0, 0)) == (st.bytes, st.transfers), kind
+
+
 def test_report_renders(one_node_world):
     def main(ctx):
         yield from ctx.comm.barrier()

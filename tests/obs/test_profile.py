@@ -155,16 +155,14 @@ def test_workload_busy_tracks_are_plausible():
 
 def test_link_busy_bytes_match_fabric_telemetry():
     """Acceptance: per-class byte totals derived from link events equal the
-    bench.telemetry in-place counters for the same run, on both the
-    progression-engine and the Kernel-Copy path."""
-    for mode in (CopyMode.PROGRESSION_ENGINE, CopyMode.KERNEL_COPY):
-        world, events = _profiled_send(mode)
-        flows = link_kind_totals(events)
-        counters = FabricSnapshot().delta(snapshot(world.fabric))
-        for kind, st in counters.classes.items():
-            ev_bytes, ev_transfers = flows.get(kind, (0, 0))
-            assert ev_bytes == st.bytes, (mode, kind)
-            assert ev_transfers == st.transfers, (mode, kind)
+    bench.telemetry in-place counters for the same run."""
+    world, events = _profiled_send()
+    flows = link_kind_totals(events)
+    counters = FabricSnapshot().delta(snapshot(world.fabric))
+    for kind, st in counters.classes.items():
+        ev_bytes, ev_transfers = flows.get(kind, (0, 0))
+        assert ev_bytes == st.bytes, kind
+        assert ev_transfers == st.transfers, kind
 
 
 def test_workload_critical_path_properties():
