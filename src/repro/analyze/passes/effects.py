@@ -1,6 +1,6 @@
 """DES coroutine effect checking.
 
-The engine's yield protocol (``sim/process.py``, ``Process._coerce``)
+The engine's yield protocol (``sim/process.py``, ``Process._advance``)
 accepts exactly: an ``Event``, ``None`` (reschedule immediately), or a
 non-negative number (a relative delay).  Anything else raises at *run*
 time, on whichever seed happens to drive execution down that path.  This

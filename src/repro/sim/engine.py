@@ -162,7 +162,7 @@ class Engine:
         than ``timeout(t_end - now)``, which re-rounds — keeps every wake
         timestamp bit-identical to the exact path's.
         """
-        if time < self._now:
+        if not (time >= self._now):  # also rejects NaN
             raise ValueError(f"timeout_at in the past: {time} < {self._now}")
         ev = Event(self)
         ev._triggered = True
@@ -185,8 +185,8 @@ class Engine:
         pool = self._timeout_pool
         if not pool:
             return _PooledTimeout(self, delay, value)
-        if delay < 0:
-            raise ValueError(f"negative timeout delay: {delay}")
+        if not (delay >= 0):  # also rejects NaN
+            raise ValueError(f"negative or NaN timeout delay: {delay}")
         t = pool.pop()
         t.delay = delay
         t._triggered = True
@@ -230,7 +230,7 @@ class Engine:
             until.add_callback(waiter)
         elif until is not None:
             horizon = float(until)
-            if horizon < self._now:
+            if not (horizon >= self._now):  # also rejects NaN
                 raise ValueError(f"cannot run to the past: {horizon} < {self._now}")
         heap = self._heap
         pop = heapq.heappop

@@ -8,6 +8,7 @@ Processes wait on events by ``yield``-ing them.
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import TYPE_CHECKING, Any, Callable, Iterable, List, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -73,7 +74,13 @@ class Event:
         self._triggered = True
         self._ok = True
         self._value = value
-        self.engine._schedule_event(self, priority)
+        # Engine._schedule_event, inlined: this is the hottest producer.
+        engine = self.engine
+        engine._seq = seq = engine._seq + 1
+        heap = engine._heap
+        heappush(heap, (engine._now, priority, seq, self))
+        if len(heap) > engine.peak_heap:
+            engine.peak_heap = len(heap)
         return self
 
     def fail(self, exc: BaseException, priority: int = PRIORITY_NORMAL) -> "Event":
@@ -129,14 +136,21 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, engine: "Engine", delay: float, value: Any = None) -> None:
-        if delay < 0:
-            raise ValueError(f"negative timeout delay: {delay}")
-        super().__init__(engine)
-        self.delay = delay
-        self._triggered = True
-        self._ok = True
+        if not (delay >= 0):  # also rejects NaN, which would break heap order
+            raise ValueError(f"negative or NaN timeout delay: {delay}")
+        # Event.__init__ and Engine._schedule_event, inlined: the second
+        # hottest producer after Event.succeed.
+        self.engine = engine
+        self.callbacks = []
         self._value = value
-        engine._schedule_event(self, PRIORITY_NORMAL, delay=delay)
+        self._ok = self._triggered = True
+        self._processed = self._cancelled = False
+        self.delay = delay
+        engine._seq = seq = engine._seq + 1
+        heap = engine._heap
+        heappush(heap, (engine._now + delay, PRIORITY_NORMAL, seq, self))
+        if len(heap) > engine.peak_heap:
+            engine.peak_heap = len(heap)
 
 
 #: Upper bound on an engine's timeout free-list (see Engine._timeout_pool).
@@ -146,7 +160,7 @@ POOL_MAX = 256
 class _PooledTimeout(Timeout):
     """A recyclable timeout for the process-coercion hot path.
 
-    ``Process._coerce`` turns every ``yield <number>`` / ``yield None``
+    ``Process._advance`` turns every ``yield <number>`` / ``yield None``
     into a fresh Timeout that is waited on exactly once and becomes
     garbage the moment its callbacks ran.  Pooled timeouts return
     themselves to their engine's free-list instead, so the Figs 4-7

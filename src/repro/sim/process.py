@@ -9,6 +9,7 @@ is sent back into the generator; failures are thrown into it.
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import TYPE_CHECKING, Any, Generator, Optional
 
 from repro.sim.events import Event, Timeout, PRIORITY_NORMAL, PRIORITY_URGENT
@@ -52,10 +53,13 @@ class Process(Event):
         self.name = name or getattr(gen, "__name__", "process")
         self._target: Optional[Event] = None  # event we are currently waiting on
         self._started = False
-        # Kick off at current time, urgent so spawn order is preserved.
-        boot = Event(engine)
-        boot.add_callback(self._resume)
-        boot.succeed(None, priority=PRIORITY_URGENT)
+        # Boot as our own heap entry, urgent at the current time so spawn
+        # order is preserved; the first pop starts the body.
+        engine._seq = seq = engine._seq + 1
+        heap = engine._heap
+        heappush(heap, (engine._now, PRIORITY_URGENT, seq, self))
+        if len(heap) > engine.peak_heap:
+            engine.peak_heap = len(heap)
 
     # -- lifecycle ------------------------------------------------------------
     @property
@@ -66,20 +70,9 @@ class Process(Event):
         """Throw :class:`Interrupt` into the process at the current time."""
         if self.triggered:
             return
-        if self._target is not None:
-            # Detach from whatever we were waiting on.
-            target, self._target = self._target, None
-            if target.callbacks is not None:
-                try:
-                    target.callbacks.remove(self._resume)
-                except ValueError:
-                    pass
-                # A timed-out wait nobody else observes is dead weight on
-                # the heap; lazy-delete it so the engine skips the pop.
-                if not target.callbacks and isinstance(target, Timeout):
-                    target.cancel()
+        self._detach()
         wake = Event(self.engine)
-        wake.add_callback(lambda ev: self._step(throw=Interrupt(cause)))
+        wake.add_callback(lambda ev: self._advance(False, Interrupt(cause)))
         wake.succeed(None, priority=PRIORITY_URGENT)
 
     def kill(self) -> None:
@@ -93,35 +86,50 @@ class Process(Event):
         """
         if self.triggered:
             return
-        if self._target is not None:
-            target, self._target = self._target, None
-            if target.callbacks is not None:
-                try:
-                    target.callbacks.remove(self._resume)
-                except ValueError:
-                    pass
-                if not target.callbacks and isinstance(target, Timeout):
-                    target.cancel()
+        self._detach()
         self.gen.close()
         self.succeed(None, priority=PRIORITY_NORMAL)
 
+    def _detach(self) -> None:
+        """Stop waiting on whatever we were waiting on."""
+        target, self._target = self._target, None
+        if target is not None and target.callbacks is not None:
+            try:
+                target.callbacks.remove(self._resume)
+            except ValueError:
+                pass
+            # A timed-out wait nobody else observes is dead weight on
+            # the heap; lazy-delete it so the engine skips the pop.
+            if not target.callbacks and isinstance(target, Timeout):
+                target.cancel()
+
     # -- engine internals -------------------------------------------------------
+    def _run_callbacks(self) -> None:
+        if self._started:
+            Event._run_callbacks(self)  # termination: wake our waiters
+        else:
+            self._started = True
+            self._advance(True, None)
+
     def _resume(self, ev: Event) -> None:
         self._target = None
-        if ev.ok:
-            self._step(send=ev.value)
-        else:
-            self._step(throw=ev.value)
+        self._advance(ev._ok, ev._value)
 
-    def _step(self, send: Any = None, throw: Optional[BaseException] = None) -> None:
-        if self.triggered:
+    def _advance(self, ok: bool, value: Any) -> None:
+        """Send ``value`` (or throw it, when not ``ok``) and park on the yield.
+
+        The whole wake path in one call.  The bound ``self._resume`` is
+        built afresh on every park, never cached on the process: a cached
+        one would be a process<->method cycle, and a finished process
+        would wait for the cyclic collector instead of being freed by
+        reference counting.
+        """
+        if self._triggered:
             return
-        self.engine._active_process = self
+        engine = self.engine
+        engine._active_process = self
         try:
-            if throw is not None:
-                target = self.gen.throw(throw)
-            else:
-                target = self.gen.send(send)
+            target = self.gen.send(value) if ok else self.gen.throw(value)
         except StopIteration as stop:
             self.succeed(stop.value)
             return
@@ -130,28 +138,26 @@ class Process(Event):
                 self.fail(exc)
             else:
                 # Nobody is waiting on this process: surface the crash.
-                self.engine._crash(self, exc)
+                engine._crash(self, exc)
             return
         finally:
-            self.engine._active_process = None
-        self._wait_on(self._coerce(target))
-
-    def _coerce(self, target: Any) -> Event:
-        if isinstance(target, Event):
-            return target
-        # Coerced waits are anonymous and single-waiter, so they draw from
-        # the engine's timeout free-list instead of allocating.
-        if target is None:
-            return self.engine.pooled_timeout(0.0)
-        if isinstance(target, (int, float)):
-            return self.engine.pooled_timeout(float(target))
-        raise TypeError(f"process {self.name!r} yielded unsupported {target!r}")
-
-    def _wait_on(self, target: Event) -> None:
-        if target is self:
+            engine._active_process = None
+        if not isinstance(target, Event):
+            # Coerced waits are anonymous and single-waiter, so they draw
+            # from the engine's timeout free-list instead of allocating.
+            if target is None:
+                target = engine.pooled_timeout(0.0)
+            elif isinstance(target, (int, float)):
+                target = engine.pooled_timeout(float(target))
+            else:
+                raise TypeError(f"process {self.name!r} yielded unsupported {target!r}")
+        elif target is self:
             raise RuntimeError(f"process {self.name!r} awaits itself")
         self._target = target
-        target.add_callback(self._resume)
+        if target.callbacks is None:  # already processed: resume at once
+            self._resume(target)
+        else:
+            target.callbacks.append(self._resume)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "done" if self.triggered else "alive"

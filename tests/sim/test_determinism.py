@@ -67,6 +67,18 @@ def test_step_stream_is_reproducible():
     assert len(first) > 100
 
 
+# The world-mode step stream as a literal: its length and the SHA-256 of the
+# repr of its (time, priority, seq) triples.  Two runs agreeing (above) would
+# not notice a change that renumbers every run's seq the same way.
+_STEP_STREAM = (276, "1c2f0e4bdf7cf0d7a482aa9094e50e58fc4298a7d19f2d6ad0bd39fc009a2ae2")
+
+
+def test_step_stream_matches_pinned_digest():
+    steps = _step_stream()
+    digest = hashlib.sha256(repr(steps).encode()).hexdigest()
+    assert (len(steps), digest) == _STEP_STREAM
+
+
 def test_tie_break_is_exercised():
     """Same-time pops must occur, else the (prio, seq) tie-break is dead code."""
     steps = _step_stream()

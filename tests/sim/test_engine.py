@@ -1,5 +1,7 @@
 """Engine fundamentals: time, ordering, run modes, determinism."""
 
+import math
+
 import pytest
 
 from repro.sim.engine import EmptySchedule, Engine
@@ -176,6 +178,40 @@ def test_timeout_at_in_the_past_rejected(engine):
     engine.run()
     with pytest.raises(ValueError):
         engine.timeout_at(1.0)
+
+
+def _yield_nan(eng):
+    def proc(delay):
+        yield delay
+
+    for delay in (2.0, math.nan, 1.0):
+        eng.process(proc(delay))
+    eng.run()
+
+
+def _recycled_pooled_nan(eng):
+    eng.pooled_timeout(1.0)
+    eng.run()
+    eng.pooled_timeout(math.nan)
+
+
+NAN_ENTRY_POINTS = {
+    "timeout": lambda eng: eng.timeout(math.nan),
+    "pooled_timeout": lambda eng: eng.pooled_timeout(math.nan),
+    "recycled_pooled_timeout": _recycled_pooled_nan,
+    "timeout_at": lambda eng: eng.timeout_at(math.nan),
+    "run_until": lambda eng: eng.run(until=math.nan),
+    "yield": _yield_nan,
+}
+
+
+@pytest.mark.parametrize("entry", list(NAN_ENTRY_POINTS))
+def test_nan_time_rejected(engine, entry):
+    """A NaN time breaks the heap order: run() would stop early as if the
+    schedule were exhausted, silently dropping every process behind it."""
+    with pytest.raises(ValueError):
+        NAN_ENTRY_POINTS[entry](engine)
+    assert math.isfinite(engine.now)
 
 
 def test_pooled_timeout_recycled(engine):

@@ -1,4 +1,7 @@
-"""Process semantics: yields, returns, failures, interrupts, nesting."""
+"""Process semantics: yields, returns, failures, interrupts, kills, nesting."""
+
+import gc
+import weakref
 
 import pytest
 
@@ -147,3 +150,86 @@ def test_many_processes_complete(engine):
         engine.process(proc(k))
     engine.run()
     assert sorted(done) == list(range(500))
+
+
+def test_finished_process_is_freed_by_refcounting(engine):
+    """No process<->bound-method cycle: a finished process (and its return
+    value) dies with its last reference, without the cyclic collector."""
+
+    class Sentinel:
+        pass
+
+    def producer():
+        yield 1.0
+        return Sentinel()
+
+    def consumer(p):
+        got = yield p
+        return type(got).__name__
+
+    gc.disable()
+    try:
+        p = engine.process(producer())
+        engine.process(consumer(p))
+        engine.run()
+        ref = weakref.ref(p.value)
+        del p
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+# -- kill and the pre-start lifecycle -----------------------------------------
+
+def test_kill_before_start_never_runs_body(engine):
+    ran = []
+
+    def body():
+        ran.append(engine.now)
+        yield 1.0
+
+    p = engine.process(body())
+
+    def waiter():
+        return (yield p)
+
+    w = engine.process(waiter())
+    p.kill()
+    assert not p.is_alive
+    assert engine.run(w) is None
+    assert ran == []
+    assert (engine.now, engine.events_popped, engine.peak_heap) == (0.0, 4, 3)
+
+
+def test_kill_while_parked_cancels_its_timeout(engine):
+    def sleeper():
+        yield 5.0
+
+    p = engine.process(sleeper())
+
+    def killer():
+        yield 1.0
+        p.kill()
+
+    engine.process(killer())
+    engine.run()
+    assert p.value is None
+    assert engine.events_cancelled == 1
+    assert engine.now == engine.t_busy == 1.0  # never advanced to the dead wait
+
+
+def test_interrupt_before_start_runs_body_then_throws(engine):
+    log = []
+
+    def body():
+        log.append(("start", engine.now))
+        try:
+            yield 10.0
+        except Interrupt as exc:
+            log.append(("interrupted", exc.cause, engine.now))
+
+    p = engine.process(body())
+    p.interrupt("early")
+    engine.run(p)
+    assert log == [("start", 0.0), ("interrupted", "early", 0.0)]
+    assert (engine.now, engine.events_popped, engine.peak_heap) == (0.0, 3, 2)
