@@ -33,6 +33,16 @@ PYTHONPATH=src python -m repro bench \
     --suite cluster-fattree-512,graph-replay-jacobi,graph-replay-llm16 --shards 2 \
     --against auto --out /tmp/repro_bench_cluster.json
 
+echo "== topo-smoke (topology validator on the generated 512-GPU specs) =="
+# Builds each generated fabric and checks that sampled routes resolve in
+# hierarchical link order; the validator exits 0 and prints a valid: line.
+for machine in fat-tree-512 dragonfly-512-g8; do
+    PYTHONPATH=src python -m repro topo "$machine" > /tmp/repro_topo.txt
+    grep -q "^valid:" /tmp/repro_topo.txt \
+        || { echo "topo-smoke: $machine printed no valid: line"; exit 1; }
+    echo "topo-smoke: $machine valid"
+done
+
 echo "== fault-smoke (dynamic fabric: mid-run link loss, DESIGN.md §17) =="
 # One node-scoped NVLink loss halfway through the 512-GPU halo exhibit:
 # the faulted run must agree bit-for-bit between the sequential driver

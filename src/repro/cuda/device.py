@@ -34,11 +34,10 @@ class Device:
         cost: Optional[CostModel] = None,
         name: Optional[str] = None,
     ) -> None:
-        fabric.topo._check(gpu_id)
+        self.node = fabric.topo.node_of(gpu_id)  # IndexError on a bad id
         self.fabric = fabric
         self.engine = fabric.engine
         self.gpu_id = gpu_id
-        self.node = fabric.topo.node_of(gpu_id)
         self.cost = cost or self._spec_cost(fabric, gpu_id)
         self.name = name or f"gpu{gpu_id}"
         #: The TransferGraph an open stream capture on this device is

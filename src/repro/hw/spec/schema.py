@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
+from functools import cached_property
+from itertools import accumulate
 from typing import Optional, Tuple, Union
 
 from repro.hw.params import GH200Params
@@ -207,13 +209,28 @@ class MachineSpec:
             self.fabric.check(self)
 
     # -- shape queries (Topology delegates here) -----------------------------
+    # Every GPU-indexed query answers from two tables built on first use
+    # and cached on this spec object: they are not fields, so ``==``,
+    # ``hash`` and the spec's content hash never see them.
+    @cached_property
+    def _gpu_node(self) -> Tuple[int, ...]:
+        """Global GPU index -> index of the node hosting it."""
+        return tuple(
+            idx for idx, node in enumerate(self.nodes) for _ in range(node.n_gpus)
+        )
+
+    @cached_property
+    def _node_base(self) -> Tuple[int, ...]:
+        """Node index -> global index of its first GPU."""
+        return tuple(accumulate((n.n_gpus for n in self.nodes[:-1]), initial=0))
+
     @property
     def n_nodes(self) -> int:
         return len(self.nodes)
 
     @property
     def n_gpus(self) -> int:
-        return sum(n.n_gpus for n in self.nodes)
+        return len(self._gpu_node)
 
     @property
     def uniform_gpus_per_node(self) -> Optional[int]:
@@ -222,26 +239,23 @@ class MachineSpec:
 
     def gpu_base(self, node: int) -> int:
         """Global index of ``node``'s first GPU."""
-        if not 0 <= node < self.n_nodes:
-            raise IndexError(f"node {node} out of range (n_nodes={self.n_nodes})")
-        return sum(n.n_gpus for n in self.nodes[:node])
+        bases = self._node_base
+        if 0 <= node < len(bases):
+            return bases[node]
+        raise IndexError(f"node {node} out of range (n_nodes={len(bases)})")
 
     def node_of(self, gpu: int) -> int:
-        if not 0 <= gpu < self.n_gpus:
-            raise IndexError(f"gpu {gpu} out of range (n_gpus={self.n_gpus})")
-        base = 0
-        for idx, node in enumerate(self.nodes):
-            if gpu < base + node.n_gpus:
-                return idx
-            base += node.n_gpus
-        raise AssertionError("unreachable")  # pragma: no cover
+        gpu_node = self._gpu_node
+        if 0 <= gpu < len(gpu_node):
+            return gpu_node[gpu]
+        raise IndexError(f"gpu {gpu} out of range (n_gpus={len(gpu_node)})")
 
     def node_spec_of(self, gpu: int) -> NodeSpec:
         return self.nodes[self.node_of(gpu)]
 
     def gpu_spec(self, gpu: int) -> GpuSpec:
         node = self.node_of(gpu)
-        return self.nodes[node].gpus[gpu - self.gpu_base(node)]
+        return self.nodes[node].gpus[gpu - self._node_base[node]]
 
     # -- peer capability -----------------------------------------------------
     def can_peer_map(self, a: int, b: int) -> bool:
@@ -252,12 +266,10 @@ class MachineSpec:
         peer-map even within the node — the capability the sanitizer's
         ipc-misuse check and the UCX cuda_ipc transport selection key on.
         """
-        if a == b:
-            return True
         node = self.node_of(a)
         if node != self.node_of(b):
             return False
-        return self.nodes[node].interconnect is not Interconnect.HOST_STAGED
+        return a == b or self.nodes[node].interconnect is not Interconnect.HOST_STAGED
 
     def validate(self) -> None:
         """Raise :class:`SpecError` on inconsistency (dataclass hooks catch
@@ -275,10 +287,10 @@ class MachineSpec:
 
     def rail_of(self, gpu: int) -> int:
         """Fabric rail GPU ``gpu``'s NIC attaches to (0 when no fabric)."""
+        node = self.node_of(gpu)
         if self.fabric is None:
             return 0
-        node = self.node_of(gpu)
-        return (gpu - self.gpu_base(node)) % self.fabric.rails
+        return (gpu - self._node_base[node]) % self.fabric.rails
 
     def with_params(self, **kw) -> "MachineSpec":
         """Copy with software/protocol constants overridden (ablations)."""

@@ -208,6 +208,13 @@ class Shard:
             #: Workload processes resident on this shard, in spawn order.
             self.procs: List[Process] = build(self, cfg)
         self._step_hash = None
+        #: Step text not hashed yet; :meth:`_flush_steps` feeds it to the
+        #: digest in one update per window (the same bytes).
+        self._steps: List[str] = []
+        #: The last popped time and its ``float.hex()`` prefix: the pops
+        #: of one instant share it instead of re-formatting it.
+        self._step_time: Optional[float] = None
+        self._step_prefix = ""
         if collect_steps:
             # Hooked after graph mode is chosen, so the shard's own hash
             # is not an observer; the graph engine replays the eager pop
@@ -267,6 +274,7 @@ class Shard:
             launch(self.engine, self.graph_engine, horizon)
         else:
             self.engine.run(horizon)
+        self._flush_steps()
         out = self.bridge.drain()
         obs = self.engine.obs
         if obs is not None:
@@ -290,7 +298,16 @@ class Shard:
                 p.kill()
 
     def _hash_step(self, time: float, priority: int, seq: int) -> None:
-        self._step_hash.update(f"{time.hex()}|{priority}|{seq};".encode())
+        # ``not time``: 0.0 and -0.0 compare equal but format differently.
+        if time != self._step_time or not time:
+            self._step_time = time
+            self._step_prefix = f"{time.hex()}|"
+        self._steps.append(f"{self._step_prefix}{priority}|{seq};")
+
+    def _flush_steps(self) -> None:
+        if self._steps:
+            self._step_hash.update("".join(self._steps).encode())
+            self._steps.clear()
 
     def report(self) -> dict:
         """The shard's picklable end-of-run record the driver assembles.
@@ -303,6 +320,7 @@ class Shard:
         e, g = self.engine, self.graph_engine
         graphed = g is not None
         done = self.done
+        self._flush_steps()  # a stuck or crashed shard's partial window
         return {
             "sid": self.id,
             "done": done,
