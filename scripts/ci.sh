@@ -70,6 +70,29 @@ healthy = base["suite"]["cluster-fattree-512"]["msg_digest"]
 assert msg != healthy[:len(msg)], "fault schedule did not perturb the halo digest"
 print(f"fault-smoke: {len(seq)} rows identical across modes, digest differs from healthy")
 EOF
+# The same fault under the 16-rank LLM replay, whose ranks sit on nodes 0
+# and 1: node 3 hosts no rank, so only its fault gets it built.  Both modes
+# must agree, and node 3 must have stepped (its digest is not the empty one).
+PYTHONPATH=src python -m repro fault examples/schedules/faults_fattree512.jsonl \
+    --workload replay:examples/schedules/llm16.jsonl \
+    --machine fat-tree-512 > /tmp/repro_fault_replay_seq.txt
+PYTHONPATH=src python -m repro fault examples/schedules/faults_fattree512.jsonl \
+    --workload replay:examples/schedules/llm16.jsonl \
+    --machine fat-tree-512 --shards 2 > /tmp/repro_fault_replay_mp.txt
+PYTHONPATH=src python - <<'EOF'
+import re
+
+def rows(path):
+    text = open(path).read()
+    return re.findall(r"^(?:popped|  class|  digest).*$", text, re.M)
+
+seq = rows("/tmp/repro_fault_replay_seq.txt")
+mp = rows("/tmp/repro_fault_replay_mp.txt")
+assert seq and seq == mp, "faulted replay: sequential vs --shards 2 diverged"
+shard3 = re.search(r"digest steps_shard3\s+(\S+)", "\n".join(seq)).group(1)
+assert shard3 != "e3b0c44298fc1c14", "faulted rank-less shard 3 was not stepped"
+print(f"fault-smoke: replay {len(seq)} rows identical across modes, shard 3 stepped")
+EOF
 
 echo "== profile smoke (Chrome trace_event export) =="
 PYTHONPATH=src python -m repro profile examples/pingpong_partitioned.py \

@@ -36,6 +36,10 @@ from repro.sim.process import Process
 from repro.sim.run import current, run_scope
 
 
+#: The step digest of a shard that popped nothing.
+EMPTY_STEP_DIGEST = hashlib.sha256().hexdigest()
+
+
 class RemoteBuffer:
     """Geometry-only proxy for a buffer hosted by another shard.
 
@@ -143,10 +147,13 @@ class ShardBridge:
             self._outbox.append(msg)
         else:
             self._direct_log.append(msg)
-            mailbox = self._direct_mailboxes[dst_shard]
-            ev = engine.timeout_at(deliver, value=msg)
-            ev.add_callback(mailbox._deliver)
-            mailbox.injected += 1
+            # No mailbox: the shard was not built, which the reference
+            # driver reports from the log once the run ends.
+            mailbox = self._direct_mailboxes.get(dst_shard)
+            if mailbox is not None:
+                ev = engine.timeout_at(deliver, value=msg)
+                ev.add_callback(mailbox._deliver)
+                mailbox.injected += 1
         # Local completion at the analytically-priced arrival time; the
         # lookahead bound guarantees this lies beyond the current window.
         return engine.timeout_at(deliver)
@@ -194,9 +201,9 @@ class Shard:
             self.graph_engine = GraphEngine()
             self.graph_engine.shard_id = shard_id
         run_engine = self.run_engine
-        # Every fabric built for this node — the shard's own, a World the
-        # build embeds — installs only the run's fault events scoped to
-        # this node, in every execution mode.
+        # Every fabric built for this node — the shard's own, any other
+        # the build makes — installs only the run's fault events scoped
+        # to this node, in every execution mode.
         faults = current().faults
         with run_scope(faults=faults.for_shard(shard_id) if faults is not None else None):
             self.fabric = Fabric(run_engine, self.local_spec)
@@ -334,6 +341,23 @@ class Shard:
             "t_end": max(e.t_busy, g.t_busy) if graphed else e.t_busy,
             "bytes_by_class": self.bridge.bytes_by_class,
             "graph_launches": e.events_popped if graphed else 0,
+        }
+
+    @staticmethod
+    def empty_report(sid: int, collect_steps: bool) -> dict:
+        """The report of a shard a run did not build: exactly what a built
+        shard with nothing resident, no fault and no traffic reports."""
+        return {
+            "sid": sid,
+            "done": True,
+            "results": [],
+            "unmatched": (0, 0),
+            "events_popped": 0,
+            "events_graphed": 0,
+            "step_digest": EMPTY_STEP_DIGEST if collect_steps else None,
+            "t_end": 0.0,
+            "bytes_by_class": {},
+            "graph_launches": 0,
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

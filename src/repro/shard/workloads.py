@@ -1,10 +1,11 @@
 """Cluster workloads: build functions that populate one shard with processes.
 
 A workload is a ``build(shard, cfg) -> [Process]`` function, registered in
-:data:`WORKLOADS` with its default config and whether its shards run in
-graph mode.  Builds run once per shard (in every execution mode,
-including inside forked workers), so they must be importable
-module-level functions and their ``cfg`` values picklable.
+:data:`WORKLOADS` as a :class:`ShardWorkload`: the build, its default
+config, whether its shards run in graph mode, and which shards it hosts.
+Builds run once per hosted shard (in every execution mode, including
+inside forked workers), so they must be importable module-level
+functions and their ``cfg`` values picklable.
 
 Three shapes ship with the package:
 
@@ -17,7 +18,7 @@ Three shapes ship with the package:
 
 ``allreduce-node``
     Each shard embeds a node-local :class:`~repro.mpi.world.World` on the
-    shard engine (the full MPI stack: init, ring allreduce, barrier) and
+    shard's fabric (the full MPI stack: init, ring allreduce, barrier) and
     rank 0 forwards a digest buffer around the inter-node ring — the
     hierarchical shape of the paper's multi-node partitioned runs.
 
@@ -28,25 +29,43 @@ Three shapes ship with the package:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple
 
 import numpy as np
 
 from repro.hw.memory import Buffer, MemSpace
-from repro.shard.replay import build_replay
+from repro.shard.replay import build_replay, replay_hosts
 from repro.sim.process import Process
 
 
-def resolve_workload(name: str) -> Tuple[Callable, dict, bool]:
-    """``name -> (build_fn, defaults, graph)``; raises on unknown names."""
+def every_node(spec, cfg: dict) -> Iterable[int]:
+    """``hosts`` of a workload with resident processes on every node."""
+    return range(spec.n_nodes)
+
+
+class ShardWorkload(NamedTuple):
+    """One :data:`WORKLOADS` entry."""
+
+    build: Callable[..., List[Process]]
+    defaults: dict
+    #: Graph mode: the workload's shards run on private graph engines
+    #: (see Shard); its build must spawn on ``shard.run_engine``.
+    graph: bool = False
+    #: ``hosts(spec, cfg)`` -> the shard ids whose build spawns anything.
+    #: A run builds and steps only these (plus any shard a fault names).
+    hosts: Callable[..., Iterable[int]] = every_node
+
+
+def resolve_workload(name: str) -> ShardWorkload:
+    """``name`` -> its entry, with a private copy of the defaults;
+    raises on unknown names."""
     entry = WORKLOADS.get(name)
     if entry is None:
         from repro.shard.cluster import ClusterError
 
         known = ", ".join(sorted(WORKLOADS))
         raise ClusterError(f"unknown workload {name!r} (known: {known})")
-    build, defaults, graph = entry
-    return build, dict(defaults), graph
+    return entry._replace(defaults=dict(entry.defaults))
 
 
 # -- halo ---------------------------------------------------------------------
@@ -123,7 +142,7 @@ ALLREDUCE_DEFAULTS = {
 def build_allreduce_node(shard, cfg: dict) -> List[Process]:
     from repro.mpi.world import World
 
-    world = World(shard.local_spec, engine=shard.engine)
+    world = World(fabric=shard.fabric)
     n_shards = shard.cluster.n_nodes
     right = (shard.id + 1) % n_shards
     iters, elems, ring_bytes = cfg["iters"], cfg["elems"], cfg["ring_bytes"]
@@ -152,11 +171,10 @@ def build_allreduce_node(shard, cfg: dict) -> List[Process]:
     return world.launch(main, nprocs=shard.n_local_gpus)
 
 
-#: name -> (build function, default cfg, graph mode).  A graph-mode
-#: workload's shards run on private graph engines (see Shard); its build
-#: must spawn on ``shard.run_engine``.
-WORKLOADS: Dict[str, Tuple[Callable, dict, bool]] = {
-    "halo": (build_halo, HALO_DEFAULTS, False),
-    "allreduce-node": (build_allreduce_node, ALLREDUCE_DEFAULTS, False),
-    "replay": (build_replay, {"ops": {}}, True),
+#: name -> entry; :func:`resolve_workload` is the lookup.
+WORKLOADS: Dict[str, ShardWorkload] = {
+    "halo": ShardWorkload(build_halo, HALO_DEFAULTS),
+    "allreduce-node": ShardWorkload(build_allreduce_node, ALLREDUCE_DEFAULTS),
+    "replay": ShardWorkload(build_replay, {"ops": {}}, graph=True,
+                            hosts=replay_hosts),
 }

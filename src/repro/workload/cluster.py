@@ -28,7 +28,7 @@ class ClusterWorkload(Workload):
         from repro.shard.workloads import resolve_workload
 
         self.name = name
-        self.defaults = resolve_workload(name)[1]
+        self.defaults = resolve_workload(name).defaults
 
     def _execute(self, machine: Optional[MachineLike], shards, **params) -> ExecOutcome:
         from repro.shard import ClusterJob

@@ -130,7 +130,9 @@ def _build_stuck(shard, cfg):
 
 @pytest.mark.parametrize("workers", [None, 2])
 def test_cross_shard_deadlock_detected(monkeypatch, workers):
-    monkeypatch.setitem(workloads_mod.WORKLOADS, "stuck", (_build_stuck, {}, False))
+    monkeypatch.setitem(
+        workloads_mod.WORKLOADS, "stuck", workloads_mod.ShardWorkload(_build_stuck, {})
+    )
     job = ClusterJob(resolve_machine("fat-tree-32-r2-l2"), "stuck")
     with pytest.raises(ClusterError, match="deadlock"):
         job.run(workers=workers)
@@ -149,7 +151,9 @@ def _build_crash(shard, cfg):
 
 
 def test_workload_crash_surfaces_in_every_mode(monkeypatch):
-    monkeypatch.setitem(workloads_mod.WORKLOADS, "crash", (_build_crash, {}, False))
+    monkeypatch.setitem(
+        workloads_mod.WORKLOADS, "crash", workloads_mod.ShardWorkload(_build_crash, {})
+    )
     job = ClusterJob(resolve_machine("fat-tree-32-r2-l2"), "crash")
     with pytest.raises(ProcessFailed, match="crash1"):
         job.run()
