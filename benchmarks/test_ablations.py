@@ -82,9 +82,7 @@ def test_ablation_progression_poll(benchmark):
             ["poll_us", "goodput_gbps"],
         )
         for poll in (0.1, 0.35, 1.0, 3.0):
-            cfg = ONE_NODE.with_overrides(
-                params=ONE_NODE.params.with_overrides(progress_poll_latency=poll * us)
-            )
+            cfg = ONE_NODE.with_params(progress_poll_latency=poll * us)
             g = measure_p2p_goodput(16, "progression", cfg)
             s.add(poll_us=poll, goodput_gbps=g / 1e9)
         return s
@@ -109,9 +107,7 @@ def test_ablation_bounce_chunk(benchmark):
             ["bounce_kib", "time_us"],
         )
         for kib in (32, 64, 256, 1024):
-            cfg = ONE_NODE.with_overrides(
-                params=ONE_NODE.params.with_overrides(allreduce_bounce_bytes=kib * 1024)
-            )
+            cfg = ONE_NODE.with_params(allreduce_bounce_bytes=kib * 1024)
             t = measure_allreduce(4096, "traditional", cfg, 4)
             s.add(bounce_kib=kib, time_us=t / us)
         return s

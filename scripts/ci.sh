@@ -42,6 +42,13 @@ for machine in fat-tree-512 dragonfly-512-g8; do
         || { echo "topo-smoke: $machine printed no valid: line"; exit 1; }
     echo "topo-smoke: $machine valid"
 done
+# A bad generator option is a usage error: exit 2 and one error: line.
+status=0
+PYTHONPATH=src python -m repro topo fat-tree-16-n0 > /tmp/repro_topo_bad.txt 2>&1 || status=$?
+[ "$status" -eq 2 ] && grep -q "error:" /tmp/repro_topo_bad.txt \
+    && ! grep -q "Traceback" /tmp/repro_topo_bad.txt \
+    || { echo "topo-smoke: fat-tree-16-n0 not rejected cleanly (exit $status)"; exit 1; }
+echo "topo-smoke: fat-tree-16-n0 rejected"
 
 echo "== fault-smoke (dynamic fabric: mid-run link loss, DESIGN.md §17) =="
 # One node-scoped NVLink loss halfway through the 512-GPU halo exhibit:

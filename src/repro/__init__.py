@@ -10,7 +10,7 @@ inventory and substitution rationale, and EXPERIMENTS.md for paper-vs-
 measured results.
 """
 
-from repro.hw.params import ONE_NODE, PAPER_TESTBED, GH200Params, TestbedConfig
+from repro.hw.params import ONE_NODE, PAPER_TESTBED, GH200Params
 from repro.mpi.world import RankCtx, World
 
 __version__ = "1.0.0"
@@ -20,7 +20,6 @@ __all__ = [
     "ONE_NODE",
     "PAPER_TESTBED",
     "RankCtx",
-    "TestbedConfig",
     "World",
     "__version__",
 ]

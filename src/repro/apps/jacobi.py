@@ -230,7 +230,7 @@ def run_jacobi(ctx, cfg: JacobiConfig) -> Generator:
 
     if cfg.variant == "partitioned":
         sreqs, rreqs, preqs, modes = {}, {}, {}, {}
-        topo = ctx.world.fabric.topo
+        spec = ctx.world.fabric.spec
         for d, nbr in neighbours.items():
             sreqs[d] = yield from comm.psend_init(sbuf[d], 1, nbr, tag=d)
             rreqs[d] = yield from comm.precv_init(rbuf[d], 1, nbr, tag=_OPPOSITE[d])
@@ -239,7 +239,7 @@ def run_jacobi(ctx, cfg: JacobiConfig) -> Generator:
             # RMA puts across the IB fabric.
             modes[d] = (
                 CopyMode.KERNEL_COPY
-                if cfg.copy_mode == "kc_auto" and topo.same_node(ctx.gpu.gpu_id, nbr)
+                if cfg.copy_mode == "kc_auto" and spec.same_node(ctx.gpu.gpu_id, nbr)
                 else CopyMode.PROGRESSION_ENGINE
             )
 

@@ -6,7 +6,7 @@ from typing import Dict, List
 
 from repro.apps.dl import DlConfig, run_dl
 from repro.apps.jacobi import JacobiConfig, run_jacobi
-from repro.hw.params import ONE_NODE, PAPER_TESTBED, TestbedConfig
+from repro.hw.spec.schema import MachineSpec
 from repro.workload.runner import run_ranks
 
 
@@ -17,7 +17,7 @@ def _jacobi_main(ctx, cfg: JacobiConfig):
 def measure_jacobi_gflops(
     multiplier: int,
     variant: str,
-    config: TestbedConfig,
+    config: MachineSpec,
     nprocs: int,
     base_tile: int = 16,
     iters: int = 150,
@@ -39,7 +39,7 @@ def _dl_main(ctx, cfg: DlConfig):
 def measure_dl_step_time(
     grid: int,
     variant: str,
-    config: TestbedConfig,
+    config: MachineSpec,
     nprocs: int,
     steps: int = 3,
     partitions: int = 8,

@@ -16,8 +16,8 @@ import numpy as np
 
 from repro.cuda.kernel import UniformKernel
 from repro.cuda.timing import WorkSpec
-from repro.hw.params import ONE_NODE, PAPER_TESTBED, TestbedConfig
-from repro.hw.topology import MachineLike
+from repro.hw.params import ONE_NODE
+from repro.hw.spec.schema import MachineSpec
 from repro.mpi.ops import SUM
 from repro.nccl import NcclComm
 from repro.partitioned import device as pdev
@@ -78,7 +78,7 @@ def _allreduce_main(ctx, grid: int, variant: str, iters: int, partitions: int) -
 def measure_allreduce(
     grid: int,
     variant: str,
-    config: TestbedConfig,
+    config: MachineSpec,
     nprocs: int,
     iters: int = 2,
     partitions: int = DEFAULT_USER_PARTITIONS,
@@ -96,7 +96,7 @@ def measure_allreduce(
 # Table I: API call overheads
 # --------------------------------------------------------------------------
 
-def measure_overheads(iters: int = 100, config: MachineLike = ONE_NODE) -> Dict[str, object]:
+def measure_overheads(iters: int = 100, config: MachineSpec = ONE_NODE) -> Dict[str, object]:
     """Time the partitioned API calls exactly as Table I describes."""
     out: Dict[str, object] = {}
 

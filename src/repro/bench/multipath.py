@@ -23,13 +23,14 @@ from repro.dataplane.plane import FabricFault
 from repro.hw.faults import FaultEvent, FaultSchedule
 from repro.hw.memory import Buffer, MemSpace
 from repro.hw.params import ONE_NODE
-from repro.hw.topology import Fabric, MachineLike
+from repro.hw.spec.schema import MachineSpec
+from repro.hw.topology import Fabric
 from repro.sim.engine import Engine
 from repro.sim.run import run_scope
 from repro.units import MiB
 
 
-def _setup(policy: str, config: MachineLike, nbytes: int, faults=None):
+def _setup(policy: str, config: MachineSpec, nbytes: int, faults=None):
     """A fresh engine + fabric under ``policy`` and a gpu0 -> gpu1 buffer maker.
 
     Payload buffers are virtual (zero stride), so GiB-scale points cost
@@ -42,7 +43,7 @@ def _setup(policy: str, config: MachineLike, nbytes: int, faults=None):
 
     def buf(gpu: int) -> Buffer:
         return Buffer.alloc_virtual(
-            n, space=MemSpace.DEVICE, node=fabric.topo.node_of(gpu), gpu=gpu
+            n, space=MemSpace.DEVICE, node=fabric.spec.node_of(gpu), gpu=gpu
         )
 
     return engine, fabric, buf
@@ -56,7 +57,7 @@ def _run(engine: Engine, body, name: str) -> None:
 
 
 def measure_stripe_goodput(
-    nbytes: int, policy: str = "single", config: MachineLike = ONE_NODE
+    nbytes: int, policy: str = "single", config: MachineSpec = ONE_NODE
 ) -> dict:
     """One gpu0 -> gpu1 transfer of ``nbytes`` under a path policy.
 
@@ -82,7 +83,7 @@ def measure_stripe_goodput(
 
 
 def _pipelined_chunks(
-    policy: str, config: MachineLike, chunks: int, chunk_bytes: int,
+    policy: str, config: MachineSpec, chunks: int, chunk_bytes: int,
     depth: int, faults=None,
 ) -> dict:
     """Run ``chunks`` plan-cached D2D puts with ``depth`` in flight.
@@ -122,7 +123,7 @@ def _pipelined_chunks(
 
 def measure_fault_reroute(
     total_bytes: int = 512 * MiB, chunks: int = 32, depth: int = 4,
-    config: MachineLike = ONE_NODE,
+    config: MachineSpec = ONE_NODE,
 ) -> dict:
     """Down the primary NVLink mid-run under a plan-cached chunk pipeline.
 
@@ -148,7 +149,7 @@ def measure_fault_reroute(
 
 def measure_congestion_goodput(
     policy: str = "congestion", n_transfers: int = 8, nbytes: int = 16 * MiB,
-    config: MachineLike = ONE_NODE,
+    config: MachineSpec = ONE_NODE,
 ) -> dict:
     """``n_transfers`` concurrent gpu0 -> gpu1 puts under one policy.
 

@@ -34,7 +34,7 @@ class Device:
         cost: Optional[CostModel] = None,
         name: Optional[str] = None,
     ) -> None:
-        self.node = fabric.topo.node_of(gpu_id)  # IndexError on a bad id
+        self.node = fabric.spec.node_of(gpu_id)  # IndexError on a bad id
         self.fabric = fabric
         self.engine = fabric.engine
         self.gpu_id = gpu_id

@@ -7,7 +7,7 @@ buffer (Section IV-A4); :meth:`IpcMemHandle.open` returns exactly that
 device-visible mapped view.
 
 Opening a handle is only legal from a GPU that can peer-map the owner
-(:meth:`~repro.hw.topology.Topology.can_peer_map` — same node *and* a
+(:meth:`~repro.hw.spec.schema.MachineSpec.can_peer_map` — same node *and* a
 P2P-capable interconnect), which is why the paper's Kernel-Copy mode is
 intra-node only, and why a no-P2P PCIe machine rejects it even there.
 """
@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.hw.memory import Buffer, MemSpace
-from repro.hw.topology import Topology
+from repro.hw.spec.schema import MachineSpec
 from repro.san import record
 
 
@@ -42,15 +42,15 @@ class IpcMemHandle:
         assert self.buffer.gpu is not None
         return self.buffer.gpu
 
-    def open(self, topo: Topology, opener_gpu: int) -> Buffer:
+    def open(self, spec: MachineSpec, opener_gpu: int) -> Buffer:
         """``cudaIpcOpenMemHandle``: map the remote allocation for ``opener_gpu``.
 
         The returned Buffer shares payload memory with the exporter and
         keeps the *owner's* location, so fabric routing charges the
         NVLink hop between opener and owner on every access.
         """
-        if not topo.can_peer_map(opener_gpu, self.owner_gpu):
-            if topo.same_node(opener_gpu, self.owner_gpu):
+        if not spec.can_peer_map(opener_gpu, self.owner_gpu):
+            if spec.same_node(opener_gpu, self.owner_gpu):
                 why = "no peer-to-peer capability (host-staged interconnect)"
             else:
                 why = "different nodes (no NVLink/PCIe path)"

@@ -312,11 +312,11 @@ class Dataplane:
             and src.gpu != dst.gpu
             and src.gpu is not None
             and dst.gpu is not None
-            and self.fabric.topo.can_peer_map(src.gpu, dst.gpu)
+            and self.fabric.spec.can_peer_map(src.gpu, dst.gpu)
         )
 
     def _staged_execute(self, desc: TransferDescriptor) -> Event:
-        overhead = self.fabric.config.params.cuda_ipc_put_overhead
+        overhead = self.fabric.spec.params.cuda_ipc_put_overhead
         engine_res = self.fabric.copy_engine[desc.src.gpu]
         engine = self.engine
 

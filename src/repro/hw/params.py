@@ -17,7 +17,7 @@ Sources for the defaults:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from repro.units import GBps, Gbps, us, ns
 
@@ -98,33 +98,12 @@ class GH200Params:
         return replace(self, **kw)
 
 
-@dataclass(frozen=True)
-class TestbedConfig:
-    """Shape of the simulated machine (paper: 2 nodes x 4 GH200)."""
-
-    n_nodes: int = 2
-    gpus_per_node: int = 4
-    params: GH200Params = field(default_factory=GH200Params)
-
-    @property
-    def n_gpus(self) -> int:
-        return self.n_nodes * self.gpus_per_node
-
-    def with_overrides(self, **kw) -> "TestbedConfig":
-        return replace(self, **kw)
-
-    def spec(self):
-        """This config re-expressed as the canonical GH200
-        :class:`~repro.hw.spec.schema.MachineSpec` (what the fabric
-        builds; byte-identical behaviour is pinned by the determinism
-        regression)."""
-        from repro.hw.spec.catalog import gh200_spec  # local: avoids cycle
-
-        return gh200_spec(self.n_nodes, self.gpus_per_node, self.params)
-
+# The paper's machines are catalog specs; imported after GH200Params
+# because the catalog builds its specs from it.
+from repro.hw.spec.catalog import SPECS  # noqa: E402
 
 #: The testbed of the paper: two nodes, four GH200 superchips each.
-PAPER_TESTBED = TestbedConfig()
+PAPER_TESTBED = SPECS["gh200-2x4"]
 
 #: Single-node variant used by the intra-node experiments.
-ONE_NODE = TestbedConfig(n_nodes=1)
+ONE_NODE = SPECS["gh200-1x4"]

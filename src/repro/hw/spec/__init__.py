@@ -10,7 +10,6 @@ canonical catalog entry (:func:`gh200_spec`).
 
 from repro.hw.spec.catalog import (
     SPECS,
-    as_spec,
     dgx_nvswitch_spec,
     gh200_node,
     gh200_spec,
@@ -37,7 +36,6 @@ __all__ = [
     "RouteSearchError",
     "SPECS",
     "SpecError",
-    "as_spec",
     "dgx_nvswitch_spec",
     "gh200_node",
     "gh200_spec",

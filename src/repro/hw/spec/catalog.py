@@ -12,9 +12,9 @@ stream-triggered systems are closer to this shape than to a GH200).
 
 from __future__ import annotations
 
-from typing import Dict, Union
+from typing import Dict
 
-from repro.hw.params import GH200Params, TestbedConfig
+from repro.hw.params import GH200Params
 from repro.hw.spec.schema import (
     GpuSpec,
     Interconnect,
@@ -140,13 +140,3 @@ def named_spec(name: str) -> MachineSpec:
         raise SpecError(f"unknown machine spec {name!r}; known: {sorted(SPECS)}")
     return spec
 
-
-def as_spec(config: Union[MachineSpec, TestbedConfig]) -> MachineSpec:
-    """Coerce a legacy :class:`TestbedConfig` (or pass through a spec)."""
-    if isinstance(config, MachineSpec):
-        return config
-    if isinstance(config, TestbedConfig):
-        return gh200_spec(config.n_nodes, config.gpus_per_node, config.params)
-    raise TypeError(
-        f"expected MachineSpec or TestbedConfig, got {type(config).__name__}"
-    )

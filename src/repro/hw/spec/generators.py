@@ -114,6 +114,8 @@ def dragonfly(
 # -- generator-name grammar ---------------------------------------------------
 _GEN_RE = re.compile(r"^(fat-tree|dragonfly)-(\d+)((?:-[a-z]\d+)*)$")
 _OPT_RE = re.compile(r"-([a-z])(\d+)")
+#: The options each generator takes, by kind.
+_OPTIONS = {"fat-tree": ("r", "n", "l", "s"), "dragonfly": ("r", "n", "g")}
 
 
 def parse_machine(name: str) -> Optional[MachineSpec]:
@@ -121,37 +123,42 @@ def parse_machine(name: str) -> Optional[MachineSpec]:
 
     Grammar: ``fat-tree-<gpus>`` / ``dragonfly-<gpus>`` with optional
     ``-r<rails> -n<gpus_per_node> -l<nodes_per_leaf> -s<spines_per_rail>
-    -g<nodes_per_group>`` suffixes in any order.
+    -g<nodes_per_group>`` suffixes in any order, each at most once and
+    at least 1.
     """
     m = _GEN_RE.match(name)
     if m is None:
         return None
     kind, gpus, rest = m.group(1), int(m.group(2)), m.group(3)
-    opts = {key: int(val) for key, val in _OPT_RE.findall(rest)}
-
-    def take(key: str, default):
-        return opts.pop(key, default)
+    opts: Dict[str, int] = {}
+    for key, val in _OPT_RE.findall(rest):
+        if key not in _OPTIONS[kind]:
+            raise SpecError(
+                f"machine {name!r}: unknown option -{key}{val} "
+                f"({kind} takes -{', -'.join(_OPTIONS[kind])})"
+            )
+        if key in opts:
+            raise SpecError(f"machine {name!r}: option -{key} given twice")
+        if int(val) < 1:
+            raise SpecError(f"machine {name!r}: option -{key}{val} must be at least 1")
+        opts[key] = int(val)
 
     if kind == "fat-tree":
-        spec = fat_tree(
+        return fat_tree(
             gpus=gpus,
-            gpus_per_node=take("n", 8),
-            rails=take("r", 4),
-            nodes_per_leaf=take("l", 8),
-            spines_per_rail=take("s", None),
+            gpus_per_node=opts.get("n", 8),
+            rails=opts.get("r", 4),
+            nodes_per_leaf=opts.get("l", 8),
+            spines_per_rail=opts.get("s"),
             name=name,
         )
-    else:
-        spec = dragonfly(
-            gpus=gpus,
-            gpus_per_node=take("n", 8),
-            rails=take("r", 2),
-            nodes_per_group=take("g", 8),
-            name=name,
-        )
-    if opts:
-        raise SpecError(f"machine {name!r}: unknown option(s) {sorted(opts)}")
-    return spec
+    return dragonfly(
+        gpus=gpus,
+        gpus_per_node=opts.get("n", 8),
+        rails=opts.get("r", 2),
+        nodes_per_group=opts.get("g", 8),
+        name=name,
+    )
 
 
 def resolve_machine(name: str) -> MachineSpec:

@@ -43,6 +43,15 @@ STAGE_DST_LOCAL = 7    # host->device ingress (c2c, pcie)
 STAGE_HOSTMEM_RX = 8   # destination-side pageable-memory write port
 
 
+#: The GH200Params fields a spec builder copies into its link classes.
+#: A spec built with one value keeps it in its links, so only a rebuild
+#: (``gh200_spec(n_nodes, gpus_per_node, params)``) may change them.
+LINK_PARAMS = frozenset({
+    "hbm_bw", "nvlink_bw", "nvlink_latency", "c2c_bw", "c2c_latency",
+    "host_mem_bw", "ib_bw", "ib_latency",
+})
+
+
 class SpecError(ValueError):
     """An inconsistent or unbuildable machine description."""
 
@@ -208,7 +217,7 @@ class MachineSpec:
         if self.fabric is not None:
             self.fabric.check(self)
 
-    # -- shape queries (Topology delegates here) -----------------------------
+    # -- shape queries -------------------------------------------------------
     # Every GPU-indexed query answers from two tables built on first use
     # and cached on this spec object: they are not fields, so ``==``,
     # ``hash`` and the spec's content hash never see them.
@@ -249,6 +258,9 @@ class MachineSpec:
         if 0 <= gpu < len(gpu_node):
             return gpu_node[gpu]
         raise IndexError(f"gpu {gpu} out of range (n_gpus={len(gpu_node)})")
+
+    def same_node(self, a: int, b: int) -> bool:
+        return self.node_of(a) == self.node_of(b)
 
     def node_spec_of(self, gpu: int) -> NodeSpec:
         return self.nodes[self.node_of(gpu)]
@@ -293,5 +305,15 @@ class MachineSpec:
         return (gpu - self._node_base[node]) % self.fabric.rails
 
     def with_params(self, **kw) -> "MachineSpec":
-        """Copy with software/protocol constants overridden (ablations)."""
+        """Copy with software/protocol constants overridden (ablations).
+
+        A link constant (:data:`LINK_PARAMS`) raises :class:`SpecError`:
+        the copy would keep the old value in its link classes.
+        """
+        wired = sorted(LINK_PARAMS.intersection(kw))
+        if wired:
+            raise SpecError(
+                f"with_params cannot change link constant(s) {wired}; "
+                "rebuild the spec with gh200_spec(n_nodes, gpus_per_node, params)"
+            )
         return replace(self, params=self.params.with_overrides(**kw))

@@ -1,18 +1,14 @@
-"""Machine topology and the Fabric: links, routes, and the dataplane.
+"""The Fabric: a machine's links, routes, and the dataplane.
 
-:class:`Topology` answers shape queries (which node owns a GPU, who is a
-peer) over a :class:`~repro.hw.spec.schema.MachineSpec` — or over a legacy
-:class:`~repro.hw.params.TestbedConfig`, which is coerced to the canonical
-GH200 spec (paper Section V: ``n_nodes`` nodes of NVLink-meshed GH200
-superchips with one ConnectX-7 NIC each).
-
-:class:`Fabric` compiles the spec into a typed link graph
-(:class:`~repro.hw.spec.graph.LinkGraph`), resolves a route for any
-(source buffer, destination buffer) pair by graph search — memoized per
-(src-port, dst-port) in a route cache, so the hot transfer path never
-re-searches — and owns the :class:`~repro.dataplane.plane.Dataplane`
-every transfer is submitted to (``fabric.dataplane.put`` / ``rma_put`` /
-``control``).
+:class:`Fabric` compiles a :class:`~repro.hw.spec.schema.MachineSpec` into
+a typed link graph (:class:`~repro.hw.spec.graph.LinkGraph`), resolves a
+route for any (source buffer, destination buffer) pair by graph search —
+memoized per (src-port, dst-port) in a route cache, so the hot transfer
+path never re-searches — and owns the
+:class:`~repro.dataplane.plane.Dataplane` every transfer is submitted to
+(``fabric.dataplane.put`` / ``rma_put`` / ``control``).  Shape and
+capability queries (``node_of``, ``same_node``, ``can_peer_map``) are the
+spec's own, read as ``fabric.spec``.
 
 Each fabric takes its path policy and fault schedule from the run it is
 built in (:func:`repro.sim.run.current`).
@@ -20,15 +16,13 @@ built in (:func:`repro.sim.run.current`).
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple, Union
+from typing import Dict, List, Tuple
 
 from repro.dataplane.plane import Dataplane
 from repro.dataplane.policy import policy_by_name
 from repro.hw import faults as hw_faults
 from repro.hw.links import Link, LinkState
 from repro.hw.memory import Buffer, MemSpace
-from repro.hw.params import TestbedConfig
-from repro.hw.spec.catalog import as_spec
 from repro.hw.spec.graph import LinkGraph, Port, RouteSearchError
 from repro.hw.spec.schema import MachineSpec
 from repro.sim.engine import Engine
@@ -38,56 +32,6 @@ from repro.sim.run import current
 #: Global GPU index (0 .. n_gpus-1); node-local index is position on the node.
 GpuId = int
 
-#: Anything that describes a machine: a declarative spec or the legacy config.
-MachineLike = Union[MachineSpec, TestbedConfig]
-
-
-class Topology:
-    """Pure shape and capability queries over a machine description."""
-
-    def __init__(self, config: MachineLike) -> None:
-        self.config = config
-        self.spec = as_spec(config)
-
-    @property
-    def n_nodes(self) -> int:
-        return self.spec.n_nodes
-
-    @property
-    def gpus_per_node(self) -> int:
-        uniform = self.spec.uniform_gpus_per_node
-        if uniform is None:
-            raise ValueError(
-                f"machine {self.spec.name!r} has heterogeneous nodes; "
-                "use gpus_on_node(node) instead"
-            )
-        return uniform
-
-    @property
-    def n_gpus(self) -> int:
-        return self.spec.n_gpus
-
-    def node_of(self, gpu: GpuId) -> int:
-        return self.spec.node_of(gpu)
-
-    def local_index(self, gpu: GpuId) -> int:
-        return gpu - self.spec.gpu_base(self.spec.node_of(gpu))
-
-    def same_node(self, a: GpuId, b: GpuId) -> bool:
-        return self.node_of(a) == self.node_of(b)
-
-    def can_peer_map(self, a: GpuId, b: GpuId) -> bool:
-        """May GPU ``a`` map GPU ``b``'s memory (cudaIpcOpenMemHandle)?
-
-        Derived from the spec's interconnect, not from node distance: a
-        host-staged (no-P2P PCIe) node refuses even same-node mappings.
-        """
-        return self.spec.can_peer_map(a, b)
-
-    def gpus_on_node(self, node: int) -> List[GpuId]:
-        base = self.spec.gpu_base(node)
-        return list(range(base, base + self.spec.nodes[node].n_gpus))
-
 
 class RouteError(Exception):
     """No path exists between the requested buffer locations."""
@@ -96,12 +40,10 @@ class RouteError(Exception):
 class Fabric:
     """All links of one machine plus route resolution and transfers."""
 
-    def __init__(self, engine: Engine, config: MachineLike) -> None:
+    def __init__(self, engine: Engine, spec: MachineSpec) -> None:
         run = current()
         self.engine = engine
-        self.config = config
-        self.spec = as_spec(config)
-        self.topo = Topology(config)
+        self.spec = spec
         self.graph = LinkGraph(engine, self.spec)
         #: The one mutation surface for link health (DESIGN.md §17);
         #: every mutation bumps its epoch and invalidates route caches.
@@ -135,7 +77,7 @@ class Fabric:
 
         self.copy_engine: Dict[GpuId, Resource] = {
             g: Resource(engine, capacity=1, name=f"gpu{g}.ce")
-            for g in range(self.topo.n_gpus)
+            for g in range(spec.n_gpus)
         }
 
         #: The single submission point for every simulated byte.  Path
@@ -210,4 +152,4 @@ class Fabric:
         """'local' | 'nvlink' | 'ib' — used by protocol selection."""
         if a == b:
             return "local"
-        return "nvlink" if self.topo.same_node(a, b) else "ib"
+        return "nvlink" if self.spec.same_node(a, b) else "ib"

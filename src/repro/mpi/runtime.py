@@ -30,7 +30,7 @@ class MpiRuntime:
         self.device = device
         self.engine = world.engine
         self.fabric = world.fabric
-        self.params = world.fabric.config.params
+        self.params = world.fabric.spec.params
         self.node = device.node
 
         # Populated during init().

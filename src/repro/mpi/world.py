@@ -28,7 +28,8 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 from repro.cuda.device import Device
 from repro.cuda.timing import CostModel
 from repro.hw.params import PAPER_TESTBED
-from repro.hw.topology import Fabric, MachineLike
+from repro.hw.spec.schema import MachineSpec
+from repro.hw.topology import Fabric
 from repro.mpi.comm import CommGroup, Communicator
 from repro.mpi.errors import MpiUsageError
 from repro.mpi.runtime import MpiRuntime
@@ -100,7 +101,7 @@ class World:
 
     def __init__(
         self,
-        config: Optional[MachineLike] = None,
+        spec: Optional[MachineSpec] = None,
         cost: Optional[CostModel] = None,
         fabric: Optional[Fabric] = None,
     ) -> None:
@@ -110,20 +111,19 @@ class World:
         #: fabric's) leaves the host's alone.
         self._owns_engine = fabric is None
         if fabric is None:
-            fabric = Fabric(Engine(), PAPER_TESTBED if config is None else config)
-        elif config is not None:
+            fabric = Fabric(Engine(), PAPER_TESTBED if spec is None else spec)
+        elif spec is not None:
             raise MpiUsageError(
-                "World takes a config or a fabric, not both: an embedded "
+                "World takes a spec or a fabric, not both: an embedded "
                 "World runs on the fabric's machine"
             )
-        self.config = fabric.config
         self.fabric = fabric
         self.engine = fabric.engine
         # An explicit cost model applies to every device; otherwise each
         # device derives its own from the machine spec's per-GPU constants.
         self.cost = cost
         self.devices: List[Device] = [
-            Device(self.fabric, g, cost) for g in range(self.fabric.topo.n_gpus)
+            Device(self.fabric, g, cost) for g in range(self.fabric.spec.n_gpus)
         ]
         # Registries; close() drops every one of them.
         self._addresses: Dict[int, WorkerAddress] = {}
@@ -192,7 +192,7 @@ class World:
         that fabric's engine and lets the window driver advance time —
         :meth:`run` is launch + ``engine.run``.
         """
-        n_gpus = self.fabric.topo.n_gpus
+        n_gpus = self.fabric.spec.n_gpus
         nprocs = nprocs if nprocs is not None else n_gpus
         if not 1 <= nprocs <= n_gpus:
             raise MpiUsageError(

@@ -211,7 +211,7 @@ def prequest_create(
         )
     if mode is CopyMode.KERNEL_COPY:
         target = sreq.rkey_data.target
-        if target.gpu is None or not sreq.rt.fabric.topo.can_peer_map(device.gpu_id, target.gpu):
+        if target.gpu is None or not sreq.rt.fabric.spec.can_peer_map(device.gpu_id, target.gpu):
             msg = (
                 "Kernel-Copy mode requires an IPC-mappable (P2P-reachable) "
                 "device-memory peer; use PROGRESSION_ENGINE otherwise"

@@ -100,11 +100,11 @@ class FusedPallreduce(PersistentRequest):
             )
         if not sendbuf.same_allocation(recvbuf):
             raise MpiUsageError("the fused collective is in-place (sendbuf is recvbuf)")
-        topo = comm.rt.fabric.topo
+        spec = comm.rt.fabric.spec
         peers = [comm.world_rank_of(r) for r in range(comm.size)]
         peer_gpus = [comm.rt.world.devices[p].gpu_id for p in peers]
         if not all(
-            topo.can_peer_map(a, b) for a in peer_gpus for b in peer_gpus
+            spec.can_peer_map(a, b) for a in peer_gpus for b in peer_gpus
         ):
             raise MpiUsageError(
                 "fused pallreduce requires a peer-mappable clique "

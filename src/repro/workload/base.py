@@ -2,11 +2,10 @@
 
 A :class:`Workload` declares a name, a default machine, and an
 ``_execute`` body; :meth:`Workload.run` supplies everything around it —
-machine resolution (names, :class:`~repro.hw.spec.schema.MachineSpec`,
-legacy :class:`~repro.hw.params.TestbedConfig`), path-policy selection,
-``events_popped`` accounting against the module :data:`~repro.sim.engine.
-STATS` singleton, and the SHA-256 series digest — and returns a typed
-:class:`WorkloadResult`.
+machine resolution (a name or a :class:`~repro.hw.spec.schema.MachineSpec`),
+path-policy selection, ``events_popped`` accounting against the module
+:data:`~repro.sim.engine.STATS` singleton, and the SHA-256 series digest —
+and returns a typed :class:`WorkloadResult`.
 
 Every pre-existing driver in the repo (fig2–fig11/table1, the Jacobi and
 DL apps, the shard workloads, the bench suite entries) is a Workload; the
@@ -30,9 +29,8 @@ from typing import Any, Dict, Optional, Union
 
 from repro.bench.series import Series
 from repro.dataplane.policy import policy_by_name
-from repro.hw.spec.catalog import as_spec
 from repro.hw.faults import FaultSchedule
-from repro.hw.topology import MachineLike
+from repro.hw.spec.schema import MachineSpec
 from repro.sim.engine import STATS
 from repro.sim.run import run_scope
 
@@ -86,17 +84,13 @@ def series_digest(series: Series) -> str:
 # machine + policy resolution
 # --------------------------------------------------------------------------
 
-def resolve_machine_arg(machine: Union[str, MachineLike]) -> MachineLike:
-    """A machine name (catalog or generator grammar) or MachineLike."""
+def resolve_machine_arg(machine: Union[str, MachineSpec]) -> MachineSpec:
+    """A machine name (catalog or generator grammar) or a MachineSpec."""
     if isinstance(machine, str):
         from repro.hw.spec.generators import resolve_machine
 
         return resolve_machine(machine)
     return machine
-
-
-def machine_label(machine: MachineLike) -> str:
-    return as_spec(machine).name
 
 
 # --------------------------------------------------------------------------
@@ -165,13 +159,13 @@ class Workload:
     """Base class: subclass, set ``name``/``default_machine``, implement
     :meth:`_execute` returning an :class:`ExecOutcome`.
 
-    ``default_machine`` may be a MachineLike or a resolvable name; ``None``
+    ``default_machine`` may be a MachineSpec or a resolvable name; ``None``
     means the workload binds its own canonical machines internally (the
     multi-machine paper exhibits) and ignores overrides it was not given.
     """
 
     name: str = ""
-    default_machine: Optional[Union[str, MachineLike]] = None
+    default_machine: Optional[Union[str, MachineSpec]] = None
     #: Default parameters, merged under explicit ``run(**params)``;
     #: also the parameter half of :meth:`fingerprint`.
     defaults: Dict[str, Any] = {}
@@ -186,7 +180,9 @@ class Workload:
         return {"workload": self.name, "params": {**self.defaults, **params}}
 
     # -- execution ----------------------------------------------------------
-    def resolve_machine(self, machine: Optional[Union[str, MachineLike]]) -> Optional[MachineLike]:
+    def resolve_machine(
+        self, machine: Optional[Union[str, MachineSpec]]
+    ) -> Optional[MachineSpec]:
         if machine is None:
             machine = self.default_machine
         if machine is None:
@@ -195,7 +191,7 @@ class Workload:
 
     def run(
         self,
-        machine: Optional[Union[str, MachineLike]] = None,
+        machine: Optional[Union[str, MachineSpec]] = None,
         policy: Optional[str] = None,
         shards: Optional[int] = None,
         faults: Optional[Any] = None,
@@ -241,9 +237,7 @@ class Workload:
         digests = {"series": series_digest(outcome.series), **outcome.digests}
         return WorkloadResult(
             workload=self.name,
-            machine=(
-                machine_label(resolved) if resolved is not None else "exhibit-canonical"
-            ),
+            machine=resolved.name if resolved is not None else "exhibit-canonical",
             policy=policy if policy is not None else "default",
             mode=outcome.mode,
             series=outcome.series,
@@ -254,7 +248,7 @@ class Workload:
         )
 
     def _execute(
-        self, machine: Optional[MachineLike], shards: Optional[int], **params: Any
+        self, machine: Optional[MachineSpec], shards: Optional[int], **params: Any
     ) -> ExecOutcome:
         raise NotImplementedError
 

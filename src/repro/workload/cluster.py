@@ -12,8 +12,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.bench.series import Series
-from repro.hw.spec.catalog import as_spec
-from repro.hw.topology import MachineLike
+from repro.hw.spec.schema import MachineSpec
 from repro.workload.base import ExecOutcome, Workload
 from repro.workload.registry import register
 
@@ -30,10 +29,9 @@ class ClusterWorkload(Workload):
         self.name = name
         self.defaults = resolve_workload(name).defaults
 
-    def _execute(self, machine: Optional[MachineLike], shards, **params) -> ExecOutcome:
+    def _execute(self, spec: Optional[MachineSpec], shards, **params) -> ExecOutcome:
         from repro.shard import ClusterJob
 
-        spec = as_spec(machine)
         job = ClusterJob(spec, self.name, cfg=params, collect_steps=True)
         result = job.run(workers=shards)
         sig = result.signature()

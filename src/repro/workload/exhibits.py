@@ -24,7 +24,7 @@ from repro.bench import multipath
 from repro.bench import p2p as p2p_bench
 from repro.bench.series import Series
 from repro.hw.params import ONE_NODE, PAPER_TESTBED
-from repro.hw.topology import MachineLike
+from repro.hw.spec.schema import MachineSpec
 from repro.partitioned.aggregation import SignalMode
 from repro.units import us, GBps, MiB, fmt_bytes
 from repro.workload.base import ExecOutcome, Workload
@@ -42,10 +42,10 @@ FIG1011_GRIDS = (256, 1024, 4096)
 class ExhibitWorkload(Workload):
     """A paper exhibit: params are the sweep axes, result is one Series."""
 
-    def _execute(self, machine: Optional[MachineLike], shards, **params) -> ExecOutcome:
+    def _execute(self, machine: Optional[MachineSpec], shards, **params) -> ExecOutcome:
         return ExecOutcome(series=self._series(machine, **params))
 
-    def _series(self, machine: Optional[MachineLike], **params) -> Series:
+    def _series(self, machine: Optional[MachineSpec], **params) -> Series:
         raise NotImplementedError
 
 

@@ -71,8 +71,7 @@ import numpy as np
 
 from repro.bench.series import Series
 from repro.hw.memory import Buffer, MemSpace
-from repro.hw.spec.catalog import as_spec
-from repro.hw.topology import MachineLike
+from repro.hw.spec.schema import MachineSpec
 from repro.units import us
 from repro.workload.base import (
     ExecOutcome,
@@ -568,7 +567,7 @@ class LocalLink:
                 gpu = idx - self.gpu_base
                 buf = Buffer.alloc_virtual(
                     1, np.uint8, MemSpace.DEVICE,
-                    node=self.fabric.topo.node_of(gpu), gpu=gpu,
+                    node=self.fabric.spec.node_of(gpu), gpu=gpu,
                     label=f"replay.g{idx}.{side}",
                 )
             else:
@@ -628,9 +627,8 @@ class ReplayWorkload(Workload):
             return "cluster"
         return "world"
 
-    def _execute(self, machine: Optional[MachineLike], shards, **params) -> ExecOutcome:
+    def _execute(self, spec: Optional[MachineSpec], shards, **params) -> ExecOutcome:
         sched = self.schedule
-        spec = as_spec(machine)
         n_gpus = spec.n_gpus
         if sched.ranks > n_gpus:
             raise ReplayError(
@@ -646,9 +644,9 @@ class ReplayWorkload(Workload):
             )
         if mode == "cluster":
             return self._execute_cluster(spec, ops, shards)
-        return self._execute_world(machine, ops)
+        return self._execute_world(spec, ops)
 
-    def _execute_world(self, machine: MachineLike, ops) -> ExecOutcome:
+    def _execute_world(self, spec: MachineSpec, ops) -> ExecOutcome:
         """Replay on one engine against the full fabric.
 
         Unobserved runs replay as a captured graph: the fabric lives on a
@@ -664,7 +662,7 @@ class ReplayWorkload(Workload):
 
         graphs = collapsible()
         engine = GraphEngine() if graphs else Engine()
-        fabric = Fabric(engine, machine)
+        fabric = Fabric(engine, spec)
         if graphs:
             fabric.dataplane.enable_plan_cache()
         link = LocalLink(engine, fabric)

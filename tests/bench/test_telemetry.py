@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.bench.telemetry import report, snapshot
-from repro.hw.params import ONE_NODE, TestbedConfig
+from repro.hw.params import ONE_NODE
+from repro.hw.spec.catalog import SPECS
 from repro.mpi.world import World
 from repro.partitioned.prequest import CopyMode
 from repro.partitioned import device as pdev
@@ -76,7 +77,7 @@ def test_intra_node_send_uses_no_nic():
 
 
 def test_inter_node_payload_crosses_nic_once():
-    config = TestbedConfig(n_nodes=2, gpus_per_node=1)
+    config = SPECS["gh200-2x1"]
     world = World(config)
     n = 8192
 

@@ -10,7 +10,7 @@ from repro.analyze.model import Project
 from repro.analyze.registry import all_passes
 from repro.analyze.rules import apply_suppressions, run_passes
 from repro.cuda.device import Device
-from repro.hw.params import ONE_NODE, PAPER_TESTBED, TestbedConfig
+from repro.hw.params import ONE_NODE, PAPER_TESTBED
 from repro.hw.topology import Fabric
 from repro.mpi.world import World
 from repro.obs.bus import Bus

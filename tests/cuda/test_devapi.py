@@ -21,7 +21,7 @@ def _run_body(engine, gpu, body, grid=1, block=64):
 
 
 def test_single_flag_write_cost(engine, gpu):
-    p = gpu.fabric.config.params
+    p = gpu.fabric.spec.params
     f = Flag(engine)
     stamps = {}
 
@@ -36,7 +36,7 @@ def test_single_flag_write_cost(engine, gpu):
 
 
 def test_n_flag_writes_serialize(engine, gpu):
-    p = gpu.fabric.config.params
+    p = gpu.fabric.spec.params
     c = Counter(engine)
     stamps = {}
 
@@ -52,7 +52,7 @@ def test_n_flag_writes_serialize(engine, gpu):
 
 def test_flag_writes_from_blocks_contend_on_c2c(engine, gpu):
     """Two blocks' flag stores serialize on the C2C port."""
-    p = gpu.fabric.config.params
+    p = gpu.fabric.spec.params
     c = Counter(engine)
     ends = []
 
@@ -89,7 +89,7 @@ def test_kernel_copy_moves_data_and_fences(engine, fabric):
     gpu0, gpu1 = Device(fabric, 0), Device(fabric, 1)
     src = gpu0.alloc(64, fill=3.0)
     dst = gpu1.alloc(64)
-    p = fabric.config.params
+    p = fabric.spec.params
     stamps = {}
 
     def body(blk):

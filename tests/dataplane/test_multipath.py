@@ -26,7 +26,7 @@ def _mk(config=ONE_NODE):
 
 
 def dev(fab, gpu, n=8, fill=None, virtual=False):
-    node = fab.topo.node_of(gpu)
+    node = fab.spec.node_of(gpu)
     if virtual:
         return Buffer.alloc_virtual(n, space=MemSpace.DEVICE, node=node, gpu=gpu)
     return Buffer.alloc(n, space=MemSpace.DEVICE, node=node, gpu=gpu, fill=fill)

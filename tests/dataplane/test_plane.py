@@ -5,7 +5,8 @@ import pytest
 
 from repro.dataplane import Dataplane, MultiPathPolicy, SinglePathPolicy, policy_by_name
 from repro.hw.memory import Buffer, MemSpace
-from repro.hw.params import ONE_NODE, TestbedConfig
+from repro.hw.params import ONE_NODE
+from repro.hw.spec.catalog import SPECS
 from repro.hw.topology import Fabric
 from repro.sim.engine import Engine
 from repro.sim.run import run_scope
@@ -18,7 +19,7 @@ def _mk(config=ONE_NODE):
 
 def dev(fab, gpu, n=8, fill=None):
     return Buffer.alloc(
-        n, space=MemSpace.DEVICE, node=fab.topo.node_of(gpu), gpu=gpu, fill=fill
+        n, space=MemSpace.DEVICE, node=fab.spec.node_of(gpu), gpu=gpu, fill=fill
     )
 
 
@@ -90,7 +91,7 @@ def test_rma_put_stages_through_copy_engine():
 
 def test_rma_put_no_peer_mapping_goes_direct():
     """Inter-node D2D cannot IPC-map; rma_put must not touch a copy engine."""
-    engine, fab = _mk(TestbedConfig(n_nodes=2, gpus_per_node=1))
+    engine, fab = _mk(SPECS["gh200-2x1"])
     src, dst = dev(fab, 0, fill=2.0), dev(fab, 1)
 
     def body():

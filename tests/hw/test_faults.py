@@ -18,7 +18,7 @@ def _mk(machine="gh200-1x4"):
 
 def dev(fab, gpu, n=8, fill=None):
     return Buffer.alloc(
-        n, space=MemSpace.DEVICE, node=fab.topo.node_of(gpu), gpu=gpu, fill=fill
+        n, space=MemSpace.DEVICE, node=fab.spec.node_of(gpu), gpu=gpu, fill=fill
     )
 
 

@@ -1,16 +1,20 @@
-"""Parameter plumbing: defaults, overrides, immutability."""
+"""Parameter plumbing: defaults, overrides, immutability, the paper's machines."""
 
 import dataclasses
 
 import pytest
 
-from repro.hw.params import GH200Params, ONE_NODE, PAPER_TESTBED, TestbedConfig
+from repro.bench.p2p import TWO_NODE_PAIR
+from repro.hw.params import GH200Params, ONE_NODE, PAPER_TESTBED
+from repro.hw.spec.catalog import SPECS, gh200_spec
+from repro.hw.spec.schema import LINK_PARAMS, SpecError
+from repro.mpi.world import World
 from repro.units import GBps, us
 
 
 def test_paper_testbed_shape():
     assert PAPER_TESTBED.n_nodes == 2
-    assert PAPER_TESTBED.gpus_per_node == 4
+    assert PAPER_TESTBED.uniform_gpus_per_node == 4
     assert PAPER_TESTBED.n_gpus == 8
     assert ONE_NODE.n_gpus == 4
 
@@ -36,14 +40,6 @@ def test_with_overrides_returns_copy():
     assert fast.nvlink_bw == base.nvlink_bw
 
 
-def test_config_overrides_compose():
-    cfg = PAPER_TESTBED.with_overrides(
-        params=PAPER_TESTBED.params.with_overrides(ib_latency=10 * us)
-    )
-    assert cfg.params.ib_latency == pytest.approx(10 * us)
-    assert cfg.n_nodes == 2
-
-
 def test_fig3_ratio_constants():
     """flag_write_base/flag_write_host encode the paper's Fig 3 ratios."""
     p = GH200Params()
@@ -54,14 +50,28 @@ def test_fig3_ratio_constants():
     assert 8 < warp / block < 11            # paper: 9.4x
 
 
-def test_config_spec_roundtrip():
-    """TestbedConfig.spec() is the canonical GH200 spec with the same
-    shape and constants."""
-    spec = PAPER_TESTBED.spec()
-    assert spec.name == "gh200-2x4"
-    assert spec.n_gpus == PAPER_TESTBED.n_gpus
-    assert spec.params is PAPER_TESTBED.params
-    tuned = PAPER_TESTBED.with_overrides(
-        params=PAPER_TESTBED.params.with_overrides(ib_latency=10 * us)
-    )
-    assert tuned.spec().params.ib_latency == pytest.approx(10 * us)
+def test_paper_machines_are_the_catalog_specs():
+    assert ONE_NODE is SPECS["gh200-1x4"]
+    assert PAPER_TESTBED is SPECS["gh200-2x4"]
+    assert TWO_NODE_PAIR is SPECS["gh200-2x1"]
+    with World(ONE_NODE) as world:
+        assert world.fabric.spec is ONE_NODE  # no per-World spec rebuild
+
+
+def test_with_params_takes_software_constants_only():
+    """Link constants live in the spec's link classes: ``with_params``
+    refuses them, ``gh200_spec`` rebuilds the links from new params, and
+    a software constant changes ``params`` alone."""
+    for name in sorted(LINK_PARAMS):
+        with pytest.raises(SpecError, match=rf"{name}.*gh200_spec"):
+            PAPER_TESTBED.with_params(**{name: 1.0})
+    p = PAPER_TESTBED.params.with_overrides(ib_latency=10 * us, host_mem_bw=100 * GBps)
+    rebuilt = gh200_spec(2, 4, p)
+    assert rebuilt.params is p
+    assert rebuilt.nic_out.latency == pytest.approx(5 * us)
+    assert rebuilt.nic_in.latency == pytest.approx(5 * us)
+    assert rebuilt.nodes[0].hostmem.bandwidth == pytest.approx(100 * GBps)
+    tuned = PAPER_TESTBED.with_params(progress_poll_latency=0.1 * us)
+    assert tuned.params.progress_poll_latency == pytest.approx(0.1 * us)
+    assert tuned.nodes == PAPER_TESTBED.nodes
+    assert tuned.nic_out == PAPER_TESTBED.nic_out

@@ -11,7 +11,6 @@ import pytest
 
 from repro.cuda.ipc import IpcError, IpcMemHandle
 from repro.hw.memory import Buffer, MemSpace
-from repro.hw.params import PAPER_TESTBED
 from repro.hw.spec import (
     GpuSpec,
     Interconnect,
@@ -19,14 +18,13 @@ from repro.hw.spec import (
     MachineSpec,
     NodeSpec,
     SpecError,
-    as_spec,
     dgx_nvswitch_spec,
     gh200_spec,
     named_spec,
     pcie_nop2p_spec,
 )
 from repro.hw.spec.cli import validate_spec
-from repro.hw.topology import Fabric, Topology
+from repro.hw.topology import Fabric
 from repro.sim.engine import Engine
 from repro.units import GBps, us
 
@@ -39,17 +37,17 @@ def _fabric(spec):
 
 def _buf(fab, space, gpu=None, node=None, n=8):
     if gpu is not None:
-        node = fab.topo.node_of(gpu)
+        node = fab.spec.node_of(gpu)
     return Buffer.alloc(n, space=space, node=node or 0, gpu=gpu)
 
 
 def _endpoint_buffers(fab):
     """One buffer per (MemSpace, location) combination the spec offers."""
     bufs = []
-    for g in range(fab.topo.n_gpus):
+    for g in range(fab.spec.n_gpus):
         bufs.append(_buf(fab, MemSpace.DEVICE, gpu=g))
         bufs.append(_buf(fab, MemSpace.UNIFIED, gpu=g))
-    for node in range(fab.topo.n_nodes):
+    for node in range(fab.spec.n_nodes):
         bufs.append(_buf(fab, MemSpace.HOST, node=node))
         bufs.append(_buf(fab, MemSpace.PINNED, node=node))
     return bufs
@@ -143,8 +141,8 @@ def test_nop2p_d2d_stages_through_host():
     # Same node, but no P2P: the payload bounces through host PCIe links.
     assert [l.name for l in fab.route(g0, g1)] == ["pcie_d2h0", "pcie_h2d1"]
     # And the peers cannot IPC-map each other despite sharing the node.
-    assert fab.topo.same_node(0, 1)
-    assert not fab.topo.can_peer_map(0, 1)
+    assert fab.spec.same_node(0, 1)
+    assert not fab.spec.can_peer_map(0, 1)
 
 
 def test_nop2p_inter_node_shares_the_node_nic():
@@ -166,30 +164,21 @@ def test_nop2p_rejects_ipc_open_even_intra_node():
     owned = _buf(fab, MemSpace.DEVICE, gpu=1)
     handle = IpcMemHandle(owned)
     with pytest.raises(IpcError, match="peer-to-peer"):
-        handle.open(fab.topo, 0)
+        handle.open(fab.spec, 0)
     # Cross-node keeps the historical wording.
     with pytest.raises(IpcError, match="different nodes"):
-        handle.open(fab.topo, 2)
+        handle.open(fab.spec, 2)
 
 
 def test_switch_peers_can_ipc_map():
-    topo = Topology(dgx_nvswitch_spec(1, 8))
-    assert topo.can_peer_map(0, 7)
-    assert topo.can_peer_map(3, 3)
+    spec = dgx_nvswitch_spec(1, 8)
+    assert spec.can_peer_map(0, 7)
+    assert spec.can_peer_map(3, 3)
 
 
 # --------------------------------------------------------------------------
-# Spec schema and coercion
+# Spec schema
 # --------------------------------------------------------------------------
-
-def test_legacy_config_coerces_to_gh200_spec():
-    spec = as_spec(PAPER_TESTBED)
-    assert spec.name == "gh200-2x4"
-    assert spec.n_nodes == 2 and spec.n_gpus == 8
-    assert spec.params == PAPER_TESTBED.params
-    # Idempotent on an actual spec.
-    assert as_spec(spec) is spec
-
 
 def test_named_spec_lookup():
     assert named_spec("dgx-nvswitch").nodes[0].interconnect is Interconnect.SWITCH

@@ -19,7 +19,6 @@ from repro.hw.spec import GpuSpec, MachineSpec, NodeSpec
 from repro.hw.spec.catalog import SPECS, gh200_node
 from repro.hw.spec.generators import fat_tree, parse_machine, resolve_machine
 from repro.hw.spec.schema import FatTreeFabric, LinkClass
-from repro.hw.topology import Topology
 from repro.units import us
 from repro.workload.registry import get
 from repro.workload.sweep import spec_hash
@@ -148,7 +147,9 @@ def test_tables_equal_linear_definitions(spec):
 @given(ANY_SPEC)
 @settings(max_examples=20, deadline=None)
 def test_with_params_copy_answers_correctly(spec):
-    copy = spec.with_params(ib_latency=2 * spec.params.ib_latency)
+    copy = spec.with_params(
+        progress_poll_latency=2 * spec.params.progress_poll_latency
+    )
     assert copy != spec
     assert_matches_linear(copy)
     assert_bad_ids_raise(copy)
@@ -174,21 +175,21 @@ def test_queries_out_of_range_raise_not_answer():
 
 @pytest.mark.parametrize("name", ["gh200-2x4", "pcie-nop2p"])
 def test_topology_keeps_its_error_texts(name):
-    topo = Topology(SPECS[name])
-    n = topo.n_gpus
+    spec = SPECS[name]
+    n = spec.n_gpus
     msg = rf"gpu {n} out of range \(n_gpus={n}\)"
     for call in (
-        lambda: topo.node_of(n),
-        lambda: topo.local_index(n),
-        lambda: topo.can_peer_map(n, 0),
-        lambda: topo.can_peer_map(0, n),
-        lambda: topo.same_node(0, n),
+        lambda: spec.node_of(n),
+        lambda: spec.can_peer_map(n, 0),
+        lambda: spec.can_peer_map(0, n),
+        lambda: spec.same_node(0, n),
+        lambda: spec.same_node(n, 0),
     ):
         with pytest.raises(IndexError, match=msg):
             call()
     with pytest.raises(IndexError, match=r"node -1 out of range \(n_nodes=2\)"):
-        topo.gpus_on_node(-1)
-    assert topo.can_peer_map(0, 0)
+        spec.gpu_base(-1)
+    assert spec.can_peer_map(0, 0)
 
 
 def test_halo_reads_node_sizes_per_node_not_per_query(monkeypatch):

@@ -1,4 +1,4 @@
-"""Topology shape queries, route resolution, dataplane transfers."""
+"""Machine shape queries, route resolution, dataplane transfers."""
 
 import numpy as np
 import pytest
@@ -6,27 +6,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.hw.memory import Buffer, MemSpace
-from repro.hw.params import ONE_NODE, PAPER_TESTBED, TestbedConfig
-from repro.hw.topology import Fabric, RouteError, Topology
+from repro.hw.params import ONE_NODE, PAPER_TESTBED
+from repro.hw.topology import Fabric, RouteError
 from repro.sim.engine import Engine
 from repro.units import us, GBps
 
 
 def test_topology_shape():
-    t = Topology(PAPER_TESTBED)
-    assert t.n_gpus == 8
-    assert t.node_of(0) == 0 and t.node_of(4) == 1
-    assert t.local_index(5) == 1
-    assert t.same_node(0, 3) and not t.same_node(3, 4)
-    assert t.gpus_on_node(1) == [4, 5, 6, 7]
+    spec = PAPER_TESTBED
+    assert spec.n_gpus == 8
+    assert spec.node_of(0) == 0 and spec.node_of(4) == 1
+    assert spec.same_node(0, 3) and not spec.same_node(3, 4)
 
 
 def test_topology_bounds():
-    t = Topology(ONE_NODE)
     with pytest.raises(IndexError):
-        t.node_of(4)
-    with pytest.raises(IndexError):
-        t.gpus_on_node(1)
+        ONE_NODE.node_of(4)
 
 
 def _mk(engine=None, config=PAPER_TESTBED):
@@ -35,7 +30,7 @@ def _mk(engine=None, config=PAPER_TESTBED):
 
 
 def dev(fab, gpu, n=8):
-    return Buffer.alloc(n, space=MemSpace.DEVICE, node=fab.topo.node_of(gpu), gpu=gpu)
+    return Buffer.alloc(n, space=MemSpace.DEVICE, node=fab.spec.node_of(gpu), gpu=gpu)
 
 
 def host(fab, node, n=8, pinned=False):
@@ -125,7 +120,7 @@ def test_large_transfer_bandwidth_bound():
     n = 1 << 20  # 8 MiB of float64
     done = fab.dataplane.put(dev(fab, 0, n), dev(fab, 1, n))
     eng.run(done)
-    expected = (n * 8) / (150 * GBps) + fab.config.params.nvlink_latency
+    expected = (n * 8) / (150 * GBps) + fab.spec.params.nvlink_latency
     assert eng.now == pytest.approx(expected, rel=1e-6)
 
 
@@ -138,7 +133,7 @@ def test_rma_put_pays_copy_engine_overhead():
     d2 = fab2.dataplane.put(dev(fab2, 0), dev(fab2, 1))
     eng2.run(d2)
     assert with_engine == pytest.approx(
-        eng2.now + fab.config.params.cuda_ipc_put_overhead, rel=1e-6
+        eng2.now + fab.spec.params.cuda_ipc_put_overhead, rel=1e-6
     )
 
 
@@ -147,7 +142,7 @@ def test_rma_put_direct_for_host_buffers():
     d = fab.dataplane.rma_put(host(fab, 0), host(fab, 0))
     eng.run(d)
     no_penalty = eng.now
-    assert no_penalty < fab.config.params.cuda_ipc_put_overhead
+    assert no_penalty < fab.spec.params.cuda_ipc_put_overhead
 
 
 _spaces = st.sampled_from([MemSpace.HOST, MemSpace.PINNED, MemSpace.DEVICE])
@@ -162,7 +157,7 @@ _spaces = st.sampled_from([MemSpace.HOST, MemSpace.PINNED, MemSpace.DEVICE])
 def test_property_every_location_pair_routes_and_delivers(s_space, d_space, s_gpu, d_gpu):
     """Any (space, gpu) pair resolves to a route and delivers payload."""
     eng, fab = _mk()
-    t = fab.topo
+    t = fab.spec
 
     def make(space, gpu):
         node = t.node_of(gpu)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.hw.memory import MemSpace
-from repro.hw.params import ONE_NODE, PAPER_TESTBED, TestbedConfig
+from repro.hw.params import ONE_NODE, PAPER_TESTBED
+from repro.hw.spec.catalog import SPECS
 from repro.mpi.errors import MpiMatchError, MpiUsageError
 from repro.mpi.matching import ANY
 from repro.mpi.requests import waitall
@@ -166,7 +167,7 @@ def test_inter_node_device_send_staged_and_correct():
             yield from comm.recv(rbuf, source=0, tag=0)
             assert np.all(rbuf.data == 3.25)
 
-    World(TestbedConfig(n_nodes=2, gpus_per_node=1)).run(main, nprocs=2)
+    World(SPECS["gh200-2x1"]).run(main, nprocs=2)
 
 
 def test_many_outstanding_messages():

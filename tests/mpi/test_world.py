@@ -65,7 +65,7 @@ def test_ctx_fields():
         assert ctx.comm.size == 3
         assert ctx.comm.rank == ctx.rank
         assert ctx.mpi.initialized
-        assert ctx.params is ctx.world.fabric.config.params
+        assert ctx.params is ctx.world.fabric.spec.params
         return True
 
     assert all(World(ONE_NODE).run(main, nprocs=3))

@@ -111,8 +111,8 @@ def test_closing_an_embedded_world_leaves_the_host_engine_alone():
 
 def test_embedded_world_takes_its_machine_from_the_fabric():
     fabric = Fabric(Engine(), ONE_NODE)
-    assert World(fabric=fabric).config is fabric.config
-    with pytest.raises(MpiUsageError, match="a config or a fabric, not both"):
+    assert len(World(fabric=fabric).devices) == ONE_NODE.n_gpus
+    with pytest.raises(MpiUsageError, match="a spec or a fabric, not both"):
         World(ONE_NODE, fabric=fabric)
 
 def test_run_twice_on_one_open_world():

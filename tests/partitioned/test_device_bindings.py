@@ -6,7 +6,8 @@ import pytest
 
 from repro.cuda.kernel import BlockKernel, UniformKernel
 from repro.cuda.timing import WorkSpec
-from repro.hw.params import ONE_NODE, TestbedConfig
+from repro.hw.params import ONE_NODE
+from repro.hw.spec.catalog import SPECS
 from repro.mpi.errors import MpiStateError, MpiUsageError
 from repro.mpi.world import World
 from repro.partitioned import device as pdev
@@ -14,7 +15,7 @@ from repro.partitioned.aggregation import AggregationSpec, SignalMode
 from repro.partitioned.prequest import CopyMode
 from repro.units import us
 
-INTER = TestbedConfig(n_nodes=2, gpus_per_node=1)
+INTER = SPECS["gh200-2x1"]
 WORK = WorkSpec.vector_add()
 
 

@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.hw.params import ONE_NODE, TestbedConfig
+from repro.hw.params import ONE_NODE
+from repro.hw.spec.catalog import SPECS
 from repro.mpi.errors import MpiStateError, MpiUsageError
 from repro.mpi.world import World
 from repro.units import us
 
-INTER = TestbedConfig(n_nodes=2, gpus_per_node=1)
+INTER = SPECS["gh200-2x1"]
 
 
 def _pair(sender_body, receiver_body):

@@ -5,7 +5,7 @@ import pytest
 
 from repro.cuda.kernel import UniformKernel
 from repro.cuda.timing import WorkSpec
-from repro.hw.params import ONE_NODE, PAPER_TESTBED, TestbedConfig
+from repro.hw.params import ONE_NODE, PAPER_TESTBED
 from repro.mpi.errors import MpiStateError, MpiUsageError
 from repro.mpi.ops import MAX, SUM
 from repro.mpi.world import World

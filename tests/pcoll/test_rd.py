@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.hw.params import ONE_NODE, TestbedConfig
+from repro.hw.params import ONE_NODE
 from repro.mpi.errors import MpiUsageError
 from repro.mpi.ops import MAX, SUM
 from repro.mpi.world import World

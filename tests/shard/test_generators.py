@@ -44,9 +44,23 @@ def test_non_generator_names_return_none():
     assert parse_machine("fat-tree") is None
 
 
-def test_unknown_option_rejected():
-    with pytest.raises(SpecError, match="unknown option"):
-        parse_machine("fat-tree-512-z3")
+_BAD_OPTIONS = {
+    "fat-tree-512-z3": "unknown option -z3",
+    "fat-tree-16-x3": "unknown option -x3",
+    "dragonfly-16-l2": "unknown option -l2",
+    "fat-tree-16-r2-r4": "option -r given twice",
+    "fat-tree-16-n0": "option -n0 must be at least 1",
+    "fat-tree-16-n4-l0": "option -l0 must be at least 1",
+    "dragonfly-16-g0": "option -g0 must be at least 1",
+    "dragonfly-16-n0": "option -n0 must be at least 1",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BAD_OPTIONS))
+def test_bad_option_rejected(name):
+    message = _BAD_OPTIONS[name]
+    with pytest.raises(SpecError, match=message):
+        parse_machine(name)
 
 
 def test_resolve_machine_prefers_catalog():
