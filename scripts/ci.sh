@@ -7,6 +7,14 @@ cd "$(dirname "$0")/.."
 echo "== tier-1 tests =="
 PYTHONPATH=src python -m pytest -x -q -m "not smoke"
 
+echo "== hash-seed (pinned step streams under two string-hash seeds) =="
+# Bit-identity must not depend on string-hash order: the determinism and
+# link-transfer stream pins must hold under any PYTHONHASHSEED.
+for seed in 1 2; do
+    PYTHONHASHSEED=$seed PYTHONPATH=src python -m pytest -x -q \
+        tests/sim/test_determinism.py tests/hw/test_transfer_stream.py
+done
+
 echo "== benchmark smoke (one small-grid point per paper figure) =="
 PYTHONPATH=src python -m pytest -x -q -m smoke
 

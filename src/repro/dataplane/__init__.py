@@ -11,7 +11,7 @@ the descriptor, resolves routes over the
 :class:`~repro.dataplane.policy.PathPolicy`:
 
 * :class:`~repro.dataplane.policy.SinglePathPolicy` (default) replays the
-  pre-dataplane behaviour byte-identically — one transfer process on the
+  pre-dataplane behaviour byte-identically — one link transfer on the
   fewest-links route;
 * :class:`~repro.dataplane.policy.MultiPathPolicy` stripes large transfers
   across link-disjoint routes (parallel NVLink detours intra-node, dual

@@ -48,7 +48,7 @@ class TransferDescriptor:
         peers stage through the source GPU's copy engine (the cuda_ipc
         path the Kernel-Copy design bypasses, paper Section IV-A4).
     name:
-        Process name for the transfer (shows up in obs spans and traces).
+        Name for the transfer (labels its fault records and its repr).
     """
 
     src: Buffer

@@ -5,8 +5,8 @@ Producers hand a validated :class:`TransferDescriptor` to :meth:`submit`
 The dataplane resolves the primary route through the owning
 :class:`~repro.hw.topology.Fabric`'s memoized route cache, asks the
 active :class:`~repro.dataplane.policy.PathPolicy` for a stripe plan,
-accounts the submission in the per-class ledger, and spawns one
-cut-through transfer process per stripe.  A one-stripe plan executes
+accounts the submission in the per-class ledger, and starts one
+cut-through link transfer per stripe.  A one-stripe plan executes
 exactly like the pre-dataplane ``start_transfer`` call; a multi-stripe
 plan completes at the max of the stripe arrivals (an ``AllOf``).
 
@@ -234,8 +234,8 @@ class Dataplane:
             return AllOf(self.engine, parts)
         # Congestion signal: charge synchronously at submit — so every
         # submission planned later in the same event cascade sees this
-        # load — and let the transfer process discharge in its finally
-        # (completion, abort, and kill all balance the counter).
+        # load — and let the link transfer discharge when it ends
+        # (completion and abort both balance the counter).
         ledger = self.ledger
         if len(stripes) == 1:
             stripe = stripes[0]
@@ -258,8 +258,8 @@ class Dataplane:
     def _guarded(self, desc: TransferDescriptor, stripe, name: str) -> Event:
         """Spawn one stripe with down-link retry (armed fabrics only).
 
-        The wrapper catches :class:`LinkDownError` from the transfer
-        process (a fault landed before the stripe fully acquired its
+        The wrapper catches :class:`LinkDownError` from the link
+        transfer (a fault landed before the stripe fully acquired its
         route), resolves a surviving route through the epoch-fresh route
         cache, and retries.  When no route survives, the wrapper
         *succeeds* with a :class:`FabricFault` — a typed completion the
@@ -276,7 +276,7 @@ class Dataplane:
             while True:
                 blocked = next((ln for ln in route if not ln.up), None)
                 if blocked is None:
-                    # Charged per attempt; the transfer process discharges
+                    # Charged per attempt; the link transfer discharges
                     # on completion *and* on a LinkDownError abort.
                     ledger.charge_links(route, nbytes)
                     try:

@@ -2,7 +2,7 @@
 
 A policy turns one :class:`~repro.dataplane.descriptor.TransferDescriptor`
 plus its primary route into a list of :class:`Stripe` plans; the
-:class:`~repro.dataplane.plane.Dataplane` spawns one transfer process per
+:class:`~repro.dataplane.plane.Dataplane` starts one link transfer per
 stripe and completes the submission at the max of the stripe arrivals.
 
 The contract every policy must honour (DESIGN.md §12):
@@ -13,7 +13,7 @@ The contract every policy must honour (DESIGN.md §12):
   destination exactly once (each stripe copies its own element range at
   its own arrival instant);
 * **single-stripe transparency** — a one-stripe plan must execute exactly
-  like the pre-dataplane ``start_transfer`` call (same process name, same
+  like the pre-dataplane ``start_transfer`` call (same transfer name, same
   link acquisitions), which is how :class:`SinglePathPolicy` keeps pinned
   step hashes and sanitizer digests byte-identical.
 """

@@ -19,10 +19,11 @@ writes to link fields outside this API are flagged by the
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Sequence
+from heapq import heappush
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.sim.engine import Engine
-from repro.sim.events import Event
+from repro.sim.events import Event, PRIORITY_NORMAL, PRIORITY_URGENT
 from repro.sim.resources import Resource
 
 
@@ -121,7 +122,7 @@ class Link:
 class LinkDownError(RuntimeError):
     """A transfer hit a downed link before fully acquiring its route.
 
-    Raised inside :func:`transfer_process`; the dataplane's guarded
+    Fails the event :func:`start_transfer` returned; the dataplane's guarded
     execution path catches it and re-routes (or returns a typed
     :class:`~repro.dataplane.plane.FabricFault` when no route survives).
     """
@@ -217,73 +218,118 @@ class LinkState:
             )
 
 
-def transfer_process(
-    engine: Engine,
-    route: Sequence[Link],
-    nbytes: int,
-    on_wire_done: Optional[Callable[[], None]] = None,
-    ledger=None,
-):
-    """Generator process moving ``nbytes`` along ``route``.
+#: The stages of a :class:`_Transfer`, in order (None once it finished).
+_BOOT, _GRANT, _DRAIN, _ARRIVE = range(4)
+
+
+class _Transfer(Event):
+    """Moves ``nbytes`` along ``route`` as a chain of heap entries.
 
     Cut-through model: the payload serializes at the *bottleneck* bandwidth
-    while occupying every hop, then the total wire latency elapses, then
-    ``on_wire_done`` runs (the caller copies payload data there) and the
-    process returns.
+    while holding every hop's port (taken in route order), then the total
+    wire latency elapses, then ``on_wire_done`` runs and the event succeeds
+    with ``nbytes``.  The object is its own heap entry at each stage, and a
+    pop runs the stage ``_stage`` names (a busy port's grant calls back).
 
-    Ports are taken in route order and held until the payload drains.
-    That is deadlock-free only while every route climbs the stage ladder
-    (:mod:`repro.hw.spec.schema`).  Multi-path two-hop NVLink detours
-    (``nvl0->3`` then ``nvl3->2``) take two stage-2 ports, so concurrent
-    detours can hold and wait on each other in a cycle — a known bug.
-
-    Fault semantics: a down link is checked before *and after* each port
-    acquisition (a fault can land while the transfer waits in the port
-    queue).  On a hit, every already-held port is released un-accounted
-    and :class:`LinkDownError` propagates to the waiter — the dataplane's
-    guarded path re-routes.  A transfer that has acquired its full route
-    is in flight and always drains, even through a later fault.
+    Holding ports in route order is deadlock-free only while every route
+    climbs the stage ladder (:mod:`repro.hw.spec.schema`).  Multi-path
+    two-hop NVLink detours (``nvl0->3`` then ``nvl3->2``) take two stage-2
+    ports, so concurrent detours can wait on each other in a cycle — a
+    known bug.  A down link is checked before *and after* each grant; on a
+    hit the held ports are released in reverse and :class:`LinkDownError`
+    fails the event.  A transfer holding its full route always drains.
     """
-    # The caller charges the congestion signal synchronously at submit (so
-    # same-instant submissions see each other's load); this process owns the
-    # discharge — the finally covers completion, fault aborts, and kills.
-    try:
-        if not route:
-            raise ValueError("empty route")
-        if nbytes < 0:
-            raise ValueError("negative transfer size")
 
-        t_held = []
-        held = []
-        for link in route:
-            if not link.up:
-                for h in reversed(held):
-                    h.port.release()
-                raise LinkDownError(link)
-            yield link.port.acquire()
-            if not link.up:
-                link.port.release()
-                for h in reversed(held):
-                    h.port.release()
-                raise LinkDownError(link)
-            held.append(link)
-            t_held.append(engine.now)
-        # Price after acquisition so a degraded bandwidth at grant time is
-        # the one charged; float-identical to entry pricing when healthy.
-        bottleneck = min(link.bandwidth for link in route)
-        ser = max(link.overhead for link in route) + nbytes / bottleneck
-        total_latency = sum(link.latency for link in route)
-        yield engine.timeout(ser)
-        for link, t0 in zip(route, t_held):
-            link.account(nbytes, t0)
-            link.port.release()
-        yield engine.timeout(total_latency)
-        if on_wire_done is not None:
-            on_wire_done()
-        return nbytes
-    finally:
-        if ledger is not None:
-            ledger.discharge_links(route, nbytes)
+    __slots__ = (
+        "route", "nbytes", "on_wire_done", "ledger", "name", "_stage",
+        "_t_held", "_latency",
+    )
+
+    def __init__(self, engine, route, nbytes, on_wire_done, ledger, name) -> None:
+        Event.__init__(self, engine)
+        self.route = route
+        self.nbytes = nbytes
+        self.on_wire_done = on_wire_done
+        self.ledger = ledger
+        self.name = name
+        self._stage = _BOOT
+        self._t_held: List[float] = []
+        engine._schedule_event(self, PRIORITY_URGENT)
+
+    def _run_callbacks(self, _ev: Optional[Event] = None) -> None:
+        # Popped off the heap, or called back by a busy port's grant.
+        stage = self._stage
+        if stage is None:  # finished: wake the waiters
+            return Event._run_callbacks(self)
+        engine, route, t_held = self.engine, self.route, self._t_held
+        try:
+            if stage == _ARRIVE:
+                if self.on_wire_done is not None:
+                    self.on_wire_done()
+                return self._end(None)
+            if stage == _DRAIN:
+                for link, t0 in zip(route, t_held):
+                    link.account(self.nbytes, t0)
+                    link.port.release()
+                self._stage = _ARRIVE
+                t = engine._now + self._latency
+            else:
+                if stage == _BOOT:
+                    if not route:
+                        raise ValueError("empty route")
+                    if self.nbytes < 0:
+                        raise ValueError("negative transfer size")
+                else:  # granted; a fault may have landed while it was pending
+                    t_held.append(engine._now)
+                    link = route[len(t_held) - 1]
+                    if not link.up:
+                        self._abort(link)
+                hop = len(t_held)
+                if hop < len(route):  # request the next hop's port
+                    link = route[hop]
+                    if not link.up:
+                        self._abort(link)
+                    self._stage = _GRANT
+                    port = link.port
+                    if port._in_use >= port.capacity:  # busy: wait in its queue
+                        port.acquire().callbacks.append(self._run_callbacks)
+                        return
+                    port._in_use += 1
+                    t = engine._now
+                else:
+                    # Priced after the last grant: a degrade while queued counts.
+                    bottleneck = min(link.bandwidth for link in route)
+                    ser = max(link.overhead for link in route) + self.nbytes / bottleneck
+                    self._latency = sum(link.latency for link in route)
+                    self._stage = _DRAIN
+                    t = engine._now + ser
+        except BaseException as exc:  # noqa: BLE001 - propagate to waiters
+            return self._end(exc)
+        # The next stage at t: Engine._schedule_event, inlined on this hot path.
+        engine._seq = seq = engine._seq + 1
+        heap = engine._heap
+        heappush(heap, (t, PRIORITY_NORMAL, seq, self))
+        if len(heap) > engine.peak_heap:
+            engine.peak_heap = len(heap)
+
+    def _abort(self, link: Link) -> None:
+        for held in reversed(self.route[:len(self._t_held)]):
+            held.port.release()
+        raise LinkDownError(link)
+
+    def _end(self, exc: Optional[BaseException]) -> None:
+        if self.ledger is not None:
+            self.ledger.discharge_links(self.route, self.nbytes)
+        self._stage = None  # before the push, or the next pop re-runs a stage
+        if exc is None:
+            self.succeed(self.nbytes)
+        elif self.callbacks:
+            self.fail(exc)
+        else:
+            self.engine._crash(self, exc)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"<Transfer {self.name}>"
 
 
 def start_transfer(
@@ -294,7 +340,5 @@ def start_transfer(
     name: str = "xfer",
     ledger=None,
 ) -> Event:
-    """Spawn a transfer process; the returned process-event fires on arrival."""
-    return engine.process(
-        transfer_process(engine, route, nbytes, on_wire_done, ledger), name=name
-    )
+    """Start a transfer; the returned event fires with ``nbytes`` on arrival."""
+    return _Transfer(engine, route, nbytes, on_wire_done, ledger, name)

@@ -29,7 +29,7 @@ from repro.hw.params import GH200Params
 # port acquisition (they all climb the same ladder).  The alternates the
 # multi-path policy peels around a primary can detour through a third
 # GPU, holding two STAGE_D2D ports, and those can deadlock (see
-# hw.links.transfer_process).  Only the relative order matters — tests
+# hw.links._Transfer).  Only the relative order matters — tests
 # pin monotonicity, not absolute ranks.
 STAGE_HOSTMEM_TX = 0   # source-side pageable-memory read port
 STAGE_SRC_LOCAL = 1    # hbm self-copy / device->host egress (c2c, pcie)

@@ -94,7 +94,7 @@ class Engine:
     """Owns simulated time and the pending-event heap."""
 
     __slots__ = (
-        "_now", "_heap", "_seq", "_active_process", "_crashed",
+        "_now", "_heap", "_seq", "_crashed",
         "obs", "on_step", "_timeout_pool", "t_busy",
         "events_popped", "events_coalesced", "events_cancelled", "peak_heap",
         "_flushed", "shard_id", "__weakref__",
@@ -107,7 +107,6 @@ class Engine:
         self._now: float = 0.0
         self._heap: List[Tuple[float, int, int, Event]] = []
         self._seq: int = 0
-        self._active_process: Optional[Process] = None
         self._crashed: Optional[ProcessFailed] = None
         #: Attached instrumentation bus, or None — the fast path.  Only
         #: :meth:`repro.obs.bus.Bus.attach` populates it, and only while
@@ -206,7 +205,7 @@ class Engine:
         if len(heap) > self.peak_heap:
             self.peak_heap = len(heap)
 
-    def _crash(self, process: Process, exc: BaseException) -> None:
+    def _crash(self, process: Event, exc: BaseException) -> None:
         if self._crashed is None:
             self._crashed = ProcessFailed(process, exc)
 

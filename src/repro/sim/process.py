@@ -27,7 +27,7 @@ class Interrupt(Exception):
 
 
 class ProcessFailed(Exception):
-    """Raised by Engine.run when an unhandled exception escaped a process."""
+    """Raised by Engine.run when an unhandled exception escaped a process or transfer."""
 
     def __init__(self, process: "Process", exc: BaseException) -> None:
         super().__init__(f"{process!r} failed: {exc!r}")
@@ -127,7 +127,6 @@ class Process(Event):
         if self._triggered:
             return
         engine = self.engine
-        engine._active_process = self
         try:
             target = self.gen.send(value) if ok else self.gen.throw(value)
         except StopIteration as stop:
@@ -140,8 +139,6 @@ class Process(Event):
                 # Nobody is waiting on this process: surface the crash.
                 engine._crash(self, exc)
             return
-        finally:
-            engine._active_process = None
         if not isinstance(target, Event):
             # Coerced waits are anonymous and single-waiter, so they draw
             # from the engine's timeout free-list instead of allocating.

@@ -214,13 +214,3 @@ class Resource:
             self._queue.popleft().succeed(self)
         else:
             self._in_use -= 1
-
-    def locked(self):
-        """Context-manager style usage inside a process::
-
-            with (yield res.acquire()) and res.locked():  # not supported
-        Use explicit acquire/release in generator code instead.
-        """
-        raise NotImplementedError(
-            "generator processes must use explicit acquire()/release()"
-        )

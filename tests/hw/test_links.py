@@ -86,15 +86,11 @@ def test_on_wire_done_callback_sees_arrival_time(engine):
 
 
 def test_empty_route_rejected(engine):
-    from repro.hw.links import transfer_process
-
     with pytest.raises(ValueError):
-        engine.run(engine.process(transfer_process(engine, [], 10)))
+        engine.run(start_transfer(engine, [], 10))
 
 
 def test_negative_size_rejected(engine):
     link = Link(engine, "l", bandwidth=1.0, latency=0.0)
-    from repro.hw.links import transfer_process
-
     with pytest.raises(ValueError):
-        engine.run(engine.process(transfer_process(engine, [link], -5)))
+        engine.run(start_transfer(engine, [link], -5))

@@ -164,7 +164,7 @@ def test_workload_crash_surfaces_in_every_mode(monkeypatch):
 @pytest.mark.xfail(
     strict=True, raises=ClusterError,
     reason="multi-path two-hop NVLink detours break the stage ladder "
-           "transfer_process relies on: held ports nvl0->3, nvl3->2 and "
+           "link transfers rely on: held ports nvl0->3, nvl3->2 and "
            "nvl2->0 wait on each other in a cycle inside one node",
 )
 def test_multi_path_striped_all_to_all_completes():
