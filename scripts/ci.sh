@@ -41,10 +41,12 @@ PYTHONPATH=src python -m repro bench \
     --suite cluster-fattree-512,graph-replay-jacobi,graph-replay-llm16 --shards 2 \
     --against auto --out /tmp/repro_bench_cluster.json
 
-echo "== topo-smoke (topology validator on the generated 512-GPU specs) =="
-# Builds each generated fabric and checks that sampled routes resolve in
-# hierarchical link order; the validator exits 0 and prints a valid: line.
-for machine in fat-tree-512 dragonfly-512-g8; do
+echo "== topo-smoke (topology validator on every catalog spec and the 512-GPU specs) =="
+# Compiles each machine's link wiring and checks that its routes (all
+# endpoint pairs on catalog specs, a sample on generated fabrics) resolve
+# in hierarchical link order; the validator exits 0 and prints a valid: line.
+catalog=$(PYTHONPATH=src python -c "from repro.hw.spec.catalog import SPECS; print(*SPECS)")
+for machine in $catalog fat-tree-512 dragonfly-512-g8; do
     PYTHONPATH=src python -m repro topo "$machine" > /tmp/repro_topo.txt
     grep -q "^valid:" /tmp/repro_topo.txt \
         || { echo "topo-smoke: $machine printed no valid: line"; exit 1; }

@@ -191,9 +191,8 @@ class Dataplane:
                 # the same typed completion the guarded executor uses.
                 # With one fault injected the scan names the culprit; with
                 # several it names the first in deterministic link order.
-                state = self.fabric.link_state
                 downed = next(
-                    (l.name for l in state._by_name.values() if not l.up), "",
+                    (l.name for l in self.fabric.iter_links() if not l.up), "",
                 )
                 self.faults += 1
                 obs = self.engine.obs
@@ -317,7 +316,7 @@ class Dataplane:
 
     def _staged_execute(self, desc: TransferDescriptor) -> Event:
         overhead = self.fabric.spec.params.cuda_ipc_put_overhead
-        engine_res = self.fabric.copy_engine[desc.src.gpu]
+        engine_res = self.fabric.copy_engine(desc.src.gpu)
         engine = self.engine
 
         def staged():

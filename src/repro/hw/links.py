@@ -20,7 +20,7 @@ writes to link fields outside this API are flagged by the
 from __future__ import annotations
 
 from heapq import heappush
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, List, Mapping, Optional, Sequence
 
 from repro.sim.engine import Engine
 from repro.sim.events import Event, PRIORITY_NORMAL, PRIORITY_URGENT
@@ -69,12 +69,7 @@ class Link:
         kind: str = "",
         stage: int = 0,
     ) -> None:
-        if bandwidth <= 0:
-            raise ValueError(f"link {name}: bandwidth must be positive")
-        if latency < 0:
-            raise ValueError(f"link {name}: negative latency")
-        if overhead < 0:
-            raise ValueError(f"link {name}: negative overhead")
+        Link.check(name, bandwidth, latency, overhead)
         self.engine = engine
         self.name = name
         self.bandwidth = bandwidth
@@ -94,6 +89,16 @@ class Link:
         self.outstanding_bytes = 0
         self.bytes_carried = 0
         self.n_transfers = 0
+
+    @staticmethod
+    def check(name: str, bandwidth: float, latency: float, overhead: float) -> None:
+        """The constructor's checks, also run when a link table compiles."""
+        if bandwidth <= 0:
+            raise ValueError(f"link {name}: bandwidth must be positive")
+        if latency < 0:
+            raise ValueError(f"link {name}: negative latency")
+        if overhead < 0:
+            raise ValueError(f"link {name}: negative overhead")
 
     def serialization_time(self, nbytes: int) -> float:
         return self.overhead + nbytes / self.bandwidth
@@ -149,24 +154,20 @@ class LinkState:
     fabric history.
     """
 
-    __slots__ = ("engine", "epoch", "armed", "_by_name")
+    __slots__ = ("engine", "epoch", "armed", "_links")
 
-    def __init__(self, engine: Engine, links: Sequence[Link]) -> None:
+    def __init__(self, engine: Engine, links: Mapping[str, Link]) -> None:
         self.engine = engine
         self.epoch = 0
         self.armed = False
-        self._by_name: Dict[str, Link] = {}
-        for link in links:
-            # Well-formed graphs have unique names; on a collision keep the
-            # first so lookups stay deterministic, mutations hit one link.
-            self._by_name.setdefault(link.name, link)
+        self._links = links  # a dict, or a LinkGraph (builds links on lookup)
 
     def find(self, name: str) -> Link:
-        link = self._by_name.get(name)
+        link = self._links.get(name)
         if link is None:
             raise KeyError(
                 f"no link named {name!r} in this fabric "
-                f"({len(self._by_name)} links)"
+                f"({len(self._links)} links)"
             )
         return link
 

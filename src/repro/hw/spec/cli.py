@@ -65,11 +65,7 @@ def _sample_ports(spec: MachineSpec) -> List[Port]:
     return ports
 
 
-def _route_rows(
-    graph: LinkGraph, ports: List[Port] = None
-) -> Iterable[Tuple[Port, Port, Tuple]]:
-    if ports is None:
-        ports = _ports(graph.spec)
+def _route_rows(graph: LinkGraph, ports: List[Port]) -> Iterable[Tuple[Port, Port, Tuple]]:
     for src in ports:
         for dst in ports:
             yield src, dst, graph.search(src, dst)
@@ -106,10 +102,10 @@ def validate_spec(spec: MachineSpec) -> List[str]:
     return problems
 
 
-def _fmt_link(link) -> str:
+def _fmt_link(row) -> str:
     return (
-        f"{link.name:<14} {link.kind:<10} stage={link.stage} "
-        f"{link.bandwidth / GBps:8.1f} GB/s {link.latency / us:7.2f} us"
+        f"{row.name:<14} {row.kind:<10} stage={row.stage} "
+        f"{row.bandwidth / GBps:8.1f} GB/s {row.latency / us:7.2f} us"
     )
 
 
@@ -139,21 +135,20 @@ def main(argv=None) -> int:
     except SpecError as exc:
         parser.error(str(exc))
 
-    graph = LinkGraph(Engine(), spec)
     print(f"machine {spec.name}: {spec.n_nodes} node(s), {spec.n_gpus} gpu(s)")
     small = spec.n_gpus <= _EXHAUSTIVE_GPU_LIMIT
     if small:
         for n, node in enumerate(spec.nodes):
             print(f"  node {n}: {node.n_gpus} gpu(s), {node.interconnect.value} interconnect, "
                   f"{'NIC per GPU' if node.nic_per_gpu else 'shared node NIC'}")
-        print(f"\n{len(graph.links)} links:")
-        for link in graph.links:
-            print(f"  {_fmt_link(link)}")
+        print(f"\n{len(spec.wiring.rows)} links:")
+        for row in spec.wiring.rows:
+            print(f"  {_fmt_link(row)}")
     else:
         node = spec.nodes[0]
         print(f"  uniform nodes: {node.n_gpus} gpu(s), {node.interconnect.value} "
               f"interconnect, {'NIC per GPU' if node.nic_per_gpu else 'shared node NIC'}")
-        print(f"  {len(graph.links)} links total (table elided; see --routes sample)")
+        print(f"  {len(spec.wiring.rows)} links total (table elided; see --routes sample)")
     print()
     for line in format_metrics(fabric_metrics(spec)):
         print(line)
@@ -161,7 +156,7 @@ def main(argv=None) -> int:
     if args.routes:
         ports = _ports(spec) if small else _sample_ports(spec)
         print("\nroutes:")
-        for src, dst, route in _route_rows(graph, ports):
+        for src, dst, route in _route_rows(LinkGraph(Engine(), spec), ports):
             names = " -> ".join(link.name for link in route)
             print(f"  {src} -> {dst}: {names}")
 

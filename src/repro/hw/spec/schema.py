@@ -20,9 +20,12 @@ import enum
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import accumulate
-from typing import Optional, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Optional, Tuple, Union
 
 from repro.hw.params import GH200Params
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.hw.spec.graph import Wiring
 
 # Hierarchical acquisition stages.  A primary route's links are strictly
 # increasing in stage, so transfers along primaries cannot deadlock on
@@ -88,6 +91,12 @@ class GpuSpec:
 
     sm_count: Optional[int] = None   # overrides CostModel.sm_count
     hbm_bw: Optional[float] = None   # overrides the HBM self-link bandwidth
+
+    def __post_init__(self) -> None:
+        if self.sm_count is not None and not self.sm_count >= 1:
+            raise SpecError(f"GpuSpec: sm_count must be >= 1, got {self.sm_count!r}")
+        if self.hbm_bw is not None and not self.hbm_bw > 0:
+            raise SpecError(f"GpuSpec: hbm_bw must be positive, got {self.hbm_bw!r}")
 
 
 @dataclass(frozen=True)
@@ -233,6 +242,19 @@ class MachineSpec:
         """Node index -> global index of its first GPU."""
         return tuple(accumulate((n.n_gpus for n in self.nodes[:-1]), initial=0))
 
+    # -- link wiring: cached on the spec like the shape tables -------------
+    @cached_property
+    def wiring(self) -> "Wiring":
+        """The compiled link table every fabric of this spec shares."""
+        from repro.hw.spec.graph import Wiring
+
+        return Wiring(self)
+
+    @cached_property
+    def cut_wirings(self) -> Dict[NodeSpec, "Wiring"]:
+        """Node template -> the wiring its shard cuts share (``local_spec``)."""
+        return {}
+
     @property
     def n_nodes(self) -> int:
         return len(self.nodes)
@@ -288,6 +310,8 @@ class MachineSpec:
         most; this re-checks cross-field invariants for loaded specs)."""
         for node in self.nodes:
             NodeSpec.__post_init__(node)
+            for gpu in node.gpus:
+                GpuSpec.__post_init__(gpu)
             for cls in (node.hbm, node.d2h, node.h2d, node.hostmem) + (
                 (node.d2d,) if node.d2d is not None else ()
             ):

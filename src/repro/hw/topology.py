@@ -1,14 +1,14 @@
 """The Fabric: a machine's links, routes, and the dataplane.
 
-:class:`Fabric` compiles a :class:`~repro.hw.spec.schema.MachineSpec` into
-a typed link graph (:class:`~repro.hw.spec.graph.LinkGraph`), resolves a
-route for any (source buffer, destination buffer) pair by graph search —
-memoized per (src-port, dst-port) in a route cache, so the hot transfer
-path never re-searches — and owns the
-:class:`~repro.dataplane.plane.Dataplane` every transfer is submitted to
-(``fabric.dataplane.put`` / ``rma_put`` / ``control``).  Shape and
-capability queries (``node_of``, ``same_node``, ``can_peer_map``) are the
-spec's own, read as ``fabric.spec``.
+:class:`Fabric` views a :class:`~repro.hw.spec.schema.MachineSpec`'s
+shared link wiring through its own :class:`~repro.hw.spec.graph.LinkGraph`
+(a link is built when a route, fault or ``d2h_link`` first touches it),
+resolves a route for any (source buffer, destination buffer) pair by
+graph search — memoized per (src-port, dst-port), so the hot transfer
+path never re-searches — and owns the :class:`~repro.dataplane.plane.Dataplane`
+every transfer is submitted to (``fabric.dataplane.put`` / ``rma_put`` /
+``control``).  Shape and capability queries (``node_of``, ``same_node``,
+``can_peer_map``) are the spec's own, read as ``fabric.spec``.
 
 Each fabric takes its path policy and fault schedule from the run it is
 built in (:func:`repro.sim.run.current`).
@@ -21,12 +21,13 @@ from typing import Dict, List, Tuple
 from repro.dataplane.plane import Dataplane
 from repro.dataplane.policy import policy_by_name
 from repro.hw import faults as hw_faults
-from repro.hw.links import Link, LinkState
+from repro.hw.links import Link
 from repro.hw.memory import Buffer, MemSpace
 from repro.hw.spec.graph import LinkGraph, Port, RouteSearchError
 from repro.hw.spec.schema import MachineSpec
 from repro.sim.engine import Engine
 from repro.sim.events import Event
+from repro.sim.resources import Resource
 from repro.sim.run import current
 
 #: Global GPU index (0 .. n_gpus-1); node-local index is position on the node.
@@ -47,7 +48,7 @@ class Fabric:
         self.graph = LinkGraph(engine, self.spec)
         #: The one mutation surface for link health (DESIGN.md §17);
         #: every mutation bumps its epoch and invalidates route caches.
-        self.link_state = LinkState(engine, self.graph.links)
+        self.link_state = self.graph.state
         #: (src-port, dst-port) -> resolved link tuple; hit on every
         #: transfer after the first between a location pair.
         self._route_cache: Dict[Tuple[Port, Port], Tuple[Link, ...]] = {}
@@ -55,30 +56,8 @@ class Fabric:
         self._route_epoch = 0
         #: Number of cache-miss route computations (asserted by tests).
         self.route_computations = 0
-
-        # Structured link registries (views into the graph's registries;
-        # keyed and named exactly like the original hard-coded testbed).
-        self.hbm: Dict[GpuId, Link] = self.graph.hbm
-        self.nvlink: Dict[Tuple[GpuId, GpuId], Link] = self.graph.d2d
-        self.switch_up: Dict[GpuId, Link] = self.graph.switch_up
-        self.switch_down: Dict[GpuId, Link] = self.graph.switch_down
-        self.d2h: Dict[GpuId, Link] = self.graph.d2h
-        self.h2d: Dict[GpuId, Link] = self.graph.h2d
-        self.nic_out: Dict[int, Link] = self.graph.nic_out
-        self.nic_in: Dict[int, Link] = self.graph.nic_in
-        self.hostmem_tx: Dict[int, Link] = self.graph.hostmem_tx
-        self.hostmem_rx: Dict[int, Link] = self.graph.hostmem_rx
-
-        # Copy engine per GPU: host-initiated peer copies (UCX cuda_ipc
-        # puts = cuMemcpyDtoDAsync) serialize through it with a per-op
-        # setup cost, which caps their aggregate NVLink efficiency below
-        # what SM-driven stores (Kernel-Copy, NCCL) achieve.
-        from repro.sim.resources import Resource
-
-        self.copy_engine: Dict[GpuId, Resource] = {
-            g: Resource(engine, capacity=1, name=f"gpu{g}.ce")
-            for g in range(spec.n_gpus)
-        }
+        #: GPU -> its copy engine, built on first use (:meth:`copy_engine`).
+        self._copy_engines: Dict[GpuId, Resource] = {}
 
         #: The single submission point for every simulated byte.  Path
         #: selection (single route vs link-disjoint striping) is the
@@ -93,22 +72,28 @@ class Fabric:
 
     # -- link registry ---------------------------------------------------------
     def iter_links(self):
-        """Every link of the machine, in registration order."""
-        return iter(self.graph.links)
+        """The links built so far (the rest carried nothing), in order."""
+        return (link for link in self.graph.built if link is not None)
 
     def link_kinds(self) -> List[str]:
-        """Distinct link kinds, in first-registration order."""
-        seen: Dict[str, None] = {}
-        for link in self.graph.links:
-            seen.setdefault(link.kind, None)
-        return list(seen)
+        """Distinct link kinds of the machine, in first-registration order."""
+        return list(dict.fromkeys(row.kind for row in self.graph.wiring.rows))
 
     def d2h_link(self, gpu: GpuId) -> Link:
         """The device->host egress link of ``gpu`` (C2C down / PCIe d2h).
 
         Device-thread flag stores into pinned host memory serialize here.
         """
-        return self.graph.d2h[gpu]
+        return self.graph.link(self.graph.wiring.d2h[gpu])
+
+    def copy_engine(self, gpu: GpuId) -> Resource:
+        """``gpu``'s copy engine, built on first use.  Host-initiated peer
+        copies (UCX cuda_ipc puts) serialize through it with a per-op setup
+        cost, capping their NVLink efficiency below SM-driven stores."""
+        ce = self._copy_engines.get(gpu)
+        if ce is None:
+            ce = self._copy_engines[gpu] = Resource(self.engine, name=f"gpu{gpu}.ce")
+        return ce
 
     # -- route resolution ------------------------------------------------------
     @staticmethod

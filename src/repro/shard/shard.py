@@ -70,16 +70,24 @@ def local_spec(cluster: MachineSpec, node: int) -> MachineSpec:
 
     Drops the fabric (inter-node wiring is the wire model's job) but
     keeps the NIC classes so locally-routed host traffic prices exactly
-    as in the full graph.
+    as in the full graph.  Every cut of one node template wires alike, so
+    the cluster spec compiles that wiring once and hands it to each cut.
     """
-    return MachineSpec(
+    template = cluster.nodes[node]
+    cut = MachineSpec(
         name=f"{cluster.name}#n{node}",
-        nodes=(cluster.nodes[node],),
+        nodes=(template,),
         nic_out=cluster.nic_out,
         nic_in=cluster.nic_in,
         params=cluster.params,
         fabric=None,
     )
+    shared = cluster.cut_wirings.get(template)
+    if shared is None:
+        cluster.cut_wirings[template] = cut.wiring
+    else:
+        cut.__dict__["wiring"] = shared  # fills the cut's cached_property
+    return cut
 
 
 class ShardBridge:

@@ -149,8 +149,7 @@ def test_fault_does_not_tear_down_sibling_transfers():
 # -- outstanding-bytes balance ------------------------------------------------
 
 def _assert_drained(fab):
-    dirty = [l.name for l in fab.link_state._by_name.values()
-             if l.outstanding_bytes != 0]
+    dirty = [l.name for l in fab.iter_links() if l.outstanding_bytes != 0]
     assert not dirty, f"links left charged: {dirty}"
 
 

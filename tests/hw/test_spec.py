@@ -6,6 +6,8 @@ and acquire links in strictly increasing stage — the hierarchical order
 (tx < nic_out < nic_in < rx) that makes concurrent transfers deadlock-free.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -204,6 +206,26 @@ def test_schema_rejects_inconsistent_nodes():
         LinkClass("bad", 0.0, 1.0 * us)
     with pytest.raises(SpecError, match="at least one node"):
         MachineSpec(name="empty", nodes=(), nic_out=pcie, nic_in=pcie)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("hbm_bw", 0.0), ("hbm_bw", -1.0), ("hbm_bw", float("nan")),
+    ("sm_count", 0), ("sm_count", -4),
+])
+def test_schema_rejects_bad_gpu_constants(field, value):
+    with pytest.raises(SpecError, match=f"GpuSpec: {field} must be"):
+        GpuSpec(**{field: value})
+    # A GpuSpec that slipped past its constructor fails validation as a
+    # schema problem, not as a link error or a division at kernel launch.
+    bad = GpuSpec()
+    object.__setattr__(bad, field, value)
+    spec = pcie_nop2p_spec(1, 2)
+    node = dataclasses.replace(spec.nodes[0], gpus=(spec.nodes[0].gpus[0], bad))
+    spec = dataclasses.replace(spec, nodes=(node,))
+    with pytest.raises(SpecError, match=f"GpuSpec: {field} must be"):
+        spec.validate()
+    (problem,) = validate_spec(spec)
+    assert problem.startswith(f"schema: GpuSpec: {field} must be")
 
 
 def test_per_gpu_constants_reach_the_device():

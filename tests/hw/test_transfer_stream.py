@@ -25,7 +25,7 @@ def _links(engine, *specs):
         Link(engine, name, bandwidth=bw, latency=lat, overhead=ovh)
         for name, bw, lat, ovh in specs
     ]
-    return links, LinkState(engine, links)
+    return links, LinkState(engine, {link.name: link for link in links})
 
 
 def _submit(engine, route, nbytes, on_wire_done=None):

@@ -14,7 +14,13 @@ from repro.hw.spec.generators import (
     wire_path_classes,
 )
 from repro.hw.spec.graph import LinkGraph
-from repro.hw.spec.schema import SpecError
+from repro.hw.spec.schema import (
+    STAGE_FABRIC_DOWN,
+    STAGE_FABRIC_UP,
+    STAGE_NIC_IN,
+    STAGE_NIC_OUT,
+    SpecError,
+)
 from repro.sim.engine import Engine
 
 
@@ -99,13 +105,13 @@ def test_dragonfly_metrics():
 
 # -- wire model vs compiled graph -------------------------------------------
 
-def _graph_wire_segment(graph, route):
+#: The stages of the inter-node links: NICs, trunks and dragonfly globals.
+_WIRE_STAGES = {STAGE_NIC_OUT, STAGE_FABRIC_UP, STAGE_FABRIC_DOWN, STAGE_NIC_IN}
+
+
+def _graph_wire_segment(route):
     """The fabric (inter-node) portion of a graph-searched route."""
-    wire_links = set()
-    for reg in (graph.nic_out, graph.nic_in, graph.trunk_up,
-                graph.trunk_down, graph.dfly_global):
-        wire_links.update(id(link) for link in reg.values())
-    return [link for link in route if id(link) in wire_links]
+    return [link for link in route if link.stage in _WIRE_STAGES]
 
 
 @pytest.mark.parametrize("machine", ["fat-tree-32-r2-l2", "dragonfly-32-r2-g2"])
@@ -117,7 +123,7 @@ def test_analytic_wire_matches_graph_route(machine):
     pairs = [(0, 8), (0, 24), (0, 25)]
     for src, dst in pairs:
         route = graph.search(("gpu", src), ("gpu", dst))
-        segment = _graph_wire_segment(graph, route)
+        segment = _graph_wire_segment(route)
         classes = wire_path_classes(spec, src, dst)
         assert [link.kind for link in segment] == [c.kind for c in classes], (src, dst)
         lat = sum(link.latency for link in segment)
