@@ -2,10 +2,10 @@
 
 Describe a machine (:class:`MachineSpec`) instead of hard-coding it: node
 templates with GPUs, typed link classes, pair-mesh / switch / host-staged
-interconnects, NIC placement.  :class:`LinkGraph` compiles a spec into a
-routable directed graph; :class:`~repro.hw.topology.Fabric` resolves and
-memoizes routes over it.  The GH200 testbed of the paper is just the
-canonical catalog entry (:func:`gh200_spec`).
+interconnects, NIC placement.  Each fabric's :class:`LinkGraph` views the
+spec's once-compiled link wiring; :class:`~repro.hw.topology.Fabric`
+resolves and memoizes routes over it.  The GH200 testbed of the paper is
+just the canonical catalog entry (:func:`gh200_spec`).
 """
 
 from repro.hw.spec.catalog import (
