@@ -15,6 +15,9 @@ for seed in 1 2; do
         tests/sim/test_determinism.py tests/hw/test_transfer_stream.py
 done
 
+echo "== optimised mode (python -O: the allreduce result check is not an assert) =="
+PYTHONPATH=src python -O -m pytest -x -q tests/bench/test_allreduce_check.py
+
 echo "== benchmark smoke (one small-grid point per paper figure) =="
 PYTHONPATH=src python -m pytest -x -q -m smoke
 

@@ -12,12 +12,11 @@ from __future__ import annotations
 
 from typing import Dict, Generator, List
 
-import numpy as np
-
 from repro.cuda.kernel import UniformKernel
 from repro.cuda.timing import WorkSpec
 from repro.hw.params import ONE_NODE
 from repro.hw.spec.schema import MachineSpec
+from repro.mpi.errors import MpiError
 from repro.mpi.ops import SUM
 from repro.nccl import NcclComm
 from repro.partitioned import device as pdev
@@ -46,6 +45,9 @@ def _allreduce_main(ctx, grid: int, variant: str, iters: int, partitions: int) -
     def produce() -> None:
         w.data[:] = float(ctx.rank + 1)
 
+    # Every element is a sum of the integers 1..P, which float64 holds
+    # exactly in any reduction order, so the check can be exact.
+    expect = sum(r + 1 for r in range(comm.size))
     for _ in range(iters):
         if variant == "partitioned":
             yield from pall.start()
@@ -70,8 +72,8 @@ def _allreduce_main(ctx, grid: int, variant: str, iters: int, partitions: int) -
             yield from ctx.gpu.launch_h(kernel)
             yield from pall.wait()
         times.append(ctx.now - t0)
-        expect = sum(r + 1 for r in range(comm.size))
-        assert np.allclose(w.data, expect), f"allreduce wrong: {w.data[:4]} != {expect}"
+        if not (w.data == expect).all():
+            raise MpiError(f"allreduce wrong: {w.data[:4]} != {expect}")
     return times
 
 
@@ -84,6 +86,8 @@ def measure_allreduce(
     partitions: int = DEFAULT_USER_PARTITIONS,
 ) -> float:
     """Mean kernel+communication window (seconds), warmup dropped."""
+    if iters < 1:
+        raise ValueError(f"measure_allreduce needs iters >= 1, got {iters}")
     per_rank = run_ranks(
         config, _allreduce_main, nprocs=nprocs,
         args=(grid, variant, iters + 1, partitions),
@@ -98,6 +102,8 @@ def measure_allreduce(
 
 def measure_overheads(iters: int = 100, config: MachineSpec = ONE_NODE) -> Dict[str, object]:
     """Time the partitioned API calls exactly as Table I describes."""
+    if iters < 2:
+        raise ValueError(f"measure_overheads needs iters >= 2, got {iters}")
     out: Dict[str, object] = {}
 
     def p2p_main(ctx):

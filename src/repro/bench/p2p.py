@@ -21,6 +21,7 @@ from repro.cuda.timing import WorkSpec
 from repro.hw.params import ONE_NODE
 from repro.hw.spec.catalog import SPECS
 from repro.hw.spec.schema import MachineSpec
+from repro.mpi.errors import MpiError
 from repro.partitioned import device as pdev
 from repro.workload.runner import run_ranks
 from repro.partitioned.aggregation import AggregationSpec, SignalMode
@@ -113,7 +114,8 @@ def measure_pready_cost(
             yield from rreq.wait()
 
     run_ranks(config, main, nprocs=2)
-    assert len(cost_out) == 1
+    if len(cost_out) != 1:
+        raise MpiError(f"pready cost: expected one sample, got {len(cost_out)}")
     return cost_out[0]
 
 
@@ -197,6 +199,8 @@ def measure_p2p_goodput(
 ) -> float:
     """Goodput (bytes/s) for one (grid, model) point on any machine
     description (legacy config or :class:`MachineSpec`); warmup discarded."""
+    if iters < 2:
+        raise ValueError(f"measure_p2p_goodput needs iters >= 2, got {iters}")
     if tps is None:
         tps = auto_transport_partitions(grid, model, inter_node=config.n_nodes > 1)
     per_rank = run_ranks(

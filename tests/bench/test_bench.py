@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.bench.coll import measure_allreduce, measure_overheads
 from repro.bench.p2p import auto_transport_partitions, measure_p2p_goodput
 from repro.bench.series import Series, render
 from repro.bench.suite import SUITE, main, next_pr, resolve_baseline, run_suite
@@ -145,6 +146,23 @@ def test_goodput_monotone_niceness():
     g_small = measure_p2p_goodput(4, "sendrecv", ONE_NODE)
     g_large = measure_p2p_goodput(256, "sendrecv", ONE_NODE)
     assert g_large > g_small
+
+
+# A run too short to keep a window after the warm-up is refused before any
+# World is built.
+def test_allreduce_needs_one_timed_iteration():
+    with pytest.raises(ValueError, match="iters >= 1"):
+        measure_allreduce(8, "traditional", ONE_NODE, 4, iters=0)
+
+
+def test_goodput_needs_two_iterations():
+    with pytest.raises(ValueError, match="iters >= 2"):
+        measure_p2p_goodput(4, "sendrecv", ONE_NODE, iters=1)
+
+
+def test_overheads_need_two_iterations():
+    with pytest.raises(ValueError, match="iters >= 2"):
+        measure_overheads(iters=1)
 
 
 @pytest.mark.parametrize("argv,msg", [
