@@ -21,6 +21,12 @@ PYTHONPATH=src python -O -m pytest -x -q tests/bench/test_allreduce_check.py
 echo "== benchmark smoke (one small-grid point per paper figure) =="
 PYTHONPATH=src python -m pytest -x -q -m smoke
 
+echo "== fused ablation (relaxed device Pready: fused vs host-progressed vs NCCL) =="
+# benchmarks/ sits outside the tier-1 suite; this one bench gates the
+# fused collective below 0.8x the host-progressed time and within
+# 0.7-1.15x NCCL's.
+PYTHONPATH=src python -m pytest -x -q benchmarks/test_ablation_fused_collective.py
+
 echo "== bench smoke (every suite row vs its recorded baseline row) =="
 # --against auto gates against the newest checked-in BENCH_pr*.json
 # (skipping the --out file this run writes), so new PRs need no edit here.

@@ -130,7 +130,7 @@ class World:
         self._runtimes: List[MpiRuntime] = []
         self._split_slots: Dict[tuple, _SplitSlot] = {}
         self._nccl_cliques: Dict[int, Any] = {}   # comm id -> nccl _CliqueState
-        self._fused_cliques: Dict[tuple, Any] = {}  # (comm id, seq) -> _FusedClique
+        self._fused_cliques: Dict[tuple, Any] = {}  # (comm id, tag) -> _FusedClique
         #: Out-of-band key/value space ranks publish into (PMIx put/get),
         #: e.g. graphed Jacobi's receive halos.
         self.published: Dict[Any, Any] = {}

@@ -3,15 +3,19 @@
 Per-rank flow (all inside one stream-enqueued "kernel"):
 
 1. rendezvous — NCCL kernels spin until every peer's kernel is resident;
-2. ring reduce-scatter: 2(P-1) steps; each step puts one chunk into the
-   right neighbour's staging slot over NVLink/IB (GPUDirect) and reduces
-   the chunk arriving from the left in device memory;
+2. ring reduce-scatter-allgather, channel-pipelined: each channel walks
+   the paper's Algorithm 1 schedule (:func:`~repro.pcoll.ring.
+   ring_allreduce_schedule`) over its slice of every ring chunk, one
+   :func:`~repro.pcoll.ring.ring_step` per step — a put into the right
+   neighbour's staging slot over NVLink/IB (GPUDirect), then a reduce or
+   copy of the slice arriving from the left in device memory;
 3. completion — the kernel exits; the application synchronizes the stream
    once (not per step).
 
 All coordination is device-side (flags in GPU memory), which is exactly
 the advantage the paper attributes to NCCL over host-progressed
-partitioned collectives.
+partitioned collectives.  The fused partitioned allreduce
+(:mod:`repro.pcoll.fused`) runs the same ring step.
 """
 
 from __future__ import annotations
@@ -19,12 +23,10 @@ from __future__ import annotations
 import itertools
 from typing import TYPE_CHECKING, Dict, Generator, List, Optional
 
-import numpy as np
-
 from repro.hw.memory import Buffer, MemSpace
 from repro.mpi.errors import MpiUsageError
 from repro.mpi.ops import MpiOp, SUM
-from repro.sim.events import Event
+from repro.sim.events import AllOf, Event
 from repro.sim.resources import Counter, Flag
 from repro.units import us
 
@@ -33,8 +35,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: One-time ncclCommInitRank cost per rank (connection setup, IPC opens).
 NCCL_INIT_COST = 120.0 * us
-#: Fixed in-kernel cost per ring step (flag spin + copy issue).
-NCCL_STEP_OVERHEAD = 0.35 * us
 #: Parallel ring channels (NCCL runs many independent pipelines so the
 #: wire never idles behind a reduction; production uses up to 32).
 NCCL_CHANNELS = 8
@@ -191,47 +191,31 @@ class NcclComm:
         state.arrived.add(1)
         yield state.arrived.wait_for(P)
 
-        fabric = self.ctx.world.fabric
-        hbm_bw = self.device.cost.hbm_bw
+        # Deferred: importing repro.pcoll loads every partitioned
+        # collective, which a process that only runs NCCL never needs.
+        from repro.pcoll.ring import ring_allreduce_schedule, ring_step
+
+        steps = ring_allreduce_schedule(r, P, op).steps
+        dataplane = self.ctx.world.fabric.dataplane
+        right = (r + 1) % P
         sub = chunk // n_channels
 
         def channel_ring(c: int):
-            for i in range(2 * (P - 1)):
-                send_chunk = (r - i) % P
-                recv_chunk = (r - i - 1) % P
-                reduce_phase = i < (P - 1)
-                yield self.engine.timeout(NCCL_STEP_OVERHEAD)
+            def channel_chunk(k: int) -> Buffer:
+                return recvbuf.view(k * chunk + c * sub, sub)
 
-                # Put my channel-slice into the right neighbour's staging
-                # slot; raise its flag when the data lands (device flag).
-                src = recvbuf.view(send_chunk * chunk + c * sub, sub)
-                dst = state.slot((r + 1) % P, c, i)
-                put = fabric.dataplane.put(
-                    src, dst, traffic_class="nccl", initiator="device",
-                    name=f"nccl_c{c}s{i}",
+            for i, step in enumerate(steps):
+                yield from ring_step(
+                    self.device, dataplane, step, channel_chunk,
+                    state.slot(right, c, i), state.flags[right][c][i],
+                    state.slot(r, c, i), state.flags[r][c][i],
+                    "nccl", f"nccl_c{c}s{i}",
                 )
-                flag = state.flags[(r + 1) % P][c][i]
-                put.add_callback(lambda _ev, flag=flag: flag.set())
-
-                # Wait for the slice arriving from my left neighbour.
-                my_flag = state.flags[r][c][i]
-                if not my_flag.is_set:
-                    yield my_flag.wait()
-                slot = state.slot(r, c, i)
-                target = recvbuf.view(recv_chunk * chunk + c * sub, sub)
-                if reduce_phase:
-                    op.reduce_into(target.data, slot.data)
-                    yield self.engine.timeout(target.nbytes * 3 / hbm_bw)
-                else:
-                    target.data[:] = slot.data
-                    yield self.engine.timeout(target.nbytes * 2 / hbm_bw)
 
         channels = [
             self.engine.process(channel_ring(c), name=f"nccl_ch{c}")
             for c in range(n_channels)
         ]
-        from repro.sim.events import AllOf
-
         yield AllOf(self.engine, channels)
         # Every put into a rank's staging slot is awaited by that rank, so
         # once all P kernels exited no transfer still targets this op's

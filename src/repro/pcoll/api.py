@@ -38,17 +38,20 @@ def pallreduce_init(
     one the paper evaluates (machine-learning context, Section VI-B).
 
     ``fused=True`` selects the paper's proposed relaxed device semantics
-    (Section VI-B): the whole collective executes inside the kernel —
+    (Section VI-B): the whole ring collective executes inside the kernel —
     NVLink-clique only.  See :mod:`repro.pcoll.fused`.
     """
     if algorithm not in ("ring", "recursive_doubling"):
         raise MpiUsageError(f"unknown allreduce algorithm {algorithm!r}")
     if fused:
+        if algorithm != "ring":
+            raise MpiUsageError(
+                f"fused=True runs the ring; it cannot run algorithm {algorithm!r}"
+            )
         from repro.pcoll.fused import fused_pallreduce_init
 
-        rt = comm.rt
         return (yield from fused_pallreduce_init(
-            comm, sendbuf, recvbuf, partitions, op, device or rt.device
+            comm, sendbuf, recvbuf, partitions, op, device
         ))
     if comm.size < 2:
         raise MpiUsageError("pallreduce needs at least 2 ranks")

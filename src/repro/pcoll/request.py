@@ -19,9 +19,7 @@ the paper identifies as the remaining gap to NCCL (Section VI-B).
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Dict, Generator, List, Optional, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, Generator, List, Tuple
 
 from repro.cuda.kernel import UniformKernel
 from repro.cuda.timing import WorkSpec
@@ -51,6 +49,11 @@ _PCOLL_TAG_BASE = 1 << 24
 class PcollRequest(PersistentRequest):
     """One rank's handle on a partitioned collective."""
 
+    #: Host cost of MPI_Start.
+    START_COST = 0.5 * us
+    #: Host cost of the host-binding MPI_Pready (one put issue).
+    PREADY_COST = PUT_ISSUE_COST
+
     def __init__(
         self,
         comm: "Communicator",
@@ -62,7 +65,6 @@ class PcollRequest(PersistentRequest):
         device: "Device",
         name: str = "pcoll",
     ) -> None:
-        super().__init__(comm.rt, name)
         if len(sendbuf.data) != len(recvbuf.data):
             raise MpiUsageError("sendbuf/recvbuf length mismatch")
         n = len(sendbuf.data)
@@ -74,6 +76,7 @@ class PcollRequest(PersistentRequest):
                 f"user partition of {part_elems} elements does not divide into "
                 f"{schedule.n_chunks} ring chunks"
             )
+        super().__init__(comm.rt, name)
         self.comm = comm
         self.sendbuf = sendbuf
         self.recvbuf = recvbuf          # doubles as the working buffer W
@@ -98,7 +101,6 @@ class PcollRequest(PersistentRequest):
         self._pready_called: List[bool] = []
         self._prepared_flag = Flag(self.engine)
         self.done_count = Counter(self.engine)
-        self._sms: List = []
 
         # Collective channels match by a per-communicator ordinal: MPI
         # requires every rank to initialize collectives on a communicator
@@ -112,12 +114,6 @@ class PcollRequest(PersistentRequest):
         """Chunk ``chunk`` of user partition ``u`` in the working buffer."""
         start = u * self.part_elems + chunk * self.chunk_elems
         return self.recvbuf.view(start, self.chunk_elems)
-
-    def _send_chunk_src(self, u: int, chunk: int) -> Buffer:
-        return self._w_chunk(u, chunk)
-
-    def _wire_tp(self, ordinals: Dict[int, int], nbr: int, u: int, step: int, total: int) -> int:
-        return u * total + ordinals[step]
 
     # -- init (called by api.p<coll>_init) ----------------------------------------
     def _init_channels(self) -> Generator:
@@ -169,23 +165,25 @@ class PcollRequest(PersistentRequest):
             )
 
     # -- MPI_Start ------------------------------------------------------------------
-    def start(self) -> Generator:
-        yield self.engine.timeout(0.5 * us)
+    def _begin_user_epoch(self) -> None:
+        """Open an epoch with fresh per-user-partition flags."""
         self._begin_epoch()
         self.user_ready = [Flag(self.engine) for _ in range(self.partitions)]
         self.partition_done = [Flag(self.engine) for _ in range(self.partitions)]
         self._pready_called = [False] * self.partitions
         self._prepared_flag = Flag(self.engine)
         self.done_count.reset()
+
+    def start(self) -> Generator:
+        yield self.engine.timeout(self.START_COST)
+        self._begin_user_epoch()
         for ch in self.send_ch.values():
             yield from ch.start()
         for ch in self.recv_ch.values():
             yield from ch.start()
         epoch = self.epoch
-        self._sms = [
+        for u in range(self.partitions):
             self.engine.process(self._run_partition(u, epoch), name=f"pcoll.sm{u}")
-            for u in range(self.partitions)
-        ]
         if self.preq is not None:
             self.preq.arm_epoch()
 
@@ -207,7 +205,7 @@ class PcollRequest(PersistentRequest):
 
     # -- MPI_Pready (user partition, host binding) ------------------------------------
     def pready(self, user_partition: int) -> Generator:
-        yield self.engine.timeout(PUT_ISSUE_COST)
+        yield self.engine.timeout(self.PREADY_COST)
         self.issue_user_pready(user_partition)
 
     def issue_user_pready(self, u: int) -> None:
@@ -254,8 +252,7 @@ class PcollRequest(PersistentRequest):
                 )
             for inc in step.incoming:
                 ch = self.recv_ch[inc]
-                total = self.schedule.recvs_from(inc)
-                tp = self._wire_tp(self.recv_ordinal[inc], inc, u, i, total)
+                tp = u * self.schedule.recvs_from(inc) + self.recv_ordinal[inc][i]
                 flag = ch.arrived_flags[tp]
                 if not flag.is_set:
                     yield flag.wait()
@@ -270,12 +267,9 @@ class PcollRequest(PersistentRequest):
     def _issue_send(self, u: int, i: int, o: int) -> Generator:
         """Internal host MPI_Pready on the channel to ``o`` for step ``i``."""
         yield self.engine.timeout(PUT_ISSUE_COST)
-        step = self.schedule.steps[i]
-        ch = self.send_ch[o]
-        total = self.schedule.sends_to(o)
-        tp = self._wire_tp(self.send_ordinal[o], o, u, i, total)
-        src = self._send_chunk_src(u, step.send_chunk)
-        ch.issue_pready(tp, with_data=True, src_override=src)
+        tp = u * self.schedule.sends_to(o) + self.send_ordinal[o][i]
+        src = self._w_chunk(u, self.schedule.steps[i].send_chunk)
+        self.send_ch[o].issue_pready(tp, with_data=True, src_override=src)
 
     def _consume(self, u: int, i: int, inc: int, tp: int, step) -> Generator:
         """Reduce or copy an arrived chunk into the working buffer."""
@@ -338,11 +332,8 @@ class PcollRequest(PersistentRequest):
                 f"grid {grid} not divisible by {self.partitions} user partitions"
             )
         agg = AggregationSpec(grid, block, grid // self.partitions, signal_mode)
-        cost = device.cost
-        yield self.engine.timeout(cost.cuda_malloc_cost)
-        yield self.engine.timeout(cost.cuda_host_alloc_cost)
-        yield self.engine.timeout(self.rt.params.ucp_mem_map_per_call)
-        yield self.engine.timeout(cost.memcpy_api_cost)
+        for cost in self._prequest_costs(device.cost):
+            yield self.engine.timeout(cost)
         preq = Prequest(
             self, device, agg, CopyMode.PROGRESSION_ENGINE,
             on_ready=self.issue_user_pready,
@@ -351,3 +342,14 @@ class PcollRequest(PersistentRequest):
         if self.active:
             preq.arm_epoch()
         return preq
+
+    def _prequest_costs(self, cost) -> Tuple[float, ...]:
+        """Host costs of MPIX_Prequest_create, charged in order: the device
+        counter, the pinned host flag page the progression engine polls,
+        its UCX mapping, and the descriptor copy."""
+        return (
+            cost.cuda_malloc_cost,
+            cost.cuda_host_alloc_cost,
+            self.rt.params.ucp_mem_map_per_call,
+            cost.memcpy_api_cost,
+        )

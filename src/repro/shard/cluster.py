@@ -71,7 +71,7 @@ class ClusterResult:
 
     :meth:`signature` returns the determinism-relevant subset two runs
     must agree on byte-for-byte; ``step_digests`` additionally pins the
-    per-shard pop streams when step collection was enabled.
+    per-shard pop streams of a windowed run (None for a reference run).
     """
 
     mode: str                  # "sequential" | "mp" | "reference"
@@ -121,8 +121,7 @@ class _Block:
         self.sids = sids
         self.shards = [
             Shard(
-                job.spec, sid, job.build, job.cfg, wire=job.wire,
-                collect_steps=job.collect_steps, graph=job.graph,
+                job.spec, sid, job.build, job.cfg, wire=job.wire, graph=job.graph,
             )
             for sid in sids
         ]
@@ -230,7 +229,6 @@ class ClusterJob:
         spec: MachineSpec,
         workload: str = "halo",
         cfg: Optional[dict] = None,
-        collect_steps: bool = False,
     ) -> None:
         from repro.shard.workloads import resolve_workload
 
@@ -244,7 +242,6 @@ class ClusterJob:
         entry = resolve_workload(workload)
         self.build, self.graph, self._hosts = entry.build, entry.graph, entry.hosts
         self.cfg = {**entry.defaults, **(cfg or {})}
-        self.collect_steps = collect_steps
         self.wire = WireModel(spec)
         self.lookahead = self.wire.lookahead()
 
@@ -374,7 +371,7 @@ class ClusterJob:
         order), every other shard reporting :meth:`Shard.empty_report`."""
         built = {r["sid"]: r for r in reports}
         reports = [
-            built.get(sid) or Shard.empty_report(sid, self.collect_steps)
+            built.get(sid) or Shard.empty_report(sid)
             for sid in range(self.spec.n_nodes)
         ]
         stuck = [r["sid"] for r in reports if not r["done"]]
@@ -408,8 +405,7 @@ class ClusterJob:
             events_popped=max(per_shard, default=0) if reference else sum(per_shard),
             per_shard_popped=None if reference else per_shard,
             step_digests=(
-                {r["sid"]: r["step_digest"] for r in reports}
-                if self.collect_steps and not reference else None
+                None if reference else {r["sid"]: r["step_digest"] for r in reports}
             ),
             results={r["sid"]: r["results"] for r in reports},
             t_end=max(r["t_end"] for r in reports),

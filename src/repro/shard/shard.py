@@ -182,7 +182,6 @@ class Shard:
         cfg: dict,
         engine: Optional[Engine] = None,
         wire: Optional[WireModel] = None,
-        collect_steps: bool = False,
         graph: bool = False,
     ) -> None:
         self.cluster = cluster
@@ -193,8 +192,6 @@ class Shard:
         self.engine = Engine() if dedicated else engine
         if dedicated:
             self.engine.shard_id = shard_id
-        if collect_steps and not dedicated:
-            raise ValueError("step collection needs a dedicated shard engine")
         self.wire = wire if wire is not None else WireModel(cluster)
         self.local_spec = local_spec(cluster, shard_id)
         #: Graph mode (``graph=True``, a dedicated engine, nothing
@@ -230,10 +227,13 @@ class Shard:
         #: of one instant share it instead of re-formatting it.
         self._step_time: Optional[float] = None
         self._step_prefix = ""
-        if collect_steps:
-            # Hooked after graph mode is chosen, so the shard's own hash
-            # is not an observer; the graph engine replays the eager pop
-            # stream bit-for-bit, so hashing its pops yields the same digest.
+        if dedicated:
+            # A dedicated engine's pop stream is the shard's own, so it is
+            # hashed; a shared reference engine interleaves every shard's
+            # pops and is not.  Hooked after graph mode is chosen, so the
+            # shard's own hash is not an observer; the graph engine replays
+            # the eager pop stream bit-for-bit, so hashing its pops yields
+            # the same digest.
             self._step_hash = hashlib.sha256()
             run_engine.on_step = self._hash_step
 
@@ -328,8 +328,8 @@ class Shard:
         """The shard's picklable end-of-run record the driver assembles.
 
         ``step_digest`` is the SHA-256 of the shard's ``(time, priority,
-        seq)`` pop stream (None unless collected), ``t_end`` the time of
-        the last event either shard engine processed, and
+        seq)`` pop stream (None on a shared reference engine), ``t_end``
+        the time of the last event either shard engine processed, and
         ``graph_launches`` the host graph-launch events (0 when eager).
         """
         e, g = self.engine, self.graph_engine
@@ -352,7 +352,7 @@ class Shard:
         }
 
     @staticmethod
-    def empty_report(sid: int, collect_steps: bool) -> dict:
+    def empty_report(sid: int) -> dict:
         """The report of a shard a run did not build: exactly what a built
         shard with nothing resident, no fault and no traffic reports."""
         return {
@@ -362,7 +362,7 @@ class Shard:
             "unmatched": (0, 0),
             "events_popped": 0,
             "events_graphed": 0,
-            "step_digest": EMPTY_STEP_DIGEST if collect_steps else None,
+            "step_digest": EMPTY_STEP_DIGEST,
             "t_end": 0.0,
             "bytes_by_class": {},
             "graph_launches": 0,

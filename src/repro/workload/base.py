@@ -106,8 +106,6 @@ class ExecOutcome:
     class_bytes: Dict[str, Any] = field(default_factory=dict)
     digests: Dict[str, str] = field(default_factory=dict)
     extra: Dict[str, Any] = field(default_factory=dict)
-    #: None -> run() fills it with the STATS snapshot delta.
-    events_popped: Optional[int] = None
 
 
 @dataclass
@@ -229,11 +227,7 @@ class Workload:
         with run_scope(policy=policy, faults=faults):
             before = STATS.snapshot()["events_popped"]
             outcome = self._execute(resolved, shards, **merged)
-            popped = (
-                outcome.events_popped
-                if outcome.events_popped is not None
-                else STATS.snapshot()["events_popped"] - before
-            )
+            popped = STATS.snapshot()["events_popped"] - before
         digests = {"series": series_digest(outcome.series), **outcome.digests}
         return WorkloadResult(
             workload=self.name,

@@ -32,7 +32,7 @@ class ClusterWorkload(Workload):
     def _execute(self, spec: Optional[MachineSpec], shards, **params) -> ExecOutcome:
         from repro.shard import ClusterJob
 
-        job = ClusterJob(spec, self.name, cfg=params, collect_steps=True)
+        job = ClusterJob(spec, self.name, cfg=params)
         result = job.run(workers=shards)
         sig = result.signature()
         s = Series(
@@ -56,7 +56,6 @@ class ClusterWorkload(Workload):
                 "workers": result.workers,
                 "windows": result.windows,
             },
-            events_popped=sig["events_popped"],
         )
 
 

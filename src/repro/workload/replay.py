@@ -700,7 +700,7 @@ class ReplayWorkload(Workload):
     def _execute_cluster(self, spec, ops, shards) -> ExecOutcome:
         from repro.shard import ClusterJob
 
-        job = ClusterJob(spec, "replay", cfg={"ops": ops}, collect_steps=True)
+        job = ClusterJob(spec, "replay", cfg={"ops": ops})
         result = job.run(workers=shards)
         sig = result.signature()
         series = self._series(
@@ -720,7 +720,6 @@ class ReplayWorkload(Workload):
                    "steps": len(self.schedule.steps),
                    "graphs": {"graph_launches": result.graph_launches,
                               "events_graphed": result.events_graphed}},
-            events_popped=sig["events_popped"],
         )
 
     def _series(self, class_bytes: dict, t_end: float) -> Series:

@@ -40,11 +40,8 @@ CFG = {
 }
 
 
-def _job(machine, workload, collect_steps=True):
-    return ClusterJob(
-        resolve_machine(machine), workload, cfg=CFG[workload],
-        collect_steps=collect_steps,
-    )
+def _job(machine, workload):
+    return ClusterJob(resolve_machine(machine), workload, cfg=CFG[workload])
 
 
 # -- the sweep ----------------------------------------------------------------
@@ -76,7 +73,7 @@ def test_no_coalesce_keeps_modes_identical(machine):
 @pytest.mark.parametrize("workload", ["halo", "allreduce-node"])
 def test_reference_run_matches_semantics(workload):
     """The single-heap baseline: same physics, no windows."""
-    job = _job("fat-tree-32-r2-l2", workload, collect_steps=False)
+    job = _job("fat-tree-32-r2-l2", workload)
     seq = job.run_sequential()
     ref = job.run_reference()
     assert ref.mode == "reference" and ref.windows == 0
@@ -88,7 +85,7 @@ def test_reference_run_matches_semantics(workload):
 
 
 def test_halo_results_report_every_gpu():
-    result = _job("fat-tree-32-r2-l2", "halo", collect_steps=False).run()
+    result = _job("fat-tree-32-r2-l2", "halo").run()
     gpus = sorted(g for ranks in result.results.values() for g, _t in ranks)
     assert gpus == list(range(32))
 
@@ -96,7 +93,7 @@ def test_halo_results_report_every_gpu():
 # -- stats merge (satellite: deterministic STATS absorption) ------------------
 
 def test_mp_stats_absorbed_into_module_stats():
-    job = _job("fat-tree-32-r2-l2", "halo", collect_steps=False)
+    job = _job("fat-tree-32-r2-l2", "halo")
     STATS.reset()
     result = job.run(workers=2)
     snap = STATS.snapshot()
@@ -184,13 +181,13 @@ def test_unknown_workload_rejected():
 
 
 def test_zero_workers_rejected():
-    job = _job("fat-tree-32-r2-l2", "halo", collect_steps=False)
+    job = _job("fat-tree-32-r2-l2", "halo")
     with pytest.raises(ClusterError, match=">= 1"):
         job.run(workers=0)
 
 
 def test_workers_clamped_to_shard_count():
-    result = _job("fat-tree-32-r2-l2", "halo", collect_steps=False).run(workers=64)
+    result = _job("fat-tree-32-r2-l2", "halo").run(workers=64)
     assert result.workers == result.shards == 4
 
 

@@ -51,7 +51,7 @@ def fabric_nodes(monkeypatch):
 def test_llm16_builds_only_hosting_and_faulted_shards(fabric_nodes):
     spec = resolve_machine("fat-tree-512")
     ops = lower(load_schedule(str(SCHEDULES / "llm16.jsonl")))
-    job = ClusterJob(spec, "replay", cfg={"ops": ops}, collect_steps=True)
+    job = ClusterJob(spec, "replay", cfg={"ops": ops})
     faults = FaultSchedule.load(str(SCHEDULES / "faults_fattree512.jsonl"))
     with run_scope(faults=faults):
         assert job.built_shards() == [0, 1, 3]  # node 3 hosts no rank
@@ -77,9 +77,8 @@ def test_llm16_builds_only_hosting_and_faulted_shards(fabric_nodes):
 
 def test_empty_report_is_an_idle_built_shard():
     spec = resolve_machine("fat-tree-32-r2-l2")
-    for collect in (False, True):
-        idle = Shard(spec, 2, build_replay, {"ops": {}}, collect_steps=collect)
-        assert idle.report() == Shard.empty_report(2, collect)
+    idle = Shard(spec, 2, build_replay, {"ops": {}})
+    assert idle.report() == Shard.empty_report(2)
 
 
 def test_reference_pops_come_from_the_shared_engine():
@@ -115,8 +114,7 @@ def test_put_into_an_opless_rank_builds_its_shard():
         '{"rank": 8, "op": "put", "peer": 24, "bytes": 65536, "class": "pp-activation"}',
     ]
     ops = lower(parse_jsonl("\n".join(lines)))
-    job = ClusterJob(resolve_machine("fat-tree-32-r2-l2"), "replay", cfg={"ops": ops},
-                     collect_steps=True)
+    job = ClusterJob(resolve_machine("fat-tree-32-r2-l2"), "replay", cfg={"ops": ops})
     assert job.built_shards() == [1, 3]
     seq = job.run()
     assert job.run(workers=2).signature() == seq.signature()
@@ -188,7 +186,6 @@ def test_faulted_allreduce_node_installs_each_fault_once():
     ]
     job = ClusterJob(
         resolve_machine("fat-tree-16-n4-l2"), "allreduce-node", cfg={"iters": 2},
-        collect_steps=True,
     )
     with run_scope(faults=FaultSchedule(degrade)):
         seq = job.run()

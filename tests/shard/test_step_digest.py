@@ -15,6 +15,8 @@ import pytest
 
 from repro.hw.spec.generators import resolve_machine
 from repro.shard import ClusterJob, Shard
+from repro.shard.shard import EMPTY_STEP_DIGEST
+from repro.sim.engine import Engine
 from repro.sim.process import ProcessFailed
 from repro.workload.generators import jacobi_schedule
 from repro.workload.replay import ReplayWorkload
@@ -73,7 +75,7 @@ EAGER = {
 @pytest.mark.parametrize("workload", sorted(EAGER))
 def test_eager_digest_matches_per_pop_hash(reference_digests, workload, workers):
     spec = resolve_machine("fat-tree-32-r2-l2")
-    job = ClusterJob(spec, workload, cfg=EAGER[workload], collect_steps=True)
+    job = ClusterJob(spec, workload, cfg=EAGER[workload])
     result = job.run(workers=workers)
     assert result.windows >= 10 and result.events_graphed == 0
     assert result.step_digests == reference_digests(spec.n_nodes)
@@ -105,8 +107,7 @@ def test_stuck_shard_report_flushes_its_partial_window():
         return [shard.engine.process(ticker(), name="ticker"),
                 shard.engine.process(waiter(), name="waiter")]
 
-    shard = Shard(resolve_machine("fat-tree-32-r2-l2"), 1, build, {},
-                  collect_steps=True)
+    shard = Shard(resolve_machine("fat-tree-32-r2-l2"), 1, build, {})
     steps = []
     _wrap_steps(shard, steps.append)
     for horizon in (2.5e-6, 5.5e-6, 9.5e-6):
@@ -121,3 +122,19 @@ def test_stuck_shard_report_flushes_its_partial_window():
     assert rec["step_digest"] == ref.hexdigest()
     # report() is repeatable: nothing is hashed twice.
     assert shard.report()["step_digest"] == ref.hexdigest()
+
+
+def test_only_a_dedicated_shard_engine_hashes_its_pops():
+    """Hashing is structural, not an option: a shard on its own engine
+    always hashes its pop stream; shards sharing a reference engine never
+    do, since that stream interleaves every shard's pops."""
+
+    def build(shard, cfg):
+        return []
+
+    spec = resolve_machine("fat-tree-32-r2-l2")
+    own = Shard(spec, 1, build, {})
+    shared = Shard(spec, 1, build, {}, engine=Engine())
+    assert own.report()["step_digest"] == EMPTY_STEP_DIGEST
+    assert shared.engine.on_step is None
+    assert shared.report()["step_digest"] is None
