@@ -20,7 +20,6 @@ from repro.cuda import UniformKernel, WorkSpec
 from repro.hw.params import ONE_NODE
 from repro.mpi.world import World
 from repro.partitioned import device as pdev
-from repro.pcoll.fused import fused_pallreduce_init
 from repro.units import us
 
 GRIDS = (1024, 8192)
@@ -31,7 +30,7 @@ def _measure_fused(grid: int, iters: int = 3) -> float:
         comm = ctx.comm
         n = grid * 1024
         w = ctx.gpu.alloc(n)
-        req = yield from fused_pallreduce_init(comm, w, w, partitions=8, device=ctx.gpu)
+        req = yield from comm.pallreduce_init(w, w, partitions=8, device=ctx.gpu, fused=True)
         preq = None
         times = []
         for _ in range(iters):

@@ -27,6 +27,12 @@ echo "== fused ablation (relaxed device Pready: fused vs host-progressed vs NCCL
 # 0.7-1.15x NCCL's.
 PYTHONPATH=src python -m pytest -x -q benchmarks/test_ablation_fused_collective.py
 
+echo "== fig6 (allreduce on one node: traditional > partitioned > NCCL) =="
+# Gates NCCL's in-kernel ring against the paper: the three allreduces keep
+# their order at every grid, with a 100-500 us partitioned-NCCL gap at a
+# 1K grid (paper ~226 us).
+PYTHONPATH=src python -m pytest -x -q benchmarks/test_fig6_allreduce_1node.py
+
 echo "== bench smoke (every suite row vs its recorded baseline row) =="
 # --against auto gates against the newest checked-in BENCH_pr*.json
 # (skipping the --out file this run writes), so new PRs need no edit here.

@@ -147,10 +147,6 @@ class Device:
                 t0, self.engine.now, stream=stream.name,
             )
 
-    def device_sync_h(self) -> Generator:
-        """``cudaDeviceSynchronize`` over this device's default stream."""
-        yield from self.sync_h(self.default_stream)
-
     # -- memcpy ------------------------------------------------------------------
     def memcpy_async(self, dst: Buffer, src: Buffer, stream=None) -> Event:
         """cudaMemcpyAsync: queue a copy on a stream; returns completion."""

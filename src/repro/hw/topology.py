@@ -132,9 +132,3 @@ class Fabric:
                 raise RouteError(str(exc)) from exc
             self._route_cache[key] = cached
         return cached
-
-    def gpu_distance(self, a: GpuId, b: GpuId) -> str:
-        """'local' | 'nvlink' | 'ib' — used by protocol selection."""
-        if a == b:
-            return "local"
-        return "nvlink" if self.spec.same_node(a, b) else "ib"

@@ -8,7 +8,7 @@ methods (``req = yield from comm.isend(...)``).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Generator, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, Generator, List, Optional, Sequence
 
 from repro.hw.memory import Buffer
 from repro.mpi import p2p
@@ -18,6 +18,7 @@ from repro.mpi.ops import MpiOp, SUM
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.mpi.runtime import MpiRuntime
+    from repro.mpi.world import World
 
 ANY_SOURCE = ANY
 ANY_TAG = ANY
@@ -35,6 +36,39 @@ class CommGroup:
         return len(self.world_ranks)
 
 
+class _SplitSlot:
+    """Collects one split round's (color, key) submissions."""
+
+    def __init__(self, world: "World", expected: int) -> None:
+        self.world = world
+        self.expected = expected
+        self._submissions: Dict[int, tuple] = {}  # parent rank -> (color, key, world_rank)
+        self._groups: Optional[Dict[int, CommGroup]] = None
+
+    def submit(self, parent_rank: int, color: int, key: int, world_rank: int) -> None:
+        self._submissions[parent_rank] = (color, key, world_rank)
+
+    def group_for(self, color: int) -> Optional[CommGroup]:
+        if len(self._submissions) != self.expected:
+            raise MpiUsageError(
+                "comm split used before all members submitted (missing barrier?)"
+            )
+        if self._groups is None:
+            by_color: Dict[int, list] = {}
+            for prank, (c, key, wrank) in self._submissions.items():
+                if c >= 0:
+                    by_color.setdefault(c, []).append((key, prank, wrank))
+            self._groups = {}
+            for c, members in by_color.items():
+                members.sort()  # by key, then parent rank (MPI tie-break)
+                self._groups[c] = CommGroup(
+                    self.world.alloc_comm_id(), [wrank for _k, _p, wrank in members]
+                )
+        if color < 0:
+            return None
+        return self._groups[color]
+
+
 class Communicator:
     """One rank's view of a communicator."""
 
@@ -48,6 +82,7 @@ class Communicator:
                 f"world rank {rt.world_rank} is not in communicator {group.comm_id}"
             )
         rt.comms[group.comm_id] = self
+        self._calls: Dict[str, int] = {}
 
     # -- identity ---------------------------------------------------------------
     @property
@@ -62,6 +97,12 @@ class Communicator:
         if not 0 <= comm_rank < self.size:
             raise MpiUsageError(f"rank {comm_rank} out of range (size {self.size})")
         return self.group.world_ranks[comm_rank]
+
+    def next_call(self, kind: str) -> int:
+        """Number this rank's next collective call of ``kind`` (0, 1, ...)."""
+        n = self._calls.get(kind, 0)
+        self._calls[kind] = n + 1
+        return n
 
     # -- communicator management ------------------------------------------------
     def dup(self) -> Generator:
@@ -79,7 +120,7 @@ class Communicator:
         rt = self.rt
         key = key if key is not None else self.rank
         world = rt.world
-        slot = world.comm_split_slot(self)
+        slot = world.shared(self, "split", lambda: _SplitSlot(world, self.size))
         slot.submit(self.rank, color, key, rt.world_rank)
         yield from self.barrier()
         group = slot.group_for(color)

@@ -52,6 +52,8 @@ class MpiRuntime:
         # MCA partitioned component lazily initialized on first use
         # (its cost lands in the first MPIX_Pbuf_prepare — Table I).
         self.mca_partitioned_ready = False
+        #: The component's own UCP context/worker (partitioned first touch).
+        self.part_ucp_ready = False
 
     # -- init / finalize ------------------------------------------------------
     def init(self) -> Generator:

@@ -63,39 +63,6 @@ class RankCtx:
         return self.mpi.params
 
 
-class _SplitSlot:
-    """Collects one split round's (color, key) submissions."""
-
-    def __init__(self, world: "World", expected: int) -> None:
-        self.world = world
-        self.expected = expected
-        self._submissions: Dict[int, tuple] = {}  # parent rank -> (color, key, world_rank)
-        self._groups: Optional[Dict[int, CommGroup]] = None
-
-    def submit(self, parent_rank: int, color: int, key: int, world_rank: int) -> None:
-        self._submissions[parent_rank] = (color, key, world_rank)
-
-    def group_for(self, color: int) -> Optional[CommGroup]:
-        if len(self._submissions) != self.expected:
-            raise MpiUsageError(
-                "comm split used before all members submitted (missing barrier?)"
-            )
-        if self._groups is None:
-            by_color: Dict[int, list] = {}
-            for prank, (c, key, wrank) in self._submissions.items():
-                if c >= 0:
-                    by_color.setdefault(c, []).append((key, prank, wrank))
-            self._groups = {}
-            for c, members in by_color.items():
-                members.sort()  # by key, then parent rank (MPI tie-break)
-                self._groups[c] = CommGroup(
-                    self.world.alloc_comm_id(), [wrank for _k, _p, wrank in members]
-                )
-        if color < 0:
-            return None
-        return self._groups[color]
-
-
 class World:
     """One simulated machine plus its MPI job launcher."""
 
@@ -128,12 +95,8 @@ class World:
         # Registries; close() drops every one of them.
         self._addresses: Dict[int, WorkerAddress] = {}
         self._runtimes: List[MpiRuntime] = []
-        self._split_slots: Dict[tuple, _SplitSlot] = {}
-        self._nccl_cliques: Dict[int, Any] = {}   # comm id -> nccl _CliqueState
-        self._fused_cliques: Dict[tuple, Any] = {}  # (comm id, tag) -> _FusedClique
-        #: Out-of-band key/value space ranks publish into (PMIx put/get),
-        #: e.g. graphed Jacobi's receive halos.
-        self.published: Dict[Any, Any] = {}
+        #: (comm id, kind, call number) -> the object of that call; see shared().
+        self._shared: Dict[tuple, Any] = {}
         self._comm_ids = itertools.count(0)
         self._nprocs = 0
         self._boot_counter: Optional[Counter] = None
@@ -158,23 +121,20 @@ class World:
     def alloc_comm_id(self) -> int:
         return next(self._comm_ids)
 
-    def comm_split_slot(self, parent_comm) -> "_SplitSlot":
-        """Out-of-band agreement slot for one MPI_Comm_split round.
+    def shared(self, comm: Communicator, kind: str, make: Callable[[], Any]) -> Any:
+        """The object every rank of ``comm`` shares for its nth ``kind`` call.
 
-        MPI requires every rank of the communicator to call split in the
-        same order, so the Nth split on a communicator is the same
-        operation everywhere; the slot collects (color, key) submissions
-        and assigns consistent CommGroups once all members arrived.
+        MPI requires every rank to make a communicator's collective calls
+        in the same order, so a rank's nth ``kind`` call is one operation
+        on every rank: the first rank to reach it builds the object with
+        ``make()`` (an out-of-band, PMIx-style agreement), the others get
+        the same one.
         """
-        slots = self._split_slots
-        seq = getattr(parent_comm, "_split_seq", 0)
-        parent_comm._split_seq = seq + 1
-        key = (parent_comm.comm_id, seq)
-        slot = slots.get(key)
-        if slot is None:
-            slot = _SplitSlot(self, parent_comm.size)
-            slots[key] = slot
-        return slot
+        key = (comm.comm_id, kind, comm.next_call(kind))
+        obj = self._shared.get(key)
+        if obj is None:
+            obj = self._shared[key] = make()
+        return obj
 
     # -- job launch -----------------------------------------------------------------
     def launch(
@@ -261,10 +221,7 @@ class World:
             self.engine.close()
         self._addresses.clear()
         self._runtimes.clear()
-        self._split_slots.clear()
-        self._nccl_cliques.clear()
-        self._fused_cliques.clear()
-        self.published.clear()
+        self._shared.clear()
 
     def __enter__(self) -> "World":
         return self

@@ -56,10 +56,10 @@ def _part_ucp_first_touch(rt) -> Generator:
     charge their creation cost here but share the rank's worker for AM
     plumbing — the timing is what the reproduction depends on.
     """
-    if not getattr(rt, "_part_ucp_ready", False):
+    if not rt.part_ucp_ready:
         p = rt.params
         yield rt.engine.timeout(p.ucp_context_create + p.ucp_worker_create)
-        rt._part_ucp_ready = True
+        rt.part_ucp_ready = True
 
 
 class PsendRequest(PersistentRequest):

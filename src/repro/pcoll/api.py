@@ -13,6 +13,8 @@ from typing import TYPE_CHECKING, Generator, Optional
 from repro.hw.memory import Buffer
 from repro.mpi.errors import MpiUsageError
 from repro.mpi.ops import MpiOp, SUM
+from repro.pcoll.fused import FusedPallreduce
+from repro.pcoll.rd import recursive_doubling_allreduce_schedule
 from repro.pcoll.request import PcollRequest
 from repro.pcoll.ring import ring_allreduce_schedule
 from repro.pcoll.tree import binomial_bcast_schedule
@@ -20,6 +22,12 @@ from repro.pcoll.tree import binomial_bcast_schedule
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cuda.device import Device
     from repro.mpi.comm import Communicator
+
+#: MPIX_Pallreduce_init's ``algorithm`` names and their schedule builders.
+_ALLREDUCE_SCHEDULES = {
+    "ring": ring_allreduce_schedule,
+    "recursive_doubling": recursive_doubling_allreduce_schedule,
+}
 
 
 def pallreduce_init(
@@ -41,32 +49,24 @@ def pallreduce_init(
     (Section VI-B): the whole ring collective executes inside the kernel —
     NVLink-clique only.  See :mod:`repro.pcoll.fused`.
     """
-    if algorithm not in ("ring", "recursive_doubling"):
+    if algorithm not in _ALLREDUCE_SCHEDULES:
         raise MpiUsageError(f"unknown allreduce algorithm {algorithm!r}")
-    if fused:
-        if algorithm != "ring":
-            raise MpiUsageError(
-                f"fused=True runs the ring; it cannot run algorithm {algorithm!r}"
-            )
-        from repro.pcoll.fused import fused_pallreduce_init
-
-        return (yield from fused_pallreduce_init(
-            comm, sendbuf, recvbuf, partitions, op, device
-        ))
+    if fused and algorithm != "ring":
+        raise MpiUsageError(
+            f"fused=True runs the ring; it cannot run algorithm {algorithm!r}"
+        )
     if comm.size < 2:
         raise MpiUsageError("pallreduce needs at least 2 ranks")
     rt = comm.rt
     yield rt.engine.timeout(rt.params.mpi_call_overhead)
-    if algorithm == "recursive_doubling":
-        from repro.pcoll.rd import recursive_doubling_allreduce_schedule
-
-        schedule = recursive_doubling_allreduce_schedule(comm.rank, comm.size, op)
+    device = device or rt.device
+    if fused:
+        req: PcollRequest = FusedPallreduce(comm, sendbuf, recvbuf, partitions, op, device)
     else:
-        schedule = ring_allreduce_schedule(comm.rank, comm.size, op)
-    req = PcollRequest(
-        comm, sendbuf, recvbuf, partitions, op, schedule,
-        device or rt.device, name="pallreduce",
-    )
+        schedule = _ALLREDUCE_SCHEDULES[algorithm](comm.rank, comm.size, op)
+        req = PcollRequest(
+            comm, sendbuf, recvbuf, partitions, op, schedule, device, name="pallreduce",
+        )
     yield from req._init_channels()
     return req
 

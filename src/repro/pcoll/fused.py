@@ -12,6 +12,10 @@ our substrate:
   ``rkey_ptr``-mapped peer staging (no host puts, no copy engine),
   arrivals are device-memory flags, reductions run fused in the same
   kernel (no per-step launch + ``cudaStreamSynchronize``);
+* its device state is NCCL's too: each init is one
+  :class:`~repro.pcoll.ring.RingClique` in which every rank registers its
+  staging window once, and each epoch is one
+  :class:`~repro.pcoll.ring.RingBoard` of arrival flags;
 * the host API surface is unchanged: :class:`FusedPallreduce` is a
   :class:`~repro.pcoll.request.PcollRequest` and inherits its
   ``pready(u)`` / ``parrived(u)`` / ``wait`` / ``prequest_create``; only
@@ -29,48 +33,19 @@ the paper's prediction.
 from __future__ import annotations
 
 from functools import partial
-from typing import TYPE_CHECKING, Dict, Generator, List, Optional
+from typing import TYPE_CHECKING, Generator
 
 from repro.cuda.devapi import host_flag_write_proc
 from repro.hw.memory import Buffer, MemSpace
 from repro.mpi.errors import MpiStateError, MpiUsageError
-from repro.mpi.ops import MpiOp, SUM
+from repro.mpi.ops import MpiOp
 from repro.pcoll.request import POOL_ALLOC_COST, SCHEDULE_STEP_COST, PcollRequest
-from repro.pcoll.ring import ring_allreduce_schedule, ring_step
-from repro.sim.resources import Counter, Flag
+from repro.pcoll.ring import RingBoard, RingClique, ring_allreduce_schedule, ring_step
 from repro.units import us
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cuda.device import Device
     from repro.mpi.comm import Communicator
-
-
-class _FusedClique:
-    """Shared device-visible state of one fused collective instance."""
-
-    def __init__(self, engine, n_ranks: int, partitions: int, n_steps: int) -> None:
-        self.engine = engine
-        self.n_ranks = n_ranks
-        self.partitions = partitions
-        self.n_steps = n_steps
-        self.members: Dict[int, "FusedPallreduce"] = {}
-        self.join_count = Counter(engine)
-        self.epoch_flags: Dict[int, List[List[List[Flag]]]] = {}
-
-    def flags(self, epoch: int) -> List[List[List[Flag]]]:
-        """flags[rank][partition][step] for one epoch (lazily built)."""
-        f = self.epoch_flags.get(epoch)
-        if f is None:
-            f = [
-                [[Flag(self.engine) for _ in range(self.n_steps)]
-                 for _ in range(self.partitions)]
-                for _ in range(self.n_ranks)
-            ]
-            self.epoch_flags[epoch] = f
-            # Drop stale epochs to bound memory.
-            for old in [e for e in self.epoch_flags if e < epoch - 1]:
-                del self.epoch_flags[old]
-        return f
 
 
 class FusedPallreduce(PcollRequest):
@@ -90,8 +65,6 @@ class FusedPallreduce(PcollRequest):
         op: MpiOp,
         device: "Device",
     ) -> None:
-        if comm.size < 2:
-            raise MpiUsageError("fused pallreduce needs at least 2 ranks")
         if not sendbuf.same_allocation(recvbuf):
             raise MpiUsageError("the fused collective is in-place (sendbuf is recvbuf)")
         spec = comm.rt.fabric.spec
@@ -109,31 +82,28 @@ class FusedPallreduce(PcollRequest):
             ring_allreduce_schedule(comm.rank, comm.size, op), device,
             name="fused_pallreduce",
         )
-
-        # Shared clique state (stands for the rkey_ptr-mapped peer windows),
-        # keyed like the host-progressed collectives' channel tags.
-        registry = comm.rt.world._fused_cliques
-        key = (comm.comm_id, self._tag)
-        clique = registry.get(key)
-        if clique is None:
-            clique = _FusedClique(
-                self.engine, comm.size, partitions, self.schedule.n_steps
-            )
-            registry[key] = clique
-        self.clique = clique
-        clique.members[comm.rank] = self
-
-        # Per-(partition, step) staging so fast peers can never overwrite.
-        self.staging = Buffer.alloc(
-            partitions * self.schedule.n_steps * self.chunk_elems,
-            recvbuf.data.dtype, MemSpace.DEVICE,
-            node=device.node, gpu=device.gpu_id, label="fused_rx",
+        # The rkey_ptr-mapped peer windows: one clique per fused init.
+        self.clique: RingClique = comm.rt.world.shared(
+            comm, "fused_pallreduce", lambda: RingClique(self.engine, comm.size)
         )
         self.prepared_once = False
 
-    def _slot(self, u: int, step: int) -> Buffer:
-        return self.staging.view(
-            (u * self.schedule.n_steps + step) * self.chunk_elems, self.chunk_elems
+    def _init_channels(self) -> Generator:
+        """No channels: build the schedule, then carve this rank's staging
+        window (one slot per (partition, step)) out of the device pool and
+        register it with the clique."""
+        yield self.engine.timeout(
+            SCHEDULE_STEP_COST * self.schedule.n_steps + POOL_ALLOC_COST
+        )
+        self.clique.windows[self.comm.rank] = Buffer.alloc(
+            self.partitions * self.schedule.n_steps * self.chunk_elems,
+            self.recvbuf.data.dtype, MemSpace.DEVICE,
+            node=self.device.node, gpu=self.device.gpu_id, label="fused_rx",
+        )
+
+    def _board(self, epoch: int) -> RingBoard:
+        return self.clique.board(
+            epoch, self.partitions, self.schedule.n_steps, self.clique.windows
         )
 
     # -- control flow -----------------------------------------------------------
@@ -159,28 +129,25 @@ class FusedPallreduce(PcollRequest):
             for _ in range(self.comm.size - 1):
                 yield rt.engine.timeout(rt.params.ucp_rkey_ptr)
             self.prepared_once = True
-        self.clique.join_count.add(1)
-        yield self.clique.join_count.wait_for(self.comm.size * self.epoch)
+        board = self._board(self.epoch)
+        board.joined.add(1)
+        yield board.joined.wait_for(self.comm.size)
 
     # -- the in-kernel ring, one coroutine per user partition --------------------
     def _device_ring(self, u: int, epoch: int) -> Generator:
         yield self.user_ready[u].wait()
         if self.epoch != epoch:
             return
-        r = self.comm.rank
-        right = (r + 1) % self.comm.size
-        peer = self.clique.members[right]
-        flags = self.clique.flags(epoch)
+        board = self._board(epoch)
         dataplane = self.rt.fabric.dataplane
         chunk = partial(self._w_chunk, u)
         for i, step in enumerate(self.schedule.steps):
             # Direct SM stores into the right peer's mapped staging window.
             yield from ring_step(
-                self.device, dataplane, step, chunk,
-                peer._slot(u, i), flags[right][u][i],
-                self._slot(u, i), flags[r][u][i],
+                self.device, dataplane, board, self.comm.rank, u, i, step, chunk,
                 "pcoll", f"fused_u{u}s{i}",
             )
+        self.clique.exit(epoch)
 
         # Signal completion to the host (one flag store per partition).
         yield self.engine.process(
@@ -193,24 +160,3 @@ class FusedPallreduce(PcollRequest):
         # Blocks signal in device memory, where the ring engine lives: no
         # pinned host flag page to allocate or map.
         return (cost.cuda_malloc_cost, cost.memcpy_api_cost)
-
-    def release(self) -> None:
-        super().release()
-        self.clique.members.clear()  # member <-> clique is a reference cycle
-
-
-def fused_pallreduce_init(
-    comm: "Communicator",
-    sendbuf: Buffer,
-    recvbuf: Buffer,
-    partitions: int,
-    op: MpiOp = SUM,
-    device: Optional["Device"] = None,
-) -> Generator:
-    """MPIX_Pallreduce_init with the relaxed (fused device) semantics."""
-    rt = comm.rt
-    yield rt.engine.timeout(rt.params.mpi_call_overhead)
-    req = FusedPallreduce(comm, sendbuf, recvbuf, partitions, op, device or rt.device)
-    # Schedule construction + window allocation out of the device pool.
-    yield rt.engine.timeout(SCHEDULE_STEP_COST * req.schedule.n_steps + POOL_ALLOC_COST)
-    return req

@@ -105,9 +105,7 @@ class PcollRequest(PersistentRequest):
         # Collective channels match by a per-communicator ordinal: MPI
         # requires every rank to initialize collectives on a communicator
         # in the same order, so the Nth init gets tag base+N on all ranks.
-        seq = getattr(comm, "_pcoll_seq", 0)
-        comm._pcoll_seq = seq + 1
-        self._tag = _PCOLL_TAG_BASE + seq
+        self._tag = _PCOLL_TAG_BASE + comm.next_call("pcoll")
 
     # -- geometry helpers ----------------------------------------------------
     def _w_chunk(self, u: int, chunk: int) -> Buffer:

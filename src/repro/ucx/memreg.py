@@ -10,15 +10,11 @@ cuda_ipc-transport mapped device pointer (Section IV-A4).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.cuda.ipc import IpcError, IpcMemHandle
 from repro.hw.memory import Buffer, MemSpace
-
-_reg_ids = itertools.count()
-
 
 class UcxMemError(Exception):
     """Invalid registration / rkey usage."""
@@ -29,7 +25,6 @@ class MemHandle:
     """Result of ``ucp_mem_map``: a registered memory region."""
 
     buffer: Buffer
-    reg_id: int
 
     @property
     def nbytes(self) -> int:
@@ -40,7 +35,6 @@ class MemHandle:
 class PackedRkey:
     """The wire form of a remote key (travels inside setup_t)."""
 
-    reg_id: int
     buffer: Buffer = field(repr=False)  # resolved target region
     owner_node: int = 0
     owner_gpu: Optional[int] = None
@@ -79,15 +73,13 @@ def mem_map(worker, buffer: Buffer):
             "ucx", "mem_map", None, t0, engine.now,
             nbytes=buffer.nbytes, cached=cached, worker=worker.name,
         )
-    return MemHandle(buffer, next(_reg_ids))
+    return MemHandle(buffer)
 
 
 def rkey_pack(worker, memh: MemHandle):
     """``ucp_rkey_pack``: produce the wire rkey for a registered region."""
     yield worker.engine.timeout(worker.fabric.spec.params.ucp_rkey_pack)
-    return PackedRkey(
-        memh.reg_id, memh.buffer, memh.buffer.node, memh.buffer.gpu
-    )
+    return PackedRkey(memh.buffer, memh.buffer.node, memh.buffer.gpu)
 
 
 def rkey_unpack(worker, packed: PackedRkey):

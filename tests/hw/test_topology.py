@@ -107,13 +107,6 @@ def test_transfer_size_mismatch():
         fab.dataplane.put(dev(fab, 0, 4), dev(fab, 1, 8))
 
 
-def test_gpu_distance():
-    _e, fab = _mk()
-    assert fab.gpu_distance(0, 0) == "local"
-    assert fab.gpu_distance(0, 3) == "nvlink"
-    assert fab.gpu_distance(0, 7) == "ib"
-
-
 def test_large_transfer_bandwidth_bound():
     """An 8 MiB NVLink transfer takes ~ size/bw + latency."""
     eng, fab = _mk()

@@ -142,6 +142,6 @@ def test_nccl_retires_each_op_once_every_rank_finished():
     world = World(ONE_NODE)
     for out in world.run(main, nprocs=4):
         assert np.all(out == 4.0 ** 3)
-    (clique,) = world._nccl_cliques.values()
-    assert clique.op_states == {}
+    (clique,) = world._shared.values()
+    assert clique.boards == {}
     world.close()

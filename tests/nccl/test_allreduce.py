@@ -159,3 +159,39 @@ def test_property_nccl_equals_numpy_sum(P, n_factor, seed):
     expected = sum(inputs.values())
     for r in results:
         assert np.allclose(r, expected)
+
+
+
+def test_two_nccl_comms_on_one_mpi_comm_reduce_apart():
+    """Each ncclCommInitRank call on a communicator is its own clique, so
+    two NCCL communicators on one MPI communicator reduce independently,
+    even with their calls in flight together on two streams."""
+
+    def main(ctx):
+        first = yield from NcclComm.init(ctx)
+        second = yield from NcclComm.init(ctx)
+        a = ctx.gpu.alloc(256, fill=float(ctx.rank + 1))
+        b = ctx.gpu.alloc(256, fill=10.0 * (ctx.rank + 1))
+        other = ctx.gpu.new_stream()
+        first.all_reduce(a, a)
+        second.all_reduce(b, b, stream=other)
+        yield from ctx.gpu.sync_h()
+        yield from ctx.gpu.sync_h(other)
+        return set(a.data), set(b.data)
+
+    assert World(ONE_NODE).run(main, nprocs=4) == [({10.0}, {100.0})] * 4
+
+
+def test_second_nccl_init_rendezvous_every_rank():
+    """The second ncclCommInitRank on a communicator waits for every rank
+    again: ranks that reach it 10 us apart all leave it together."""
+
+    def main(ctx):
+        yield from NcclComm.init(ctx)
+        yield ctx.engine.timeout(ctx.rank * 10 * us)
+        yield from NcclComm.init(ctx)
+        return ctx.now
+
+    left = World(ONE_NODE).run(main, nprocs=4)
+    assert left == [left[-1]] * 4
+    assert left[-1] == pytest.approx(280 * us)

@@ -10,21 +10,17 @@ from repro.mpi.errors import MpiStateError, MpiUsageError
 from repro.mpi.ops import MAX, SUM
 from repro.mpi.world import World
 from repro.partitioned import device as pdev
-from repro.pcoll.fused import FusedPallreduce, fused_pallreduce_init
 
 
-def _job(P, U, chunk=64, epochs=1, op=SUM, values=None, via_comm=False):
+def _job(P, U, chunk=64, epochs=1, op=SUM, values=None):
     n = U * P * chunk
 
     def main(ctx):
         comm = ctx.comm
         w = ctx.gpu.alloc(n)
-        if via_comm:
-            req = yield from comm.pallreduce_init(
-                w, w, partitions=U, op=op, device=ctx.gpu, fused=True
-            )
-        else:
-            req = yield from fused_pallreduce_init(comm, w, w, U, op, ctx.gpu)
+        req = yield from comm.pallreduce_init(
+            w, w, partitions=U, op=op, device=ctx.gpu, fused=True
+        )
         outs = []
         for e in range(epochs):
             w.data[:] = values(ctx.rank, e) if values else float(ctx.rank + 1)
@@ -46,7 +42,7 @@ def test_fused_sum(P, U):
 
 
 def test_fused_via_comm_api():
-    for r in _job(4, 4, via_comm=True):
+    for r in _job(4, 4):
         assert np.all(r[0] == 10.0)
 
 
@@ -69,7 +65,7 @@ def test_fused_nonuniform_payload():
         comm = ctx.comm
         w = ctx.gpu.alloc(n)
         w.data[:] = np.arange(n) + 1000 * ctx.rank
-        req = yield from fused_pallreduce_init(comm, w, w, 2, SUM, ctx.gpu)
+        req = yield from comm.pallreduce_init(w, w, 2, SUM, device=ctx.gpu, fused=True)
         yield from req.start()
         yield from req.pbuf_prepare()
         for u in range(2):
@@ -90,7 +86,7 @@ def test_fused_rejects_cross_node_clique():
         n = 8 * 8 * 8
         w = ctx.gpu.alloc(n)
         with pytest.raises(MpiUsageError, match="NVLink"):
-            yield from fused_pallreduce_init(comm, w, w, 8, SUM, ctx.gpu)
+            yield from comm.pallreduce_init(w, w, 8, SUM, device=ctx.gpu, fused=True)
         return True
 
     assert all(World(PAPER_TESTBED).run(main, nprocs=8))
@@ -100,8 +96,8 @@ def test_fused_requires_in_place():
     def main(ctx):
         comm = ctx.comm
         with pytest.raises(MpiUsageError, match="in-place"):
-            yield from fused_pallreduce_init(
-                comm, ctx.gpu.alloc(64), ctx.gpu.alloc(64), 2, SUM, ctx.gpu
+            yield from comm.pallreduce_init(
+                ctx.gpu.alloc(64), ctx.gpu.alloc(64), 2, SUM, device=ctx.gpu, fused=True
             )
         return True
 
@@ -113,7 +109,7 @@ def test_fused_pready_semantics_enforced():
         comm = ctx.comm
         n = 4 * 2 * 16
         w = ctx.gpu.alloc(n, fill=1.0)
-        req = yield from fused_pallreduce_init(comm, w, w, 2, SUM, ctx.gpu)
+        req = yield from comm.pallreduce_init(w, w, 2, SUM, device=ctx.gpu, fused=True)
         with pytest.raises(MpiStateError):
             req.issue_user_pready(0)   # before start
         yield from req.start()
@@ -135,7 +131,7 @@ def test_fused_device_driven():
         comm = ctx.comm
         grid, block = 16, 1024
         w = ctx.gpu.alloc(grid * block, fill=float(ctx.rank + 1))
-        req = yield from fused_pallreduce_init(comm, w, w, 4, SUM, ctx.gpu)
+        req = yield from comm.pallreduce_init(w, w, 4, SUM, device=ctx.gpu, fused=True)
         yield from req.start()
         yield from req.pbuf_prepare()
         preq = yield from req.prequest_create(ctx.gpu, grid=grid, block=block)
@@ -158,7 +154,7 @@ def test_fused_beats_host_progressed_collective():
         comm = ctx.comm
         grid = 1024
         w = ctx.gpu.alloc(grid * 1024)
-        req = yield from fused_pallreduce_init(comm, w, w, 8, SUM, ctx.gpu)
+        req = yield from comm.pallreduce_init(w, w, 8, SUM, device=ctx.gpu, fused=True)
         preq = None
         times = []
         for _ in range(2):
@@ -189,7 +185,7 @@ def test_fused_parrived():
         comm = ctx.comm
         n = 4 * 2 * 16
         w = ctx.gpu.alloc(n, fill=1.0)
-        req = yield from fused_pallreduce_init(comm, w, w, 2, SUM, ctx.gpu)
+        req = yield from comm.pallreduce_init(w, w, 2, SUM, device=ctx.gpu, fused=True)
         yield from req.start()
         yield from req.pbuf_prepare()
         assert not req.parrived(0)

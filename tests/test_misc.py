@@ -97,13 +97,11 @@ def test_virtual_buffer_properties():
 
 
 def test_fused_divisibility_error():
-    from repro.pcoll.fused import fused_pallreduce_init
-
     def main(ctx):
         comm = ctx.comm
         with pytest.raises(MpiUsageError, match="divide"):
             w = ctx.gpu.alloc(10)
-            yield from fused_pallreduce_init(comm, w, w, 3, SUM, ctx.gpu)
+            yield from comm.pallreduce_init(w, w, 3, SUM, device=ctx.gpu, fused=True)
         return True
 
     assert all(World(ONE_NODE).run(main, nprocs=4))
