@@ -21,6 +21,12 @@ PYTHONPATH=src python -O -m pytest -x -q tests/bench/test_allreduce_check.py
 echo "== benchmark smoke (one small-grid point per paper figure) =="
 PYTHONPATH=src python -m pytest -x -q -m smoke
 
+echo "== fig3 (device MPIX_Pready aggregation: thread vs warp vs block) =="
+# Gates the one device pready binding against the paper's Fig 3: at a
+# 1024-thread block, thread/block within 240-300x (paper 271.5x) and
+# warp/block within 8-11x (paper 9.4x).
+PYTHONPATH=src python -m pytest -x -q benchmarks/test_fig3_aggregation.py
+
 echo "== fused ablation (relaxed device Pready: fused vs host-progressed vs NCCL) =="
 # benchmarks/ sits outside the tier-1 suite; this one bench gates the
 # fused collective below 0.8x the host-progressed time and within

@@ -24,45 +24,31 @@
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys
 
 from repro.bench import render
 
 
+#: Subcommand -> ``module:function`` taking the remaining arguments,
+#: imported only when that subcommand runs.
+_SUBCOMMANDS = {
+    "san": "repro.san.cli:main",
+    "analyze": "repro.analyze.cli:main",
+    "topo": "repro.hw.spec.cli:main",
+    "profile": "repro.obs.cli:main",
+    "bench": "repro.bench.suite:main",
+    "sweep": "repro.workload.cli:main_sweep",
+    "replay": "repro.workload.cli:main_replay",
+    "fault": "repro.workload.cli:main_fault",
+}
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    if argv and argv[0] == "san":
-        from repro.san.cli import main as san_main
-
-        return san_main(argv[1:])
-    if argv and argv[0] == "analyze":
-        from repro.analyze.cli import main as analyze_main
-
-        return analyze_main(argv[1:])
-    if argv and argv[0] == "topo":
-        from repro.hw.spec.cli import main as topo_main
-
-        return topo_main(argv[1:])
-    if argv and argv[0] == "profile":
-        from repro.obs.cli import main as profile_main
-
-        return profile_main(argv[1:])
-    if argv and argv[0] == "bench":
-        from repro.bench.suite import main as bench_main
-
-        return bench_main(argv[1:])
-    if argv and argv[0] == "sweep":
-        from repro.workload.cli import main_sweep
-
-        return main_sweep(argv[1:])
-    if argv and argv[0] == "replay":
-        from repro.workload.cli import main_replay
-
-        return main_replay(argv[1:])
-    if argv and argv[0] == "fault":
-        from repro.workload.cli import main_fault
-
-        return main_fault(argv[1:])
+    if argv and argv[0] in _SUBCOMMANDS:
+        module, func = _SUBCOMMANDS[argv[0]].split(":")
+        return getattr(importlib.import_module(module), func)(argv[1:])
     from repro.workload.exhibits import EXHIBIT_WORKLOADS
 
     exhibits = {wl.name: wl for wl in EXHIBIT_WORKLOADS}

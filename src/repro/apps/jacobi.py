@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Generator, List, Optional, Tuple
+from typing import Dict, Generator, Optional, Tuple
 
 import numpy as np
 
@@ -47,56 +47,6 @@ _OPPOSITE = {NORTH: SOUTH, SOUTH: NORTH, EAST: WEST, WEST: EAST}
 
 #: Flops per stencil point (4 adds + 1 multiply, NVIDIA's counting).
 FLOPS_PER_POINT = 5.0
-
-
-class _HaloWaveHook:
-    """Wave hook raising each halo's device MPIX_Pready when the wave
-    containing its last producing block retires: kernel-copy halos store
-    directly into the neighbour (posted; the host completion is gated on
-    the copy) and all halos signal the progression engine.
-
-    Speaks the executor's coalescing protocol (DESIGN.md §11): a wave
-    containing no halo's last producing block has zero externally visible
-    effects, so on an unobserved engine those waves collapse into the
-    next firing wave's heap event.
-    """
-
-    __slots__ = ("fire_at", "preqs")
-
-    def __init__(self, fire_at: List[Tuple[int, int]], preqs: Dict) -> None:
-        self.fire_at = fire_at  # (last producing block, direction) pairs
-        self.preqs = preqs
-
-    def _fire_halo(self, kc, d: int) -> None:
-        preq = self.preqs[d]
-        if preq.mode is CopyMode.KERNEL_COPY:
-            preq.kc_copy_events[0] = kc.copy(preq.src_slice(0), preq.mapped_slice(0))
-        kc.bulk_host_flag_writes(1, preq.host_signals[0])
-
-    def __call__(self, kc, wave) -> None:
-        for last_block, d in self.fire_at:
-            if wave.blocks[0] <= last_block <= wave.blocks[-1]:
-                self._fire_halo(kc, d)
-
-    def wave_batches(self, kc, plan):
-        t = kc.now
-        n_acc = 0
-        for blocks, dt in plan:
-            t = t + dt
-            n_acc += 1
-            hits = [
-                d for last_block, d in self.fire_at
-                if blocks[0] <= last_block <= blocks[-1]
-            ]
-            if hits:
-                def fire(kctx, hits=hits):
-                    for d in hits:
-                        self._fire_halo(kctx, d)
-
-                yield n_acc, t, fire
-                n_acc = 0
-        if n_acc:
-            yield n_acc, t, None
 
 
 def process_grid(nprocs: int) -> Tuple[int, int]:
@@ -242,6 +192,22 @@ def run_jacobi(ctx, cfg: JacobiConfig) -> Generator:
                 if cfg.copy_mode == "kc_auto" and spec.same_node(ctx.gpu.gpu_id, nbr)
                 else CopyMode.PROGRESSION_ENGINE
             )
+        fire_at = [(producing_last_block[d], d) for d in neighbours]
+
+        def halo_hook(kc, wave) -> None:
+            # Raise each halo's device MPIX_Pready when the wave containing
+            # its last producing block retires: a kernel-copy halo stores
+            # directly into the neighbour (posted; the host completion is
+            # gated on the copy), and every halo signals the progression
+            # engine.
+            for last_block, d in fire_at:
+                if wave.blocks[0] <= last_block <= wave.blocks[-1]:
+                    preq = preqs[d]
+                    if preq.mode is CopyMode.KERNEL_COPY:
+                        preq.kc_copy_events[0] = kc.copy(
+                            preq.src_slice(0), preq.mapped_slice(0)
+                        )
+                    kc.write_host_flags(1, preq.host_signals[0])
 
     if cfg.variant == "graphed":
         # Publish receive halos so neighbours can address them with
@@ -316,12 +282,9 @@ def run_jacobi(ctx, cfg: JacobiConfig) -> Generator:
                         ctx.gpu, grid=1, block=cfg.block, mode=modes[d],
                     )
 
-            fire_at = [(producing_last_block[d], d) for d in neighbours]
-            hook = _HaloWaveHook(fire_at, preqs)
-
             kernel = UniformKernel(
                 grid_blocks, cfg.block, work, name="jacobi_p",
-                apply=stencil_apply, wave_hook=hook,
+                apply=stencil_apply, wave_hook=halo_hook,
             )
             yield from ctx.gpu.launch_h(kernel)
             # MPI_Waitall over all halo channels: one call overhead.

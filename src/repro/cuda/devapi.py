@@ -1,14 +1,12 @@
 """Device-side action APIs available to kernel bodies and wave hooks.
 
-A :class:`BlockCtx` is handed to each block of a
-:class:`~repro.cuda.kernel.BlockKernel`; every method returns an
-:class:`~repro.sim.events.Event` so the body chooses to wait (``yield``)
-or post fire-and-forget — mirroring how device stores are posted while
-``__threadfence_system`` + spin loops wait.
-
-A :class:`KernelCtx` is handed to :class:`~repro.cuda.kernel.UniformKernel`
-wave hooks and exposes *bulk* equivalents that aggregate many blocks'
-effects into O(1) simulation events.
+A :class:`DeviceCtx` is handed to each block of a
+:class:`~repro.cuda.kernel.BlockKernel`, and one per kernel to
+:class:`~repro.cuda.kernel.UniformKernel` wave hooks, whose actions then
+aggregate many blocks' effects into O(1) simulation events.  Every method
+returns an :class:`~repro.sim.events.Event` so the caller chooses to wait
+(``yield``) or post fire-and-forget — mirroring how device stores are
+posted while ``__threadfence_system`` + spin loops wait.
 
 Host-visible signalling cost model (paper Fig 3): ``n`` device-thread
 writes into pinned host memory serialize on the superchip's C2C link at
@@ -115,16 +113,28 @@ def _fenced_copy(device: "Device", src: Buffer, dst: Buffer, name: str, actor=No
     return ev
 
 
-class BlockCtx:
-    """Per-block device context (exact simulation path)."""
+class DeviceCtx:
+    """Device context of one block, or of a whole kernel's waves.
 
-    __slots__ = ("device", "kernel", "block_id", "block_threads")
+    A :class:`~repro.cuda.kernel.BlockKernel` body gets one per block
+    (``block_id`` set); a :class:`~repro.cuda.kernel.UniformKernel` wave
+    hook gets the kernel's (``block_id=None``), whose actions stand for
+    many blocks' at once.  ``actor`` is its sanitizer trace identity.
+    """
 
-    def __init__(self, device: "Device", kernel, block_id: int) -> None:
+    __slots__ = ("device", "kernel", "block_id", "block_threads", "actor", "_label")
+
+    def __init__(self, device: "Device", kernel, block_id: Optional[int] = None) -> None:
         self.device = device
         self.kernel = kernel
         self.block_id = block_id
         self.block_threads = kernel.block
+        if block_id is None:
+            self.actor = kernel.actor(device)
+            self._label = kernel.name
+        else:
+            self.actor = kernel.block_actor(device, block_id)
+            self._label = f"{kernel.name}:{block_id}"
 
     # -- engine plumbing ------------------------------------------------------
     @property
@@ -134,14 +144,6 @@ class BlockCtx:
     @property
     def now(self) -> float:
         return self.device.engine.now
-
-    @property
-    def actor(self) -> tuple:
-        """Sanitizer trace identity of this block."""
-        return self.kernel.block_actor(self.device, self.block_id)
-
-    def _spawn(self, gen, name: str) -> Event:
-        return self.device.engine.process(gen, name=name)
 
     # -- compute ----------------------------------------------------------------
     def compute(self, work: WorkSpec) -> Event:
@@ -156,23 +158,32 @@ class BlockCtx:
 
     # -- sanitizer annotations ----------------------------------------------------
     def note_read(self, buf: Buffer) -> None:
-        """Annotate that this block's threads read ``buf`` (zero sim cost)."""
+        """Annotate that this context's threads read ``buf`` (zero sim cost)."""
         record.access(self.actor, buf, write=False, note="note_read")
 
     def note_write(self, buf: Buffer) -> None:
-        """Annotate that this block's threads wrote ``buf`` (zero sim cost)."""
+        """Annotate that this context's threads wrote ``buf`` (zero sim cost)."""
         record.access(self.actor, buf, write=True, note="note_write")
 
     # -- host signalling (MPIX_Pready progression-engine path) ---------------------
     def write_host_flags(self, n_writes: int, signal: HostSignal, amount: int = 1) -> Event:
         """``n_writes`` serialized stores into pinned host memory, then fire."""
-        return self._spawn(
+        return self.device.engine.process(
             host_flag_write_proc(self.device, n_writes, signal, amount, actor=self.actor),
-            name=f"hflag[{self.kernel.name}:{self.block_id}]",
+            name=f"hflag[{self._label}]",
         )
 
-    def write_host_flag(self, signal: HostSignal, amount: int = 1) -> Event:
-        return self.write_host_flags(1, signal, amount)
+    def write_crossing_signals(self, signals) -> Event:
+        """Several same-wave crossing signals, one store each (fast path only).
+
+        See :func:`multi_flag_write_proc`; used by the coalesced-
+        signalling layer when one wave crosses the threshold of multiple
+        contiguous transport partitions at once.
+        """
+        return self.device.engine.process(
+            multi_flag_write_proc(self.device, signals, actor=self.actor),
+            name=f"hflags[{self._label}]",
+        )
 
     # -- global memory atomics (block aggregation counters) -----------------------
     def atomic_add(self, counter: Counter, amount: int = 1) -> Event:
@@ -185,7 +196,7 @@ class BlockCtx:
             record.release(self.actor, ("ctr", id(counter)))
             return counter.add(amount)
 
-        return self._spawn(proc(), name=f"atomic[{self.kernel.name}:{self.block_id}]")
+        return self.device.engine.process(proc(), name=f"atomic[{self._label}]")
 
     # -- intra-kernel copies (Kernel-Copy MPIX_Pready path) --------------------------
     def copy(self, src: Buffer, dst: Buffer) -> Event:
@@ -199,8 +210,7 @@ class BlockCtx:
         if not src.space.device_accessible or not dst.space.device_accessible:
             raise ValueError("kernel copy requires device-accessible buffers")
         return _fenced_copy(
-            self.device, src, dst, f"kcopy[{self.kernel.name}:{self.block_id}]",
-            actor=self.actor,
+            self.device, src, dst, f"kcopy[{self._label}]", actor=self.actor
         )
 
     # -- polling ------------------------------------------------------------------
@@ -210,71 +220,3 @@ class BlockCtx:
         actor = self.actor
         ev.add_callback(lambda _ev: record.acquire(actor, ("sig", id(flag))))
         return ev
-
-
-class KernelCtx:
-    """Aggregate device context passed to UniformKernel wave hooks."""
-
-    __slots__ = ("device", "kernel")
-
-    def __init__(self, device: "Device", kernel) -> None:
-        self.device = device
-        self.kernel = kernel
-
-    @property
-    def engine(self):
-        return self.device.engine
-
-    @property
-    def now(self) -> float:
-        return self.device.engine.now
-
-    @property
-    def actor(self) -> tuple:
-        """Sanitizer trace identity of this kernel's wave context."""
-        return self.kernel.actor(self.device)
-
-    def note_read(self, buf: Buffer) -> None:
-        """Annotate an aggregate read by this kernel's blocks (zero cost)."""
-        record.access(self.actor, buf, write=False, note="note_read")
-
-    def note_write(self, buf: Buffer) -> None:
-        """Annotate an aggregate write by this kernel's blocks (zero cost)."""
-        record.access(self.actor, buf, write=True, note="note_write")
-
-    def bulk_host_flag_writes(self, n_writes: int, signal: HostSignal, amount: int = 1) -> Event:
-        """Aggregate of ``n_writes`` serialized flag stores starting now."""
-        return self.device.engine.process(
-            host_flag_write_proc(self.device, n_writes, signal, amount, actor=self.actor),
-            name=f"hflag[{self.kernel.name}]",
-        )
-
-    def bulk_crossing_signals(self, signals) -> Event:
-        """Aggregate of several same-wave crossing signals (fast path only).
-
-        See :func:`multi_flag_write_proc`; used by the coalesced-
-        signalling layer when one wave crosses the threshold of multiple
-        contiguous transport partitions at once.
-        """
-        return self.device.engine.process(
-            multi_flag_write_proc(self.device, signals, actor=self.actor),
-            name=f"hflags[{self.kernel.name}]",
-        )
-
-    def bulk_atomic_adds(self, counter: Counter, amount: int) -> Event:
-        """Aggregate global-memory atomics: ``amount`` increments at once."""
-        def proc():
-            yield self.engine.timeout(self.device.fabric.spec.params.gmem_atomic)
-            record.acquire(self.actor, ("ctr", id(counter)))
-            record.release(self.actor, ("ctr", id(counter)))
-            return counter.add(amount)
-
-        return self.device.engine.process(proc(), name=f"atomic[{self.kernel.name}]")
-
-    def copy(self, src: Buffer, dst: Buffer) -> Event:
-        """Intra-kernel bulk copy (Kernel-Copy transport partition)."""
-        if not src.space.device_accessible or not dst.space.device_accessible:
-            raise ValueError("kernel copy requires device-accessible buffers")
-        return _fenced_copy(
-            self.device, src, dst, f"kcopy[{self.kernel.name}]", actor=self.actor
-        )

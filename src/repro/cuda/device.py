@@ -13,7 +13,7 @@ from typing import Any, Generator, List, Optional
 
 import numpy as np
 
-from repro.cuda.devapi import BlockCtx, KernelCtx
+from repro.cuda.devapi import DeviceCtx
 from repro.cuda.kernel import BlockKernel, KernelBase, UniformKernel, Wave
 from repro.cuda.timing import CostModel
 from repro.hw.memory import Buffer, MemSpace
@@ -134,7 +134,10 @@ class Device:
         return stream.graph_launch(graph)
 
     def sync_h(self, stream=None) -> Generator:
-        """``cudaStreamSynchronize``: block until drained + fixed API cost."""
+        """``cudaStreamSynchronize``: block until drained + fixed API cost.
+
+        Raises the first error of an op on ``stream`` that nobody waited on.
+        """
         stream = stream or self.default_stream
         obs = self.engine.obs
         t0 = self.engine.now
@@ -146,6 +149,9 @@ class Device:
                 "cuda", "sync", ("host", self.gpu_id),
                 t0, self.engine.now, stream=stream.name,
             )
+        error, stream.pending_error = stream.pending_error, None
+        if error is not None:
+            raise error
 
     # -- memcpy ------------------------------------------------------------------
     def memcpy_async(self, dst: Buffer, src: Buffer, stream=None) -> Event:
@@ -191,7 +197,7 @@ class Device:
         record.acquire(launcher, ("kdone", id(kernel)))
 
     def _exec_uniform(self, kernel: UniformKernel) -> Generator:
-        kctx = KernelCtx(self, kernel)
+        kctx = DeviceCtx(self, kernel)
         record.acquire(kctx.actor, ("kstart", id(kernel)))
         plan = self.cost.wave_plan(kernel.grid, kernel.block, kernel.work)
         engine = self.engine
@@ -243,7 +249,7 @@ class Device:
         def run_block(block_id: int):
             yield slots.acquire()
             try:
-                blk = BlockCtx(self, kernel, block_id)
+                blk = DeviceCtx(self, kernel, block_id)
                 record.acquire(blk.actor, ("kstart", id(kernel)))
                 yield self.engine.process(
                     kernel.body(blk), name=f"{kernel.name}.b{block_id}"

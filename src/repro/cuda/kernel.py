@@ -4,7 +4,7 @@ Two flavours (see DESIGN.md and the package docstring):
 
 :class:`BlockKernel`
     ``body(blk)`` is a generator executed once *per block* under the SM
-    wave scheduler, with a :class:`~repro.cuda.devapi.BlockCtx` exposing
+    wave scheduler, with a :class:`~repro.cuda.devapi.DeviceCtx` exposing
     device-side actions.  Exact but O(grid) coroutines — use for small
     grids and semantics tests (e.g. the paper's Fig 3 single-block sweep).
 
@@ -90,12 +90,12 @@ class KernelBase:
 class BlockKernel(KernelBase):
     """Kernel with an exact per-block generator body.
 
-    ``body`` receives a :class:`~repro.cuda.devapi.BlockCtx`; it must be a
-    generator (it *yields* device actions).  Example::
+    ``body`` receives its block's :class:`~repro.cuda.devapi.DeviceCtx`;
+    it must be a generator (it *yields* device actions).  Example::
 
         def body(blk):
             yield blk.compute(WorkSpec.vector_add())
-            yield blk.pready_block(preq, blk.block_id)
+            yield pready(blk, preq)   # repro.partitioned.device.pready
 
         kernel = BlockKernel(grid=4, block=1024, body=body)
     """
@@ -116,8 +116,9 @@ class UniformKernel(KernelBase):
     """Analytically-timed kernel of identical blocks.
 
     ``wave_hook(kctx, wave)`` (optional) is invoked, as plain non-blocking
-    code, at each wave's completion time; use the bulk device APIs on
-    ``kctx`` to schedule communication effects.
+    code, at each wave's completion time; ``kctx`` is the kernel's
+    :class:`~repro.cuda.devapi.DeviceCtx`, whose actions schedule the
+    wave's aggregate communication effects.
     """
 
     def __init__(

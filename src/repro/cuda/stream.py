@@ -41,6 +41,8 @@ class Stream:
         self._ops: Channel[StreamOp] = Channel(self.engine, name=f"{name}.q")
         self._outstanding = 0  # enqueued but not yet completed
         self._drain_waiters: list[Event] = []
+        #: First failure of an op nobody waited on; ``Device.sync_h`` raises it.
+        self.pending_error: Optional[Exception] = None
         self._worker = self.engine.process(self._run(), name=f"{name}.worker")
 
     @property
@@ -189,10 +191,11 @@ class Stream:
                 result = yield self.engine.process(op.run(), name=f"{self.name}.{op.label}")
             except Exception as exc:  # noqa: BLE001 - fail just this op's waiters
                 self._outstanding -= 1
-                if op.done.callbacks is not None:
-                    op.done.fail(exc)
-                else:  # nobody listening: surface the crash
-                    raise
+                if not op.done.callbacks and self.pending_error is None:
+                    # Nobody waits on this op: keep its error for the next
+                    # synchronize, as CUDA reports an asynchronous error.
+                    self.pending_error = exc
+                op.done.fail(exc)
                 self._notify_drained()
                 continue
             self._outstanding -= 1

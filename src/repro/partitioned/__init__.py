@@ -21,10 +21,10 @@ Host API (MPI-4.0 + MPIX extensions), all rank-process generators:
 Device API (called from kernel bodies / wave hooks,
 :mod:`repro.partitioned.device`):
 
-* ``pready_thread`` / ``pready_warp`` / ``pready_block`` — Progression
-  Engine path with thread/warp/block signal aggregation (Fig 3);
-* Kernel-Copy mode — direct NVLink stores through the ``rkey_ptr``-mapped
-  remote buffer (Fig 4);
+* ``pready(blk, preq)`` — device MPIX_Pready of one block, with the
+  thread/warp/block signal aggregation (Fig 3) and the copy mode the
+  prequest fixed: Progression Engine, or Kernel-Copy direct NVLink stores
+  through the ``rkey_ptr``-mapped remote buffer (Fig 4);
 * ``pready_wave`` — the bulk form used by
   :class:`~repro.cuda.kernel.UniformKernel` wave hooks.
 """

@@ -1,23 +1,25 @@
 """Device bindings: MPIX_Pready / MPIX_Parrived callable from kernels.
 
-Exact (per-block) forms for :class:`~repro.cuda.kernel.BlockKernel` bodies —
-each returns a process event the body may ``yield`` (wait) or post::
+:func:`pready` is the exact per-block form for
+:class:`~repro.cuda.kernel.BlockKernel` bodies — it returns a process
+event the body may ``yield`` (wait) or post::
 
     def body(blk):
         yield blk.compute(work)
-        yield pready_block(blk, preq)
+        yield pready(blk, preq)
 
-and the bulk form :func:`pready_wave` for
+and :func:`pready_wave` the bulk form for
 :class:`~repro.cuda.kernel.UniformKernel` wave hooks (O(1) events per wave
 regardless of grid size).
 
-Signal aggregation (paper Section IV-A4, Fig 3):
+Both take the signal aggregation (paper Section IV-A4, Fig 3) from the
+prequest, which fixed it at ``MPIX_Prequest_create``:
 
-* ``pready_thread`` — every thread stores a flag into pinned host memory
+* ``THREAD`` — every thread stores a flag into pinned host memory
   (the MPI-ACX-style baseline): ``block_threads`` serialized C2C writes;
-* ``pready_warp`` — ``__shfl_sync`` within each warp, lane 0 writes:
+* ``WARP`` — ``__shfl_sync`` within each warp, lane 0 writes:
   ``ceil(block_threads/32)`` writes;
-* ``pready_block`` — ``__syncthreads()``, thread 0 writes once; with
+* ``BLOCK`` — ``__syncthreads()``, thread 0 writes once; with
   multi-block transport partitions, global-memory counters aggregate and
   only the threshold-crossing block writes to the host.
 
@@ -31,7 +33,7 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING, Generator
 
-from repro.cuda.devapi import BlockCtx, KernelCtx
+from repro.cuda.devapi import DeviceCtx
 from repro.cuda.kernel import Wave
 from repro.mpi.errors import MpiStateError, MpiUsageError
 from repro.partitioned.aggregation import SignalMode
@@ -42,7 +44,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.partitioned.p2p import PrecvRequest
 
 
-def _check_device_call(blk_device, preq: Prequest, actor=None) -> None:
+def _check_device_call(ctx: DeviceCtx, preq: Prequest) -> None:
+    actor = ctx.actor
     if preq.freed:
         msg = "device MPIX_Pready on a freed MPIX_Prequest"
         record.guard("pready-freed", actor, msg)
@@ -51,103 +54,75 @@ def _check_device_call(blk_device, preq: Prequest, actor=None) -> None:
         msg = "device MPIX_Pready outside an active epoch"
         record.guard("pready-inactive", actor, msg)
         raise MpiStateError(msg)
-    if blk_device is not preq.device:
+    if ctx.device is not preq.device:
         msg = "MPIX_Prequest was created for a different device than the kernel runs on"
         record.guard("pready-wrong-device", actor, msg)
         raise MpiUsageError(msg)
+    if ctx.block_threads != preq.agg.block_threads:
+        raise MpiUsageError(
+            f"kernel block size {ctx.block_threads} differs from the "
+            f"MPIX_Prequest's {preq.agg.block_threads}"
+        )
 
 
 # --------------------------------------------------------------------------
-# exact per-block bindings (BlockKernel bodies)
+# exact per-block binding (BlockKernel bodies)
 # --------------------------------------------------------------------------
 
-def _signal_then_maybe_copy(blk: BlockCtx, preq: Prequest, host_writes: int):
-    """Shared tail: gmem aggregation, optional kernel copy, host signal."""
-    tp = preq.agg.tp_of_block(blk.block_id)
-    count = yield blk.atomic_add(preq.gmem_counters[tp])
-    crossing = count == preq.agg.gmem_threshold()
-    if preq.mode is CopyMode.KERNEL_COPY:
-        if crossing:
-            # The crossing block stores the whole transport partition over
-            # NVLink.  Stores are *posted*: the block proceeds to raise
-            # the host completion signal immediately, and the progression
-            # engine gates the flag-only completion on the copy event.
-            preq.kc_copy_events[tp] = blk.copy(preq.src_slice(tp), preq.mapped_slice(tp))
-            yield blk.write_host_flag(preq.host_signals[tp])
-    else:
-        if preq.agg.signal_mode is SignalMode.BLOCK:
-            if crossing:
-                yield blk.write_host_flags(1, preq.host_signals[tp])
-        else:
-            # Thread/warp modes: every actor writes (no cross-block gating).
-            yield blk.write_host_flags(host_writes, preq.host_signals[tp], amount=host_writes)
+def pready(blk: DeviceCtx, preq: Prequest):
+    """Device MPIX_Pready of one block, aggregated per ``preq.agg.signal_mode``.
 
-
-def _mark_block_pready(blk: BlockCtx, preq: Prequest) -> None:
+    Thread mode signals at once; warp mode first pays the ``__shfl_sync``
+    reduction, block mode a ``__syncthreads()``.  Then the block bumps its
+    transport partition's global-memory counter and signals the host:
+    every thread (or warp lane 0) of every block in thread/warp mode, the
+    threshold-crossing block only in block mode and in Kernel-Copy mode,
+    where that block first posts the partition's NVLink store.
+    """
+    _check_device_call(blk, preq)
+    agg = preq.agg
+    mode = agg.signal_mode
+    tp = agg.tp_of_block(blk.block_id)
     record.mark(
         "pready",
         actor=blk.actor,
         preq=record.ident(preq),
         epoch=preq.sreq.epoch,
         block=blk.block_id,
-        tp=preq.agg.tp_of_block(blk.block_id),
-        mode=preq.agg.signal_mode.value,
+        tp=tp,
+        mode=mode.value,
     )
 
-
-def pready_thread(blk: BlockCtx, preq: Prequest):
-    """MPIX_Pready_thread: each of the block's threads signals the host."""
-    _check_device_call(blk.device, preq, actor=blk.actor)
-    if preq.agg.signal_mode is not SignalMode.THREAD:
-        raise MpiUsageError("prequest was not created with SignalMode.THREAD")
-    _mark_block_pready(blk, preq)
-
     def proc() -> Generator:
-        yield from _signal_then_maybe_copy(blk, preq, blk.block_threads)
+        if mode is SignalMode.WARP:
+            # Intra-warp shuffle reduction cost (cheap, on-SM).
+            yield blk.engine.timeout(blk.device.cost.syncthreads_cost / 2)
+        elif mode is SignalMode.BLOCK:
+            yield blk.syncthreads()
+        count = yield blk.atomic_add(preq.gmem_counters[tp])
+        crossing = count == agg.gmem_threshold()
+        if preq.mode is CopyMode.KERNEL_COPY:
+            if crossing:
+                # The crossing block stores the whole transport partition
+                # over NVLink.  Stores are *posted*: the block proceeds to
+                # raise the host completion signal immediately, and the
+                # progression engine gates the flag-only completion on the
+                # copy event.
+                preq.kc_copy_events[tp] = blk.copy(preq.src_slice(tp), preq.mapped_slice(tp))
+                yield blk.write_host_flags(1, preq.host_signals[tp])
+        elif mode is SignalMode.BLOCK:
+            if crossing:
+                yield blk.write_host_flags(1, preq.host_signals[tp])
+        else:
+            # Thread/warp modes: every actor writes (no cross-block gating).
+            writes = agg.host_writes_per_block()
+            yield blk.write_host_flags(writes, preq.host_signals[tp], amount=writes)
 
-    return blk.engine.process(proc(), name=f"pready_t.b{blk.block_id}")
-
-
-def pready_warp(blk: BlockCtx, preq: Prequest):
-    """MPIX_Pready_warp: warps __shfl_sync-reduce, lane 0 signals."""
-    _check_device_call(blk.device, preq, actor=blk.actor)
-    if preq.agg.signal_mode is not SignalMode.WARP:
-        raise MpiUsageError("prequest was not created with SignalMode.WARP")
-    _mark_block_pready(blk, preq)
-
-    def proc() -> Generator:
-        # Intra-warp shuffle reduction cost (cheap, on-SM).
-        yield blk.engine.timeout(blk.device.cost.syncthreads_cost / 2)
-        yield from _signal_then_maybe_copy(blk, preq, preq.agg.warps_per_block)
-
-    return blk.engine.process(proc(), name=f"pready_w.b{blk.block_id}")
-
-
-def pready_block(blk: BlockCtx, preq: Prequest):
-    """MPIX_Pready_block: __syncthreads(), thread 0 signals once."""
-    _check_device_call(blk.device, preq, actor=blk.actor)
-    if preq.agg.signal_mode is not SignalMode.BLOCK:
-        raise MpiUsageError("prequest was not created with SignalMode.BLOCK")
-    _mark_block_pready(blk, preq)
-
-    def proc() -> Generator:
-        yield blk.syncthreads()
-        yield from _signal_then_maybe_copy(blk, preq, 1)
-
-    return blk.engine.process(proc(), name=f"pready_b.b{blk.block_id}")
+    # Named pready_t, pready_w or pready_b after the signal mode.
+    return blk.engine.process(proc(), name=f"pready_{mode.value[0]}.b{blk.block_id}")
 
 
-def pready(blk: BlockCtx, preq: Prequest):
-    """Generic device MPIX_Pready: dispatch on the prequest's signal mode."""
-    mode = preq.agg.signal_mode
-    if mode is SignalMode.THREAD:
-        return pready_thread(blk, preq)
-    if mode is SignalMode.WARP:
-        return pready_warp(blk, preq)
-    return pready_block(blk, preq)
-
-
-def parrived_device(blk: BlockCtx, rreq: "PrecvRequest", partition: int):
+def parrived_device(blk: DeviceCtx, rreq: "PrecvRequest", partition: int):
     """Device MPIX_Parrived: spin on the device-visible mirror flag.
 
     The receive-side completion flags live in pinned host memory; the
@@ -180,7 +155,7 @@ def parrived_device(blk: BlockCtx, rreq: "PrecvRequest", partition: int):
 # bulk binding (UniformKernel wave hooks)
 # --------------------------------------------------------------------------
 
-def pready_wave(kctx: KernelCtx, preq: Prequest, wave: Wave) -> None:
+def pready_wave(kctx: DeviceCtx, preq: Prequest, wave: Wave) -> None:
     """Apply a whole wave's MPIX_Pready effects in O(transport partitions).
 
     Equivalent to every block in ``wave.blocks`` executing the exact
@@ -189,7 +164,7 @@ def pready_wave(kctx: KernelCtx, preq: Prequest, wave: Wave) -> None:
     and/or host signal, and thread/warp modes charge their full write
     storms (serialized on the C2C link).
     """
-    _check_device_call(kctx.device, preq, actor=kctx.actor)
+    _check_device_call(kctx, preq)
     agg = preq.agg
     # Group the wave's blocks by transport partition (contiguous ranges).
     first_tp = agg.tp_of_block(wave.blocks[0])
@@ -211,7 +186,7 @@ def pready_wave(kctx: KernelCtx, preq: Prequest, wave: Wave) -> None:
         )
         counter = preq.gmem_counters[tp]
         before = counter.value
-        kctx.bulk_atomic_adds(counter, n_blocks)
+        kctx.atomic_add(counter, n_blocks)
         crossed = before < agg.gmem_threshold() <= before + n_blocks
 
         if preq.mode is CopyMode.KERNEL_COPY:
@@ -221,19 +196,19 @@ def pready_wave(kctx: KernelCtx, preq: Prequest, wave: Wave) -> None:
                 )
         elif agg.signal_mode is SignalMode.BLOCK:
             if crossed:
-                kctx.bulk_host_flag_writes(1, preq.host_signals[tp])
+                kctx.write_host_flags(1, preq.host_signals[tp])
         else:
             per_block = agg.host_writes_per_block()
-            kctx.bulk_host_flag_writes(
+            kctx.write_host_flags(
                 n_blocks * per_block, preq.host_signals[tp], amount=n_blocks * per_block
             )
 
 
-def _kc_copy_then_signal(kctx: KernelCtx, preq: Prequest, tp: int) -> Generator:
+def _kc_copy_then_signal(kctx: DeviceCtx, preq: Prequest, tp: int) -> Generator:
     # Post the direct store; signal the host concurrently (the progression
     # engine gates the completion flag on the copy event).
     preq.kc_copy_events[tp] = kctx.copy(preq.src_slice(tp), preq.mapped_slice(tp))
-    yield kctx.bulk_host_flag_writes(1, preq.host_signals[tp])
+    yield kctx.write_host_flags(1, preq.host_signals[tp])
 
 
 class PreadyWaveHook:
@@ -262,17 +237,17 @@ class PreadyWaveHook:
     def __init__(self, preq: Prequest) -> None:
         self.preq = preq
 
-    def __call__(self, kctx: KernelCtx, wave: Wave) -> None:
+    def __call__(self, kctx: DeviceCtx, wave: Wave) -> None:
         pready_wave(kctx, self.preq, wave)
 
-    def wave_batches(self, kctx: KernelCtx, plan):
+    def wave_batches(self, kctx: DeviceCtx, plan):
         preq = self.preq
         if preq.mode is not CopyMode.KERNEL_COPY and preq.agg.signal_mode is not SignalMode.BLOCK:
             return None  # every wave signals the host: nothing to coalesce
-        _check_device_call(kctx.device, preq, actor=kctx.actor)
+        _check_device_call(kctx, preq)
         return self._batches(kctx, plan)
 
-    def _batches(self, kctx: KernelCtx, plan):
+    def _batches(self, kctx: DeviceCtx, plan):
         """Yield ``(n_waves, t_end, fire)`` batches for the executor.
 
         Crossing detection replicates the exact path bit-for-bit,
@@ -340,7 +315,7 @@ class PreadyWaveHook:
     def _make_fire(self, adds: dict, crossed: list):
         preq = self.preq
 
-        def fire(kctx: KernelCtx) -> None:
+        def fire(kctx: DeviceCtx) -> None:
             counters = preq.gmem_counters
             for tp, n in adds.items():
                 counters[tp].add(n)
@@ -350,10 +325,10 @@ class PreadyWaveHook:
                         _kc_copy_then_signal(kctx, preq, tp), name=f"kc_tp{tp}"
                     )
             elif len(crossed) == 1:
-                kctx.bulk_host_flag_writes(1, preq.host_signals[crossed[0]])
+                kctx.write_host_flags(1, preq.host_signals[crossed[0]])
             elif crossed:
                 # One aggregate process replays the whole range's FIFO-
                 # serialized crossing signals (one C2C store each).
-                kctx.bulk_crossing_signals([preq.host_signals[tp] for tp in crossed])
+                kctx.write_crossing_signals([preq.host_signals[tp] for tp in crossed])
 
         return fire

@@ -13,6 +13,8 @@ from repro.hw.params import ONE_NODE, PAPER_TESTBED
 from repro.mpi.errors import MpiUsageError
 from repro.mpi.world import World
 
+from ..conftest import exact_path
+
 
 def _main(ctx, cfg):
     return (yield from run_jacobi(ctx, cfg))
@@ -120,3 +122,37 @@ def test_solution_progresses_toward_equilibrium():
         return glob[1:-1, 1:-1].mean()
 
     assert mean_interior(20) > mean_interior(4) > 0.0
+
+
+#: Per-rank simulated times of a 576-tile partitioned solve (3 iterations,
+#: four ranks on gh200-1x4), pinned as exact floats.  At tile 576 the
+#: stencil kernel has 324 blocks of 1024 threads, more than the 264 the
+#: GPU holds resident, so it runs in two waves: the only Jacobi shape
+#: whose halo hook sees a wave that raises no halo.
+MULTI_WAVE_TIMES = {
+    "pe": [
+        float.fromhex("0x1.f537cbd576a46p-12"),
+        float.fromhex("0x1.f5380dcdf648cp-12"),
+        float.fromhex("0x1.f4035228f2da4p-12"),
+        float.fromhex("0x1.f40310307335ep-12"),
+    ],
+    "kc_auto": [
+        float.fromhex("0x1.de28521b39922p-12"),
+        float.fromhex("0x1.de289413b9368p-12"),
+        float.fromhex("0x1.dcf3d86eb5c81p-12"),
+        float.fromhex("0x1.dcf3e0adc5bcap-12"),
+    ],
+}
+
+
+@pytest.mark.parametrize("copy_mode", sorted(MULTI_WAVE_TIMES))
+def test_multi_wave_partitioned_times_pinned(copy_mode):
+    """A stencil kernel of two waves lands on the same times with and
+    without the exact path, and on the pinned ones."""
+    cfg = JacobiConfig(multiplier=1, base_tile=576, iters=3,
+                       variant="partitioned", copy_mode=copy_mode)
+    fast = [r.time for r in World(ONE_NODE).run(_main, nprocs=4, args=(cfg,))]
+    with exact_path():
+        exact = [r.time for r in World(ONE_NODE).run(_main, nprocs=4, args=(cfg,))]
+    assert fast == exact
+    assert fast == MULTI_WAVE_TIMES[copy_mode]

@@ -27,7 +27,7 @@ def test_single_flag_write_cost(engine, gpu):
 
     def body(blk):
         t0 = blk.now
-        yield blk.write_host_flag(f)
+        yield blk.write_host_flags(1, f)
         stamps["dt"] = blk.now - t0
 
     _run_body(engine, gpu, body)
@@ -57,7 +57,7 @@ def test_flag_writes_from_blocks_contend_on_c2c(engine, gpu):
     ends = []
 
     def body(blk):
-        yield blk.write_host_flag(c)
+        yield blk.write_host_flags(1, c)
         ends.append(blk.now)
 
     _run_body(engine, gpu, body, grid=2)

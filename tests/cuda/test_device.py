@@ -184,3 +184,34 @@ def test_exec_time_closed_form_matches_simulation(engine, gpu):
         return engine.now - t0
 
     assert engine.run(engine.process(host())) == pytest.approx(gpu.exec_time(k))
+
+
+def _raise_at_sync(engine, gpu, kernel):
+    """Launch ``kernel`` without waiting on it, then synchronize."""
+
+    def host():
+        yield from gpu.launch_h(kernel)
+        with pytest.raises(ValueError, match="device fault"):
+            yield from gpu.sync_h()
+        return "reported"
+
+    return engine.run(engine.process(host()))
+
+
+def test_block_body_failure_reported_at_sync(engine, gpu):
+    """A kernel whose block body raises fails the next synchronize, like
+    an asynchronous CUDA error, instead of draining as a success."""
+
+    def body(blk):
+        yield blk.compute(WORK)
+        raise ValueError("device fault")
+
+    assert _raise_at_sync(engine, gpu, BlockKernel(2, 64, body)) == "reported"
+
+
+def test_wave_hook_failure_reported_at_sync(engine, gpu):
+    def hook(kctx, wave):
+        raise ValueError("device fault")
+
+    kernel = UniformKernel(4, 64, WORK, wave_hook=hook)
+    assert _raise_at_sync(engine, gpu, kernel) == "reported"

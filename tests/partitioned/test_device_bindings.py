@@ -178,42 +178,6 @@ def test_prequest_geometry_must_match_channel():
     assert all(World(ONE_NODE).run(main, nprocs=2))
 
 
-def test_signal_mode_mismatch_rejected(engine, gpu):
-    """Calling pready_thread on a BLOCK-mode prequest raises."""
-
-    def main(ctx):
-        comm = ctx.comm
-        if ctx.rank == 0:
-            sbuf = ctx.gpu.alloc(64)
-            sreq = yield from comm.psend_init(sbuf, 1, dest=1, tag=0)
-            yield from sreq.start()
-            yield from sreq.pbuf_prepare()
-            preq = yield from sreq.prequest_create(
-                ctx.gpu, grid=1, block=64, signal_mode=SignalMode.BLOCK
-            )
-            errors = []
-
-            def body(blk):
-                try:
-                    pdev.pready_thread(blk, preq)
-                except MpiUsageError as exc:
-                    errors.append(exc)
-                yield pdev.pready_block(blk, preq)
-
-            yield from ctx.gpu.launch_h(BlockKernel(1, 64, body))
-            yield from sreq.wait()
-            return len(errors)
-        rbuf = ctx.gpu.alloc(64)
-        rreq = yield from comm.precv_init(rbuf, 1, source=0, tag=0)
-        yield from rreq.start()
-        yield from rreq.pbuf_prepare()
-        yield from rreq.wait()
-        return 0
-
-    res = World(ONE_NODE).run(main, nprocs=2)
-    assert res[0] == 1
-
-
 def test_prequest_free():
     def main(ctx):
         comm = ctx.comm

@@ -71,14 +71,14 @@ def test_clean_run_reports_nothing(mode):
 
 
 def test_seeded_double_pready_detected():
-    """Doubled pready_block completes cleanly but the sanitizer flags it."""
+    """Doubled pready completes cleanly but the sanitizer flags it."""
     grid = 4
 
     def seeded(sbuf, preq):
         def body(blk):
             yield blk.compute(WORK)
-            yield pdev.pready_block(blk, preq)
-            yield pdev.pready_block(blk, preq)  # the seeded bug
+            yield pdev.pready(blk, preq)
+            yield pdev.pready(blk, preq)  # the seeded bug
         return body
 
     with Sanitizer() as san:

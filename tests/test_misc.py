@@ -123,3 +123,15 @@ def test_cli_list_and_registry():
     assert cli_main(["list"]) == 0
     with pytest.raises(SystemExit):
         cli_main(["nonexistent"])
+
+
+@pytest.mark.parametrize("name", [
+    "san", "analyze", "topo", "profile", "bench", "sweep", "replay", "fault",
+])
+def test_cli_subcommand_help(name, capsys):
+    from repro.__main__ import main as cli_main
+
+    with pytest.raises(SystemExit) as exited:
+        cli_main([name, "--help"])
+    assert exited.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: python -m repro {name}")
