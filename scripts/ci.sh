@@ -7,6 +7,13 @@ cd "$(dirname "$0")/.."
 echo "== tier-1 tests =="
 PYTHONPATH=src python -m pytest -x -q -m "not smoke"
 
+echo "== parser fuzz (replay and fault JSONL under the deep hypothesis profile) =="
+# Tier-1 runs the fuzz under the default profile; this reruns it with
+# 500 generated values per fuzzed field (~30 s): each document must parse
+# or fail with its parser's typed file:line error.
+PYTHONPATH=src python -m pytest -x -q tests/test_parser_fuzz.py \
+    --hypothesis-profile=deep
+
 echo "== hash-seed (pinned step streams under two string-hash seeds) =="
 # Bit-identity must not depend on string-hash order: the determinism and
 # link-transfer stream pins must hold under any PYTHONHASHSEED.

@@ -38,7 +38,7 @@ class Stream:
         self.device = device
         self.engine = device.engine
         self.name = name
-        self._ops: Channel[StreamOp] = Channel(self.engine, name=f"{name}.q")
+        self._ops: Channel[StreamOp] = Channel(self.engine)
         self._outstanding = 0  # enqueued but not yet completed
         self._drain_waiters: list[Event] = []
         #: First failure of an op nobody waited on; ``Device.sync_h`` raises it.

@@ -30,6 +30,7 @@ actually owns.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Sequence
 
@@ -44,6 +45,11 @@ class FaultError(Exception):
 ACTIONS = ("down", "restore", "degrade")
 
 
+def _number(value: object) -> bool:
+    """A JSON number: an int or float, but not a boolean."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class FaultEvent:
     """One scripted mutation: at time ``t``, apply ``action`` to ``link``."""
@@ -55,8 +61,10 @@ class FaultEvent:
     node: Optional[int] = None      # shard scope; None = every fabric
 
     def validate(self, where: str = "fault event") -> None:
-        if not isinstance(self.t, (int, float)) or self.t < 0:
-            raise FaultError(f"{where}: t must be a non-negative number, got {self.t!r}")
+        # JSON booleans are ints to isinstance; the chained comparisons
+        # also reject NaN, infinities and integers beyond the float range.
+        if not _number(self.t) or not 0 <= self.t <= sys.float_info.max:
+            raise FaultError(f"{where}: t must be a finite non-negative number, got {self.t!r}")
         if not self.link or not isinstance(self.link, str):
             raise FaultError(f"{where}: link must be a non-empty link name")
         if self.action not in ACTIONS:
@@ -65,13 +73,15 @@ class FaultEvent:
                 f"(known: {', '.join(ACTIONS)})"
             )
         if self.action == "degrade":
-            if not isinstance(self.factor, (int, float)) or not 0.0 < self.factor <= 1.0:
+            if not _number(self.factor) or not 0.0 < self.factor <= 1.0:
                 raise FaultError(
                     f"{where}: degrade needs factor in (0, 1], got {self.factor!r}"
                 )
         elif self.factor is not None:
             raise FaultError(f"{where}: factor only applies to degrade")
-        if self.node is not None and (not isinstance(self.node, int) or self.node < 0):
+        if self.node is not None and (
+            not isinstance(self.node, int) or isinstance(self.node, bool) or self.node < 0
+        ):
             raise FaultError(f"{where}: node must be a non-negative integer")
 
     def as_dict(self) -> dict:
@@ -107,7 +117,7 @@ class FaultSchedule:
                 continue
             try:
                 doc = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:
                 raise FaultError(f"{source}:{lineno}: invalid JSON: {exc}") from None
             if not isinstance(doc, dict):
                 raise FaultError(f"{source}:{lineno}: expected a JSON object")

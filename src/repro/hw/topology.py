@@ -16,6 +16,7 @@ built in (:func:`repro.sim.run.current`).
 
 from __future__ import annotations
 
+import itertools
 from typing import Dict, List, Tuple
 
 from repro.dataplane.plane import Dataplane
@@ -58,6 +59,8 @@ class Fabric:
         self.route_computations = 0
         #: GPU -> its copy engine, built on first use (:meth:`copy_engine`).
         self._copy_engines: Dict[GpuId, Resource] = {}
+        #: UCP worker ids: unique per fabric, so per World.
+        self.worker_ids = itertools.count()
 
         #: The single submission point for every simulated byte.  Path
         #: selection (single route vs link-disjoint striping) is the

@@ -1,22 +1,19 @@
-"""Receiver-side tag matching and a generic keyed FIFO matcher.
+"""Receiver-side tag matching.
 
 :class:`TagMatcher` implements MPI's two-queue scheme: posted receives and
 unexpected messages, matched on (communicator, source, tag) with
 ``MPI_ANY_SOURCE`` / ``MPI_ANY_TAG`` wildcards, preserving the
 non-overtaking order guarantee for identical envelopes.
 
-:class:`KeyedMatcher` is the simpler exact-key FIFO pairing used by the
-partitioned setup_t exchange (matching is "communicator, rank, tag, and
-the order in which they are posted" — paper Section II-B1).
+The partitioned setup_t exchange needs no wildcards (matching is
+"communicator, rank, tag, and the order in which they are posted" — paper
+Section II-B1), so it is an exact-key FIFO: ``MpiRuntime.part_matcher``
+is a keyed :class:`~repro.sim.resources.Channel`.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Any, Deque, Dict, Hashable, List, Optional, Tuple
-
-from repro.sim.engine import Engine
-from repro.sim.events import Event
+from typing import Any, List, Optional, Tuple
 
 ANY = -1  # wildcard for source/tag
 
@@ -69,40 +66,3 @@ class TagMatcher:
     @property
     def n_unexpected(self) -> int:
         return len(self._unexpected)
-
-
-class KeyedMatcher:
-    """Exact-key FIFO pairing of producers and consumers.
-
-    ``get(key)`` returns an event for the next item put under ``key``;
-    items and getters pair strictly FIFO per key.  Used for partitioned
-    setup matching, RTR signals, and collective-group synchronization.
-    """
-
-    def __init__(self, engine: Engine) -> None:
-        self.engine = engine
-        self._items: Dict[Hashable, Deque[Any]] = {}
-        self._getters: Dict[Hashable, Deque[Event]] = {}
-
-    def put(self, key: Hashable, item: Any) -> None:
-        getters = self._getters.get(key)
-        if getters:
-            getters.popleft().succeed(item)
-            if not getters:
-                del self._getters[key]
-        else:
-            self._items.setdefault(key, deque()).append(item)
-
-    def get(self, key: Hashable) -> Event:
-        ev = Event(self.engine)
-        items = self._items.get(key)
-        if items:
-            ev.succeed(items.popleft())
-            if not items:
-                del self._items[key]
-        else:
-            self._getters.setdefault(key, deque()).append(ev)
-        return ev
-
-    def pending(self, key: Hashable) -> int:
-        return len(self._items.get(key, ()))

@@ -181,9 +181,7 @@ class PersistentSendRequest(PersistentRequest):
         self._begin_epoch()
         # The protocol completes *this* request object; seq must be fresh
         # per epoch for pending-send bookkeeping.
-        from repro.mpi import requests as _req
-
-        self.seq = next(_req._req_seq)
+        self.seq = next(rt.req_seqs)
         yield from _post_send(self.comm, self, self.buf, self.dest, self.tag)
 
 
@@ -201,9 +199,7 @@ class PersistentRecvRequest(PersistentRequest):
         rt = self.rt
         yield rt.engine.timeout(rt.params.mpi_call_overhead + rt.params.mpi_match_cost)
         self._begin_epoch()
-        from repro.mpi import requests as _req
-
-        self.seq = next(_req._req_seq)
+        self.seq = next(rt.req_seqs)
         rt.recv_by_seq[self.seq] = self
         matched = rt.matcher.post_recv(self.comm.comm_id, self.source, self.tag, self)
         if matched is not None:

@@ -5,7 +5,7 @@ One engine per rank, started at MPI_Init.  It owns:
 * the **AM dispatch loop** driving the p2p receiver state machine
   (RTS match -> CTS -> data put -> FIN);
 * the **partitioned AM router** feeding setup_t / RTR messages into the
-  keyed matcher that `MPIX_Pbuf_prepare` waits on;
+  keyed channel that `MPIX_Pbuf_prepare` waits on;
 * the single **progression thread** resource the paper mentions
   ("currently we only have a single thread which progresses partitions")
   through which device-initiated Pready dispatches serialize.
@@ -206,7 +206,7 @@ class ProgressEngine:
         while True:
             msg = yield worker.am_recv(am_id)
             key, payload = msg.payload
-            self.rt.part_matcher.put((am_id,) + key, payload)
+            self.rt.part_matcher.put(payload, (am_id,) + key)
 
     # -- the single progression thread --------------------------------------------------
     def dispatch(self, work: Callable[[], Generator], name: str = "pe_work"):

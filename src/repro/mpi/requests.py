@@ -8,7 +8,6 @@ Persistent requests add ``start`` and are reusable across epochs.
 
 from __future__ import annotations
 
-import itertools
 from typing import TYPE_CHECKING, Any, Generator, List, Optional
 
 from repro.mpi.errors import MpiStateError
@@ -16,8 +15,6 @@ from repro.sim.events import AllOf, Event
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.mpi.runtime import MpiRuntime
-
-_req_seq = itertools.count(1)
 
 
 class Request:
@@ -27,7 +24,7 @@ class Request:
         self.rt = rt
         self.engine = rt.engine
         self.kind = kind
-        self.seq = next(_req_seq)
+        self.seq = next(rt.req_seqs)
         self._done_event: Event = Event(self.engine)
         self.status: Optional[dict] = None
 

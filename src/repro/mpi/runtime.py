@@ -8,9 +8,11 @@ rank process runs :meth:`MpiRuntime.init` (our MPI_Init).
 
 from __future__ import annotations
 
+import itertools
 from typing import TYPE_CHECKING, Dict, Generator, List, Optional, Tuple
 
-from repro.mpi.matching import KeyedMatcher, TagMatcher
+from repro.mpi.matching import TagMatcher
+from repro.sim.resources import Channel
 from repro.ucx.context import UcpContext, UcpWorker
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -42,7 +44,10 @@ class MpiRuntime:
 
         # Matching / in-flight state.
         self.matcher = TagMatcher()
-        self.part_matcher = KeyedMatcher(self.engine)
+        #: Partitioned setup_t / RTR hand-off, keyed (am_id,) + channel key.
+        self.part_matcher: Channel = Channel(self.engine)
+        #: Request seqs: keys into pending_sends / recv_by_seq.
+        self.req_seqs = itertools.count(1)
         self.pending_sends: Dict[int, Tuple] = {}
         self.recv_by_seq: Dict[int, object] = {}
         self.comms: Dict[int, "Communicator"] = {}

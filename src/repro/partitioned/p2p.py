@@ -367,7 +367,7 @@ class PrecvRequest(PersistentRequest):
             self.ep = yield from rt.worker.ep_create(setup.worker_addr)
             resp = SetupResp(
                 self.key, pk_data, pk_flags, rt.worker.address,
-                self.partitions, arrived_sink=self._mark_arrived,
+                self.partitions, arrived_sink=self._partition_landed,
             )
             yield self.ep.am_send(
                 AM_PART_SETUP_RESP, (self.key, resp), nbytes=SETUP_BYTES
@@ -384,7 +384,7 @@ class PrecvRequest(PersistentRequest):
         return len(self.buf.data) // self.partitions
 
     # -- arrival path -----------------------------------------------------------------
-    def _mark_arrived(self, partition: int) -> None:
+    def _partition_landed(self, partition: int) -> None:
         """The chained flag put landed: partition data is in our buffer."""
         record.mark("arrived", req=record.ident(self), partition=partition)
         self.flags_buf.data[partition] = 1

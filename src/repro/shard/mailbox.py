@@ -1,4 +1,4 @@
-"""The deterministic mailbox: window queues + recv rendezvous slots.
+"""The deterministic mailbox: window queues + a keyed recv rendezvous.
 
 Two halves, split by who owns the state:
 
@@ -15,7 +15,8 @@ Two halves, split by who owns the state:
 * :class:`Mailbox` lives **shard-side**.  :meth:`Mailbox.schedule` turns
   a taken batch into absolute-time delivery events on the shard engine
   (allocating heap seq numbers in batch order), and :meth:`Mailbox.recv`
-  gives workload processes a rendezvous event per ``(dst_gpu, tag)`` key.
+  gives workload processes a rendezvous event per ``(dst_gpu, tag)`` key
+  from one keyed :class:`~repro.sim.resources.Channel`.
   Delivery and recv commute at the same instant with the same pop count
   (arrival-first queues the payload; recv-first parks a waiter), which
   keeps ``events_popped`` identical between windowed and single-heap
@@ -24,12 +25,12 @@ Two halves, split by who owns the state:
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, Dict, List, Tuple
+from typing import List, Tuple
 
 from repro.shard.message import ShardMessage
 from repro.sim.engine import Engine
 from repro.sim.events import Event
+from repro.sim.resources import Channel
 
 
 class MailboxError(Exception):
@@ -69,15 +70,13 @@ class WindowQueue:
 
 
 class Mailbox:
-    """Shard-side delivery scheduling + (gpu, tag) rendezvous slots."""
+    """Shard-side delivery scheduling + (gpu, tag) rendezvous."""
 
     def __init__(self, engine: Engine, shard_id: int) -> None:
         self.engine = engine
         self.shard_id = shard_id
-        #: (dst_gpu, tag) -> payloads that arrived before their recv.
-        self._arrived: Dict[Tuple, Deque[ShardMessage]] = {}
-        #: (dst_gpu, tag) -> recv events parked before their arrival.
-        self._waiting: Dict[Tuple, Deque[Event]] = {}
+        #: Arrivals and parked recvs, FIFO per (dst_gpu, tag).
+        self._slots: Channel[ShardMessage] = Channel(engine)
         #: Messages scheduled over the shard's lifetime (tests assert this).
         self.injected = 0
 
@@ -97,14 +96,7 @@ class Mailbox:
 
     def _deliver(self, ev: Event) -> None:
         msg: ShardMessage = ev.value
-        key = (msg.dst_gpu, msg.tag)
-        waiters = self._waiting.get(key)
-        if waiters:
-            waiters.popleft().succeed(msg)
-            if not waiters:
-                del self._waiting[key]
-        else:
-            self._arrived.setdefault(key, deque()).append(msg)
+        self._slots.put(msg, (msg.dst_gpu, msg.tag))
 
     def recv(self, dst_gpu: int, tag: Tuple) -> Event:
         """An event firing when a message for ``(dst_gpu, tag)`` lands.
@@ -112,20 +104,8 @@ class Mailbox:
         The event value is the :class:`ShardMessage`.  Multiple recvs of
         the same key match arrivals in delivery order (FIFO).
         """
-        key = (dst_gpu, tag)
-        ev = Event(self.engine)
-        arrived = self._arrived.get(key)
-        if arrived:
-            ev.succeed(arrived.popleft())
-            if not arrived:
-                del self._arrived[key]
-        else:
-            self._waiting.setdefault(key, deque()).append(ev)
-        return ev
+        return self._slots.get((dst_gpu, tag))
 
     def unmatched(self) -> Tuple[int, int]:
         """(arrived-but-never-received, recvs-still-waiting) — leak check."""
-        return (
-            sum(len(d) for d in self._arrived.values()),
-            sum(len(d) for d in self._waiting.values()),
-        )
+        return self._slots.unmatched()

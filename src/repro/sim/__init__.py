@@ -14,6 +14,9 @@ Design goals:
   :class:`Channel`, :class:`Counter`, :class:`Resource`) wake their waiters
   through events; polling loops are modelled by *charging latency*, not by
   spinning the event loop.
+* **One rendezvous** — :class:`Channel` is the only put/get hand-off: a
+  keyed FIFO that stream queues, MPI partitioned setup matching, UCX
+  active messages and the shard mailbox all share.
 * **SimPy-like ergonomics** — processes are plain generators that ``yield``
   :class:`Timeout`, :class:`Event`, other processes, or the combinators
   :class:`AllOf` / :class:`AnyOf`.
@@ -22,7 +25,7 @@ Design goals:
 from repro.sim.engine import Engine
 from repro.sim.events import AllOf, AnyOf, Event, Timeout
 from repro.sim.process import Interrupt, Process, ProcessFailed
-from repro.sim.resources import Channel, Counter, Flag, Resource, Store
+from repro.sim.resources import Channel, Counter, Flag, Resource
 
 __all__ = [
     "AllOf",
@@ -36,6 +39,5 @@ __all__ = [
     "Process",
     "ProcessFailed",
     "Resource",
-    "Store",
     "Timeout",
 ]

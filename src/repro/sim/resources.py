@@ -2,17 +2,17 @@
 
 All primitives wake waiters through events — there is no busy polling.
 Where the modelled hardware *would* poll (e.g. an MPI progression engine
-watching a flag in host memory), the model charges a detection latency via
-``Flag(detect_latency=...)`` instead of spinning the event loop.
+watching a flag in host memory), the caller charges the detection latency
+as a timeout instead of spinning the event loop.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Generic, List, Optional, TypeVar
+from typing import Deque, Dict, Generic, Hashable, List, Tuple, TypeVar
 
 from repro.sim.engine import Engine
-from repro.sim.events import Event, PRIORITY_NORMAL
+from repro.sim.events import Event
 
 T = TypeVar("T")
 
@@ -21,18 +21,16 @@ class Flag:
     """A level-triggered boolean with event-based waiting.
 
     ``wait()`` returns an event that fires when the flag is (or becomes)
-    set.  ``detect_latency`` models the delay between the flag being set in
-    memory and a polling observer noticing it.  ``clear()`` re-arms the flag
-    for the next epoch (used by persistent partitioned channels).
+    set.  ``clear()`` re-arms the flag for the next epoch (used by
+    persistent partitioned channels).
     """
 
-    __slots__ = ("engine", "_set", "_waiters", "detect_latency", "set_count")
+    __slots__ = ("engine", "_set", "_waiters", "set_count")
 
-    def __init__(self, engine: Engine, detect_latency: float = 0.0) -> None:
+    def __init__(self, engine: Engine) -> None:
         self.engine = engine
         self._set = False
         self._waiters: List[Event] = []
-        self.detect_latency = detect_latency
         self.set_count = 0  # total number of set() calls (telemetry)
 
     @property
@@ -46,12 +44,7 @@ class Flag:
         self.set_count += 1
         waiters, self._waiters = self._waiters, []
         for ev in waiters:
-            if self.detect_latency:
-                self.engine.timeout(self.detect_latency).add_callback(
-                    lambda _t, ev=ev: ev.succeed(True) if not ev.triggered else None
-                )
-            else:
-                ev.succeed(True)
+            ev.succeed(True)
 
     def clear(self) -> None:
         self._set = False
@@ -59,12 +52,7 @@ class Flag:
     def wait(self) -> Event:
         ev = Event(self.engine)
         if self._set:
-            if self.detect_latency:
-                self.engine.timeout(self.detect_latency).add_callback(
-                    lambda _t: ev.succeed(True)
-                )
-            else:
-                ev.succeed(True)
+            ev.succeed(True)
         else:
             self._waiters.append(ev)
         return ev
@@ -117,46 +105,52 @@ class Counter:
 
 
 class Channel(Generic[T]):
-    """Unbounded FIFO message queue between processes.
+    """Unbounded keyed FIFO rendezvous between processes.
 
-    ``put`` never blocks; ``get`` returns an event yielding the next item.
-    Getters are served in FIFO order.
+    ``put(item, key)`` never blocks; ``get(key)`` returns an event yielding
+    the next item put under ``key``.  Items and getters pair strictly FIFO
+    per key, whichever side arrives first — MPI's "communicator, rank, tag,
+    and the order in which they are posted" matching (paper Section
+    II-B1).  A key holds a deque only while it has items or getters.
     """
 
-    __slots__ = ("engine", "_items", "_getters", "name")
+    __slots__ = ("engine", "_items", "_getters")
 
-    def __init__(self, engine: Engine, name: str = "chan") -> None:
+    def __init__(self, engine: Engine) -> None:
         self.engine = engine
-        self._items: Deque[T] = deque()
-        self._getters: Deque[Event] = deque()
-        self.name = name
+        self._items: Dict[Hashable, Deque[T]] = {}
+        self._getters: Dict[Hashable, Deque[Event]] = {}
 
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def put(self, item: T) -> None:
-        if self._getters:
-            self._getters.popleft().succeed(item)
+    def put(self, item: T, key: Hashable = None) -> None:
+        getters = self._getters.get(key)
+        if getters is not None:
+            getters.popleft().succeed(item)
+            if not getters:
+                del self._getters[key]
+        elif key in self._items:
+            self._items[key].append(item)
         else:
-            self._items.append(item)
+            self._items[key] = deque((item,))
 
-    def get(self) -> Event:
+    def get(self, key: Hashable = None) -> Event:
         ev = Event(self.engine)
-        if self._items:
-            ev.succeed(self._items.popleft())
+        items = self._items.get(key)
+        if items is not None:
+            ev.succeed(items.popleft())
+            if not items:
+                del self._items[key]
+        elif key in self._getters:
+            self._getters[key].append(ev)
         else:
-            self._getters.append(ev)
+            self._getters[key] = deque((ev,))
         return ev
 
-    def try_get(self) -> Optional[T]:
-        """Non-blocking get; None when empty."""
-        if self._items:
-            return self._items.popleft()
-        return None
-
-
-class Store(Channel[T]):
-    """Alias of Channel kept for SimPy familiarity."""
+    def unmatched(self) -> Tuple[int, int]:
+        """(items never got, getters still parked) over every key."""
+        return (
+            sum(map(len, self._items.values())),
+            sum(map(len, self._getters.values())),
+        )
 
 
 class Resource:

@@ -9,7 +9,6 @@ MPI layer exchanges it through the launcher's bootstrap, like PMIx would).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
@@ -20,8 +19,6 @@ from repro.sim.resources import Channel
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.ucx.endpoint import UcpEndpoint
-
-_worker_ids = itertools.count()
 
 
 @dataclass(frozen=True)
@@ -56,10 +53,10 @@ class UcpWorker:
         self.context = context
         self.engine: Engine = context.engine
         self.fabric: Fabric = context.fabric
-        self.worker_id = next(_worker_ids)
+        self.worker_id = next(self.fabric.worker_ids)
         self.name = name or f"worker{self.worker_id}"
-        # Per-AM-id FIFO channels of received messages.
-        self._am_channels: Dict[int, Channel] = {}
+        #: Received active messages, FIFO per AM id.
+        self.am: Channel[AmMessage] = Channel(self.engine)
         self._endpoints: Dict[int, "UcpEndpoint"] = {}  # keyed by remote worker_id
 
     @property
@@ -85,23 +82,12 @@ class UcpWorker:
         return ep
 
     # -- active messages -------------------------------------------------------
-    def _am_channel(self, am_id: int) -> Channel:
-        chan = self._am_channels.get(am_id)
-        if chan is None:
-            chan = Channel(self.engine, name=f"{self.name}.am{am_id}")
-            self._am_channels[am_id] = chan
-        return chan
-
     def am_recv(self, am_id: int) -> Event:
         """Event yielding the next AmMessage with ``am_id``."""
-        return self._am_channel(am_id).get()
-
-    def am_try_recv(self, am_id: int) -> Optional[AmMessage]:
-        """Non-blocking AM poll (used by progression engines)."""
-        return self._am_channel(am_id).try_get()
+        return self.am.get(am_id)
 
     def _deliver_am(self, msg: AmMessage) -> None:
-        self._am_channel(msg.am_id).put(msg)
+        self.am.put(msg, msg.am_id)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<UcpWorker {self.name} node={self.context.node}>"

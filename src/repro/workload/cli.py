@@ -40,6 +40,19 @@ def _parse_params(pairs: List[str]) -> dict:
     return params
 
 
+def _print_result(result) -> None:
+    """A run's ``popped`` / ``class`` / ``digest`` rows (ci.sh's fault
+    smoke compares them across execution modes)."""
+    print(f"popped    {result.events_popped}")
+    for cls in sorted(result.class_bytes):
+        entry = result.class_bytes[cls]
+        # A World run reports ledger rows, a cluster run plain byte counts.
+        nbytes = entry["bytes"] if isinstance(entry, dict) else entry
+        print(f"  class {cls:20s} {nbytes} bytes")
+    for key in sorted(result.digests):
+        print(f"  digest {key:18s} {result.digests[key][:16]}")
+
+
 def main_sweep(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro sweep",
@@ -169,13 +182,7 @@ def main_replay(argv=None) -> int:
           f"steps={len(sched.steps)} digest={sched.digest[:12]}")
     print(f"machine   {result.machine}  policy={result.policy} "
           f"mode={result.mode}")
-    print(f"popped    {result.events_popped}")
-    for cls in sorted(result.class_bytes):
-        entry = result.class_bytes[cls]
-        nbytes = entry["bytes"] if isinstance(entry, dict) else entry
-        print(f"  class {cls:20s} {nbytes} bytes")
-    for key in sorted(result.digests):
-        print(f"  digest {key:18s} {result.digests[key][:16]}")
+    _print_result(result)
     return 0
 
 
@@ -227,11 +234,5 @@ def main_fault(argv=None) -> int:
         return 1
     print(f"workload  {result.workload}  machine={result.machine} "
           f"policy={result.policy} mode={result.mode}")
-    print(f"popped    {result.events_popped}")
-    for cls in sorted(result.class_bytes):
-        entry = result.class_bytes[cls]
-        nbytes = entry["bytes"] if isinstance(entry, dict) else entry
-        print(f"  class {cls:20s} {nbytes} bytes")
-    for key in sorted(result.digests):
-        print(f"  digest {key:18s} {result.digests[key][:16]}")
+    _print_result(result)
     return 0

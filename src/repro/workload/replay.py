@@ -64,6 +64,8 @@ steps — replay on one engine against the full fabric over a plain
 from __future__ import annotations
 
 import json
+import sys
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -239,7 +241,8 @@ def load_schedule(path: str) -> Schedule:
 
 def _validate(sched: Schedule) -> None:
     src_name, ranks = sched.source, sched.ranks
-    ids_seen: Dict[int, set] = {r: set() for r in range(ranks)}
+    # Per rank, filled as steps appear: the header's rank count is input.
+    ids_seen: Dict[int, set] = defaultdict(set)
     # (sender, receiver, tag) -> [send steps] / [recv steps], occurrence order
     sends: Dict[Tuple[int, int, Any], List[Step]] = {}
     recvs: Dict[Tuple[int, int, Any], List[Step]] = {}
@@ -254,8 +257,11 @@ def _validate(sched: Schedule) -> None:
             raise _err(src_name, s.line, f"rank {s.rank} out of range (header ranks={ranks})")
         if s.op == "compute":
             dt = s.get("us")
-            if not isinstance(dt, (int, float)) or isinstance(dt, bool) or dt < 0:
-                raise _err(src_name, s.line, f"{what}: field 'us' must be a non-negative number, got {dt!r}")
+            # The chained comparison also rejects NaN, infinities and
+            # integers beyond the float range.
+            if not isinstance(dt, (int, float)) or isinstance(dt, bool) \
+                    or not 0 <= dt <= sys.float_info.max:
+                raise _err(src_name, s.line, f"{what}: field 'us' must be a finite non-negative number, got {dt!r}")
         elif s.op in ("send", "put", "partitioned", "recv"):
             peer = _want_int(src_name, s.line, s.fields, "peer", what, lo=0, hi=ranks)
             if peer == s.rank:
@@ -317,7 +323,7 @@ def _validate(sched: Schedule) -> None:
             if not isinstance(deps, list):
                 raise _err(src_name, s.line, f"{what}: field 'deps' must be a list of step ids")
             for dep in deps:
-                if dep not in ids_seen[s.rank]:
+                if not isinstance(dep, str) or dep not in ids_seen[s.rank]:
                     raise _err(
                         src_name, s.line,
                         f"{what}: dep {dep!r} does not name an earlier step of "

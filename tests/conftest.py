@@ -5,6 +5,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 
 import pytest
+from hypothesis import settings
 
 from repro.analyze.model import Project
 from repro.analyze.registry import all_passes
@@ -16,6 +17,10 @@ from repro.mpi.world import World
 from repro.obs.bus import Bus
 from repro.sim.engine import Engine
 from repro.sim.run import run_scope
+
+#: ``pytest --hypothesis-profile=deep`` (scripts/ci.sh's parser-fuzz step):
+#: many more generated inputs per property than the default profile.
+settings.register_profile("deep", max_examples=500, deadline=None)
 
 
 @contextmanager

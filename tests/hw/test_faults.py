@@ -183,6 +183,21 @@ def test_schedule_rejects_malformed_lines(line, fragment):
             raise
 
 
+@pytest.mark.parametrize("line,fragment", [
+    ('{"t": NaN, "link": "a", "action": "down"}', "t must be a finite"),
+    ('{"t": Infinity, "link": "a", "action": "down"}', "t must be a finite"),
+    ('{"t": 1e400, "link": "a", "action": "down"}', "t must be a finite"),
+    ('{"t": true, "link": "a", "action": "down"}', "t must be a finite"),
+    ('{"t": 1, "link": "a", "action": "down", "node": true}', "node must be"),
+    ('{"t": 1, "link": "a", "action": "degrade", "factor": true}', "factor in"),
+    ('{"t": 1, "link": "a", "action": "degrade", "factor": NaN}', "factor in"),
+])
+def test_schedule_rejects_non_finite_numbers_and_booleans(line, fragment):
+    with pytest.raises(FaultError, match="bad.jsonl:1: ") as info:
+        FaultSchedule.parse_jsonl(line, source="bad.jsonl")
+    assert fragment in str(info.value)
+
+
 def test_empty_schedule_rejected():
     with pytest.raises(FaultError, match="empty fault schedule"):
         FaultSchedule.parse_jsonl("# nothing\n", source="e")

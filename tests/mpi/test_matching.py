@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.mpi.matching import ANY, KeyedMatcher, TagMatcher, envelope_matches
+from repro.mpi.matching import ANY, TagMatcher, envelope_matches
 from repro.sim.engine import Engine
+from repro.sim.resources import Channel
 
 
 def test_envelope_matches_exact():
@@ -73,9 +74,9 @@ def test_unexpected_fifo_for_wildcard_post():
 
 
 def test_keyed_matcher_fifo(engine):
-    km = KeyedMatcher(engine)
-    km.put("k", 1)
-    km.put("k", 2)
+    km = Channel(engine)
+    km.put(1, "k")
+    km.put(2, "k")
     got = []
 
     def getter():
@@ -87,7 +88,7 @@ def test_keyed_matcher_fifo(engine):
 
 
 def test_keyed_matcher_blocks_until_put(engine):
-    km = KeyedMatcher(engine)
+    km = Channel(engine)
 
     def getter():
         return (yield km.get("x"))
@@ -96,17 +97,23 @@ def test_keyed_matcher_blocks_until_put(engine):
 
     def putter():
         yield engine.timeout(1)
-        km.put("x", "late")
+        km.put("late", "x")
 
     engine.process(putter())
     assert engine.run(p) == "late"
 
 
 def test_keyed_matcher_key_isolation(engine):
-    km = KeyedMatcher(engine)
-    km.put("a", 1)
-    assert km.pending("a") == 1
-    assert km.pending("b") == 0
+    km = Channel(engine)
+    km.put(1, "a")
+    assert km.unmatched() == (1, 0)
+    km.get("b")
+    assert km.unmatched() == (1, 1)
+    assert km.get("a").value == 1
+    assert km.unmatched() == (0, 1)
+    km.put(2, "b")
+    # A key's deque is dropped once it empties.
+    assert km.unmatched() == (0, 0) and not km._items and not km._getters
 
 
 @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=30))

@@ -43,25 +43,6 @@ def test_flag_wakes_all_waiters(engine):
     assert sorted(woken) == list(range(5))
 
 
-def test_flag_detect_latency(engine):
-    f = Flag(engine, detect_latency=0.5)
-    seen = []
-
-    def waiter():
-        yield f.wait()
-        seen.append(engine.now)
-
-    engine.process(waiter())
-
-    def setter():
-        yield engine.timeout(1.0)
-        f.set()
-
-    engine.process(setter())
-    engine.run()
-    assert seen == [1.5]
-
-
 def test_flag_idempotent_set(engine):
     f = Flag(engine)
     f.set()
@@ -182,14 +163,6 @@ def test_channel_get_blocks_until_put(engine):
 
     engine.process(producer())
     assert engine.run(p) == ("late", 2.0)
-
-
-def test_channel_try_get(engine):
-    ch = Channel(engine)
-    assert ch.try_get() is None
-    ch.put(1)
-    assert ch.try_get() == 1
-    assert len(ch) == 0
 
 
 def test_channel_getters_fifo(engine):

@@ -111,19 +111,6 @@ def test_am_fifo_per_id(stack):
     assert seen == [0, 1, 2]
 
 
-def test_am_try_recv(stack):
-    eng, fab = stack
-    wa, wb, ep = _bring_up(eng, fab)
-    assert wb.am_try_recv(5) is None
-
-    def sender():
-        yield ep.am_send(5, "x")
-
-    eng.process(sender())
-    eng.run()
-    assert wb.am_try_recv(5).payload == "x"
-
-
 def test_mem_map_registration_cache(stack):
     eng, fab = stack
     wa, _wb, _ep = _bring_up(eng, fab)

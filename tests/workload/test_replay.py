@@ -62,6 +62,24 @@ def test_dep_must_reference_earlier_id():
         _sched(1, '{"rank": 0, "op": "compute", "us": 1, "deps": ["nope"]}')
 
 
+@pytest.mark.parametrize("us", ["NaN", "Infinity", "-Infinity", "1e400", "true", "-1"])
+def test_compute_time_must_be_finite_non_negative(us):
+    with pytest.raises(ReplayError, match=r"t\.jsonl:2: .*finite non-negative"):
+        _sched(1, '{"rank": 0, "op": "compute", "us": %s}' % us)
+
+
+def test_huge_rank_count_parses_without_per_rank_tables():
+    # Steps name the ranks that need id tables; the header's count is
+    # only an upper bound (the machine check comes at run time).
+    sched = parse_jsonl(HEADER % 10**12 + '{"rank": 0, "op": "compute", "us": 1}\n')
+    assert sched.ranks == 10**12
+
+
+def test_unhashable_dep_rejected():
+    with pytest.raises(ReplayError, match=r"t\.jsonl:2: .*earlier step"):
+        _sched(1, '{"rank": 0, "op": "compute", "us": 1, "deps": [[1]]}')
+
+
 # -- execution ----------------------------------------------------------------
 
 def test_world_mode_replay():
