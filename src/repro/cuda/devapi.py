@@ -23,6 +23,7 @@ from repro.cuda.timing import WorkSpec
 from repro.hw.memory import Buffer, MemSpace
 from repro.san import record
 from repro.sim.events import Event
+from repro.sim.process import Delayed
 from repro.sim.resources import Counter, Flag
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -57,10 +58,10 @@ def host_flag_write_proc(
     link = device.fabric.d2h_link(device.gpu_id)
     yield link.port.acquire()
     t0 = device.engine.now
-    yield device.engine.timeout(n_writes * hw.flag_write_host)
+    yield n_writes * hw.flag_write_host
     link.account(8 * n_writes, t0, transfers=n_writes)
     link.port.release()
-    yield device.engine.timeout(hw.flag_write_base)
+    yield hw.flag_write_base
     if actor is not None:
         record.release(actor, ("sig", id(signal)))
     _fire(signal, amount)
@@ -85,7 +86,7 @@ def multi_flag_write_proc(device: "Device", signals, actor=None):
     yield link.port.acquire()
     for signal in signals:
         t0 = engine.now
-        yield engine.timeout(hw.flag_write_host)
+        yield hw.flag_write_host
         link.account(8, t0, transfers=1)
         engine.timeout(hw.flag_write_base).add_callback(
             lambda _ev, s=signal: _fire(s, 1)
@@ -103,7 +104,7 @@ def _fenced_copy(device: "Device", src: Buffer, dst: Buffer, name: str, actor=No
         yield device.fabric.dataplane.put(
             src, dst, traffic_class="cuda", initiator="device", name=name
         )
-        yield device.engine.timeout(device.fabric.spec.params.kc_fence_overhead)
+        yield device.fabric.spec.params.kc_fence_overhead
 
     ev = device.engine.process(proc(), name=name)
     if actor is not None:
@@ -188,15 +189,14 @@ class DeviceCtx:
     # -- global memory atomics (block aggregation counters) -----------------------
     def atomic_add(self, counter: Counter, amount: int = 1) -> Event:
         """Atomic add in this GPU's global memory; event value = new count."""
-        def proc():
-            yield self.engine.timeout(self.device.fabric.spec.params.gmem_atomic)
+        def add() -> int:
             # An atomic RMW is both an acquire and a release on the counter:
             # every pair of atomics on it is happens-before ordered.
             record.acquire(self.actor, ("ctr", id(counter)))
             record.release(self.actor, ("ctr", id(counter)))
             return counter.add(amount)
 
-        return self.device.engine.process(proc(), name=f"atomic[{self._label}]")
+        return Delayed(self.device.engine, self.device.fabric.spec.params.gmem_atomic, add)
 
     # -- intra-kernel copies (Kernel-Copy MPIX_Pready path) --------------------------
     def copy(self, src: Buffer, dst: Buffer) -> Event:

@@ -118,7 +118,7 @@ class Device:
 
     def launch_h(self, kernel: KernelBase, stream=None) -> Generator:
         """Host helper: charge launch API cost, then enqueue (returns event)."""
-        yield self.engine.timeout(self.cost.launch_api_cost)
+        yield self.cost.launch_api_cost
         return self.launch(kernel, stream)
 
     def graph_launch_h(self, graph, stream=None) -> Generator:
@@ -130,7 +130,7 @@ class Device:
         ``launch_h`` path.
         """
         stream = stream or self.default_stream
-        yield self.engine.timeout(self.cost.launch_api_cost)
+        yield self.cost.launch_api_cost
         return stream.graph_launch(graph)
 
     def sync_h(self, stream=None) -> Generator:
@@ -143,7 +143,7 @@ class Device:
         t0 = self.engine.now
         yield stream.drained()
         record.acquire(("host", self.gpu_id), ("drain", stream.name))
-        yield self.engine.timeout(self.cost.stream_sync_cost)
+        yield self.cost.stream_sync_cost
         if obs is not None:
             obs.span(
                 "cuda", "sync", ("host", self.gpu_id),
@@ -167,14 +167,14 @@ class Device:
 
     def memcpy_h(self, dst: Buffer, src: Buffer, stream=None) -> Generator:
         """Host helper: synchronous cudaMemcpy (API cost + wait for copy)."""
-        yield self.engine.timeout(self.cost.memcpy_api_cost)
+        yield self.cost.memcpy_api_cost
         done = self.memcpy_async(dst, src, stream)
         yield done
 
     # -- kernel execution internals ---------------------------------------------------
     def _exec_kernel(self, kernel: KernelBase, stream=None) -> Generator:
         launcher = stream.actor if stream is not None else ("host", self.gpu_id)
-        yield self.engine.timeout(self.cost.launch_latency)
+        yield self.cost.launch_latency
         obs = self.engine.obs
         t0 = self.engine.now
         record.release(launcher, ("kstart", id(kernel)))
@@ -232,7 +232,7 @@ class Device:
 
         for index, (blocks, dt) in enumerate(plan):
             start = engine.now
-            yield engine.timeout(dt)
+            yield dt
             if kernel.wave_hook is not None:
                 kernel.wave_hook(
                     kctx,

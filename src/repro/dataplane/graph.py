@@ -93,7 +93,7 @@ class GraphEngine(Engine):
     """A private engine whose pops count as ``events_graphed``.
 
     Subclassing keeps every scheduling semantic — heap ordering,
-    ``(time, priority, seq)`` tie-breaks, pooled timeouts, horizon
+    ``(time, priority, seq)`` tie-breaks, self-parked sleeps, horizon
     clamping — literally the same code, so a simulation moved onto a
     GraphEngine reproduces the eager event stream bit-for-bit.  Only the
     stats field differs: pops land in :data:`~repro.sim.engine.STATS`

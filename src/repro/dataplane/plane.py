@@ -324,7 +324,7 @@ class Dataplane:
             obs = engine.obs
             t0 = engine.now
             try:
-                yield engine.timeout(overhead)
+                yield overhead
                 yield self._execute(desc)
             finally:
                 if obs is not None:

@@ -324,10 +324,8 @@ class _Transfer(Event):
         self._stage = None  # before the push, or the next pop re-runs a stage
         if exc is None:
             self.succeed(self.nbytes)
-        elif self.callbacks:
-            self.fail(exc)
         else:
-            self.engine._crash(self, exc)
+            self.engine._body_failed(self, exc)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Transfer {self.name}>"

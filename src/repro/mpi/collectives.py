@@ -44,7 +44,7 @@ def barrier(comm: "Communicator") -> Generator:
     rt = comm.rt
     size, rank = comm.size, comm.rank
     if size == 1:
-        yield rt.engine.timeout(rt.params.mpi_call_overhead)
+        yield rt.params.mpi_call_overhead
         return
     token = _tmp_host(comm, 1, np.int8)
     rbuf = _tmp_host(comm, 1, np.int8)
@@ -64,7 +64,7 @@ def bcast(comm: "Communicator", buf: Buffer, root: int = 0) -> Generator:
     if not 0 <= root < size:
         raise MpiUsageError(f"bcast root {root} out of range")
     if size == 1:
-        yield comm.rt.engine.timeout(comm.rt.params.mpi_call_overhead)
+        yield comm.rt.params.mpi_call_overhead
         return
     # Rotate so the root is virtual rank 0.
     vrank = (comm.rank - root) % size
@@ -112,13 +112,13 @@ def _ring_allreduce_host(
         send_idx = (rank - i) % size
         recv_idx = (rank - i - 1) % size
         if per_step_penalty:
-            yield rt.engine.timeout(per_step_penalty)
+            yield per_step_penalty
         yield from comm.sendrecv(
             wrap.view(send_idx * chunk, chunk), right, tmp, left,
             sendtag=_COLL_TAG + 32 + i, recvtag=_COLL_TAG + 32 + i,
         )
         # CPU reduction of the received chunk.
-        yield rt.engine.timeout(tmp.nbytes / rt.params.cpu_reduce_bw)
+        yield tmp.nbytes / rt.params.cpu_reduce_bw
         op.reduce_into(work[recv_idx * chunk : (recv_idx + 1) * chunk], tmp.data)
 
     # Allgather: circulate completed chunks.
@@ -126,7 +126,7 @@ def _ring_allreduce_host(
         send_idx = (rank + 1 - i) % size
         recv_idx = (rank - i) % size
         if per_step_penalty:
-            yield rt.engine.timeout(per_step_penalty)
+            yield per_step_penalty
         yield from comm.sendrecv(
             wrap.view(send_idx * chunk, chunk), right,
             wrap.view(recv_idx * chunk, chunk), left,
@@ -142,7 +142,7 @@ def allreduce(
     if len(sendbuf.data) != len(recvbuf.data):
         raise MpiUsageError("allreduce: sendbuf/recvbuf length mismatch")
     if comm.size == 1:
-        yield rt.engine.timeout(rt.params.mpi_call_overhead)
+        yield rt.params.mpi_call_overhead
         recvbuf.copy_from(sendbuf)
         return
     if len(sendbuf.data) % comm.size != 0:
@@ -163,7 +163,7 @@ def allreduce(
         bounce = rt.params.allreduce_bounce_bytes
         penalty = rt.params.allreduce_bounce_penalty
         n_chunks = math.ceil(sendbuf.nbytes / bounce)
-        yield rt.engine.timeout(n_chunks * penalty)
+        yield n_chunks * penalty
         yield rt.fabric.dataplane.put(
             sendbuf, host, traffic_class="coll", name="ar_d2h"
         )
@@ -172,7 +172,7 @@ def allreduce(
         yield from _ring_allreduce_host(
             comm, host.data, op, per_step_penalty=step_chunks * penalty
         )
-        yield rt.engine.timeout(n_chunks * penalty)
+        yield n_chunks * penalty
         yield rt.fabric.dataplane.put(
             host, recvbuf, traffic_class="coll", name="ar_h2d"
         )
@@ -211,7 +211,7 @@ def reduce(
         if partner < size:
             tmp = _tmp_host(comm, len(sendbuf.data), sendbuf.data.dtype)
             yield from comm.recv(tmp, ((partner + root) % size), tag=_COLL_TAG + 96)
-            yield rt.engine.timeout(tmp.nbytes / rt.params.cpu_reduce_bw)
+            yield tmp.nbytes / rt.params.cpu_reduce_bw
             op.reduce_into(acc.data, tmp.data)
         mask <<= 1
 
@@ -241,7 +241,7 @@ def allgather(comm: "Communicator", sendbuf: Buffer, recvbuf: Buffer) -> Generat
             sendbuf, own, traffic_class="coll", name="ag_local"
         )
     if size == 1:
-        yield rt.engine.timeout(rt.params.mpi_call_overhead)
+        yield rt.params.mpi_call_overhead
         return
     right, left = (rank + 1) % size, (rank - 1) % size
     for i in range(size - 1):

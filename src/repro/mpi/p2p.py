@@ -108,7 +108,7 @@ def isend(comm: "Communicator", buf: Buffer, dest: int, tag: int) -> Generator:
     rt = comm.rt
     if not 0 <= dest < comm.size:
         raise MpiUsageError(f"isend: dest {dest} out of range for size {comm.size}")
-    yield rt.engine.timeout(rt.params.mpi_call_overhead)
+    yield rt.params.mpi_call_overhead
     sreq = SendRequest(rt, buf, dest, tag)
     yield from _post_send(comm, sreq, buf, dest, tag)
     return sreq
@@ -127,7 +127,7 @@ def send(comm: "Communicator", buf: Buffer, dest: int, tag: int) -> Generator:
 def irecv(comm: "Communicator", buf: Buffer, source: int, tag: int) -> Generator:
     """MPI_Irecv. Returns a RecvRequest."""
     rt = comm.rt
-    yield rt.engine.timeout(rt.params.mpi_call_overhead + rt.params.mpi_match_cost)
+    yield rt.params.mpi_call_overhead + rt.params.mpi_match_cost
     rreq = RecvRequest(rt, buf, source, tag)
     rt.recv_by_seq[rreq.seq] = rreq
     matched = rt.matcher.post_recv(comm.comm_id, source, tag, rreq)
@@ -177,7 +177,7 @@ class PersistentSendRequest(PersistentRequest):
 
     def start(self) -> Generator:
         rt = self.rt
-        yield rt.engine.timeout(rt.params.mpi_call_overhead)
+        yield rt.params.mpi_call_overhead
         self._begin_epoch()
         # The protocol completes *this* request object; seq must be fresh
         # per epoch for pending-send bookkeeping.
@@ -197,7 +197,7 @@ class PersistentRecvRequest(PersistentRequest):
 
     def start(self) -> Generator:
         rt = self.rt
-        yield rt.engine.timeout(rt.params.mpi_call_overhead + rt.params.mpi_match_cost)
+        yield rt.params.mpi_call_overhead + rt.params.mpi_match_cost
         self._begin_epoch()
         self.seq = next(rt.req_seqs)
         rt.recv_by_seq[self.seq] = self
@@ -209,13 +209,13 @@ class PersistentRecvRequest(PersistentRequest):
 
 def send_init(comm: "Communicator", buf: Buffer, dest: int, tag: int = 0) -> Generator:
     """MPI_Send_init (local, non-blocking)."""
-    yield comm.rt.engine.timeout(comm.rt.params.mpi_call_overhead)
+    yield comm.rt.params.mpi_call_overhead
     return PersistentSendRequest(comm, buf, dest, tag)
 
 
 def recv_init(comm: "Communicator", buf: Buffer, source: int, tag: int = 0) -> Generator:
     """MPI_Recv_init (local, non-blocking)."""
-    yield comm.rt.engine.timeout(comm.rt.params.mpi_call_overhead)
+    yield comm.rt.params.mpi_call_overhead
     return PersistentRecvRequest(comm, buf, source, tag)
 
 

@@ -15,7 +15,9 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Generator
 
+from repro.hw.memory import Buffer, MemSpace
 from repro.mpi.p2p import AM_P2P, CTS, ENVELOPE_BYTES, FIN, RTS, Envelope, check_truncation
+from repro.sim.process import Delayed
 from repro.sim.resources import Resource
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -102,34 +104,30 @@ class ProgressEngine:
             self.rt.recv_by_seq.pop(rreq.seq, None)
             rreq._fail(exc)
             return
-        if env.payload is not None:
-            self.engine.process(
-                self._deliver_eager(rreq, env), name=f"r{self.rt.world_rank}.eager"
-            )
-        else:
-            self.engine.process(
-                self._send_cts(comm, rreq, env, sender_addr),
-                name=f"r{self.rt.world_rank}.cts",
-            )
-
-    def _deliver_eager(self, rreq, env: Envelope) -> Generator:
-        # Unpack from the bounce buffer into the user buffer.
         rt = self.rt
-        n = len(env.payload)
-        target = rreq.buf.view(0, n)
-        if target.space.host_accessible:
-            yield rt.engine.timeout(env.nbytes / rt.params.host_mem_bw)
+        if env.payload is None:
+            self.engine.process(
+                self._send_cts(comm, rreq, env, sender_addr), name=f"r{rt.world_rank}.cts"
+            )
+        elif rreq.buf.space.host_accessible:  # unpack at host memory bandwidth
+            Delayed(self.engine, env.nbytes / rt.params.host_mem_bw,
+                    lambda: self._deliver_eager(rreq, env, unpack=True))
+        else:
+            self.engine.process(self._stage_eager(rreq, env), name=f"r{rt.world_rank}.eager")
+
+    def _stage_eager(self, rreq, env: Envelope) -> Generator:
+        # Device target: staged H2D copy through the superchip's C2C.
+        target = rreq.buf.view(0, len(env.payload))
+        staged = Buffer(env.payload, MemSpace.PINNED, node=self.rt.node)
+        yield self.rt.fabric.dataplane.put(staged, target, traffic_class="eager", name="eager_h2d")
+        self._deliver_eager(rreq, env, unpack=False)
+
+    def _deliver_eager(self, rreq, env: Envelope, unpack: bool) -> None:
+        if unpack:  # from the bounce buffer into the user buffer
+            target = rreq.buf.view(0, len(env.payload))
             if not target.is_virtual:
                 target.data[:] = env.payload
-        else:
-            # Device target: staged H2D copy through the superchip's C2C.
-            from repro.hw.memory import Buffer, MemSpace
-
-            staged = Buffer(env.payload, MemSpace.PINNED, node=rt.node)
-            yield rt.fabric.dataplane.put(
-                staged, target, traffic_class="eager", name="eager_h2d"
-            )
-        rt.recv_by_seq.pop(rreq.seq, None)
+        self.rt.recv_by_seq.pop(rreq.seq, None)
         rreq._complete({"protocol": "eager", "source": env.src, "tag": env.tag})
 
     def _send_cts(self, comm, rreq, env: Envelope, sender_addr) -> Generator:
@@ -156,12 +154,10 @@ class ProgressEngine:
     def _rndv_put(self, comm, sreq, buf, env: Envelope) -> Generator:
         rt = self.rt
         assert env.target is not None
-        from repro.hw.memory import MemSpace
-
         if env.target.node != buf.node:
             # RC-verbs rendezvous across the IB fabric pays the extra
             # RTS/CTS handshake processing.
-            yield rt.engine.timeout(rt.params.ib_rndv_handshake)
+            yield rt.params.ib_rndv_handshake
         if (
             buf.space is MemSpace.DEVICE
             and env.target.node != buf.node
@@ -221,7 +217,7 @@ class ProgressEngine:
             obs = self.engine.obs
             t0 = self.engine.now
             try:
-                yield self.engine.timeout(self.rt.params.progress_dispatch_cost)
+                yield self.rt.params.progress_dispatch_cost
                 result = yield self.engine.process(work(), name=name)
             finally:
                 if obs is not None:

@@ -53,7 +53,7 @@ class Request:
 
     def wait(self) -> Generator:
         """MPI_Wait: block the calling process until complete."""
-        yield self.engine.timeout(self.rt.params.mpi_call_overhead)
+        yield self.rt.params.mpi_call_overhead
         if not self.done:
             yield self._done_event
         return self.status
@@ -65,7 +65,7 @@ class Request:
 
 def waitall(rt: "MpiRuntime", requests: List[Request]) -> Generator:
     """MPI_Waitall."""
-    yield rt.engine.timeout(rt.params.mpi_call_overhead)
+    yield rt.params.mpi_call_overhead
     pending = [r._done_event for r in requests if not r.done]
     if pending:
         yield AllOf(rt.engine, pending)

@@ -81,7 +81,7 @@ class MpiRuntime:
     def finalize(self) -> Generator:
         if self.finalized:
             return
-        yield self.engine.timeout(self.params.mpi_call_overhead)
+        yield self.params.mpi_call_overhead
         self.finalized = True
 
     def close(self) -> None:
@@ -104,7 +104,7 @@ class MpiRuntime:
     def mca_partitioned_init(self) -> Generator:
         """First touch of the partitioned MCA component (Table I)."""
         if not self.mca_partitioned_ready:
-            yield self.engine.timeout(self.params.mca_module_init)
+            yield self.params.mca_module_init
             self.mca_partitioned_ready = True
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -79,7 +79,7 @@ class NcclComm:
 
         comm = ctx.comm
         clique = ctx.world.shared(comm, "nccl", lambda: RingClique(ctx.engine, comm.size))
-        yield ctx.engine.timeout(NCCL_INIT_COST)
+        yield NCCL_INIT_COST
         clique.joined.add(1)
         yield clique.joined.wait_for(clique.n_ranks)
         return cls(ctx, clique, comm.rank)
@@ -108,7 +108,7 @@ class NcclComm:
             raise MpiUsageError(f"count {n} not divisible by {P} ranks")
         if P == 1:
             def solo():
-                yield self.engine.timeout(self.device.cost.launch_latency)
+                yield self.device.cost.launch_latency
                 recvbuf.copy_from(sendbuf)
             stream = stream or self.device.default_stream
             return stream.enqueue(solo, label="ncclAllReduce")
@@ -137,10 +137,10 @@ class NcclComm:
         board = clique.board(seq, n_channels, len(steps), [None] * P)
 
         # Kernel launch + local staging window registration.
-        yield self.engine.timeout(self.device.cost.launch_latency)
+        yield self.device.cost.launch_latency
         if not recvbuf.same_allocation(sendbuf):
             recvbuf.copy_from(sendbuf)  # local pass handled inside the kernel
-            yield self.engine.timeout(sendbuf.nbytes * 2 / self.device.cost.hbm_bw)
+            yield sendbuf.nbytes * 2 / self.device.cost.hbm_bw
         board.windows[r] = Buffer.alloc(
             chunk * len(steps), sendbuf.data.dtype, MemSpace.DEVICE,
             node=self.device.node, gpu=self.device.gpu_id, label=f"nccl_stage{r}",

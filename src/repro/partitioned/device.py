@@ -96,7 +96,7 @@ def pready(blk: DeviceCtx, preq: Prequest):
     def proc() -> Generator:
         if mode is SignalMode.WARP:
             # Intra-warp shuffle reduction cost (cheap, on-SM).
-            yield blk.engine.timeout(blk.device.cost.syncthreads_cost / 2)
+            yield blk.device.cost.syncthreads_cost / 2
         elif mode is SignalMode.BLOCK:
             yield blk.syncthreads()
         count = yield blk.atomic_add(preq.gmem_counters[tp])
@@ -135,7 +135,7 @@ def parrived_device(blk: DeviceCtx, rreq: "PrecvRequest", partition: int):
     def proc() -> Generator:
         if not flag.is_set:
             yield flag.wait()
-        yield blk.engine.timeout(blk.device.fabric.spec.params.host_to_dev_flag)
+        yield blk.device.fabric.spec.params.host_to_dev_flag
         # Import the sender's published history, then record the read this
         # call licenses (the partition's bytes are now safe to consume).
         record.acquire(blk.actor, ("arr", rreq.key, partition))

@@ -29,6 +29,7 @@ from repro.mpi.requests import PersistentRequest
 from repro.partitioned.setup import SETUP_BYTES, ChannelKey, ReadyToReceive, SetupResp, SetupT
 from repro.san import record
 from repro.sim.events import Event
+from repro.sim.process import Delayed
 from repro.sim.resources import Counter, Flag
 from repro.ucx.memreg import mem_map, rkey_pack, rkey_unpack
 from repro.units import us
@@ -58,7 +59,7 @@ def _part_ucp_first_touch(rt) -> Generator:
     """
     if not rt.part_ucp_ready:
         p = rt.params
-        yield rt.engine.timeout(p.ucp_context_create + p.ucp_worker_create)
+        yield p.ucp_context_create + p.ucp_worker_create
         rt.part_ucp_ready = True
 
 
@@ -105,7 +106,7 @@ class PsendRequest(PersistentRequest):
 
     # -- MPI_Start -----------------------------------------------------------
     def start(self) -> Generator:
-        yield self.engine.timeout(START_COST)
+        yield START_COST
         self._begin_epoch()
         self.pready_called = [False] * self.partitions
         self._puts_done.reset()
@@ -124,7 +125,7 @@ class PsendRequest(PersistentRequest):
         if not self.active:
             raise MpiStateError("pbuf_prepare before MPI_Start")
         rt = self.rt
-        yield rt.engine.timeout(rt.params.mpi_call_overhead)
+        yield rt.params.mpi_call_overhead
         yield from rt.mca_partitioned_init()
         if not self.prepared_once:
             resp: SetupResp = yield self._resp_ev
@@ -137,19 +138,19 @@ class PsendRequest(PersistentRequest):
             self.rkey_data = yield from rkey_unpack(rt.worker, resp.rkey_data)
             self.rkey_flags = yield from rkey_unpack(rt.worker, resp.rkey_flags)
             self.arrived_sink = resp.arrived_sink
-            yield rt.engine.timeout(SETUP_PACK_COST)  # prepopulate put params
+            yield SETUP_PACK_COST  # prepopulate put params
             self.prepared_once = True
         else:
             rtr: ReadyToReceive = yield rt.part_matcher.get((AM_PART_RTR,) + self.key)
             assert rtr.key == self.key
             # Validate the signal and refresh the put parameters.
-            yield rt.engine.timeout(RTR_PROCESS_COST)
+            yield RTR_PROCESS_COST
         self.prepared_epoch = self.epoch
 
     # -- MPI_Pready (host binding) ----------------------------------------------------
     def pready(self, partition: int) -> Generator:
         """Host MPI_Pready: RMA-put the partition plus its chained flag."""
-        yield self.engine.timeout(PUT_ISSUE_COST)
+        yield PUT_ISSUE_COST
         self.issue_pready(partition)
 
     def issue_pready(
@@ -223,11 +224,7 @@ class PsendRequest(PersistentRequest):
         runs on its next progress pass; that detection delay precedes the
         flag put's injection.
         """
-        def proc():
-            yield self.engine.timeout(FLAG_CHAIN_DELAY)
-            self._chain_flag(partition)
-
-        self.engine.process(proc(), name="chain_flag")
+        Delayed(self.engine, FLAG_CHAIN_DELAY, lambda: self._chain_flag(partition))
 
     def _chain_flag(self, partition: int) -> None:
         """The second put: raise the receive-side partition-arrived flag."""
@@ -254,7 +251,7 @@ class PsendRequest(PersistentRequest):
         (one call overhead for a whole request batch).
         """
         if charge_overhead:
-            yield self.engine.timeout(self.rt.params.mpi_call_overhead)
+            yield self.rt.params.mpi_call_overhead
         if not self.active:
             return self.status
         if not all(self.pready_called):
@@ -324,7 +321,7 @@ class PrecvRequest(PersistentRequest):
 
     # -- MPI_Start -----------------------------------------------------------
     def start(self) -> Generator:
-        yield self.engine.timeout(START_COST)
+        yield START_COST
         self._begin_epoch()
         self.flags_buf.data[:] = 0
         for f in self.arrived_flags:
@@ -342,7 +339,7 @@ class PrecvRequest(PersistentRequest):
         if not self.active:
             raise MpiStateError("pbuf_prepare before MPI_Start")
         rt = self.rt
-        yield rt.engine.timeout(rt.params.mpi_call_overhead)
+        yield rt.params.mpi_call_overhead
         yield from rt.mca_partitioned_init()
         if not self.prepared_once:
             setup: SetupT = yield self._setup_ev
@@ -402,12 +399,12 @@ class PrecvRequest(PersistentRequest):
     # -- MPI_Wait -------------------------------------------------------------------
     def wait(self, charge_overhead: bool = True) -> Generator:
         if charge_overhead:
-            yield self.engine.timeout(self.rt.params.mpi_call_overhead)
+            yield self.rt.params.mpi_call_overhead
         if not self.active:
             return self.status
         yield self.arrived_count.wait_for(self.partitions)
         # The single progression thread notices the last flag by polling.
-        yield self.engine.timeout(self.rt.params.progress_poll_latency)
+        yield self.rt.params.progress_poll_latency
         host = ("host", self.rt.world_rank)
         for p in range(self.partitions):
             record.acquire(host, ("arr", self.key, p))
@@ -425,10 +422,10 @@ def psend_init(
 ) -> Generator:
     """MPI_Psend_init: non-blocking, local; ships setup_t to the receiver."""
     rt = comm.rt
-    yield rt.engine.timeout(rt.params.mpi_call_overhead)
+    yield rt.params.mpi_call_overhead
     yield from _part_ucp_first_touch(rt)
     req = PsendRequest(comm, buf, partitions, dest, tag)
-    yield rt.engine.timeout(SETUP_PACK_COST)
+    yield SETUP_PACK_COST
     ep = yield from rt.ep_to(comm, dest)
     setup = SetupT(
         req.key, partitions, req.elems_per_partition, buf.itemsize, rt.worker.address
@@ -442,7 +439,7 @@ def precv_init(
 ) -> Generator:
     """MPI_Precv_init: non-blocking, local; posts the setup_t receive."""
     rt = comm.rt
-    yield rt.engine.timeout(rt.params.mpi_call_overhead)
+    yield rt.params.mpi_call_overhead
     yield from _part_ucp_first_touch(rt)
     req = PrecvRequest(comm, buf, partitions, source, tag)
     return req

@@ -118,14 +118,14 @@ class Prequest:
         if self.freed or self.sreq.epoch != epoch:
             return  # stale watcher from a previous epoch
         # Polling delay before the progression thread notices the signal.
-        yield self.engine.timeout(self.rt.params.progress_poll_latency)
+        yield self.rt.params.progress_poll_latency
         yield self.rt.progress.dispatch(
             lambda: self._host_pready(tp), name=f"pready_tp{tp}"
         )
 
     def _host_pready(self, tp: int) -> Generator:
         """The progression engine's internal MPI_Pready issue."""
-        yield self.engine.timeout(PUT_ISSUE_COST)
+        yield PUT_ISSUE_COST
         pe = ("pe", self.rt.world_rank)
         if self.on_ready is not None:
             self.on_ready(tp)
@@ -146,7 +146,7 @@ class Prequest:
     def free(self) -> Generator:
         """MPIX_Prequest_free: release device + pinned host allocations."""
         cost = self.device.cost
-        yield self.engine.timeout(cost.memcpy_api_cost)  # cudaFree / cudaFreeHost
+        yield cost.memcpy_api_cost  # cudaFree / cudaFreeHost
         self.freed = True
         record.mark("preq-free", preq=record.ident(self), req=record.ident(self.sreq))
         self.sreq.preq = None
@@ -222,17 +222,17 @@ def prequest_create(
     rt = sreq.rt
     cost = device.cost
     # cudaMalloc for the device request + counters.
-    yield rt.engine.timeout(cost.cuda_malloc_cost)
+    yield cost.cuda_malloc_cost
     # cudaMallocHost for the pinned progression flags.
-    yield rt.engine.timeout(cost.cuda_host_alloc_cost)
+    yield cost.cuda_host_alloc_cost
     # Register the flag region so the progression engine / NIC can see it.
-    yield rt.engine.timeout(rt.params.ucp_mem_map_per_call)
+    yield rt.params.ucp_mem_map_per_call
     preq = Prequest(sreq, device, agg, mode)
     if mode is CopyMode.KERNEL_COPY:
         # Resolve the device-mapped remote pointer (cuda_ipc rkey_ptr).
         preq.mapped_remote = yield from rkey_ptr(rt.worker, sreq.rkey_data, device.gpu_id)
     # Populate the host-side staging struct and copy it to the device.
-    yield rt.engine.timeout(cost.memcpy_api_cost)
+    yield cost.memcpy_api_cost
     staging = Buffer.alloc(64, np.int8, MemSpace.PINNED, node=rt.node)
     dev_struct = Buffer.alloc(64, np.int8, MemSpace.DEVICE, node=device.node, gpu=device.gpu_id)
     yield rt.fabric.dataplane.put(

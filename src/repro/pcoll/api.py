@@ -58,7 +58,7 @@ def pallreduce_init(
     if comm.size < 2:
         raise MpiUsageError("pallreduce needs at least 2 ranks")
     rt = comm.rt
-    yield rt.engine.timeout(rt.params.mpi_call_overhead)
+    yield rt.params.mpi_call_overhead
     device = device or rt.device
     if fused:
         req: PcollRequest = FusedPallreduce(comm, sendbuf, recvbuf, partitions, op, device)
@@ -80,7 +80,7 @@ def pbcast_init(
 ) -> Generator:
     """MPIX_Pbcast_init: binomial tree, all-NOP schedule."""
     rt = comm.rt
-    yield rt.engine.timeout(rt.params.mpi_call_overhead)
+    yield rt.params.mpi_call_overhead
     schedule = binomial_bcast_schedule(comm.rank, comm.size, root)
     req = PcollRequest(
         comm, buf, buf, partitions, SUM, schedule,
@@ -117,7 +117,7 @@ def preduce_init(
     else:
         raise MpiUsageError(f"unknown reduce algorithm {algorithm!r}")
     rt = comm.rt
-    yield rt.engine.timeout(rt.params.mpi_call_overhead)
+    yield rt.params.mpi_call_overhead
     req = PcollRequest(
         comm, buf, buf, partitions, op, schedule,
         device or rt.device, name="preduce",

@@ -92,9 +92,7 @@ class FusedPallreduce(PcollRequest):
         """No channels: build the schedule, then carve this rank's staging
         window (one slot per (partition, step)) out of the device pool and
         register it with the clique."""
-        yield self.engine.timeout(
-            SCHEDULE_STEP_COST * self.schedule.n_steps + POOL_ALLOC_COST
-        )
+        yield SCHEDULE_STEP_COST * self.schedule.n_steps + POOL_ALLOC_COST
         self.clique.windows[self.comm.rank] = Buffer.alloc(
             self.partitions * self.schedule.n_steps * self.chunk_elems,
             self.recvbuf.data.dtype, MemSpace.DEVICE,
@@ -108,7 +106,7 @@ class FusedPallreduce(PcollRequest):
 
     # -- control flow -----------------------------------------------------------
     def start(self) -> Generator:
-        yield self.engine.timeout(self.START_COST)
+        yield self.START_COST
         self._begin_user_epoch()
         epoch = self.epoch
         for u in range(self.partitions):
@@ -122,12 +120,12 @@ class FusedPallreduce(PcollRequest):
         if not self.active:
             raise MpiStateError("pbuf_prepare before MPI_Start")
         rt = self.rt
-        yield rt.engine.timeout(rt.params.mpi_call_overhead)
+        yield rt.params.mpi_call_overhead
         if not self.prepared_once:
             yield from rt.mca_partitioned_init()
             # One rkey_ptr map per peer window (cuIpcOpenMemHandle path).
             for _ in range(self.comm.size - 1):
-                yield rt.engine.timeout(rt.params.ucp_rkey_ptr)
+                yield rt.params.ucp_rkey_ptr
             self.prepared_once = True
         board = self._board(self.epoch)
         board.joined.add(1)

@@ -116,9 +116,8 @@ class PcollRequest(PersistentRequest):
     # -- init (called by api.p<coll>_init) ----------------------------------------
     def _init_channels(self) -> Generator:
         """Create the underlying partitioned P2P channels + pay init costs."""
-        rt = self.rt
-        yield rt.engine.timeout(SCHEDULE_STEP_COST * self.schedule.n_steps)
-        yield rt.engine.timeout(POOL_ALLOC_COST)
+        yield SCHEDULE_STEP_COST * self.schedule.n_steps
+        yield POOL_ALLOC_COST
 
         for o in self.schedule.all_outgoing():
             n_sends = self.schedule.sends_to(o)
@@ -173,7 +172,7 @@ class PcollRequest(PersistentRequest):
         self.done_count.reset()
 
     def start(self) -> Generator:
-        yield self.engine.timeout(self.START_COST)
+        yield self.START_COST
         self._begin_user_epoch()
         for ch in self.send_ch.values():
             yield from ch.start()
@@ -203,7 +202,7 @@ class PcollRequest(PersistentRequest):
 
     # -- MPI_Pready (user partition, host binding) ------------------------------------
     def pready(self, user_partition: int) -> Generator:
-        yield self.engine.timeout(self.PREADY_COST)
+        yield self.PREADY_COST
         self.issue_user_pready(user_partition)
 
     def issue_user_pready(self, u: int) -> None:
@@ -254,7 +253,7 @@ class PcollRequest(PersistentRequest):
                 flag = ch.arrived_flags[tp]
                 if not flag.is_set:
                     yield flag.wait()
-                yield self.engine.timeout(self.rt.params.progress_poll_latency)
+                yield self.rt.params.progress_poll_latency
                 yield self.rt.progress.dispatch(
                     lambda inc=inc, i=i, tp=tp, step=step: self._consume(u, i, inc, tp, step),
                     name=f"pc_u{u}s{i}",
@@ -264,7 +263,7 @@ class PcollRequest(PersistentRequest):
 
     def _issue_send(self, u: int, i: int, o: int) -> Generator:
         """Internal host MPI_Pready on the channel to ``o`` for step ``i``."""
-        yield self.engine.timeout(PUT_ISSUE_COST)
+        yield PUT_ISSUE_COST
         tp = u * self.schedule.sends_to(o) + self.send_ordinal[o][i]
         src = self._w_chunk(u, self.schedule.steps[i].send_chunk)
         self.send_ch[o].issue_pready(tp, with_data=True, src_override=src)
@@ -276,7 +275,7 @@ class PcollRequest(PersistentRequest):
         target = self._w_chunk(u, step.recv_chunk)
         if step.op is NOP:
             # Pure data movement: local device copy (DMA).
-            yield self.engine.timeout(self.device.cost.memcpy_api_cost)
+            yield self.device.cost.memcpy_api_cost
             yield self.rt.fabric.dataplane.put(
                 slot, target, traffic_class="pcoll", name="pcoll_copy"
             )
@@ -297,7 +296,7 @@ class PcollRequest(PersistentRequest):
 
     # -- MPI_Wait ----------------------------------------------------------------------
     def wait(self) -> Generator:
-        yield self.engine.timeout(self.rt.params.mpi_call_overhead)
+        yield self.rt.params.mpi_call_overhead
         if not self.active:
             return self.status
         yield self.done_count.wait_for(self.partitions)
@@ -308,7 +307,7 @@ class PcollRequest(PersistentRequest):
             yield from ch.wait()
         for ch in self.recv_ch.values():
             yield from ch.wait()
-        yield self.engine.timeout(self.rt.params.progress_poll_latency)
+        yield self.rt.params.progress_poll_latency
         self._complete({"epoch": self.epoch})
         return self.status
 
@@ -331,7 +330,7 @@ class PcollRequest(PersistentRequest):
             )
         agg = AggregationSpec(grid, block, grid // self.partitions, signal_mode)
         for cost in self._prequest_costs(device.cost):
-            yield self.engine.timeout(cost)
+            yield cost
         preq = Prequest(
             self, device, agg, CopyMode.PROGRESSION_ENGINE,
             on_ready=self.issue_user_pready,

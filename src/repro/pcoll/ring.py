@@ -143,9 +143,8 @@ def ring_step(
     copies) it into chunk ``A`` at HBM speed.  All coordination is device
     memory: no host thread, launch or stream synchronization per step.
     """
-    engine = device.engine
     right = step.outgoing[0]
-    yield engine.timeout(RING_STEP_OVERHEAD)
+    yield RING_STEP_OVERHEAD
     put = dataplane.put(
         chunk(step.send_chunk), board.slot(right, lane, i),
         traffic_class=traffic_class, initiator="device", name=name,
@@ -160,10 +159,10 @@ def ring_step(
     hbm_bw = device.cost.hbm_bw
     if step.op is not NOP:
         step.op.reduce_into(target.data, slot.data)
-        yield engine.timeout(target.nbytes * 3 / hbm_bw)
+        yield target.nbytes * 3 / hbm_bw
     else:
         target.data[:] = slot.data
-        yield engine.timeout(target.nbytes * 2 / hbm_bw)
+        yield target.nbytes * 2 / hbm_bw
 
 
 def verify_ring_completion(n_ranks: int) -> bool:

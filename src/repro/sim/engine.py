@@ -19,7 +19,7 @@ from __future__ import annotations
 import heapq
 from typing import Any, Callable, Generator, List, Optional, Tuple
 
-from repro.sim.events import Event, Timeout, _PooledTimeout
+from repro.sim.events import Event, Timeout
 from repro.sim.process import Process, ProcessFailed
 from repro.sim.run import current
 from repro.obs import bus as obs_bus
@@ -95,7 +95,7 @@ class Engine:
 
     __slots__ = (
         "_now", "_heap", "_seq", "_crashed",
-        "obs", "on_step", "_timeout_pool", "t_busy",
+        "obs", "on_step", "t_busy",
         "events_popped", "events_coalesced", "events_cancelled", "peak_heap",
         "_flushed", "shard_id", "__weakref__",
     )
@@ -116,8 +116,6 @@ class Engine:
         #: popped event, in pop order.  The argument triple *is* the heap
         #: tie-break key — the determinism regression test hashes it.
         self.on_step: Optional[Callable[[float, int, int], None]] = None
-        #: Free-list of recyclable timeouts (see events._PooledTimeout).
-        self._timeout_pool: List[_PooledTimeout] = []
         #: Time of the last event actually processed.  Unlike ``now`` it is
         #: never clamped forward to a run-horizon, so a windowed (sharded)
         #: run can report true completion times.
@@ -173,26 +171,6 @@ class Engine:
             self.peak_heap = len(heap)
         return ev
 
-    def pooled_timeout(self, delay: float, value: Any = None) -> Timeout:
-        """A timeout from the engine's free-list (engine-internal).
-
-        Behaves exactly like :meth:`timeout` but the object is recycled
-        once its callbacks ran; callers must not retain it past firing.
-        Used by ``Process`` for coerced ``yield <number>`` waits — the
-        allocation hot spot of the partition sweeps.
-        """
-        pool = self._timeout_pool
-        if not pool:
-            return _PooledTimeout(self, delay, value)
-        if not (delay >= 0):  # also rejects NaN
-            raise ValueError(f"negative or NaN timeout delay: {delay}")
-        t = pool.pop()
-        t.delay = delay
-        t._triggered = True
-        t._value = value
-        self._schedule_event(t, 1, delay=delay)  # PRIORITY_NORMAL
-        return t
-
     def process(self, gen: Generator, name: Optional[str] = None) -> Process:
         """Spawn ``gen`` as a process starting at the current time."""
         return Process(self, gen, name=name)
@@ -205,9 +183,16 @@ class Engine:
         if len(heap) > self.peak_heap:
             self.peak_heap = len(heap)
 
-    def _crash(self, process: Event, exc: BaseException) -> None:
+    def _body_failed(self, ev: Event, exc: BaseException) -> None:
+        """A process, chain or transfer raised: fail its waiters, or else
+        settle it failed and make :meth:`run` raise :class:`ProcessFailed`."""
+        if ev.callbacks:
+            ev.fail(exc)
+            return
+        ev._triggered = ev._processed = True
+        ev._ok, ev._value, ev.callbacks = False, exc, None
         if self._crashed is None:
-            self._crashed = ProcessFailed(process, exc)
+            self._crashed = ProcessFailed(ev, exc)
 
     # -- main loop ------------------------------------------------------------
     def run(self, until: Optional[Any] = None) -> Any:
@@ -287,7 +272,7 @@ class Engine:
         return heap[0][0] if heap else _INF
 
     def close(self) -> None:
-        """Drop every pending event and the timeout free-list.
+        """Drop every pending event.
 
         The heap is what keeps a finished simulation's parked processes
         (and everything their frames hold) reachable; its owner calls this
@@ -295,7 +280,6 @@ class Engine:
         readable.
         """
         self._heap.clear()
-        self._timeout_pool.clear()
 
     def _flush_stats(self) -> None:
         flushed = self._flushed

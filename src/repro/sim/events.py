@@ -4,6 +4,14 @@ An :class:`Event` is a one-shot occurrence: it is *pending* until it is
 either :meth:`~Event.succeed`-ed with a value or :meth:`~Event.fail`-ed with
 an exception, at which point every registered callback fires exactly once.
 Processes wait on events by ``yield``-ing them.
+
+A heap entry is ``(time, priority, seq, event)``; popping it calls the
+event's ``_run_callbacks``.  Some events are their own entry more than
+once: a :class:`~repro.sim.process.Process` is pushed to boot, once per
+sleep (``yield <delay>`` allocates no :class:`Timeout`) and to
+terminate, and a :class:`~repro.sim.process.Delayed` or a link transfer
+is pushed once per stage.  A :class:`Timeout` is for waits that are not a
+process's own sleep: a shared timer, a valued wait, or a callback.
 """
 
 from __future__ import annotations
@@ -131,15 +139,18 @@ class Event:
 
 
 class Timeout(Event):
-    """An event that fires ``delay`` simulated seconds after creation."""
+    """An event that fires ``delay`` simulated seconds after creation.
+
+    A process that only sleeps yields the bare delay instead: it takes
+    the same heap key without allocating one of these.
+    """
 
     __slots__ = ("delay",)
 
     def __init__(self, engine: "Engine", delay: float, value: Any = None) -> None:
         if not (delay >= 0):  # also rejects NaN, which would break heap order
             raise ValueError(f"negative or NaN timeout delay: {delay}")
-        # Event.__init__ and Engine._schedule_event, inlined: the second
-        # hottest producer after Event.succeed.
+        # Event.__init__ and Engine._schedule_event, inlined.
         self.engine = engine
         self.callbacks = []
         self._value = value
@@ -151,37 +162,6 @@ class Timeout(Event):
         heappush(heap, (engine._now + delay, PRIORITY_NORMAL, seq, self))
         if len(heap) > engine.peak_heap:
             engine.peak_heap = len(heap)
-
-
-#: Upper bound on an engine's timeout free-list (see Engine._timeout_pool).
-POOL_MAX = 256
-
-
-class _PooledTimeout(Timeout):
-    """A recyclable timeout for the process-coercion hot path.
-
-    ``Process._advance`` turns every ``yield <number>`` / ``yield None``
-    into a fresh Timeout that is waited on exactly once and becomes
-    garbage the moment its callbacks ran.  Pooled timeouts return
-    themselves to their engine's free-list instead, so the Figs 4-7
-    sweeps stop churning allocations.  They are engine-internal: nothing
-    outside :class:`~repro.sim.process.Process` may hold one past its
-    firing, because the object is reborn as a different timeout.
-    """
-
-    __slots__ = ()
-
-    def _run_callbacks(self) -> None:
-        Event._run_callbacks(self)
-        pool = self.engine._timeout_pool
-        if len(pool) < POOL_MAX:
-            self.callbacks = []
-            self._value = Event._PENDING
-            self._ok = True
-            self._triggered = False
-            self._processed = False
-            self._cancelled = False
-            pool.append(self)
 
 
 class ConditionError(Exception):

@@ -1,16 +1,18 @@
-"""Generator-coroutine processes.
+"""Generator-coroutine processes, and :class:`Delayed`, a one-shot body as one event.
 
 A process wraps a generator. Each ``yield`` hands the engine something to
 wait for (an :class:`~repro.sim.events.Event`, another :class:`Process`, a
-bare number meaning a timeout, or ``None`` meaning "resume immediately but
+bare number meaning a sleep, or ``None`` meaning "resume immediately but
 after already-scheduled same-time events").  The value of the awaited event
-is sent back into the generator; failures are thrown into it.
+is sent back into the generator; failures, bad yields included, are thrown
+into it.  A sleeper is its own ``(now + delay, PRIORITY_NORMAL, seq)`` heap
+entry: the key a ``Timeout`` would take, without allocating one.
 """
 
 from __future__ import annotations
 
 from heapq import heappush
-from typing import TYPE_CHECKING, Any, Generator, Optional
+from typing import TYPE_CHECKING, Any, Callable, Generator, Optional
 
 from repro.sim.events import Event, Timeout, PRIORITY_NORMAL, PRIORITY_URGENT
 
@@ -27,7 +29,7 @@ class Interrupt(Exception):
 
 
 class ProcessFailed(Exception):
-    """Raised by Engine.run when an unhandled exception escaped a process or transfer."""
+    """Raised by Engine.run when an unhandled exception escaped a process, chain or transfer."""
 
     def __init__(self, process: "Process", exc: BaseException) -> None:
         super().__init__(f"{process!r} failed: {exc!r}")
@@ -72,8 +74,12 @@ class Process(Event):
             return
         self._detach()
         wake = Event(self.engine)
-        wake.add_callback(lambda ev: self._advance(False, Interrupt(cause)))
+        wake.add_callback(lambda ev: self._throw(Interrupt(cause)))
         wake.succeed(None, priority=PRIORITY_URGENT)
+
+    def _throw(self, exc: BaseException) -> None:
+        self._detach()  # again: one interrupted before its boot has parked since
+        self._advance(False, exc)
 
     def kill(self) -> None:
         """Terminate the process immediately without resuming it.
@@ -93,7 +99,13 @@ class Process(Event):
     def _detach(self) -> None:
         """Stop waiting on whatever we were waiting on."""
         target, self._target = self._target, None
-        if target is not None and target.callbacks is not None:
+        if target is self:  # asleep: same key, cancelled event (an O(heap) scan, rarely paid)
+            heap = self.engine._heap
+            for i, entry in enumerate(heap):
+                if entry[3] is self:
+                    heap[i] = (entry[0], entry[1], entry[2], _STALE)
+                    break
+        elif target is not None and target.callbacks is not None:
             try:
                 target.callbacks.remove(self._resume)
             except ValueError:
@@ -105,10 +117,13 @@ class Process(Event):
 
     # -- engine internals -------------------------------------------------------
     def _run_callbacks(self) -> None:
-        if self._started:
-            Event._run_callbacks(self)  # termination: wake our waiters
-        else:
+        if not self._started:  # boot
             self._started = True
+            self._advance(True, None)
+        elif self._triggered:  # termination: wake our waiters
+            Event._run_callbacks(self)
+        else:  # our own sleep entry: wake
+            self._target = None
             self._advance(True, None)
 
     def _resume(self, ev: Event) -> None:
@@ -118,44 +133,84 @@ class Process(Event):
     def _advance(self, ok: bool, value: Any) -> None:
         """Send ``value`` (or throw it, when not ``ok``) and park on the yield.
 
-        The whole wake path in one call.  The bound ``self._resume`` is
-        built afresh on every park, never cached on the process: a cached
-        one would be a process<->method cycle, and a finished process
-        would wait for the cyclic collector instead of being freed by
-        reference counting.
+        The whole wake path in one call.  ``self._resume`` is built afresh on
+        every park, never cached: a process<->method cycle would leave a
+        finished process to the cyclic collector instead of refcounting.
         """
         if self._triggered:
             return
         engine = self.engine
-        try:
-            target = self.gen.send(value) if ok else self.gen.throw(value)
-        except StopIteration as stop:
-            self.succeed(stop.value)
-            return
-        except BaseException as exc:  # noqa: BLE001 - propagate to waiters
-            if self.callbacks:
-                self.fail(exc)
-            else:
-                # Nobody is waiting on this process: surface the crash.
-                engine._crash(self, exc)
-            return
-        if not isinstance(target, Event):
-            # Coerced waits are anonymous and single-waiter, so they draw
-            # from the engine's timeout free-list instead of allocating.
+        while True:
+            try:
+                target = self.gen.send(value) if ok else self.gen.throw(value)
+            except StopIteration as stop:
+                self.succeed(stop.value)
+                return
+            except BaseException as exc:  # noqa: BLE001 - propagate to waiters
+                engine._body_failed(self, exc)
+                return
+            if isinstance(target, Event) and target is not self:
+                self._target = target
+                if target.callbacks is None:  # already processed: resume at once
+                    self._resume(target)
+                else:
+                    target.callbacks.append(self._resume)
+                return
             if target is None:
-                target = engine.pooled_timeout(0.0)
-            elif isinstance(target, (int, float)):
-                target = engine.pooled_timeout(float(target))
-            else:
-                raise TypeError(f"process {self.name!r} yielded unsupported {target!r}")
-        elif target is self:
-            raise RuntimeError(f"process {self.name!r} awaits itself")
-        self._target = target
-        if target.callbacks is None:  # already processed: resume at once
-            self._resume(target)
-        else:
-            target.callbacks.append(self._resume)
+                when = engine._now
+            elif isinstance(target, (int, float)) and target >= 0:  # False for NaN
+                when = engine._now + target
+            else:  # thrown in: the body fails as on any error it raises
+                bad = ValueError if isinstance(target, (int, float)) else TypeError
+                ok, value = False, bad(f"process {self.name!r} cannot wait on {target!r}")
+                continue
+            # Sleep as our own heap entry: Engine._schedule_event, inlined.
+            self._target = self
+            engine._seq = seq = engine._seq + 1
+            heap = engine._heap
+            heappush(heap, (when, PRIORITY_NORMAL, seq, self))
+            if len(heap) > engine.peak_heap:
+                engine.peak_heap = len(heap)
+            return
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "done" if self.triggered else "alive"
         return f"<Process {self.name} {state}>"
+
+
+#: A killed or interrupted sleeper's heap entry: shared, pre-cancelled.
+_STALE = Event(None)  # type: ignore[arg-type]
+_STALE._triggered = _STALE._cancelled = True
+
+
+class Delayed(Event):
+    """``fn()`` after ``delay``: pops exactly like the process body
+    ``yield delay; return fn()`` (an URGENT boot at ``now``, a NORMAL wake
+    at ``now + delay`` that calls ``fn``, then the termination) and
+    succeeds with ``fn``'s value, or fails as that body would.  ``fn`` must
+    not hold the chain: no cycle, so a fired chain dies by refcounting.
+    """
+
+    __slots__ = ("fn", "delay")
+
+    def __init__(self, engine: "Engine", delay: float, fn: Callable[[], Any]) -> None:
+        if not (delay >= 0):  # also rejects NaN
+            raise ValueError(f"negative or NaN delay: {delay}")
+        Event.__init__(self, engine)
+        self.fn: Optional[Callable[[], Any]] = fn
+        self.delay: Optional[float] = delay
+        engine._schedule_event(self, PRIORITY_URGENT)
+
+    def _run_callbacks(self) -> None:
+        fn, delay = self.fn, self.delay
+        if delay is not None:  # boot: sleep
+            self.delay = None
+            self.engine._schedule_event(self, PRIORITY_NORMAL, delay)
+        elif fn is None:  # finished: wake our waiters
+            Event._run_callbacks(self)
+        else:
+            self.fn = None  # before succeed, or the next pop re-runs fn
+            try:
+                self.succeed(fn())
+            except BaseException as exc:  # noqa: BLE001 - propagate to waiters
+                self.engine._body_failed(self, exc)

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 from typing import Any, Callable, Optional
 
-from repro.hw.memory import Buffer
+from repro.hw.memory import Buffer, MemSpace
 from repro.sim.events import Event
+from repro.sim.process import Delayed
 from repro.ucx.context import AmMessage, UcpWorker, WorkerAddress
 from repro.ucx.memreg import RemoteKey, UcxMemError
 
@@ -85,20 +86,19 @@ class UcpEndpoint:
         when the wire transfer arrives.  ``nbytes`` sizes the wire cost
         (setup_t packets are small control messages).
         """
-        def send_proc():
-            obs = self.engine.obs
-            if obs is not None:
-                obs.instant(
-                    "ucx", "am_send", None,
-                    am_id=am_id, nbytes=nbytes, worker=self.worker.name,
-                )
-            p = self.fabric.spec.params
-            yield self.engine.timeout(p.am_send_overhead)
+        obs = self.engine.obs
+        if obs is not None:
+            obs.instant(
+                "ucx", "am_send", None,
+                am_id=am_id, nbytes=nbytes, worker=self.worker.name,
+            )
+
+        def inject() -> None:
             src_probe = Buffer.alloc(
-                max(nbytes // 8, 1), space=_host_space(), node=self.worker.context.node
+                max(nbytes // 8, 1), space=MemSpace.HOST, node=self.worker.context.node
             )
             dst_probe = Buffer.alloc(
-                max(nbytes // 8, 1), space=_host_space(), node=self.remote.node
+                max(nbytes // 8, 1), space=MemSpace.HOST, node=self.remote.node
             )
             wire = self.fabric.dataplane.control(
                 src_probe, dst_probe, nbytes, traffic_class="am", name="am"
@@ -111,16 +111,10 @@ class UcpEndpoint:
                     )
 
             wire.add_callback(deliver)
-            # Local completion: once injected (eager AM), not when delivered.
-            return None
 
-        return self.engine.process(send_proc(), name=f"am{am_id}")
+        # Local completion: once injected (eager AM), not when delivered.
+        return Delayed(self.engine, self.fabric.spec.params.am_send_overhead, inject)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<UcpEndpoint {self.worker.name} -> worker{self.remote.worker_id}>"
 
-
-def _host_space():
-    from repro.hw.memory import MemSpace
-
-    return MemSpace.HOST

@@ -64,9 +64,9 @@ def mem_map(worker, buffer: Buffer):
     cached = buffer._registered
     if cached:
         # Re-registering the same region is cheap (registration cache hit).
-        yield engine.timeout(worker.fabric.spec.params.ucp_rkey_pack)
+        yield worker.fabric.spec.params.ucp_rkey_pack
     else:
-        yield engine.timeout(worker.fabric.spec.params.ucp_mem_map_per_call)
+        yield worker.fabric.spec.params.ucp_mem_map_per_call
         buffer._registered = True
     if obs is not None:
         obs.span(
@@ -78,13 +78,13 @@ def mem_map(worker, buffer: Buffer):
 
 def rkey_pack(worker, memh: MemHandle):
     """``ucp_rkey_pack``: produce the wire rkey for a registered region."""
-    yield worker.engine.timeout(worker.fabric.spec.params.ucp_rkey_pack)
+    yield worker.fabric.spec.params.ucp_rkey_pack
     return PackedRkey(memh.buffer, memh.buffer.node, memh.buffer.gpu)
 
 
 def rkey_unpack(worker, packed: PackedRkey):
     """``ucp_ep_rkey_unpack``: make a packed rkey usable locally."""
-    yield worker.engine.timeout(worker.fabric.spec.params.ucp_rkey_unpack)
+    yield worker.fabric.spec.params.ucp_rkey_unpack
     return RemoteKey(packed)
 
 
@@ -102,7 +102,7 @@ def rkey_ptr(worker, rkey: RemoteKey, opener_gpu: int):
         raise UcxMemError(
             f"rkey_ptr: remote region is {target.space}, cuda_ipc needs device memory"
         )
-    yield worker.engine.timeout(worker.fabric.spec.params.ucp_rkey_ptr)
+    yield worker.fabric.spec.params.ucp_rkey_ptr
     obs = worker.engine.obs
     if obs is not None:
         obs.instant(

@@ -534,7 +534,7 @@ def rank_program(engine, rank: int, ops: List[tuple], link):
     for i, op in enumerate(ops):
         kind = op[0]
         if kind == "compute":
-            yield engine.timeout(op[1])
+            yield op[1]
         elif kind == "send":
             _, dst, nbytes, cls, key = op
             yield from link.send(rank, i, ("g", rank), ("g", dst), nbytes, cls, key)

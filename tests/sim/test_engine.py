@@ -180,25 +180,34 @@ def test_timeout_at_in_the_past_rejected(engine):
         engine.timeout_at(1.0)
 
 
-def _yield_nan(eng):
+def _nan_sleeper(sleep_first=False):
     def proc(delay):
+        if sleep_first:
+            yield 1.0
         yield delay
 
+    return proc
+
+
+def _yield_nan(eng):
+    """Nobody waits on the NaN sleeper: its ValueError is a ProcessFailed."""
+    proc = _nan_sleeper()
     for delay in (2.0, math.nan, 1.0):
         eng.process(proc(delay))
-    eng.run()
+    with pytest.raises(ProcessFailed) as failed:
+        eng.run()
+    raise failed.value.exc
 
 
-def _recycled_pooled_nan(eng):
-    eng.pooled_timeout(1.0)
-    eng.run()
-    eng.pooled_timeout(math.nan)
+def _yield_nan_waited(eng, sleep_first=False):
+    """A waited NaN sleeper fails its waiter with the ValueError."""
+    eng.run(eng.process(_nan_sleeper(sleep_first)(math.nan)))
 
 
 NAN_ENTRY_POINTS = {
     "timeout": lambda eng: eng.timeout(math.nan),
-    "pooled_timeout": lambda eng: eng.pooled_timeout(math.nan),
-    "recycled_pooled_timeout": _recycled_pooled_nan,
+    "yield_waited": _yield_nan_waited,
+    "yield_after_sleep": lambda eng: _yield_nan_waited(eng, sleep_first=True),
     "timeout_at": lambda eng: eng.timeout_at(math.nan),
     "run_until": lambda eng: eng.run(until=math.nan),
     "yield": _yield_nan,
@@ -212,18 +221,6 @@ def test_nan_time_rejected(engine, entry):
     with pytest.raises(ValueError):
         NAN_ENTRY_POINTS[entry](engine)
     assert math.isfinite(engine.now)
-
-
-def test_pooled_timeout_recycled(engine):
-    """A fired pooled timeout returns to the free-list and is reborn."""
-    t1 = engine.pooled_timeout(1.0)
-    engine.run()
-    t2 = engine.pooled_timeout(2.0)
-    assert t2 is t1  # same object, recycled
-    got = []
-    t2.add_callback(lambda ev: got.append(engine.now))
-    engine.run()
-    assert got == [3.0]
 
 
 def test_determinism_two_identical_runs():

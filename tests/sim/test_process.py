@@ -1,12 +1,16 @@
 """Process semantics: yields, returns, failures, interrupts, kills, nesting."""
 
+import ast
 import gc
+import math
 import weakref
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.sim.engine import Engine
-from repro.sim.process import Interrupt, Process, ProcessFailed
+from repro.sim.process import Delayed, Interrupt, Process, ProcessFailed
 
 
 def test_return_value(engine):
@@ -233,3 +237,233 @@ def test_interrupt_before_start_runs_body_then_throws(engine):
     engine.run(p)
     assert log == [("start", 0.0), ("interrupted", "early", 0.0)]
     assert (engine.now, engine.events_popped, engine.peak_heap) == (0.0, 3, 2)
+
+
+# -- bad delays fail the process, not the engine ---------------------------------
+
+BAD_DELAYS = {
+    "negative": (-1.0, ValueError),
+    "nan": (math.nan, ValueError),
+    "str": ("x", TypeError),
+}
+
+
+def _bad_sleeper(engine, delay, cleaned):
+    def body():
+        try:
+            yield 1.0
+            yield delay
+        finally:
+            cleaned.append(engine.now)
+
+    return engine.process(body())
+
+
+@pytest.mark.parametrize("bad", list(BAD_DELAYS))
+def test_bad_delay_fails_the_waiter(engine, bad):
+    delay, exc_type = BAD_DELAYS[bad]
+    cleaned = []
+    p = _bad_sleeper(engine, delay, cleaned)
+
+    def waiter():
+        with pytest.raises(exc_type):
+            yield p
+        return "seen"
+
+    assert engine.run(engine.process(waiter())) == "seen"
+    assert cleaned == [1.0]
+    assert not p.is_alive
+
+
+@pytest.mark.parametrize("bad", list(BAD_DELAYS))
+def test_unwaited_bad_delay_is_process_failed(engine, bad):
+    delay, exc_type = BAD_DELAYS[bad]
+    cleaned = []
+    p = _bad_sleeper(engine, delay, cleaned)
+    with pytest.raises(ProcessFailed) as failed:
+        engine.run()
+    assert failed.value.process is p
+    assert isinstance(failed.value.exc, exc_type)
+    assert cleaned == [1.0]
+    assert not p.is_alive
+
+
+# -- self-parking: a sleep pops exactly like a Timeout wait -------------------------
+
+def _observed(scenario):
+    eng = Engine()
+    steps = []
+    eng.on_step = lambda t, prio, seq: steps.append((t, prio, seq))
+    log = scenario(eng)
+    eng.run()
+    return steps, log, eng.events_popped, eng.peak_heap, eng.now
+
+
+@pytest.mark.parametrize("delay", [0, None, 1.5])
+def test_yield_delay_pops_like_a_timeout(delay):
+    def scenario(sleep):
+        def run(eng):
+            log = []
+
+            def sleeper(k):
+                for i in range(3):
+                    yield sleep(eng)
+                    log.append((eng.now, k, i))
+                return k
+
+            def parent():
+                got = yield eng.process(sleeper(0))
+                yield sleep(eng)
+                log.append(("parent", got, eng.now))
+
+            eng.process(parent())
+            for k in (1, 2):
+                eng.process(sleeper(k))
+            return log
+
+        return run
+
+    bare = _observed(scenario(lambda eng: delay))
+    timed = _observed(scenario(lambda eng: eng.timeout(delay or 0)))
+    assert bare == timed
+    assert bare[2] > 0
+
+
+def test_interrupted_sleeper_sleeps_again_and_wakes_once(engine):
+    log = []
+
+    def sleeper():
+        try:
+            yield 5.0
+            log.append(("first", engine.now))
+        except Interrupt:
+            log.append(("interrupted", engine.now))
+        yield 2.0
+        log.append(("second", engine.now))
+
+    p = engine.process(sleeper())
+
+    def interrupter():
+        yield 1.0
+        p.interrupt()
+
+    engine.process(interrupter())
+    engine.run()
+    assert log == [("interrupted", 1.0), ("second", 3.0)]
+    assert engine.events_cancelled == 1
+    assert engine.now == engine.t_busy == 3.0
+
+
+def test_interrupt_before_start_then_sleep_wakes_once(engine):
+    log = []
+
+    def body():
+        try:
+            yield 10.0
+        except Interrupt:
+            log.append(("interrupted", engine.now))
+        yield 20.0
+        log.append(("woke", engine.now))
+
+    engine.process(body()).interrupt()
+    engine.run()
+    assert log == [("interrupted", 0.0), ("woke", 20.0)]
+    assert engine.events_cancelled == 1
+
+
+# -- Delayed: the one-shot process body as one event -------------------------------
+
+def _as_process(eng, delay, fn):
+    def body():
+        yield delay
+        return fn()
+
+    return eng.process(body())
+
+
+@pytest.mark.parametrize("delay", [0.0, 1.5])
+def test_delayed_pops_like_its_generator(delay):
+    def scenario(make):
+        def run(eng):
+            log = []
+
+            def fn():
+                log.append(("fn", eng.now))
+                return len(log)
+
+            def waiter():
+                got = yield make(eng, delay, fn)
+                log.append(("got", got, eng.now))
+                yield 0.5
+
+            eng.process(waiter())
+            make(eng, delay, fn)  # and one nobody waits on
+            return log
+
+        return run
+
+    chained = _observed(scenario(Delayed))
+    generator = _observed(scenario(_as_process))
+    assert chained == generator
+    # The unwaited chain was built first, so its fn ran first.
+    assert chained[1][-1] == ("got", 2, delay)
+
+
+def _boom():
+    raise KeyError("lost")
+
+
+def test_delayed_failure_fails_its_waiter(engine):
+    def waiter():
+        with pytest.raises(KeyError):
+            yield Delayed(engine, 1.0, _boom)
+        return "caught"
+
+    assert engine.run(engine.process(waiter())) == "caught"
+
+
+def test_unwaited_delayed_failure_is_process_failed(engine):
+    chain = Delayed(engine, 1.0, _boom)
+    with pytest.raises(ProcessFailed) as failed:
+        engine.run()
+    assert failed.value.process is chain
+    assert isinstance(failed.value.exc, KeyError)
+
+
+# -- guard: src sleeps never allocate a Timeout ------------------------------------
+
+def _discarded_timeout_yields(tree):
+    """Line numbers of ``yield <expr>.timeout(...)`` statements."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Expr)
+        and isinstance(node.value, ast.Yield)
+        and isinstance(node.value.value, ast.Call)
+        and isinstance(node.value.value.func, ast.Attribute)
+        and node.value.value.func.attr == "timeout"
+    ]
+
+
+def test_discarded_timeout_guard_finds_both_shapes():
+    tree = ast.parse(
+        "def body(eng):\n"
+        "    yield eng.timeout(1.0)\n"
+        "    yield eng.timeout(\n        2.0\n    )\n"
+        "    v = yield eng.timeout(3.0, 'valued')\n"
+        "    yield 4.0\n"
+    )
+    assert _discarded_timeout_yields(tree) == [2, 3]
+
+
+def test_no_src_sleep_allocates_a_timeout():
+    """A process sleeps with ``yield d``: it parks as its own heap entry,
+    where a discarded ``yield x.timeout(d)`` allocates a Timeout, a
+    callback list and a bound method for the same pop."""
+    src = Path(repro.__file__).parent
+    found = [
+        f"{path.relative_to(src)}:{line}"
+        for path in sorted(src.rglob("*.py"))
+        for line in _discarded_timeout_yields(ast.parse(path.read_text()))
+    ]
+    assert found == []
