@@ -16,8 +16,8 @@ PYTHONPATH=src python -m pytest -x -q tests/test_parser_fuzz.py \
 
 echo "== hash-seed (pinned step streams under two string-hash seeds) =="
 # Bit-identity must not depend on string-hash order: the determinism,
-# link-transfer stream and process sleep/chain pins must hold under any
-# PYTHONHASHSEED.
+# link-transfer stream and process sleep/chain pins (Delayed and Holding
+# against their generator bodies) must hold under any PYTHONHASHSEED.
 for seed in 1 2; do
     PYTHONHASHSEED=$seed PYTHONPATH=src python -m pytest -x -q \
         tests/sim/test_determinism.py tests/hw/test_transfer_stream.py \
@@ -47,6 +47,13 @@ echo "== fig6 (allreduce on one node: traditional > partitioned > NCCL) =="
 # their order at every grid, with a 100-500 us partitioned-NCCL gap at a
 # 1K grid (paper ~226 us).
 PYTHONPATH=src python -m pytest -x -q benchmarks/test_fig6_allreduce_1node.py
+
+echo "== fig8 + fig9 (Jacobi on one and two nodes: partitioned beats traditional) =="
+# Gates the paper's Jacobi speedups (Fig 8 one node, Fig 9 two nodes).
+# Fig 9 also drives the traditional rendezvous across nodes: the IB
+# handshake and the D2H bounce that the one-node path never reaches.
+PYTHONPATH=src python -m pytest -x -q benchmarks/test_fig8_jacobi_1node.py \
+    benchmarks/test_fig9_jacobi_2node.py
 
 echo "== bench smoke (every suite row vs its recorded baseline row) =="
 # --against auto gates against the newest checked-in BENCH_pr*.json

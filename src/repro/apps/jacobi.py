@@ -39,7 +39,9 @@ from repro.cuda.kernel import UniformKernel
 from repro.cuda.timing import WorkSpec
 from repro.hw.memory import Buffer
 from repro.mpi.errors import MpiUsageError
+from repro.mpi.requests import waitall
 from repro.partitioned.prequest import CopyMode
+from repro.sim.events import AllOf
 
 #: Direction codes; a message's tag is the direction it travels.
 NORTH, SOUTH, EAST, WEST = 0, 1, 2, 3
@@ -246,8 +248,6 @@ def run_jacobi(ctx, cfg: JacobiConfig) -> Generator:
             for d, nbr in neighbours.items():
                 sr = yield from comm.isend(sbuf[d], nbr, tag=d)
                 reqs.append(sr)
-            from repro.mpi.requests import waitall
-
             yield from waitall(ctx.mpi, reqs)
             consume_halos()
         elif cfg.variant == "graphed":
@@ -266,8 +266,6 @@ def run_jacobi(ctx, cfg: JacobiConfig) -> Generator:
             # Prepare all channels concurrently: a sender-side prepare
             # blocks on its peer's receiver-side prepare, so sequential
             # preparation of multiple neighbours can cycle-deadlock.
-            from repro.sim.events import AllOf
-
             preps = [
                 ctx.engine.process(sreqs[d].pbuf_prepare(), name=f"prep_s{d}")
                 for d in neighbours

@@ -20,10 +20,10 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable, Optional, Union
 
 from repro.cuda.timing import WorkSpec
-from repro.hw.memory import Buffer, MemSpace
+from repro.hw.memory import Buffer
 from repro.san import record
 from repro.sim.events import Event
-from repro.sim.process import Delayed
+from repro.sim.process import Chain, Delayed
 from repro.sim.resources import Counter, Flag
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -42,43 +42,55 @@ def _fire(signal: HostSignal, amount: int = 1) -> None:
         signal()
 
 
-def host_flag_write_proc(
-    device: "Device", n_writes: int, signal: HostSignal, amount: int = 1, actor=None
-):
-    """Process: ``n_writes`` serialized device->host flag stores, then fire.
+class HostFlagWrite(Chain):
+    """``n_writes`` serialized device->host flag stores, then fire ``signal``.
 
     The C2C down-link port serializes the stores (against other blocks'
     stores too); the fixed base covers the fence + host visibility delay.
     ``actor``, when given, release-publishes everything it did so far to
     whoever observes ``signal`` (the progression engine's watcher).
     """
-    if n_writes < 1:
-        raise ValueError("n_writes must be >= 1")
-    hw = device.fabric.spec.params
-    link = device.fabric.d2h_link(device.gpu_id)
-    yield link.port.acquire()
-    t0 = device.engine.now
-    yield n_writes * hw.flag_write_host
-    link.account(8 * n_writes, t0, transfers=n_writes)
-    link.port.release()
-    yield hw.flag_write_base
-    if actor is not None:
-        record.release(actor, ("sig", id(signal)))
-    _fire(signal, amount)
-    return n_writes
+
+    __slots__ = ("device", "n_writes", "signal", "amount", "actor", "_link", "_t0")
+
+    def __init__(self, device: "Device", n_writes: int, signal: HostSignal,
+                 amount: int = 1, actor=None) -> None:
+        self.device, self.n_writes, self.signal = device, n_writes, signal
+        self.amount, self.actor = amount, actor
+        Chain.__init__(self, device.engine)
+
+    def _step(self, stage: int, ev: Optional[Event]) -> None:
+        n = self.n_writes
+        if stage == 0:
+            if n < 1:
+                raise ValueError("n_writes must be >= 1")
+            self._link = self.device.fabric.d2h_link(self.device.gpu_id)
+            self._acquire(self._link.port)
+        elif stage == 1:  # granted
+            self._t0 = self.engine._now
+            self._sleep(n * self.device.fabric.spec.params.flag_write_host)
+        elif stage == 2:
+            self._link.account(8 * n, self._t0, transfers=n)
+            self._link.port.release()
+            self._sleep(self.device.fabric.spec.params.flag_write_base)
+        else:
+            if self.actor is not None:
+                record.release(self.actor, ("sig", id(self.signal)))
+            _fire(self.signal, self.amount)
+            self.succeed(n)
 
 
 def multi_flag_write_proc(device: "Device", signals, actor=None):
     """Aggregate of several same-instant crossing signals, one store each.
 
     Replays exactly what ``len(signals)`` concurrent single-write
-    ``host_flag_write_proc`` processes would do — the C2C port serializes
+    :class:`HostFlagWrite` chains would do — the C2C port serializes
     them back-to-back (FIFO hands the slot over at the same instant), so
     store ``k`` occupies ``[T + (k-1)*w, T + k*w]`` and fires
     ``flag_write_base`` after its own store — but in one process instead
     of one per signal.  Only the coalescing fast path uses this (the
     engine is unobserved there, hence no per-signal ``record`` calls);
-    the exact path keeps per-signal processes.
+    the exact path keeps per-signal chains.
     """
     hw = device.fabric.spec.params
     link = device.fabric.d2h_link(device.gpu_id)
@@ -95,23 +107,26 @@ def multi_flag_write_proc(device: "Device", signals, actor=None):
     return len(signals)
 
 
-def _fenced_copy(device: "Device", src: Buffer, dst: Buffer, name: str, actor=None) -> Event:
+class _FencedCopy(Chain):
     """Intra-kernel store sequence: wire transfer + system fence."""
 
-    def proc():
-        record.access(actor, src, write=False, note=name)
-        record.access(actor, dst, write=True, note=name)
-        yield device.fabric.dataplane.put(
-            src, dst, traffic_class="cuda", initiator="device", name=name
-        )
-        yield device.fabric.spec.params.kc_fence_overhead
+    __slots__ = ("device", "src", "dst", "name", "actor")
 
-    ev = device.engine.process(proc(), name=name)
-    if actor is not None:
-        # Release at fence-visible time, keyed by the completion event, so
-        # a waiter (e.g. the PE holding this kernel-copy event) acquires it.
-        ev.add_callback(lambda _ev: record.release(actor, ("copydone", id(ev))))
-    return ev
+    def __init__(self, device: "Device", src: Buffer, dst: Buffer, name: str, actor) -> None:
+        self.device, self.src, self.dst, self.name, self.actor = device, src, dst, name, actor
+        Chain.__init__(self, device.engine)
+
+    def _step(self, stage: int, ev: Optional[Event]) -> None:
+        if stage == 0:
+            record.access(self.actor, self.src, write=False, note=self.name)
+            record.access(self.actor, self.dst, write=True, note=self.name)
+            self.device.fabric.dataplane.put(
+                self.src, self.dst, traffic_class="cuda", initiator="device", name=self.name
+            ).callbacks.append(self._run_callbacks)
+        elif stage == 1:
+            self._sleep(self.device.fabric.spec.params.kc_fence_overhead)
+        else:
+            self.succeed()
 
 
 class DeviceCtx:
@@ -169,10 +184,7 @@ class DeviceCtx:
     # -- host signalling (MPIX_Pready progression-engine path) ---------------------
     def write_host_flags(self, n_writes: int, signal: HostSignal, amount: int = 1) -> Event:
         """``n_writes`` serialized stores into pinned host memory, then fire."""
-        return self.device.engine.process(
-            host_flag_write_proc(self.device, n_writes, signal, amount, actor=self.actor),
-            name=f"hflag[{self._label}]",
-        )
+        return HostFlagWrite(self.device, n_writes, signal, amount, actor=self.actor)
 
     def write_crossing_signals(self, signals) -> Event:
         """Several same-wave crossing signals, one store each (fast path only).
@@ -209,14 +221,9 @@ class DeviceCtx:
         """
         if not src.space.device_accessible or not dst.space.device_accessible:
             raise ValueError("kernel copy requires device-accessible buffers")
-        return _fenced_copy(
-            self.device, src, dst, f"kcopy[{self._label}]", actor=self.actor
-        )
-
-    # -- polling ------------------------------------------------------------------
-    def wait_flag(self, flag: Flag) -> Event:
-        """Spin on a flag in device-visible memory (MPIX_Parrived device path)."""
-        ev = flag.wait()
-        actor = self.actor
-        ev.add_callback(lambda _ev: record.acquire(actor, ("sig", id(flag))))
+        ev = _FencedCopy(self.device, src, dst, f"kcopy[{self._label}]", self.actor)
+        if self.actor is not None:
+            # Release at fence-visible time, keyed by the completion event, so
+            # a waiter (e.g. the PE holding this kernel-copy event) acquires it.
+            ev.add_callback(lambda _ev: record.release(self.actor, ("copydone", id(ev))))
         return ev

@@ -8,7 +8,6 @@ the device-side work runs asynchronously in the device's streams.
 
 from __future__ import annotations
 
-import math
 from typing import Any, Generator, List, Optional
 
 import numpy as np
@@ -80,10 +79,6 @@ class Device:
     def alloc_pinned(self, n: int, dtype=np.float64, fill: Optional[float] = None, label: str = "") -> Buffer:
         """cudaMallocHost: page-locked host memory on this superchip."""
         return Buffer.alloc(n, dtype, MemSpace.PINNED, self.node, None, fill, label)
-
-    def alloc_unified(self, n: int, dtype=np.float64, fill: Optional[float] = None, label: str = "") -> Buffer:
-        """cudaMallocManaged: unified memory homed on this GPU."""
-        return Buffer.alloc(n, dtype, MemSpace.UNIFIED, self.node, self.gpu_id, fill, label)
 
     def new_stream(self) -> "Any":
         from repro.cuda.stream import Stream
@@ -164,12 +159,6 @@ class Device:
             )
 
         return stream.enqueue(op, label="memcpy", buffers=(src, dst))
-
-    def memcpy_h(self, dst: Buffer, src: Buffer, stream=None) -> Generator:
-        """Host helper: synchronous cudaMemcpy (API cost + wait for copy)."""
-        yield self.cost.memcpy_api_cost
-        done = self.memcpy_async(dst, src, stream)
-        yield done
 
     # -- kernel execution internals ---------------------------------------------------
     def _exec_kernel(self, kernel: KernelBase, stream=None) -> Generator:
@@ -263,11 +252,6 @@ class Device:
             for b in range(kernel.grid)
         ]
         yield AllOf(self.engine, blocks)
-
-    # -- misc ----------------------------------------------------------------------
-    def exec_time(self, kernel: UniformKernel) -> float:
-        """Closed-form execution time of a uniform kernel on this device."""
-        return self.cost.kernel_exec_time(kernel.grid, kernel.block, kernel.work)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Device {self.name} node={self.node}>"

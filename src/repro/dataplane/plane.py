@@ -18,6 +18,7 @@ bypasses (Section IV-A4) — before their wire stripes are planned.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from repro.dataplane.descriptor import TransferDescriptor
@@ -25,8 +26,9 @@ from repro.dataplane.ledger import Ledger
 from repro.dataplane.policy import PathPolicy
 from repro.hw.links import LinkDownError, start_transfer
 from repro.hw.memory import Buffer, MemSpace
-from repro.hw.spec.graph import Port, RouteSearchError
+from repro.hw.spec.graph import Port, RouteError, RouteSearchError
 from repro.sim.events import AllOf, Event
+from repro.sim.process import Holding
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.hw.topology import Fabric
@@ -180,8 +182,6 @@ class Dataplane:
             cache = self.plan_cache
             stripes = cache.lookup(desc, self.fabric) if cache is not None else None
         if stripes is None:
-            from repro.hw.topology import RouteError
-
             try:
                 primary = self.fabric.route(desc.src, desc.dst)
             except RouteError:
@@ -265,8 +265,6 @@ class Dataplane:
         caller can test — so sibling stripes and ``AllOf`` waiters are
         not torn down.
         """
-        from repro.hw.topology import RouteError
-
         engine = self.engine
         ledger = self.ledger
 
@@ -315,26 +313,12 @@ class Dataplane:
         )
 
     def _staged_execute(self, desc: TransferDescriptor) -> Event:
-        overhead = self.fabric.spec.params.cuda_ipc_put_overhead
         engine_res = self.fabric.copy_engine(desc.src.gpu)
-        engine = self.engine
-
-        def staged():
-            yield engine_res.acquire()
-            obs = engine.obs
-            t0 = engine.now
-            try:
-                yield overhead
-                yield self._execute(desc)
-            finally:
-                if obs is not None:
-                    obs.span(
-                        "copy_engine", engine_res.name, None,
-                        t0, engine.now, nbytes=desc.wire_bytes,
-                    )
-                engine_res.release()
-
-        return engine.process(staged(), name=desc.name)
+        return Holding(
+            self.engine, engine_res, self.fabric.spec.params.cuda_ipc_put_overhead,
+            partial(self._execute, desc),
+            ("copy_engine", engine_res.name, None, {"nbytes": desc.wire_bytes}),
+        )
 
     # -- multi-route discovery ----------------------------------------------------
     def disjoint_routes(self, src: Buffer, dst: Buffer, max_paths: int) -> Tuple:

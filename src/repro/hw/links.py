@@ -100,9 +100,6 @@ class Link:
         if overhead < 0:
             raise ValueError(f"link {name}: negative overhead")
 
-    def serialization_time(self, nbytes: int) -> float:
-        return self.overhead + nbytes / self.bandwidth
-
     def account(self, nbytes: int, t0: Optional[float] = None, transfers: int = 1) -> None:
         """Count ``nbytes`` carried (telemetry) and publish the busy span.
 

@@ -61,6 +61,10 @@ class RouteSearchError(Exception):
     """No path exists between the requested ports."""
 
 
+class RouteError(Exception):
+    """No path exists between the requested buffer locations (``Fabric.route``)."""
+
+
 #: One link's constants, in :class:`~repro.hw.links.Link`'s argument order.
 LinkRow = namedtuple("LinkRow", "name bandwidth latency overhead kind stage")
 

@@ -24,7 +24,7 @@ from repro.dataplane.policy import policy_by_name
 from repro.hw import faults as hw_faults
 from repro.hw.links import Link
 from repro.hw.memory import Buffer, MemSpace
-from repro.hw.spec.graph import LinkGraph, Port, RouteSearchError
+from repro.hw.spec.graph import LinkGraph, Port, RouteError, RouteSearchError
 from repro.hw.spec.schema import MachineSpec
 from repro.sim.engine import Engine
 from repro.sim.events import Event
@@ -33,10 +33,6 @@ from repro.sim.run import current
 
 #: Global GPU index (0 .. n_gpus-1); node-local index is position on the node.
 GpuId = int
-
-
-class RouteError(Exception):
-    """No path exists between the requested buffer locations."""
 
 
 class Fabric:

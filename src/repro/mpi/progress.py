@@ -17,12 +17,13 @@ from typing import TYPE_CHECKING, Callable, Generator
 
 from repro.hw.memory import Buffer, MemSpace
 from repro.mpi.p2p import AM_P2P, CTS, ENVELOPE_BYTES, FIN, RTS, Envelope, check_truncation
-from repro.sim.process import Delayed
+from repro.sim.events import Event
+from repro.sim.process import Chain, Delayed, Holding
 from repro.sim.resources import Resource
+from repro.ucx.endpoint import UcpEndpoint
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.mpi.comm import Communicator
-    from repro.mpi.requests import Request
     from repro.mpi.runtime import MpiRuntime
 
 #: AM ids used by the partitioned layer (routed into rt.part_matcher).
@@ -106,9 +107,10 @@ class ProgressEngine:
             return
         rt = self.rt
         if env.payload is None:
-            self.engine.process(
-                self._send_cts(comm, rreq, env, sender_addr), name=f"r{rt.world_rank}.cts"
-            )
+            _Rendezvous(self, env, addr=sender_addr, msg=Envelope(
+                CTS, env.comm_id, comm.rank, env.src, env.tag, env.nbytes,
+                send_seq=env.send_seq, recv_seq=rreq.seq,
+                target=rreq.buf.view(0, env.nbytes // rreq.buf.itemsize)))
         elif rreq.buf.space.host_accessible:  # unpack at host memory bandwidth
             Delayed(self.engine, env.nbytes / rt.params.host_mem_bw,
                     lambda: self._deliver_eager(rreq, env, unpack=True))
@@ -130,65 +132,13 @@ class ProgressEngine:
         self.rt.recv_by_seq.pop(rreq.seq, None)
         rreq._complete({"protocol": "eager", "source": env.src, "tag": env.tag})
 
-    def _send_cts(self, comm, rreq, env: Envelope, sender_addr) -> Generator:
-        rt = self.rt
-        ep = yield from rt.worker.ep_create(sender_addr)
-        n_elems = env.nbytes // rreq.buf.itemsize
-        cts = Envelope(
-            CTS, env.comm_id, comm.rank, env.src, env.tag, env.nbytes,
-            send_seq=env.send_seq, recv_seq=rreq.seq,
-            target=rreq.buf.view(0, n_elems),
-        )
-        yield ep.am_send(AM_P2P, cts, nbytes=ENVELOPE_BYTES)
-
     def _handle_cts(self, env: Envelope) -> None:
         rt = self.rt
         entry = rt.pending_sends.pop(env.send_seq, None)
         if entry is None:  # pragma: no cover - defensive
             raise RuntimeError(f"CTS for unknown send_seq {env.send_seq}")
         sreq, buf, comm = entry
-        self.engine.process(
-            self._rndv_put(comm, sreq, buf, env), name=f"r{rt.world_rank}.rndv"
-        )
-
-    def _rndv_put(self, comm, sreq, buf, env: Envelope) -> Generator:
-        rt = self.rt
-        assert env.target is not None
-        if env.target.node != buf.node:
-            # RC-verbs rendezvous across the IB fabric pays the extra
-            # RTS/CTS handshake processing.
-            yield rt.params.ib_rndv_handshake
-        if (
-            buf.space is MemSpace.DEVICE
-            and env.target.node != buf.node
-        ):
-            # Traditional CUDA-aware rendezvous across nodes stages the
-            # payload through pinned host memory (the production pipeline
-            # the paper baselines against); we charge one extra C2C pass
-            # for the non-overlapped portion of that pipeline.  The
-            # partitioned path's RMA puts go GPUDirect and skip this.
-            # The stage inherits the payload's virtuality (alloc_like), so
-            # geometry-only benchmark buffers never materialize GiB copies.
-            bounce = buf.alloc_like(
-                len(buf.data), MemSpace.PINNED, node=buf.node, label="rndv_bounce"
-            )
-            yield rt.fabric.dataplane.put(
-                buf, bounce, traffic_class="rndv", name="rndv_d2h"
-            )
-            buf = bounce
-        # Host-initiated: a peer-mappable D2D pair pays the cuda_ipc
-        # copy-engine path, same as the partitioned layer's puts (fair
-        # baseline); otherwise the fabric stages through host links.
-        yield rt.fabric.dataplane.rma_put(
-            buf, env.target, traffic_class="rndv", name="rndv_data"
-        )
-        sreq._complete({"protocol": "rndv"})
-        ep = yield from rt.ep_to(comm, sreq.dest)
-        fin = Envelope(
-            FIN, env.comm_id, comm.rank, sreq.dest, env.tag, env.nbytes,
-            recv_seq=env.recv_seq,
-        )
-        yield ep.am_send(AM_P2P, fin, nbytes=ENVELOPE_BYTES)
+        _Rendezvous(self, env, comm=comm, sreq=sreq, buf=buf)
 
     def _handle_fin(self, env: Envelope) -> None:
         rreq = self.rt.recv_by_seq.pop(env.recv_seq, None)
@@ -205,27 +155,75 @@ class ProgressEngine:
             self.rt.part_matcher.put(payload, (am_id,) + key)
 
     # -- the single progression thread --------------------------------------------------
-    def dispatch(self, work: Callable[[], Generator], name: str = "pe_work"):
-        """Run ``work`` serialized through the progression thread.
+    def dispatch(self, start: Callable[[], Event], name: str = "pe_work") -> Event:
+        """Run the event ``start()`` returns serialized through the progression thread.
 
         Models the paper's single-threaded progression: each dispatched
         item pays the dispatch cost and runs to completion before the
-        next one starts.  Returns the process event.
+        next one starts.  Returns the dispatch's event (valued as the work's).
         """
-        def proc():
-            yield self.thread.acquire()
-            obs = self.engine.obs
-            t0 = self.engine.now
-            try:
-                yield self.rt.params.progress_dispatch_cost
-                result = yield self.engine.process(work(), name=name)
-            finally:
-                if obs is not None:
-                    obs.span(
-                        "pe", name, ("pe", self.rt.world_rank),
-                        t0, self.engine.now,
-                    )
-                self.thread.release()
-            return result
+        return Holding(
+            self.engine, self.thread, self.rt.params.progress_dispatch_cost, start,
+            ("pe", name, ("pe", self.rt.world_rank), {}),
+        )
 
-        return self.engine.process(proc(), name=f"r{self.rt.world_rank}.pe.{name}")
+
+class _Rendezvous(Chain):
+    """The receiver's CTS, or the sender's data put then FIN (given ``comm``,
+    ``sreq`` and ``buf``).  Both end as ``ep = yield from ep_create(addr)``
+    (a cached endpoint costs no pop), then sending ``msg``."""
+
+    __slots__ = ("pe", "env", "addr", "msg", "comm", "sreq", "buf")
+
+    def __init__(self, pe: ProgressEngine, env: Envelope, addr=None, msg=None,
+                 comm=None, sreq=None, buf=None) -> None:
+        self.pe, self.env, self.addr, self.msg = pe, env, addr, msg
+        self.comm, self.sreq, self.buf = comm, sreq, buf
+        Chain.__init__(self, pe.engine)
+        if msg is not None:  # the CTS starts at the endpoint
+            self._stage = 4
+
+    def _step(self, stage: int, ev) -> None:
+        rt, env, buf = self.pe.rt, self.env, self.buf
+        if stage < 3:  # the sender, up to its data put
+            remote = env.target.node != buf.node
+            if stage == 0 and remote:
+                # RC-verbs rendezvous across the IB fabric pays the extra
+                # RTS/CTS handshake processing.
+                return self._sleep(rt.params.ib_rndv_handshake)
+            if stage <= 1 and remote and buf.space is MemSpace.DEVICE:
+                # Traditional CUDA-aware rendezvous across nodes stages the
+                # payload through pinned host memory (the paper's baseline
+                # pipeline): one extra C2C pass for its non-overlapped part.
+                # Partitioned RMA puts go GPUDirect and skip this.  The stage
+                # inherits the payload's virtuality (alloc_like).
+                self._stage, self.buf = 2, buf.alloc_like(
+                    len(buf.data), MemSpace.PINNED, node=buf.node, label="rndv_bounce"
+                )
+                return rt.fabric.dataplane.put(
+                    buf, self.buf, traffic_class="rndv", name="rndv_d2h"
+                ).callbacks.append(self._run_callbacks)
+            # Host-initiated: a peer-mappable D2D pair pays the cuda_ipc copy
+            # engine, as partitioned puts do; else the fabric stages via host links.
+            self._stage = 3
+            return rt.fabric.dataplane.rma_put(
+                buf, env.target, traffic_class="rndv", name="rndv_data"
+            ).callbacks.append(self._run_callbacks)
+        if stage == 3:
+            sreq, comm = self.sreq, self.comm
+            sreq._complete({"protocol": "rndv"})
+            self.addr = rt.world.address_of(comm.world_rank_of(sreq.dest))
+            self.msg = Envelope(FIN, env.comm_id, comm.rank, sreq.dest, env.tag,
+                                env.nbytes, recv_seq=env.recv_seq)
+        worker = rt.worker
+        if stage <= 4:
+            ep = worker.endpoints.get(self.addr.worker_id)
+            if ep is None:
+                self._stage = 5
+                return self._sleep(worker.fabric.spec.params.ucp_ep_create)
+        elif stage == 5:
+            ep = worker.endpoints[self.addr.worker_id] = UcpEndpoint(worker, self.addr)
+        else:
+            return self.succeed()
+        self._stage = 6
+        ep.am_send(AM_P2P, self.msg, nbytes=ENVELOPE_BYTES).callbacks.append(self._run_callbacks)

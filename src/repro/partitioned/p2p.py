@@ -272,10 +272,7 @@ class PsendRequest(PersistentRequest):
     def _expected_total(self) -> int:
         if self.preq is not None:
             # Every transport partition produces puts via the device path.
-            from repro.partitioned.prequest import CopyMode
-
-            per_tp = 2 if self.preq.mode is CopyMode.PROGRESSION_ENGINE else 1
-            return self.partitions * per_tp
+            return self.partitions * self.preq.puts_per_partition()
         return self.partitions * 2
 
     # -- MPIX_Prequest_create ------------------------------------------------------

@@ -13,6 +13,7 @@ the Kernel-Copy mode maps the remote buffer.
 from __future__ import annotations
 
 import enum
+from functools import partial
 from typing import TYPE_CHECKING, Generator, List, Optional
 
 import numpy as np
@@ -22,6 +23,8 @@ from repro.mpi.errors import MpiStateError, MpiUsageError
 from repro.partitioned.aggregation import AggregationSpec, SignalMode
 from repro.partitioned.p2p import PUT_ISSUE_COST, PsendRequest
 from repro.san import record
+from repro.sim.events import Event
+from repro.sim.process import Chain
 from repro.sim.resources import Counter
 from repro.ucx.memreg import rkey_ptr
 
@@ -76,6 +79,10 @@ class Prequest:
         self._watchers: List = []
         self.freed = False
 
+    def puts_per_partition(self) -> int:
+        """Puts per transport partition: data + flag, or the flag alone (Kernel-Copy)."""
+        return 2 if self.mode is CopyMode.PROGRESSION_ENGINE else 1
+
     # -- geometry helpers -------------------------------------------------------
     def src_slice(self, tp: int) -> Buffer:
         """Sender-side data of transport partition ``tp``."""
@@ -96,7 +103,6 @@ class Prequest:
         """
         if self.freed:
             raise MpiStateError("arm_epoch on a freed MPIX_Prequest")
-        expected = self.agg.expected_host_signals()
         epoch = self.sreq.epoch
         self.kc_copy_events.clear()
         for tp in range(self.agg.n_transport):
@@ -105,42 +111,9 @@ class Prequest:
         record.mark("epoch-arm", req=record.ident(self.sreq), preq=record.ident(self), epoch=epoch)
         # An earlier epoch's watcher that was never signalled (host-side
         # Pready) stays parked; keep it listed so release() can stop it.
-        self._watchers = [w for w in self._watchers if w.is_alive] + [
-            self.engine.process(self._watch(tp, expected, epoch), name=f"preq.watch{tp}")
-            for tp in range(self.agg.n_transport)
+        self._watchers = [w for w in self._watchers if not w._triggered] + [
+            _Watch(self, tp, epoch) for tp in range(self.agg.n_transport)
         ]
-
-    def _watch(self, tp: int, expected: int, epoch: int) -> Generator:
-        """Progression-engine watcher for one transport partition."""
-        yield self.host_signals[tp].wait_for(expected)
-        # The PE observes the device's released signal history (sync edge).
-        record.acquire(("pe", self.rt.world_rank), ("sig", id(self.host_signals[tp])))
-        if self.freed or self.sreq.epoch != epoch:
-            return  # stale watcher from a previous epoch
-        # Polling delay before the progression thread notices the signal.
-        yield self.rt.params.progress_poll_latency
-        yield self.rt.progress.dispatch(
-            lambda: self._host_pready(tp), name=f"pready_tp{tp}"
-        )
-
-    def _host_pready(self, tp: int) -> Generator:
-        """The progression engine's internal MPI_Pready issue."""
-        yield PUT_ISSUE_COST
-        pe = ("pe", self.rt.world_rank)
-        if self.on_ready is not None:
-            self.on_ready(tp)
-            return
-        if self.mode is CopyMode.KERNEL_COPY:
-            # The flag-only completion must not overtake the direct store;
-            # usually the copy landed long ago and this is a no-op wait.
-            copy_ev = self.kc_copy_events.get(tp)
-            if copy_ev is not None:
-                if not copy_ev.triggered:
-                    yield copy_ev
-                record.acquire(pe, ("copydone", id(copy_ev)))
-            self.sreq.issue_pready(tp, with_data=False, actor=pe)
-        else:
-            self.sreq.issue_pready(tp, with_data=True, actor=pe)
 
     # -- free ------------------------------------------------------------------------
     def free(self) -> Generator:
@@ -158,8 +131,10 @@ class Prequest:
         signalled leaves them waiting forever) and detaches from the
         owning request.
         """
-        for watcher in self._watchers:
-            watcher.kill()
+        for w in self._watchers:  # settle each unrun, off its signal's callbacks
+            if w._signal is not None:
+                w._signal.callbacks.remove(w._run_callbacks)
+            w._triggered = True
         self._watchers = []
         self.sreq.preq = None
 
@@ -168,6 +143,58 @@ class Prequest:
             f"<Prequest mode={self.mode.value} tps={self.agg.n_transport} "
             f"signal={self.agg.signal_mode.value}>"
         )
+
+
+class _Watch(Chain):
+    """Progression-engine watcher for one transport partition: wait for its
+    host signals, then dispatch the internal ``MPI_Pready`` and wait.  That
+    issue is a ``_Watch`` too (``epoch`` None, from stage 4); a Kernel-Copy
+    flag-only completion in it first waits for a copy not yet fired.
+    """
+
+    __slots__ = ("preq", "tp", "epoch", "_signal")
+
+    def __init__(self, preq: Prequest, tp: int, epoch: Optional[int] = None) -> None:
+        self.preq, self.tp, self.epoch, self._signal = preq, tp, epoch, None
+        Chain.__init__(self, preq.engine)
+        if epoch is None:
+            self._stage = 4
+
+    def _step(self, stage: int, ev: Optional[Event]) -> None:
+        preq, tp = self.preq, self.tp
+        if stage == 0:
+            self._signal = preq.host_signals[tp].wait_for(preq.agg.expected_host_signals())
+            self._signal.callbacks.append(self._run_callbacks)
+        elif stage == 1:
+            self._signal = None
+            # The PE observes the device's released signal history (sync edge).
+            record.acquire(("pe", preq.rt.world_rank), ("sig", id(preq.host_signals[tp])))
+            if preq.freed or preq.sreq.epoch != self.epoch:
+                return self.succeed()  # stale watcher from a previous epoch
+            # Polling delay before the progression thread notices the signal.
+            self._sleep(preq.rt.params.progress_poll_latency)
+        elif stage == 2:
+            preq.rt.progress.dispatch(
+                partial(_Watch, preq, tp), name=f"pready_tp{tp}"
+            ).callbacks.append(self._run_callbacks)
+        elif stage == 3:  # the dispatch returned
+            self.succeed()
+        elif stage == 4:  # the dispatched issue
+            self._sleep(PUT_ISSUE_COST)
+        else:
+            pe = ("pe", preq.rt.world_rank)
+            if preq.on_ready is not None:
+                preq.on_ready(tp)
+            elif preq.mode is not CopyMode.KERNEL_COPY:
+                preq.sreq.issue_pready(tp, with_data=True, actor=pe)
+            else:
+                copy_ev = preq.kc_copy_events.get(tp) if ev is None else ev
+                if copy_ev is not None:
+                    if not copy_ev._triggered:
+                        return copy_ev.callbacks.append(self._run_callbacks)
+                    record.acquire(pe, ("copydone", id(copy_ev)))
+                preq.sreq.issue_pready(tp, with_data=False, actor=pe)
+            self.succeed()
 
 
 def prequest_create(

@@ -35,7 +35,7 @@ from __future__ import annotations
 from functools import partial
 from typing import TYPE_CHECKING, Generator
 
-from repro.cuda.devapi import host_flag_write_proc
+from repro.cuda.devapi import HostFlagWrite
 from repro.hw.memory import Buffer, MemSpace
 from repro.mpi.errors import MpiStateError, MpiUsageError
 from repro.mpi.ops import MpiOp
@@ -148,9 +148,7 @@ class FusedPallreduce(PcollRequest):
         self.clique.exit(epoch)
 
         # Signal completion to the host (one flag store per partition).
-        yield self.engine.process(
-            host_flag_write_proc(self.device, 1, self.partition_done[u])
-        )
+        yield HostFlagWrite(self.device, 1, self.partition_done[u])
         self.done_count.add(1)
 
     # -- device MPIX_Prequest (kernel blocks trigger user partitions) -----------------

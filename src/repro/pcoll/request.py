@@ -19,6 +19,7 @@ the paper identifies as the remaining gap to NCCL (Section VI-B).
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import TYPE_CHECKING, Dict, Generator, List, Tuple
 
 from repro.cuda.kernel import UniformKernel
@@ -244,9 +245,9 @@ class PcollRequest(PersistentRequest):
             return  # stale epoch
         for i, step in enumerate(self.schedule.steps):
             for o in step.outgoing:
-                yield self.rt.progress.dispatch(
-                    lambda o=o, i=i: self._issue_send(u, i, o), name=f"ps_u{u}s{i}"
-                )
+                name = f"ps_u{u}s{i}"
+                yield self.rt.progress.dispatch(partial(
+                    self.engine.process, self._issue_send(u, i, o), name=name), name)
             for inc in step.incoming:
                 ch = self.recv_ch[inc]
                 tp = u * self.schedule.recvs_from(inc) + self.recv_ordinal[inc][i]
@@ -254,10 +255,9 @@ class PcollRequest(PersistentRequest):
                 if not flag.is_set:
                     yield flag.wait()
                 yield self.rt.params.progress_poll_latency
-                yield self.rt.progress.dispatch(
-                    lambda inc=inc, i=i, tp=tp, step=step: self._consume(u, i, inc, tp, step),
-                    name=f"pc_u{u}s{i}",
-                )
+                name = f"pc_u{u}s{i}"
+                yield self.rt.progress.dispatch(partial(
+                    self.engine.process, self._consume(u, i, inc, tp, step), name=name), name)
         self.partition_done[u].set()
         self.done_count.add(1)
 

@@ -1,4 +1,4 @@
-"""Generator-coroutine processes, and :class:`Delayed`, a one-shot body as one event.
+"""Generator-coroutine processes, and process bodies as slotted events.
 
 A process wraps a generator. Each ``yield`` hands the engine something to
 wait for (an :class:`~repro.sim.events.Event`, another :class:`Process`, a
@@ -7,12 +7,14 @@ after already-scheduled same-time events").  The value of the awaited event
 is sent back into the generator; failures, bad yields included, are thrown
 into it.  A sleeper is its own ``(now + delay, PRIORITY_NORMAL, seq)`` heap
 entry: the key a ``Timeout`` would take, without allocating one.
+:class:`Delayed`, :class:`Chain` and :class:`Holding` are bodies without
+a generator that pop exactly like the generator bodies they stand for.
 """
 
 from __future__ import annotations
 
 from heapq import heappush
-from typing import TYPE_CHECKING, Any, Callable, Generator, Optional
+from typing import TYPE_CHECKING, Any, Callable, Generator, List, Optional
 
 from repro.sim.events import Event, Timeout, PRIORITY_NORMAL, PRIORITY_URGENT
 
@@ -214,3 +216,105 @@ class Delayed(Event):
                 self.succeed(fn())
             except BaseException as exc:  # noqa: BLE001 - propagate to waiters
                 self.engine._body_failed(self, exc)
+
+
+class Chain(Event):
+    """A multi-stage process body as one slotted event.
+
+    ``_step(stage, ev)`` runs on each pop of its own entry (``ev`` None) or
+    callback of an awaited event; ``stage`` counts the calls from 0 and
+    setting ``_stage`` skips ahead.  It boots like a spawned process, and
+    ``_sleep(d)``, ``_acquire(res)``, ``ev.callbacks.append(self._run_callbacks)``
+    and ``succeed(v)`` take the keys of ``yield d``, ``yield res.acquire()``,
+    ``yield ev`` and ``return v``.  A failed wait raises in it; a raise runs
+    ``_unwind`` (the body's ``finally``) and goes to ``Engine._body_failed``.
+    """
+
+    __slots__ = ("_stage",)
+
+    def __init__(self, engine: "Engine") -> None:
+        # Event.__init__ and the boot push, inlined: a chain replaces a spawn.
+        self.engine = engine
+        self.callbacks: Optional[List[Callable[[Event], None]]] = []
+        self._value: Any = Event._PENDING
+        self._ok = True
+        self._triggered = self._processed = self._cancelled = False
+        self._stage = 0
+        engine._seq = seq = engine._seq + 1
+        heap = engine._heap
+        heappush(heap, (engine._now, PRIORITY_URGENT, seq, self))
+        if len(heap) > engine.peak_heap:
+            engine.peak_heap = len(heap)
+
+    def _run_callbacks(self, ev: Optional[Event] = None) -> None:
+        if self._triggered:  # finished: wake our waiters
+            return Event._run_callbacks(self)
+        stage = self._stage
+        self._stage = stage + 1
+        try:
+            if ev is not None and not ev._ok:
+                raise ev._value
+            self._step(stage, ev)
+        except BaseException as exc:  # noqa: BLE001 - propagate to waiters
+            self._unwind()
+            self.engine._body_failed(self, exc)
+
+    def _unwind(self) -> None:
+        """What a raise must give back (nothing by default)."""
+
+    def _sleep(self, delay: float) -> None:
+        if not (delay >= 0):  # also rejects NaN: it fails the body, as a bad yield
+            raise ValueError(f"chain {self!r} cannot sleep {delay!r}")
+        engine = self.engine  # Engine._schedule_event, inlined: the chains' hot path
+        engine._seq = seq = engine._seq + 1
+        heap = engine._heap
+        heappush(heap, (engine._now + delay, PRIORITY_NORMAL, seq, self))
+        if len(heap) > engine.peak_heap:
+            engine.peak_heap = len(heap)
+
+    def _acquire(self, resource) -> None:
+        if resource._in_use < resource.capacity:  # the key acquire()'s event takes
+            resource._in_use += 1
+            self._sleep(0.0)
+        else:
+            resource.acquire().callbacks.append(self._run_callbacks)
+
+
+class Holding(Chain):
+    """Hold ``resource`` across a sleep and the event ``start()`` returns.
+
+    The body: acquire; ``try``: sleep ``delay``, wait on ``start()``;
+    ``finally``: emit ``span``, ``(cat, name, actor, fields)``, from the
+    grant on when observed, and release; return the event's value.
+    """
+
+    __slots__ = ("resource", "delay", "start", "span", "_t0")
+
+    def __init__(self, engine: "Engine", resource, delay: float,
+                 start: Callable[[], Event], span: tuple) -> None:
+        self.resource, self.delay, self.start, self.span = resource, delay, start, span
+        Chain.__init__(self, engine)
+
+    def _step(self, stage: int, ev: Optional[Event]) -> None:
+        if stage == 0:
+            self._acquire(self.resource)
+        elif stage == 1:  # granted
+            self._t0 = self.engine._now
+            self._sleep(self.delay)
+        elif stage == 2:  # held from here on: a raise in start() releases
+            start, self.start = self.start, None
+            ev = start()
+            if ev.callbacks is None:  # already processed: resume at once
+                self._run_callbacks(ev)
+            else:
+                ev.callbacks.append(self._run_callbacks)
+        else:
+            self._unwind()
+            self.succeed(ev._value)
+
+    def _unwind(self) -> None:  # only a held chain can raise (a bad delay, start())
+        obs = self.engine.obs
+        if obs is not None:
+            cat, name, actor, fields = self.span
+            obs.span(cat, name, actor, self._t0, self.engine._now, **fields)
+        self.resource.release()

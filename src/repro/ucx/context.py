@@ -57,7 +57,7 @@ class UcpWorker:
         self.name = name or f"worker{self.worker_id}"
         #: Received active messages, FIFO per AM id.
         self.am: Channel[AmMessage] = Channel(self.engine)
-        self._endpoints: Dict[int, "UcpEndpoint"] = {}  # keyed by remote worker_id
+        self.endpoints: Dict[int, "UcpEndpoint"] = {}  # keyed by remote worker_id
 
     @property
     def address(self) -> WorkerAddress:
@@ -72,13 +72,10 @@ class UcpWorker:
         """
         from repro.ucx.endpoint import UcpEndpoint
 
-        existing = self._endpoints.get(remote.worker_id)
-        if existing is not None:
-            return existing
-            yield  # pragma: no cover - keeps this a generator
-        yield self.fabric.spec.params.ucp_ep_create
-        ep = UcpEndpoint(self, remote)
-        self._endpoints[remote.worker_id] = ep
+        ep = self.endpoints.get(remote.worker_id)
+        if ep is None:
+            yield self.fabric.spec.params.ucp_ep_create
+            ep = self.endpoints[remote.worker_id] = UcpEndpoint(self, remote)
         return ep
 
     # -- active messages -------------------------------------------------------

@@ -289,9 +289,7 @@ def _validate(sched: Schedule) -> None:
             if s.op == "allreduce":
                 _want_int(src_name, s.line, s.fields, "bytes", what, lo=1)
             group = s.get("group")
-            if group is None:
-                members = tuple(range(ranks))
-            else:
+            if group is not None:
                 if not isinstance(group, list) or not group:
                     raise _err(src_name, s.line, f"{what}: field 'group' must be a non-empty list of ranks")
                 for g in group:
@@ -299,7 +297,8 @@ def _validate(sched: Schedule) -> None:
                         raise _err(src_name, s.line, f"{what}: group member {g!r} out of range (ranks={ranks})")
                 if len(set(group)) != len(group):
                     raise _err(src_name, s.line, f"{what}: group has duplicate members: {group}")
-                members = tuple(sorted(group))
+            # All ranks, group-less or listed, are range(ranks): O(1) whatever the header says.
+            members = range(ranks) if group is None or len(group) == ranks else tuple(sorted(group))
             if s.rank not in members:
                 raise _err(src_name, s.line, f"{what}: rank {s.rank} is not in its own group {list(members)}")
             if len(members) > 1:
@@ -393,13 +392,16 @@ def _validate(sched: Schedule) -> None:
 
     # Collective agreement: every member lists the same sequence.
     for members, by_rank in colls.items():
-        missing = [r for r in members if r not in by_rank]
-        if missing:
+        n_missing = len(members) - len(by_rank)  # counted: members may be range(10**12)
+        if n_missing:
+            first = next(r for r in members if r not in by_rank)
             ref = next(iter(by_rank.values()))[0][1]
+            group = "of all ranks" if isinstance(members, range) else list(members)
             raise _err(
                 src_name, ref.line,
-                f"collective group {list(members)}: rank(s) {missing} never "
-                "join — every member must list the same collective sequence",
+                f"collective group {group}: {n_missing} rank(s) never join, "
+                f"the first is rank {first} — every member must list the "
+                "same collective sequence",
             )
         counts = {r: len(v) for r, v in by_rank.items()}
         first = by_rank[members[0]]
@@ -432,7 +434,7 @@ def _validate(sched: Schedule) -> None:
 
 def lower(sched: Schedule) -> Dict[int, List[tuple]]:
     """Lower the schedule to per-rank micro-op lists (rank r -> GPU r)."""
-    ops: Dict[int, List[tuple]] = {r: [] for r in range(sched.ranks)}
+    ops: Dict[int, List[tuple]] = {}  # only the ranks that steps name
     send_occ: Dict[Tuple[int, int, Any], int] = {}
     recv_occ: Dict[Tuple[int, int, Any], int] = {}
     wild_occ: Dict[Tuple[int, int], int] = {}
@@ -458,7 +460,7 @@ def lower(sched: Schedule) -> Dict[int, List[tuple]]:
         return [base + (1 if i < rem else 0) for i in range(parts)]
 
     for s in sched.steps:
-        out = ops[s.rank]
+        out = ops.setdefault(s.rank, [])
         cls = s.get("class") or DEFAULT_CLASS
         if s.op == "compute":
             out.append(("compute", float(s["us"]) * us))
@@ -491,7 +493,8 @@ def lower(sched: Schedule) -> Dict[int, List[tuple]]:
                     out.append(("wait", s["peer"], ("p",) + chan + (occ, i)))
         elif s.op in _COLLECTIVE_OPS:
             group = s.get("group")
-            members = tuple(sorted(group)) if group is not None else tuple(range(sched.ranks))
+            members = range(sched.ranks) if group is None or len(group) == sched.ranks \
+                else tuple(sorted(group))
             if len(members) == 1:
                 continue
             if members not in coll_occ:

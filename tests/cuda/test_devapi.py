@@ -141,20 +141,3 @@ def test_copy_posted_without_yield_overlaps(engine, fabric):
     fabric.engine.run(fabric.engine.process(host()))
     assert marks["continued_at"] - marks["posted_at"] < 0.1 * us
     assert marks["copy_done"] > marks["continued_at"]
-
-
-def test_wait_flag_device_binding(engine, gpu):
-    f = Flag(engine)
-    got = {}
-
-    def body(blk):
-        yield blk.wait_flag(f)
-        got["t"] = blk.now
-
-    def setter():
-        yield engine.timeout(5 * us)
-        f.set()
-
-    engine.process(setter())
-    _run_body(engine, gpu, body)
-    assert got["t"] == pytest.approx(5 * us)

@@ -16,7 +16,6 @@ def test_alloc_spaces(gpu):
     assert gpu.alloc(4).space is MemSpace.DEVICE
     assert gpu.alloc(4).gpu == 0
     assert gpu.alloc_pinned(4).space is MemSpace.PINNED
-    assert gpu.alloc_unified(4).space is MemSpace.UNIFIED
 
 
 def test_launch_validates_block_size(gpu):
@@ -111,7 +110,8 @@ def test_memcpy_h2d_timing_and_data(engine, gpu):
 
     def host():
         t0 = engine.now
-        yield from gpu.memcpy_h(ddst, hsrc)
+        yield gpu.cost.memcpy_api_cost  # synchronous cudaMemcpy: API cost + copy
+        yield gpu.memcpy_async(ddst, hsrc)
         return engine.now - t0
 
     dt = engine.run(engine.process(host()))
@@ -183,7 +183,8 @@ def test_exec_time_closed_form_matches_simulation(engine, gpu):
         yield done
         return engine.now - t0
 
-    assert engine.run(engine.process(host())) == pytest.approx(gpu.exec_time(k))
+    closed_form = gpu.cost.kernel_exec_time(k.grid, k.block, k.work)
+    assert engine.run(engine.process(host())) == pytest.approx(closed_form)
 
 
 def _raise_at_sync(engine, gpu, kernel):

@@ -18,7 +18,9 @@ def test_link_validation(engine):
 def test_serialization_time():
     eng = Engine()
     link = Link(eng, "l", bandwidth=100.0, latency=0.5, overhead=0.1)
-    assert link.serialization_time(1000) == pytest.approx(0.1 + 10.0)
+    eng.run(start_transfer(eng, [link], nbytes=1000))
+    # overhead + bytes / bandwidth serializing, then the latency
+    assert eng.now == pytest.approx(0.1 + 10.0 + 0.5)
 
 
 def test_single_transfer_timing(engine):

@@ -249,3 +249,43 @@ def test_fig3_cost_ordering_device_side():
     assert t > w > b
     assert 240 < t / b < 300
     assert 8 < w / b < 11
+
+
+def test_release_stops_an_unsignalled_watcher():
+    """Host-side Pready leaves the device request's watchers parked on
+    host signals that never come; release() must settle them without
+    running them and take their callbacks off the signals' events."""
+    def main(ctx):
+        comm = ctx.comm
+        if ctx.rank == 0:
+            sreq = yield from comm.psend_init(ctx.gpu.alloc(64), 2, dest=1, tag=0)
+            yield from sreq.start()
+            yield from sreq.pbuf_prepare()
+            preq = yield from sreq.prequest_create(ctx.gpu, grid=2, block=32)
+            for tp in range(2):
+                yield from sreq.pready(tp)
+            yield from sreq.wait()
+            return preq
+        rreq = yield from comm.precv_init(ctx.gpu.alloc(64), 2, source=0, tag=0)
+        yield from rreq.start()
+        yield from rreq.pbuf_prepare()
+        yield from rreq.wait()
+        return None
+
+    world = World(ONE_NODE)
+    preq = world.run(main, nprocs=2)[0]
+    watchers = list(preq._watchers)
+    signals = [w._signal for w in watchers]
+    assert len(watchers) == 2 and not any(w.triggered for w in watchers)
+    assert all(len(sig.callbacks) == 1 for sig in signals)
+
+    ran = []
+    preq.on_ready = ran.append  # what a watcher that ran would end in
+    preq.release()
+    assert preq._watchers == [] and all(w.triggered for w in watchers)
+    assert all(sig.callbacks == [] for sig in signals)
+    for counter in preq.host_signals:  # a late signal wakes nobody
+        counter.add(preq.agg.expected_host_signals())
+    world.engine.run()
+    assert ran == [] and all(sig.processed for sig in signals)
+    world.close()

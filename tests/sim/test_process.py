@@ -10,7 +10,8 @@ import pytest
 
 import repro
 from repro.sim.engine import Engine
-from repro.sim.process import Delayed, Interrupt, Process, ProcessFailed
+from repro.sim.process import Delayed, Holding, Interrupt, Process, ProcessFailed
+from repro.sim.resources import Resource
 
 
 def test_return_value(engine):
@@ -428,6 +429,95 @@ def test_unwaited_delayed_failure_is_process_failed(engine):
         engine.run()
     assert failed.value.process is chain
     assert isinstance(failed.value.exc, KeyError)
+
+
+# -- Holding: the resource-holding body as one chain --------------------------------
+
+def _holding_as_process(eng, res, delay, start):
+    def body():
+        yield res.acquire()
+        try:
+            yield delay
+            value = yield start()
+        finally:
+            res.release()
+        return value
+
+    return eng.process(body())
+
+
+def _holding(eng, res, delay, start):
+    return Holding(eng, res, delay, start, ("test", "hold", None, {}))
+
+
+def _holding_scenario(case):
+    def scenario(make):
+        def run(eng):
+            res = Resource(eng)
+            log = []
+
+            def waiter(k, start):
+                try:
+                    got = yield make(eng, res, 0.5, start)
+                except KeyError as exc:
+                    got = ("failed", repr(exc))
+                log.append((k, got, eng.now, res.in_use, res.queued))
+
+            if case == "uncontended":
+                eng.process(waiter(0, lambda: eng.timeout(1.0, "v")))
+            elif case == "contended":
+                for k in range(3):
+                    eng.process(waiter(k, lambda k=k: eng.timeout(1.0 + k, k)))
+                make(eng, res, 0.25, lambda: eng.timeout(0.1))  # one nobody waits on
+            elif case == "processed":
+                early = eng.event().succeed("early")
+
+                def late():
+                    yield early
+                    assert early.processed
+                    yield from waiter(0, lambda: early)
+
+                eng.process(late())
+            else:  # a failing start() event, then a second holder
+                eng.process(waiter(0, lambda: Delayed(eng, 0.5, _boom)))
+                eng.process(waiter(1, lambda: eng.timeout(1.0, "after")))
+            return log
+
+        return run
+
+    return scenario
+
+
+@pytest.mark.parametrize("case", ["uncontended", "contended", "processed", "failing"])
+def test_holding_pops_like_its_generator(case):
+    chained = _observed(_holding_scenario(case)(_holding))
+    generator = _observed(_holding_scenario(case)(_holding_as_process))
+    assert chained == generator
+    log = chained[1]
+    assert log[-1][3:] == (0, 0)  # released, nobody queued
+    if case == "failing":
+        assert log[0][1][0] == "failed" and log[1][1] == "after"
+
+
+def test_unwaited_holding_failure_releases_and_is_process_failed(engine):
+    res = Resource(engine)
+    chain = _holding(engine, res, 0.5, lambda: Delayed(engine, 0.5, _boom))
+    with pytest.raises(ProcessFailed) as failed:
+        engine.run()
+    assert failed.value.process is chain
+    assert isinstance(failed.value.exc, KeyError)
+    assert res.in_use == 0 and not chain.ok
+
+
+def test_holding_start_raising_releases(engine):
+    res = Resource(engine)
+
+    def waiter():
+        with pytest.raises(KeyError):
+            yield _holding(engine, res, 0.5, _boom)
+        return engine.now, res.in_use
+
+    assert engine.run(engine.process(waiter())) == (0.5, 0)
 
 
 # -- guard: src sleeps never allocate a Timeout ------------------------------------

@@ -1,10 +1,13 @@
 """Trace replay: schema validation, both interpreters, shard equality."""
 
+import time
+
 import pytest
 
 from repro.workload.replay import (
     ReplayError,
     ReplayWorkload,
+    lower,
     parse_jsonl,
 )
 
@@ -73,6 +76,23 @@ def test_huge_rank_count_parses_without_per_rank_tables():
     # only an upper bound (the machine check comes at run time).
     sched = parse_jsonl(HEADER % 10**12 + '{"rank": 0, "op": "compute", "us": 1}\n')
     assert sched.ranks == 10**12
+
+
+def test_huge_rank_count_lowers_only_the_named_ranks():
+    sched = parse_jsonl(
+        HEADER % 10**12
+        + '{"rank": 0, "op": "compute", "us": 1}\n{"rank": 0, "op": "compute", "us": 2}\n'
+    )
+    assert list(lower(sched)) == [0]
+
+
+def test_groupless_collective_missing_ranks_counted_not_listed():
+    # Checking that every rank posted the barrier must not build a
+    # 10**12-entry member list: the error names the smallest missing rank.
+    t0 = time.perf_counter()
+    with pytest.raises(ReplayError, match=r"x\.jsonl:2: .*first is rank 1\b"):
+        parse_jsonl(HEADER % 10**12 + '{"rank": 0, "op": "barrier"}\n', source="x.jsonl")
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_unhashable_dep_rejected():
