@@ -16,12 +16,13 @@ PYTHONPATH=src python -m pytest -x -q tests/test_parser_fuzz.py \
 
 echo "== hash-seed (pinned step streams under two string-hash seeds) =="
 # Bit-identity must not depend on string-hash order: the determinism,
-# link-transfer stream and process sleep/chain pins (Delayed and Holding
-# against their generator bodies) must hold under any PYTHONHASHSEED.
+# link-transfer stream, process sleep/chain pins (Delayed and Holding
+# against their generator bodies) and the eager host message path pins
+# must hold under any PYTHONHASHSEED.
 for seed in 1 2; do
     PYTHONHASHSEED=$seed PYTHONPATH=src python -m pytest -x -q \
         tests/sim/test_determinism.py tests/hw/test_transfer_stream.py \
-        tests/sim/test_process.py
+        tests/sim/test_process.py tests/mpi/test_eager_path_pin.py
 done
 
 echo "== optimised mode (python -O: the allreduce result check is not an assert) =="

@@ -44,6 +44,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.hw.spec.graph import RouteError
 from repro.sim.engine import Engine
 
 
@@ -189,8 +190,6 @@ class PlanCache:
 
     def _rebind(self, key, desc, stripes, fabric) -> Optional[tuple]:
         """Re-route dead legs of an epoch-stale plan; None drops the plan."""
-        from repro.hw.topology import RouteError
-
         rebound = []
         moved = 0
         for stripe in stripes:

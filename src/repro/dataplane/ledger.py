@@ -47,11 +47,14 @@ class Ledger:
         usage.transfers += 1
         usage.stripes += len(stripes)
         for stripe in stripes:
-            bottleneck = min(link.bandwidth for link in stripe.route)
-            usage.occupancy_s += (
-                max(link.overhead for link in stripe.route)
-                + stripe.nbytes / bottleneck
-            )
+            route = stripe.route  # min/max in plain loops, as _Transfer prices
+            bottleneck, overhead = route[0].bandwidth, route[0].overhead
+            for link in route:
+                if link.bandwidth < bottleneck:
+                    bottleneck = link.bandwidth
+                if link.overhead > overhead:
+                    overhead = link.overhead
+            usage.occupancy_s += overhead + stripe.nbytes / bottleneck
 
     # -- congestion signal -------------------------------------------------
     # Outstanding-bytes per link: charged at stripe launch, discharged at

@@ -296,9 +296,16 @@ class _Transfer(Event):
                     t = engine._now
                 else:
                     # Priced after the last grant: a degrade while queued counts.
-                    bottleneck = min(link.bandwidth for link in route)
-                    ser = max(link.overhead for link in route) + self.nbytes / bottleneck
-                    self._latency = sum(link.latency for link in route)
+                    # Plain loops: min/max/sum of the same floats, in route order.
+                    bottleneck, overhead, latency = route[0].bandwidth, route[0].overhead, 0
+                    for link in route:
+                        if link.bandwidth < bottleneck:
+                            bottleneck = link.bandwidth
+                        if link.overhead > overhead:
+                            overhead = link.overhead
+                        latency += link.latency
+                    ser = overhead + self.nbytes / bottleneck
+                    self._latency = latency
                     self._stage = _DRAIN
                     t = engine._now + ser
         except BaseException as exc:  # noqa: BLE001 - propagate to waiters

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, Generator, List, Optional, Sequence
 
 from repro.hw.memory import Buffer
-from repro.mpi import p2p
+from repro.mpi import collectives, p2p
 from repro.mpi.errors import MpiUsageError
 from repro.mpi.matching import ANY
 from repro.mpi.ops import MpiOp, SUM
@@ -129,23 +129,25 @@ class Communicator:
         return Communicator(group, rt)
 
     # -- point-to-point ------------------------------------------------------------
+    # The MPI API methods hand back the protocol generator itself: no
+    # wrapper frame, so a resume costs one generator call, not two.
     def isend(self, buf: Buffer, dest: int, tag: int = 0) -> Generator:
-        return (yield from p2p.isend(self, buf, dest, tag))
+        return p2p.isend(self, buf, dest, tag)
 
     def irecv(self, buf: Buffer, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Generator:
-        return (yield from p2p.irecv(self, buf, source, tag))
+        return p2p.irecv(self, buf, source, tag)
 
     def send(self, buf: Buffer, dest: int, tag: int = 0) -> Generator:
-        yield from p2p.send(self, buf, dest, tag)
+        return p2p.send(self, buf, dest, tag)
 
     def recv(self, buf: Buffer, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Generator:
-        return (yield from p2p.recv(self, buf, source, tag))
+        return p2p.recv(self, buf, source, tag)
 
     def send_init(self, buf: Buffer, dest: int, tag: int = 0) -> Generator:
-        return (yield from p2p.send_init(self, buf, dest, tag))
+        return p2p.send_init(self, buf, dest, tag)
 
     def recv_init(self, buf: Buffer, source: int, tag: int = 0) -> Generator:
-        return (yield from p2p.recv_init(self, buf, source, tag))
+        return p2p.recv_init(self, buf, source, tag)
 
     def sendrecv(
         self,
@@ -156,33 +158,23 @@ class Communicator:
         sendtag: int = 0,
         recvtag: int = 0,
     ) -> Generator:
-        yield from p2p.sendrecv(self, sendbuf, dest, recvbuf, source, sendtag, recvtag)
+        return p2p.sendrecv(self, sendbuf, dest, recvbuf, source, sendtag, recvtag)
 
     # -- collectives (traditional baselines) ------------------------------------------
     def barrier(self) -> Generator:
-        from repro.mpi import collectives
-
-        yield from collectives.barrier(self)
+        return collectives.barrier(self)
 
     def bcast(self, buf: Buffer, root: int = 0) -> Generator:
-        from repro.mpi import collectives
-
-        yield from collectives.bcast(self, buf, root)
+        return collectives.bcast(self, buf, root)
 
     def allreduce(self, sendbuf: Buffer, recvbuf: Buffer, op: MpiOp = SUM) -> Generator:
-        from repro.mpi import collectives
-
-        yield from collectives.allreduce(self, sendbuf, recvbuf, op)
+        return collectives.allreduce(self, sendbuf, recvbuf, op)
 
     def reduce(self, sendbuf: Buffer, recvbuf: Optional[Buffer], op: MpiOp = SUM, root: int = 0) -> Generator:
-        from repro.mpi import collectives
-
-        yield from collectives.reduce(self, sendbuf, recvbuf, op, root)
+        return collectives.reduce(self, sendbuf, recvbuf, op, root)
 
     def allgather(self, sendbuf: Buffer, recvbuf: Buffer) -> Generator:
-        from repro.mpi import collectives
-
-        yield from collectives.allgather(self, sendbuf, recvbuf)
+        return collectives.allgather(self, sendbuf, recvbuf)
 
     # -- MPI Partitioned (the paper's contribution) --------------------------------------
     def psend_init(self, buf: Buffer, partitions: int, dest: int, tag: int = 0) -> Generator:

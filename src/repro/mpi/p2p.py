@@ -72,13 +72,6 @@ class RecvRequest(Request):
         self.tag = tag
 
 
-def _is_eager(rt: "MpiRuntime", buf: Buffer) -> bool:
-    return (
-        buf.space.host_accessible
-        and buf.nbytes <= rt.params.eager_threshold_bytes
-    )
-
-
 # --------------------------------------------------------------------------
 # sender side
 # --------------------------------------------------------------------------
@@ -86,19 +79,25 @@ def _is_eager(rt: "MpiRuntime", buf: Buffer) -> bool:
 def _post_send(comm: "Communicator", sreq, buf: Buffer, dest: int, tag: int) -> Generator:
     """Shared send-protocol start: eager injection or rendezvous RTS."""
     rt = comm.rt
-    ep = yield from rt.ep_to(comm, dest)
-    if _is_eager(rt, buf):
+    worker = rt.worker
+    # The callers range-check ``dest`` (isend, send_init).
+    addr = rt.world.address_of(comm.group.world_ranks[dest])
+    ep = worker.endpoints.get(addr.worker_id)
+    if ep is None:  # first use: ep_create charges the endpoint's creation
+        ep = yield from worker.ep_create(addr)
+    nbytes = buf.nbytes
+    if buf.space.host_accessible and nbytes <= rt.params.eager_threshold_bytes:
         env = Envelope(
-            RTS, comm.comm_id, comm.rank, dest, tag, buf.nbytes,
+            RTS, comm.comm_id, comm.rank, dest, tag, nbytes,
             send_seq=sreq.seq, payload=buf.data.copy(),
         )
         # Eager completes locally once the message is injected.
-        yield ep.am_send(AM_P2P, env, nbytes=ENVELOPE_BYTES + buf.nbytes)
+        yield ep.am_send(AM_P2P, env, nbytes=ENVELOPE_BYTES + nbytes)
         sreq._complete({"protocol": "eager"})
     else:
         rt.pending_sends[sreq.seq] = (sreq, buf, comm)
         env = Envelope(
-            RTS, comm.comm_id, comm.rank, dest, tag, buf.nbytes, send_seq=sreq.seq
+            RTS, comm.comm_id, comm.rank, dest, tag, nbytes, send_seq=sreq.seq
         )
         yield ep.am_send(AM_P2P, env, nbytes=ENVELOPE_BYTES)
 
@@ -155,8 +154,11 @@ def sendrecv(
     """MPI_Sendrecv: concurrent send+recv, both complete before returning."""
     rreq = yield from irecv(comm, recvbuf, source, recvtag)
     sreq = yield from isend(comm, sendbuf, dest, sendtag)
-    yield from sreq.wait()
-    yield from rreq.wait()
+    overhead = comm.rt.params.mpi_call_overhead
+    for req in (sreq, rreq):  # the two MPI_Waits, inline
+        yield overhead
+        if not req._done_event._triggered:
+            yield req._done_event
 
 
 # --------------------------------------------------------------------------

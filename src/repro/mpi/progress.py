@@ -2,10 +2,10 @@
 
 One engine per rank, started at MPI_Init.  It owns:
 
-* the **AM dispatch loop** driving the p2p receiver state machine
-  (RTS match -> CTS -> data put -> FIN);
-* the **partitioned AM router** feeding setup_t / RTR messages into the
-  keyed channel that `MPIX_Pbuf_prepare` waits on;
+* the **AM dispatch loops**, one event chain per AM id: the p2p one drives
+  the receiver state machine (RTS match -> CTS -> data put -> FIN), and
+  the four partitioned ones feed setup_t / RTR messages into the keyed
+  channel that `MPIX_Pbuf_prepare` waits on;
 * the single **progression thread** resource the paper mentions
   ("currently we only have a single thread which progresses partitions")
   through which device-initiated Pready dispatches serialize.
@@ -45,39 +45,31 @@ class ProgressEngine:
         self.thread = Resource(
             self.engine, capacity=1, name=f"r{rt.world_rank}.pe"
         )
-        self._procs = [
-            self.engine.process(self._p2p_loop(), name=f"r{rt.world_rank}.prog.p2p")
-        ]
-        self._procs += [
-            self.engine.process(self._part_loop(am_id), name=f"r{rt.world_rank}.prog.part{am_id}")
-            for am_id in _PART_AM_IDS
-        ]
+        #: The AM dispatch loops, one per AM id (with a process's kill/is_alive).
+        self._procs = [_AmLoop(self, am_id) for am_id in (AM_P2P,) + _PART_AM_IDS]
 
     def close(self) -> None:
-        """Kill the AM dispatch loops (they park forever on ``am_recv``)."""
-        for proc in self._procs:
-            proc.kill()
+        """Stop the AM dispatch loops and withdraw their parked getters."""
+        for loop in self._procs:
+            loop.kill()
 
     # -- p2p state machine -------------------------------------------------------
-    def _p2p_loop(self) -> Generator:
-        worker = self.rt.worker
-        while True:
-            msg = yield worker.am_recv(AM_P2P)
-            env: Envelope = msg.payload
-            obs = self.engine.obs
-            if obs is not None:
-                obs.instant(
-                    "mpi", f"am-{env.kind}", ("pe", self.rt.world_rank),
-                    src=env.src, tag=env.tag, nbytes=env.nbytes,
-                )
-            if env.kind == RTS:
-                self._handle_rts(env, msg.sender)
-            elif env.kind == CTS:
-                self._handle_cts(env)
-            elif env.kind == FIN:
-                self._handle_fin(env)
-            else:  # pragma: no cover - defensive
-                raise RuntimeError(f"unknown p2p envelope kind {env.kind!r}")
+    def _on_p2p(self, msg) -> None:
+        env: Envelope = msg.payload
+        obs = self.engine.obs
+        if obs is not None:
+            obs.instant(
+                "mpi", f"am-{env.kind}", ("pe", self.rt.world_rank),
+                src=env.src, tag=env.tag, nbytes=env.nbytes,
+            )
+        if env.kind == RTS:
+            self._handle_rts(env, msg.sender)
+        elif env.kind == CTS:
+            self._handle_cts(env)
+        elif env.kind == FIN:
+            self._handle_fin(env)
+        else:  # pragma: no cover - defensive
+            raise RuntimeError(f"unknown p2p envelope kind {env.kind!r}")
 
     def _handle_rts(self, env: Envelope, sender_addr) -> None:
         rt = self.rt
@@ -145,14 +137,6 @@ class ProgressEngine:
         if rreq is None:  # pragma: no cover - defensive
             raise RuntimeError(f"FIN for unknown recv_seq {env.recv_seq}")
         rreq._complete({"protocol": "rndv", "source": env.src, "tag": env.tag})
-
-    # -- partitioned AM routing ------------------------------------------------------
-    def _part_loop(self, am_id: int) -> Generator:
-        worker = self.rt.worker
-        while True:
-            msg = yield worker.am_recv(am_id)
-            key, payload = msg.payload
-            self.rt.part_matcher.put(payload, (am_id,) + key)
 
     # -- the single progression thread --------------------------------------------------
     def dispatch(self, start: Callable[[], Event], name: str = "pe_work") -> Event:
@@ -227,3 +211,40 @@ class _Rendezvous(Chain):
             return self.succeed()
         self._stage = 6
         ep.am_send(AM_P2P, self.msg, nbytes=ENVELOPE_BYTES).callbacks.append(self._run_callbacks)
+
+
+class _AmLoop(Chain):
+    """The AM dispatch loop of one AM id: ``while True: msg = yield
+    worker.am_recv(am_id)``, then a p2p envelope runs the receiver state
+    machine and a partitioned message goes to ``rt.part_matcher``."""
+
+    __slots__ = ("pe", "am_id", "_getter")
+
+    def __init__(self, pe: ProgressEngine, am_id: int) -> None:
+        self.pe, self.am_id, self._getter = pe, am_id, None
+        Chain.__init__(self, pe.engine)
+
+    @property
+    def is_alive(self) -> bool:
+        return not self._triggered
+
+    def kill(self) -> None:
+        """End the loop unrun, as ``Process.kill``, and withdraw its getter."""
+        if self._triggered:
+            return
+        getter, self._getter = self._getter, None
+        if getter is not None:
+            self.pe.rt.worker.am.withdraw(getter, self.am_id)
+            getter.callbacks = []
+        self.succeed(None)
+
+    def _step(self, stage: int, ev) -> None:
+        pe = self.pe
+        if ev is not None:  # a message arrived
+            if self.am_id == AM_P2P:
+                pe._on_p2p(ev._value)
+            else:
+                key, payload = ev._value.payload
+                pe.rt.part_matcher.put(payload, (self.am_id,) + key)
+        self._getter = getter = pe.rt.worker.am.get(self.am_id)
+        getter.callbacks.append(self._run_callbacks)

@@ -12,13 +12,13 @@ import itertools
 from typing import TYPE_CHECKING, Dict, Generator, List, Optional, Tuple
 
 from repro.mpi.matching import TagMatcher
+from repro.mpi.progress import ProgressEngine
 from repro.sim.resources import Channel
 from repro.ucx.context import UcpContext, UcpWorker
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cuda.device import Device
     from repro.mpi.comm import Communicator
-    from repro.mpi.progress import ProgressEngine
     from repro.mpi.requests import PersistentRequest
     from repro.mpi.world import World
 
@@ -38,7 +38,7 @@ class MpiRuntime:
         # Populated during init().
         self.context: Optional[UcpContext] = None
         self.worker: Optional[UcpWorker] = None
-        self.progress: Optional["ProgressEngine"] = None
+        self.progress: Optional[ProgressEngine] = None
         self.initialized = False
         self.finalized = False
 
@@ -69,8 +69,6 @@ class MpiRuntime:
             self.engine, self.fabric, self.node, self.device.gpu_id
         )
         self.worker = yield from self.context.worker_create(name=f"r{self.world_rank}")
-        from repro.mpi.progress import ProgressEngine
-
         self.progress = ProgressEngine(self)
         self.world._register_address(self.world_rank, self.worker.address)
         # Out-of-band bootstrap barrier (PMIx-style): everyone's address is

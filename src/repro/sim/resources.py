@@ -145,6 +145,14 @@ class Channel(Generic[T]):
             self._getters[key] = deque((ev,))
         return ev
 
+    def withdraw(self, getter: Event, key: Hashable = None) -> None:
+        """Take back ``getter`` if it is still parked under ``key``."""
+        getters = self._getters.get(key)
+        if getters is not None and getter in getters:
+            getters.remove(getter)
+            if not getters:
+                del self._getters[key]
+
     def unmatched(self) -> Tuple[int, int]:
         """(items never got, getters still parked) over every key."""
         return (

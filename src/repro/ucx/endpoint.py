@@ -29,6 +29,12 @@ class UcpEndpoint:
         self.fabric = worker.fabric
         self.puts_issued = 0
         self.puts_completed = 0
+        # An AM wire transfer carries no payload: its two buffers only
+        # locate the route, so one virtual host pair serves every AM.
+        self._am_probes = (
+            Buffer.alloc_virtual(1, space=MemSpace.HOST, node=worker.context.node),
+            Buffer.alloc_virtual(1, space=MemSpace.HOST, node=remote.node),
+        )
 
     # -- RMA ---------------------------------------------------------------
     def put_nbx(
@@ -94,14 +100,8 @@ class UcpEndpoint:
             )
 
         def inject() -> None:
-            src_probe = Buffer.alloc(
-                max(nbytes // 8, 1), space=MemSpace.HOST, node=self.worker.context.node
-            )
-            dst_probe = Buffer.alloc(
-                max(nbytes // 8, 1), space=MemSpace.HOST, node=self.remote.node
-            )
             wire = self.fabric.dataplane.control(
-                src_probe, dst_probe, nbytes, traffic_class="am", name="am"
+                *self._am_probes, nbytes, traffic_class="am", name="am"
             )
 
             def deliver(ev: Event) -> None:

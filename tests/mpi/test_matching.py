@@ -116,6 +116,17 @@ def test_keyed_matcher_key_isolation(engine):
     assert km.unmatched() == (0, 0) and not km._items and not km._getters
 
 
+def test_keyed_matcher_withdraw_takes_back_only_a_parked_getter(engine):
+    km = Channel(engine)
+    first, second = km.get("x"), km.get("x")
+    km.withdraw(first, "x")
+    km.put("item", "x")  # pairs with the getter still parked
+    assert second.value == "item" and not first.triggered
+    km.withdraw(second, "x")  # matched already: nothing to take back
+    km.withdraw(first, "y")  # never parked under "y"
+    assert km.unmatched() == (0, 0) and not km._getters
+
+
 @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=30))
 @settings(max_examples=60, deadline=None)
 def test_property_every_message_pairs_exactly_once(envelopes):
