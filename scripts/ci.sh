@@ -7,12 +7,27 @@ cd "$(dirname "$0")/.."
 echo "== tier-1 tests =="
 PYTHONPATH=src python -m pytest -x -q -m "not smoke"
 
-echo "== parser fuzz (replay and fault JSONL under the deep hypothesis profile) =="
-# Tier-1 runs the fuzz under the default profile; this reruns it with
-# 500 generated values per fuzzed field (~30 s): each document must parse
-# or fail with its parser's typed file:line error.
+echo "== parser fuzz (every input parser under the deep hypothesis profile) =="
+# Tier-1 runs the fuzz under the default profile; this reruns it with 500
+# generated values per fuzzed field: each replay or fault document, NCCL
+# log, Chrome trace and machine name must parse or fail with its parser's
+# typed error.
 PYTHONPATH=src python -m pytest -x -q tests/test_parser_fuzz.py \
     --hypothesis-profile=deep
+
+echo "== cold-start (CLI set-up loads no deferred package, DESIGN.md §15) =="
+# tests/test_import_budget.py covers the library path; this covers the
+# CLI.  Each command runs in a fresh interpreter under -X importtime, and
+# none of the packages that load on first use may appear in its imports.
+deferred='repro\.(shard|nccl|apps|obs|bench\.(apps|coll|multipath)|san\.(report|sanitizer|checks|hb|clocks))\b'
+for cmd in "list" "topo fat-tree-64"; do
+    # shellcheck disable=SC2086
+    PYTHONPATH=src python -X importtime -m repro $cmd > /dev/null 2> /tmp/repro_importtime.txt
+    if grep -E "\| +$deferred" /tmp/repro_importtime.txt; then
+        echo "cold-start: 'python -m repro $cmd' imported a deferred package"; exit 1
+    fi
+    echo "cold-start: python -m repro $cmd loads $(grep -cE '\| +repro\b' /tmp/repro_importtime.txt) repro modules"
+done
 
 echo "== hash-seed (pinned step streams under two string-hash seeds) =="
 # Bit-identity must not depend on string-hash order: the determinism,

@@ -112,7 +112,7 @@ def dragonfly(
 
 
 # -- generator-name grammar ---------------------------------------------------
-_GEN_RE = re.compile(r"^(fat-tree|dragonfly)-(\d+)((?:-[a-z]\d+)*)$")
+_GEN_RE = re.compile(r"(fat-tree|dragonfly)-(\d+)((?:-[a-z]\d+)*)")
 _OPT_RE = re.compile(r"-([a-z])(\d+)")
 #: The options each generator takes, by kind.
 _OPTIONS = {"fat-tree": ("r", "n", "l", "s"), "dragonfly": ("r", "n", "g")}
@@ -124,14 +124,19 @@ def parse_machine(name: str) -> Optional[MachineSpec]:
     Grammar: ``fat-tree-<gpus>`` / ``dragonfly-<gpus>`` with optional
     ``-r<rails> -n<gpus_per_node> -l<nodes_per_leaf> -s<spines_per_rail>
     -g<nodes_per_group>`` suffixes in any order, each at most once and
-    at least 1.
+    at least 1.  Numbers carry no leading zero, so each machine has one name.
     """
-    m = _GEN_RE.match(name)
+    m = _GEN_RE.fullmatch(name)
     if m is None:
         return None
-    kind, gpus, rest = m.group(1), int(m.group(2)), m.group(3)
+    kind, digits, rest = m.groups()
+    if digits.startswith("0") and digits != "0":
+        raise SpecError(f"machine {name!r}: gpu count {digits} has a leading zero")
+    gpus = int(digits)
     opts: Dict[str, int] = {}
     for key, val in _OPT_RE.findall(rest):
+        if val.startswith("0") and val != "0":
+            raise SpecError(f"machine {name!r}: option -{key}{val} has a leading zero")
         if key not in _OPTIONS[kind]:
             raise SpecError(
                 f"machine {name!r}: unknown option -{key}{val} "

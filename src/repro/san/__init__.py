@@ -31,7 +31,19 @@ or from the command line::
     python -m repro san --list-checks
 """
 
-from repro.san.report import Finding, Report
-from repro.san.sanitizer import Sanitizer
-
 __all__ = ["Finding", "Report", "Sanitizer"]
+
+#: Exported name -> defining submodule.  Resolved on first access (PEP 562)
+#: so that the instrumented sites' ``from repro.san import record`` loads
+#: the recorder alone, not the analysis (report, checks, hb, clocks).
+_EXPORTS = {"Finding": "report", "Report": "report", "Sanitizer": "sanitizer"}
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+    globals()[name] = value
+    return value

@@ -17,12 +17,14 @@ nothing in the deterministic core attaches one mid-run.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Generator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Generator, List, Optional, Tuple
 
 from repro.sim.events import Event, Timeout
 from repro.sim.process import Process, ProcessFailed
 from repro.sim.run import current
-from repro.obs import bus as obs_bus
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.obs.bus import Bus
 
 
 _INF = float("inf")
@@ -111,7 +113,7 @@ class Engine:
         #: Attached instrumentation bus, or None — the fast path.  Only
         #: :meth:`repro.obs.bus.Bus.attach` populates it, and only while
         #: the bus has subscribers, so every hook is one ``is None`` test.
-        self.obs: Optional[obs_bus.Bus] = None
+        self.obs: Optional[Bus] = None
         #: Optional hook called as ``on_step(time, priority, seq)`` for every
         #: popped event, in pop order.  The argument triple *is* the heap
         #: tie-break key — the determinism regression test hashes it.

@@ -9,6 +9,7 @@ pinned whether the job runs sequentially or under ``shards=N``
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Optional
 
 from repro.bench.series import Series
@@ -24,10 +25,15 @@ class ClusterWorkload(Workload):
     default_machine = "fat-tree-32-r2-l2"
 
     def __init__(self, name: str):
+        self.name = name
+
+    @cached_property
+    def defaults(self) -> dict:
+        # Read on first use: registering the entry must not import the
+        # shard executor (DESIGN.md §15, import boundaries).
         from repro.shard.workloads import resolve_workload
 
-        self.name = name
-        self.defaults = resolve_workload(name).defaults
+        return resolve_workload(self.name).defaults
 
     def _execute(self, spec: Optional[MachineSpec], shards, **params) -> ExecOutcome:
         from repro.shard import ClusterJob

@@ -3,7 +3,10 @@
 This module builds the series; the measurement layers —
 :mod:`repro.bench.p2p`, :mod:`repro.bench.coll`, :mod:`repro.bench.apps`,
 :mod:`repro.bench.multipath` — own the methodology and launch ranks
-through the :mod:`repro.workload.runner` choke point.  Run an exhibit as
+through the :mod:`repro.workload.runner` choke point.  Only ``p2p`` is
+imported here; the others load inside the exhibits that call them, so
+that looking an exhibit up loads neither NCCL nor the apps (DESIGN.md
+§15, import boundaries).  Run an exhibit as
 ``get("fig4").run(grids=...).series``; :data:`EXHIBIT_WORKLOADS` lists
 the paper's exhibits in paper order.  Outputs are pinned entry-for-entry
 against the pre-refactor seed (``tests/workload/fixtures/seed_outputs.json``).
@@ -18,9 +21,6 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.bench import apps as app_bench
-from repro.bench import coll as coll_bench
-from repro.bench import multipath
 from repro.bench import p2p as p2p_bench
 from repro.bench.series import Series
 from repro.hw.params import ONE_NODE, PAPER_TESTBED
@@ -163,6 +163,8 @@ class Fig5(ExhibitWorkload):
 # --------------------------------------------------------------------------
 
 def _allreduce_series(exhibit: str, config, nprocs: int, grids: Sequence[int]) -> Series:
+    from repro.bench import coll as coll_bench
+
     s = Series(
         exhibit,
         f"Allreduce kernel+communication time, {nprocs} GH200 ({config.n_nodes} node(s))",
@@ -213,6 +215,8 @@ class Table1(ExhibitWorkload):
     name = "table1"
 
     def _series(self, machine) -> Series:
+        from repro.bench import coll as coll_bench
+
         config = machine if machine is not None else ONE_NODE
         o = coll_bench.measure_overheads(config=config)
         s = Series(
@@ -235,6 +239,8 @@ class Table1(ExhibitWorkload):
 
 def _jacobi_series(exhibit: str, config, nprocs: int, multipliers: Sequence[int],
                    iters: int, base_tile: int) -> Series:
+    from repro.bench import apps as app_bench
+
     s = Series(
         exhibit,
         f"Jacobi solver GFLOP/s, {nprocs} GH200 ({config.n_nodes} node(s))",
@@ -276,6 +282,8 @@ class Fig9(ExhibitWorkload):
 
 
 def _dl_series(exhibit: str, config, nprocs: int, grids: Sequence[int]) -> Series:
+    from repro.bench import apps as app_bench
+
     s = Series(
         exhibit,
         f"Deep-learning kernel (BCE + gradient allreduce) per-step time, {nprocs} GH200",
@@ -377,6 +385,8 @@ class Striping(Workload):
     defaults = {"sizes": (64 * MiB,)}
 
     def _execute(self, machine, shards, sizes: Sequence[int]) -> ExecOutcome:
+        from repro.bench import multipath
+
         s = Series(
             "Striping",
             "single-path vs link-disjoint striped goodput, D2D gpu0->gpu1",
@@ -406,6 +416,8 @@ class FaultReroute(Workload):
     default_machine = ONE_NODE
 
     def _execute(self, machine, shards) -> ExecOutcome:
+        from repro.bench import multipath
+
         r = multipath.measure_fault_reroute(config=machine)
         s = Series("fault-reroute", "chunked D2D pipeline, nvl0->1 lost mid-run",
                    ["run", "elapsed_us"])
@@ -425,6 +437,8 @@ class Congestion(Workload):
     default_machine = ONE_NODE
 
     def _execute(self, machine, shards) -> ExecOutcome:
+        from repro.bench import multipath
+
         s = Series("congestion", "concurrent same-pair D2D puts",
                    ["policy", "goodput_GBps"])
         extra, elapsed = {}, {}
@@ -453,6 +467,8 @@ class Jacobi(Workload):
 
     def _execute(self, machine, shards, multiplier, variant, copy_mode,
                  iters, base_tile, nprocs) -> ExecOutcome:
+        from repro.bench import apps as app_bench
+
         gflops = app_bench.measure_jacobi_gflops(
             multiplier, variant, machine, nprocs, base_tile, iters, copy_mode,
         )
@@ -472,6 +488,8 @@ class Dl(Workload):
 
     def _execute(self, machine, shards, grid, variant, steps,
                  partitions, nprocs) -> ExecOutcome:
+        from repro.bench import apps as app_bench
+
         step_s = app_bench.measure_dl_step_time(
             grid, variant, machine, nprocs, steps, partitions,
         )

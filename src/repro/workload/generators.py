@@ -57,6 +57,7 @@ def parse_nccl_log(text: str, source: str = "<nccl-log>",
     # occurrence: every rank's k-th Broadcast line with root R belongs to
     # the same logical collective, mirroring the per-rank log order.
     bcast_seen: Dict[Tuple[int, int], int] = {}
+    bcast_recvs: Dict[str, int] = {}  # tag -> non-root lines logging it
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -81,6 +82,8 @@ def parse_nccl_log(text: str, source: str = "<nccl-log>",
         fields: Dict[str, object] = {}
         for token in tokens[2:]:
             key, value = _parse_kv(token, source, lineno)
+            if key in fields:
+                raise ReplayError(f"{source}:{lineno}: key {key!r} given twice")
             if key in _INT_FIELDS:
                 try:
                     fields[key] = int(value)
@@ -143,6 +146,7 @@ def parse_nccl_log(text: str, source: str = "<nccl-log>",
                     "group": targets,
                 }))
             else:
+                bcast_recvs[tag] = bcast_recvs.get(tag, 0) + 1
                 steps.append(Step(rank, "recv", lineno, {
                     "peer": root, "bytes": fields["bytes"], "tag": tag,
                 }))
@@ -157,6 +161,14 @@ def parse_nccl_log(text: str, source: str = "<nccl-log>",
             expanded.append(s)
             continue
         members = s.fields["group"]
+        logged = bcast_recvs.get(s.fields["tag"], 0)
+        if members is None and logged < ranks - 1:
+            # Checked before fanning out: one stray high rank must not
+            # make the root allocate a send to every rank below it.
+            raise ReplayError(
+                f"{source}:{s.line}: Broadcast root={s.rank} reaches {ranks - 1} "
+                f"rank(s) but only {logged} log a matching Broadcast line"
+            )
         targets = [r for r in (members if members is not None else range(ranks))
                    if r != s.rank]
         for t in targets:

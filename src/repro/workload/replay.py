@@ -759,28 +759,54 @@ def from_chrome(trace: dict, name: str = "chrome-ingest") -> Schedule:
     bridge-claimed cross-shard descriptors never reach the dataplane
     accounting point.
     """
-    events = [
-        ev for ev in trace.get("traceEvents", [])
-        if ev.get("ph") == "i" and ev.get("cat") == "dataplane"
-    ]
-    events.sort(key=lambda ev: ev.get("ts", 0))
-    steps: List[Step] = []
-    max_gpu = -1
-    for i, ev in enumerate(events):
-        args = ev.get("args", {})
-        fields: Dict[str, Any] = {
-            "bytes": args["nbytes"], "class": args.get("cls", DEFAULT_CLASS),
-        }
+    source = f"<{name}>"
+    raw = trace.get("traceEvents") if isinstance(trace, dict) else None
+    if not isinstance(raw, list):
+        raise ReplayError(f"{source}: a Chrome trace is an object with a 'traceEvents' list")
+
+    def bad(index: int, msg: str) -> ReplayError:
+        return ReplayError(f"{source}: traceEvents[{index}]: {msg}")
+
+    def count(index: int, args: dict, key: str, lo: int) -> Optional[int]:
+        value = args.get(key)
+        if value is not None and (not isinstance(value, int) or isinstance(value, bool)
+                                  or value < lo):
+            raise bad(index, f"args.{key} must be an integer >= {lo}, got {value!r}")
+        return value
+
+    events = []
+    for index, ev in enumerate(raw):
+        if not isinstance(ev, dict):
+            raise bad(index, f"expected a JSON object, got {type(ev).__name__}")
+        if ev.get("ph") != "i" or ev.get("cat") != "dataplane":
+            continue
+        ts, args = ev.get("ts", 0), ev.get("args")
+        # ``ts == ts`` rejects NaN, which would make the sort order arbitrary.
+        if not isinstance(ts, (int, float)) or isinstance(ts, bool) or ts != ts:
+            raise bad(index, f"'ts' must be a number, got {ts!r}")
+        if not isinstance(args, dict):
+            raise bad(index, f"'args' must be an object, got {args!r}")
+        nbytes = count(index, args, "nbytes", 1)
+        if nbytes is None:
+            raise bad(index, "args.nbytes is missing")
+        cls = args.get("cls", DEFAULT_CLASS)
+        if cls is not None and not isinstance(cls, str):
+            raise bad(index, f"args.cls must be a string, got {cls!r}")
+        fields: Dict[str, Any] = {"bytes": nbytes, "class": cls}
         for side in ("src", "dst"):
-            gpu, node = args.get(f"{side}_gpu"), args.get(f"{side}_node")
+            gpu = count(index, args, f"{side}_gpu", 0)
+            node = count(index, args, f"{side}_node", 0)
             if gpu is not None:
                 fields[f"{side}_gpu"] = gpu
-                max_gpu = max(max_gpu, gpu)
             else:
                 fields[f"{side}_node"] = node if node is not None else 0
-        rank = fields.get("src_gpu", 0)
-        steps.append(Step(rank=rank, op="xfer", line=i + 2, fields=fields))
+        events.append((ts, fields))
+    events.sort(key=lambda ev: ev[0])
+    steps = [Step(rank=fields.get("src_gpu", 0), op="xfer", line=i + 2, fields=fields)
+             for i, (_, fields) in enumerate(events)]
+    max_gpu = max((f[k] for _, f in events for k in ("src_gpu", "dst_gpu") if k in f),
+                  default=-1)
     ranks = max(max_gpu + 1, 1)
-    sched = Schedule(ranks=ranks, steps=steps, name=name, source=f"<{name}>")
+    sched = Schedule(ranks=ranks, steps=steps, name=name, source=source)
     _validate(sched)
     return sched
