@@ -19,7 +19,7 @@ echo "== cold-start (CLI set-up loads no deferred package, DESIGN.md §15) =="
 # tests/test_import_budget.py covers the library path; this covers the
 # CLI.  Each command runs in a fresh interpreter under -X importtime, and
 # none of the packages that load on first use may appear in its imports.
-deferred='repro\.(shard|nccl|apps|obs|bench\.(apps|coll|multipath)|san\.(report|sanitizer|checks|hb|clocks))\b'
+deferred='repro\.(shard|nccl|pcoll|apps|obs|bench\.(apps|coll|multipath)|san\.(report|sanitizer|checks|hb|clocks))\b'
 for cmd in "list" "topo fat-tree-64"; do
     # shellcheck disable=SC2086
     PYTHONPATH=src python -X importtime -m repro $cmd > /dev/null 2> /tmp/repro_importtime.txt

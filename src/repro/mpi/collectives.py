@@ -1,51 +1,92 @@
 """Traditional (non-partitioned) collectives — the paper's baselines.
 
 These model what a production Open MPI delivers for device buffers today
-and are what Figures 6/7/10/11 compare against:
+and are what Figures 6/7/10/11 compare against.  Apart from the
+dissemination ``barrier`` they walk ``pcoll`` schedules (paper Section
+IV-B) on the host with :func:`_walk`:
 
-* ``barrier`` — dissemination algorithm over 0-byte messages;
-* ``bcast`` — binomial tree;
-* ``allreduce`` — for device buffers, the *host-staged* path: D2H copy,
-  ring reduce-scatter + allgather between host buffers with CPU
-  reductions, then H2D copy.  This serialization (plus the application's
-  preceding ``cudaStreamSynchronize``) is why the paper finds partitioned
-  allreduce "multiple orders of magnitude" faster at the kernel+comm level;
-* ``reduce`` / ``allgather`` — minimal tree/ring forms used by apps.
+* ``bcast`` — the binomial tree, all NOPs;
+* ``reduce`` — the binomial tree run backwards, with CPU reductions;
+* ``allreduce`` — the ring; for device buffers the *host-staged* path:
+  D2H copy, the ring between host buffers, then H2D copy.  This
+  serialization (plus the application's preceding
+  ``cudaStreamSynchronize``) is why the paper finds partitioned allreduce
+  "multiple orders of magnitude" faster at the kernel+comm level.
 
 All are generator functions executed *in the calling rank's process*; every
-rank of the communicator must call them (they communicate, they do not
-consult global state).
+rank of the communicator must call them.  They send on the communicator's
+private context (:meth:`Communicator.coll`), which no user receive matches.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Generator, Optional
+from typing import TYPE_CHECKING, Callable, Generator, Optional
 
 import numpy as np
 
 from repro.hw.memory import Buffer, MemSpace
 from repro.mpi.errors import MpiUsageError
-from repro.mpi.ops import MpiOp
+from repro.mpi.ops import NOP, MpiOp
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.mpi.comm import Communicator
+    from repro.pcoll.schedule import Schedule
 
-#: Tag space reserved for collective traffic (separate from user tags).
-_COLL_TAG = 1 << 20
+#: First tag of each collective on the collective context; step ``i``
+#: is tagged ``base + i``.  The barrier and the trees take at most
+#: ceil(log2 P) < 32 steps and the ring 2(P-1), so the ring comes last
+#: and no two collectives share a tag.
+_BARRIER_TAG = 0
+_BCAST_TAG = 32
+_REDUCE_TAG = 64
+_RING_TAG = 96
 
 
 def _tmp_host(comm: "Communicator", n: int, dtype) -> Buffer:
     return Buffer.alloc(n, dtype, MemSpace.PINNED, node=comm.rt.node)
 
 
+def _walk(
+    comm: "Communicator", sched: "Schedule", chunk: Callable[[int], Buffer],
+    tmp: Optional[Buffer], tag: int, penalty: float,
+) -> Generator:
+    """Run ``sched`` on the host, one blocking exchange per step.
+
+    ``chunk(k)`` is this rank's view of chunk ``k``, as for
+    :func:`~repro.pcoll.ring.ring_step`.  A step sends chunk ``R`` and
+    receives into chunk ``A``, or into ``tmp`` and then reduces that into
+    ``A`` on the CPU (an all-NOP schedule needs no ``tmp``).  Every step
+    that communicates first costs ``penalty``.
+    """
+    coll = comm.coll()
+    reduce_bw = comm.rt.params.cpu_reduce_bw
+    for i, step in enumerate(sched.steps):
+        if not (step.incoming or step.outgoing):
+            continue
+        if penalty:
+            yield penalty
+        reducing = step.op is not NOP
+        into = tmp if reducing else chunk(step.recv_chunk)
+        if step.incoming and step.outgoing:
+            yield from coll.sendrecv(chunk(step.send_chunk), step.outgoing[0], into,
+                                     step.incoming[0], sendtag=tag + i, recvtag=tag + i)
+        elif step.outgoing:
+            yield from coll.send(chunk(step.send_chunk), step.outgoing[0], tag=tag + i)
+        else:
+            yield from coll.recv(into, step.incoming[0], tag=tag + i)
+        if step.incoming and reducing:
+            yield tmp.nbytes / reduce_bw
+            step.op.reduce_into(chunk(step.recv_chunk).data, tmp.data)
+
+
 def barrier(comm: "Communicator") -> Generator:
     """Dissemination barrier: ceil(log2 P) rounds of 0-byte exchanges."""
-    rt = comm.rt
     size, rank = comm.size, comm.rank
     if size == 1:
-        yield rt.params.mpi_call_overhead
+        yield comm.rt.params.mpi_call_overhead
         return
+    coll = comm.coll()
     token = _tmp_host(comm, 1, np.int8)
     rbuf = _tmp_host(comm, 1, np.int8)
     rounds = math.ceil(math.log2(size))
@@ -53,85 +94,20 @@ def barrier(comm: "Communicator") -> Generator:
         dist = 1 << k
         dest = (rank + dist) % size
         src = (rank - dist) % size
-        yield from comm.sendrecv(
-            token, dest, rbuf, src, sendtag=_COLL_TAG + k, recvtag=_COLL_TAG + k
+        yield from coll.sendrecv(
+            token, dest, rbuf, src, sendtag=_BARRIER_TAG + k, recvtag=_BARRIER_TAG + k
         )
 
 
 def bcast(comm: "Communicator", buf: Buffer, root: int = 0) -> Generator:
-    """Binomial-tree broadcast."""
-    size = comm.size
-    if not 0 <= root < size:
-        raise MpiUsageError(f"bcast root {root} out of range")
-    if size == 1:
+    """Binomial-tree broadcast (an all-NOP schedule)."""
+    from repro.pcoll.tree import binomial_bcast_schedule
+
+    sched = binomial_bcast_schedule(comm.rank, comm.size, root)  # checks root
+    if comm.size == 1:
         yield comm.rt.params.mpi_call_overhead
         return
-    # Rotate so the root is virtual rank 0.
-    vrank = (comm.rank - root) % size
-    mask = 1
-    # Receive phase: find our parent.
-    while mask < size:
-        if vrank & mask:
-            parent = ((vrank - mask) % size + root) % size
-            yield from comm.recv(buf, parent, tag=_COLL_TAG + 16)
-            break
-        mask <<= 1
-    # Send phase: forward to children below our lowest set bit.
-    mask >>= 1
-    while mask > 0:
-        if vrank + mask < size:
-            child = ((vrank + mask) % size + root) % size
-            yield from comm.send(buf, child, tag=_COLL_TAG + 16)
-        mask >>= 1
-
-
-def _ring_allreduce_host(
-    comm: "Communicator", work: np.ndarray, op: MpiOp, per_step_penalty: float = 0.0
-) -> Generator:
-    """In-place ring reduce-scatter + allgather on a host array.
-
-    Charges CPU reduction time per step; communication goes through the
-    normal p2p path (host buffers).  ``per_step_penalty`` adds the
-    bounce-buffer chunking cost of the device-staged path.
-    """
-    rt = comm.rt
-    size, rank = comm.size, comm.rank
-    n = len(work)
-    if n % size != 0:
-        raise MpiUsageError(
-            f"host ring allreduce requires count ({n}) divisible by size ({size})"
-        )
-    chunk = n // size
-    wrap = Buffer(work, MemSpace.PINNED, node=rt.node)
-    tmp = _tmp_host(comm, chunk, work.dtype)
-    right = (rank + 1) % size
-    left = (rank - 1) % size
-
-    # Reduce-scatter: after step i, chunk (rank+1) mod P holds partials.
-    for i in range(size - 1):
-        send_idx = (rank - i) % size
-        recv_idx = (rank - i - 1) % size
-        if per_step_penalty:
-            yield per_step_penalty
-        yield from comm.sendrecv(
-            wrap.view(send_idx * chunk, chunk), right, tmp, left,
-            sendtag=_COLL_TAG + 32 + i, recvtag=_COLL_TAG + 32 + i,
-        )
-        # CPU reduction of the received chunk.
-        yield tmp.nbytes / rt.params.cpu_reduce_bw
-        op.reduce_into(work[recv_idx * chunk : (recv_idx + 1) * chunk], tmp.data)
-
-    # Allgather: circulate completed chunks.
-    for i in range(size - 1):
-        send_idx = (rank + 1 - i) % size
-        recv_idx = (rank - i) % size
-        if per_step_penalty:
-            yield per_step_penalty
-        yield from comm.sendrecv(
-            wrap.view(send_idx * chunk, chunk), right,
-            wrap.view(recv_idx * chunk, chunk), left,
-            sendtag=_COLL_TAG + 64 + i, recvtag=_COLL_TAG + 64 + i,
-        )
+    yield from _walk(comm, sched, lambda _k: buf, None, _BCAST_TAG, 0.0)
 
 
 def allreduce(
@@ -139,46 +115,48 @@ def allreduce(
 ) -> Generator:
     """MPI_Allreduce; host-staged when the buffers live in device memory."""
     rt = comm.rt
-    if len(sendbuf.data) != len(recvbuf.data):
+    n = len(sendbuf.data)
+    if n != len(recvbuf.data):
         raise MpiUsageError("allreduce: sendbuf/recvbuf length mismatch")
     if comm.size == 1:
         yield rt.params.mpi_call_overhead
         recvbuf.copy_from(sendbuf)
         return
-    if len(sendbuf.data) % comm.size != 0:
+    if n % comm.size != 0:
         # Ring chunking needs divisibility; small/odd counts (e.g. scalar
         # norms) take the reduce + bcast path instead.
         yield from reduce(comm, sendbuf, recvbuf, op, root=0)
         yield from bcast(comm, recvbuf, root=0)
         return
 
-    device_buffers = not sendbuf.space.host_accessible or not recvbuf.space.host_accessible
-    if device_buffers:
+    from repro.pcoll.ring import ring_allreduce_schedule
+
+    sched = ring_allreduce_schedule(comm.rank, comm.size, op)
+    m = n // comm.size  # elements per ring chunk
+    tmp = _tmp_host(comm, m, sendbuf.data.dtype)
+    staged = not sendbuf.space.host_accessible or not recvbuf.space.host_accessible
+    if staged:
         # Stage to host (D2H), reduce on CPUs, stage back (H2D).  The
         # staging is *blocking and chunked* through a small bounce buffer
         # (per-chunk cudaMemcpy + synchronize), matching the production
         # CUDA-aware path the paper measures against: each ring step pays
         # ceil(step_bytes / bounce) * penalty on top of the wire time.
-        host = _tmp_host(comm, len(sendbuf.data), sendbuf.data.dtype)
+        host = _tmp_host(comm, n, sendbuf.data.dtype)
         bounce = rt.params.allreduce_bounce_bytes
         penalty = rt.params.allreduce_bounce_penalty
         n_chunks = math.ceil(sendbuf.nbytes / bounce)
         yield n_chunks * penalty
-        yield rt.fabric.dataplane.put(
-            sendbuf, host, traffic_class="coll", name="ar_d2h"
-        )
-        step_bytes = sendbuf.nbytes // comm.size
-        step_chunks = max(1, math.ceil(step_bytes / bounce))
-        yield from _ring_allreduce_host(
-            comm, host.data, op, per_step_penalty=step_chunks * penalty
-        )
-        yield n_chunks * penalty
-        yield rt.fabric.dataplane.put(
-            host, recvbuf, traffic_class="coll", name="ar_h2d"
-        )
+        yield rt.fabric.dataplane.put(sendbuf, host, traffic_class="coll", name="ar_d2h")
+        step_penalty = max(1, math.ceil(tmp.nbytes / bounce)) * penalty
     else:
         recvbuf.copy_from(sendbuf)
-        yield from _ring_allreduce_host(comm, recvbuf.data, op)
+        host = Buffer(recvbuf.data, MemSpace.PINNED, node=rt.node)
+        step_penalty = 0.0
+    chunks = [host.view(k * m, m) for k in range(comm.size)]
+    yield from _walk(comm, sched, chunks.__getitem__, tmp, _RING_TAG, step_penalty)
+    if staged:
+        yield n_chunks * penalty
+        yield rt.fabric.dataplane.put(host, recvbuf, traffic_class="coll", name="ar_h2d")
 
 
 def reduce(
@@ -188,67 +166,25 @@ def reduce(
     op: MpiOp,
     root: int = 0,
 ) -> Generator:
-    """Flat binomial reduce to ``root`` (host-staged for device buffers)."""
-    rt = comm.rt
-    size = comm.size
-    vrank = (comm.rank - root) % size
+    """Binomial reduce to ``root`` (host-staged for device buffers)."""
+    from repro.pcoll.tree import binomial_reduce_schedule
 
-    acc = _tmp_host(comm, len(sendbuf.data), sendbuf.data.dtype)
+    sched = binomial_reduce_schedule(comm.rank, comm.size, op, root)  # checks root
+    rt = comm.rt
+    n = len(sendbuf.data)
+    if comm.rank == root and (recvbuf is None or len(recvbuf.data) != n):
+        raise MpiUsageError(f"reduce: root must supply a recvbuf of {n} elements")
+
+    acc = _tmp_host(comm, n, sendbuf.data.dtype)
     if sendbuf.space.host_accessible:
         acc.data[:] = sendbuf.data
     else:
-        yield rt.fabric.dataplane.put(
-            sendbuf, acc, traffic_class="coll", name="red_d2h"
-        )
-
-    mask = 1
-    while mask < size:
-        if vrank & mask:
-            parent = ((vrank & ~mask) + root) % size
-            yield from comm.send(acc, parent, tag=_COLL_TAG + 96)
-            break
-        partner = vrank | mask
-        if partner < size:
-            tmp = _tmp_host(comm, len(sendbuf.data), sendbuf.data.dtype)
-            yield from comm.recv(tmp, ((partner + root) % size), tag=_COLL_TAG + 96)
-            yield tmp.nbytes / rt.params.cpu_reduce_bw
-            op.reduce_into(acc.data, tmp.data)
-        mask <<= 1
+        yield rt.fabric.dataplane.put(sendbuf, acc, traffic_class="coll", name="red_d2h")
+    tmp = _tmp_host(comm, n, sendbuf.data.dtype)
+    yield from _walk(comm, sched, lambda _k: acc, tmp, _REDUCE_TAG, 0.0)
 
     if comm.rank == root:
-        if recvbuf is None:
-            raise MpiUsageError("reduce: root must supply recvbuf")
         if recvbuf.space.host_accessible:
             recvbuf.data[:] = acc.data
         else:
-            yield rt.fabric.dataplane.put(
-                acc, recvbuf, traffic_class="coll", name="red_h2d"
-            )
-
-
-def allgather(comm: "Communicator", sendbuf: Buffer, recvbuf: Buffer) -> Generator:
-    """Ring allgather: recvbuf[rank*chunk : ...] slots, chunk = len(sendbuf)."""
-    rt = comm.rt
-    size, rank = comm.size, comm.rank
-    chunk = len(sendbuf.data)
-    if len(recvbuf.data) != chunk * size:
-        raise MpiUsageError("allgather: recvbuf must hold size * len(sendbuf)")
-    own = recvbuf.view(rank * chunk, chunk)
-    if own.space == sendbuf.space and own.node == sendbuf.node:
-        own.copy_from(sendbuf)
-    else:
-        yield rt.fabric.dataplane.put(
-            sendbuf, own, traffic_class="coll", name="ag_local"
-        )
-    if size == 1:
-        yield rt.params.mpi_call_overhead
-        return
-    right, left = (rank + 1) % size, (rank - 1) % size
-    for i in range(size - 1):
-        send_idx = (rank - i) % size
-        recv_idx = (rank - i - 1) % size
-        yield from comm.sendrecv(
-            recvbuf.view(send_idx * chunk, chunk), right,
-            recvbuf.view(recv_idx * chunk, chunk), left,
-            sendtag=_COLL_TAG + 128 + i, recvtag=_COLL_TAG + 128 + i,
-        )
+            yield rt.fabric.dataplane.put(acc, recvbuf, traffic_class="coll", name="red_h2d")

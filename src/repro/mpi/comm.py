@@ -83,6 +83,7 @@ class Communicator:
             )
         rt.comms[group.comm_id] = self
         self._calls: Dict[str, int] = {}
+        self._coll: Optional["Communicator"] = None
 
     # -- identity ---------------------------------------------------------------
     @property
@@ -97,6 +98,13 @@ class Communicator:
         if not 0 <= comm_rank < self.size:
             raise MpiUsageError(f"rank {comm_rank} out of range (size {self.size})")
         return self.group.world_ranks[comm_rank]
+
+    def coll(self) -> "Communicator":
+        """The collectives' private context: same group, id ``~comm_id``, so
+        no receive posted here (not even ``ANY_SOURCE``) matches their traffic."""
+        if self._coll is None:
+            self._coll = Communicator(CommGroup(~self.comm_id, self.group.world_ranks), self.rt)
+        return self._coll
 
     def next_call(self, kind: str) -> int:
         """Number this rank's next collective call of ``kind`` (0, 1, ...)."""
@@ -172,9 +180,6 @@ class Communicator:
 
     def reduce(self, sendbuf: Buffer, recvbuf: Optional[Buffer], op: MpiOp = SUM, root: int = 0) -> Generator:
         return collectives.reduce(self, sendbuf, recvbuf, op, root)
-
-    def allgather(self, sendbuf: Buffer, recvbuf: Buffer) -> Generator:
-        return collectives.allgather(self, sendbuf, recvbuf)
 
     # -- MPI Partitioned (the paper's contribution) --------------------------------------
     def psend_init(self, buf: Buffer, partitions: int, dest: int, tag: int = 0) -> Generator:

@@ -14,11 +14,15 @@ Provided schedules:
 * :func:`~repro.pcoll.tree.binomial_bcast_schedule` — a computation-free
   (all-NOP) broadcast tree.
 
+The traditional host collectives (:mod:`repro.mpi.collectives`) and the
+replay lowering walk the same schedules.
+
 API entry points (through :class:`~repro.mpi.comm.Communicator`):
 ``pallreduce_init`` and ``pbcast_init`` return a
 :class:`~repro.pcoll.request.PcollRequest` with the familiar partitioned
 control flow: ``start`` -> ``pbuf_prepare`` -> ``pready(u)`` (host or via a
-device MPIX_Prequest) -> ``wait``.
+device MPIX_Prequest) -> ``wait``.  The package exports only the schedule
+vocabulary: the request classes load with :mod:`repro.pcoll.api`.
 """
 
 from repro.pcoll.schedule import Schedule, Step
@@ -29,12 +33,8 @@ from repro.pcoll.tree import (
     binomial_reduce_schedule,
     flat_reduce_schedule,
 )
-from repro.pcoll.request import PcollRequest
-from repro.pcoll.fused import FusedPallreduce
 
 __all__ = [
-    "FusedPallreduce",
-    "PcollRequest",
     "Schedule",
     "Step",
     "binomial_bcast_schedule",

@@ -33,9 +33,10 @@ Step vocabulary (all sizes in bytes, times in microseconds):
     matched ``recv`` completes when every chunk has landed.
 ``allreduce`` / ``barrier``
     Collective over ``group`` (default: all ranks); every member must
-    list the same collective sequence.  Lowered to the ring
-    reduce-scatter + allgather schedule (2·(n−1) rounds of
-    ``ceil(bytes/n)`` chunks).  ``barrier`` is an 8-byte allreduce under
+    list the same collective sequence.  Lowered to the 2·(n−1) ring
+    reduce-scatter + allgather rounds of
+    :func:`~repro.pcoll.ring.ring_allreduce_schedule`, each moving
+    ``ceil(bytes/n)`` bytes.  ``barrier`` is an 8-byte allreduce under
     traffic class ``replay-barrier``.
 ``xfer``
     A raw endpoint-addressed transfer (``src_gpu``/``src_node`` →
@@ -434,6 +435,8 @@ def _validate(sched: Schedule) -> None:
 
 def lower(sched: Schedule) -> Dict[int, List[tuple]]:
     """Lower the schedule to per-rank micro-op lists (rank r -> GPU r)."""
+    from repro.pcoll.ring import ring_allreduce_schedule
+
     ops: Dict[int, List[tuple]] = {}  # only the ranks that steps name
     send_occ: Dict[Tuple[int, int, Any], int] = {}
     recv_occ: Dict[Tuple[int, int, Any], int] = {}
@@ -508,11 +511,10 @@ def lower(sched: Schedule) -> Dict[int, List[tuple]]:
             else:
                 nbytes = s["bytes"]
             n = len(members)
-            me = members.index(s.rank)
-            right = members[(me + 1) % n]
-            left = members[(me - 1) % n]
             chunk = max((nbytes + n - 1) // n, 1)
-            for rnd in range(2 * (n - 1)):
+            ring = ring_allreduce_schedule(members.index(s.rank), n).steps
+            for rnd, step in enumerate(ring):
+                right, left = members[step.outgoing[0]], members[step.incoming[0]]
                 out.append(("send", right, chunk, cls, ("c", gid, occ, rnd, s.rank)))
                 out.append(("wait", left, ("c", gid, occ, rnd, left)))
         elif s.op == "xfer":

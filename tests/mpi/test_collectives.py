@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.hw.params import ONE_NODE, PAPER_TESTBED
+from repro.mpi.comm import ANY_SOURCE, ANY_TAG
 from repro.mpi.errors import MpiUsageError
 from repro.mpi.ops import MAX, MIN, PROD, SUM
 from repro.mpi.world import World
@@ -32,8 +33,26 @@ def test_barrier_single_rank():
     assert World(ONE_NODE).run(main, nprocs=1) == [True]
 
 
-@pytest.mark.parametrize("root", [0, 1, 3])
-def test_bcast_from_any_root(root):
+#: Sizes that are not a power of two: the trees are incomplete.
+ODD_SIZES = (3, 5, 6)
+
+
+def _world(nprocs):
+    """One node up to four ranks, two beyond."""
+    return World(ONE_NODE if nprocs <= 4 else PAPER_TESTBED)
+
+
+def _roots(four_roots):
+    """``(nprocs, root)`` cases: the 4-rank roots under their plain ids,
+    then the first, second and last root of every odd size."""
+    return [pytest.param(4, root, id=str(root)) for root in four_roots] + [
+        pytest.param(p, root, id=f"P{p}-{root}")
+        for p in ODD_SIZES for root in (0, 1, p - 1)
+    ]
+
+
+@pytest.mark.parametrize("nprocs,root", _roots([0, 1, 3]))
+def test_bcast_from_any_root(nprocs, root):
     def main(ctx):
         buf = ctx.gpu.alloc_pinned(32, fill=float(ctx.rank * 100))
         if ctx.rank == root:
@@ -41,7 +60,7 @@ def test_bcast_from_any_root(root):
         yield from ctx.comm.bcast(buf, root=root)
         assert np.all(buf.data == 77.0)
 
-    World(ONE_NODE).run(main, nprocs=4)
+    _world(nprocs).run(main, nprocs=nprocs)
 
 
 def test_bcast_bad_root():
@@ -53,20 +72,53 @@ def test_bcast_bad_root():
     assert all(World(ONE_NODE).run(main, nprocs=2))
 
 
-@pytest.mark.parametrize("op,expected", [
-    (SUM, 1.0 + 2.0 + 3.0 + 4.0),
-    (PROD, 24.0),
-    (MAX, 4.0),
-    (MIN, 1.0),
-])
-def test_allreduce_ops_host(op, expected):
+@pytest.mark.parametrize("coll", ["bcast", "reduce"])
+@pytest.mark.parametrize("root", [-1, 4], ids=["minus-one", "size"])
+def test_bad_root_raises_on_every_rank(coll, root):
     def main(ctx):
-        sbuf = ctx.gpu.alloc_pinned(128, fill=float(ctx.rank + 1))
-        rbuf = ctx.gpu.alloc_pinned(128)
-        yield from ctx.comm.allreduce(sbuf, rbuf, op)
-        assert np.all(rbuf.data == expected)
+        buf = ctx.gpu.alloc_pinned(4, fill=1.0)
+        with pytest.raises(MpiUsageError):
+            if coll == "bcast":
+                yield from ctx.comm.bcast(buf, root=root)
+            else:
+                yield from ctx.comm.reduce(buf, ctx.gpu.alloc_pinned(4), SUM, root=root)
+        return True
 
-    World(ONE_NODE).run(main, nprocs=4)
+    assert World(ONE_NODE).run(main, nprocs=4) == [True] * 4
+
+
+@pytest.mark.parametrize("recv_len", [None, 3], ids=["missing", "short"])
+def test_reduce_checks_root_recvbuf_before_communicating(recv_len):
+    # Only the root calls: if it communicated first it would wait forever
+    # for its child's contribution.
+    def main(ctx):
+        if ctx.rank == 0:
+            recvbuf = None if recv_len is None else ctx.gpu.alloc_pinned(recv_len)
+            with pytest.raises(MpiUsageError):
+                yield from ctx.comm.reduce(ctx.gpu.alloc_pinned(4), recvbuf, SUM, root=0)
+        return True
+
+    assert World(ONE_NODE).run(main, nprocs=2) == [True, True]
+
+
+#: (op, its numpy reduction); rank r contributes r + 1.
+OPS = [(SUM, np.sum), (PROD, np.prod), (MAX, np.max), (MIN, np.min)]
+
+
+@pytest.mark.parametrize("nprocs,op,ref", [
+    pytest.param(4, op, ref, id=f"op{i}-{ref(np.arange(1.0, 5.0))}")
+    for i, (op, ref) in enumerate(OPS)
+] + [
+    pytest.param(p, op, ref, id=f"P{p}-{op.name}") for p in ODD_SIZES for op, ref in OPS
+])
+def test_allreduce_ops_host(nprocs, op, ref):
+    def main(ctx):
+        sbuf = ctx.gpu.alloc_pinned(120, fill=float(ctx.rank + 1))  # 120 = 0 mod P
+        rbuf = ctx.gpu.alloc_pinned(120)
+        yield from ctx.comm.allreduce(sbuf, rbuf, op)
+        assert np.all(rbuf.data == ref(np.arange(1.0, nprocs + 1)))
+
+    _world(nprocs).run(main, nprocs=nprocs)
 
 
 def test_allreduce_device_buffers_correct():
@@ -78,6 +130,45 @@ def test_allreduce_device_buffers_correct():
         return ctx.now
 
     World(ONE_NODE).run(main, nprocs=4)
+
+
+def test_allreduce_indivisible_count_takes_reduce_bcast_path():
+    # 7 elements over 3 ranks: no ring; reduce to 0, then bcast, on
+    # device buffers.
+    def main(ctx):
+        sbuf = ctx.gpu.alloc(7)
+        sbuf.data[:] = np.arange(7.0) * (ctx.rank + 1)
+        rbuf = ctx.gpu.alloc(7)
+        yield from ctx.comm.allreduce(sbuf, rbuf, SUM)
+        assert np.array_equal(rbuf.data, np.arange(7.0) * 6.0)
+        return True
+
+    assert World(ONE_NODE).run(main, nprocs=3) == [True] * 3
+
+
+@pytest.mark.parametrize("source,tag", [(ANY_SOURCE, ANY_TAG), (0, (1 << 20) + 32)],
+                         ids=["wildcard", "user-tag"])
+def test_user_receive_does_not_match_collective_traffic(source, tag):
+    # MPI keeps collective and point-to-point traffic apart: a receive
+    # the application posted before a collective matches only the
+    # application's own later send.
+    def main(ctx):
+        got = ctx.gpu.alloc_pinned(8)
+        if ctx.rank == 1:
+            req = yield from ctx.comm.irecv(got, source, tag)
+        sbuf = ctx.gpu.alloc_pinned(8, fill=float(ctx.rank + 1))
+        rbuf = ctx.gpu.alloc_pinned(8)
+        yield from ctx.comm.allreduce(sbuf, rbuf, SUM)
+        yield from ctx.comm.barrier()
+        if ctx.rank == 0:
+            yield from ctx.comm.send(ctx.gpu.alloc_pinned(8, fill=5.0), 1,
+                                     tag=0 if tag == ANY_TAG else tag)
+        else:
+            yield from req.wait()
+            assert np.all(got.data == 5.0)
+        return float(rbuf.data[0])
+
+    assert World(ONE_NODE).run(main, nprocs=2) == [3.0, 3.0]
 
 
 def test_allreduce_device_pays_bounce_penalty():
@@ -117,28 +208,16 @@ def test_allreduce_single_rank_copies():
     World(ONE_NODE).run(main, nprocs=1)
 
 
-@pytest.mark.parametrize("root", [0, 2])
-def test_reduce_to_root(root):
+@pytest.mark.parametrize("nprocs,root", _roots([0, 2]))
+def test_reduce_to_root(nprocs, root):
     def main(ctx):
         sbuf = ctx.gpu.alloc_pinned(64, fill=float(ctx.rank + 1))
         rbuf = ctx.gpu.alloc_pinned(64) if ctx.rank == root else None
         yield from ctx.comm.reduce(sbuf, rbuf, SUM, root=root)
         if ctx.rank == root:
-            assert np.all(rbuf.data == 10.0)
+            assert np.all(rbuf.data == nprocs * (nprocs + 1) / 2)
 
-    World(ONE_NODE).run(main, nprocs=4)
-
-
-def test_allgather():
-    def main(ctx):
-        chunk = 16
-        sbuf = ctx.gpu.alloc_pinned(chunk, fill=float(ctx.rank))
-        rbuf = ctx.gpu.alloc_pinned(chunk * ctx.size)
-        yield from ctx.comm.allgather(sbuf, rbuf)
-        for r in range(ctx.size):
-            assert np.all(rbuf.data[r * chunk:(r + 1) * chunk] == float(r))
-
-    World(ONE_NODE).run(main, nprocs=4)
+    _world(nprocs).run(main, nprocs=nprocs)
 
 
 def test_allreduce_eight_ranks_two_nodes():

@@ -3,7 +3,8 @@
 Each check runs in a fresh interpreter, since the suite's own process has
 long since imported everything.  The deferred modules load on first use:
 the shard executor when a cluster workload runs, NCCL and the apps inside
-the exhibits that measure them, the sanitizer's analysis when a
+the exhibits that measure them, the collective schedules (``repro.pcoll``)
+when a rank first runs a collective, the sanitizer's analysis when a
 ``Sanitizer`` is built, the instrumentation bus when a run attaches one.
 """
 
@@ -19,6 +20,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 DEFERRED = (
     "repro.shard",
     "repro.nccl",
+    "repro.pcoll",
     "repro.apps",
     "repro.bench.apps",
     "repro.bench.coll",
