@@ -1,25 +1,11 @@
-"""Shared helpers for the exhibit benchmarks.
+"""Shared helpers for the benchmarks.
 
-Each benchmark regenerates one of the paper's tables/figures through the
-simulation, prints the paper-style series, and asserts the paper's *shape*
-claims (orderings, approximate factors, crossover locations).  Absolute
-times are simulated, so pytest-benchmark's wall-clock statistics measure
-harness cost only; the scientific payload is the printed series and the
-assertions.
+``test_claims.py`` regenerates the paper's tables and figures through the
+simulation and asserts the paper's *shape* claims (orderings, approximate
+factors, crossover locations); the ablation files sweep the design knobs
+the paper fixes.  Absolute times are simulated, so pytest-benchmark's
+wall-clock statistics measure harness cost only.
 """
-
-import pytest
-
-from repro.bench.series import Series, render
-from repro.workload.registry import get
-
-
-def run_exhibit(benchmark, name: str, **params) -> Series:
-    """Run one registered workload under pytest-benchmark and print its series."""
-    series = benchmark.pedantic(get(name).run, kwargs=params, rounds=1, iterations=1).series
-    print()
-    print(render(series))
-    return series
 
 
 def within(value: float, lo: float, hi: float, what: str) -> None:

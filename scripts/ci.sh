@@ -46,30 +46,13 @@ PYTHONPATH=src python -O -m pytest -x -q tests/bench/test_allreduce_check.py
 echo "== benchmark smoke (one small-grid point per paper figure) =="
 PYTHONPATH=src python -m pytest -x -q -m smoke
 
-echo "== fig3 (device MPIX_Pready aggregation: thread vs warp vs block) =="
-# Gates the one device pready binding against the paper's Fig 3: at a
-# 1024-thread block, thread/block within 240-300x (paper 271.5x) and
-# warp/block within 8-11x (paper 9.4x).
-PYTHONPATH=src python -m pytest -x -q benchmarks/test_fig3_aggregation.py
-
-echo "== fused ablation (relaxed device Pready: fused vs host-progressed vs NCCL) =="
-# benchmarks/ sits outside the tier-1 suite; this one bench gates the
-# fused collective below 0.8x the host-progressed time and within
-# 0.7-1.15x NCCL's.
-PYTHONPATH=src python -m pytest -x -q benchmarks/test_ablation_fused_collective.py
-
-echo "== fig6 (allreduce on one node: traditional > partitioned > NCCL) =="
-# Gates NCCL's in-kernel ring against the paper: the three allreduces keep
-# their order at every grid, with a 100-500 us partitioned-NCCL gap at a
-# 1K grid (paper ~226 us).
-PYTHONPATH=src python -m pytest -x -q benchmarks/test_fig6_allreduce_1node.py
-
-echo "== fig8 + fig9 (Jacobi on one and two nodes: partitioned beats traditional) =="
-# Gates the paper's Jacobi speedups (Fig 8 one node, Fig 9 two nodes).
-# Fig 9 also drives the traditional rendezvous across nodes: the IB
-# handshake and the D2H bounce that the one-node path never reaches.
-PYTHONPATH=src python -m pytest -x -q benchmarks/test_fig8_jacobi_1node.py \
-    benchmarks/test_fig9_jacobi_2node.py
+echo "== benchmarks (every paper claim and the three ablations) =="
+# benchmarks/ sits outside the tier-1 suite.  test_claims.py runs each
+# exhibit (and striping) once at its bench point and checks every paper
+# claim against it as its own test; the ablation files gate the transport
+# partitions, poll latency, bounce chunking, allreduce algorithm and the
+# fused collective.
+PYTHONPATH=src python -m pytest -x -q benchmarks
 
 echo "== bench smoke (every suite row vs its recorded baseline row) =="
 # --against auto gates against the newest checked-in BENCH_pr*.json

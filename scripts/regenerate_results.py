@@ -1,50 +1,35 @@
 #!/usr/bin/env python3
 """Regenerate every paper exhibit and write RESULTS.md.
 
-    python scripts/regenerate_results.py [--fast]
+    PYTHONPATH=src python scripts/regenerate_results.py
 
-``--fast`` decimates the sweeps further (CI-friendly, ~1 minute); the
-default takes a few minutes and matches the benchmarks' resolution.
+Runs each exhibit of ``EXHIBIT_WORKLOADS``, in paper order, at the
+``full`` point it declares (``repro.workload.exhibits``), prints each
+series with its heap-traffic counters, and writes the series to
+RESULTS.md in the working directory (a few minutes).
 """
 
-import sys
 import time
 
 from repro.bench import render
 from repro.sim.engine import STATS
-from repro.workload.registry import get
-
-FAST = "--fast" in sys.argv
-
-PLANS = {
-    "fig2": {},
-    "fig3": {"threads": (1, 32, 1024)} if FAST else {},
-    "fig4": {"grids": (1, 16, 256, 2048, 32768)},
-    "fig5": {"grids": (1, 16, 256, 8192, 131072)},
-    "fig6": {"grids": (1024, 4096) if FAST else (1024, 4096, 16384, 32768)},
-    "fig7": {"grids": (1024,) if FAST else (1024, 4096, 16384)},
-    "table1": {},
-    "fig8": {"multipliers": (1, 4) if FAST else (1, 4, 16), "iters": 60 if FAST else 120},
-    "fig9": {"multipliers": (1, 4) if FAST else (1, 4, 16), "iters": 60 if FAST else 120},
-    "fig10": {"grids": (256, 1024) if FAST else (256, 1024, 4096)},
-    "fig11": {"grids": (256, 1024) if FAST else (256, 1024, 4096)},
-}
+from repro.workload.exhibits import EXHIBIT_WORKLOADS
 
 
 def main() -> None:
     blocks = ["# Regenerated exhibits", "",
               "Produced by `python scripts/regenerate_results.py`.", ""]
-    for name, kwargs in PLANS.items():
+    for wl in EXHIBIT_WORKLOADS:
         STATS.reset()
         t0 = time.time()
-        series = get(name).run(**kwargs).series
+        series = wl.run(**wl.points["full"]).series
         wall = time.time() - t0
         text = render(series)
         print(text)
         # Heap-traffic counters are deterministic: future PRs can spot
         # DES-level regressions here without a profiler.
         print(
-            f"  [{name} regenerated in {wall:.1f}s wall, "
+            f"  [{wl.name} regenerated in {wall:.1f}s wall, "
             f"{STATS.events_popped} events popped, "
             f"{STATS.events_coalesced} coalesced]\n"
         )

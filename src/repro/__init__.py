@@ -11,7 +11,6 @@ measured results.
 """
 
 from repro.hw.params import ONE_NODE, PAPER_TESTBED, GH200Params
-from repro.mpi.world import RankCtx, World
 
 __version__ = "1.0.0"
 
@@ -23,3 +22,14 @@ __all__ = [
     "World",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    # ``World`` and ``RankCtx`` resolve on first access (PEP 562), so that
+    # importing one subpackage does not load the whole MPI stack
+    # (DESIGN.md §15, import boundaries).
+    if name not in ("RankCtx", "World"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from repro.mpi import world
+
+    return getattr(world, name)

@@ -3,7 +3,6 @@
     python -m repro list                 # show available exhibits
     python -m repro fig4                 # regenerate one exhibit
     python -m repro fig4 --grids 1,256   # custom sweep
-    python -m repro all [--fast]         # everything -> RESULTS.md
     python -m repro san <script>         # sanitize a run (see repro.san)
     python -m repro san --list-checks
     python -m repro analyze [--sarif out.sarif]   # static analysis (repro.analyze)
@@ -19,6 +18,8 @@
     python -m repro replay --gen-llm dp=2,tp=4,pp=2 --out sched.jsonl
     python -m repro fault faults.jsonl --workload halo \
         --machine fat-tree-512           # run a workload under link faults
+
+Every exhibit at once, into RESULTS.md: ``scripts/regenerate_results.py``.
 """
 
 from __future__ import annotations
@@ -44,6 +45,14 @@ _SUBCOMMANDS = {
 }
 
 
+def _positive_ints(text: str) -> tuple:
+    """``--grids``/``--multipliers`` value: comma-separated positive integers."""
+    items = text.split(",")
+    if not all(item.isdecimal() and int(item) > 0 for item in items):
+        raise argparse.ArgumentTypeError(f"want positive integers like 1,256, got {text!r}")
+    return tuple(int(item) for item in items)
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     if argv and argv[0] in _SUBCOMMANDS:
@@ -56,10 +65,11 @@ def main(argv=None) -> int:
         prog="python -m repro",
         description="Regenerate exhibits of the GPU-initiated MPI Partitioned paper.",
     )
-    parser.add_argument("exhibit", help="'list', 'all', or one of: " + ", ".join(exhibits))
-    parser.add_argument("--grids", help="comma-separated grid sizes (p2p/coll/dl exhibits)")
-    parser.add_argument("--multipliers", help="comma-separated multipliers (Jacobi exhibits)")
-    parser.add_argument("--fast", action="store_true", help="decimate 'all' sweeps")
+    parser.add_argument("exhibit", help="'list', or one of: " + ", ".join(exhibits))
+    parser.add_argument("--grids", type=_positive_ints,
+                        help="comma-separated grid sizes (p2p/coll/dl exhibits)")
+    parser.add_argument("--multipliers", type=_positive_ints,
+                        help="comma-separated multipliers (Jacobi exhibits)")
     args = parser.parse_args(argv)
 
     if args.exhibit == "list":
@@ -67,21 +77,15 @@ def main(argv=None) -> int:
             print(f"{name:8s} {wl.__doc__.strip().splitlines()[0]}")
         return 0
 
-    if args.exhibit == "all":
-        from scripts import regenerate_results  # pragma: no cover - thin wrapper
-
-        sys.argv = ["regenerate_results"] + (["--fast"] if args.fast else [])
-        regenerate_results.main()
-        return 0
-
     wl = exhibits.get(args.exhibit)
     if wl is None:
         parser.error(f"unknown exhibit {args.exhibit!r}; try 'list'")
-    kwargs = {}
-    if args.grids:
-        kwargs["grids"] = tuple(int(g) for g in args.grids.split(","))
-    if args.multipliers:
-        kwargs["multipliers"] = tuple(int(m) for m in args.multipliers.split(","))
+    # Each option is named after the exhibit parameter it sets.
+    kwargs = {flag: value for flag, value in vars(args).items()
+              if flag != "exhibit" and value is not None}
+    for flag in sorted(kwargs.keys() - wl.defaults.keys()):
+        parser.error(f"{wl.name} takes no --{flag} "
+                     f"(its parameters: {', '.join(wl.defaults) or 'none'})")
     print(render(wl.run(**kwargs).series))
     return 0
 

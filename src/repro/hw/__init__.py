@@ -12,13 +12,10 @@ from repro.hw.params import GH200Params
 from repro.hw.memory import Buffer, MemSpace
 from repro.hw.links import Link
 from repro.hw.spec import MachineSpec, gh200_spec, named_spec
-from repro.hw.topology import Fabric, GpuId
 
 __all__ = [
     "Buffer",
-    "Fabric",
     "GH200Params",
-    "GpuId",
     "Link",
     "MachineSpec",
     "MemSpace",

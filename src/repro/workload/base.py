@@ -165,8 +165,13 @@ class Workload:
     name: str = ""
     default_machine: Optional[Union[str, MachineSpec]] = None
     #: Default parameters, merged under explicit ``run(**params)``;
-    #: also the parameter half of :meth:`fingerprint`.
+    #: also the parameter half of :meth:`fingerprint`.  Its keys are the
+    #: only parameters ``run`` accepts.
     defaults: Dict[str, Any] = {}
+    #: Paper exhibits only: ``{"smoke" | "bench" | "full": params}``, the
+    #: one declaration of the points their smoke test, claims and
+    #: RESULTS.md run at.
+    points: Dict[str, Dict[str, Any]]
     #: Whether ``shards=N`` (the multiprocessing executor) is meaningful.
     supports_shards: bool = False
 
@@ -210,6 +215,10 @@ class Workload:
         the fabric stays immutable and the run's outputs bit-identical to
         a build without the fault layer.
         """
+        unknown = sorted(params.keys() - self.defaults.keys())
+        if unknown:
+            raise WorkloadError(f"workload {self.name!r} has no parameter {', '.join(unknown)}; "
+                                f"known: {', '.join(self.defaults) or 'none'}")
         resolved = self.resolve_machine(machine)
         if shards is not None and not self.supports_shards:
             raise WorkloadError(

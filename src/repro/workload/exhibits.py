@@ -11,6 +11,11 @@ that looking an exhibit up loads neither NCCL nor the apps (DESIGN.md
 the paper's exhibits in paper order.  Outputs are pinned entry-for-entry
 against the pre-refactor seed (``tests/workload/fixtures/seed_outputs.json``).
 
+Each exhibit (and ``striping``) declares its ``points`` once: the
+parameters of its ``smoke`` run (``tests/bench/test_smoke.py``), of its
+``bench`` run (the paper claims in ``benchmarks/test_claims.py``) and of
+its ``full`` run (``scripts/regenerate_results.py`` -> RESULTS.md).
+
 Exhibits whose figure spans several canonical machines (fig4 intra-node
 vs fig5 inter-node, fig6 one-node vs fig7 two-node) honour a ``machine``
 override by running *all* their measurements on it; with no override
@@ -26,7 +31,7 @@ from repro.bench.series import Series
 from repro.hw.params import ONE_NODE, PAPER_TESTBED
 from repro.hw.spec.schema import MachineSpec
 from repro.partitioned.aggregation import SignalMode
-from repro.units import us, GBps, MiB, fmt_bytes
+from repro.units import us, GBps, KiB, MiB, fmt_bytes
 from repro.workload.base import ExecOutcome, Workload
 from repro.workload.registry import register
 from repro.workload.runner import run_ranks
@@ -58,6 +63,7 @@ class Fig2(ExhibitWorkload):
 
     name = "fig2"
     defaults = {"grids": FIG2_GRIDS}
+    points = {"smoke": {"grids": (4,)}, "bench": {}, "full": {}}
 
     def _series(self, machine, grids: Sequence[int]) -> Series:
         config = machine if machine is not None else ONE_NODE
@@ -85,6 +91,7 @@ class Fig3(ExhibitWorkload):
 
     name = "fig3"
     defaults = {"threads": FIG3_THREADS}
+    points = {"smoke": {"threads": (32,)}, "bench": {}, "full": {}}
 
     def _series(self, machine, threads: Sequence[int]) -> Series:
         config = machine if machine is not None else ONE_NODE
@@ -117,6 +124,8 @@ class Fig4(ExhibitWorkload):
 
     name = "fig4"
     defaults = {"grids": FIG45_GRIDS}
+    points = {"smoke": {"grids": (16,)}, "bench": {"grids": (1, 16, 256, 2048, 32768)},
+              "full": {"grids": (1, 16, 256, 2048, 32768)}}
 
     def _series(self, machine, grids: Sequence[int]) -> Series:
         config = machine if machine is not None else ONE_NODE
@@ -142,6 +151,8 @@ class Fig5(ExhibitWorkload):
 
     name = "fig5"
     defaults = {"grids": FIG45_GRIDS}
+    points = {"smoke": {"grids": (16,)}, "bench": {"grids": (1, 16, 256, 8192, 131072)},
+              "full": {"grids": (1, 16, 256, 8192, 131072)}}
 
     def _series(self, machine, grids: Sequence[int]) -> Series:
         config = machine if machine is not None else p2p_bench.TWO_NODE_PAIR
@@ -187,6 +198,8 @@ class Fig6(ExhibitWorkload):
 
     name = "fig6"
     defaults = {"grids": FIG67_GRIDS}
+    points = {"smoke": {"grids": (1024,)}, "bench": {"grids": (1024, 4096, 16384)},
+              "full": {"grids": (1024, 4096, 16384, 32768)}}
 
     def _series(self, machine, grids: Sequence[int]) -> Series:
         config = machine if machine is not None else ONE_NODE
@@ -203,6 +216,8 @@ class Fig7(ExhibitWorkload):
 
     name = "fig7"
     defaults = {"grids": FIG67_GRIDS[:-1]}
+    points = {"smoke": {"grids": (1024,)}, "bench": {"grids": (1024, 4096, 16384)},
+              "full": {"grids": (1024, 4096, 16384)}}
 
     def _series(self, machine, grids: Sequence[int]) -> Series:
         config = machine if machine is not None else PAPER_TESTBED
@@ -213,6 +228,7 @@ class Table1(ExhibitWorkload):
     """Table I: overheads of the partitioned API calls."""
 
     name = "table1"
+    points = {"smoke": {}, "bench": {}, "full": {}}
 
     def _series(self, machine) -> Series:
         from repro.bench import coll as coll_bench
@@ -264,6 +280,9 @@ class Fig8(ExhibitWorkload):
 
     name = "fig8"
     defaults = {"multipliers": FIG89_MULTIPLIERS, "iters": 150, "base_tile": 16}
+    points = {"smoke": {"multipliers": (1,), "iters": 3},
+              "bench": {"multipliers": (1, 4, 16), "iters": 120},
+              "full": {"multipliers": (1, 4, 16), "iters": 120}}
 
     def _series(self, machine, multipliers, iters, base_tile) -> Series:
         config = machine if machine is not None else ONE_NODE
@@ -275,6 +294,9 @@ class Fig9(ExhibitWorkload):
 
     name = "fig9"
     defaults = {"multipliers": FIG89_MULTIPLIERS, "iters": 150, "base_tile": 16}
+    points = {"smoke": {"multipliers": (1,), "iters": 3},
+              "bench": {"multipliers": (1, 4, 16), "iters": 120},
+              "full": {"multipliers": (1, 4, 16), "iters": 120}}
 
     def _series(self, machine, multipliers, iters, base_tile) -> Series:
         config = machine if machine is not None else PAPER_TESTBED
@@ -305,6 +327,8 @@ class Fig10(ExhibitWorkload):
 
     name = "fig10"
     defaults = {"grids": FIG1011_GRIDS}
+    points = {"smoke": {"grids": (256,)}, "bench": {"grids": (256, 1024, 4096)},
+              "full": {"grids": (256, 1024, 4096)}}
 
     def _series(self, machine, grids: Sequence[int]) -> Series:
         config = machine if machine is not None else ONE_NODE
@@ -316,6 +340,8 @@ class Fig11(ExhibitWorkload):
 
     name = "fig11"
     defaults = {"grids": FIG1011_GRIDS}
+    points = {"smoke": {"grids": (256,)}, "bench": {"grids": (256, 1024, 4096)},
+              "full": {"grids": (256, 1024, 4096)}}
 
     def _series(self, machine, grids: Sequence[int]) -> Series:
         config = machine if machine is not None else PAPER_TESTBED
@@ -383,6 +409,9 @@ class Striping(Workload):
     name = "striping"
     default_machine = ONE_NODE
     defaults = {"sizes": (64 * MiB,)}
+    points = {"smoke": {},
+              "bench": {"sizes": (64 * KiB, 512 * KiB, 2 * MiB, 8 * MiB, 64 * MiB, 512 * MiB)},
+              "full": {"sizes": (64 * KiB, 512 * KiB, 2 * MiB, 8 * MiB, 64 * MiB, 512 * MiB)}}
 
     def _execute(self, machine, shards, sizes: Sequence[int]) -> ExecOutcome:
         from repro.bench import multipath

@@ -1,10 +1,10 @@
-"""Fast benchmark smoke tier: one small-grid point per paper exhibit.
+"""Fast benchmark smoke tier: every paper exhibit at its ``smoke`` point.
 
 Run with ``pytest -m smoke`` (the ``scripts/ci.sh`` smoke tier).  One
-test body runs each registered exhibit end-to-end on its smallest sweep
-point — catching wiring regressions (route resolution, world
-construction, series plumbing) in seconds without the full decimated
-sweeps.  It is bound once per exhibit as ``test_<exhibit>_smoke``.
+test body runs each registered exhibit end-to-end on the smallest point
+it declares (``points["smoke"]``) — catching wiring regressions (route
+resolution, world construction, series plumbing) in seconds without the
+full sweeps.  It is bound once per exhibit as ``test_<exhibit>_smoke``.
 """
 
 import pytest
@@ -14,32 +14,20 @@ from repro.workload.registry import get
 
 pytestmark = pytest.mark.smoke
 
-#: exhibit -> its one-point params.
-ONE_POINT = {
-    "fig2": {"grids": (4,)},
-    "fig3": {"threads": (32,)},
-    "fig4": {"grids": (16,)},
-    "fig5": {"grids": (16,)},
-    "fig6": {"grids": (1024,)},
-    "fig7": {"grids": (1024,)},
-    "table1": {},
-    "fig8": {"multipliers": (1,), "iters": 3},
-    "fig9": {"multipliers": (1,), "iters": 3},
-    "fig10": {"grids": (256,)},
-    "fig11": {"grids": (256,)},
-}
 
-
-def _exhibit_smoke(name):
+def _exhibit_smoke(wl):
     def test():
-        series = get(name).run(**ONE_POINT[name]).series
+        series = wl.run(**wl.points["smoke"]).series
         assert series.rows, f"{series.exhibit}: empty series"
     return test
 
 
-def test_one_point_per_registered_exhibit():
-    assert list(ONE_POINT) == [wl.name for wl in EXHIBIT_WORKLOADS]
+def test_every_exhibit_declares_its_points():
+    for wl in (*EXHIBIT_WORKLOADS, get("striping")):
+        assert set(wl.points) == {"smoke", "bench", "full"}, wl.name
+        for point, params in wl.points.items():
+            assert set(params) <= set(wl.defaults), f"{wl.name} {point}: {sorted(params)}"
 
 
-for _name in ONE_POINT:
-    globals()[f"test_{_name}_smoke"] = _exhibit_smoke(_name)
+for _wl in EXHIBIT_WORKLOADS:
+    globals()[f"test_{_wl.name}_smoke"] = _exhibit_smoke(_wl)

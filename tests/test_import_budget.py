@@ -92,3 +92,15 @@ def test_sanitizer_exports_resolve_on_first_use():
         "assert san.Sanitizer is S\n"
     )
     assert "repro.san.sanitizer" in modules
+
+
+def test_dataplane_imports_first_in_a_fresh_interpreter():
+    # The hw package must not load hw.topology: topology imports the
+    # dataplane, whose descriptor imports repro.hw, so that would close an
+    # hw -> dataplane -> hw import cycle.
+    assert "repro.dataplane" in _loaded("import repro.dataplane\n")
+    hw = _loaded("import repro.hw\n")
+    assert [m for m in hw if m.startswith(("repro.dataplane", "repro.hw.topology"))] == []
+    root = _loaded("import repro\nfrom repro import RankCtx, World  # noqa: F401\n")
+    assert "repro.mpi.world" in root
+    assert "repro.mpi" not in _loaded("import repro\n")

@@ -125,6 +125,21 @@ def test_cli_list_and_registry():
         cli_main(["nonexistent"])
 
 
+@pytest.mark.parametrize("argv", [
+    "fig3 --grids 1", "table1 --grids 4", "fig4 --multipliers 1", "fig4 --grids 1,x",
+    "fig4 --grids 0",
+])
+def test_cli_exhibit_usage_error_is_one_line(argv, capsys):
+    from repro.__main__ import main as cli_main
+
+    with pytest.raises(SystemExit) as exited:
+        cli_main(argv.split())
+    assert exited.value.code == 2
+    err = capsys.readouterr().err
+    assert len([line for line in err.splitlines() if "error:" in line]) == 1
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("name", [
     "san", "analyze", "topo", "profile", "bench", "sweep", "replay", "fault",
 ])

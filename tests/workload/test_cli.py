@@ -97,3 +97,16 @@ def test_result_rows_pinned(capsys, case):
     assert main([str(SCHEDULES / argv[0])] + argv[1:]) == 0
     out = capsys.readouterr().out
     assert re.findall(r"^(?:popped|  class|  digest).*$", out, re.M) == rows
+
+
+@pytest.mark.parametrize("main, prefix, argv", [
+    (main_sweep, "sweep", ["--workloads", "pingpong", "--machines", "gh200-1x4",
+                           "--no-cache", "--param", "foo=1"]),
+    (main_fault, "fault", [str(SCHEDULES / "faults_fattree512.jsonl"), "--workload", "halo",
+                           "--machine", "fat-tree-32-r2-l2", "--param", "bogus=2"]),
+])
+def test_unknown_param_is_one_error_line(capsys, main, prefix, argv):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"{prefix} error: workload ") and "has no parameter" in err
+    assert "Traceback" not in err

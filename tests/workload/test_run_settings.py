@@ -2,6 +2,8 @@
 leaves no process state behind — not even when the run raises."""
 
 import os
+import re
+from pathlib import Path
 
 import pytest
 
@@ -12,7 +14,10 @@ from repro.hw.params import ONE_NODE
 from repro.mpi.world import World
 from repro.obs.bus import Bus
 from repro.sim.run import Run, current, run_scope
-from repro.workload.base import ExecOutcome, Workload
+from repro.workload.base import ExecOutcome, Workload, WorkloadError
+from repro.workload.registry import resolve_spec
+
+SCHEDULES = Path(__file__).resolve().parents[2] / "examples" / "schedules"
 
 
 class _Probe(Workload):
@@ -86,3 +91,23 @@ def test_nested_run_gets_its_own_policy_under_the_outer_bus():
     assert isinstance(probe.seen["policy"], MultiPathPolicy)
     assert probe.seen["run"] == Run("multi", None, bus)
     assert probe.seen["engine"] in bus.engines
+
+
+def test_unknown_parameter_raises_before_the_body_runs():
+    probe = _Probe()
+    with pytest.raises(WorkloadError, match=r"'settings-probe' has no parameter foo; known: none"):
+        probe.run(foo=1)
+    assert probe.seen == {}
+
+
+@pytest.mark.parametrize("spec, params, known", [
+    ("halo", {"itres": 9}, "iters, chunks"),
+    ("pingpong", {"iters": 2, "foo": 1}, "iters"),
+    ("fig4", {"multipliers": (1,)}, "grids"),
+    ("replay:" + str(SCHEDULES / "llm16.jsonl"), {"steps": 1}, "none"),
+], ids=["halo", "pingpong", "fig4", "replay"])
+def test_unknown_parameter_names_the_workload_and_its_parameters(spec, params, known):
+    wl = resolve_spec(spec)
+    with pytest.raises(WorkloadError, match=rf"{re.escape(repr(wl.name))} has no parameter") as err:
+        wl.run(**params)
+    assert f"known: {known}" in str(err.value)
