@@ -147,13 +147,16 @@ assert shard3 != "e3b0c44298fc1c14", "faulted rank-less shard 3 was not stepped"
 print(f"fault-smoke: replay {len(seq)} rows identical across modes, shard 3 stepped")
 EOF
 
-echo "== profile smoke (Chrome trace_event export) =="
-PYTHONPATH=src python -m repro profile examples/pingpong_partitioned.py \
-    --chrome /tmp/repro_trace.json
+echo "== profile smoke (Chrome trace_event export, byte-identical across runs) =="
+for run in 1 2; do
+    PYTHONPATH=src python -m repro profile examples/pingpong_partitioned.py \
+        --chrome /tmp/repro_trace_$run.json
+done
+cmp /tmp/repro_trace_1.json /tmp/repro_trace_2.json
 PYTHONPATH=src python - <<'EOF'
 import json
 from repro.obs.chrome import validate_trace
-obj = json.load(open("/tmp/repro_trace.json"))
+obj = json.load(open("/tmp/repro_trace_1.json"))
 validate_trace(obj)
 assert len(obj["traceEvents"]) > 100, "suspiciously small trace"
 print(f"profile smoke: {len(obj['traceEvents'])} valid trace events")

@@ -272,15 +272,3 @@ class Project:
                 graph[fi] = callees
             self._call_graph = graph
         return self._call_graph
-
-    def transitive_callees(self, fi: FunctionInfo) -> Set[FunctionInfo]:
-        graph = self.call_graph
-        seen: Set[FunctionInfo] = set()
-        stack = [fi]
-        while stack:
-            cur = stack.pop()
-            for callee in graph.get(cur, ()):
-                if callee not in seen:
-                    seen.add(callee)
-                    stack.append(callee)
-        return seen

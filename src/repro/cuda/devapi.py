@@ -75,7 +75,7 @@ class HostFlagWrite(Chain):
             self._sleep(self.device.fabric.spec.params.flag_write_base)
         else:
             if self.actor is not None:
-                record.release(self.actor, ("sig", id(self.signal)))
+                record.release(self.actor, ("sig", self.signal))
             _fire(self.signal, self.amount)
             self.succeed(n)
 
@@ -204,8 +204,8 @@ class DeviceCtx:
         def add() -> int:
             # An atomic RMW is both an acquire and a release on the counter:
             # every pair of atomics on it is happens-before ordered.
-            record.acquire(self.actor, ("ctr", id(counter)))
-            record.release(self.actor, ("ctr", id(counter)))
+            record.acquire(self.actor, ("ctr", counter))
+            record.release(self.actor, ("ctr", counter))
             return counter.add(amount)
 
         return Delayed(self.device.engine, self.device.fabric.spec.params.gmem_atomic, add)
@@ -225,5 +225,5 @@ class DeviceCtx:
         if self.actor is not None:
             # Release at fence-visible time, keyed by the completion event, so
             # a waiter (e.g. the PE holding this kernel-copy event) acquires it.
-            ev.add_callback(lambda _ev: record.release(self.actor, ("copydone", id(ev))))
+            ev.add_callback(lambda _ev: record.release(self.actor, ("copydone", ev)))
         return ev

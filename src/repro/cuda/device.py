@@ -166,7 +166,7 @@ class Device:
         yield self.cost.launch_latency
         obs = self.engine.obs
         t0 = self.engine.now
-        record.release(launcher, ("kstart", id(kernel)))
+        record.release(launcher, ("kstart", kernel))
         if kernel.apply is not None:
             # Materialize the kernel's numerical result now (see kernel.py
             # docstring for the visibility argument).
@@ -183,11 +183,11 @@ class Device:
                 "kernel", kernel.name, ("gpu", self.name),
                 t0, self.engine.now, grid=kernel.grid, block=kernel.block,
             )
-        record.acquire(launcher, ("kdone", id(kernel)))
+        record.acquire(launcher, ("kdone", kernel))
 
     def _exec_uniform(self, kernel: UniformKernel) -> Generator:
         kctx = DeviceCtx(self, kernel)
-        record.acquire(kctx.actor, ("kstart", id(kernel)))
+        record.acquire(kctx.actor, ("kstart", kernel))
         plan = self.cost.wave_plan(kernel.grid, kernel.block, kernel.work)
         engine = self.engine
 
@@ -204,7 +204,7 @@ class Device:
                     t = t + dt
                 engine.events_coalesced += len(plan) - 1
                 yield engine.timeout_at(t)
-                record.release(kctx.actor, ("kdone", id(kernel)))
+                record.release(kctx.actor, ("kdone", kernel))
                 return
             wave_batches = getattr(kernel.wave_hook, "wave_batches", None)
             if wave_batches is not None:
@@ -216,7 +216,7 @@ class Device:
                         yield engine.timeout_at(t_end)
                         if fire is not None:
                             fire(kctx)
-                    record.release(kctx.actor, ("kdone", id(kernel)))
+                    record.release(kctx.actor, ("kdone", kernel))
                     return
 
         for index, (blocks, dt) in enumerate(plan):
@@ -227,7 +227,7 @@ class Device:
                     kctx,
                     Wave(index=index, blocks=blocks, start_time=start, end_time=engine.now),
                 )
-        record.release(kctx.actor, ("kdone", id(kernel)))
+        record.release(kctx.actor, ("kdone", kernel))
 
     def _exec_blocks(self, kernel: BlockKernel) -> Generator:
         resident = self.cost.resident_blocks(kernel.block)
@@ -239,11 +239,11 @@ class Device:
             yield slots.acquire()
             try:
                 blk = DeviceCtx(self, kernel, block_id)
-                record.acquire(blk.actor, ("kstart", id(kernel)))
+                record.acquire(blk.actor, ("kstart", kernel))
                 yield self.engine.process(
                     kernel.body(blk), name=f"{kernel.name}.b{block_id}"
                 )
-                record.release(blk.actor, ("kdone", id(kernel)))
+                record.release(blk.actor, ("kdone", kernel))
             finally:
                 slots.release()
 

@@ -77,7 +77,7 @@ class Stream:
             return Event(self.engine)
         done = Event(self.engine)
         # The enqueuer publishes its history to the worker (FIFO edge).
-        record.release(("host", self.device.gpu_id), ("enq", id(done)))
+        record.release(("host", self.device.gpu_id), ("enq", done))
         self._outstanding += 1
         self._ops.put(StreamOp(run, done, label))
         obs = self.engine.obs
@@ -184,7 +184,7 @@ class Stream:
     def _run(self):
         while True:
             op: StreamOp = yield self._ops.get()
-            record.acquire(self.actor, ("enq", id(op.done)))
+            record.acquire(self.actor, ("enq", op.done))
             obs = self.engine.obs
             t0 = self.engine.now
             try:
@@ -202,6 +202,6 @@ class Stream:
             if obs is not None:
                 obs.span("stream", op.label, self.actor, t0, self.engine.now)
                 obs.counter("stream", self.name, depth=self._outstanding)
-            record.release(self.actor, ("opdone", id(op.done)))
+            record.release(self.actor, ("opdone", op.done))
             op.done.succeed(result)
             self._notify_drained()

@@ -1,10 +1,10 @@
-"""The instrumentation bus: typed events, synchronous fan-out, no overhead
+"""The instrumentation bus: one tuple event, synchronous fan-out, no overhead
 when nobody listens.
 
 Event model
 -----------
 
-An :class:`ObsEvent` is one of three kinds:
+An :class:`ObsEvent` is a named tuple of one of three kinds:
 
 ``SPAN``
     An interval ``[t0, t1]`` of occupancy or work: a kernel execution, a
@@ -17,8 +17,11 @@ An :class:`ObsEvent` is one of three kinds:
 
 Events carry a *category* (``"kernel"``, ``"link"``, ``"pe"``, ``"san"``,
 …), a *name*, an optional *actor* tuple using the sanitizer's naming
-scheme (:func:`repro.san.record.fmt_actor`), and a sorted key/value
-payload.  ``seq`` totally orders events within one bus.
+scheme (:func:`repro.san.record.fmt_actor`), and a *payload*: the keyword
+dict the site passed, as passed.  Its keys are sorted once, at export
+(:func:`repro.obs.chrome.chrome_trace`), and its objects are labelled
+only by a subscriber that keeps events (:func:`labelled`).  ``seq`` totally
+orders events within one bus.
 
 Fast-path contract
 ------------------
@@ -36,21 +39,27 @@ or through the run — every :class:`~repro.sim.engine.Engine` built inside
 is how ``python -m repro profile <script>`` observes Worlds it never sees
 built.
 
+Clock
+-----
+
+An instant or counter published without ``t`` is stamped with
+:attr:`Bus.now`: the clock of the engine whose ``run`` is innermost
+(``Engine.run`` sets :attr:`Bus.running`), or, outside every run, of the
+engine attached last.
+
 Subscriber contract
 -------------------
 
 A subscriber is any object with ``on_event(event: ObsEvent) -> None``;
-dispatch is synchronous and in ``seq`` order.  An optional
-``on_attach(engine)`` is called once per engine the bus knows about (past
-and future), letting subscribers track simulated clocks.  Subscribers
-must not mutate simulation state — determinism requires the timeline to
-be identical with and without observers.
+dispatch is synchronous and in ``seq`` order, and every subscriber sees
+the same event object.  Subscribers must not mutate simulation state or
+the event — determinism requires the timeline to be identical with and
+without observers — and one that keeps events keeps them labelled.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, List, Optional, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 #: Event kinds.
 SPAN = "span"
@@ -59,9 +68,13 @@ COUNTER = "counter"
 
 Actor = Tuple[Any, ...]
 
+#: Payload value types a kept event holds as they are.  ``_EXACT`` tests
+#: the common case, exact types, faster than ``isinstance`` does.
+_PLAIN = (type(None), bool, int, float, str)
+_EXACT = frozenset(_PLAIN)
 
-@dataclass(frozen=True)
-class ObsEvent:
+
+class ObsEvent(NamedTuple):
     """One published occurrence, totally ordered by ``seq`` within a bus."""
 
     kind: str                       # SPAN / INSTANT / COUNTER
@@ -71,47 +84,31 @@ class ObsEvent:
     t0: float                       # start time (== t1 for instants)
     t1: float                       # end time
     seq: int
-    payload: Tuple[Tuple[str, Any], ...] = ()
-
-    @property
-    def dur(self) -> float:
-        return self.t1 - self.t0
+    payload: Dict[str, Any]         # the site's keyword arguments
 
     def get(self, key: str, default: Any = None) -> Any:
-        for k, v in self.payload:
-            if k == key:
-                return v
-        return default
-
-    def compact(self) -> "ObsEvent":
-        """Copy with simulation objects in the payload degraded to short
-        labels.  Retaining subscribers (profilers, exporters) must store
-        compacted events: a raw payload can pin a Buffer — and its backing
-        array — for the life of the collection."""
-        if all(_is_scalar(v) for _k, v in self.payload):
-            return self
-        payload = tuple((k, _label(v)) for k, v in self.payload)
-        return ObsEvent(
-            self.kind, self.cat, self.name, self.actor,
-            self.t0, self.t1, self.seq, payload,
-        )
+        return self.payload.get(key, default)
 
 
-def _is_scalar(value: Any) -> bool:
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return True
-    return isinstance(value, tuple) and all(
-        v is None or isinstance(v, (bool, int, float, str)) for v in value
-    )
+def labelled(payload: Dict[str, Any]) -> Dict[str, Any]:
+    """The one labelling rule, for a payload that outlives its event.
 
-
-def _label(value: Any) -> Any:
-    if _is_scalar(value):
-        return value
-    label = getattr(value, "label", None)
-    if isinstance(label, str) and label:
-        return f"<{label}>"
-    return f"<{type(value).__name__}>"
+    Scalars and flat tuples of scalars stay as they are; any other object
+    (a Buffer, a nested tuple) becomes ``"<its label>"``, or
+    ``"<TypeName>"`` when it has none, so a kept event cannot pin a Buffer
+    and its array.  Returns ``payload`` itself when nothing needs a label.
+    """
+    out = payload
+    for key, value in payload.items():
+        if type(value) in _EXACT or isinstance(value, _PLAIN) or (
+            isinstance(value, tuple) and all(isinstance(v, _PLAIN) for v in value)
+        ):
+            continue
+        if out is payload:
+            out = dict(payload)
+        name = getattr(value, "label", None)
+        out[key] = f"<{name if isinstance(name, str) and name else type(value).__name__}>"
+    return out
 
 
 class Bus:
@@ -120,14 +117,16 @@ class Bus:
     def __init__(self) -> None:
         self.subscribers: List[Any] = []
         self._engines: List[Any] = []
+        #: The engine whose ``run`` is innermost, or None between runs.
+        self.running: Any = None
         self._seq = 0
 
     # -- engines ------------------------------------------------------------
     @property
     def now(self) -> float:
-        """Clock of the most recently attached engine (simulations run one
-        at a time; matches ``Recorder.now``)."""
-        return self._engines[-1].now if self._engines else 0.0
+        """The instant clock (see the module docstring)."""
+        engine = self.running or (self._engines[-1] if self._engines else None)
+        return 0.0 if engine is None else engine.now
 
     @property
     def engines(self) -> Tuple[Any, ...]:
@@ -136,26 +135,18 @@ class Bus:
     def attach(self, engine: Any) -> None:
         """Observe ``engine``.  Its ``obs`` slot is only populated while the
         bus has subscribers, preserving the idle fast path."""
-        if engine in self._engines:
-            return
-        self._engines.append(engine)
-        if self.subscribers:
-            engine.obs = self
-        for sub in self.subscribers:
-            on_attach = getattr(sub, "on_attach", None)
-            if on_attach is not None:
-                on_attach(engine)
+        if engine not in self._engines:
+            self._engines.append(engine)
+            if self.subscribers:
+                engine.obs = self
 
     # -- subscribers ----------------------------------------------------------
     def subscribe(self, sub: Any) -> None:
         if sub in self.subscribers:
             raise ValueError(f"{sub!r} is already subscribed")
         self.subscribers.append(sub)
-        on_attach = getattr(sub, "on_attach", None)
         for engine in self._engines:
             engine.obs = self
-            if on_attach is not None:
-                on_attach(engine)
 
     def unsubscribe(self, sub: Any) -> None:
         self.subscribers.remove(sub)
@@ -164,21 +155,6 @@ class Bus:
                 engine.obs = None
 
     # -- emission -------------------------------------------------------------
-    def _emit(
-        self,
-        kind: str,
-        cat: str,
-        name: str,
-        actor: Optional[Actor],
-        t0: float,
-        t1: float,
-        payload: Tuple[Tuple[str, Any], ...],
-    ) -> None:
-        self._seq += 1
-        ev = ObsEvent(kind, cat, name, actor, t0, t1, self._seq, payload)
-        for sub in self.subscribers:
-            sub.on_event(ev)
-
     def span(
         self,
         cat: str,
@@ -189,7 +165,11 @@ class Bus:
         **payload: Any,
     ) -> None:
         """Publish a completed interval ``[t0, t1]``."""
-        self._emit(SPAN, cat, name, actor, t0, t1, tuple(sorted(payload.items())))
+        self._seq += 1
+        # tuple.__new__ skips the generated ``ObsEvent.__new__`` frame.
+        ev = tuple.__new__(ObsEvent, (SPAN, cat, name, actor, t0, t1, self._seq, payload))
+        for sub in self.subscribers:
+            sub.on_event(ev)
 
     def instant(
         self,
@@ -199,9 +179,12 @@ class Bus:
         t: Optional[float] = None,
         **payload: Any,
     ) -> None:
-        """Publish a point event (``t`` defaults to the bus clock)."""
+        """Publish a point event (``t`` defaults to :attr:`now`)."""
         at = self.now if t is None else t
-        self._emit(INSTANT, cat, name, actor, at, at, tuple(sorted(payload.items())))
+        self._seq += 1
+        ev = tuple.__new__(ObsEvent, (INSTANT, cat, name, actor, at, at, self._seq, payload))
+        for sub in self.subscribers:
+            sub.on_event(ev)
 
     def counter(
         self,
@@ -212,4 +195,7 @@ class Bus:
     ) -> None:
         """Publish counter samples (one numeric series per payload key)."""
         at = self.now if t is None else t
-        self._emit(COUNTER, cat, name, None, at, at, tuple(sorted(samples.items())))
+        self._seq += 1
+        ev = tuple.__new__(ObsEvent, (COUNTER, cat, name, None, at, at, self._seq, samples))
+        for sub in self.subscribers:
+            sub.on_event(ev)

@@ -11,7 +11,6 @@ exported JSON.
 
 from __future__ import annotations
 
-import json
 from typing import Any, Dict, Iterable, List, Optional
 
 from repro.obs.bus import COUNTER, INSTANT, SPAN, ObsEvent
@@ -25,21 +24,6 @@ _PID = 0
 _NOISY = frozenset({"engine"})
 
 
-def _json_safe(value: Any) -> Any:
-    """Payload values for the ``args`` dict: scalars pass through, simulation
-    objects (Buffers, sync tuples) degrade to short labels."""
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    if isinstance(value, tuple) and all(
-        v is None or isinstance(v, (bool, int, float, str)) for v in value
-    ):
-        return list(value)
-    label = getattr(value, "label", None)
-    if isinstance(label, str) and label:
-        return f"<{label}>"
-    return f"<{type(value).__name__}>"
-
-
 def _track_name(ev: ObsEvent) -> str:
     if ev.actor is not None:
         return fmt_actor(ev.actor)
@@ -50,7 +34,11 @@ def _track_name(ev: ObsEvent) -> str:
 def chrome_trace(
     events: Iterable[ObsEvent], include: Optional[Iterable[str]] = None
 ) -> Dict[str, Any]:
-    """Build a ``{"traceEvents": [...]}`` object from a stream of events.
+    """Build a ``{"traceEvents": [...]}`` object from a stream of kept
+    events (payloads :func:`~repro.obs.bus.labelled`, as
+    :class:`~repro.obs.profile.Collector` keeps them).
+
+    Payload keys are sorted here, the one place their order shows.
 
     ``include``: extra categories to keep that are noisy by default
     (currently just ``"engine"``, the per-step heap instants).
@@ -73,7 +61,7 @@ def chrome_trace(
     for ev in events:
         if ev.cat in _NOISY and ev.cat not in keep_noisy:
             continue
-        args = {k: _json_safe(v) for k, v in ev.payload}
+        args = dict(sorted(ev.payload.items()))
         ts = ev.t0 * 1e6
         if ev.kind == SPAN:
             out.append({
@@ -130,22 +118,3 @@ def validate_trace(obj: Any) -> None:
             raise ValueError(f"{where}: bad instant scope {ev.get('s')!r}")
         if ph == "C" and not isinstance(ev.get("args"), dict):
             raise ValueError(f"{where}: counter event needs an args dict")
-
-
-class ChromeTraceExporter:
-    """Bus subscriber accumulating events for later export."""
-
-    def __init__(self) -> None:
-        self.events: List[ObsEvent] = []
-
-    def on_event(self, ev: ObsEvent) -> None:
-        self.events.append(ev.compact())
-
-    def to_obj(self, include: Optional[Iterable[str]] = None) -> Dict[str, Any]:
-        return chrome_trace(self.events, include=include)
-
-    def write(self, path: str, include: Optional[Iterable[str]] = None) -> None:
-        obj = self.to_obj(include=include)
-        validate_trace(obj)
-        with open(path, "w") as fh:
-            json.dump(obj, fh)

@@ -19,7 +19,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.obs.bus import SPAN, ObsEvent
+from repro.obs.bus import SPAN, ObsEvent, labelled
 from repro.san.record import fmt_actor
 from repro.units import fmt_bytes, fmt_time
 
@@ -27,15 +27,16 @@ from repro.units import fmt_bytes, fmt_time
 class Collector:
     """The simplest subscriber: keep every event for offline analysis.
 
-    Events are stored :meth:`~repro.obs.bus.ObsEvent.compact`-ed — a
-    retained raw payload would pin every Buffer a run allocates.
+    A kept payload is :func:`~repro.obs.bus.labelled`; a raw one would pin
+    every Buffer a run allocates.
     """
 
     def __init__(self) -> None:
         self.events: List[ObsEvent] = []
 
     def on_event(self, ev: ObsEvent) -> None:
-        self.events.append(ev.compact())
+        payload = labelled(ev.payload)
+        self.events.append(ev if payload is ev.payload else ev._replace(payload=payload))
 
 
 # --------------------------------------------------------------------------
@@ -106,10 +107,8 @@ class UtilReport:
         return [t for t in self.tracks.values() if t.group == name]
 
 
-def utilization(
-    events: Iterable[ObsEvent], horizon: Optional[float] = None
-) -> UtilReport:
-    """Per-track busy time over ``[0, horizon]`` (default: last span end)."""
+def utilization(events: Iterable[ObsEvent]) -> UtilReport:
+    """Per-track busy time over ``[0, last span end]``."""
     tracks: Dict[str, TrackUtil] = {}
     t_max = 0.0
     for ev in events:
@@ -126,20 +125,7 @@ def utilization(
     for track in tracks.values():
         track.busy = _merged_length(track._intervals)
         track._intervals.clear()
-    return UtilReport(tracks, horizon if horizon is not None else t_max)
-
-
-def link_kind_totals(events: Iterable[ObsEvent]) -> Dict[str, Tuple[int, int]]:
-    """Per-telemetry-class ``(bytes, transfers)`` from link span events —
-    by construction consistent with :mod:`repro.bench.telemetry` counters."""
-    totals: Dict[str, Tuple[int, int]] = {}
-    for ev in events:
-        if ev.kind != SPAN or ev.cat != "link":
-            continue
-        kind = ev.get("kind", ev.name)
-        b, n = totals.get(kind, (0, 0))
-        totals[kind] = (b + ev.get("nbytes", 0), n + ev.get("transfers", 1))
-    return totals
+    return UtilReport(tracks, t_max)
 
 
 def render_utilization(report: UtilReport) -> str:

@@ -168,7 +168,7 @@ class _Watch(Chain):
         elif stage == 1:
             self._signal = None
             # The PE observes the device's released signal history (sync edge).
-            record.acquire(("pe", preq.rt.world_rank), ("sig", id(preq.host_signals[tp])))
+            record.acquire(("pe", preq.rt.world_rank), ("sig", preq.host_signals[tp]))
             if preq.freed or preq.sreq.epoch != self.epoch:
                 return self.succeed()  # stale watcher from a previous epoch
             # Polling delay before the progression thread notices the signal.
@@ -192,7 +192,7 @@ class _Watch(Chain):
                 if copy_ev is not None:
                     if not copy_ev._triggered:
                         return copy_ev.callbacks.append(self._run_callbacks)
-                    record.acquire(pe, ("copydone", id(copy_ev)))
+                    record.acquire(pe, ("copydone", copy_ev))
                 preq.sreq.issue_pready(tp, with_data=False, actor=pe)
             self.succeed()
 

@@ -18,20 +18,19 @@ Identity model:
   byte ranges via ``np.byte_bounds`` so overlap checks see through
   ``Buffer.view``/``partition`` aliasing exactly like device pointers.
 * **Sync objects** are tuples keying release/acquire pairs (host-signal
-  counters, arrived flags, kernel launch/join, stream drains).
-
-Time comes from the engines themselves: :class:`repro.sim.engine.Engine`
-announces itself to the instrumentation bus at construction, the bus calls
-``Recorder.on_attach``, and the recorder reads ``now`` from the most
-recent engine (simulations run one at a time).
+  counters, arrived flags, kernel launch/join, stream drains): a tag,
+  then names and numbers, or an object whose identity is the key.  The
+  hooks publish such an object as a stable token (:func:`_keyed`), never
+  as its address, so identical runs export identical bytes.
 
 The module-level hooks below publish onto the run's obs bus as
 ``cat="san"`` instants carrying the raw call arguments; :class:`Recorder`
-is a bus *subscriber* that rebuilds the exact pre-bus :class:`TraceEvent`
-stream from them (its own ``seq`` counter, its own clock), so sanitizer
-verdicts and trace bytes are unchanged.  The sanitizer also makes its
-recorder the run's ``recorder``, which answers the synchronous identity
-queries (:func:`ident`) the protocol layers make while tracing.
+is a bus *subscriber* that turns each into one :class:`TraceEvent`,
+stamped with the instant's own time (the bus clock, see
+:mod:`repro.obs.bus`) and numbered by its own ``seq`` counter.  The
+sanitizer also makes its recorder the run's ``recorder``, which answers
+the synchronous identity queries (:func:`ident`) the protocol layers make
+while tracing.
 """
 
 from __future__ import annotations
@@ -121,6 +120,22 @@ class AllocInfo:
     base: Any = field(default=None, repr=False)  # strong ref, keeps ids stable
 
 
+class _Tokens:
+    """Stable tokens for objects, in first-seen order.  Holding each object
+    keeps its ``id()`` from being reused by a later one."""
+
+    def __init__(self) -> None:
+        self._by_id: Dict[int, int] = {}
+        self._refs: List[Any] = []
+
+    def __call__(self, obj: Any) -> int:
+        token = self._by_id.get(id(obj))
+        if token is None:
+            token = self._by_id[id(obj)] = len(self._refs)
+            self._refs.append(obj)
+        return token
+
+
 class Recorder:
     """Collects the trace for one sanitized window."""
 
@@ -129,33 +144,11 @@ class Recorder:
         self.allocs: Dict[int, AllocInfo] = {}      # index -> info
         self._alloc_by_id: Dict[int, int] = {}      # id(base array) -> index
         self._seq = 0
-        self._engines: List[Any] = []
-        self._idents: Dict[int, int] = {}           # id(obj) -> stable token
-        self._ident_refs: List[Any] = []            # keep ids from being reused
-
-    def ident(self, obj: Any) -> int:
-        """Stable per-recorder token for ``obj`` (first-seen order).
-
-        Used instead of raw ``id()`` in trace marks so identical runs
-        produce byte-identical traces (the determinism contract).
-        """
-        token = self._idents.get(id(obj))
-        if token is None:
-            token = len(self._ident_refs)
-            self._idents[id(obj)] = token
-            self._ident_refs.append(obj)
-        return token
-
-    # -- time ---------------------------------------------------------------
-    def note_engine(self, engine: Any) -> None:
-        self._engines.append(engine)
-
-    #: Bus-subscriber attach hook: track the engine's clock.
-    on_attach = note_engine
-
-    @property
-    def now(self) -> float:
-        return self._engines[-1].now if self._engines else 0.0
+        #: Tokens for the objects marks name (:func:`ident`), and a separate
+        #: set for the objects sync keys name (:func:`_keyed`), so that sync
+        #: traffic does not renumber the mark tokens a trace prints.
+        self.ident = _Tokens()
+        self.sync_ident = _Tokens()
 
     # -- allocation registry --------------------------------------------------
     def _register(self, buf: Any, zero_filled: bool, preexisting: bool) -> AllocInfo:
@@ -182,10 +175,6 @@ class Recorder:
         self.allocs[idx] = info
         return info
 
-    def note_alloc(self, buf: Any, zero_filled: bool) -> None:
-        """A Buffer was allocated inside the sanitized window."""
-        self._register(buf, zero_filled=zero_filled, preexisting=False)
-
     def range_of(self, buf: Any) -> Tuple[int, int, int]:
         """``(alloc index, lo, hi)`` byte range of a Buffer (view)."""
         info = self._register(buf, zero_filled=True, preexisting=True)
@@ -197,61 +186,30 @@ class Recorder:
         lo_b, _hi_b = _byte_bounds(base)
         return info.index, int(lo_a - lo_b), int(hi_a - lo_b)
 
-    # -- event emission ----------------------------------------------------------
-    def _emit(self, **kw: Any) -> None:
-        self._seq += 1
-        self.events.append(TraceEvent(time=self.now, seq=self._seq, **kw))
-
-    def access(
-        self, actor: Optional[Actor], buf: Any, write: bool, note: str = ""
-    ) -> None:
-        alloc, lo, hi = self.range_of(buf)
-        if self.allocs[alloc].virtual:
-            return  # geometry-only payload: aliasing is meaningless
-        self._emit(
-            kind=ACCESS, actor=actor, alloc=alloc, lo=lo, hi=hi, write=write, note=note
-        )
-
-    def acquire(self, actor: Actor, obj: SyncObj) -> None:
-        self._emit(kind=ACQUIRE, actor=actor, obj=obj)
-
-    def release(self, actor: Actor, obj: SyncObj) -> None:
-        self._emit(kind=RELEASE, actor=actor, obj=obj)
-
-    def mark(self, note: str, actor: Optional[Actor] = None, **info: Any) -> None:
-        self._emit(kind=MARK, actor=actor, note=note, info=tuple(sorted(info.items())))
-
     # -- bus subscription ----------------------------------------------------
     def on_event(self, ev: Any) -> None:
-        """Consume one ``cat="san"`` bus event (ignore everything else).
-
-        The payload carries the raw hook arguments; re-emitting through the
-        methods above reproduces the pre-bus trace byte-for-byte.
-        """
+        """Record one ``cat="san"`` bus event (ignore everything else)."""
         if ev.cat != CAT:
             return
-        name = ev.name
+        name, p, actor = ev.name, ev.payload, ev.actor
+        if name == "alloc":
+            self._register(p["buf"], zero_filled=p["zero_filled"], preexisting=False)
+            return
         if name == ACCESS:
-            self.access(ev.actor, ev.get("buf"), ev.get("write"), ev.get("note", ""))
-        elif name == ACQUIRE:
-            self.acquire(ev.actor, ev.get("obj"))
-        elif name == RELEASE:
-            self.release(ev.actor, ev.get("obj"))
+            alloc, lo, hi = self.range_of(p["buf"])
+            if self.allocs[alloc].virtual:
+                return  # geometry-only payload: aliasing is meaningless
+            kw = dict(alloc=alloc, lo=lo, hi=hi, write=p["write"], note=p["note"])
+        elif name in (ACQUIRE, RELEASE):
+            kw = dict(obj=p["obj"])
         elif name == MARK:
-            self._emit(
-                kind=MARK, actor=ev.actor,
-                note=ev.get("note", ""), info=ev.get("info", ()),
-            )
-        elif name == "alloc":
-            self.note_alloc(ev.get("buf"), ev.get("zero_filled"))
-        elif name == "channel":
-            alloc, _lo, _hi = self.range_of(ev.get("buf"))
-            info = dict(ev.get("info", ()))
-            info["alloc"] = alloc
-            self._emit(
-                kind=MARK, actor=None,
-                note=ev.get("note", ""), info=tuple(sorted(info.items())),
-            )
+            kw = dict(note=p["note"], info=p["info"])
+        else:  # "channel": a mark naming the channel buffer's allocation
+            info = dict(p["info"], alloc=self.range_of(p["buf"])[0])
+            name, actor = MARK, None
+            kw = dict(note=p["note"], info=tuple(sorted(info.items())))
+        self._seq += 1
+        self.events.append(TraceEvent(ev.t0, self._seq, name, actor, **kw))
 
     # -- serialization (determinism fixture) ------------------------------------
     def trace_bytes(self) -> bytes:
@@ -280,16 +238,25 @@ def access(actor: Optional[Actor], buf: Any, write: bool, note: str = "") -> Non
         bus.instant(CAT, ACCESS, actor, buf=buf, write=write, note=note)
 
 
+def _keyed(rec: Optional[Recorder], obj: SyncObj) -> SyncObj:
+    """``obj`` with each object in it (not a str, int or tuple) replaced by
+    its recorder token, or by 0 when no sanitizer is active."""
+    return tuple(
+        v if isinstance(v, (str, int, tuple)) else rec.sync_ident(v) if rec is not None else 0
+        for v in obj
+    )
+
+
 def acquire(actor: Actor, obj: SyncObj) -> None:
-    bus = current().bus
-    if bus is not None:
-        bus.instant(CAT, ACQUIRE, actor, obj=obj)
+    run = current()
+    if run.bus is not None:
+        run.bus.instant(CAT, ACQUIRE, actor, obj=_keyed(run.recorder, obj))
 
 
 def release(actor: Actor, obj: SyncObj) -> None:
-    bus = current().bus
-    if bus is not None:
-        bus.instant(CAT, RELEASE, actor, obj=obj)
+    run = current()
+    if run.bus is not None:
+        run.bus.instant(CAT, RELEASE, actor, obj=_keyed(run.recorder, obj))
 
 
 def mark(note: str, actor: Optional[Actor] = None, **info: Any) -> None:

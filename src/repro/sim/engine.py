@@ -221,6 +221,9 @@ class Engine:
         heap = self._heap
         pop = heapq.heappop
         on_step, obs = self.on_step, self.obs
+        if obs is not None:
+            # Instants this run's pops emit take this engine's clock.
+            outer, obs.running = obs.running, self
         popped = cancelled = 0
         try:
             while not done and heap and heap[0][0] <= horizon:
@@ -243,6 +246,8 @@ class Engine:
                     f"no more events at t={self._now}; target event never fired"
                 )
         finally:
+            if obs is not None:
+                obs.running = outer
             self.events_popped += popped
             self.events_cancelled += cancelled
             if popped:

@@ -121,8 +121,9 @@ def test_bus_counters_match_link_snapshot_delta(mode):
     touched."""
     from repro.bench.telemetry import FabricSnapshot
     from repro.obs import bus as obs_bus
-    from repro.obs.profile import Collector, link_kind_totals
+    from repro.obs.profile import Collector
     from repro.sim.run import run_scope
+    from tests.obs.test_profile import link_kind_totals
 
     bus = obs_bus.Bus()
     collector = Collector()

@@ -3,12 +3,20 @@
 import pytest
 
 from repro.obs.bus import COUNTER, INSTANT, SPAN, ObsEvent
-from repro.obs.chrome import ChromeTraceExporter, chrome_trace, validate_trace
+from repro.obs.chrome import chrome_trace, validate_trace
+from repro.obs.profile import Collector
 
 
 def _ev(kind, cat, name, actor=None, t0=0.0, t1=None, seq=1, **payload):
-    return ObsEvent(kind, cat, name, actor, t0, t0 if t1 is None else t1,
-                    seq, tuple(sorted(payload.items())))
+    return ObsEvent(kind, cat, name, actor, t0, t0 if t1 is None else t1, seq, payload)
+
+
+def _kept(*events):
+    """Events as a retaining subscriber keeps them (payloads labelled)."""
+    collector = Collector()
+    for ev in events:
+        collector.on_event(ev)
+    return collector.events
 
 
 def test_span_becomes_complete_event_in_microseconds():
@@ -58,20 +66,26 @@ def test_object_payloads_degrade_to_labels():
     class Buf:
         label = "gpu0.buf1"
 
-    obj = chrome_trace([_ev(INSTANT, "san", "access", ("gpu", 0), seq=1,
-                            buf=Buf(), write=True)])
+    raw = _ev(INSTANT, "san", "access", ("gpu", 0), seq=1, buf=Buf(), write=True)
+    obj = chrome_trace(_kept(raw))
     ev = [e for e in obj["traceEvents"] if e["ph"] == "i"][0]
     assert ev["args"] == {"buf": "<gpu0.buf1>", "write": True}
     assert ev["s"] == "t"
+    assert isinstance(raw.get("buf"), Buf)  # the published event is untouched
+
+
+def test_payload_keys_are_sorted_at_export():
+    obj = chrome_trace(_kept(_ev(SPAN, "kernel", "k", t1=1.0, zeta=1, alpha=2, mid=3)))
+    xs = [e for e in obj["traceEvents"] if e["ph"] == "X"]
+    assert list(xs[0]["args"]) == ["alpha", "mid", "zeta"]
 
 
 def test_exporter_roundtrip_validates(tmp_path):
     import json
 
-    exp = ChromeTraceExporter()
-    exp.on_event(_ev(SPAN, "link", "nvl0->1", t0=0.0, t1=1e-6, nbytes=64))
+    events = _kept(_ev(SPAN, "link", "nvl0->1", t0=0.0, t1=1e-6, nbytes=64))
     out = tmp_path / "t.json"
-    exp.write(str(out))
+    out.write_text(json.dumps(chrome_trace(events)))
     obj = json.loads(out.read_text())
     validate_trace(obj)
     assert obj["otherData"]["source"] == "repro.obs"

@@ -104,3 +104,35 @@ def test_sanitizer_inside_profiled_script_shares_the_profiler_bus(tmp_path):
     assert json.loads(out.read_text()) == ["uninit-read"]
     assert any(ev.cat == "san" and ev.name == "access" for ev in events)
     assert any(ev.cat == "kernel" for ev in events)
+
+
+def test_chrome_export_is_identical_across_runs(tmp_path):
+    """Sync objects export stable tokens, never addresses: two runs of the
+    same example write the same bytes."""
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    assert main(["pingpong_partitioned", "--chrome", str(a)]) == 0
+    assert main(["pingpong_partitioned", "--chrome", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
+def test_collected_events_pin_no_buffer(monkeypatch):
+    """Kept events hold labels, not Buffers: once the run is over, every
+    array a Buffer of the run owned is freed while the events live on."""
+    import gc
+    import weakref
+
+    from repro.obs import cli
+
+    arrays = []
+
+    class Watching(cli.Collector):
+        def on_event(self, ev):
+            if ev.cat == "san" and ev.name == "alloc":
+                arrays.append(weakref.ref(ev.get("buf").data))
+            super().on_event(ev)
+
+    monkeypatch.setattr(cli, "Collector", Watching)
+    events = profile_script(str(cli.resolve_target("quickstart")))
+    gc.collect()
+    assert arrays and any(ev.cat == "san" and ev.name == "alloc" for ev in events)
+    assert [ref for ref in arrays if ref() is not None] == []

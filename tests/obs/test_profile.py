@@ -14,7 +14,6 @@ from repro.obs.bus import SPAN, ObsEvent
 from repro.obs.profile import (
     Collector,
     critical_path,
-    link_kind_totals,
     render_critical_path,
     render_utilization,
     utilization,
@@ -25,8 +24,7 @@ from repro.sim.run import run_scope
 
 
 def _span(name, cat, t0, t1, seq, actor=None, **payload):
-    return ObsEvent(SPAN, cat, name, actor, t0, t1, seq,
-                    tuple(sorted(payload.items())))
+    return ObsEvent(SPAN, cat, name, actor, t0, t1, seq, payload)
 
 
 # -- utilization: unit cases -------------------------------------------------
@@ -151,6 +149,18 @@ def test_workload_busy_tracks_are_plausible():
     assert sum(t.bytes for t in nv) >= 4096 * 8
     # Busy time never exceeds the observation window.
     assert all(t.busy <= rep.window + 1e-12 for t in rep.tracks.values())
+
+
+def link_kind_totals(events):
+    """Per-telemetry-class ``(bytes, transfers)`` from link span events."""
+    totals = {}
+    for ev in events:
+        if ev.kind != SPAN or ev.cat != "link":
+            continue
+        kind = ev.get("kind", ev.name)
+        b, n = totals.get(kind, (0, 0))
+        totals[kind] = (b + ev.get("nbytes", 0), n + ev.get("transfers", 1))
+    return totals
 
 
 def test_link_busy_bytes_match_fabric_telemetry():

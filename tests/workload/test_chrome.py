@@ -8,7 +8,8 @@ reproduce the original run's per-class ledger byte and transfer counts.
 
 from repro.hw.params import ONE_NODE
 from repro.obs.bus import Bus
-from repro.obs.chrome import ChromeTraceExporter, validate_trace
+from repro.obs.chrome import chrome_trace, validate_trace
+from repro.obs.profile import Collector
 from repro.sim.run import run_scope
 from repro.workload import get
 from repro.workload.replay import ReplayWorkload, from_chrome
@@ -16,11 +17,11 @@ from repro.workload.replay import ReplayWorkload, from_chrome
 
 def _traced_pingpong():
     bus = Bus()
-    exporter = ChromeTraceExporter()
-    bus.subscribe(exporter)
+    collector = Collector()
+    bus.subscribe(collector)
     with run_scope(bus=bus):
         result = get("pingpong").run()
-    return result, exporter.to_obj()
+    return result, chrome_trace(collector.events)
 
 
 def test_chrome_round_trip_preserves_class_ledgers():
