@@ -32,12 +32,14 @@ done
 echo "== hash-seed (pinned step streams under two string-hash seeds) =="
 # Bit-identity must not depend on string-hash order: the determinism,
 # link-transfer stream, process sleep/chain pins (Delayed and Holding
-# against their generator bodies) and the eager host message path pins
-# must hold under any PYTHONHASHSEED.
+# against their generator bodies), the eager host message path pins and
+# the replay lowering pin (validation matches over tuple-keyed dicts with
+# string tags) must hold under any PYTHONHASHSEED.
 for seed in 1 2; do
     PYTHONHASHSEED=$seed PYTHONPATH=src python -m pytest -x -q \
         tests/sim/test_determinism.py tests/hw/test_transfer_stream.py \
-        tests/sim/test_process.py tests/mpi/test_eager_path_pin.py
+        tests/sim/test_process.py tests/mpi/test_eager_path_pin.py \
+        tests/workload/test_matching.py
 done
 
 echo "== optimised mode (python -O: the allreduce result check is not an assert) =="
@@ -188,8 +190,8 @@ print(f"workload smoke: {len(second['cells'])} cells, 100% cache hits on re-run"
 EOF
 
 echo "== static analysis (python -m repro analyze) =="
-# Fails on any finding that is neither inline-suppressed nor in
-# analyze-baseline.json; also exports SARIF for CI annotation upload.
+# Fails on any finding that is not inline-suppressed
+# (``# repro: ignore[rule]``); also exports SARIF for CI annotation upload.
 PYTHONPATH=src python -m repro analyze --sarif /tmp/repro_analyze.sarif
 PYTHONPATH=src python - <<'EOF'
 import json

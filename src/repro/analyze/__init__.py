@@ -1,7 +1,7 @@
 """repro.analyze — whole-program static analysis (DESIGN.md §13).
 
 One :class:`~repro.analyze.model.Project` (module table, symbol tables,
-call graph, per-function CFGs) shared by four pass families:
+call resolution, per-function CFGs) shared by four pass families:
 
 * ``invariant``   — per-module repo conventions: no wall-clock, unit
   literals, dropped process returns, eager obs payloads, and the

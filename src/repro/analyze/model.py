@@ -3,8 +3,8 @@
 One :class:`Project` holds the parsed AST of every module under the
 analyzed roots, a per-module symbol table (local defs + ``from X import
 Y`` edges into other project modules), the set of functions (including
-methods and nested defs) with generator-ness precomputed, and a
-best-effort interprocedural call graph.
+methods and nested defs) with generator-ness precomputed, and
+best-effort call resolution.
 
 Resolution is deliberately *syntactic*: a bare-name call resolves to a
 module-level function of the same module or to a name imported from
@@ -119,13 +119,12 @@ class ModuleInfo:
 
 
 class Project:
-    """Module table + symbol tables + call graph over the analyzed roots."""
+    """Module table + symbol tables + functions over the analyzed roots."""
 
     def __init__(self) -> None:
         self.modules: List[ModuleInfo] = []
         self.by_name: Dict[str, ModuleInfo] = {}
         self.functions: List[FunctionInfo] = []
-        self._call_graph: Optional[Dict[FunctionInfo, Set[FunctionInfo]]] = None
 
     # -- loading -------------------------------------------------------------
     @classmethod
@@ -248,27 +247,3 @@ class Project:
         ):
             return caller.module.methods.get((caller.cls, func.attr))
         return None
-
-    # -- call graph ----------------------------------------------------------
-    @property
-    def call_graph(self) -> Dict[FunctionInfo, Set[FunctionInfo]]:
-        """caller -> resolvable callees (lambda bodies fold into the owner)."""
-        if self._call_graph is None:
-            graph: Dict[FunctionInfo, Set[FunctionInfo]] = {}
-            for fi in self.functions:
-                callees: Set[FunctionInfo] = set()
-                for node in fi.owned():
-                    target = None
-                    if isinstance(node, ast.Call):
-                        target = self.resolve_call(fi, node.func)
-                    elif isinstance(node, ast.Lambda):
-                        for sub in ast.walk(node):
-                            if isinstance(sub, ast.Call):
-                                hit = self.resolve_call(fi, sub.func)
-                                if hit is not None:
-                                    callees.add(hit)
-                    if target is not None:
-                        callees.add(target)
-                graph[fi] = callees
-            self._call_graph = graph
-        return self._call_graph

@@ -3,12 +3,12 @@
 A *rule* is a catalogue entry (id, family, summary) owned by one *pass*
 — a function ``run(project, enabled_ids) -> [Finding]`` that may emit
 findings for any of its rules.  Passes share the :class:`Project` model
-(symbol tables, call graph, CFGs are built once and memoized), which is
+(symbol tables and CFGs are built once and memoized), which is
 what makes whole-program rules affordable.
 
 Findings feed one post-processing chain, identical for every rule:
-inline ``# repro: ignore[rule]`` suppressions (:mod:`.suppress`), the
-checked-in baseline (:mod:`.baseline`), then rendering / SARIF export.
+inline ``# repro: ignore[rule]`` suppressions (:mod:`.suppress`), then
+rendering / SARIF export.
 """
 
 from __future__ import annotations

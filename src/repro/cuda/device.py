@@ -8,7 +8,7 @@ the device-side work runs asynchronously in the device's streams.
 
 from __future__ import annotations
 
-from typing import Any, Generator, List, Optional
+from typing import Generator, List, Optional
 
 import numpy as np
 
@@ -79,13 +79,6 @@ class Device:
     def alloc_pinned(self, n: int, dtype=np.float64, fill: Optional[float] = None, label: str = "") -> Buffer:
         """cudaMallocHost: page-locked host memory on this superchip."""
         return Buffer.alloc(n, dtype, MemSpace.PINNED, self.node, None, fill, label)
-
-    def new_stream(self) -> "Any":
-        from repro.cuda.stream import Stream
-
-        stream = Stream(self, name=f"{self.name}.s{len(self.streams)}")
-        self.streams.append(stream)
-        return stream
 
     def close(self) -> None:
         """Stop every stream worker (they park forever on an empty queue)."""

@@ -58,11 +58,3 @@ class TagMatcher:
                 return rreq
         self._unexpected.append((comm_id, src, tag, msg))
         return None
-
-    @property
-    def n_posted(self) -> int:
-        return len(self._posted)
-
-    @property
-    def n_unexpected(self) -> int:
-        return len(self._unexpected)

@@ -186,7 +186,6 @@ class World:
         main: Callable[[RankCtx], Any],
         nprocs: Optional[int] = None,
         args: Sequence[Any] = (),
-        until: Optional[float] = None,
     ) -> List[Any]:
         """Launch ``nprocs`` ranks and simulate to completion.
 

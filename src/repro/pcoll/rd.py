@@ -39,16 +39,3 @@ def recursive_doubling_allreduce_schedule(
     return Schedule(
         rank, n_ranks, n_chunks=1, steps=tuple(steps), name="recursive_doubling"
     )
-
-
-def verify_rd_completion(n_ranks: int) -> bool:
-    """Static check: every rank ends holding every rank's contribution."""
-    contributions = {r: {r} for r in range(n_ranks)}
-    schedules = [recursive_doubling_allreduce_schedule(r, n_ranks) for r in range(n_ranks)]
-    for i in range(schedules[0].n_steps):
-        before = {r: set(c) for r, c in contributions.items()}
-        for r in range(n_ranks):
-            partner = schedules[r].steps[i].incoming[0]
-            contributions[r] |= before[partner]
-    full = set(range(n_ranks))
-    return all(contributions[r] == full for r in range(n_ranks))

@@ -163,27 +163,3 @@ def ring_step(
     else:
         target.data[:] = slot.data
         yield target.nbytes * 2 / hbm_bw
-
-
-def verify_ring_completion(n_ranks: int) -> bool:
-    """Static sanity check: after the schedule, every chunk is fully
-    reduced and present on every rank.  Used by tests/property checks."""
-    # Track which (rank, chunk) holds a fully-reduced copy.
-    contributions = {
-        (r, c): {r} for r in range(n_ranks) for c in range(n_ranks)
-    }
-    schedules = [ring_allreduce_schedule(r, n_ranks) for r in range(n_ranks)]
-    for i in range(2 * (n_ranks - 1)):
-        # All sends within a step read the pre-step state (they are
-        # concurrent on the wire); snapshot before applying.
-        before = {k: set(v) for k, v in contributions.items()}
-        for r in range(n_ranks):
-            s = schedules[r].steps[i]
-            dst = s.outgoing[0]
-            chunk = s.send_chunk
-            if s.op is not NOP:
-                contributions[(dst, chunk)] |= before[(r, chunk)]
-            else:
-                contributions[(dst, chunk)] = set(before[(r, chunk)])
-    full = set(range(n_ranks))
-    return all(contributions[(r, c)] == full for r in range(n_ranks) for c in range(n_ranks))

@@ -97,26 +97,3 @@ def flat_reduce_schedule(rank: int, n_ranks: int, op, root: int = 0) -> Schedule
     else:
         steps = (Step((), 0, NOP, (root,), 0),)
     return Schedule(rank, n_ranks, n_chunks=1, steps=steps, name="flat_reduce")
-
-
-def verify_bcast_coverage(n_ranks: int, root: int = 0) -> bool:
-    """Static check: the forest of sends reaches every rank exactly once."""
-    schedules = [binomial_bcast_schedule(r, n_ranks, root) for r in range(n_ranks)]
-    has_data = {root}
-    recv_count = {r: 0 for r in range(n_ranks)}
-    rounds = len(schedules[0].steps)
-    for k in range(rounds):
-        snapshot = set(has_data)
-        for r in range(n_ranks):
-            step = schedules[r].steps[k]
-            for dst in step.outgoing:
-                if r not in snapshot:
-                    return False  # sending data it does not have yet
-                # The receiver must expect it this round.
-                if r not in schedules[dst].steps[k].incoming:
-                    return False
-                has_data.add(dst)
-                recv_count[dst] += 1
-    return has_data == set(range(n_ranks)) and all(
-        recv_count[r] == (0 if r == root else 1) for r in range(n_ranks)
-    )

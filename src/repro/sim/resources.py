@@ -182,10 +182,6 @@ class Resource:
         self._queue: Deque[Event] = deque()
 
     @property
-    def in_use(self) -> int:
-        return self._in_use
-
-    @property
     def queued(self) -> int:
         return len(self._queue)
 

@@ -15,13 +15,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.workload.replay import (
-    ReplayError,
-    SCHEMA,
-    Schedule,
-    Step,
-    _validate,
-)
+from repro.workload.replay import ReplayError, Schedule, Step
 
 # --------------------------------------------------------------------------
 # NCCL-style per-step logs
@@ -176,9 +170,7 @@ def parse_nccl_log(text: str, source: str = "<nccl-log>",
                 "peer": t, "bytes": s.fields["bytes"],
                 "tag": s.fields["tag"], "class": s.fields["class"],
             }))
-    sched = Schedule(ranks=ranks, steps=expanded, name=name, source=source)
-    _validate(sched)
-    return sched
+    return Schedule(ranks=ranks, steps=expanded, name=name, source=source)
 
 
 # --------------------------------------------------------------------------
@@ -283,10 +275,7 @@ def llm_schedule(
             add(r, "barrier")
 
     label = name or f"llm-dp{dp}-tp{tp}-pp{pp}"
-    sched = Schedule(ranks=ranks, steps=out, name=label,
-                     source=f"<{label}>")
-    _validate(sched)
-    return sched
+    return Schedule(ranks=ranks, steps=out, name=label, source=f"<{label}>")
 
 
 # --------------------------------------------------------------------------
@@ -352,9 +341,7 @@ def jacobi_schedule(
                 add(r, "recv", peer=neighbours(r)[d], tag=f"halo.{opposite[d]}")
 
     label = name or f"jacobi-{py}x{px}"
-    sched = Schedule(ranks=ranks, steps=out, name=label, source=f"<{label}>")
-    _validate(sched)
-    return sched
+    return Schedule(ranks=ranks, steps=out, name=label, source=f"<{label}>")
 
 
 # --------------------------------------------------------------------------
@@ -429,9 +416,7 @@ def parameter_server_schedule(
                 add(servers + w, "recv", peer=s, tag=f"pull.s{step}.w{w}")
 
     label = name or f"ps-w{workers}-s{servers}"
-    sched = Schedule(ranks=ranks, steps=out, name=label, source=f"<{label}>")
-    _validate(sched)
-    return sched
+    return Schedule(ranks=ranks, steps=out, name=label, source=f"<{label}>")
 
 
 # --------------------------------------------------------------------------
@@ -492,6 +477,4 @@ def expert_parallel_schedule(
         all_to_all(step, "comb", "moe-combine")
 
     label = name or f"moe-{ranks}r"
-    sched = Schedule(ranks=ranks, steps=out, name=label, source=f"<{label}>")
-    _validate(sched)
-    return sched
+    return Schedule(ranks=ranks, steps=out, name=label, source=f"<{label}>")

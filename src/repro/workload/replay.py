@@ -123,12 +123,21 @@ class Step:
 
 @dataclass
 class Schedule:
-    """A validated replay schedule: header + per-line steps."""
+    """A replay schedule: header + per-line steps, validated when built.
+
+    Construction raises :class:`ReplayError` (``source:line:``) on any
+    invalid step or unmatched channel; the matches it finds are the ones
+    :func:`lower` keys its micro-ops by.
+    """
 
     ranks: int
     steps: List[Step]
     name: str = ""
     source: str = "<schedule>"
+    _links: List[Optional[tuple]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._links = _validate(self)
 
     @property
     def digest(self) -> str:
@@ -227,12 +236,7 @@ def parse_jsonl(text: str, source: str = "<schedule>") -> Schedule:
     if header is None:
         raise _err(source, 1, "empty schedule: missing header line")
     ranks = _want_int(source, header_line, header, "ranks", "header", lo=1)
-    sched = Schedule(
-        ranks=ranks, steps=steps,
-        name=str(header.get("name", "")), source=source,
-    )
-    _validate(sched)
-    return sched
+    return Schedule(ranks=ranks, steps=steps, name=str(header.get("name", "")), source=source)
 
 
 def load_schedule(path: str) -> Schedule:
@@ -240,19 +244,30 @@ def load_schedule(path: str) -> Schedule:
         return parse_jsonl(fh.read(), source=path)
 
 
-def _validate(sched: Schedule) -> None:
-    src_name, ranks = sched.source, sched.ranks
+def _validate(sched: Schedule) -> List[Optional[tuple]]:
+    """Check every step and match every channel; -> each step's link.
+
+    Links are indexed like ``sched.steps``: a send's ``(channel,
+    occurrence)``; a recv's ``(channel, occurrence, matched send step)``
+    with its send's channel and occurrence; a multi-rank collective's
+    ``(group index, occurrence, members)``; an xfer's ``(src endpoint,
+    dst endpoint)``; None for every other step.
+    """
+    src_name, ranks, steps = sched.source, sched.ranks, sched.steps
+    links: List[Optional[tuple]] = [None] * len(steps)
     # Per rank, filled as steps appear: the header's rank count is input.
     ids_seen: Dict[int, set] = defaultdict(set)
-    # (sender, receiver, tag) -> [send steps] / [recv steps], occurrence order
-    sends: Dict[Tuple[int, int, Any], List[Step]] = {}
-    recvs: Dict[Tuple[int, int, Any], List[Step]] = {}
-    # (sender, receiver) -> [wildcard recv steps], occurrence order
-    wilds: Dict[Tuple[int, int], List[Step]] = {}
-    # group tuple -> rank -> [(op, bytes, class), ...]
+    # (sender, receiver, tag) -> [send / recv step indices], occurrence order
+    sends: Dict[Tuple[int, int, Any], List[int]] = {}
+    recvs: Dict[Tuple[int, int, Any], List[int]] = {}
+    # (sender, receiver) -> [send / wildcard recv step indices], schedule order
+    pair_sends: Dict[Tuple[int, int], List[int]] = {}
+    wilds: Dict[Tuple[int, int], List[int]] = {}
+    # group -> index, first seen first; group -> rank -> [(signature, step)]
+    gids: Dict[Tuple[int, ...], int] = {}
     colls: Dict[Tuple[int, ...], Dict[int, List[Tuple]]] = {}
 
-    for s in sched.steps:
+    for i, s in enumerate(steps):
         what = f"op {s.op!r}"
         if not 0 <= s.rank < ranks:
             raise _err(src_name, s.line, f"rank {s.rank} out of range (header ranks={ranks})")
@@ -267,9 +282,7 @@ def _validate(sched: Schedule) -> None:
             peer = _want_int(src_name, s.line, s.fields, "peer", what, lo=0, hi=ranks)
             if peer == s.rank:
                 raise _err(src_name, s.line, f"{what}: peer {peer} is the step's own rank")
-            if s.op != "recv":
-                _want_int(src_name, s.line, s.fields, "bytes", what, lo=1)
-            elif "bytes" in s.fields:
+            if s.op != "recv" or "bytes" in s.fields:
                 _want_int(src_name, s.line, s.fields, "bytes", what, lo=1)
             if s.op == "partitioned":
                 _want_int(src_name, s.line, s.fields, "partitions", what, lo=1)
@@ -281,11 +294,14 @@ def _validate(sched: Schedule) -> None:
                            f"{what}: the wildcard tag {WILDCARD_TAG!r} is recv-only")
             if s.op == "recv":
                 if tag == WILDCARD_TAG:
-                    wilds.setdefault((peer, s.rank), []).append(s)
+                    wilds.setdefault((peer, s.rank), []).append(i)
                 else:
-                    recvs.setdefault((peer, s.rank, tag), []).append(s)
+                    recvs.setdefault((peer, s.rank, tag), []).append(i)
             elif s.op != "put":
-                sends.setdefault((s.rank, peer, tag), []).append(s)
+                chan = (s.rank, peer, tag)
+                links[i] = (chan, len(sends.setdefault(chan, [])))
+                sends[chan].append(i)
+                pair_sends.setdefault((s.rank, peer), []).append(i)
         elif s.op in _COLLECTIVE_OPS:
             if s.op == "allreduce":
                 _want_int(src_name, s.line, s.fields, "bytes", what, lo=1)
@@ -304,11 +320,13 @@ def _validate(sched: Schedule) -> None:
                 raise _err(src_name, s.line, f"{what}: rank {s.rank} is not in its own group {list(members)}")
             if len(members) > 1:
                 sig = (s.op, s.get("bytes", BARRIER_BYTES), s.get("class"))
-                colls.setdefault(members, {}).setdefault(s.rank, []).append((sig, s))
+                mine = colls.setdefault(members, {}).setdefault(s.rank, [])
+                links[i] = (gids.setdefault(members, len(gids)), len(mine), members)
+                mine.append((sig, s))
         elif s.op == "xfer":
             _want_int(src_name, s.line, s.fields, "bytes", what, lo=1)
-            _endpoint(src_name, s.line, s.fields, "src")
-            _endpoint(src_name, s.line, s.fields, "dst")
+            links[i] = (_endpoint(src_name, s.line, s.fields, "src"),
+                        _endpoint(src_name, s.line, s.fields, "dst"))
         cls = s.get("class")
         if cls is not None and not isinstance(cls, str):
             raise _err(src_name, s.line, f"{what}: field 'class' must be a string, got {cls!r}")
@@ -332,64 +350,52 @@ def _validate(sched: Schedule) -> None:
         if sid is not None:
             ids_seen[s.rank].add(sid)
 
+    def match(sent: List[int], got: List[int], channel: str) -> None:
+        """Pair the n-th send with the n-th recv; link the recv to it."""
+        for occ, (si, ri) in enumerate(zip(sent, got)):
+            snd, rcv = steps[si], steps[ri]
+            if "bytes" in rcv.fields and rcv["bytes"] != snd["bytes"]:
+                raise _err(
+                    src_name, rcv.line,
+                    f"{channel} occurrence {occ}: recv states {rcv['bytes']} "
+                    f"bytes but the matched send (line {snd.line}) sends {snd['bytes']}",
+                )
+            links[ri] = links[si] + (snd,)
+
     # Wildcard matching: pair-wide, in schedule order across all tags.
     for pair in sorted(wilds):
         src_rank, dst_rank = pair
-        tagged = [
-            chan for chan in recvs
-            if (chan[0], chan[1]) == pair and recvs[chan]
-        ]
-        if tagged:
-            ref = wilds[pair][0]
+        ref = steps[wilds[pair][0]]
+        if any(chan[:2] == pair for chan in recvs):
             raise _err(
                 src_name, ref.line,
                 f"channel {src_rank}->{dst_rank}: wildcard and tagged recvs "
                 "mix on the same pair — matching would be ambiguous",
             )
-        pair_sends = sorted(
-            (snd for chan, ss in sends.items()
-             if (chan[0], chan[1]) == pair for snd in ss),
-            key=lambda s: s.line,
-        )
-        if len(pair_sends) != len(wilds[pair]):
-            ref = wilds[pair][0]
+        sent = pair_sends.get(pair, [])
+        if len(sent) != len(wilds[pair]):
             raise _err(
                 src_name, ref.line,
-                f"channel {src_rank}->{dst_rank}: {len(pair_sends)} send(s) "
+                f"channel {src_rank}->{dst_rank}: {len(sent)} send(s) "
                 f"but {len(wilds[pair])} wildcard recv(s) — counts must match "
                 "pair-wide",
             )
-        for occ, (snd, rcv) in enumerate(zip(pair_sends, wilds[pair])):
-            if "bytes" in rcv.fields and rcv["bytes"] != snd["bytes"]:
-                raise _err(
-                    src_name, rcv.line,
-                    f"channel {src_rank}->{dst_rank} wildcard occurrence "
-                    f"{occ}: recv states {rcv['bytes']} bytes but the matched "
-                    f"send (line {snd.line}) sends {snd['bytes']}",
-                )
+        match(sent, wilds[pair], f"channel {src_rank}->{dst_rank} wildcard")
 
     # Two-sided matching: same channel, same count, agreeing sizes.
-    wild_pairs = set(wilds)
     for chan in sorted(set(sends) | set(recvs), key=repr):
         src_rank, dst_rank, tag = chan
-        if (src_rank, dst_rank) in wild_pairs:
+        if (src_rank, dst_rank) in wilds:
             continue  # consumed by pair-wide wildcard matching above
         ns, nr = len(sends.get(chan, ())), len(recvs.get(chan, ()))
         if ns != nr:
-            ref = (sends.get(chan) or recvs.get(chan))[0]
+            ref = steps[(sends.get(chan) or recvs.get(chan))[0]]
             raise _err(
                 src_name, ref.line,
                 f"channel {src_rank}->{dst_rank} tag {tag!r}: {ns} send(s) but "
                 f"{nr} recv(s) — two-sided steps must match per channel",
             )
-        for occ, (snd, rcv) in enumerate(zip(sends[chan], recvs[chan])):
-            if "bytes" in rcv.fields and rcv["bytes"] != snd["bytes"]:
-                raise _err(
-                    src_name, rcv.line,
-                    f"channel {src_rank}->{dst_rank} tag {tag!r} occurrence "
-                    f"{occ}: recv states {rcv['bytes']} bytes but the matched "
-                    f"send (line {snd.line}) sends {snd['bytes']}",
-                )
+        match(sends[chan], recvs[chan], f"channel {src_rank}->{dst_rank} tag {tag!r}")
 
     # Collective agreement: every member lists the same sequence.
     for members, by_rank in colls.items():
@@ -421,6 +427,7 @@ def _validate(sched: Schedule) -> None:
                         f"rank {r} lists {sig_b} but rank {members[0]} lists "
                         f"{sig_a} (line {step_a.line})",
                     )
+    return links
 
 
 # --------------------------------------------------------------------------
@@ -433,36 +440,27 @@ def _validate(sched: Schedule) -> None:
 #   ("wait", src_rank, key)
 #   ("xfer", src_ep, dst_ep, nbytes, traffic_class)         # ep = ("g",i)|("h",i)
 
+def _chunks(send: Step) -> List[int]:
+    """A send's non-empty chunk sizes: the remainder goes to the first ones."""
+    total = send["bytes"]
+    parts = send.get("partitions", 1) if send.op == "partitioned" else 1
+    base, rem = divmod(total, parts)
+    return [base + (i < rem) for i in range(min(parts, total))]
+
+
 def lower(sched: Schedule) -> Dict[int, List[tuple]]:
-    """Lower the schedule to per-rank micro-op lists (rank r -> GPU r)."""
+    """Lower the schedule to per-rank micro-op lists (rank r -> GPU r).
+
+    Keys come from the matches :func:`_validate` made when the schedule
+    was built: a send's chunks signal ``("p",) + channel + (occurrence,
+    chunk)`` and its matched recv waits on the same keys; ring round
+    ``rnd`` of a collective signals ``("c", group, occurrence, rnd,
+    sender)``.
+    """
     from repro.pcoll.ring import ring_allreduce_schedule
 
     ops: Dict[int, List[tuple]] = {}  # only the ranks that steps name
-    send_occ: Dict[Tuple[int, int, Any], int] = {}
-    recv_occ: Dict[Tuple[int, int, Any], int] = {}
-    wild_occ: Dict[Tuple[int, int], int] = {}
-    send_info: Dict[Tuple[int, int, Any], List[Step]] = {}
-    # (sender, receiver) -> [(chan, chan-occurrence, step)], schedule order
-    # — wildcard recvs match pair-wide but wait on the matched send's own
-    # channel keys, so send lowering never needs to know about wildcards.
-    pair_sends: Dict[Tuple[int, int], List[Tuple[Tuple, int, Step]]] = {}
-    coll_occ: Dict[Tuple[int, ...], Dict[int, int]] = {}
-    groups: List[Tuple[int, ...]] = []
-
-    for s in sched.steps:
-        if s.op in ("send", "partitioned"):
-            chan = (s.rank, s["peer"], s.get("tag", 0))
-            pre = send_info.setdefault(chan, [])
-            pair_sends.setdefault((s.rank, s["peer"]), []).append(
-                (chan, len(pre), s)
-            )
-            pre.append(s)
-
-    def chunk_sizes(total: int, parts: int) -> List[int]:
-        base, rem = divmod(total, parts)
-        return [base + (1 if i < rem else 0) for i in range(parts)]
-
-    for s in sched.steps:
+    for s, link in zip(sched.steps, sched._links):
         out = ops.setdefault(s.rank, [])
         cls = s.get("class") or DEFAULT_CLASS
         if s.op == "compute":
@@ -470,42 +468,17 @@ def lower(sched: Schedule) -> Dict[int, List[tuple]]:
         elif s.op == "put":
             out.append(("send", s["peer"], s["bytes"], cls, None))
         elif s.op in ("send", "partitioned"):
-            chan = (s.rank, s["peer"], s.get("tag", 0))
-            occ = send_occ.get(chan, 0)
-            send_occ[chan] = occ + 1
-            parts = s.get("partitions", 1) if s.op == "partitioned" else 1
-            for i, nbytes in enumerate(chunk_sizes(s["bytes"], parts)):
-                if nbytes:
-                    out.append(("send", s["peer"], nbytes, cls,
-                                ("p",) + chan + (occ, i)))
+            chan, occ = link
+            for i, nbytes in enumerate(_chunks(s)):
+                out.append(("send", s["peer"], nbytes, cls, ("p",) + chan + (occ, i)))
         elif s.op == "recv":
-            tag = s.get("tag", 0)
-            if tag == WILDCARD_TAG:
-                pair = (s["peer"], s.rank)
-                j = wild_occ.get(pair, 0)
-                wild_occ[pair] = j + 1
-                chan, occ, snd = pair_sends[pair][j]
-            else:
-                chan = (s["peer"], s.rank, tag)
-                occ = recv_occ.get(chan, 0)
-                recv_occ[chan] = occ + 1
-                snd = send_info[chan][occ]
-            parts = snd.get("partitions", 1) if snd.op == "partitioned" else 1
-            for i, nbytes in enumerate(chunk_sizes(snd["bytes"], parts)):
-                if nbytes:
-                    out.append(("wait", s["peer"], ("p",) + chan + (occ, i)))
-        elif s.op in _COLLECTIVE_OPS:
-            group = s.get("group")
-            members = range(sched.ranks) if group is None or len(group) == sched.ranks \
-                else tuple(sorted(group))
-            if len(members) == 1:
-                continue
-            if members not in coll_occ:
-                coll_occ[members] = {}
-                groups.append(members)
-            gid = groups.index(members)
-            occ = coll_occ[members].get(s.rank, 0)
-            coll_occ[members][s.rank] = occ + 1
+            chan, occ, snd = link
+            for i in range(len(_chunks(snd))):
+                out.append(("wait", s["peer"], ("p",) + chan + (occ, i)))
+        elif s.op == "xfer":
+            out.append(("xfer", *link, s["bytes"], cls))
+        elif link is not None:  # a collective over two or more ranks
+            gid, occ, members = link
             if s.op == "barrier":
                 nbytes, cls = BARRIER_BYTES, s.get("class") or BARRIER_CLASS
             else:
@@ -517,10 +490,6 @@ def lower(sched: Schedule) -> Dict[int, List[tuple]]:
                 right, left = members[step.outgoing[0]], members[step.incoming[0]]
                 out.append(("send", right, chunk, cls, ("c", gid, occ, rnd, s.rank)))
                 out.append(("wait", left, ("c", gid, occ, rnd, left)))
-        elif s.op == "xfer":
-            src_ep = _endpoint(sched.source, s.line, s.fields, "src")
-            dst_ep = _endpoint(sched.source, s.line, s.fields, "dst")
-            out.append(("xfer", src_ep, dst_ep, s["bytes"], cls))
     return ops
 
 
@@ -809,6 +778,4 @@ def from_chrome(trace: dict, name: str = "chrome-ingest") -> Schedule:
     max_gpu = max((f[k] for _, f in events for k in ("src_gpu", "dst_gpu") if k in f),
                   default=-1)
     ranks = max(max_gpu + 1, 1)
-    sched = Schedule(ranks=ranks, steps=steps, name=name, source=source)
-    _validate(sched)
-    return sched
+    return Schedule(ranks=ranks, steps=steps, name=name, source=source)

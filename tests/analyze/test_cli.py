@@ -1,4 +1,4 @@
-"""End-to-end CLI behaviour: suppressions, baseline, SARIF, exit codes."""
+"""End-to-end CLI behaviour: suppressions, SARIF, exit codes."""
 
 import json
 import textwrap
@@ -31,7 +31,7 @@ def run(capsys, *argv):
 
 def test_findings_exit_one_with_summary(capsys, tmp_path):
     path = write_buggy(tmp_path)
-    code, out = run(capsys, path, "--no-baseline")
+    code, out = run(capsys, path)
     assert code == 1
     assert "[det-unordered-iter]" in out
     assert "analyze: 1 finding(s)" in out
@@ -41,47 +41,22 @@ def test_inline_suppression_and_count(capsys, tmp_path):
     path = write_buggy(
         tmp_path, suppress="  # repro: ignore[det-unordered-iter]"
     )
-    code, out = run(capsys, path, "--no-baseline")
+    code, out = run(capsys, path)
     assert code == 0
     assert "1 suppressed" in out
 
 
 def test_rule_filter_and_unknown_rule(capsys, tmp_path):
     path = write_buggy(tmp_path)
-    code, _ = run(capsys, path, "--rule", "det-unseeded-random",
-                  "--no-baseline")
+    code, _ = run(capsys, path, "--rule", "det-unseeded-random")
     assert code == 0                      # other rules not run
     assert main([str(path), "--rule", "no-such-rule"]) == 2
-
-
-def test_write_baseline_then_green(capsys, tmp_path):
-    path = write_buggy(tmp_path)
-    bl = tmp_path / "bl.json"
-    code, out = run(capsys, path, "--baseline", bl, "--write-baseline")
-    assert code == 0 and bl.is_file()
-    code, out = run(capsys, path, "--baseline", bl)
-    assert code == 0
-    assert "(1 baselined" in out
-    # --no-baseline surfaces everything again
-    code, out = run(capsys, path, "--baseline", bl, "--no-baseline")
-    assert code == 1
-
-
-def test_stale_baseline_warns(capsys, tmp_path):
-    buggy = write_buggy(tmp_path)
-    bl = tmp_path / "bl.json"
-    run(capsys, buggy, "--baseline", bl, "--write-baseline")
-    clean = tmp_path / "clean.py"
-    clean.write_text("def ok():\n    return 1\n")
-    code, out = run(capsys, clean, "--baseline", bl)
-    assert code == 0
-    assert "stale baseline entry" in out
 
 
 def test_sarif_export_is_valid(capsys, tmp_path):
     path = write_buggy(tmp_path)
     out_file = tmp_path / "out.sarif"
-    code, _ = run(capsys, path, "--no-baseline", "--sarif", out_file)
+    code, _ = run(capsys, path, "--sarif", out_file)
     assert code == 1
     obj = json.loads(out_file.read_text())
     validate_sarif(obj)
@@ -92,7 +67,7 @@ def test_sarif_export_is_valid(capsys, tmp_path):
 
 
 def test_fixture_dir_reports_every_family(capsys):
-    code, out = run(capsys, FIXTURES, "--no-baseline")
+    code, out = run(capsys, FIXTURES)
     assert code == 1
     for family_rule in (
         "effect-illegal-yield", "effect-leaked-waiter",
@@ -101,12 +76,10 @@ def test_fixture_dir_reports_every_family(capsys):
         assert family_rule in out
 
 
-def test_repo_analyzes_clean_with_checked_in_baseline(capsys):
-    from .conftest import REPO_ROOT, REPRO_SRC
+def test_repo_analyzes_clean(capsys):
+    from .conftest import REPRO_SRC
 
-    code, out = run(
-        capsys, REPRO_SRC, "--baseline", REPO_ROOT / "analyze-baseline.json"
-    )
+    code, out = run(capsys, REPRO_SRC)
     assert code == 0, out
     assert "analyze: 0 finding(s)" in out
 

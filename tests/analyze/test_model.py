@@ -1,5 +1,6 @@
-"""Project model: symbol tables, resolution, call graph."""
+"""Project model: symbol tables and call resolution."""
 
+import ast
 import textwrap
 
 from repro.analyze.model import Project
@@ -15,6 +16,12 @@ def fn(project, qualname):
     hits = [f for f in project.functions if f.qualname == qualname]
     assert len(hits) == 1, f"{qualname}: {hits}"
     return hits[0]
+
+
+def callees(project, fi):
+    """What each call in ``fi``'s body (lambdas included) resolves to."""
+    return [project.resolve_call(fi, node.func)
+            for node in ast.walk(fi.node) if isinstance(node, ast.Call)]
 
 
 def test_qualnames_and_generators():
@@ -57,7 +64,7 @@ def test_resolve_bare_name_and_import_edge():
     })
     caller = fn(p, "caller")
     helper = fn(p, "helper")
-    assert p.call_graph[caller] == {helper}
+    assert callees(p, caller) == [helper]
 
 
 def test_resolve_self_method_and_lambda_fold():
@@ -74,8 +81,8 @@ def test_resolve_self_method_and_lambda_fold():
                 return cb
     """})
     a, b, free = fn(p, "C.a"), fn(p, "C.b"), fn(p, "free")
-    assert p.call_graph[a] == {b}
-    assert free in p.call_graph[b]          # lambda body folds into owner
+    assert callees(p, a) == [b]
+    assert callees(p, b) == [free]          # a lambda's call resolves in its owner
 
 
 def test_unresolvable_calls_are_unknown():
@@ -84,4 +91,4 @@ def test_unresolvable_calls_are_unknown():
             obj.anything()
             unknown_name()
     """})
-    assert p.call_graph[fn(p, "caller")] == set()
+    assert callees(p, fn(p, "caller")) == [None, None]

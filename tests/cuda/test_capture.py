@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cuda.kernel import UniformKernel
+from repro.cuda.stream import Stream
 from repro.cuda.timing import WorkSpec
 from repro.dataplane.graph import GraphError
 
@@ -29,7 +30,7 @@ def test_captured_ops_do_not_execute(engine, gpu):
 
 
 def test_cross_stream_enqueue_during_capture_rejected(engine, gpu):
-    other = gpu.new_stream()
+    other = Stream(gpu, name="s1")
     gpu.default_stream.begin_capture()
     try:
         with pytest.raises(GraphError, match="cross-stream"):
@@ -43,7 +44,7 @@ def test_nested_capture_rejected(engine, gpu):
     gpu.default_stream.begin_capture()
     try:
         with pytest.raises(GraphError, match="already has an open capture"):
-            gpu.new_stream().begin_capture()
+            Stream(gpu, name="s1").begin_capture()
     finally:
         gpu.launch(_kernel())
         gpu.default_stream.end_capture()

@@ -5,6 +5,7 @@ import pytest
 
 from repro.cuda.device import Device
 from repro.cuda.kernel import BlockKernel, UniformKernel
+from repro.cuda.stream import Stream
 from repro.cuda.timing import WorkSpec
 from repro.hw.memory import MemSpace
 from repro.units import us
@@ -87,7 +88,7 @@ def test_stream_fifo_ordering(engine, gpu):
 
 
 def test_two_streams_run_concurrently(engine, gpu):
-    s2 = gpu.new_stream()
+    s2 = Stream(gpu, name="s1")
     big = UniformKernel(2048, 1024, WORK, name="big")
 
     def host():

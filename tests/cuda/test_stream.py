@@ -4,6 +4,7 @@ import pytest
 
 from repro.cuda.device import Device
 from repro.cuda.kernel import UniformKernel
+from repro.cuda.stream import Stream
 from repro.cuda.timing import WorkSpec
 from repro.units import us
 
@@ -73,7 +74,7 @@ def test_stream_continues_after_failed_op(engine, gpu):
 
 
 def test_ops_across_streams_do_not_block_each_other(engine, gpu):
-    s2 = gpu.new_stream()
+    s2 = Stream(gpu, name="s1")
 
     def slow():
         yield engine.timeout(1000 * us)

@@ -171,4 +171,4 @@ def test_transfer_stream_matches_pinned_digest(case):
     links = build(engine)
     assert _digest(steps) == pinned
     assert [ln.outstanding_bytes for ln in links] == [0] * len(links)
-    assert all(ln.port.in_use == 0 and ln.port.queued == 0 for ln in links)
+    assert all(ln.port._in_use == 0 and ln.port.queued == 0 for ln in links)

@@ -25,22 +25,22 @@ def test_posted_matches_arrival():
     m = TagMatcher()
     assert m.post_recv(0, 1, 7, "rreq") is None
     assert m.deliver(0, 1, 7, "msg") == "rreq"
-    assert m.n_posted == 0
+    assert len(m._posted) == 0
 
 
 def test_unexpected_then_post():
     m = TagMatcher()
     assert m.deliver(0, 1, 7, "early") is None
-    assert m.n_unexpected == 1
+    assert len(m._unexpected) == 1
     assert m.post_recv(0, 1, 7, "rreq") == "early"
-    assert m.n_unexpected == 0
+    assert len(m._unexpected) == 0
 
 
 def test_comm_isolation():
     m = TagMatcher()
     m.post_recv(0, 1, 7, "rreq_comm0")
     assert m.deliver(1, 1, 7, "msg_comm1") is None  # different communicator
-    assert m.n_unexpected == 1
+    assert len(m._unexpected) == 1
 
 
 def test_non_overtaking_same_envelope():
@@ -140,7 +140,7 @@ def test_property_every_message_pairs_exactly_once(envelopes):
         matched = m.post_recv(0, src, tag, "r")
         assert matched is not None
         got.append(matched[1])
-    assert m.n_unexpected == 0
+    assert len(m._unexpected) == 0
     # Per-envelope FIFO: indices for identical envelopes appear in order.
     from collections import defaultdict
 

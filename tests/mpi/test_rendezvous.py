@@ -68,7 +68,7 @@ def test_no_rendezvous_left_half_matched(main, nprocs):
     with World(ONE_NODE) as world:
         for rt in world.run(main, nprocs=nprocs):
             assert rt.part_matcher.unmatched() == (0, 0)
-            assert (rt.matcher.n_posted, rt.matcher.n_unexpected) == (0, 0)
+            assert (rt.matcher._posted, rt.matcher._unexpected) == ([], [])
             assert rt.pending_sends == {} and rt.recv_by_seq == {}
             assert rt.worker.am.unmatched() == (0, 5)
 

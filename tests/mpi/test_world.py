@@ -40,6 +40,16 @@ def test_nprocs_bounds():
         World(ONE_NODE).run(main, nprocs=0)
 
 
+def test_run_takes_no_time_limit():
+    # A simulated job runs to completion; there is no ``until`` cut-off.
+    def main(ctx):
+        yield ctx.engine.timeout(0)
+
+    with World(ONE_NODE) as world:
+        with pytest.raises(TypeError, match="until"):
+            world.run(main, nprocs=1, until=1.0)
+
+
 def test_args_passed_through():
     def main(ctx, a, b):
         yield ctx.engine.timeout(0)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cuda.stream import Stream
 from repro.hw.params import ONE_NODE, PAPER_TESTBED
 from repro.mpi.errors import MpiUsageError
 from repro.mpi.ops import MAX, SUM
@@ -172,7 +173,7 @@ def test_two_nccl_comms_on_one_mpi_comm_reduce_apart():
         second = yield from NcclComm.init(ctx)
         a = ctx.gpu.alloc(256, fill=float(ctx.rank + 1))
         b = ctx.gpu.alloc(256, fill=10.0 * (ctx.rank + 1))
-        other = ctx.gpu.new_stream()
+        other = Stream(ctx.gpu, name="s1")
         first.all_reduce(a, a)
         second.all_reduce(b, b, stream=other)
         yield from ctx.gpu.sync_h()

@@ -9,7 +9,9 @@ from repro.hw.params import ONE_NODE
 from repro.mpi.errors import MpiUsageError
 from repro.mpi.ops import MAX, SUM
 from repro.mpi.world import World
-from repro.pcoll.rd import recursive_doubling_allreduce_schedule, verify_rd_completion
+from repro.pcoll.rd import recursive_doubling_allreduce_schedule
+
+from .verify import verify_rd_completion
 
 
 def test_schedule_structure():

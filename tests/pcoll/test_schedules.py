@@ -6,9 +6,11 @@ from hypothesis import strategies as st
 
 from repro.mpi.errors import MpiUsageError
 from repro.mpi.ops import NOP, SUM
-from repro.pcoll.ring import ring_allreduce_schedule, verify_ring_completion
+from repro.pcoll.ring import ring_allreduce_schedule
 from repro.pcoll.schedule import Schedule, Step
-from repro.pcoll.tree import binomial_bcast_schedule, verify_bcast_coverage
+from repro.pcoll.tree import binomial_bcast_schedule
+
+from .verify import verify_bcast_coverage, verify_ring_completion
 
 
 # -- Step / Schedule validation ------------------------------------------------

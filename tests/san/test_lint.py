@@ -369,7 +369,7 @@ def test_seeded_wallclock_file_fails(tmp_path, capsys):
     bad = tmp_path / "repro" / "sim" / "bad.py"
     bad.parent.mkdir(parents=True)
     bad.write_text("import time\n\ndef now():\n    return time.time()\n")
-    assert main([str(bad), "--no-baseline"]) == 1
+    assert main([str(bad)]) == 1
     out = capsys.readouterr().out
     assert "wallclock" in out and "bad.py" in out
 
@@ -378,10 +378,10 @@ def test_seeded_file_outside_core_passes(tmp_path, capsys):
     ok = tmp_path / "repro" / "bench" / "timer.py"
     ok.parent.mkdir(parents=True)
     ok.write_text("import time\n\ndef now():\n    return time.time()\n")
-    assert main([str(ok), "--no-baseline"]) == 0
+    assert main([str(ok)]) == 0
 
 
 def test_real_tree_is_clean(capsys):
     rules = [arg for rid in INVARIANTS for arg in ("--rule", rid)]
-    assert main([str(REPO_SRC), "--no-baseline", *rules]) == 0
+    assert main([str(REPO_SRC), *rules]) == 0
     assert "analyze: 0 finding(s)" in capsys.readouterr().out

@@ -461,7 +461,7 @@ def _holding_scenario(case):
                     got = yield make(eng, res, 0.5, start)
                 except KeyError as exc:
                     got = ("failed", repr(exc))
-                log.append((k, got, eng.now, res.in_use, res.queued))
+                log.append((k, got, eng.now, res._in_use, res.queued))
 
             if case == "uncontended":
                 eng.process(waiter(0, lambda: eng.timeout(1.0, "v")))
@@ -506,7 +506,7 @@ def test_unwaited_holding_failure_releases_and_is_process_failed(engine):
         engine.run()
     assert failed.value.process is chain
     assert isinstance(failed.value.exc, KeyError)
-    assert res.in_use == 0 and not chain.ok
+    assert res._in_use == 0 and not chain.ok
 
 
 def test_holding_start_raising_releases(engine):
@@ -515,7 +515,7 @@ def test_holding_start_raising_releases(engine):
     def waiter():
         with pytest.raises(KeyError):
             yield _holding(engine, res, 0.5, _boom)
-        return engine.now, res.in_use
+        return engine.now, res._in_use
 
     assert engine.run(engine.process(waiter())) == (0.5, 0)
 

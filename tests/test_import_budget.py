@@ -51,8 +51,9 @@ def _deferred(modules: list) -> list:
 
 
 def test_benchmark_setup_loads_no_deferred_module():
-    # The imports, lookups and machine builds of the host-time benchmark's
-    # set-up, for all of its workloads.
+    # The imports, lookups, machine builds and schedule builds of the
+    # host-time benchmark's set-up, for all of its workloads.  Building a
+    # schedule validates and matches it; only lowering it loads pcoll.
     modules = _loaded(
         "import repro.bench.p2p, repro.dataplane.graph, repro.hw.faults\n"
         "import repro.hw.spec.generators, repro.hw.topology, repro.mpi.world\n"
@@ -67,6 +68,11 @@ def test_benchmark_setup_loads_no_deferred_module():
         "    get(name)\n"
         "World(ONE_NODE)\n"
         "Fabric(Engine(), resolve_machine('fat-tree-512'))\n"
+        "from repro.workload.generators import (\n"
+        "    expert_parallel_schedule, llm_schedule, parameter_server_schedule)\n"
+        "llm_schedule(dp=2, tp=4, pp=2, microbatches=2, name='llm')\n"
+        "expert_parallel_schedule(ranks=16, steps=1, name='moe')\n"
+        "parameter_server_schedule(workers=14, servers=2, steps=2, name='ps')\n"
     )
     assert "repro.workload.cluster" in modules  # the registry did load
     assert _deferred(modules) == []
