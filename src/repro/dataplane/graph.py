@@ -135,9 +135,12 @@ class PlanCache:
     completion callback over the same buffers), so replaying them is
     equivalent to re-planning; tests pin that equivalence.
 
-    Captured plans pin their endpoint buffers: replaying a plan whose
-    buffer has been freed since capture raises :class:`GraphError` (the
-    hazard the ``graph-capture-mutation`` analyzer rule flags statically).
+    Captured plans pin their endpoint buffers: each entry keeps its
+    ``(src, dst)`` and hits only a descriptor naming those very objects,
+    so a new buffer that reuses a dead one's ``id()`` never replays its
+    route.  Replaying a plan whose buffer has been freed since capture
+    raises :class:`GraphError` (the hazard the ``graph-capture-mutation``
+    analyzer rule flags statically).
 
     Plans are **epoch-stamped** (DESIGN.md §17): a plan captured under
     fabric epoch E replays unchecked while the epoch still reads E.  After
@@ -154,7 +157,8 @@ class PlanCache:
     __slots__ = ("_plans", "hits", "misses")
 
     def __init__(self) -> None:
-        self._plans: Dict[Tuple, Tuple[Any, tuple, int]] = {}
+        #: key -> (src, dst, wire_bytes, stripes, epoch)
+        self._plans: Dict[Tuple, Tuple[Any, Any, Any, tuple, int]] = {}
         self.hits = 0
         self.misses = 0
 
@@ -170,9 +174,9 @@ class PlanCache:
         (then validate); an epoch-stale plan is re-bound first."""
         key = self._key(desc)
         entry = self._plans.get(key)
-        if entry is None:
+        if entry is None or entry[0] is not desc.src or entry[1] is not desc.dst:
             return None
-        wire_bytes, stripes, epoch = entry
+        _src, _dst, wire_bytes, stripes, epoch = entry
         for buf in (desc.src, desc.dst):
             if getattr(buf, "freed", False):
                 raise GraphError(
@@ -204,7 +208,7 @@ class PlanCache:
             rebound.append(type(stripe)(fresh, stripe.nbytes, stripe.on_wire_done))
             moved += 1
         stripes = tuple(rebound)
-        self._plans[key] = (self._plans[key][0], stripes, fabric.link_state.epoch)
+        self._plans[key] = self._plans[key][:3] + (stripes, fabric.link_state.epoch)
         GRAPHS.replanned += 1
         obs = fabric.engine.obs
         if obs is not None:
@@ -217,7 +221,9 @@ class PlanCache:
 
     def store(self, desc, stripes: tuple, fabric) -> None:
         epoch = fabric.link_state.epoch
-        self._plans[self._key(desc)] = (desc.wire_bytes, tuple(stripes), epoch)
+        self._plans[self._key(desc)] = (
+            desc.src, desc.dst, desc.wire_bytes, tuple(stripes), epoch,
+        )
         self.misses += 1
         GRAPHS.captured_plans += 1
         obs = fabric.engine.obs

@@ -43,8 +43,20 @@ _REDUCE_TAG = 64
 _RING_TAG = 96
 
 
-def _tmp_host(comm: "Communicator", n: int, dtype) -> Buffer:
-    return Buffer.alloc(n, dtype, MemSpace.PINNED, node=comm.rt.node)
+def _scratch(comm: "Communicator", role: str, n: int, dtype) -> Buffer:
+    """This rank's pinned host scratch ``role`` for ``comm``.
+
+    The rank's runtime keeps one buffer per ``(comm_id, role)`` across
+    calls and replaces it only when ``n`` or ``dtype`` changes.  Reuse is
+    safe because a collective is blocking: every transfer touching its
+    scratch completes before it returns.
+    """
+    table = comm.rt.scratch
+    key = (comm.comm_id, role)
+    buf = table.get(key)
+    if buf is None or len(buf.data) != n or buf.data.dtype != dtype:
+        buf = table[key] = Buffer.alloc(n, dtype, MemSpace.PINNED, node=comm.rt.node)
+    return buf
 
 
 def _walk(
@@ -87,8 +99,8 @@ def barrier(comm: "Communicator") -> Generator:
         yield comm.rt.params.mpi_call_overhead
         return
     coll = comm.coll()
-    token = _tmp_host(comm, 1, np.int8)
-    rbuf = _tmp_host(comm, 1, np.int8)
+    token = _scratch(comm, "barrier_token", 1, np.int8)
+    rbuf = _scratch(comm, "barrier_recv", 1, np.int8)
     rounds = math.ceil(math.log2(size))
     for k in range(rounds):
         dist = 1 << k
@@ -133,7 +145,7 @@ def allreduce(
 
     sched = ring_allreduce_schedule(comm.rank, comm.size, op)
     m = n // comm.size  # elements per ring chunk
-    tmp = _tmp_host(comm, m, sendbuf.data.dtype)
+    tmp = _scratch(comm, "ring_recv", m, sendbuf.data.dtype)
     staged = not sendbuf.space.host_accessible or not recvbuf.space.host_accessible
     if staged:
         # Stage to host (D2H), reduce on CPUs, stage back (H2D).  The
@@ -141,7 +153,7 @@ def allreduce(
         # (per-chunk cudaMemcpy + synchronize), matching the production
         # CUDA-aware path the paper measures against: each ring step pays
         # ceil(step_bytes / bounce) * penalty on top of the wire time.
-        host = _tmp_host(comm, n, sendbuf.data.dtype)
+        host = _scratch(comm, "ring_host", n, sendbuf.data.dtype)
         bounce = rt.params.allreduce_bounce_bytes
         penalty = rt.params.allreduce_bounce_penalty
         n_chunks = math.ceil(sendbuf.nbytes / bounce)
@@ -175,12 +187,12 @@ def reduce(
     if comm.rank == root and (recvbuf is None or len(recvbuf.data) != n):
         raise MpiUsageError(f"reduce: root must supply a recvbuf of {n} elements")
 
-    acc = _tmp_host(comm, n, sendbuf.data.dtype)
+    acc = _scratch(comm, "reduce_acc", n, sendbuf.data.dtype)
     if sendbuf.space.host_accessible:
         acc.data[:] = sendbuf.data
     else:
         yield rt.fabric.dataplane.put(sendbuf, acc, traffic_class="coll", name="red_d2h")
-    tmp = _tmp_host(comm, n, sendbuf.data.dtype)
+    tmp = _scratch(comm, "reduce_recv", n, sendbuf.data.dtype)
     yield from _walk(comm, sched, lambda _k: acc, tmp, _REDUCE_TAG, 0.0)
 
     if comm.rank == root:

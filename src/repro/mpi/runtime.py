@@ -18,6 +18,7 @@ from repro.ucx.context import UcpContext, UcpWorker
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cuda.device import Device
+    from repro.hw.memory import Buffer
     from repro.mpi.comm import Communicator
     from repro.mpi.requests import PersistentRequest
     from repro.mpi.world import World
@@ -53,6 +54,9 @@ class MpiRuntime:
         self.comms: Dict[int, "Communicator"] = {}
         #: Every persistent request created on this rank; close() releases them.
         self.persistent: List["PersistentRequest"] = []
+        #: Host scratch of the blocking collectives, keyed (comm_id, role)
+        #: and kept across calls (see mpi/collectives.py:_scratch).
+        self.scratch: Dict[Tuple[int, str], "Buffer"] = {}
 
         # MCA partitioned component lazily initialized on first use
         # (its cost lands in the first MPIX_Pbuf_prepare — Table I).
@@ -83,13 +87,14 @@ class MpiRuntime:
         self.finalized = True
 
     def close(self) -> None:
-        """Job teardown (see World.close): stop this rank's progression
-        and release its persistent requests."""
+        """Job teardown (see World.close): stop this rank's progression,
+        release its persistent requests and drop its collective scratch."""
         if self.progress is not None:
             self.progress.close()
         for req in self.persistent:
             req.release()
         self.persistent.clear()
+        self.scratch.clear()
 
     # -- endpoints --------------------------------------------------------------
     def ep_to(self, comm: "Communicator", comm_rank: int) -> Generator:

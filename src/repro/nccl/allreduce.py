@@ -16,15 +16,18 @@ All coordination is device-side (flags in GPU memory), which is exactly
 the advantage the paper attributes to NCCL over host-progressed
 partitioned collectives.  Each ``ncclCommInitRank`` is one
 :class:`~repro.pcoll.ring.RingClique` and each call one
-:class:`~repro.pcoll.ring.RingBoard` (its rendezvous counter, flags and
-every rank's per-call staging window).  The fused partitioned allreduce
-(:mod:`repro.pcoll.fused`) runs the same ring step on the same board.
+:class:`~repro.pcoll.ring.RingBoard` (its rendezvous counter and flags).
+A rank's staging window belongs to its :class:`NcclComm`, like NCCL's
+per-communicator buffers: every call registers the same window on its
+board, and only a call whose ``chunk * n_steps`` or dtype differs
+replaces it.  The fused partitioned allreduce (:mod:`repro.pcoll.fused`)
+runs the same ring step on the same board.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import TYPE_CHECKING, Generator
+from typing import TYPE_CHECKING, Generator, Optional
 
 from repro.hw.memory import Buffer, MemSpace
 from repro.mpi.errors import MpiUsageError
@@ -64,6 +67,8 @@ class NcclComm:
         self.engine = ctx.engine
         self.device = ctx.gpu
         self._op_seq = itertools.count()
+        #: This rank's staging window, kept across calls (see _ring_kernel).
+        self._window: Optional[Buffer] = None
 
     # -- init (collective) ---------------------------------------------------
     @classmethod
@@ -141,10 +146,20 @@ class NcclComm:
         if not recvbuf.same_allocation(sendbuf):
             recvbuf.copy_from(sendbuf)  # local pass handled inside the kernel
             yield sendbuf.nbytes * 2 / self.device.cost.hbm_bw
-        board.windows[r] = Buffer.alloc(
-            chunk * len(steps), sendbuf.data.dtype, MemSpace.DEVICE,
-            node=self.device.node, gpu=self.device.gpu_id, label=f"nccl_stage{r}",
-        )
+        # Reusing the window is safe: this rank's next kernel on the stream
+        # starts after this one exits, no peer puts into the next call's
+        # slots before every rank joined its rendezvous, and this rank
+        # awaits every put into its slots before it exits.  A call that
+        # overlaps this one on another stream finds no window and
+        # registers a fresh one.
+        window, self._window = self._window, None
+        dtype = sendbuf.data.dtype
+        if window is None or len(window.data) != chunk * len(steps) or window.data.dtype != dtype:
+            window = Buffer.alloc(
+                chunk * len(steps), dtype, MemSpace.DEVICE,
+                node=self.device.node, gpu=self.device.gpu_id, label=f"nccl_stage{r}",
+            )
+        board.windows[r] = window
 
         # Rendezvous: spin until all peers' kernels are resident.
         board.joined.add(1)
@@ -169,4 +184,5 @@ class NcclComm:
             for c in range(n_channels)
         ]
         yield AllOf(self.engine, channels)
+        self._window = window
         return None

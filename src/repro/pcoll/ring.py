@@ -94,10 +94,13 @@ class RingBoard:
 class RingClique:
     """The ring boards every rank of one communicator call shares.
 
-    ``joined`` is the call's own rendezvous and ``windows`` the staging
-    windows ranks register once, at init.  :meth:`board` returns one
-    operation's board, built by the first rank to reach it; the last lane
-    to :meth:`exit` it retires it.
+    ``joined`` is the call's own rendezvous.  Staging windows are
+    allocated once per owner and reused by every operation: the fused
+    allreduce registers its ranks' windows in ``windows`` at init, and
+    each NCCL rank keeps its window on its ``NcclComm`` and registers it
+    on each operation's board.  :meth:`board` returns one operation's
+    board, built by the first rank to reach it; the last lane to
+    :meth:`exit` it retires it.
     """
 
     def __init__(self, engine: "Engine", n_ranks: int) -> None:

@@ -139,6 +139,30 @@ def test_plan_cache_distinguishes_shapes():
     assert cache.misses == 3 and cache.hits == 0
 
 
+def test_plan_cache_never_replays_a_dead_buffers_route():
+    """A fresh buffer that reuses a dead one's ``id()`` is a new endpoint:
+    control plans hold no payload, so only the cache entry can tell."""
+    engine, fab = _mk()
+    dp = fab.dataplane.enable_plan_cache()
+    routes = []
+    account = dp.ledger.account
+
+    def recording(desc, stripes):
+        routes.append((desc.dst.gpu, [link.name for s in stripes for link in s.route]))
+        account(desc, stripes)
+
+    dp.ledger.account = recording
+    for i in range(400):
+        dp.control(
+            Buffer.alloc_virtual(8, space=MemSpace.DEVICE, node=0, gpu=0),
+            Buffer.alloc_virtual(8, space=MemSpace.DEVICE, node=0, gpu=1 + i % 3),
+            nbytes=64,
+        )
+    engine.run()
+    assert (dp.plan_cache.hits, dp.plan_cache.misses) == (0, 400)
+    assert all(route == [f"nvl0->{gpu}"] for gpu, route in routes)
+
+
 def test_freed_buffer_raises_on_replay():
     engine, fab = _mk()
     fab.dataplane.enable_plan_cache()
