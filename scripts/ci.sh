@@ -109,22 +109,6 @@ PYTHONPATH=src python -m repro fault examples/schedules/faults_fattree512.jsonl 
 PYTHONPATH=src python -m repro fault examples/schedules/faults_fattree512.jsonl \
     --workload halo --machine fat-tree-512 --shards 2 \
     --param iters=4 --param chunks=2 > /tmp/repro_fault_mp.txt
-PYTHONPATH=src python - <<'EOF'
-import json, re
-from repro.bench.suite import resolve_baseline
-
-def rows(path):
-    text = open(path).read()
-    return re.findall(r"^(?:popped|  class|  digest).*$", text, re.M)
-
-seq, mp = rows("/tmp/repro_fault_seq.txt"), rows("/tmp/repro_fault_mp.txt")
-assert seq and seq == mp, "faulted run: sequential vs --shards 2 diverged"
-msg = re.search(r"digest msg\s+(\S+)", open("/tmp/repro_fault_seq.txt").read()).group(1)
-base = json.load(open(resolve_baseline("auto")))
-healthy = base["suite"]["cluster-fattree-512"]["msg_digest"]
-assert msg != healthy[:len(msg)], "fault schedule did not perturb the halo digest"
-print(f"fault-smoke: {len(seq)} rows identical across modes, digest differs from healthy")
-EOF
 # The same fault under the 16-rank LLM replay, whose ranks sit on nodes 0
 # and 1: node 3 hosts no rank, so only its fault gets it built.  Both modes
 # must agree, and node 3 must have stepped (its digest is not the empty one).
@@ -134,19 +118,30 @@ PYTHONPATH=src python -m repro fault examples/schedules/faults_fattree512.jsonl 
 PYTHONPATH=src python -m repro fault examples/schedules/faults_fattree512.jsonl \
     --workload replay:examples/schedules/llm16.jsonl \
     --machine fat-tree-512 --shards 2 > /tmp/repro_fault_replay_mp.txt
+# One checker for both pairs.
 PYTHONPATH=src python - <<'EOF'
-import re
+import json, re
+from repro.bench.suite import resolve_baseline
 
-def rows(path):
-    text = open(path).read()
-    return re.findall(r"^(?:popped|  class|  digest).*$", text, re.M)
+def rows(run, prefix):
+    """One faulted run's result rows, equal between its two modes."""
+    seq, mp = (
+        re.findall(r"^(?:popped|  class|  digest).*$", open(f"{prefix}{mode}.txt").read(), re.M)
+        for mode in ("seq", "mp")
+    )
+    assert seq and seq == mp, f"faulted {run}: sequential vs --shards 2 diverged"
+    return "\n".join(seq), len(seq)
 
-seq = rows("/tmp/repro_fault_replay_seq.txt")
-mp = rows("/tmp/repro_fault_replay_mp.txt")
-assert seq and seq == mp, "faulted replay: sequential vs --shards 2 diverged"
-shard3 = re.search(r"digest steps_shard3\s+(\S+)", "\n".join(seq)).group(1)
+(halo, n_halo), (replay, n_replay) = (
+    rows("halo", "/tmp/repro_fault_"), rows("replay", "/tmp/repro_fault_replay_"))
+msg = re.search(r"digest msg\s+(\S+)", halo).group(1)
+base = json.load(open(resolve_baseline("auto")))
+healthy = base["suite"]["cluster-fattree-512"]["msg_digest"]
+assert msg != healthy[:len(msg)], "fault schedule did not perturb the halo digest"
+shard3 = re.search(r"digest steps_shard3\s+(\S+)", replay).group(1)
 assert shard3 != "e3b0c44298fc1c14", "faulted rank-less shard 3 was not stepped"
-print(f"fault-smoke: replay {len(seq)} rows identical across modes, shard 3 stepped")
+print(f"fault-smoke: halo {n_halo} and replay {n_replay} rows identical across "
+      "modes, halo digest differs from healthy, shard 3 stepped")
 EOF
 
 echo "== profile smoke (Chrome trace_event export, byte-identical across runs) =="

@@ -18,7 +18,7 @@ from repro.cuda.timing import CostModel
 from repro.hw.memory import Buffer, MemSpace
 from repro.hw.topology import Fabric
 from repro.san import record
-from repro.sim.engine import collapsible
+from repro.sim.engine import STATS, collapsible
 from repro.sim.events import AllOf, Event
 from repro.sim.resources import Resource
 
@@ -195,7 +195,7 @@ class Device:
                 t = engine.now
                 for _blocks, dt in plan:
                     t = t + dt
-                engine.events_coalesced += len(plan) - 1
+                STATS.events_coalesced += len(plan) - 1
                 yield engine.timeout_at(t)
                 record.release(kctx.actor, ("kdone", kernel))
                 return
@@ -205,7 +205,7 @@ class Device:
                 if batches is not None:
                     for n_waves, t_end, fire in batches:
                         if n_waves > 1:
-                            engine.events_coalesced += n_waves - 1
+                            STATS.events_coalesced += n_waves - 1
                         yield engine.timeout_at(t_end)
                         if fire is not None:
                             fire(kctx)

@@ -45,49 +45,29 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.hw.spec.graph import RouteError
-from repro.sim.engine import Engine
+from repro.sim.engine import Counters, Engine
 
 
 class GraphError(RuntimeError):
     """An invalid capture: cross-stream dependency, freed buffer, misuse."""
 
 
-class GraphCounters:
-    """Process-wide capture/replay counters (reset per bench entry)."""
+class ReplayCounters(Counters):
+    """Process-wide capture/replay totals (reset per bench entry)."""
 
-    __slots__ = ("launches", "captured_plans", "replayed_descriptors", "replanned")
-
-    def __init__(self) -> None:
-        self.reset()
-
-    def reset(self) -> None:
-        #: Graph-launch submissions (one per replayed window / iteration).
-        self.launches = 0
-        #: Plan-cache misses: descriptors validated + routed + striped.
-        self.captured_plans = 0
-        #: Plan-cache hits: descriptors replayed from a pre-priced plan.
-        self.replayed_descriptors = 0
-        #: Epoch-stale plans cheaply re-bound (re-routed dead legs only,
-        #: no re-validate / re-price) after a fabric mutation.
-        self.replanned = 0
-
-    def snapshot(self) -> dict:
-        return {
-            "launches": self.launches,
-            "captured_plans": self.captured_plans,
-            "replayed_descriptors": self.replayed_descriptors,
-            "replanned": self.replanned,
-        }
-
-    def absorb(self, snap: dict) -> None:
-        """Fold a :meth:`snapshot` from another process into this one."""
-        for name in self.__slots__:
-            setattr(self, name, getattr(self, name) + snap[name])
+    __slots__ = (
+        "launches",              # graph-launch submissions, one per replayed window
+        "captured_plans",        # plan-cache misses: validated + routed + striped
+        "replayed_descriptors",  # plan-cache hits: replayed from a pre-priced plan
+        # Epoch-stale plans cheaply re-bound (re-routed dead legs only, no
+        # re-validate / re-price) after a fabric mutation.
+        "replanned",
+    )
 
 
 #: Module-level accumulator.  Forked shard workers count into their own
 #: copy from zero and the cluster driver absorbs each worker's snapshot.
-GRAPHS = GraphCounters()
+GRAPHS = ReplayCounters()
 
 
 class GraphEngine(Engine):

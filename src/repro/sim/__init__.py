@@ -18,24 +18,22 @@ Design goals:
   keyed FIFO that stream queues, MPI partitioned setup matching, UCX
   active messages and the shard mailbox all share.
 * **SimPy-like ergonomics** — processes are plain generators that ``yield``
-  :class:`Timeout`, :class:`Event`, other processes, or the combinators
-  :class:`AllOf` / :class:`AnyOf`.
+  :class:`Timeout`, :class:`Event`, other processes, or the combinator
+  :class:`AllOf`.
 """
 
 from repro.sim.engine import Engine
-from repro.sim.events import AllOf, AnyOf, Event, Timeout
-from repro.sim.process import Interrupt, Process, ProcessFailed
+from repro.sim.events import AllOf, Event, Timeout
+from repro.sim.process import Process, ProcessFailed
 from repro.sim.resources import Channel, Counter, Flag, Resource
 
 __all__ = [
     "AllOf",
-    "AnyOf",
     "Channel",
     "Counter",
     "Engine",
     "Event",
     "Flag",
-    "Interrupt",
     "Process",
     "ProcessFailed",
     "Resource",

@@ -34,62 +34,60 @@ class EmptySchedule(Exception):
     """run() exhausted all events before reaching the requested time."""
 
 
-class SimStats:
-    """Process-wide event-loop counters, aggregated across engines.
+class Counters:
+    """Process-wide run totals, named ints that reset, snapshot and absorb alike.
 
-    Each :class:`Engine` folds its own counters into the module-level
-    :data:`STATS` singleton when :meth:`Engine.run` exits, so harnesses
-    (``python -m repro bench``, ``scripts/regenerate_results.py``) can
-    total heap traffic over the many short-lived Worlds a sweep creates.
+    A subclass only declares its counters as ``__slots__`` (slotted all the
+    way down, so a misspelled ``+=`` raises :class:`AttributeError`).  The
+    code that counts adds to the module-level instances (:data:`STATS`,
+    :data:`repro.dataplane.graph.GRAPHS`) directly, so harnesses can total
+    work over the many short-lived Worlds a sweep creates.
     """
 
-    __slots__ = (
-        "events_popped", "events_coalesced", "events_cancelled",
-        "events_graphed", "peak_heap",
-    )
+    __slots__ = ()
 
     def __init__(self) -> None:
         self.reset()
 
     def reset(self) -> None:
-        self.events_popped = 0
-        self.events_coalesced = 0
-        self.events_cancelled = 0
-        #: Pops executed inside a captured-graph replay engine
-        #: (:class:`repro.dataplane.graph.GraphEngine`).  They are the same
-        #: simulated events the eager path pops, but they run on a private
-        #: heap behind one host-visible graph-launch event, so they are
-        #: accounted separately from host ``events_popped``.
-        self.events_graphed = 0
-        self.peak_heap = 0
+        for name in self.__slots__:
+            setattr(self, name, 0)
 
     def snapshot(self) -> dict:
-        return {
-            "events_popped": self.events_popped,
-            "events_coalesced": self.events_coalesced,
-            "events_cancelled": self.events_cancelled,
-            "events_graphed": self.events_graphed,
-            "peak_heap": self.peak_heap,
-        }
+        return {name: getattr(self, name) for name in self.__slots__}
 
     def absorb(self, snap: dict) -> None:
         """Fold a :meth:`snapshot` from another process into this one.
 
         The cluster driver absorbs each forked worker's snapshot, in
         ascending shard-block order, once the worker finishes; the sums
-        do not depend on how shards were grouped onto workers.
-        ``peak_heap`` merges by max: shard heaps coexist, they don't sum.
+        do not depend on how shards were grouped onto workers.  A
+        ``peak_*`` counter merges by max: shard heaps coexist, they
+        don't sum.
         """
-        self.events_popped += snap["events_popped"]
-        self.events_coalesced += snap["events_coalesced"]
-        self.events_cancelled += snap["events_cancelled"]
-        self.events_graphed += snap.get("events_graphed", 0)
-        if snap["peak_heap"] > self.peak_heap:
-            self.peak_heap = snap["peak_heap"]
+        for name in self.__slots__:
+            mine, theirs = getattr(self, name), snap[name]
+            setattr(self, name, max(mine, theirs) if name.startswith("peak_") else mine + theirs)
 
 
-#: Module-level accumulator (see :class:`SimStats`).
-STATS = SimStats()
+class SimCounters(Counters):
+    """Event-loop totals over every engine of the process."""
+
+    __slots__ = (
+        "events_popped",     # host-heap events dispatched (cancelled pops excluded)
+        "events_coalesced",  # per-wave events the coalescing fast path never scheduled
+        "events_cancelled",  # lazily-deleted entries dropped from a heap
+        # Pops executed inside a captured-graph replay engine
+        # (:class:`repro.dataplane.graph.GraphEngine`): the same simulated
+        # events the eager path pops, run on a private heap behind one
+        # host-visible graph-launch event.
+        "events_graphed",
+        "peak_heap",         # high-water mark of any one pending-event heap
+    )
+
+
+#: Module-level accumulator (see :class:`Counters`).
+STATS = SimCounters()
 
 
 class Engine:
@@ -98,11 +96,11 @@ class Engine:
     __slots__ = (
         "_now", "_heap", "_seq", "_crashed",
         "obs", "on_step", "t_busy",
-        "events_popped", "events_coalesced", "events_cancelled", "peak_heap",
-        "_flushed", "shard_id", "__weakref__",
+        "events_popped", "events_cancelled", "peak_heap",
+        "shard_id", "__weakref__",
     )
 
-    #: The :data:`STATS` field this engine's pops are folded into.
+    #: The :data:`STATS` field this engine's pops are added to.
     STATS_POPPED_FIELD = "events_popped"
 
     def __init__(self) -> None:
@@ -124,9 +122,6 @@ class Engine:
         self.t_busy: float = 0.0
         #: Events popped and dispatched (cancelled pops excluded).
         self.events_popped: int = 0
-        #: Events the fast paths avoided scheduling altogether (e.g. waves
-        #: collapsed by the coalesced-signalling layer).
-        self.events_coalesced: int = 0
         #: Lazily-deleted entries skipped on pop (Event.cancel).
         self.events_cancelled: int = 0
         #: High-water mark of the pending-event heap.
@@ -134,7 +129,6 @@ class Engine:
         #: Set by :class:`repro.shard.Shard` — obs spans emitted from this
         #: engine carry the shard id as actor provenance.  None = unsharded.
         self.shard_id: Optional[int] = None
-        self._flushed = [0, 0, 0]  # popped/coalesced/cancelled already in STATS
         bus = current().bus
         if bus is not None:
             bus.attach(self)
@@ -252,7 +246,11 @@ class Engine:
             self.events_cancelled += cancelled
             if popped:
                 self.t_busy = self._now
-            self._flush_stats()
+            field = self.STATS_POPPED_FIELD
+            setattr(STATS, field, getattr(STATS, field) + popped)
+            STATS.events_cancelled += cancelled
+            if self.peak_heap > STATS.peak_heap:
+                STATS.peak_heap = self.peak_heap
             # A propagating exception must not leave our waiter registered:
             # re-waiting the same event would then observe duplicate appends.
             if done is not None and not done and until.callbacks is not None:
@@ -276,6 +274,7 @@ class Engine:
         while heap and heap[0][3]._cancelled:
             heapq.heappop(heap)
             self.events_cancelled += 1
+            STATS.events_cancelled += 1
         return heap[0][0] if heap else _INF
 
     def close(self) -> None:
@@ -287,18 +286,6 @@ class Engine:
         readable.
         """
         self._heap.clear()
-
-    def _flush_stats(self) -> None:
-        flushed = self._flushed
-        field = self.STATS_POPPED_FIELD
-        setattr(STATS, field, getattr(STATS, field) + self.events_popped - flushed[0])
-        STATS.events_coalesced += self.events_coalesced - flushed[1]
-        STATS.events_cancelled += self.events_cancelled - flushed[2]
-        if self.peak_heap > STATS.peak_heap:
-            STATS.peak_heap = self.peak_heap
-        flushed[0] = self.events_popped
-        flushed[1] = self.events_coalesced
-        flushed[2] = self.events_cancelled
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Engine t={self._now:.9f} pending={len(self._heap)}>"

@@ -25,7 +25,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 # Scheduling priorities: lower fires first at equal simulated time.
 PRIORITY_URGENT = 0
 PRIORITY_NORMAL = 1
-PRIORITY_LOW = 2
 
 
 class Event:
@@ -168,8 +167,11 @@ class ConditionError(Exception):
     """Raised on a waiter when a sub-event of a condition failed."""
 
 
-class _Condition(Event):
-    """Base for :class:`AllOf` / :class:`AnyOf`."""
+class AllOf(Event):
+    """Fires when *all* sub-events have fired; value is their value list.
+
+    Fails as soon as any sub-event fails.
+    """
 
     __slots__ = ("events", "_n_done")
 
@@ -186,18 +188,6 @@ class _Condition(Event):
             ev.add_callback(self._on_sub_event)
 
     def _on_sub_event(self, ev: Event) -> None:
-        raise NotImplementedError
-
-
-class AllOf(_Condition):
-    """Fires when *all* sub-events have fired; value is their value list.
-
-    Fails as soon as any sub-event fails.
-    """
-
-    __slots__ = ()
-
-    def _on_sub_event(self, ev: Event) -> None:
         if self._triggered:
             return
         if not ev.ok:
@@ -206,17 +196,3 @@ class AllOf(_Condition):
         self._n_done += 1
         if self._n_done == len(self.events):
             self.succeed([e.value for e in self.events])
-
-
-class AnyOf(_Condition):
-    """Fires when the *first* sub-event fires; value is that event's value."""
-
-    __slots__ = ()
-
-    def _on_sub_event(self, ev: Event) -> None:
-        if self._triggered:
-            return
-        if not ev.ok:
-            self.fail(ev.value if isinstance(ev.value, BaseException) else ConditionError(repr(ev)))
-            return
-        self.succeed(ev.value)

@@ -22,14 +22,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.engine import Engine
 
 
-class Interrupt(Exception):
-    """Thrown into a process by :meth:`Process.interrupt`."""
-
-    def __init__(self, cause: Any = None) -> None:
-        super().__init__(cause)
-        self.cause = cause
-
-
 class ProcessFailed(Exception):
     """Raised by Engine.run when an unhandled exception escaped a process, chain or transfer."""
 
@@ -70,27 +62,12 @@ class Process(Event):
     def is_alive(self) -> bool:
         return not self.triggered
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time."""
-        if self.triggered:
-            return
-        self._detach()
-        wake = Event(self.engine)
-        wake.add_callback(lambda ev: self._throw(Interrupt(cause)))
-        wake.succeed(None, priority=PRIORITY_URGENT)
-
-    def _throw(self, exc: BaseException) -> None:
-        self._detach()  # again: one interrupted before its boot has parked since
-        self._advance(False, exc)
-
     def kill(self) -> None:
         """Terminate the process immediately without resuming it.
 
-        Unlike :meth:`interrupt` — which throws into the generator at the
-        current time and lets it unwind — ``kill`` closes the generator
-        synchronously and succeeds the process event with ``None``.  Used
-        by shard teardown: when a window aborts, resident processes must
-        not run again against half-merged state.
+        Closes the generator synchronously and succeeds the process event
+        with ``None``.  Used by shard teardown: when a window aborts,
+        resident processes must not run again against half-merged state.
         """
         if self.triggered:
             return
@@ -180,7 +157,7 @@ class Process(Event):
         return f"<Process {self.name} {state}>"
 
 
-#: A killed or interrupted sleeper's heap entry: shared, pre-cancelled.
+#: A killed sleeper's heap entry: shared, pre-cancelled.
 _STALE = Event(None)  # type: ignore[arg-type]
 _STALE._triggered = _STALE._cancelled = True
 

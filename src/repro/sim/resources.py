@@ -25,13 +25,12 @@ class Flag:
     persistent partitioned channels).
     """
 
-    __slots__ = ("engine", "_set", "_waiters", "set_count")
+    __slots__ = ("engine", "_set", "_waiters")
 
     def __init__(self, engine: Engine) -> None:
         self.engine = engine
         self._set = False
         self._waiters: List[Event] = []
-        self.set_count = 0  # total number of set() calls (telemetry)
 
     @property
     def is_set(self) -> bool:
@@ -41,7 +40,6 @@ class Flag:
         if self._set:
             return
         self._set = True
-        self.set_count += 1
         waiters, self._waiters = self._waiters, []
         for ev in waiters:
             ev.succeed(True)

@@ -4,7 +4,7 @@ A :class:`Workload` declares a name, a default machine, and an
 ``_execute`` body; :meth:`Workload.run` supplies everything around it —
 machine resolution (a name or a :class:`~repro.hw.spec.schema.MachineSpec`),
 path-policy selection, ``events_popped`` accounting against the module
-:data:`~repro.sim.engine.STATS` singleton, and the SHA-256 series digest —
+:data:`~repro.sim.engine.STATS` totals, and the SHA-256 series digest —
 and returns a typed :class:`WorkloadResult`.
 
 Every pre-existing driver in the repo (fig2–fig11/table1, the Jacobi and
@@ -14,10 +14,12 @@ feeds ``python -m repro sweep`` (grid runs with a content-addressed
 result cache) and the trace-replay frontend (:mod:`repro.workload.
 replay`).
 
-Determinism accounting: ``run`` never calls ``STATS.reset()`` — it takes
-a snapshot *delta*, so a workload can run inside harnesses that own the
-counters (``python -m repro bench`` resets around entries) without
-perturbing them.
+Determinism accounting: ``STATS`` is a :class:`~repro.sim.engine.Counters`
+instance to which every ``Engine.run`` adds its pops as it exits (a
+forked cluster worker's are absorbed when it finishes).  ``run`` never
+calls ``STATS.reset()`` — it takes a snapshot *delta*, so a workload can
+run inside harnesses that own the counters (``python -m repro bench``
+resets around entries) without perturbing them.
 """
 
 from __future__ import annotations

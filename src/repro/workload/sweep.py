@@ -87,16 +87,16 @@ class SweepCache:
         path = self._path(key)
         try:
             with open(path) as fh:
-                doc = json.load(fh)
+                result = WorkloadResult.from_dict(json.load(fh))
         except FileNotFoundError:
             return None
-        except (json.JSONDecodeError, KeyError) as exc:
-            raise WorkloadError(f"corrupt sweep cache entry {path}: {exc}") from exc
+        except (ValueError, KeyError, TypeError) as exc:  # bad JSON, or not a cell
+            raise WorkloadError(f"corrupt sweep cache entry {path}: {exc!r}") from exc
         try:
             os.utime(path)  # mark recently used for LRU eviction
         except OSError:  # pragma: no cover - raced with eviction
             pass
-        return WorkloadResult.from_dict(doc)
+        return result
 
     def store(self, key: str, result: WorkloadResult) -> None:
         os.makedirs(self.root, exist_ok=True)

@@ -1,8 +1,8 @@
-"""Event primitives: triggering, callbacks, AllOf/AnyOf combinators."""
+"""Event primitives: triggering, callbacks, the AllOf combinator."""
 
 import pytest
 
-from repro.sim.events import AllOf, AnyOf, Event
+from repro.sim.events import AllOf, Event
 
 
 def test_event_lifecycle(engine):
@@ -93,34 +93,9 @@ def test_allof_fails_fast(engine):
     assert engine.run(engine.process(main())) == 1.0
 
 
-def test_anyof_first_wins(engine):
-    def worker(delay, value):
-        yield engine.timeout(delay)
-        return value
-
-    cond = AnyOf(engine, [engine.process(worker(5, "slow")), engine.process(worker(1, "fast"))])
-
-    def main():
-        return (yield cond)
-
-    assert engine.run(engine.process(main())) == "fast"
-    assert engine.now == 1.0
-
-
 def test_condition_rejects_foreign_engine(engine):
     from repro.sim.engine import Engine
 
     other = Engine()
     with pytest.raises(ValueError):
         AllOf(engine, [other.event()])
-
-
-def test_anyof_with_pretriggered_event(engine):
-    ev = engine.event()
-    ev.succeed("now")
-    cond = AnyOf(engine, [ev, engine.event()])
-
-    def main():
-        return (yield cond)
-
-    assert engine.run(engine.process(main())) == "now"

@@ -1,4 +1,4 @@
-"""Process semantics: yields, returns, failures, interrupts, kills, nesting."""
+"""Process semantics: yields, returns, failures, kills, nesting."""
 
 import ast
 import gc
@@ -10,7 +10,7 @@ import pytest
 
 import repro
 from repro.sim.engine import Engine
-from repro.sim.process import Delayed, Holding, Interrupt, Process, ProcessFailed
+from repro.sim.process import Delayed, Holding, Process, ProcessFailed
 from repro.sim.resources import Resource
 
 
@@ -86,34 +86,6 @@ def test_unwaited_crash_surfaces(engine):
     engine.process(lonely())
     with pytest.raises(ProcessFailed):
         engine.run()
-
-
-def test_interrupt_wakes_sleeper(engine):
-    def sleeper():
-        try:
-            yield engine.timeout(100)
-        except Interrupt as exc:
-            return ("interrupted", exc.cause, engine.now)
-
-    p = engine.process(sleeper())
-
-    def killer():
-        yield engine.timeout(2)
-        p.interrupt(cause="deadline")
-
-    engine.process(killer())
-    assert engine.run(p) == ("interrupted", "deadline", 2.0)
-
-
-def test_interrupt_after_done_is_noop(engine):
-    def quick():
-        yield engine.timeout(1)
-        return "ok"
-
-    p = engine.process(quick())
-    engine.run(p)
-    p.interrupt()  # must not raise
-    assert p.value == "ok"
 
 
 def test_is_alive(engine):
@@ -223,23 +195,6 @@ def test_kill_while_parked_cancels_its_timeout(engine):
     assert engine.now == engine.t_busy == 1.0  # never advanced to the dead wait
 
 
-def test_interrupt_before_start_runs_body_then_throws(engine):
-    log = []
-
-    def body():
-        log.append(("start", engine.now))
-        try:
-            yield 10.0
-        except Interrupt as exc:
-            log.append(("interrupted", exc.cause, engine.now))
-
-    p = engine.process(body())
-    p.interrupt("early")
-    engine.run(p)
-    assert log == [("start", 0.0), ("interrupted", "early", 0.0)]
-    assert (engine.now, engine.events_popped, engine.peak_heap) == (0.0, 3, 2)
-
-
 # -- bad delays fail the process, not the engine ---------------------------------
 
 BAD_DELAYS = {
@@ -328,48 +283,6 @@ def test_yield_delay_pops_like_a_timeout(delay):
     timed = _observed(scenario(lambda eng: eng.timeout(delay or 0)))
     assert bare == timed
     assert bare[2] > 0
-
-
-def test_interrupted_sleeper_sleeps_again_and_wakes_once(engine):
-    log = []
-
-    def sleeper():
-        try:
-            yield 5.0
-            log.append(("first", engine.now))
-        except Interrupt:
-            log.append(("interrupted", engine.now))
-        yield 2.0
-        log.append(("second", engine.now))
-
-    p = engine.process(sleeper())
-
-    def interrupter():
-        yield 1.0
-        p.interrupt()
-
-    engine.process(interrupter())
-    engine.run()
-    assert log == [("interrupted", 1.0), ("second", 3.0)]
-    assert engine.events_cancelled == 1
-    assert engine.now == engine.t_busy == 3.0
-
-
-def test_interrupt_before_start_then_sleep_wakes_once(engine):
-    log = []
-
-    def body():
-        try:
-            yield 10.0
-        except Interrupt:
-            log.append(("interrupted", engine.now))
-        yield 20.0
-        log.append(("woke", engine.now))
-
-    engine.process(body()).interrupt()
-    engine.run()
-    assert log == [("interrupted", 0.0), ("woke", 20.0)]
-    assert engine.events_cancelled == 1
 
 
 # -- Delayed: the one-shot process body as one event -------------------------------

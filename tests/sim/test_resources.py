@@ -45,9 +45,11 @@ def test_flag_wakes_all_waiters(engine):
 
 def test_flag_idempotent_set(engine):
     f = Flag(engine)
+    ev = f.wait()
     f.set()
-    f.set()
-    assert f.set_count == 1
+    f.set()  # already set: wakes nothing, raises nothing
+    engine.run()
+    assert f.is_set and ev.processed and ev.value is True
 
 
 def test_flag_clear_rearms(engine):
@@ -56,8 +58,10 @@ def test_flag_clear_rearms(engine):
     assert f.is_set
     f.clear()
     assert not f.is_set
+    ev = f.wait()
+    assert not ev.triggered
     f.set()
-    assert f.set_count == 2
+    assert f.is_set and ev.triggered
 
 
 # --------------------------------------------------------------------------

@@ -2,9 +2,11 @@
 parser's typed error, and what parses holds only well-formed values.
 
 The replay and fault JSONL cases take a valid one-step replay document
-(after a header) or a valid one-event fault document and give one of its
-fields generated values: ints, floats including NaN, +-Infinity and the
-overflowing literal ``1e400``, booleans, strings, lists and objects.  The
+(after a header) or a valid one-event fault document, and the sweep-cache
+case a valid cached cell, and give one of its fields generated values:
+ints, floats including NaN, +-Infinity and the overflowing literal
+``1e400``, booleans, strings, lists and objects.  A cell only has to load
+or fail typed; the values it loads are not checked.  The
 machine-name, Chrome-trace and NCCL-log cases generate whole inputs from
 their grammars plus noise.  ``tests/fixtures/parser_fuzz.json`` keeps the
 shrunk inputs that once escaped with an untyped error or parsed when they
@@ -17,17 +19,21 @@ file under ``--hypothesis-profile=deep`` (registered in
 import json
 import math
 import re
+import tempfile
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bench.series import Series
 from repro.hw.faults import FaultError, FaultSchedule
 from repro.hw.spec.generators import parse_machine
 from repro.hw.spec.schema import MachineSpec, SpecError
+from repro.workload.base import WorkloadError, WorkloadResult
 from repro.workload.generators import parse_nccl_log
 from repro.workload.replay import SCHEMA, ReplayError, from_chrome, parse_jsonl
+from repro.workload.sweep import SweepCache
 
 _SCALARS = st.one_of(
     st.integers(),
@@ -269,6 +275,31 @@ def test_nccl_log_token_parses_or_fails_typed(index, key, value):
     lines = list(_LOG)
     lines[index] += f" {key}={value}"
     _check_nccl("\n".join(lines) + "\n")
+
+
+# -- sweep-cache cells -------------------------------------------------------------
+
+#: A valid cached cell's top-level fields; values are JSON text.
+_CELL = {k: json.dumps(v) for k, v in WorkloadResult(
+    workload="w", machine="gh200-1x4", policy="default", mode="world",
+    series=Series("Fig 0", "t", ["x"], rows=[{"x": 1}], notes=["n"]),
+    digests={"series": "0" * 64}, events_popped=1, class_bytes={"c": 8},
+).as_dict().items()}
+
+
+@pytest.mark.parametrize("field", list(_CELL))
+@given(value=_ANY)
+@settings(deadline=None)
+def test_sweep_cache_cell_loads_or_fails_typed(field, value):
+    with tempfile.TemporaryDirectory() as root:
+        cache = SweepCache(root)
+        Path(cache._path("k")).write_text(_line(dict(_CELL, **{field: value})) + "\n")
+        try:
+            result = cache.load("k")
+        except WorkloadError as exc:
+            assert str(exc).startswith("corrupt sweep cache entry "), str(exc)
+            return
+    assert isinstance(result, WorkloadResult)
 
 
 # -- saved failures ----------------------------------------------------------------

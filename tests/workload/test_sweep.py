@@ -1,9 +1,12 @@
 """The sweep grid and its content-addressed cache."""
 
+import json
+
 import pytest
 
+from repro.workload.cli import main_sweep
 from repro.workload.replay import ReplayWorkload, parse_jsonl
-from repro.workload.sweep import cell_key, run_sweep
+from repro.workload.sweep import SweepCache, cell_key, run_sweep
 from repro.workload.base import WorkloadError
 
 SCHED = (
@@ -124,3 +127,48 @@ def test_registry_names_resolve_in_sweep(tmp_path):
     res = grid["cells"][0]["result"]
     assert res["workload"] == "striping"
     assert res["events_popped"] > 0
+
+
+def _without_series_title(doc):
+    del doc["series"]["title"]
+    return doc
+
+
+#: Cache documents that are JSON but not a cell, each applied to a valid
+#: cell's ``as_dict()``.
+CORRUPT_CELLS = {
+    "empty-object": lambda doc: {},
+    "list": lambda doc: [1, 2],
+    "series-without-title": _without_series_title,
+}
+
+
+@pytest.mark.parametrize("corrupt", list(CORRUPT_CELLS.values()), ids=list(CORRUPT_CELLS))
+def test_corrupt_cache_cell_raises_workload_error(tmp_path, corrupt):
+    wl = _workload()
+    cache = SweepCache(str(tmp_path / "cache"))
+    key = cell_key("gh200-1x4", wl, None)
+    cache.store(key, wl.run(machine="gh200-1x4"))
+    path = cache._path(key)
+    with open(path) as fh:
+        doc = json.load(fh)
+    with open(path, "w") as fh:
+        json.dump(corrupt(doc), fh)
+    with pytest.raises(WorkloadError, match="corrupt sweep cache entry"):
+        cache.load(key)
+
+
+def test_sweep_cli_reports_a_corrupt_cache_cell(tmp_path, capsys):
+    sched = tmp_path / "tiny.jsonl"
+    sched.write_text(SCHED)
+    cache = tmp_path / "cache"
+    argv = ["--workloads", f"replay:{sched}", "--machines", "gh200-1x4",
+            "--cache-dir", str(cache)]
+    assert main_sweep(argv) == 0
+    (cell,) = cache.glob("*.json")
+    cell.write_text("[1, 2]\n")
+    capsys.readouterr()
+    assert main_sweep(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("sweep error: corrupt sweep cache entry ")
+    assert "Traceback" not in err
