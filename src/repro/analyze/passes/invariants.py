@@ -32,9 +32,10 @@
       Workload contract (§15);
     * writes to link health (``up``/``bandwidth``/``base_bandwidth``, and
       ``epoch``/``armed`` on a ``state``/``link_state`` receiver) outside
-      ``hw``, and to ``outstanding_bytes`` outside ``hw``/``dataplane`` —
-      only the LinkState API bumps the fabric epoch that revalidates
-      route caches and captured plans (§17);
+      ``hw`` — only the LinkState API bumps the fabric epoch that
+      revalidates route caches and captured plans (§17) — and to
+      ``outstanding_bytes`` outside ``hw``, where the link transfer
+      charges and discharges it;
     * shard internals (``engine``/``fabric``/``mailbox``/``bridge``/
       ``procs``/``_*``) on a shard-shaped receiver outside ``shard`` —
       only ShardMessages cross shard boundaries (§14);
@@ -324,8 +325,12 @@ OWNERSHIP: Tuple[Ownership, ...] = (
          "link_state.epoch", "link_state.armed"),
         _VIA_LINK_STATE,
     ),
-    # The dataplane ledger maintains the congestion signal it owns.
-    Ownership(("hw", "dataplane"), WRITE, ("outstanding_bytes",), _VIA_LINK_STATE),
+    Ownership(
+        ("hw",), WRITE, ("outstanding_bytes",),
+        "writes the per-link congestion signal — only the link transfer "
+        "(hw/links.py:_Transfer) charges a route's outstanding_bytes when "
+        "it starts and discharges them when it ends (DESIGN.md §17)",
+    ),
     Ownership(
         ("shard",), SHARD_ATTR,
         ("engine", "fabric", "mailbox", "bridge", "procs", "_*"),

@@ -121,7 +121,7 @@ class _FencedCopy(Chain):
             record.access(self.actor, self.src, write=False, note=self.name)
             record.access(self.actor, self.dst, write=True, note=self.name)
             self.device.fabric.dataplane.put(
-                self.src, self.dst, traffic_class="cuda", initiator="device", name=self.name
+                self.src, self.dst, traffic_class="cuda", name=self.name
             ).callbacks.append(self._run_callbacks)
         elif stage == 1:
             self._sleep(self.device.fabric.spec.params.kc_fence_overhead)

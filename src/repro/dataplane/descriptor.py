@@ -1,12 +1,16 @@
 """Transfer descriptors: what a producer asks the dataplane to move.
 
 A descriptor is pure data — source/destination buffers (or a bare wire
-byte-count for control traffic), a traffic class for the ledger, the
-initiator, and the completion-time payload semantics.  Validation lives
-here so every producer gets the same checks: wire sizes are compared in
-*bytes* (element counts hide dtype mismatches), and payload transfers
-additionally require matching element geometry unless the destination is
-a virtual (geometry-only) buffer that never materializes the copy.
+byte-count for control traffic), a traffic class for the ledger, and
+the completion-time payload semantics.  How it is issued is not part of
+it: the dataplane method a producer calls decides that (``rma_put`` is
+the host-issued put that may stage through a copy engine).  Validation
+lives here so every producer, local or cross-shard, gets the same
+checks: wire sizes are compared in *bytes* (element counts hide dtype
+mismatches), and payload transfers additionally require matching
+element geometry unless the destination is a virtual (geometry-only)
+buffer — such as a cross-shard ``RemoteBuffer`` — that never
+materializes the copy.
 """
 
 from __future__ import annotations
@@ -42,11 +46,6 @@ class TransferDescriptor:
         content itself.
     traffic_class:
         Ledger key ("rma", "eager", "rndv", "pcoll", "nccl", ...).
-    initiator:
-        "host" for host software issue, "device" for SM-driven stores.
-        Host-initiated device-to-device transfers between IPC-mappable
-        peers stage through the source GPU's copy engine (the cuda_ipc
-        path the Kernel-Copy design bypasses, paper Section IV-A4).
     name:
         Name for the transfer (labels its fault records and its repr).
     """
@@ -56,18 +55,12 @@ class TransferDescriptor:
     nbytes: Optional[int] = None
     payload: bool = True
     traffic_class: str = "payload"
-    initiator: str = "host"
     name: str = "xfer"
     #: Set by validate(): the wire byte-count actually charged.
     wire_bytes: int = field(init=False, default=0)
 
     def validate(self) -> "TransferDescriptor":
         """Check geometry and fill ``wire_bytes``; raises DescriptorError."""
-        if self.initiator not in ("host", "device"):
-            raise DescriptorError(
-                f"{self.name}: initiator must be 'host' or 'device', "
-                f"not {self.initiator!r}"
-            )
         nbytes = self.src.nbytes if self.nbytes is None else self.nbytes
         if nbytes < 0:
             raise DescriptorError(f"{self.name}: negative transfer size {nbytes}")
@@ -80,7 +73,7 @@ class TransferDescriptor:
                     f"{self.name}: transfer size mismatch: src {self.src.nbytes} B "
                     f"vs dst {self.dst.nbytes} B"
                 )
-            if len(self.src.data) != len(self.dst.data) and not self.dst.is_virtual:
+            if not self.dst.is_virtual and len(self.src.data) != len(self.dst.data):
                 raise DescriptorError(
                     f"{self.name}: dtype mismatch: {len(self.src.data)} "
                     f"x {self.src.data.dtype} src elements cannot land in "

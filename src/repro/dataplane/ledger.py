@@ -1,11 +1,11 @@
 """Per-traffic-class accounting of everything the dataplane moved.
 
 The ledger answers "which subsystem moved how many bytes, over how many
-transfers and stripes, with how much estimated link occupancy" — the
-cross-cutting accounting that was impossible while every producer drove
-the links directly.  It is deliberately passive: counters only, updated
-at submit time, no engine events and no obs traffic, so an attached
-ledger can never perturb the simulated timeline.
+transfers and stripes, with how much estimated link occupancy".  It is
+passive per-class accounting and nothing else: counters only, updated at
+submit time, no engine events, no obs traffic and no link state (the
+per-link congestion signal belongs to the link transfer, DESIGN.md §17),
+so it can never perturb the simulated timeline.
 
 Occupancy is the serialization estimate of the cut-through link model
 (per-stripe ``max(overhead) + bytes / bottleneck_bw``), i.e. the port
@@ -55,23 +55,6 @@ class Ledger:
                 if link.overhead > overhead:
                     overhead = link.overhead
             usage.occupancy_s += overhead + stripe.nbytes / bottleneck
-
-    # -- congestion signal -------------------------------------------------
-    # Outstanding-bytes per link: charged at stripe launch, discharged at
-    # stripe completion (or abort), both inside existing event pops — no
-    # heap traffic, pure arithmetic, so the signal is deterministic and
-    # free on unobserved runs.  CongestionAwarePolicy reads it at submit
-    # time to score candidate routes (DESIGN.md §17).
-
-    @staticmethod
-    def charge_links(route, nbytes: int) -> None:
-        for link in route:
-            link.outstanding_bytes += nbytes
-
-    @staticmethod
-    def discharge_links(route, nbytes: int) -> None:
-        for link in route:
-            link.outstanding_bytes -= nbytes
 
     def __getitem__(self, traffic_class: str) -> ClassUsage:
         return self.classes.get(traffic_class, ClassUsage())

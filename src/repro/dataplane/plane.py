@@ -1,32 +1,32 @@
 """The Dataplane: every simulated byte's single submission point.
 
-Producers hand a validated :class:`TransferDescriptor` to :meth:`submit`
-(or the :meth:`put` / :meth:`rma_put` / :meth:`control` conveniences).
-The dataplane resolves the primary route through the owning
-:class:`~repro.hw.topology.Fabric`'s memoized route cache, asks the
-active :class:`~repro.dataplane.policy.PathPolicy` for a stripe plan,
-accounts the submission in the per-class ledger, and starts one
-cut-through link transfer per stripe.  A one-stripe plan executes
-exactly like the pre-dataplane ``start_transfer`` call; a multi-stripe
-plan completes at the max of the stripe arrivals (an ``AllOf``).
+Producers hand a :class:`TransferDescriptor` to :meth:`submit` (or the
+:meth:`put` / :meth:`rma_put` / :meth:`control` conveniences, which
+build one and submit it).  The dataplane validates it, resolves the
+primary route through the owning :class:`~repro.hw.topology.Fabric`'s
+route cache, asks the active :class:`~repro.dataplane.policy.PathPolicy`
+for a stripe plan, accounts the submission in the per-class ledger, and
+starts one cut-through link transfer per stripe.  A multi-stripe plan
+completes at the max of the stripe arrivals (an ``AllOf``).
 
-Host-mediated RMA descriptors (``rma_put``) between IPC-mappable device
-peers stage through the source GPU's copy engine with the cuda_ipc
-per-op setup cost — the mechanism the paper's Kernel-Copy design
-bypasses (Section IV-A4) — before their wire stripes are planned.
+:meth:`rma_put` makes one decision of its own: a host-issued put
+between IPC-mappable device peers stages through the source GPU's copy
+engine with the cuda_ipc per-op setup cost — the mechanism the paper's
+Kernel-Copy design bypasses (Section IV-A4) — before its wire stripes
+are planned.  Every other put goes through :meth:`submit`.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Optional
 
 from repro.dataplane.descriptor import TransferDescriptor
 from repro.dataplane.ledger import Ledger
 from repro.dataplane.policy import PathPolicy
 from repro.hw.links import LinkDownError, start_transfer
 from repro.hw.memory import Buffer, MemSpace
-from repro.hw.spec.graph import Port, RouteError, RouteSearchError
+from repro.hw.spec.graph import RouteError
 from repro.sim.events import AllOf, Event
 from repro.sim.process import Holding
 
@@ -66,10 +66,6 @@ class Dataplane:
         self.engine = fabric.engine
         self.ledger = Ledger()
         self.policy = policy
-        #: (src-port, dst-port, max_paths) -> link-disjoint route tuple.
-        self._multi_route_cache: Dict[Tuple[Port, Port, int], Tuple] = {}
-        #: Fabric epoch the multi-route cache was filled under.
-        self._multi_route_epoch = 0
         #: Descriptors submitted (asserted by tests; stripes live in the ledger).
         self.submissions = 0
         #: Stripes re-routed around a downed link by the guarded executor.
@@ -95,11 +91,10 @@ class Dataplane:
         dst: Buffer,
         traffic_class: str = "payload",
         name: str = "xfer",
-        initiator: str = "host",
     ) -> Event:
         """Move ``src``'s payload into ``dst``; event fires when data landed."""
         return self.submit(TransferDescriptor(
-            src, dst, traffic_class=traffic_class, name=name, initiator=initiator,
+            src, dst, traffic_class=traffic_class, name=name,
         ))
 
     def rma_put(
@@ -115,20 +110,19 @@ class Dataplane:
         other ride the cuda_ipc path: a host-mediated async copy through
         the source GPU's copy engine, paying the per-op setup cost.
         Everything else (host buffers, same-GPU, inter-node GPUDirect,
-        no-P2P staging) is a plain transfer.
+        no-P2P staging, a cross-shard endpoint) is a plain :meth:`submit`.
         """
-        desc = TransferDescriptor(
-            src, dst, traffic_class=traffic_class, name=name, initiator="host",
-        )
-        bridge = self.bridge
-        if bridge is not None and bridge.claims(desc):
-            self.submissions += 1
-            return bridge.submit(desc)
+        desc = TransferDescriptor(src, dst, traffic_class=traffic_class, name=name)
+        if not self._rides_copy_engine(src, dst):
+            return self.submit(desc)
         desc.validate()
         self.submissions += 1
-        if self._rides_copy_engine(desc):
-            return self._staged_execute(desc)
-        return self._execute(desc)
+        engine_res = self.fabric.copy_engine(src.gpu)
+        return Holding(
+            self.engine, engine_res, self.fabric.spec.params.cuda_ipc_put_overhead,
+            partial(self._execute, desc),
+            ("copy_engine", engine_res.name, None, {"nbytes": desc.wire_bytes}),
+        )
 
     def enable_plan_cache(self) -> "Dataplane":
         """Attach a fresh capture plan cache; idempotent, returns self."""
@@ -145,7 +139,6 @@ class Dataplane:
         nbytes: int,
         traffic_class: str = "control",
         name: str = "ctrl",
-        initiator: str = "host",
     ) -> Event:
         """Timed transfer of ``nbytes`` along the src->dst route, no payload.
 
@@ -154,7 +147,7 @@ class Dataplane:
         """
         return self.submit(TransferDescriptor(
             src, dst, nbytes=nbytes, payload=False,
-            traffic_class=traffic_class, name=name, initiator=initiator,
+            traffic_class=traffic_class, name=name,
         ))
 
     def submit(self, desc: TransferDescriptor) -> Event:
@@ -231,27 +224,19 @@ class Dataplane:
                 for i, stripe in enumerate(stripes)
             ]
             return AllOf(self.engine, parts)
-        # Congestion signal: charge synchronously at submit — so every
-        # submission planned later in the same event cascade sees this
-        # load — and let the link transfer discharge when it ends
-        # (completion and abort both balance the counter).
-        ledger = self.ledger
         if len(stripes) == 1:
             stripe = stripes[0]
-            ledger.charge_links(stripe.route, stripe.nbytes)
             return start_transfer(
                 self.engine, stripe.route, stripe.nbytes,
                 on_wire_done=stripe.on_wire_done, name=desc.name,
-                ledger=ledger,
             )
-        parts = []
-        for i, stripe in enumerate(stripes):
-            ledger.charge_links(stripe.route, stripe.nbytes)
-            parts.append(start_transfer(
+        parts = [
+            start_transfer(
                 self.engine, stripe.route, stripe.nbytes,
                 on_wire_done=stripe.on_wire_done, name=f"{desc.name}.s{i}",
-                ledger=ledger,
-            ))
+            )
+            for i, stripe in enumerate(stripes)
+        ]
         return AllOf(self.engine, parts)
 
     def _guarded(self, desc: TransferDescriptor, stripe, name: str) -> Event:
@@ -266,21 +251,14 @@ class Dataplane:
         not torn down.
         """
         engine = self.engine
-        ledger = self.ledger
 
         def run():
             route, nbytes, cb = stripe.route, stripe.nbytes, stripe.on_wire_done
             while True:
                 blocked = next((ln for ln in route if not ln.up), None)
                 if blocked is None:
-                    # Charged per attempt; the link transfer discharges
-                    # on completion *and* on a LinkDownError abort.
-                    ledger.charge_links(route, nbytes)
                     try:
-                        return (yield start_transfer(
-                            engine, route, nbytes, cb, name=name,
-                            ledger=ledger,
-                        ))
+                        return (yield start_transfer(engine, route, nbytes, cb, name=name))
                     except LinkDownError as exc:
                         blocked = exc.link
                 try:
@@ -301,8 +279,7 @@ class Dataplane:
 
         return engine.process(run(), name=f"{name}.guard")
 
-    def _rides_copy_engine(self, desc: TransferDescriptor) -> bool:
-        src, dst = desc.src, desc.dst
+    def _rides_copy_engine(self, src: Buffer, dst: Buffer) -> bool:
         return (
             src.space is MemSpace.DEVICE
             and dst.space is MemSpace.DEVICE
@@ -311,45 +288,3 @@ class Dataplane:
             and dst.gpu is not None
             and self.fabric.spec.can_peer_map(src.gpu, dst.gpu)
         )
-
-    def _staged_execute(self, desc: TransferDescriptor) -> Event:
-        engine_res = self.fabric.copy_engine(desc.src.gpu)
-        return Holding(
-            self.engine, engine_res, self.fabric.spec.params.cuda_ipc_put_overhead,
-            partial(self._execute, desc),
-            ("copy_engine", engine_res.name, None, {"nbytes": desc.wire_bytes}),
-        )
-
-    # -- multi-route discovery ----------------------------------------------------
-    def disjoint_routes(self, src: Buffer, dst: Buffer, max_paths: int) -> Tuple:
-        """Up to ``max_paths`` pairwise link-disjoint routes, primary first.
-
-        Greedy peeling over the link graph: resolve the fewest-links
-        route, exclude every link it claims, search again — until the
-        graph runs out of paths or ``max_paths`` is reached.  Memoized
-        per (src-port, dst-port, max_paths); fully deterministic (the
-        underlying search breaks ties by adjacency insertion order).
-        """
-        epoch = self.fabric.link_state.epoch
-        if epoch != self._multi_route_epoch:
-            self._multi_route_cache.clear()
-            self._multi_route_epoch = epoch
-        sport = self.fabric._endpoint(src)
-        dport = self.fabric._endpoint(dst)
-        cache_key = (sport, dport, max_paths)
-        cached = self._multi_route_cache.get(cache_key)
-        if cached is not None:
-            return cached
-        routes = [self.fabric.route(src, dst)]
-        if sport != dport:
-            used = set(routes[0])
-            while len(routes) < max_paths:
-                try:
-                    alt = self.fabric.graph.search(sport, dport, exclude=used)
-                except RouteSearchError:
-                    break
-                routes.append(alt)
-                used.update(alt)
-        result = tuple(routes)
-        self._multi_route_cache[cache_key] = result
-        return result

@@ -99,7 +99,7 @@ class MultiPathPolicy(PathPolicy):
         single = [Stripe(primary, desc.wire_bytes, _whole_payload_cb(desc))]
         if desc.wire_bytes < self.min_stripe_bytes:
             return single
-        routes = dp.disjoint_routes(desc.src, desc.dst, self.max_stripes)
+        routes = dp.fabric.disjoint_routes(desc.src, desc.dst, self.max_stripes)
         if len(routes) < 2:
             return single
         weights = [min(link.bandwidth for link in route) for route in routes]
@@ -140,7 +140,7 @@ class CongestionAwarePolicy(PathPolicy):
     Scores each candidate by its estimated completion: the worst per-link
     drain time ``(outstanding_bytes + wire_bytes) / bandwidth`` plus the
     route's fixed costs (max overhead + total latency).  The congestion
-    signal is the dataplane-maintained outstanding-bytes counter — pure
+    signal is the link transfer's outstanding-bytes counter — pure
     simulated state sampled at submit time — and ties break by candidate
     order (primary first), so the choice is fully deterministic.
     Successive submissions between one endpoint pair spread across the
@@ -159,7 +159,7 @@ class CongestionAwarePolicy(PathPolicy):
         self.max_candidates = max_candidates
 
     def plan(self, dp, desc, primary) -> List[Stripe]:
-        routes = dp.disjoint_routes(desc.src, desc.dst, self.max_candidates)
+        routes = dp.fabric.disjoint_routes(desc.src, desc.dst, self.max_candidates)
         best = None
         best_cost = math.inf
         for route in routes:

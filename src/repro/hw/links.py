@@ -84,8 +84,9 @@ class Link:
         #: Link health; a down link refuses new acquisitions (transfers
         #: already past acquisition drain normally).
         self.up = True
-        #: Deterministic congestion signal: bytes submitted to routes
-        #: through this link and not yet completed (dataplane-maintained).
+        #: Deterministic congestion signal: bytes of started transfers
+        #: whose route crosses this link and that have not ended yet
+        #: (charged and discharged only by the link transfer).
         self.outstanding_bytes = 0
         self.bytes_carried = 0
         self.n_transfers = 0
@@ -138,12 +139,13 @@ class LinkState:
     """The mutation API for one fabric's link health (DESIGN.md §17).
 
     Every mutation bumps ``epoch`` — the monotonic fabric version that the
-    route caches (:meth:`repro.hw.topology.Fabric.route`,
-    ``Dataplane.disjoint_routes``) and epoch-stamped captured plans
-    (:class:`repro.dataplane.graph.PlanCache`) compare against — and sets
-    ``armed``, switching the dataplane onto its guarded (retry-capable)
-    stripe execution.  An unarmed fabric never pays a guard: the default
-    healthy-fabric event stream is bit-identical to the pre-LinkState code.
+    fabric's one route cache (filled by :meth:`repro.hw.topology.Fabric.route`
+    and :meth:`~repro.hw.topology.Fabric.disjoint_routes`) and epoch-stamped
+    captured plans (:class:`repro.dataplane.graph.PlanCache`) compare
+    against — and sets ``armed``, switching the dataplane onto its guarded
+    (retry-capable) stripe execution.  An unarmed fabric never pays a
+    guard: the default healthy-fabric event stream is bit-identical to the
+    pre-LinkState code.
 
     Mutations are deterministic simulated-time actions: a
     :class:`~repro.hw.faults.FaultSchedule` installs them as ordinary
@@ -236,20 +238,25 @@ class _Transfer(Event):
     known bug.  A down link is checked before *and after* each grant; on a
     hit the held ports are released in reverse and :class:`LinkDownError`
     fails the event.  A transfer holding its full route always drains.
+
+    The transfer owns its route's congestion signal: it charges every
+    link's ``outstanding_bytes`` when it is built, so a submission planned
+    later in the same event cascade sees the load, and discharges them
+    when it ends, by completion or abort (DESIGN.md §17).
     """
 
     __slots__ = (
-        "route", "nbytes", "on_wire_done", "ledger", "name", "_stage",
-        "_t_held", "_latency",
+        "route", "nbytes", "on_wire_done", "name", "_stage", "_t_held", "_latency",
     )
 
-    def __init__(self, engine, route, nbytes, on_wire_done, ledger, name) -> None:
+    def __init__(self, engine, route, nbytes, on_wire_done, name) -> None:
         Event.__init__(self, engine)
         self.route = route
         self.nbytes = nbytes
         self.on_wire_done = on_wire_done
-        self.ledger = ledger
         self.name = name
+        for link in route:
+            link.outstanding_bytes += nbytes
         self._stage = _BOOT
         self._t_held: List[float] = []
         engine._schedule_event(self, PRIORITY_URGENT)
@@ -323,11 +330,12 @@ class _Transfer(Event):
         raise LinkDownError(link)
 
     def _end(self, exc: Optional[BaseException]) -> None:
-        if self.ledger is not None:
-            self.ledger.discharge_links(self.route, self.nbytes)
+        nbytes = self.nbytes
+        for link in self.route:
+            link.outstanding_bytes -= nbytes
         self._stage = None  # before the push, or the next pop re-runs a stage
         if exc is None:
-            self.succeed(self.nbytes)
+            self.succeed(nbytes)
         else:
             self.engine._body_failed(self, exc)
 
@@ -341,7 +349,6 @@ def start_transfer(
     nbytes: int,
     on_wire_done: Optional[Callable[[], None]] = None,
     name: str = "xfer",
-    ledger=None,
 ) -> Event:
     """Start a transfer; the returned event fires with ``nbytes`` on arrival."""
-    return _Transfer(engine, route, nbytes, on_wire_done, ledger, name)
+    return _Transfer(engine, route, nbytes, on_wire_done, name)

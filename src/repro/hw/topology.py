@@ -46,10 +46,12 @@ class Fabric:
         #: The one mutation surface for link health (DESIGN.md §17);
         #: every mutation bumps its epoch and invalidates route caches.
         self.link_state = self.graph.state
-        #: (src-port, dst-port) -> resolved link tuple; hit on every
-        #: transfer after the first between a location pair.
-        self._route_cache: Dict[Tuple[Port, Port], Tuple[Link, ...]] = {}
-        #: Fabric epoch the route cache was filled under.
+        #: (src-port, dst-port) -> resolved link tuple, hit on every
+        #: transfer after the first between a location pair; and
+        #: (src-port, dst-port, max_paths) -> link-disjoint route tuple
+        #: (:meth:`disjoint_routes`).
+        self._route_cache: Dict[tuple, tuple] = {}
+        #: Fabric epoch the route cache (both kinds of entry) was filled under.
         self._route_epoch = 0
         #: Number of cache-miss route computations (asserted by tests).
         self.route_computations = 0
@@ -131,3 +133,31 @@ class Fabric:
                 raise RouteError(str(exc)) from exc
             self._route_cache[key] = cached
         return cached
+
+    def disjoint_routes(self, src: Buffer, dst: Buffer, max_paths: int) -> tuple:
+        """Up to ``max_paths`` pairwise link-disjoint routes, primary first.
+
+        Greedy peeling over the link graph: take the fewest-links route,
+        exclude every link it claims, search again — until the graph runs
+        out of paths or ``max_paths`` is reached.  Memoized in the route
+        cache per (src-port, dst-port, max_paths), so :meth:`route`'s one
+        epoch check drops these entries too; fully deterministic (the
+        search breaks ties by adjacency insertion order).
+        """
+        primary = self.route(src, dst)  # first, so a stale cache is dropped
+        sport, dport = self._endpoint(src), self._endpoint(dst)
+        key = (sport, dport, max_paths)
+        routes = self._route_cache.get(key)
+        if routes is None:
+            found = [primary]
+            if sport != dport:
+                used = set(primary)
+                while len(found) < max_paths:
+                    try:
+                        alt = self.graph.search(sport, dport, exclude=used)
+                    except RouteSearchError:
+                        break
+                    found.append(alt)
+                    used.update(alt)
+            routes = self._route_cache[key] = tuple(found)
+        return routes

@@ -150,7 +150,7 @@ def ring_step(
     yield RING_STEP_OVERHEAD
     put = dataplane.put(
         chunk(step.send_chunk), board.slot(right, lane, i),
-        traffic_class=traffic_class, initiator="device", name=name,
+        traffic_class=traffic_class, name=name,
     )
     dst_flag = board.flags[right][lane][i]
     put.add_callback(lambda _ev: dst_flag.set())

@@ -24,7 +24,7 @@ from typing import Any, Callable, Dict, List, Optional
 
 import hashlib
 
-from repro.dataplane.descriptor import DescriptorError, TransferDescriptor
+from repro.dataplane.descriptor import TransferDescriptor
 from repro.dataplane.graph import GraphEngine, launch
 from repro.hw.spec.schema import MachineSpec
 from repro.hw.topology import Fabric
@@ -124,14 +124,9 @@ class ShardBridge:
                 f"{desc.name}: cannot pull from a remote shard; "
                 "the owning shard must push"
             )
+        nbytes = desc.validate().wire_bytes
         shard = self.shard
         dst: RemoteBuffer = desc.dst
-        nbytes = desc.nbytes if desc.nbytes is not None else desc.src.nbytes
-        if desc.payload and desc.src.nbytes != dst.nbytes:
-            raise DescriptorError(
-                f"{desc.name}: transfer size mismatch: src {desc.src.nbytes} B "
-                f"vs remote dst {dst.nbytes} B"
-            )
         dst_shard = shard.cluster.node_of(dst.gpu)
         if dst_shard == shard.id:
             raise MailboxError(

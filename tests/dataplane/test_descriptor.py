@@ -61,11 +61,6 @@ def test_negative_control_bytes_flagged():
         TransferDescriptor(dev(0), dev(1), nbytes=-1, payload=False).validate()
 
 
-def test_bad_initiator_flagged():
-    with pytest.raises(DescriptorError, match="initiator"):
-        TransferDescriptor(dev(0), dev(1), initiator="dma").validate()
-
-
 def test_fabric_shim_raises_descriptor_error():
     """Submitting through a fabric's dataplane reports the byte-true check
     (DescriptorError is a ValueError, preserving the old contract)."""

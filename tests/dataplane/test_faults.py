@@ -5,7 +5,6 @@ import pytest
 
 from repro.dataplane import MultiPathPolicy, SinglePathPolicy, policy_by_name
 from repro.dataplane.graph import GRAPHS
-from repro.dataplane.ledger import Ledger
 from repro.dataplane.plane import FabricFault
 from repro.dataplane.policy import CongestionAwarePolicy
 from repro.hw.faults import FaultEvent, FaultSchedule
@@ -181,20 +180,17 @@ def test_outstanding_bytes_drain_after_faulted_run():
 
 def test_linkdown_abort_discharges_via_finally():
     """A transfer queued behind a port when its link dies aborts with
-    LinkDownError — and its charge is still returned by the finally."""
+    LinkDownError — and the link transfer still discharges its charge."""
     engine, fab = _mk()
     link = fab.link_state.find("nvl0->1")
     route = (link,)
-    ledger = fab.dataplane.ledger
 
     def first():
-        Ledger.charge_links(route, 1 * MiB)
-        yield start_transfer(engine, route, 1 * MiB, ledger=ledger)
+        yield start_transfer(engine, route, 1 * MiB)
 
     def second():
-        Ledger.charge_links(route, 1 * MiB)
         try:
-            yield start_transfer(engine, route, 1 * MiB, ledger=ledger)
+            yield start_transfer(engine, route, 1 * MiB)
         except LinkDownError:
             return "aborted"
         return "completed"

@@ -49,7 +49,7 @@ def test_disjoint_routes_share_no_links(n_nodes, gpus_per_node, src, dst, max_pa
     src, dst = src % n_gpus, dst % n_gpus
     _e, fab = _mk(gh200_spec(n_nodes, gpus_per_node))
     a, b = dev(fab, src, virtual=True), dev(fab, dst, virtual=True)
-    routes = fab.dataplane.disjoint_routes(a, b, max_paths)
+    routes = fab.disjoint_routes(a, b, max_paths)
     assert 1 <= len(routes) <= max_paths
     assert routes[0] == fab.route(a, b)
     if src != dst:
@@ -64,7 +64,7 @@ def test_mesh_pair_has_four_disjoint_routes():
     """GH200 4-GPU mesh: direct NVLink, two NVLink detours, C2C host path."""
     _e, fab = _mk()
     a, b = dev(fab, 0, virtual=True), dev(fab, 1, virtual=True)
-    routes = fab.dataplane.disjoint_routes(a, b, 4)
+    routes = fab.disjoint_routes(a, b, 4)
     assert len(routes) == 4
     assert [l.name for l in routes[0]] == ["nvl0->1"]
     assert all(len(r) >= 2 for r in routes[1:])
@@ -75,7 +75,7 @@ def test_dual_rail_inter_node_routes():
     through the peer GPU's NIC (Sojoodi-style multi-rail)."""
     _e, fab = _mk(gh200_spec(2, 2))
     a, b = dev(fab, 0, virtual=True), dev(fab, 2, virtual=True)
-    routes = fab.dataplane.disjoint_routes(a, b, 4)
+    routes = fab.disjoint_routes(a, b, 4)
     assert len(routes) >= 2
     rails = {tuple(l.name for l in r if l.name.startswith("ib_")) for r in routes}
     assert len(rails) == len(routes), "each route must use its own NIC rail"
@@ -84,10 +84,26 @@ def test_dual_rail_inter_node_routes():
 def test_multi_route_cache_hits():
     _e, fab = _mk()
     a, b = dev(fab, 0, virtual=True), dev(fab, 1, virtual=True)
-    first = fab.dataplane.disjoint_routes(a, b, 4)
+    first = fab.disjoint_routes(a, b, 4)
     searches = fab.route_computations
-    assert fab.dataplane.disjoint_routes(a, b, 4) is first
+    assert fab.disjoint_routes(a, b, 4) is first
     assert fab.route_computations == searches
+
+
+def test_multi_route_cache_drops_downed_links():
+    """Disjoint routes live in the fabric's one route cache, under its one
+    epoch check: a down_link retires a cached result like a cached route."""
+    _e, fab = _mk()
+    a, b = dev(fab, 0, virtual=True), dev(fab, 1, virtual=True)
+    first = fab.disjoint_routes(a, b, 4)
+    dead = first[1][0]
+    searches = fab.route_computations
+    fab.link_state.down_link(dead.name)
+    again = fab.disjoint_routes(a, b, 4)
+    assert again is not first
+    assert all(dead not in route for route in again)
+    assert fab.route_computations == searches + 1
+    assert fab.disjoint_routes(a, b, 4) is again
 
 
 # -- striped payload reassembly ----------------------------------------------

@@ -13,7 +13,6 @@ import hashlib
 
 import pytest
 
-from repro.dataplane.ledger import Ledger
 from repro.hw.links import Link, LinkDownError, LinkState, start_transfer
 from repro.sim.engine import Engine
 from repro.sim.process import ProcessFailed
@@ -28,19 +27,13 @@ def _links(engine, *specs):
     return links, LinkState(engine, {link.name: link for link in links})
 
 
-def _submit(engine, route, nbytes, on_wire_done=None):
-    # The dataplane's submit: charge the congestion signal, then start.
-    Ledger.charge_links(route, nbytes)
-    return start_transfer(engine, route, nbytes, on_wire_done, ledger=Ledger())
-
-
 def _waited(engine, outcomes, tag, route, nbytes, on_wire_done=None):
     """A process that submits one transfer, waits on it and records how
     it ended — as the dataplane's guarded path does."""
 
     def body():
         try:
-            value = yield _submit(engine, route, nbytes, on_wire_done)
+            value = yield start_transfer(engine, route, nbytes, on_wire_done)
         except (LinkDownError, RuntimeError) as exc:
             outcomes.append((tag, engine.now, type(exc).__name__))
         else:
@@ -136,7 +129,7 @@ def _raising_wire_done(engine):
     engine.run()
     assert out == [("sibling", 2.0, 100), ("waited", 4.0, "RuntimeError")]
     # Nobody waits on this one: the error surfaces from engine.run.
-    _submit(engine, [a], 100, boom)
+    start_transfer(engine, [a], 100, boom)
     with pytest.raises(ProcessFailed, match="copy failed"):
         engine.run()
     return links
@@ -172,3 +165,25 @@ def test_transfer_stream_matches_pinned_digest(case):
     assert _digest(steps) == pinned
     assert [ln.outstanding_bytes for ln in links] == [0] * len(links)
     assert all(ln.port._in_use == 0 and ln.port.queued == 0 for ln in links)
+
+
+def test_bare_transfer_charges_its_route_until_it_ends():
+    """The link transfer owns the congestion signal: a bare start_transfer
+    charges every link of its route at the call and discharges it when it
+    ends, by completion or by a LinkDownError abort."""
+    engine = Engine()
+    links, state = _links(engine, ("a", 1e9, 1e-6, 0.0), ("b", 1e9, 1e-6, 0.0))
+    done = start_transfer(engine, links, 4096)
+    assert [ln.outstanding_bytes for ln in links] == [4096, 4096]
+    engine.run(done)
+    assert [ln.outstanding_bytes for ln in links] == [0, 0]
+
+    first = start_transfer(engine, links[:1], 1 << 20)
+    second = start_transfer(engine, links, 512)  # queues behind first on "a"
+    assert [ln.outstanding_bytes for ln in links] == [(1 << 20) + 512, 512]
+    ended = []
+    second.callbacks.append(lambda ev: ended.append(type(ev.value).__name__))
+    _at(engine, 1e-9, lambda: state.down_link("a"))
+    engine.run()
+    assert first.ok and ended == ["LinkDownError"]
+    assert [ln.outstanding_bytes for ln in links] == [0, 0]

@@ -261,10 +261,13 @@ def test_link_field_writes_flagged_outside_hw(lint):
     assert lint(src, "hw/links.py") == []
 
 
-def test_dataplane_ledger_owns_outstanding_bytes(lint):
+def test_link_transfer_owns_outstanding_bytes(lint):
     src = "def charge(link, n):\n    link.outstanding_bytes += n\n"
-    assert lint(src, "dataplane/ledger.py") == []
-    assert _rules(lint(src, "mpi/x.py")) == ["module-ownership"]
+    assert lint(src, "hw/links.py") == []
+    for path in ("dataplane/ledger.py", "mpi/x.py"):
+        findings = lint(src, path)
+        assert _rules(findings) == ["module-ownership"]
+        assert "link transfer" in findings[0].message
 
 
 def test_link_state_epoch_write_flagged_outside_hw(lint):

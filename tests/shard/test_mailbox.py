@@ -149,6 +149,27 @@ def test_bridge_rejects_payload_size_mismatch():
         shard.put(_dev_buf(64), shard.remote(9, 128, ("t",)))
 
 
+def test_bridge_rejects_negative_control_size():
+    """A cross-shard descriptor gets the same validation as a local one."""
+    shard = _make_shard()
+    dp = shard.fabric.dataplane
+    with pytest.raises(DescriptorError, match="negative transfer size -64"):
+        dp.control(_dev_buf(8), _dev_buf(8, gpu=1), nbytes=-64)
+    with pytest.raises(DescriptorError, match="negative transfer size -64"):
+        dp.control(_dev_buf(8), shard.remote(9, 8, ("t",)), nbytes=-64)
+    assert shard.bridge.bytes_by_class == {}
+    assert shard.bridge.drain() == []
+
+
+def test_rma_put_to_remote_goes_through_the_bridge():
+    shard = _make_shard()
+    dp = shard.fabric.dataplane
+    dp.rma_put(_dev_buf(64), shard.remote(9, 64, ("t",)))
+    assert dp.submissions == 1
+    assert shard.bridge.bytes_by_class == {"rma": 64}
+    assert len(shard.bridge.drain()) == 1
+
+
 def test_bridge_emits_wire_priced_message():
     shard = _make_shard()
     nbytes = 1 << 16
