@@ -81,9 +81,12 @@ class Device:
         return Buffer.alloc(n, dtype, MemSpace.PINNED, self.node, None, fill, label)
 
     def close(self) -> None:
-        """Stop every stream worker (they park forever on an empty queue)."""
+        """Stop every stream worker (they park forever on an empty queue)
+        and drop the streams, which point back at the device."""
         for stream in self.streams:
             stream.close()
+        self.streams = []
+        self.default_stream = None
 
     # -- kernel launch ------------------------------------------------------------
     def launch(self, kernel: KernelBase, stream=None) -> Event:

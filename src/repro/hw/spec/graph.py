@@ -33,7 +33,7 @@ import heapq
 from collections import namedtuple
 from typing import Dict, List, Optional, Tuple
 
-from repro.hw.links import Link, LinkState
+from repro.hw.links import Link
 from repro.hw.spec.schema import (
     Interconnect,
     LinkClass,
@@ -250,9 +250,6 @@ class LinkGraph:
         self.wiring = spec.wiring
         #: Row -> its Link, None until first use (:meth:`link`).
         self.built: List[Optional[Link]] = [None] * len(self.wiring.rows)
-        #: The one mutation surface for this fabric's link health (DESIGN.md §17);
-        #: while its epoch is 0, routes come from the shared wiring.
-        self.state = LinkState(engine, self)
 
     # -- links ---------------------------------------------------------------
     def link(self, i: int) -> Link:
@@ -271,7 +268,7 @@ class LinkGraph:
         return len(self.wiring.index)
 
     # -- search --------------------------------------------------------------
-    def search(self, src: Port, dst: Port, exclude=()) -> Tuple[Link, ...]:
+    def search(self, src: Port, dst: Port, exclude=(), epoch: int = 0) -> Tuple[Link, ...]:
         """Fewest-links path ``src -> dst`` (:meth:`Wiring.search`).
 
         Same-port routes use the port's self-route (HBM copy, DRAM tx/rx
@@ -279,14 +276,15 @@ class LinkGraph:
         acquire — the dataplane's multi-path discovery peels link-disjoint
         routes by re-searching with every claimed link excluded.  Downed
         links (:class:`~repro.hw.links.LinkState`) are never traversed;
-        a fabric whose epoch is still 0 reads the shared healthy routes.
+        while the caller's link-state ``epoch`` is still 0, the search
+        reads the shared healthy routes.
         """
         wiring = self.wiring
         if src == dst:
             rows = wiring.self_routes.get(src)
             if rows is None:
                 raise RouteSearchError(f"port {src} has no self-route")
-        elif exclude or self.state.epoch:
+        elif exclude or epoch:
             blocked = {
                 i for i, link in enumerate(self.built)
                 if link is not None and (not link.up or link in exclude)

@@ -22,7 +22,7 @@ from typing import Dict, List, Tuple
 from repro.dataplane.plane import Dataplane
 from repro.dataplane.policy import policy_by_name
 from repro.hw import faults as hw_faults
-from repro.hw.links import Link
+from repro.hw.links import Link, LinkState
 from repro.hw.memory import Buffer, MemSpace
 from repro.hw.spec.graph import LinkGraph, Port, RouteError, RouteSearchError
 from repro.hw.spec.schema import MachineSpec
@@ -45,7 +45,8 @@ class Fabric:
         self.graph = LinkGraph(engine, self.spec)
         #: The one mutation surface for link health (DESIGN.md §17);
         #: every mutation bumps its epoch and invalidates route caches.
-        self.link_state = self.graph.state
+        #: While the epoch is 0, routes come from the spec's shared wiring.
+        self.link_state = LinkState(engine, self.graph)
         #: (src-port, dst-port) -> resolved link tuple, hit on every
         #: transfer after the first between a location pair; and
         #: (src-port, dst-port, max_paths) -> link-disjoint route tuple
@@ -70,6 +71,11 @@ class Fabric:
             hw_faults.install_on_fabric(self, run.faults)
             if run.faults is not None else []
         )
+
+    def close(self) -> None:
+        """Break the fabric↔dataplane cycle once nothing runs on the
+        fabric, so it dies by reference counting; its owner calls this."""
+        self.dataplane.fabric = None
 
     # -- link registry ---------------------------------------------------------
     def iter_links(self):
@@ -128,7 +134,7 @@ class Fabric:
         if cached is None:
             self.route_computations += 1
             try:
-                cached = self.graph.search(*key)
+                cached = self.graph.search(*key, epoch=epoch)
             except RouteSearchError as exc:
                 raise RouteError(str(exc)) from exc
             self._route_cache[key] = cached
@@ -154,7 +160,9 @@ class Fabric:
                 used = set(primary)
                 while len(found) < max_paths:
                     try:
-                        alt = self.graph.search(sport, dport, exclude=used)
+                        alt = self.graph.search(
+                            sport, dport, exclude=used, epoch=self._route_epoch
+                        )
                     except RouteSearchError:
                         break
                     found.append(alt)

@@ -49,9 +49,11 @@ class ProgressEngine:
         self._procs = [_AmLoop(self, am_id) for am_id in (AM_P2P,) + _PART_AM_IDS]
 
     def close(self) -> None:
-        """Stop the AM dispatch loops and withdraw their parked getters."""
+        """Stop the AM dispatch loops, withdraw their parked getters and
+        let go of the runtime (which keeps this engine: a cycle)."""
         for loop in self._procs:
             loop.kill()
+        self.rt = None
 
     # -- p2p state machine -------------------------------------------------------
     def _on_p2p(self, msg) -> None:
@@ -236,6 +238,7 @@ class _AmLoop(Chain):
         if getter is not None:
             self.pe.rt.worker.am.withdraw(getter, self.am_id)
             getter.callbacks = []
+        self.pe = None  # pe._procs keeps its loops: a cycle
         self.succeed(None)
 
     def _step(self, stage: int, ev) -> None:

@@ -88,13 +88,19 @@ class MpiRuntime:
 
     def close(self) -> None:
         """Job teardown (see World.close): stop this rank's progression,
-        release its persistent requests and drop its collective scratch."""
+        release its persistent requests, drop its collective scratch and
+        break the cycles the rank stack holds (runtime↔progress engine,
+        runtime↔communicators, UCX worker↔endpoints), so it dies by
+        reference counting; idempotent."""
         if self.progress is not None:
             self.progress.close()
         for req in self.persistent:
             req.release()
-        self.persistent.clear()
-        self.scratch.clear()
+        self.persistent = []
+        self.scratch = {}
+        self.comms = {}
+        if self.worker is not None:
+            self.worker.close()
 
     # -- endpoints --------------------------------------------------------------
     def ep_to(self, comm: "Communicator", comm_rank: int) -> Generator:

@@ -204,20 +204,24 @@ class World:
         ``MPI_Finalize`` for the whole machine: every rank's progress loops
         and every stream worker are killed (they park forever on empty
         queues), persistent requests the ranks never freed are released,
-        and the engine's pending heap and timeout pool are dropped.  No
-        reference cycle left behind reaches a payload buffer, so payloads
-        are freed by reference counting the moment the caller lets go,
-        with no collection.  An embedded World (``fabric=`` injection)
-        only drops its registries: the host engine, and the processes
-        parked on it, are not its to tear down.  A second call finds
-        nothing left to release.
+        each rank's collective scratch is dropped, and the rank stacks'
+        own cycles (runtime↔progress engine, UCX workers↔endpoints,
+        device↔streams) are broken.  A World that built its fabric also
+        drops the engine's pending heap and closes the fabric.  No cycle
+        is left, so the job, payloads included, is freed by reference
+        counting the moment the caller lets go, with no collection.  An
+        embedded World (``fabric=`` injection) closes its ranks and
+        devices the same way but leaves the host's engine and fabric
+        alone: the heap, and whatever else is parked on it, is its host's
+        to tear down.  A second call finds nothing left to release.
         """
+        for rt in self._runtimes:
+            rt.close()
+        for device in self.devices:
+            device.close()
         if self._owns_engine:
-            for rt in self._runtimes:
-                rt.close()
-            for device in self.devices:
-                device.close()
             self.engine.close()
+            self.fabric.close()
         self._addresses.clear()
         self._runtimes.clear()
         self._shared.clear()

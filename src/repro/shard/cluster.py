@@ -146,9 +146,9 @@ class _Block:
         return self._reply
 
     def close(self) -> None:
-        """Stop resident processes a crash or deadlock left running."""
+        """Tear every shard down (:meth:`Shard.close`), finished or not."""
         for s in self.shards:
-            s.kill_all()
+            s.close()
 
 
 def _serve(conn, job: "ClusterJob", sids: List[int]) -> None:
@@ -352,15 +352,20 @@ class ClusterJob:
         ]
         mailboxes = {s.id: s.mailbox for s in shards}
         sent: List[ShardMessage] = []
-        for s in shards:
-            s.bridge.enable_direct(mailboxes, sent)
-        engine.run()
-        digest = MessageDigest()
-        for msg in sorted(sent, key=lambda m: m.merge_key):
-            if msg.dst_shard not in mailboxes:
-                raise self._unbuilt(msg)
-            digest.update(msg)
-        return self._assemble("reference", 0, 0, [s.report() for s in shards], digest)
+        try:
+            for s in shards:
+                s.bridge.enable_direct(mailboxes, sent)
+            engine.run()
+            digest = MessageDigest()
+            for msg in sorted(sent, key=lambda m: m.merge_key):
+                if msg.dst_shard not in mailboxes:
+                    raise self._unbuilt(msg)
+                digest.update(msg)
+            reports = [s.report() for s in shards]
+        finally:
+            for s in shards:
+                s.close()
+        return self._assemble("reference", 0, 0, reports, digest)
 
     # -- assembly ------------------------------------------------------------
     def _assemble(

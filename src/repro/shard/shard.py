@@ -20,7 +20,7 @@ window protocol guarantees lies beyond the current horizon.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
 
 import hashlib
 
@@ -34,6 +34,9 @@ from repro.sim.engine import Engine, collapsible
 from repro.sim.events import Event
 from repro.sim.process import Process
 from repro.sim.run import current, run_scope
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.mpi.world import World
 
 
 #: The step digest of a shard that popped nothing.
@@ -201,6 +204,8 @@ class Shard:
             self.graph_engine = GraphEngine()
             self.graph_engine.shard_id = shard_id
         run_engine = self.run_engine
+        #: Worlds the build embedded on this shard's fabric (:meth:`embed_world`).
+        self._worlds: List["World"] = []
         # Every fabric built for this node — the shard's own, any other
         # the build makes — installs only the run's fault events scoped
         # to this node, in every execution mode.
@@ -215,22 +220,15 @@ class Shard:
             #: Workload processes resident on this shard, in spawn order.
             self.procs: List[Process] = build(self, cfg)
         self._step_hash = None
-        #: Step text not hashed yet; :meth:`_flush_steps` feeds it to the
-        #: digest in one update per window (the same bytes).
-        self._steps: List[str] = []
-        #: The last popped time and its ``float.hex()`` prefix: the pops
-        #: of one instant share it instead of re-formatting it.
-        self._step_time: Optional[float] = None
-        self._step_prefix = ""
         if dedicated:
             # A dedicated engine's pop stream is the shard's own, so it is
             # hashed; a shared reference engine interleaves every shard's
-            # pops and is not.  Hooked after graph mode is chosen, so the
-            # shard's own hash is not an observer; the graph engine replays
-            # the eager pop stream bit-for-bit, so hashing its pops yields
-            # the same digest.
+            # pops and is not.  The step log is attached after graph mode
+            # is chosen, so the shard's own log is not an observer; the
+            # graph engine replays the eager pop stream bit-for-bit, so
+            # hashing its pops yields the same digest.
             self._step_hash = hashlib.sha256()
-            run_engine.on_step = self._hash_step
+            run_engine.steps = []
 
     @property
     def run_engine(self) -> Engine:
@@ -253,6 +251,15 @@ class Shard:
         return 0 <= global_gpu - self.gpu_base < self.n_local_gpus
 
     # -- workload surface ----------------------------------------------------
+    def embed_world(self) -> "World":
+        """A node-local World on this shard's fabric (``World(fabric=...)``);
+        :meth:`close` closes it."""
+        from repro.mpi.world import World
+
+        world = World(fabric=self.fabric)
+        self._worlds.append(world)
+        return world
+
     def remote(self, gpu: int, nbytes: int, tag: Any) -> RemoteBuffer:
         """Address ``nbytes`` on global GPU ``gpu`` under rendezvous ``tag``."""
         return RemoteBuffer(gpu, nbytes, tag)
@@ -301,23 +308,47 @@ class Shard:
     def results(self) -> List[Any]:
         return [p.value for p in self.procs]
 
-    def kill_all(self) -> None:
-        """Abort teardown: stop resident processes without resuming them."""
-        for p in self.procs:
-            if not p.triggered:
-                p.kill()
+    def close(self) -> None:
+        """Tear the shard down once its report is taken; idempotent.
 
-    def _hash_step(self, time: float, priority: int, seq: int) -> None:
-        # ``not time``: 0.0 and -0.0 compare equal but format differently.
-        if time != self._step_time or not time:
-            self._step_time = time
-            self._step_prefix = f"{time.hex()}|"
-        self._steps.append(f"{self._step_prefix}{priority}|{seq};")
+        Stops resident processes a crash or deadlock left running, closes
+        the Worlds its build embedded, drops both engines' pending heaps
+        and breaks the shard's own back-references (shard↔bridge,
+        fabric↔dataplane).  No cycle is left, so the rank stacks, UCX
+        workers, devices and the fabric die by reference counting as soon
+        as the driver lets go of the shard.
+        """
+        for p in self.procs:
+            p.kill()  # a no-op on a finished process
+        for world in self._worlds:
+            world.close()
+        self._worlds.clear()
+        self.engine.close()
+        if self.graph_engine is not None:
+            self.graph_engine.close()
+        self.bridge.shard = None
+        self.fabric.close()
 
     def _flush_steps(self) -> None:
-        if self._steps:
-            self._step_hash.update("".join(self._steps).encode())
-            self._steps.clear()
+        """Hash the keys the step log holds, in one pass and one update.
+
+        Each key is ``f"{time.hex()}|{priority}|{seq};"``.  The pops of one
+        instant share its ``float.hex()`` prefix: the comprehension's
+        filter, true for every key, re-formats it only when the time
+        changes, and always at zero (``-0.0 == 0.0`` but they format
+        differently).  A comprehension makes no call per key.
+        """
+        keys = self.run_engine.steps
+        if not keys:
+            return
+        last = prefix = None
+        text = "".join([
+            f"{prefix}{priority}|{seq};"
+            for time, priority, seq in keys
+            if (time == last and time) or (prefix := f"{(last := time).hex()}|")
+        ])
+        self._step_hash.update(text.encode())
+        keys.clear()
 
     def report(self) -> dict:
         """The shard's picklable end-of-run record the driver assembles.

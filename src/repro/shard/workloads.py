@@ -140,9 +140,7 @@ ALLREDUCE_DEFAULTS = {
 
 
 def build_allreduce_node(shard, cfg: dict) -> List[Process]:
-    from repro.mpi.world import World
-
-    world = World(fabric=shard.fabric)
+    world = shard.embed_world()
     n_shards = shard.cluster.n_nodes
     right = (shard.id + 1) % n_shards
     iters, elems, ring_bytes = cfg["iters"], cfg["elems"], cfg["ring_bytes"]

@@ -8,16 +8,16 @@ monotone counter so ties break by insertion order.  Nothing in the engine
 consults wall-clock time or global randomness.
 
 Wall-clock fast path (DESIGN.md §11): :meth:`Engine.run` is the only pop
-loop.  It hoists the ``obs`` / ``on_step`` observers into locals before
-the loop, so an unobserved pop costs two ``is None`` tests and no method
-calls.  Observers must therefore be attached *before* ``run`` is entered;
-nothing in the deterministic core attaches one mid-run.
+loop.  It hoists the ``obs`` observer and the ``steps`` log into locals
+before the loop, so an unobserved pop costs two ``is None`` tests and no
+method calls.  Both must therefore be attached *before* ``run`` is
+entered; nothing in the deterministic core attaches one mid-run.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import TYPE_CHECKING, Any, Callable, Generator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Generator, List, Optional, Tuple
 
 from repro.sim.events import Event, Timeout
 from repro.sim.process import Process, ProcessFailed
@@ -91,11 +91,17 @@ STATS = SimCounters()
 
 
 class Engine:
-    """Owns simulated time and the pending-event heap."""
+    """Owns simulated time and the pending-event heap.
+
+    Two optional observers ride the one pop loop, each behind one
+    ``is None`` test: an attached bus (``obs``) and a step log
+    (``steps``), the list of raw popped heap keys a shard hashes once
+    per window.  Either one makes :func:`collapsible` false.
+    """
 
     __slots__ = (
         "_now", "_heap", "_seq", "_crashed",
-        "obs", "on_step", "t_busy",
+        "obs", "steps", "t_busy",
         "events_popped", "events_cancelled", "peak_heap",
         "shard_id", "__weakref__",
     )
@@ -112,10 +118,11 @@ class Engine:
         #: :meth:`repro.obs.bus.Bus.attach` populates it, and only while
         #: the bus has subscribers, so every hook is one ``is None`` test.
         self.obs: Optional[Bus] = None
-        #: Optional hook called as ``on_step(time, priority, seq)`` for every
-        #: popped event, in pop order.  The argument triple *is* the heap
-        #: tie-break key — the determinism regression test hashes it.
-        self.on_step: Optional[Callable[[float, int, int], None]] = None
+        #: Optional step log: when a list, every popped event's raw
+        #: ``(time, priority, seq)`` heap key is appended to it, in pop
+        #: order.  The key *is* the heap tie-break key — shard step
+        #: digests and the determinism regression tests hash it.
+        self.steps: Optional[List[Tuple[float, int, int]]] = None
         #: Time of the last event actually processed.  Unlike ``now`` it is
         #: never clamped forward to a run-horizon, so a windowed (sharded)
         #: run can report true completion times.
@@ -214,7 +221,8 @@ class Engine:
                 raise ValueError(f"cannot run to the past: {horizon} < {self._now}")
         heap = self._heap
         pop = heapq.heappop
-        on_step, obs = self.on_step, self.obs
+        steps, obs = self.steps, self.obs
+        log = None if steps is None else steps.append
         if obs is not None:
             # Instants this run's pops emit take this engine's clock.
             outer, obs.running = obs.running, self
@@ -227,8 +235,8 @@ class Engine:
                     continue
                 self._now = time
                 popped += 1
-                if on_step is not None:
-                    on_step(time, prio, seq)
+                if log is not None:
+                    log((time, prio, seq))
                 if obs is not None:
                     obs.instant("engine", "step", None, t=time, prio=prio, seq=seq)
                 ev._run_callbacks()
@@ -298,9 +306,11 @@ def collapsible(engine: Optional[Engine] = None) -> bool:
     effect*, so they are only legal while nothing can observe individual
     pops: no run bus (whose presence arms the sanitizer's record hooks
     even before a subscriber appears) and, for ``engine``, no attached bus
-    and no ``on_step`` hook.  Observation is the only switch: a run scope
-    with an empty bus selects the exact reference path everywhere.
+    and no step log (``engine.steps``).  Observation is the only switch: a
+    run scope with an empty bus selects the exact reference path
+    everywhere.  A shard's own step log is attached after the shard has
+    asked, so it does not count (see :class:`repro.shard.Shard`).
     """
     return current().bus is None and (
-        engine is None or (engine.obs is None and engine.on_step is None)
+        engine is None or (engine.obs is None and engine.steps is None)
     )

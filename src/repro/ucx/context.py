@@ -1,8 +1,8 @@
 """UCP contexts, workers, and worker addresses.
 
-One :class:`UcpContext` exists per process (MPI rank); it owns one or more
-:class:`UcpWorker` objects.  A worker encapsulates communication resources
-and receives active messages; its :class:`WorkerAddress` is what remote
+One :class:`UcpContext` exists per process (MPI rank); it creates the
+rank's :class:`UcpWorker` objects.  A worker encapsulates communication
+resources and receives active messages; its :class:`WorkerAddress` is what remote
 endpoints connect to (in real UCX an opaque blob exchanged out-of-band; our
 MPI layer exchanges it through the launcher's bootstrap, like PMIx would).
 """
@@ -10,7 +10,7 @@ MPI layer exchanges it through the launcher's bootstrap, like PMIx would).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, Optional
 
 from repro.hw.topology import Fabric
 from repro.sim.engine import Engine
@@ -86,6 +86,11 @@ class UcpWorker:
     def _deliver_am(self, msg: AmMessage) -> None:
         self.am.put(msg, msg.am_id)
 
+    def close(self) -> None:
+        """Drop the endpoints: each reaches its remote worker, so one
+        job's workers form cycles until they are closed."""
+        self.endpoints = {}
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<UcpWorker {self.name} node={self.context.node}>"
 
@@ -98,7 +103,6 @@ class UcpContext:
         self.fabric = fabric
         self.node = node
         self.gpu = gpu
-        self.workers: List[UcpWorker] = []
 
     @classmethod
     def create(cls, engine: Engine, fabric: Fabric, node: int, gpu: Optional[int]):
@@ -109,6 +113,4 @@ class UcpContext:
     def worker_create(self, name: str = ""):
         """Host generator: charge ``ucp_worker_create`` and build."""
         yield self.fabric.spec.params.ucp_worker_create
-        worker = UcpWorker(self, name)
-        self.workers.append(worker)
-        return worker
+        return UcpWorker(self, name)

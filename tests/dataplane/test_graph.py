@@ -44,7 +44,7 @@ def test_ambient_obs_bus_disables():
         assert not collapsible()
         assert not collapsible(engine)
     assert collapsible() and collapsible(engine)
-    engine.on_step = lambda *_: None
+    engine.steps = []
     assert not collapsible(engine)
 
 

@@ -145,9 +145,8 @@ def test_small_transfers_do_not_stripe():
 # -- determinism --------------------------------------------------------------
 
 def _multi_step_stream():
-    steps = []
     engine = Engine()
-    engine.on_step = lambda t, prio, seq: steps.append((t, prio, seq))
+    engine.steps = steps = []
     fab = Fabric(engine, ONE_NODE)
     fab.dataplane.policy = MultiPathPolicy()
     src = dev(fab, 0, n=2 * MiB, virtual=True)

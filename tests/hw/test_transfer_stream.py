@@ -1,7 +1,7 @@
 """Pinned event streams of the link-transfer state machine.
 
 Each case drives :func:`repro.hw.links.start_transfer` over hand-built
-links and hashes the engine's ``on_step`` stream — the ``(time, priority,
+links and hashes the engine's step log — the ``(time, priority,
 seq)`` key of every pop, in pop order.  The digests pin the transfer's
 heap traffic: boot, one grant per hop, serialization end, latency end and
 completion, including the fault paths (abort while queued, pricing after
@@ -135,7 +135,7 @@ def _raising_wire_done(engine):
     return links
 
 
-# Each case: (length, SHA-256 of the repr) of its on_step stream.
+# Each case: (length, SHA-256 of the repr) of its step log.
 _CASES = {
     "contention": (_contention, (
         14, "767ea3cb957b2e903e92d5fec0c300b056c6a1756d3e12096860fafd4f8c7f06",
@@ -159,8 +159,7 @@ _CASES = {
 def test_transfer_stream_matches_pinned_digest(case):
     build, pinned = _CASES[case]
     engine = Engine()
-    steps = []
-    engine.on_step = lambda t, prio, seq: steps.append((t, prio, seq))
+    engine.steps = steps = []
     links = build(engine)
     assert _digest(steps) == pinned
     assert [ln.outstanding_bytes for ln in links] == [0] * len(links)

@@ -67,8 +67,10 @@ def _run_world(observe):
     keys = hashlib.sha256()
     with World(ONE_NODE) as world:
         if observe:
-            world.engine.on_step = lambda t, p, s: keys.update(f"{t.hex()} {p} {s}\n".encode())
+            world.engine.steps = []
         results = world.run(_world_main, nprocs=2)
+        for t, p, s in world.engine.steps or ():
+            keys.update(f"{t.hex()} {p} {s}\n".encode())
         return world.engine.events_popped, keys.hexdigest(), results
 
 

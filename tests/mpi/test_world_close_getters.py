@@ -2,15 +2,12 @@
 
 While a World is open each rank's five AM loops (one p2p, four
 partitioned) wait on the worker's AM channel.  ``World.close()`` stops
-them and takes their getters back, so nothing is left parked; an
-embedded World's close leaves the host's loops alone.
+them and takes their getters back, so nothing is left parked (an
+embedded World's close does the same: see ``test_world_lifecycle``).
 """
 
 from repro.hw.params import ONE_NODE
-from repro.hw.topology import Fabric
 from repro.mpi.world import World
-from repro.sim.engine import Engine
-from repro.sim.events import AllOf
 
 
 def _barrier_main(ctx):
@@ -26,14 +23,3 @@ def test_close_withdraws_every_parked_am_getter():
     assert [rt.worker.am.unmatched() for rt in runtimes] == [(0, 0)] * 4
     assert not any(loop.is_alive for rt in runtimes for loop in rt.progress._procs)
 
-
-def test_closing_an_embedded_world_leaves_its_getters_parked():
-    engine = Engine()
-    world = World(fabric=Fabric(engine, ONE_NODE))
-    ranks = world.launch(_barrier_main, nprocs=2)
-    engine.run(AllOf(engine, ranks))
-    world.close()
-    for rank in ranks:
-        rt = rank.value
-        assert rt.worker.am.unmatched() == (0, 5)
-        assert all(loop.is_alive for loop in rt.progress._procs)

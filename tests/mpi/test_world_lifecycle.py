@@ -103,9 +103,32 @@ def test_closing_an_embedded_world_leaves_the_host_engine_alone():
     daemons = [p for rank in ranks for p in rank.value.progress._procs]
 
     world.close()
-    assert engine._heap == heap
-    assert all(p.is_alive for p in daemons)
+    assert {entry[2] for entry in heap} <= {entry[2] for entry in engine._heap}
+    assert not any(p.is_alive for p in daemons)
     assert engine.run(host) == "host done"
+
+
+def _allreduce_main(ctx):
+    buf = ctx.gpu.alloc(64, fill=float(ctx.rank + 1))
+    yield from ctx.comm.allreduce(buf, buf)
+    return ctx.mpi
+
+
+def test_closing_an_embedded_world_closes_its_ranks():
+    engine = Engine()
+    world = World(fabric=Fabric(engine, ONE_NODE))
+    ranks = world.launch(_allreduce_main, nprocs=2)
+    engine.run(AllOf(engine, ranks))
+    runtimes = [rank.value for rank in ranks]
+    streams = [s for device in world.devices for s in device.streams]
+    assert [rt.worker.am.unmatched() for rt in runtimes] == [(0, 5)] * 2
+    assert all(rt.scratch for rt in runtimes)
+
+    world.close()
+    assert [rt.worker.am.unmatched() for rt in runtimes] == [(0, 0)] * 2
+    assert not any(loop.is_alive for rt in runtimes for loop in rt.progress._procs)
+    assert [rt.scratch for rt in runtimes] == [{}, {}]
+    assert not any(s._worker.is_alive for s in streams)
 
 
 

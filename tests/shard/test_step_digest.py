@@ -1,12 +1,13 @@
-"""A shard's step digest is buffered per window but hashes the same bytes.
+"""A shard's step digest is formatted per window but hashes the same bytes.
 
-``Shard`` formats each popped ``(time, priority, seq)`` key, reuses the
-``float.hex()`` text of a repeated time, and feeds a window's text to
-SHA-256 in one update.  These tests wrap every shard's ``on_step`` hook
-with an independent per-pop SHA-256 and require the two digests to agree,
-in eager and graph mode, sequentially and under ``--shards 2`` (where the
-shards live in forked workers, so each writes its reference digest to a
-file the test reads back).
+A shard's engine logs each popped raw ``(time, priority, seq)`` key, and
+``Shard._flush_steps`` formats one window's keys in one pass, reusing
+the ``float.hex()`` text of a repeated time, and feeds them to SHA-256 in
+one update.  These tests read every raw key before the shard flushes it,
+hash each one on its own with an independent formatter, and require the
+two digests to agree, in eager and graph mode, sequentially and under
+``--shards 2`` (where the shards live in forked workers, so each writes
+its reference digest to a file the test reads back).
 """
 
 import hashlib
@@ -27,15 +28,18 @@ def _key_text(time, priority, seq):
 
 
 def _wrap_steps(shard, record):
-    """Chain ``record(key)`` after the shard's own step hook."""
-    hook = shard.run_engine.on_step
-    assert hook is not None, "shard collects no steps"
+    """Pass each raw key of the shard's step log to ``record(key)``, in pop
+    order, just before the shard hashes it."""
+    keys = shard.run_engine.steps
+    assert keys is not None, "shard logs no steps"
+    flush = shard._flush_steps
 
-    def wrapped(time, priority, seq):
-        hook(time, priority, seq)
-        record((time, priority, seq))
+    def wrapped():
+        for key in keys:
+            record(key)
+        flush()
 
-    shard.run_engine.on_step = wrapped
+    shard._flush_steps = wrapped
 
 
 @pytest.fixture
@@ -115,8 +119,9 @@ def test_stuck_shard_report_flushes_its_partial_window():
     flushed = len(steps)
     with pytest.raises(ProcessFailed, match="boom"):
         shard.step_window(1.0, [])
-    assert len(steps) > flushed  # the crashed window popped events
+    assert shard.run_engine.steps  # the crashed window popped events...
     rec = shard.report()
+    assert len(steps) > flushed  # ...and report() hashed them
     assert not rec["done"]
     ref = hashlib.sha256(b"".join(_key_text(*key) for key in steps))
     assert rec["step_digest"] == ref.hexdigest()
@@ -136,5 +141,5 @@ def test_only_a_dedicated_shard_engine_hashes_its_pops():
     own = Shard(spec, 1, build, {})
     shared = Shard(spec, 1, build, {}, engine=Engine())
     assert own.report()["step_digest"] == EMPTY_STEP_DIGEST
-    assert shared.engine.on_step is None
+    assert shared.engine.steps is None
     assert shared.report()["step_digest"] is None

@@ -55,9 +55,8 @@ def _workload(world):
 
 
 def _step_stream():
-    steps = []
     world = World(ONE_NODE)
-    world.engine.on_step = lambda t, prio, seq: steps.append((t, prio, seq))
+    world.engine.steps = steps = []
     _workload(world)
     return steps
 
@@ -157,8 +156,7 @@ def test_step_stream_unchanged_with_idle_bus():
     with run_scope(bus=obs_bus.Bus()):
         world = World(ONE_NODE)
         assert world.engine.obs is None  # no subscribers: fast path intact
-        steps = []
-        world.engine.on_step = lambda t, prio, seq: steps.append((t, prio, seq))
+        world.engine.steps = steps = []
         _workload(world)
     assert steps == baseline
 
@@ -176,8 +174,7 @@ def test_step_stream_unchanged_under_full_observation():
     with run_scope(bus=bus):
         world = World(ONE_NODE)
         assert world.engine.obs is bus
-        steps = []
-        world.engine.on_step = lambda t, prio, seq: steps.append((t, prio, seq))
+        world.engine.steps = steps = []
         _workload(world)
     assert steps == baseline
     cats = {ev.cat for ev in collector.events}

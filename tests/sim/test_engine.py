@@ -245,7 +245,7 @@ def test_determinism_two_identical_runs():
 
 def test_trace_disabled_by_default(engine):
     """No bus is attached unless one is subscribed: the unobserved fast path."""
-    assert engine.obs is None and engine.on_step is None
+    assert engine.obs is None and engine.steps is None
 
 
 # -- every run mode, with and without an observer ------------------------------
@@ -257,7 +257,7 @@ def _engine(observed):
     eng = Engine()
     steps = []
     if observed:
-        eng.on_step = lambda *key: steps.append(key)
+        eng.steps = steps
     return eng, steps
 
 

@@ -248,8 +248,7 @@ def test_unwaited_bad_delay_is_process_failed(engine, bad):
 
 def _observed(scenario):
     eng = Engine()
-    steps = []
-    eng.on_step = lambda t, prio, seq: steps.append((t, prio, seq))
+    eng.steps = steps = []
     log = scenario(eng)
     eng.run()
     return steps, log, eng.events_popped, eng.peak_heap, eng.now
