@@ -34,15 +34,17 @@ echo "== hash-seed (pinned step streams under two string-hash seeds) =="
 # link-transfer stream, process sleep/chain pins (Delayed and Holding
 # against their generator bodies), the eager host message path pins, the
 # replay lowering pin (validation matches over tuple-keyed dicts with
-# string tags), the shard step digests against a per-key hash, and the
-# cluster teardown (no cyclic remainder, every mode's signature equal)
-# must hold under any PYTHONHASHSEED.
+# string tags), the shard step digests against a per-key hash, the
+# cluster teardown (no cyclic remainder, every mode's signature equal),
+# the observed/unobserved link-transfer drain equality and the pinned
+# per-transfer call counts must hold under any PYTHONHASHSEED.
 for seed in 1 2; do
     PYTHONHASHSEED=$seed PYTHONPATH=src python -m pytest -x -q \
         tests/sim/test_determinism.py tests/hw/test_transfer_stream.py \
         tests/sim/test_process.py tests/mpi/test_eager_path_pin.py \
         tests/workload/test_matching.py tests/shard/test_step_digest.py \
-        tests/shard/test_teardown.py
+        tests/shard/test_teardown.py tests/dataplane/test_transfer_counters.py \
+        tests/dataplane/test_submit_cost.py
 done
 
 echo "== optimised mode (python -O: the allreduce result check is not an assert) =="

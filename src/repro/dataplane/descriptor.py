@@ -25,7 +25,7 @@ class DescriptorError(ValueError):
     """A descriptor failed validation before touching the fabric."""
 
 
-@dataclass
+@dataclass(slots=True)
 class TransferDescriptor:
     """One requested data movement, as submitted to the dataplane.
 
@@ -37,7 +37,9 @@ class TransferDescriptor:
     nbytes:
         Wire bytes.  Defaults to ``src.nbytes``; control descriptors
         (``payload=False``) may override it to charge a different wire
-        size (envelopes, flag packets) than the probe buffers suggest.
+        size (envelopes, flag packets) than the probe buffers suggest.  A
+        payload descriptor's override must equal ``src.nbytes``: its
+        arrival copies the whole buffer.
     payload:
         When True the destination receives the source bytes at wire
         completion (RMA visibility: a reader that waits observes new
@@ -61,23 +63,31 @@ class TransferDescriptor:
 
     def validate(self) -> "TransferDescriptor":
         """Check geometry and fill ``wire_bytes``; raises DescriptorError."""
-        nbytes = self.src.nbytes if self.nbytes is None else self.nbytes
+        src, dst, name = self.src, self.dst, self.name
+        size = src.data.nbytes  # dst.nbytes below: dst may be a data-less RemoteBuffer
+        nbytes = size if self.nbytes is None else self.nbytes
         if nbytes < 0:
-            raise DescriptorError(f"{self.name}: negative transfer size {nbytes}")
+            raise DescriptorError(f"{name}: negative transfer size {nbytes}")
         if self.payload:
             # Byte comparison, not element counts: same-length buffers of
-            # different dtypes carry different wire bytes, and the virtual
-            # (zero-stride) buffers of PR 4 report shape-true nbytes.
-            if self.src.nbytes != self.dst.nbytes:
+            # different dtypes carry different wire bytes, and virtual
+            # (zero-stride) buffers report shape-true nbytes.
+            if nbytes != size:
                 raise DescriptorError(
-                    f"{self.name}: transfer size mismatch: src {self.src.nbytes} B "
-                    f"vs dst {self.dst.nbytes} B"
+                    f"{name}: payload size override {nbytes} B differs from "
+                    f"the {size} B payload the arrival copies"
                 )
-            if not self.dst.is_virtual and len(self.src.data) != len(self.dst.data):
+            dst_size = dst.nbytes
+            if size != dst_size:
                 raise DescriptorError(
-                    f"{self.name}: dtype mismatch: {len(self.src.data)} "
-                    f"x {self.src.data.dtype} src elements cannot land in "
-                    f"{len(self.dst.data)} x {self.dst.data.dtype}"
+                    f"{name}: transfer size mismatch: src {size} B "
+                    f"vs dst {dst_size} B"
+                )
+            if not dst.is_virtual and len(src.data) != len(dst.data):
+                raise DescriptorError(
+                    f"{name}: dtype mismatch: {len(src.data)} "
+                    f"x {src.data.dtype} src elements cannot land in "
+                    f"{len(dst.data)} x {dst.data.dtype}"
                 )
         self.wire_bytes = nbytes
         return self

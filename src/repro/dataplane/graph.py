@@ -42,7 +42,7 @@ simulated times and SHA-256 digests are unchanged by capture.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro.hw.spec.graph import RouteError
 from repro.sim.engine import Counters, Engine
@@ -106,14 +106,14 @@ def launch(host: Engine, graph: GraphEngine, horizon: float) -> None:
 # --------------------------------------------------------------------------
 
 class PlanCache:
-    """Descriptor identity -> pre-resolved stripe plan.
+    """Descriptor identity -> pre-resolved plan (a route, or stripes).
 
     The key is endpoint *object* identity plus wire shape: two submits
     hit the same plan only when they name the same live buffers with the
     same byte-count, payload mode, and traffic class — exactly the
-    repeated-iteration case.  Stripes are pure (route tuple, byte count,
-    completion callback over the same buffers), so replaying them is
-    equivalent to re-planning; tests pin that equivalence.
+    repeated-iteration case.  Plans are pure (a route, or stripes of route
+    tuple, byte count and completion callback over the same buffers), so
+    replaying them is equivalent to re-planning; tests pin that equivalence.
 
     Captured plans pin their endpoint buffers: each entry keeps its
     ``(src, dst)`` and hits only a descriptor naming those very objects,
@@ -125,11 +125,11 @@ class PlanCache:
     Plans are **epoch-stamped** (DESIGN.md §17): a plan captured under
     fabric epoch E replays unchecked while the epoch still reads E.  After
     a link mutation bumps the epoch, the next lookup *re-binds* the plan
-    ``cudaGraphExecUpdate``-style: stripes whose routes are fully up keep
-    their routes and prices untouched; stripes crossing a downed link are
+    ``cudaGraphExecUpdate``-style: legs whose routes are fully up keep
+    their routes and prices untouched; legs crossing a downed link are
     re-routed through the (epoch-fresh) fabric route — no re-validation
     and no re-pricing of unchanged legs.  Bandwidth degradation never
-    invalidates a leg because stripes price bandwidth at port-grant time.
+    invalidates a leg because transfers price bandwidth at port-grant time.
     A plan whose dead leg has no surviving route is dropped (full re-plan
     on this submission; the guarded executor may still fault it).
     """
@@ -137,8 +137,9 @@ class PlanCache:
     __slots__ = ("_plans", "hits", "misses")
 
     def __init__(self) -> None:
-        #: key -> (src, dst, wire_bytes, stripes, epoch)
-        self._plans: Dict[Tuple, Tuple[Any, Any, Any, tuple, int]] = {}
+        #: key -> (src, dst, wire_bytes, plan, epoch); a plan is the
+        #: policy's, stored as it came (either shape of policy.Plan).
+        self._plans: Dict[Tuple, Tuple[Any, Any, Any, Any, int]] = {}
         self.hits = 0
         self.misses = 0
 
@@ -149,14 +150,14 @@ class PlanCache:
             desc.payload, desc.traffic_class,
         )
 
-    def lookup(self, desc, fabric) -> Optional[tuple]:
-        """Cached stripes for ``desc`` on ``fabric``, or None on miss
+    def lookup(self, desc, fabric):
+        """The cached plan for ``desc`` on ``fabric``, or None on miss
         (then validate); an epoch-stale plan is re-bound first."""
         key = self._key(desc)
         entry = self._plans.get(key)
         if entry is None or entry[0] is not desc.src or entry[1] is not desc.dst:
             return None
-        _src, _dst, wire_bytes, stripes, epoch = entry
+        _src, _dst, wire_bytes, plan, epoch = entry
         for buf in (desc.src, desc.dst):
             if getattr(buf, "freed", False):
                 raise GraphError(
@@ -164,53 +165,54 @@ class PlanCache:
                     f"{buf.label!r} — re-capture after freeing endpoints"
                 )
         if epoch != fabric.link_state.epoch:
-            stripes = self._rebind(key, desc, stripes, fabric)
-            if stripes is None:
+            plan = self._rebind(key, desc, plan, fabric)
+            if plan is None:
                 return None
         desc.wire_bytes = wire_bytes
         self.hits += 1
         GRAPHS.replayed_descriptors += 1
-        return stripes
+        return plan
 
-    def _rebind(self, key, desc, stripes, fabric) -> Optional[tuple]:
-        """Re-route dead legs of an epoch-stale plan; None drops the plan."""
-        rebound = []
-        moved = 0
-        for stripe in stripes:
-            if all(link.up for link in stripe.route):
-                rebound.append(stripe)
-                continue
-            try:
-                fresh = fabric.route(desc.src, desc.dst)
-            except RouteError:
-                del self._plans[key]
-                return None
-            rebound.append(type(stripe)(fresh, stripe.nbytes, stripe.on_wire_done))
-            moved += 1
-        stripes = tuple(rebound)
-        self._plans[key] = self._plans[key][:3] + (stripes, fabric.link_state.epoch)
+    def _rebind(self, key, desc, plan, fabric):
+        """Re-route dead legs of a stale plan (policy.Plan); None drops it."""
+        try:
+            if type(plan) is tuple:  # the unstriped leg: a bare route
+                legs, moved = 1, 0
+                if not all(link.up for link in plan):
+                    plan, moved = fabric.route(desc.src, desc.dst), 1
+            else:
+                legs, moved, rebound = len(plan), 0, []
+                for stripe in plan:
+                    if not all(link.up for link in stripe.route):
+                        fresh = fabric.route(desc.src, desc.dst)
+                        stripe = type(stripe)(fresh, stripe.nbytes, stripe.on_wire_done)
+                        moved += 1
+                    rebound.append(stripe)
+                plan = rebound
+        except RouteError:
+            del self._plans[key]
+            return None
+        self._plans[key] = self._plans[key][:3] + (plan, fabric.link_state.epoch)
         GRAPHS.replanned += 1
         obs = fabric.engine.obs
         if obs is not None:
             obs.instant(
                 "plan", "rebind", t=fabric.engine.now, xfer=desc.name,
                 epoch=fabric.link_state.epoch, legs_moved=moved,
-                legs_kept=len(stripes) - moved,
+                legs_kept=legs - moved,
             )
-        return stripes
+        return plan
 
-    def store(self, desc, stripes: tuple, fabric) -> None:
+    def store(self, desc, plan, fabric) -> None:
         epoch = fabric.link_state.epoch
-        self._plans[self._key(desc)] = (
-            desc.src, desc.dst, desc.wire_bytes, tuple(stripes), epoch,
-        )
+        self._plans[self._key(desc)] = (desc.src, desc.dst, desc.wire_bytes, plan, epoch)
         self.misses += 1
         GRAPHS.captured_plans += 1
         obs = fabric.engine.obs
         if obs is not None:
             obs.instant(
                 "plan", "build", t=fabric.engine.now, xfer=desc.name,
-                epoch=epoch, stripes=len(stripes),
+                epoch=epoch, stripes=1 if type(plan) is tuple else len(plan),
             )
 
 

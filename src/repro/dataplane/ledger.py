@@ -8,7 +8,8 @@ per-link congestion signal belongs to the link transfer, DESIGN.md §17),
 so it can never perturb the simulated timeline.
 
 Occupancy is the serialization estimate of the cut-through link model
-(per-stripe ``max(overhead) + bytes / bottleneck_bw``), i.e. the port
+(per leg ``max(overhead) + bytes / bottleneck_bw``, the unstriped leg
+priced from its route at the descriptor's wire bytes), i.e. the port
 time the transfer asks for, not the queueing-delayed time it gets — a
 deterministic submit-time quantity.
 """
@@ -16,11 +17,11 @@ deterministic submit-time quantity.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List
+from typing import TYPE_CHECKING, Dict
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.dataplane.descriptor import TransferDescriptor
-    from repro.dataplane.policy import Stripe
+    from repro.dataplane.policy import Plan
 
 
 @dataclass
@@ -39,22 +40,25 @@ class Ledger:
 
     classes: Dict[str, ClassUsage] = field(default_factory=dict)
 
-    def account(self, desc: "TransferDescriptor", stripes: List["Stripe"]) -> None:
+    def account(self, desc: "TransferDescriptor", plan: "Plan") -> None:
+        """Count one submission of ``desc`` executed as ``plan`` (shapes:
+        policy.Plan): a route is priced at ``wire_bytes``, stripes each."""
         usage = self.classes.get(desc.traffic_class)
         if usage is None:
             usage = self.classes[desc.traffic_class] = ClassUsage()
         usage.bytes += desc.wire_bytes
         usage.transfers += 1
-        usage.stripes += len(stripes)
-        for stripe in stripes:
-            route = stripe.route  # min/max in plain loops, as _Transfer prices
+        legs = (((plan, desc.wire_bytes),) if type(plan) is tuple
+                else [(stripe.route, stripe.nbytes) for stripe in plan])
+        usage.stripes += len(legs)
+        for route, nbytes in legs:  # min/max in plain loops, as _Transfer prices
             bottleneck, overhead = route[0].bandwidth, route[0].overhead
             for link in route:
                 if link.bandwidth < bottleneck:
                     bottleneck = link.bandwidth
                 if link.overhead > overhead:
                     overhead = link.overhead
-            usage.occupancy_s += overhead + stripe.nbytes / bottleneck
+            usage.occupancy_s += overhead + nbytes / bottleneck
 
     def __getitem__(self, traffic_class: str) -> ClassUsage:
         return self.classes.get(traffic_class, ClassUsage())

@@ -5,21 +5,24 @@ Producers hand a :class:`TransferDescriptor` to :meth:`submit` (or the
 build one and submit it).  The dataplane validates it, resolves the
 primary route through the owning :class:`~repro.hw.topology.Fabric`'s
 route cache, asks the active :class:`~repro.dataplane.policy.PathPolicy`
-for a stripe plan, accounts the submission in the per-class ledger, and
-starts one cut-through link transfer per stripe.  A multi-stripe plan
-completes at the max of the stripe arrivals (an ``AllOf``).
+for a plan, accounts the submission in the per-class ledger, and starts
+its link transfers.  The base case is the unstriped leg: the policy
+hands back a route and the descriptor's one cut-through link transfer
+starts straight from it.  A multi-leg plan (two or more
+:class:`~repro.dataplane.policy.Stripe` legs) starts one transfer per
+stripe and completes at the max of the stripe arrivals (an ``AllOf``).
 
 :meth:`rma_put` makes one decision of its own: a host-issued put
 between IPC-mappable device peers stages through the source GPU's copy
 engine with the cuda_ipc per-op setup cost — the mechanism the paper's
-Kernel-Copy design bypasses (Section IV-A4) — before its wire stripes
+Kernel-Copy design bypasses (Section IV-A4) — before its wire legs
 are planned.  Every other put goes through :meth:`submit`.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 from repro.dataplane.descriptor import TransferDescriptor
 from repro.dataplane.ledger import Ledger
@@ -68,13 +71,13 @@ class Dataplane:
         self.policy = policy
         #: Descriptors submitted (asserted by tests; stripes live in the ledger).
         self.submissions = 0
-        #: Stripes re-routed around a downed link by the guarded executor.
+        #: Legs re-routed around a downed link by the guarded executor.
         self.reroutes = 0
-        #: Stripes that lost every route (completed as FabricFault).
+        #: Legs that lost every route (completed as FabricFault).
         self.faults = 0
         #: Optional :class:`repro.dataplane.graph.PlanCache`: when set,
         #: repeated submissions of an identical descriptor shape replay a
-        #: pre-priced stripe plan instead of re-validating, re-routing,
+        #: pre-priced plan instead of re-validating, re-routing,
         #: and re-planning.  Ledger accounting stays per-submission, so
         #: byte totals and simulated times are unchanged (DESIGN.md §16).
         self.plan_cache = None
@@ -163,18 +166,18 @@ class Dataplane:
             self.submissions += 1
             return bridge.submit(desc)
         cache = self.plan_cache
-        stripes = cache.lookup(desc, self.fabric) if cache is not None else None
-        if stripes is None:
+        plan = cache.lookup(desc, self.fabric) if cache is not None else None
+        if plan is None:
             desc.validate()
         self.submissions += 1
-        return self._execute(desc, stripes)
+        return self._execute(desc, plan)
 
     # -- execution ---------------------------------------------------------------
-    def _execute(self, desc: TransferDescriptor, stripes: Optional[tuple] = None) -> Event:
-        if stripes is None:
+    def _execute(self, desc: TransferDescriptor, plan=None) -> Event:
+        if plan is None:
             cache = self.plan_cache
-            stripes = cache.lookup(desc, self.fabric) if cache is not None else None
-        if stripes is None:
+            plan = cache.lookup(desc, self.fabric) if cache is not None else None
+        if plan is None:
             try:
                 primary = self.fabric.route(desc.src, desc.dst)
             except RouteError:
@@ -197,10 +200,10 @@ class Dataplane:
                 fault = FabricFault(desc.name, downed, self.engine.now,
                                     "no route at submit")
                 return Event(self.engine).succeed(fault)
-            stripes = self.policy.plan(self, desc, primary)
+            plan = self.policy.plan(self, desc, primary)
             if self.plan_cache is not None:
-                self.plan_cache.store(desc, stripes, self.fabric)
-        self.ledger.account(desc, stripes)
+                self.plan_cache.store(desc, plan, self.fabric)
+        self.ledger.account(desc, plan)
         obs = self.engine.obs
         if obs is not None:
             # One instant per accounted descriptor: the trace-replay
@@ -212,53 +215,42 @@ class Dataplane:
                 src_gpu=desc.src.gpu, src_node=desc.src.node,
                 dst_gpu=desc.dst.gpu, dst_node=desc.dst.node,
             )
-        if self.fabric.link_state.armed:
-            # A mutable-fabric run: every stripe gets the guarded,
-            # re-route-capable executor.  Armed only by a fault schedule
-            # or an explicit LinkState mutation, so the default path
-            # below stays byte-identical to the pre-LinkState dataplane.
-            if len(stripes) == 1:
-                return self._guarded(desc, stripes[0], desc.name)
-            parts = [
-                self._guarded(desc, stripe, f"{desc.name}.s{i}")
-                for i, stripe in enumerate(stripes)
-            ]
-            return AllOf(self.engine, parts)
-        if len(stripes) == 1:
-            stripe = stripes[0]
-            return start_transfer(
-                self.engine, stripe.route, stripe.nbytes,
-                on_wire_done=stripe.on_wire_done, name=desc.name,
-            )
-        parts = [
-            start_transfer(
-                self.engine, stripe.route, stripe.nbytes,
-                on_wire_done=stripe.on_wire_done, name=f"{desc.name}.s{i}",
-            )
-            for i, stripe in enumerate(stripes)
-        ]
-        return AllOf(self.engine, parts)
+        # A mutable-fabric run gives every leg the guarded, re-route-capable
+        # executor.  Armed only by a fault schedule or an explicit LinkState
+        # mutation, so the default path stays byte-identical to the
+        # pre-LinkState dataplane.
+        engine, armed = self.engine, self.fabric.link_state.armed
+        start = partial(self._guarded, desc) if armed else start_transfer
+        if type(plan) is tuple:  # the unstriped leg (shapes: policy.Plan)
+            on_wire_done = partial(desc.dst.copy_from, desc.src) if desc.payload else None
+            return start(engine, plan, desc.wire_bytes, on_wire_done, desc.name)
+        if len(plan) < 2:
+            raise TypeError(f"{desc.name}: a one-stripe plan; policy.Plan wants its route")
+        return AllOf(engine, [
+            start(engine, stripe.route, stripe.nbytes, stripe.on_wire_done,
+                  f"{desc.name}.s{i}")
+            for i, stripe in enumerate(plan)
+        ])
 
-    def _guarded(self, desc: TransferDescriptor, stripe, name: str) -> Event:
-        """Spawn one stripe with down-link retry (armed fabrics only).
+    def _guarded(self, desc, engine, route, nbytes, on_wire_done, name: str) -> Event:
+        """Start one leg with down-link retry (armed fabrics only).
 
         The wrapper catches :class:`LinkDownError` from the link
-        transfer (a fault landed before the stripe fully acquired its
+        transfer (a fault landed before the leg fully acquired its
         route), resolves a surviving route through the epoch-fresh route
         cache, and retries.  When no route survives, the wrapper
         *succeeds* with a :class:`FabricFault` — a typed completion the
         caller can test — so sibling stripes and ``AllOf`` waiters are
         not torn down.
         """
-        engine = self.engine
 
         def run():
-            route, nbytes, cb = stripe.route, stripe.nbytes, stripe.on_wire_done
+            nonlocal route
             while True:
                 blocked = next((ln for ln in route if not ln.up), None)
                 if blocked is None:
                     try:
-                        return (yield start_transfer(engine, route, nbytes, cb, name=name))
+                        return (yield start_transfer(engine, route, nbytes, on_wire_done, name))
                     except LinkDownError as exc:
                         blocked = exc.link
                 try:

@@ -1,9 +1,14 @@
 """Path policies: how a validated descriptor becomes wire transfers.
 
 A policy turns one :class:`~repro.dataplane.descriptor.TransferDescriptor`
-plus its primary route into a list of :class:`Stripe` plans; the
-:class:`~repro.dataplane.plane.Dataplane` starts one link transfer per
-stripe and completes the submission at the max of the stripe arrivals.
+plus its primary route into a *plan* of one of two shapes:
+
+* a **route** (a tuple of links) when it does not split the descriptor:
+  the :class:`~repro.dataplane.plane.Dataplane` starts the descriptor's
+  one link transfer straight from it, carrying ``wire_bytes`` and (for
+  payload descriptors) the whole-buffer copy;
+* a **list of two or more** :class:`Stripe` legs when it does: one link
+  transfer per stripe, completing at the max of the stripe arrivals.
 
 The contract every policy must honour (DESIGN.md §12):
 
@@ -12,8 +17,9 @@ The contract every policy must honour (DESIGN.md §12):
 * **payload integrity** — the union of payload stripes covers the
   destination exactly once (each stripe copies its own element range at
   its own arrival instant);
-* **single-stripe transparency** — a one-stripe plan must execute exactly
-  like the pre-dataplane ``start_transfer`` call (same transfer name, same
+* **unstriped transparency** — a policy that does not split hands back
+  a route, never a one-stripe list, and the unstriped leg executes
+  exactly like a bare ``start_transfer`` call (same transfer name, same
   link acquisitions), which is how :class:`SinglePathPolicy` keeps pinned
   step hashes and sanitizer digests byte-identical.
 """
@@ -22,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple, Union
 
 from repro.units import MiB
 
@@ -32,20 +38,19 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.hw.links import Link
 
 
+#: A policy's plan: the unstriped leg's route (a tuple of links) or a list
+#: of two or more stripes, never one (``Dataplane._execute`` raises on it).
+#: ``type(plan) is tuple`` tells the two shapes apart wherever a plan is read.
+Plan = Union[Tuple["Link", ...], List["Stripe"]]
+
+
 @dataclass
 class Stripe:
-    """One planned wire transfer: a route, its bytes, its arrival action."""
+    """One leg of a multi-leg plan: a route, its bytes, its arrival action."""
 
     route: Tuple["Link", ...]
     nbytes: int
     on_wire_done: Optional[Callable[[], None]] = None
-
-
-def _whole_payload_cb(desc: "TransferDescriptor") -> Optional[Callable[[], None]]:
-    if not desc.payload:
-        return None
-    src, dst = desc.src, desc.dst
-    return lambda: dst.copy_from(src)
 
 
 class PathPolicy:
@@ -58,7 +63,7 @@ class PathPolicy:
         dp: "Dataplane",
         desc: "TransferDescriptor",
         primary: Tuple["Link", ...],
-    ) -> List[Stripe]:
+    ) -> Plan:
         raise NotImplementedError
 
 
@@ -67,8 +72,8 @@ class SinglePathPolicy(PathPolicy):
 
     name = "single"
 
-    def plan(self, dp, desc, primary) -> List[Stripe]:
-        return [Stripe(primary, desc.wire_bytes, _whole_payload_cb(desc))]
+    def plan(self, dp, desc, primary) -> Plan:
+        return primary
 
 
 class MultiPathPolicy(PathPolicy):
@@ -82,7 +87,7 @@ class MultiPathPolicy(PathPolicy):
     at roughly the same instant — with a deterministic largest-remainder
     split at element granularity for payload and byte granularity for
     control traffic.  Transfers below ``min_stripe_bytes`` (or with a
-    single usable route) fall back to the single-path plan untouched.
+    single usable route) stay unstriped on the primary route.
     """
 
     name = "multi"
@@ -95,26 +100,28 @@ class MultiPathPolicy(PathPolicy):
         self.min_stripe_bytes = min_stripe_bytes
         self.max_stripes = max_stripes
 
-    def plan(self, dp, desc, primary) -> List[Stripe]:
-        single = [Stripe(primary, desc.wire_bytes, _whole_payload_cb(desc))]
+    def plan(self, dp, desc, primary) -> Plan:
         if desc.wire_bytes < self.min_stripe_bytes:
-            return single
+            return primary
         routes = dp.fabric.disjoint_routes(desc.src, desc.dst, self.max_stripes)
         if len(routes) < 2:
-            return single
+            return primary
         weights = [min(link.bandwidth for link in route) for route in routes]
         if desc.payload:
             total = desc.splittable_elems()
             if total < len(routes):
-                return single
+                return primary
             shares = _largest_remainder(total, weights)
-            return self._payload_stripes(desc, routes, shares)
-        shares = _largest_remainder(desc.wire_bytes, weights)
-        return [
-            Stripe(route, nbytes, None)
-            for route, nbytes in zip(routes, shares)
-            if nbytes > 0
-        ]
+            stripes = self._payload_stripes(desc, routes, shares)
+        else:
+            shares = _largest_remainder(desc.wire_bytes, weights)
+            stripes = [
+                Stripe(route, nbytes, None)
+                for route, nbytes in zip(routes, shares)
+                if nbytes > 0
+            ]
+        # One surviving share carries every byte: that is an unstriped leg.
+        return stripes if len(stripes) > 1 else stripes[0].route
 
     @staticmethod
     def _payload_stripes(desc, routes, shares) -> List[Stripe]:
@@ -146,9 +153,9 @@ class CongestionAwarePolicy(PathPolicy):
     Successive submissions between one endpoint pair spread across the
     candidate routes because each pick raises its own route's load.
 
-    Unlike :class:`MultiPathPolicy` the transfer is not split: one stripe
-    rides the winning route, so small transfers also benefit and payload
-    geometry is untouched.
+    Unlike :class:`MultiPathPolicy` the transfer is not split: the
+    unstriped leg rides the winning route, so small transfers also
+    benefit and payload geometry is untouched.
     """
 
     name = "congestion"
@@ -158,7 +165,7 @@ class CongestionAwarePolicy(PathPolicy):
             raise ValueError("max_candidates must be >= 1")
         self.max_candidates = max_candidates
 
-    def plan(self, dp, desc, primary) -> List[Stripe]:
+    def plan(self, dp, desc, primary) -> Plan:
         routes = dp.fabric.disjoint_routes(desc.src, desc.dst, self.max_candidates)
         best = None
         best_cost = math.inf
@@ -181,7 +188,7 @@ class CongestionAwarePolicy(PathPolicy):
             # Every candidate crosses a downed link; hand back the primary
             # and let the guarded execution path re-route or fault it.
             best = primary
-        return [Stripe(best, desc.wire_bytes, _whole_payload_cb(desc))]
+        return best
 
 
 def _largest_remainder(total: int, weights: Sequence[float]) -> List[int]:

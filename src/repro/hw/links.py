@@ -20,7 +20,7 @@ writes to link fields outside this API are flagged by the
 from __future__ import annotations
 
 from heapq import heappush
-from typing import Callable, List, Mapping, Optional, Sequence
+from typing import List, Mapping, Optional
 
 from repro.sim.engine import Engine
 from repro.sim.events import Event, PRIORITY_NORMAL, PRIORITY_URGENT
@@ -249,8 +249,13 @@ class _Transfer(Event):
         "route", "nbytes", "on_wire_done", "name", "_stage", "_t_held", "_latency",
     )
 
-    def __init__(self, engine, route, nbytes, on_wire_done, name) -> None:
-        Event.__init__(self, engine)
+    def __init__(self, engine, route, nbytes, on_wire_done=None, name="xfer") -> None:
+        # Event.__init__ and the boot push, inlined, as Chain does.
+        self.engine = engine
+        self.callbacks = []
+        self._value = Event._PENDING
+        self._ok = True
+        self._triggered = self._processed = self._cancelled = False
         self.route = route
         self.nbytes = nbytes
         self.on_wire_done = on_wire_done
@@ -259,7 +264,11 @@ class _Transfer(Event):
             link.outstanding_bytes += nbytes
         self._stage = _BOOT
         self._t_held: List[float] = []
-        engine._schedule_event(self, PRIORITY_URGENT)
+        engine._seq = seq = engine._seq + 1
+        heap = engine._heap
+        heappush(heap, (engine._now, PRIORITY_URGENT, seq, self))
+        if len(heap) > engine.peak_heap:
+            engine.peak_heap = len(heap)
 
     def _run_callbacks(self, _ev: Optional[Event] = None) -> None:
         # Popped off the heap, or called back by a busy port's grant.
@@ -273,9 +282,24 @@ class _Transfer(Event):
                     self.on_wire_done()
                 return self._end(None)
             if stage == _DRAIN:
+                # Link.account and Resource.release, inlined per hop: the
+                # counters and busy span, then the port to its next waiter.
+                nbytes, obs, now = self.nbytes, engine.obs, engine._now
                 for link, t0 in zip(route, t_held):
-                    link.account(self.nbytes, t0)
-                    link.port.release()
+                    link.bytes_carried += nbytes
+                    link.n_transfers += 1
+                    if obs is not None:
+                        obs.span(
+                            "link", link.name, None, t0, now,
+                            kind=link.kind, nbytes=nbytes, transfers=1,
+                        )
+                    port = link.port
+                    if port._in_use <= 0:
+                        raise RuntimeError("release() without acquire()")
+                    if port._queue:
+                        port._queue.popleft().succeed(port)
+                    else:
+                        port._in_use -= 1
                 self._stage = _ARRIVE
                 t = engine._now + self._latency
             else:
@@ -343,12 +367,7 @@ class _Transfer(Event):
         return f"<Transfer {self.name}>"
 
 
-def start_transfer(
-    engine: Engine,
-    route: Sequence[Link],
-    nbytes: int,
-    on_wire_done: Optional[Callable[[], None]] = None,
-    name: str = "xfer",
-) -> Event:
-    """Start a transfer; the returned event fires with ``nbytes`` on arrival."""
-    return _Transfer(engine, route, nbytes, on_wire_done, name)
+#: ``start_transfer(engine, route, nbytes, on_wire_done=None, name="xfer")``
+#: starts a transfer; the returned event fires with ``nbytes`` on arrival.
+#: The transfer class is its own starter: a submit pays no wrapper call.
+start_transfer = _Transfer

@@ -61,6 +61,15 @@ def test_negative_control_bytes_flagged():
         TransferDescriptor(dev(0), dev(1), nbytes=-1, payload=False).validate()
 
 
+def test_payload_size_override_flagged():
+    # A payload's arrival copies the whole source buffer, so a wire-size
+    # override would charge bytes the copy does not move.
+    with pytest.raises(DescriptorError, match="payload size override 32 B"):
+        TransferDescriptor(dev(0), dev(1), nbytes=32).validate()
+    d = TransferDescriptor(dev(0), dev(1), nbytes=64).validate()
+    assert d.wire_bytes == 64  # an override equal to the payload is fine
+
+
 def test_fabric_shim_raises_descriptor_error():
     """Submitting through a fabric's dataplane reports the byte-true check
     (DescriptorError is a ValueError, preserving the old contract)."""

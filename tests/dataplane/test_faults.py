@@ -334,3 +334,31 @@ def test_plan_dropped_when_no_route_survives():
     res = _run(engine, put_once())
     assert isinstance(res, FabricFault)
     assert GRAPHS.replanned == 0         # dead leg had no route: plan dropped
+
+
+def test_unstriped_plan_rebinds_to_a_fresh_route():
+    from repro.obs.bus import Bus
+
+    GRAPHS.reset()
+    engine, fab = _mk(policy=SinglePathPolicy())
+    bus, tap = Bus(), _Tap()
+    bus.subscribe(tap)
+    engine.obs = bus
+    dp = fab.dataplane.enable_plan_cache()
+    src, dst = dev(fab, 0, n=4096, fill=7), dev(fab, 1, n=4096)
+
+    def put_once():
+        res = yield dp.put(src, dst, name="iter")
+        assert not isinstance(res, FabricFault), res
+
+    _run(engine, put_once())
+    fab.link_state.down_link("nvl0->1")
+    _run(engine, put_once())
+    assert GRAPHS.captured_plans == 1 and GRAPHS.replanned == 1
+    assert np.array_equal(dst.data, src.data)
+    [(_src, _dst, _wire, plan, epoch)] = dp.plan_cache._plans.values()
+    assert type(plan) is tuple and all(link.up for link in plan)
+    assert epoch == fab.link_state.epoch
+    rebinds = [(e.get("legs_moved"), e.get("legs_kept"))
+               for e in tap.events if e.cat == "plan" and e.name == "rebind"]
+    assert rebinds == [(1, 0)]

@@ -147,9 +147,9 @@ def test_plan_cache_never_replays_a_dead_buffers_route():
     routes = []
     account = dp.ledger.account
 
-    def recording(desc, stripes):
-        routes.append((desc.dst.gpu, [link.name for s in stripes for link in s.route]))
-        account(desc, stripes)
+    def recording(desc, plan):  # a 64 B control is unstriped: its plan is its route
+        routes.append((desc.dst.gpu, [link.name for link in plan]))
+        account(desc, plan)
 
     dp.ledger.account = recording
     for i in range(400):

@@ -194,3 +194,17 @@ def test_striping_goodput_gain_on_largest_intranode_point():
     multi = measure_stripe_goodput(512 * MiB, "multi")
     assert multi["stripes"] >= 2
     assert multi["goodput_Bps"] >= 1.5 * single["goodput_Bps"]
+
+
+def test_a_one_stripe_plan_is_refused():
+    from repro.dataplane.policy import PathPolicy, Stripe
+
+    class OneStripe(PathPolicy):
+        def plan(self, dp, desc, primary):
+            return [Stripe(primary, desc.wire_bytes, None)]
+
+    engine, fab = _mk()
+    fab.dataplane.policy = OneStripe()
+    src, dst = dev(fab, 0, fill=1.0), dev(fab, 1)
+    with pytest.raises(TypeError, match="one-stripe plan"):
+        fab.dataplane.control(src, dst, nbytes=64)
