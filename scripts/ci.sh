@@ -36,15 +36,18 @@ echo "== hash-seed (pinned step streams under two string-hash seeds) =="
 # replay lowering pin (validation matches over tuple-keyed dicts with
 # string tags), the shard step digests against a per-key hash, the
 # cluster teardown (no cyclic remainder, every mode's signature equal),
-# the observed/unobserved link-transfer drain equality and the pinned
-# per-transfer call counts must hold under any PYTHONHASHSEED.
+# the observed/unobserved link-transfer drain equality, the pinned
+# per-transfer call counts, the zero sanitizer-hook calls of an unobserved
+# run and the one-profiler-key-per-code-object check must hold under any
+# PYTHONHASHSEED.
 for seed in 1 2; do
     PYTHONHASHSEED=$seed PYTHONPATH=src python -m pytest -x -q \
         tests/sim/test_determinism.py tests/hw/test_transfer_stream.py \
         tests/sim/test_process.py tests/mpi/test_eager_path_pin.py \
         tests/workload/test_matching.py tests/shard/test_step_digest.py \
         tests/shard/test_teardown.py tests/dataplane/test_transfer_counters.py \
-        tests/dataplane/test_submit_cost.py
+        tests/dataplane/test_submit_cost.py tests/san/test_hook_gate.py \
+        tests/test_code_keys.py
 done
 
 echo "== optimised mode (python -O: the allreduce result check is not an assert) =="

@@ -22,6 +22,7 @@ from typing import TYPE_CHECKING, Callable, Optional, Union
 from repro.cuda.timing import WorkSpec
 from repro.hw.memory import Buffer
 from repro.san import record
+from repro.sim import run as _run
 from repro.sim.events import Event
 from repro.sim.process import Chain, Delayed
 from repro.sim.resources import Counter, Flag
@@ -74,7 +75,7 @@ class HostFlagWrite(Chain):
             self._link.port.release()
             self._sleep(self.device.fabric.spec.params.flag_write_base)
         else:
-            if self.actor is not None:
+            if self.actor is not None and _run._RUN.bus is not None:
                 record.release(self.actor, ("sig", self.signal))
             _fire(self.signal, self.amount)
             self.succeed(n)
@@ -118,8 +119,9 @@ class _FencedCopy(Chain):
 
     def _step(self, stage: int, ev: Optional[Event]) -> None:
         if stage == 0:
-            record.access(self.actor, self.src, write=False, note=self.name)
-            record.access(self.actor, self.dst, write=True, note=self.name)
+            if _run._RUN.bus is not None:
+                record.access(self.actor, self.src, write=False, note=self.name)
+                record.access(self.actor, self.dst, write=True, note=self.name)
             self.device.fabric.dataplane.put(
                 self.src, self.dst, traffic_class="cuda", name=self.name
             ).callbacks.append(self._run_callbacks)
@@ -169,17 +171,20 @@ class DeviceCtx:
 
     def syncthreads(self) -> Event:
         """``__syncthreads()`` — intra-block barrier cost."""
-        record.mark("syncthreads", actor=self.actor)
+        if _run._RUN.bus is not None:
+            record.mark("syncthreads", actor=self.actor)
         return self.engine.timeout(self.device.cost.syncthreads_cost)
 
     # -- sanitizer annotations ----------------------------------------------------
     def note_read(self, buf: Buffer) -> None:
         """Annotate that this context's threads read ``buf`` (zero sim cost)."""
-        record.access(self.actor, buf, write=False, note="note_read")
+        if _run._RUN.bus is not None:
+            record.access(self.actor, buf, write=False, note="note_read")
 
     def note_write(self, buf: Buffer) -> None:
         """Annotate that this context's threads wrote ``buf`` (zero sim cost)."""
-        record.access(self.actor, buf, write=True, note="note_write")
+        if _run._RUN.bus is not None:
+            record.access(self.actor, buf, write=True, note="note_write")
 
     # -- host signalling (MPIX_Pready progression-engine path) ---------------------
     def write_host_flags(self, n_writes: int, signal: HostSignal, amount: int = 1) -> Event:
@@ -204,8 +209,9 @@ class DeviceCtx:
         def add() -> int:
             # An atomic RMW is both an acquire and a release on the counter:
             # every pair of atomics on it is happens-before ordered.
-            record.acquire(self.actor, ("ctr", counter))
-            record.release(self.actor, ("ctr", counter))
+            if _run._RUN.bus is not None:
+                record.acquire(self.actor, ("ctr", counter))
+                record.release(self.actor, ("ctr", counter))
             return counter.add(amount)
 
         return Delayed(self.device.engine, self.device.fabric.spec.params.gmem_atomic, add)
@@ -222,7 +228,7 @@ class DeviceCtx:
         if not src.space.device_accessible or not dst.space.device_accessible:
             raise ValueError("kernel copy requires device-accessible buffers")
         ev = _FencedCopy(self.device, src, dst, f"kcopy[{self._label}]", self.actor)
-        if self.actor is not None:
+        if self.actor is not None and _run._RUN.bus is not None:
             # Release at fence-visible time, keyed by the completion event, so
             # a waiter (e.g. the PE holding this kernel-copy event) acquires it.
             ev.add_callback(lambda _ev: record.release(self.actor, ("copydone", ev)))

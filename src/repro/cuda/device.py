@@ -18,6 +18,7 @@ from repro.cuda.timing import CostModel
 from repro.hw.memory import Buffer, MemSpace
 from repro.hw.topology import Fabric
 from repro.san import record
+from repro.sim import run as _run
 from repro.sim.engine import STATS, collapsible
 from repro.sim.events import AllOf, Event
 from repro.sim.resources import Resource
@@ -133,7 +134,8 @@ class Device:
         obs = self.engine.obs
         t0 = self.engine.now
         yield stream.drained()
-        record.acquire(("host", self.gpu_id), ("drain", stream.name))
+        if _run._RUN.bus is not None:
+            record.acquire(("host", self.gpu_id), ("drain", stream.name))
         yield self.cost.stream_sync_cost
         if obs is not None:
             obs.span(
@@ -162,12 +164,14 @@ class Device:
         yield self.cost.launch_latency
         obs = self.engine.obs
         t0 = self.engine.now
-        record.release(launcher, ("kstart", kernel))
+        if _run._RUN.bus is not None:
+            record.release(launcher, ("kstart", kernel))
         if kernel.apply is not None:
             # Materialize the kernel's numerical result now (see kernel.py
             # docstring for the visibility argument).
             kernel.apply()
-            record.mark("apply", actor=launcher, gpu=self.gpu_id, kernel=kernel.name)
+            if _run._RUN.bus is not None:
+                record.mark("apply", actor=launcher, gpu=self.gpu_id, kernel=kernel.name)
         if isinstance(kernel, UniformKernel):
             yield from self._exec_uniform(kernel)
         elif isinstance(kernel, BlockKernel):
@@ -179,11 +183,13 @@ class Device:
                 "kernel", kernel.name, ("gpu", self.name),
                 t0, self.engine.now, grid=kernel.grid, block=kernel.block,
             )
-        record.acquire(launcher, ("kdone", kernel))
+        if _run._RUN.bus is not None:
+            record.acquire(launcher, ("kdone", kernel))
 
     def _exec_uniform(self, kernel: UniformKernel) -> Generator:
         kctx = DeviceCtx(self, kernel)
-        record.acquire(kctx.actor, ("kstart", kernel))
+        if _run._RUN.bus is not None:
+            record.acquire(kctx.actor, ("kstart", kernel))
         plan = self.cost.wave_plan(kernel.grid, kernel.block, kernel.work)
         engine = self.engine
 
@@ -193,6 +199,7 @@ class Device:
         # the same left-to-right float additions the exact loop performs,
         # and scheduled at those *absolute* times, so every externally
         # observable action lands on a byte-identical simulated timestamp.
+        # No run bus here, so no sanitizer hook either.
         if len(plan) > 1 and collapsible(engine):
             if kernel.wave_hook is None:
                 t = engine.now
@@ -200,7 +207,6 @@ class Device:
                     t = t + dt
                 STATS.events_coalesced += len(plan) - 1
                 yield engine.timeout_at(t)
-                record.release(kctx.actor, ("kdone", kernel))
                 return
             wave_batches = getattr(kernel.wave_hook, "wave_batches", None)
             if wave_batches is not None:
@@ -212,7 +218,6 @@ class Device:
                         yield engine.timeout_at(t_end)
                         if fire is not None:
                             fire(kctx)
-                    record.release(kctx.actor, ("kdone", kernel))
                     return
 
         for index, (blocks, dt) in enumerate(plan):
@@ -223,7 +228,8 @@ class Device:
                     kctx,
                     Wave(index=index, blocks=blocks, start_time=start, end_time=engine.now),
                 )
-        record.release(kctx.actor, ("kdone", kernel))
+        if _run._RUN.bus is not None:
+            record.release(kctx.actor, ("kdone", kernel))
 
     def _exec_blocks(self, kernel: BlockKernel) -> Generator:
         resident = self.cost.resident_blocks(kernel.block)
@@ -235,11 +241,13 @@ class Device:
             yield slots.acquire()
             try:
                 blk = DeviceCtx(self, kernel, block_id)
-                record.acquire(blk.actor, ("kstart", kernel))
+                if _run._RUN.bus is not None:
+                    record.acquire(blk.actor, ("kstart", kernel))
                 yield self.engine.process(
                     kernel.body(blk), name=f"{kernel.name}.b{block_id}"
                 )
-                record.release(blk.actor, ("kdone", kernel))
+                if _run._RUN.bus is not None:
+                    record.release(blk.actor, ("kdone", kernel))
             finally:
                 slots.release()
 

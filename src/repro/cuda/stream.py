@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.san import record
+from repro.sim import run as _run
 from repro.sim.engine import collapsible
 from repro.sim.events import Event
 from repro.sim.resources import Channel
@@ -77,7 +78,8 @@ class Stream:
             return Event(self.engine)
         done = Event(self.engine)
         # The enqueuer publishes its history to the worker (FIFO edge).
-        record.release(("host", self.device.gpu_id), ("enq", done))
+        if _run._RUN.bus is not None:
+            record.release(("host", self.device.gpu_id), ("enq", done))
         self._outstanding += 1
         self._ops.put(StreamOp(run, done, label))
         obs = self.engine.obs
@@ -170,7 +172,8 @@ class Stream:
     def _notify_drained(self) -> None:
         if not self.idle:
             return
-        record.release(self.actor, ("drain", self.name))
+        if _run._RUN.bus is not None:
+            record.release(self.actor, ("drain", self.name))
         if self._drain_waiters:
             waiters, self._drain_waiters = self._drain_waiters, []
             for ev in waiters:
@@ -184,7 +187,8 @@ class Stream:
     def _run(self):
         while True:
             op: StreamOp = yield self._ops.get()
-            record.acquire(self.actor, ("enq", op.done))
+            if _run._RUN.bus is not None:
+                record.acquire(self.actor, ("enq", op.done))
             obs = self.engine.obs
             t0 = self.engine.now
             try:
@@ -202,6 +206,7 @@ class Stream:
             if obs is not None:
                 obs.span("stream", op.label, self.actor, t0, self.engine.now)
                 obs.counter("stream", self.name, depth=self._outstanding)
-            record.release(self.actor, ("opdone", op.done))
+            if _run._RUN.bus is not None:
+                record.release(self.actor, ("opdone", op.done))
             op.done.succeed(result)
             self._notify_drained()

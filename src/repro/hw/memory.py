@@ -18,6 +18,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.san import record
+from repro.sim import run as _run
 
 
 class MemSpace(enum.Enum):
@@ -89,10 +90,11 @@ class Buffer:
     ) -> "Buffer":
         data = np.zeros(n, dtype=dtype) if fill is None else np.full(n, fill, dtype=dtype)
         buf = cls(data, space, node, gpu, label)
-        record.note_alloc(buf, zero_filled=fill is None)
-        if fill is not None:
-            # An explicit fill is host initialization, not cudaMalloc garbage.
-            record.access(None, buf, write=True, note="alloc-fill")
+        if _run._RUN.bus is not None:
+            record.note_alloc(buf, zero_filled=fill is None)
+            if fill is not None:
+                # An explicit fill is host initialization, not cudaMalloc garbage.
+                record.access(None, buf, write=True, note="alloc-fill")
         return buf
 
     @classmethod
@@ -118,7 +120,8 @@ class Buffer:
         data = np.ndarray((n,), dtype, np.zeros(1, dtype=dtype), strides=(0,))
         data.flags.writeable = False
         buf = cls(data, space, node, gpu, label)
-        record.note_alloc(buf, zero_filled=True)
+        if _run._RUN.bus is not None:
+            record.note_alloc(buf, zero_filled=True)
         return buf
 
     @property
@@ -187,8 +190,9 @@ class Buffer:
             raise ValueError(
                 f"size mismatch: src {len(src.data)} vs dst {len(self.data)}"
             )
-        record.access(None, src, write=False, note="copy_from")
-        record.access(None, self, write=True, note="copy_from")
+        if _run._RUN.bus is not None:
+            record.access(None, src, write=False, note="copy_from")
+            record.access(None, self, write=True, note="copy_from")
         if not self.data.flags.writeable:
             # Virtual destination: the transfer's *time* was charged by the
             # link model; there is no payload to materialize.

@@ -130,6 +130,7 @@ def allreduce(
     n = len(sendbuf.data)
     if n != len(recvbuf.data):
         raise MpiUsageError("allreduce: sendbuf/recvbuf length mismatch")
+    op.check("allreduce", sendbuf.data.dtype)
     if comm.size == 1:
         yield rt.params.mpi_call_overhead
         recvbuf.copy_from(sendbuf)
@@ -186,6 +187,7 @@ def reduce(
     n = len(sendbuf.data)
     if comm.rank == root and (recvbuf is None or len(recvbuf.data) != n):
         raise MpiUsageError(f"reduce: root must supply a recvbuf of {n} elements")
+    op.check("reduce", sendbuf.data.dtype)
 
     acc = _scratch(comm, "reduce_acc", n, sendbuf.data.dtype)
     if sendbuf.space.host_accessible:

@@ -16,6 +16,8 @@ from typing import Callable
 
 import numpy as np
 
+from repro.mpi.errors import MpiUsageError
+
 
 @dataclass(frozen=True)
 class MpiOp:
@@ -29,6 +31,14 @@ class MpiOp:
         if acc.shape != operand.shape:
             raise ValueError(f"reduce shape mismatch: {acc.shape} vs {operand.shape}")
         self.ufunc(acc, operand, out=acc)
+
+    def check(self, call: str, dtype) -> None:
+        """Raise :class:`MpiUsageError` if ``reduce_into`` has no loop for ``dtype``."""
+        probe = np.empty(0, dtype)
+        try:
+            self.ufunc(probe, probe, out=probe)
+        except TypeError:
+            raise MpiUsageError(f"{call}: {self!r} is not defined on {probe.dtype}") from None
 
     def __repr__(self) -> str:
         return f"MPI_{self.name}"

@@ -107,6 +107,7 @@ class NcclComm:
             raise MpiUsageError("ncclAllReduce: buffer length mismatch")
         if sendbuf.space is not MemSpace.DEVICE or recvbuf.space is not MemSpace.DEVICE:
             raise MpiUsageError("ncclAllReduce requires device buffers")
+        op.check("ncclAllReduce", sendbuf.data.dtype)
         P = self.clique.n_ranks
         n = len(sendbuf.data)
         if n % P != 0:

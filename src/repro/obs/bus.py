@@ -33,6 +33,9 @@ attached, so every instrumentation site reduces to::
     if obs is not None:
         obs.span("link", self.name, None, t0, engine.now, nbytes=n)
 
+A sanitizer hook site gates on the run's bus instead, before it builds
+the hook's arguments (the rule is stated in :mod:`repro.san.record`).
+
 Buses learn about engines two ways: explicitly (``bus.attach(engine)``)
 or through the run — every :class:`~repro.sim.engine.Engine` built inside
 ``with run_scope(bus=bus)`` (:mod:`repro.sim.run`) attaches itself, which
@@ -44,8 +47,8 @@ Clock
 
 An instant or counter published without ``t`` is stamped with
 :attr:`Bus.now`: the clock of the engine whose ``run`` is innermost
-(``Engine.run`` sets :attr:`Bus.running`), or, outside every run, of the
-engine attached last.
+(``Engine.run`` sets :attr:`Bus.running` on its own bus, or on the run's
+bus when it has none), or, outside every run, of the engine attached last.
 
 Subscriber contract
 -------------------

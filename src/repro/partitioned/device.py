@@ -39,6 +39,7 @@ from repro.mpi.errors import MpiStateError, MpiUsageError
 from repro.partitioned.aggregation import SignalMode
 from repro.partitioned.prequest import CopyMode, Prequest
 from repro.san import record
+from repro.sim import run as _run
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.partitioned.p2p import PrecvRequest
@@ -83,15 +84,9 @@ def pready(blk: DeviceCtx, preq: Prequest):
     agg = preq.agg
     mode = agg.signal_mode
     tp = agg.tp_of_block(blk.block_id)
-    record.mark(
-        "pready",
-        actor=blk.actor,
-        preq=record.ident(preq),
-        epoch=preq.sreq.epoch,
-        block=blk.block_id,
-        tp=tp,
-        mode=mode.value,
-    )
+    if _run._RUN.bus is not None:
+        record.mark("pready", actor=blk.actor, preq=record.ident(preq), epoch=preq.sreq.epoch,
+                    block=blk.block_id, tp=tp, mode=mode.value)
 
     def proc() -> Generator:
         if mode is SignalMode.WARP:
@@ -138,14 +133,15 @@ def parrived_device(blk: DeviceCtx, rreq: "PrecvRequest", partition: int):
         yield blk.device.fabric.spec.params.host_to_dev_flag
         # Import the sender's published history, then record the read this
         # call licenses (the partition's bytes are now safe to consume).
-        record.acquire(blk.actor, ("arr", rreq.key, partition))
-        record.access(
-            blk.actor,
-            # Ordered by the is_set fast path above, which the CFG cannot see.
-            rreq.buf.partition(partition, rreq.partitions),  # repro: ignore[hb-read-unordered]
-            write=False,
-            note="parrived",
-        )
+        if _run._RUN.bus is not None:
+            record.acquire(blk.actor, ("arr", rreq.key, partition))
+            record.access(
+                blk.actor,
+                # Ordered by the is_set fast path above, which the CFG cannot see.
+                rreq.buf.partition(partition, rreq.partitions),  # repro: ignore[hb-read-unordered]
+                write=False,
+                note="parrived",
+            )
         return True
 
     return blk.engine.process(proc(), name=f"parrived.b{blk.block_id}")
@@ -175,15 +171,10 @@ def pready_wave(kctx: DeviceCtx, preq: Prequest, wave: Wave) -> None:
         n_blocks = hi - lo
         if n_blocks <= 0:
             continue
-        record.mark(
-            "pready",
-            actor=kctx.actor,
-            preq=record.ident(preq),
-            epoch=preq.sreq.epoch,
-            blocks=(lo, hi),
-            tp=tp,
-            mode=agg.signal_mode.value,
-        )
+        if _run._RUN.bus is not None:
+            record.mark("pready", actor=kctx.actor, preq=record.ident(preq),
+                        epoch=preq.sreq.epoch, blocks=(lo, hi), tp=tp,
+                        mode=agg.signal_mode.value)
         counter = preq.gmem_counters[tp]
         before = counter.value
         kctx.atomic_add(counter, n_blocks)

@@ -28,6 +28,7 @@ from repro.mpi.progress import AM_PART_RTR, AM_PART_SETUP, AM_PART_SETUP_RESP
 from repro.mpi.requests import PersistentRequest
 from repro.partitioned.setup import SETUP_BYTES, ChannelKey, ReadyToReceive, SetupResp, SetupT
 from repro.san import record
+from repro.sim import run as _run
 from repro.sim.events import Event
 from repro.sim.process import Delayed
 from repro.sim.resources import Counter, Flag
@@ -111,12 +112,13 @@ class PsendRequest(PersistentRequest):
         self.pready_called = [False] * self.partitions
         self._puts_done.reset()
         self._puts_expected = 0
-        record.channel(
-            "channel-send", self.buf, req=record.ident(self),
-            partition_bytes=self.elems_per_partition * self.buf.itemsize,
-            partitions=self.partitions,
-        )
-        record.mark("epoch-start", side="send", req=record.ident(self), epoch=self.epoch)
+        if _run._RUN.bus is not None:
+            record.channel(
+                "channel-send", self.buf, req=record.ident(self),
+                partition_bytes=self.elems_per_partition * self.buf.itemsize,
+                partitions=self.partitions,
+            )
+            record.mark("epoch-start", side="send", req=record.ident(self), epoch=self.epoch)
         if self.preq is not None:
             self.preq.arm_epoch()
 
@@ -190,11 +192,10 @@ class PsendRequest(PersistentRequest):
         self.pready_called[partition] = True
         # Publish the issuer's history to whoever observes this partition's
         # arrival, and open the in-flight window the overwrite check tracks.
-        record.mark(
-            "wire-pready", actor=actor, req=record.ident(self), partition=partition,
-            epoch=self.epoch,
-        )
-        record.release(actor, ("arr", self.key, partition))
+        if _run._RUN.bus is not None:
+            record.mark("wire-pready", actor=actor, req=record.ident(self),
+                        partition=partition, epoch=self.epoch)
+            record.release(actor, ("arr", self.key, partition))
 
         if with_data:
             self._puts_expected += 2
@@ -238,9 +239,9 @@ class PsendRequest(PersistentRequest):
         # The flag put is always the transport's last act for a partition,
         # in both copy modes: closing the send-overwrite window here covers
         # the progression-engine and kernel-copy paths alike.
-        flag_put.add_callback(
-            lambda _ev: record.mark("tp-complete", req=record.ident(self), partition=partition)
-        )
+        if _run._RUN.bus is not None:
+            flag_put.add_callback(lambda _ev: record.mark(
+                "tp-complete", req=record.ident(self), partition=partition))
         flag_put.add_callback(lambda _ev: self._puts_done.add(1))
 
     # -- MPI_Wait ------------------------------------------------------------------
@@ -265,7 +266,8 @@ class PsendRequest(PersistentRequest):
                     f"MPI_Wait with {missing} partitions never marked ready"
                 )
         yield self._puts_done.wait_for(self._expected_total())
-        record.mark("epoch-complete", side="send", req=record.ident(self), epoch=self.epoch)
+        if _run._RUN.bus is not None:
+            record.mark("epoch-complete", side="send", req=record.ident(self), epoch=self.epoch)
         self._complete({"epoch": self.epoch})
         return self.status
 
@@ -324,12 +326,13 @@ class PrecvRequest(PersistentRequest):
         for f in self.arrived_flags:
             f.clear()
         self.arrived_count.reset()
-        record.channel(
-            "channel-recv", self.buf, req=record.ident(self),
-            partition_bytes=self.elems_per_partition * self.buf.itemsize,
-            partitions=self.partitions,
-        )
-        record.mark("epoch-start", side="recv", req=record.ident(self), epoch=self.epoch)
+        if _run._RUN.bus is not None:
+            record.channel(
+                "channel-recv", self.buf, req=record.ident(self),
+                partition_bytes=self.elems_per_partition * self.buf.itemsize,
+                partitions=self.partitions,
+            )
+            record.mark("epoch-start", side="recv", req=record.ident(self), epoch=self.epoch)
 
     # -- MPIX_Pbuf_prepare ---------------------------------------------------------
     def pbuf_prepare(self) -> Generator:
@@ -380,7 +383,8 @@ class PrecvRequest(PersistentRequest):
     # -- arrival path -----------------------------------------------------------------
     def _partition_landed(self, partition: int) -> None:
         """The chained flag put landed: partition data is in our buffer."""
-        record.mark("arrived", req=record.ident(self), partition=partition)
+        if _run._RUN.bus is not None:
+            record.mark("arrived", req=record.ident(self), partition=partition)
         self.flags_buf.data[partition] = 1
         self.arrived_flags[partition].set()
         self.arrived_count.add(1)
@@ -402,10 +406,10 @@ class PrecvRequest(PersistentRequest):
         yield self.arrived_count.wait_for(self.partitions)
         # The single progression thread notices the last flag by polling.
         yield self.rt.params.progress_poll_latency
-        host = ("host", self.rt.world_rank)
-        for p in range(self.partitions):
-            record.acquire(host, ("arr", self.key, p))
-        record.mark("epoch-complete", side="recv", req=record.ident(self), epoch=self.epoch)
+        if _run._RUN.bus is not None:
+            for p in range(self.partitions):
+                record.acquire(("host", self.rt.world_rank), ("arr", self.key, p))
+            record.mark("epoch-complete", side="recv", req=record.ident(self), epoch=self.epoch)
         self._complete({"epoch": self.epoch})
         return self.status
 

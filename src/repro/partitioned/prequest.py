@@ -23,6 +23,7 @@ from repro.mpi.errors import MpiStateError, MpiUsageError
 from repro.partitioned.aggregation import AggregationSpec, SignalMode
 from repro.partitioned.p2p import PUT_ISSUE_COST, PsendRequest
 from repro.san import record
+from repro.sim import run as _run
 from repro.sim.events import Event
 from repro.sim.process import Chain
 from repro.sim.resources import Counter
@@ -108,12 +109,13 @@ class Prequest:
         for tp in range(self.agg.n_transport):
             self.gmem_counters[tp].reset()
             self.host_signals[tp].reset()
-        record.mark("epoch-arm", req=record.ident(self.sreq), preq=record.ident(self), epoch=epoch)
+        if _run._RUN.bus is not None:
+            record.mark("epoch-arm", req=record.ident(self.sreq), preq=record.ident(self),
+                        epoch=epoch)
         # An earlier epoch's watcher that was never signalled (host-side
         # Pready) stays parked; keep it listed so release() can stop it.
-        self._watchers = [w for w in self._watchers if not w._triggered] + [
-            _Watch(self, tp, epoch) for tp in range(self.agg.n_transport)
-        ]
+        self._watchers = [w for w in self._watchers if not w._triggered]
+        self._watchers += [_Watch(self, tp, epoch) for tp in range(self.agg.n_transport)]
 
     # -- free ------------------------------------------------------------------------
     def free(self) -> Generator:
@@ -121,7 +123,8 @@ class Prequest:
         cost = self.device.cost
         yield cost.memcpy_api_cost  # cudaFree / cudaFreeHost
         self.freed = True
-        record.mark("preq-free", preq=record.ident(self), req=record.ident(self.sreq))
+        if _run._RUN.bus is not None:
+            record.mark("preq-free", preq=record.ident(self), req=record.ident(self.sreq))
         self.sreq.preq = None
 
     def release(self) -> None:
@@ -168,7 +171,8 @@ class _Watch(Chain):
         elif stage == 1:
             self._signal = None
             # The PE observes the device's released signal history (sync edge).
-            record.acquire(("pe", preq.rt.world_rank), ("sig", preq.host_signals[tp]))
+            if _run._RUN.bus is not None:
+                record.acquire(("pe", preq.rt.world_rank), ("sig", preq.host_signals[tp]))
             if preq.freed or preq.sreq.epoch != self.epoch:
                 return self.succeed()  # stale watcher from a previous epoch
             # Polling delay before the progression thread notices the signal.
@@ -192,7 +196,8 @@ class _Watch(Chain):
                 if copy_ev is not None:
                     if not copy_ev._triggered:
                         return copy_ev.callbacks.append(self._run_callbacks)
-                    record.acquire(pe, ("copydone", copy_ev))
+                    if _run._RUN.bus is not None:
+                        record.acquire(pe, ("copydone", copy_ev))
                 preq.sreq.issue_pready(tp, with_data=False, actor=pe)
             self.succeed()
 

@@ -57,6 +57,7 @@ def pallreduce_init(
         )
     if comm.size < 2:
         raise MpiUsageError("pallreduce needs at least 2 ranks")
+    op.check("pallreduce_init", sendbuf.data.dtype)
     rt = comm.rt
     yield rt.params.mpi_call_overhead
     device = device or rt.device

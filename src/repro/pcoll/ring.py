@@ -76,8 +76,9 @@ class RingBoard:
         self.n_lanes = n_lanes
         self.n_steps = n_steps
         self.flags: List[List[List[Flag]]] = [
-            [[Flag(engine) for _ in range(n_steps)] for _ in range(n_lanes)]
-            for _ in range(n_ranks)
+            [  # one comprehension per line: profilers key code objects by line
+                [Flag(engine) for _ in range(n_steps)] for _ in range(n_lanes)
+            ] for _ in range(n_ranks)
         ]
         self.windows = windows
         self.joined = Counter(engine)

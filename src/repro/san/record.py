@@ -2,10 +2,13 @@
 
 A :class:`Recorder` collects a flat, deterministic list of
 :class:`TraceEvent` — accesses, sync edges, and semantic marks — from
-instrumented sites across the simulator.  Recording is **opt-in**: every
-hook is a no-op unless the run has an obs bus (see
-:class:`repro.san.sanitizer.Sanitizer` and :mod:`repro.sim.run`), so the
-uninstrumented hot path costs one ``is None`` test.
+instrumented sites across the simulator.  Recording is **opt-in**: it
+needs a run with an obs bus (see :class:`repro.san.sanitizer.Sanitizer`
+and :mod:`repro.sim.run`).  The rule for a hook site: it tests the run's
+bus, ``_run._RUN.bus is not None`` (attribute loads, no call), before it
+builds the hook's arguments.  So an unobserved run makes no call into this
+module: no hook, no :func:`ident`, no argument tuple, no callback.  Each
+hook tests the bus again, so a cold path (:func:`guard`) may call it bare.
 
 Identity model:
 
@@ -24,7 +27,8 @@ Identity model:
   as its address, so identical runs export identical bytes.
 
 The module-level hooks below publish onto the run's obs bus as
-``cat="san"`` instants carrying the raw call arguments; :class:`Recorder`
+``cat="san"`` instants carrying the raw call arguments (every subscriber
+sees them: the profiler's timeline shows pready marks); :class:`Recorder`
 is a bus *subscriber* that turns each into one :class:`TraceEvent`,
 stamped with the instant's own time (the bus clock, see
 :mod:`repro.obs.bus`) and numbered by its own ``seq`` counter.  The
@@ -217,12 +221,8 @@ class Recorder:
 
 
 # --------------------------------------------------------------------------
-# module-level hook surface (what instrumented code calls)
-#
-# The hooks publish ``cat="san"`` events onto the run's obs bus; every
-# subscriber sees them (the profiler's timeline shows pready marks), and a
-# subscribed Recorder rebuilds its TraceEvent stream from them.  The gate
-# is one ``is None`` test on the run's bus.
+# module-level hook surface (what instrumented code calls, behind the gate
+# the module docstring states)
 # --------------------------------------------------------------------------
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import heapq
 from typing import TYPE_CHECKING, Any, Generator, List, Optional, Tuple
 
+from repro.sim import run as _run
 from repro.sim.events import Event, Timeout
 from repro.sim.process import Process, ProcessFailed
 from repro.sim.run import current
@@ -223,9 +224,11 @@ class Engine:
         pop = heapq.heappop
         steps, obs = self.steps, self.obs
         log = None if steps is None else steps.append
-        if obs is not None:
-            # Instants this run's pops emit take this engine's clock.
-            outer, obs.running = obs.running, self
+        # Instants this run's pops emit take this engine's clock: on its own
+        # bus, or on the run's when it was built before that bus was set.
+        clock = obs if obs is not None else _run._RUN.bus
+        if clock is not None:
+            outer, clock.running = clock.running, self
         popped = cancelled = 0
         try:
             while not done and heap and heap[0][0] <= horizon:
@@ -248,8 +251,8 @@ class Engine:
                     f"no more events at t={self._now}; target event never fired"
                 )
         finally:
-            if obs is not None:
-                obs.running = outer
+            if clock is not None:
+                clock.running = outer
             self.events_popped += popped
             self.events_cancelled += cancelled
             if popped:

@@ -18,7 +18,9 @@ A run hands the engines and fabrics it builds four facts:
     answers :func:`repro.san.record.ident`.
 
 One :func:`run_scope` sets them for the block it guards; :func:`current`
-reads them.  Forked shard workers inherit the run in force at fork.
+reads them.  The sanitizer hook sites and ``Engine.run`` read ``_RUN.bus``
+through this module instead, which costs no call.  Forked shard workers
+inherit the run in force at fork.
 """
 
 from __future__ import annotations

@@ -29,7 +29,7 @@ CONTROL_SUBMIT_CALLS = 10
 #: ``Dataplane.put`` submit plus ``Engine.run`` to the payload's arrival:
 #: the submit's 12, then the run and five transfer stages with their
 #: port grant, waiter wake-ups and payload copy.
-PUT_TO_COMPLETION_CALLS = 26
+PUT_TO_COMPLETION_CALLS = 22
 
 pytestmark = pytest.mark.skipif(
     sys.version_info[:2] != PINNED_PYTHON,

@@ -6,8 +6,9 @@ import pytest
 from repro.hw.params import ONE_NODE, PAPER_TESTBED
 from repro.mpi.comm import ANY_SOURCE, ANY_TAG
 from repro.mpi.errors import MpiUsageError
-from repro.mpi.ops import MAX, MIN, PROD, SUM
+from repro.mpi.ops import BAND, BOR, MAX, MIN, PROD, SUM
 from repro.mpi.world import World
+from repro.nccl import NcclComm
 from repro.units import us
 
 
@@ -228,3 +229,29 @@ def test_allreduce_eight_ranks_two_nodes():
         assert np.all(rbuf.data == sum(range(1, 9)))
 
     World(PAPER_TESTBED).run(main, nprocs=8)
+
+
+@pytest.mark.parametrize("call", ["allreduce", "reduce", "pallreduce_init", "ncclAllReduce"])
+@pytest.mark.parametrize("op", [BAND, BOR], ids=repr)
+def test_op_undefined_on_dtype_raises_before_any_traffic(call, op):
+    """A bitwise op on float64 buffers is a typed usage error, raised by
+    the call's first step, before any traffic moves."""
+    def main(ctx):
+        sbuf, rbuf = ctx.gpu.alloc(64, fill=1.0), ctx.gpu.alloc(64)
+        if call == "ncclAllReduce":
+            nccl = yield from NcclComm.init(ctx)
+
+            def start():
+                nccl.all_reduce(sbuf, rbuf, op)
+        elif call == "pallreduce_init":
+            start = ctx.comm.pallreduce_init(sbuf, rbuf, 2, op).__next__
+        else:
+            start = getattr(ctx.comm, call)(sbuf, rbuf, op).__next__
+        ledger = ctx.gpu.fabric.dataplane.ledger
+        moved = ledger.total_bytes()
+        with pytest.raises(MpiUsageError, match=f"{call}: MPI_{op.name} is not defined on float64"):
+            start()
+        assert ledger.total_bytes() == moved
+        return True
+
+    assert World(ONE_NODE).run(main, nprocs=2) == [True, True]
