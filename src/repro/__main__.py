@@ -5,7 +5,7 @@
     python -m repro fig4 --grids 1,256   # custom sweep
     python -m repro san <script>         # sanitize a run (see repro.san)
     python -m repro san --list-checks
-    python -m repro analyze [--sarif out.sarif]   # static analysis (repro.analyze)
+    python -m repro analyze [--list]     # static analysis (repro.analyze)
     python -m repro topo <spec>          # print/validate a machine spec
     python -m repro topo --machine fat-tree-512    # generated cluster fabrics
     python -m repro topo --list

@@ -1,18 +1,17 @@
 """repro.analyze — whole-program static analysis (DESIGN.md §13).
 
 One :class:`~repro.analyze.model.Project` (module table, symbol tables,
-call resolution, per-function CFGs) shared by four pass families:
+call resolution) shared by three pass families:
 
 * ``invariant``   — per-module repo conventions: no wall-clock, unit
   literals, dropped process returns, eager obs payloads, and the
   table-driven ``module-ownership`` rule;
-* ``effects``     — DES coroutine effect checking: what can each
-  simulation process generator yield, and are created waiters always
-  awaited on every path;
-* ``determinism`` — unordered-iteration / unseeded-RNG / id()-ordering /
-  float-accumulation hazards;
-* ``hb-static``   — a static happens-before approximation for the
-  partitioned-communication data paths.
+* ``effects``     — what each simulation process generator can yield;
+* ``determinism`` — unordered-iteration / id()-ordering /
+  float-accumulation hazards.
+
+Each rule has a row in the DESIGN.md §13 audit table: a bug planted at
+a live site that the rule flags and no other gate catches.
 
 Entry point: ``python -m repro analyze`` (:mod:`repro.analyze.cli`).
 """

@@ -6,11 +6,10 @@
     python -m repro analyze src/repro tests       # explicit roots
     python -m repro analyze --list                # rule catalogue
     python -m repro analyze --rule det-unordered-iter   # one rule only
-    python -m repro analyze --sarif out.sarif     # SARIF 2.1.0 export
 
 Exit status: 0 when every finding is suppressed inline
 (``# repro: ignore[rule]``), 1 when any finding is left, 2 on usage
-errors.
+errors and on a file that does not parse.
 """
 
 from __future__ import annotations
@@ -20,10 +19,9 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from repro.analyze.model import Project
-from repro.analyze.registry import all_passes, all_rules, render_rules
+from repro.analyze.model import ParseError, Project
+from repro.analyze.registry import all_passes, render_rules
 from repro.analyze.rules import apply_suppressions, run_passes
-from repro.analyze.sarif import write_sarif
 
 
 def analyze_paths(
@@ -52,9 +50,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--rule", action="append", metavar="ID", dest="rules",
         help="run only this rule (repeatable; default: all)",
     )
-    parser.add_argument(
-        "--sarif", metavar="OUT", help="write findings as SARIF 2.1.0"
-    )
     args = parser.parse_args(argv)
 
     if args.list:
@@ -63,6 +58,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     try:
         project, kept, suppressed = analyze_paths(args.paths, only=args.rules)
+    except ParseError as exc:
+        print(f"analyze: {exc}", file=sys.stderr)
+        return 2
     except ValueError as exc:
         print(f"analyze: {exc} (see --list)", file=sys.stderr)
         return 2
@@ -73,10 +71,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         f"analyze: {len(kept)} finding(s) "
         f"({len(suppressed)} suppressed, {len(project.modules)} modules)"
     )
-
-    if args.sarif:
-        write_sarif(Path(args.sarif), kept, all_rules())
-
     return 1 if kept else 0
 
 

@@ -12,7 +12,9 @@ another analyzed module; ``self.m(...)`` / ``cls.m(...)`` resolves to a
 method of the lexically enclosing class.  Anything else (duck-typed
 attributes, inheritance, higher-order plumbing) resolves to ``None`` and
 the passes treat it as unknown — the framework over-approximates only
-where a rule explicitly chooses to (DESIGN.md §13).
+where a rule explicitly chooses to (DESIGN.md §13).  A file that does not
+parse is an error (:class:`ParseError`, naming ``file:line``), never
+silently left out.
 """
 
 from __future__ import annotations
@@ -21,6 +23,17 @@ import ast
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+
+
+class ParseError(Exception):
+    """An analyzed file is not valid Python; the message starts ``file:line:``."""
+
+
+def _parse(source: str, path: str) -> ast.Module:
+    try:
+        return ast.parse(source, filename=path)
+    except SyntaxError as exc:
+        raise ParseError(f"{path}:{exc.lineno}: {exc.msg}") from None
 
 
 def owned_nodes(root: ast.AST) -> Iterator[ast.AST]:
@@ -61,7 +74,6 @@ class FunctionInfo:
     node: ast.AST                     # FunctionDef | AsyncFunctionDef
     cls: Optional[str]                # lexically enclosing class, if a method
     is_generator: bool = False
-    _cfg: Optional[object] = field(default=None, repr=False)
 
     @property
     def name(self) -> str:
@@ -77,15 +89,6 @@ class FunctionInfo:
 
     def owned(self) -> Iterator[ast.AST]:
         return owned_nodes(self.node)
-
-    @property
-    def cfg(self):
-        """The function's statement-level CFG, built on first use."""
-        if self._cfg is None:
-            from repro.analyze.cfg import build_cfg
-
-            self._cfg = build_cfg(self.node)
-        return self._cfg
 
     def __hash__(self) -> int:
         return id(self)
@@ -154,11 +157,9 @@ class Project:
                 if name.endswith(".__init__"):
                     name = name[: -len(".__init__")]
                 source = f.read_text()
-                try:
-                    tree = ast.parse(source, filename=str(f))
-                except SyntaxError:
-                    continue  # the invariant pass reports syntax separately
-                mod = ModuleInfo(path=str(f), name=name, tree=tree, source=source)
+                mod = ModuleInfo(
+                    path=str(f), name=name, tree=_parse(source, str(f)), source=source
+                )
                 mod.suppressions = scan_suppressions(source)
                 project._index_module(mod)
         return project
@@ -171,8 +172,7 @@ class Project:
         project = cls()
         for path, source in sources.items():
             name = ".".join(Path(path).with_suffix("").parts)
-            tree = ast.parse(source, filename=path)
-            mod = ModuleInfo(path=path, name=name, tree=tree, source=source)
+            mod = ModuleInfo(path=path, name=name, tree=_parse(source, path), source=source)
             mod.suppressions = scan_suppressions(source)
             project._index_module(mod)
         return project

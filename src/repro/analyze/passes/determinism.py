@@ -1,24 +1,18 @@
-"""Determinism lint: order and seed hazards the engine contract forbids.
+"""Determinism lint: order hazards the engine contract forbids.
 
 The simulator's reproducibility claim (``sim/engine.py``: identical
 ``(time, priority, seq)`` pop order for identical programs) only holds
 when no scheduling-relevant value depends on Python's *unordered*
-containers or ambient randomness.  Set iteration order varies with
-``PYTHONHASHSEED`` for str/bytes elements; ``set.pop()`` is explicitly
-arbitrary; float sums differ under re-ordering; ``id()`` changes run to
-run.  These rules flag the syntactic shapes where that nondeterminism
-can leak into results:
+containers.  Set iteration order varies with ``PYTHONHASHSEED`` for
+str/bytes elements; ``set.pop()`` is explicitly arbitrary; float sums
+differ under re-ordering.  These rules flag the syntactic shapes where
+that nondeterminism can leak into results:
 
 ``det-unordered-iter``
     Iterating a set (``for``/comprehension), materializing one in order
     (``list``/``tuple``/``enumerate``/``iter``), taking ``min``/``max``
     of one (tie-breaks are order-dependent), or ``set.pop()``.
     ``sorted(...)`` over a set is the sanctioned fix and never flagged.
-``det-unseeded-random``
-    RNG constructed without a seed: ``random.Random()``,
-    ``default_rng()``, ``RandomState()``.
-``det-id-order``
-    ``id(...)`` used as (part of) an ordering key.
 ``det-float-accum``
     ``sum(...)`` over a set, or ``+=`` accumulation inside a loop over a
     set — float accumulation order follows the unordered iteration.
@@ -33,14 +27,12 @@ from __future__ import annotations
 import ast
 from typing import Dict, List, Sequence, Set
 
-from repro.analyze.model import FunctionInfo, ModuleInfo, Project, dotted_name, owned_nodes
+from repro.analyze.model import ModuleInfo, Project, owned_nodes
 from repro.analyze.rules import Finding, Pass, Rule
 
 FAMILY = "determinism"
 
 UNORDERED_ITER = "det-unordered-iter"
-UNSEEDED_RANDOM = "det-unseeded-random"
-ID_ORDER = "det-id-order"
 FLOAT_ACCUM = "det-float-accum"
 
 RULES: Dict[str, Rule] = {
@@ -48,16 +40,6 @@ RULES: Dict[str, Rule] = {
         UNORDERED_ITER, FAMILY,
         "iteration order of a set is hash-seed dependent — sort it "
         "(sorted(...)) before order can reach scheduling or routing",
-    ),
-    UNSEEDED_RANDOM: Rule(
-        UNSEEDED_RANDOM, FAMILY,
-        "RNG constructed without an explicit seed breaks run-to-run "
-        "reproducibility",
-    ),
-    ID_ORDER: Rule(
-        ID_ORDER, FAMILY,
-        "id() as an ordering key varies across runs — order by a stable "
-        "field instead",
     ),
     FLOAT_ACCUM: Rule(
         FLOAT_ACCUM, FAMILY,
@@ -68,8 +50,6 @@ RULES: Dict[str, Rule] = {
 
 #: Functions that materialize their argument's iteration order.
 _ORDER_SINKS = {"list", "tuple", "enumerate", "iter", "min", "max"}
-_RNG_CTORS = {"Random", "RandomState", "default_rng"}
-_SORT_CALLS = {"sorted", "min", "max"}
 
 
 def _set_vars(root: ast.AST) -> Set[str]:
@@ -151,12 +131,6 @@ def _scan_scope(
                 ):
                     flag(FLOAT_ACCUM, node,
                          "sum() over a set accumulates in hash order")
-                elif func.id in _SORT_CALLS or func.id == "id":
-                    pass
-            if _is_rng_ctor(func) and not node.args and not node.keywords:
-                flag(UNSEEDED_RANDOM, node,
-                     f"{dotted_name(func) or 'RNG'}() without a seed")
-            _scan_id_order(node, flag)
             if (
                 isinstance(func, ast.Attribute)
                 and func.attr == "pop"
@@ -179,34 +153,6 @@ def _sums_a_set(arg: ast.AST, set_vars: Set[str]) -> bool:
     if isinstance(arg, ast.GeneratorExp):
         return any(_is_set_expr(c.iter, set_vars) for c in arg.generators)
     return False
-
-
-def _is_rng_ctor(func: ast.AST) -> bool:
-    if isinstance(func, ast.Name):
-        return func.id in _RNG_CTORS
-    return isinstance(func, ast.Attribute) and func.attr in _RNG_CTORS
-
-
-def _scan_id_order(call: ast.Call, flag) -> None:
-    """id() feeding an ordering construct: sorted/min/max/.sort keys."""
-    is_sorter = (
-        isinstance(call.func, ast.Name) and call.func.id in _SORT_CALLS
-    ) or (isinstance(call.func, ast.Attribute) and call.func.attr == "sort")
-    if not is_sorter:
-        return
-    probes = list(call.args) + [kw.value for kw in call.keywords]
-    for probe in probes:
-        for sub in ast.walk(probe):
-            if (
-                isinstance(sub, ast.Call)
-                and isinstance(sub.func, ast.Name)
-                and sub.func.id == "id"
-            ):
-                flag(ID_ORDER, sub, "id() used as an ordering key")
-                return
-            if isinstance(sub, ast.Name) and sub.id == "id":
-                flag(ID_ORDER, sub, "id used as an ordering key function")
-                return
 
 
 def _enclosing_set_loop(root, target: ast.AST, set_vars: Set[str]):

@@ -16,30 +16,19 @@ pass finds the violations statically:
     every generator the engine can drive: the bodies handed to
     ``.process(...)`` / ``.run(...)`` plus the transitive ``yield
     from`` closure — helper generators are checked once reachable.
-
-``effect-leaked-waiter``
-    An ``Event`` created and *subscribed* (``.add_callback``) inside a
-    function, with a control-flow path from the creation to the
-    function's exit that never consumes the event — no yield, no
-    return, no store, no hand-off to another call, no
-    ``succeed``/``fail``.  On that path the waiter can never fire its
-    continuation: the exact bug class the PR-4 ``run(until=...)`` fix
-    removed by hand, now caught by the CFG.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set
 
-from repro.analyze.cfg import map_statements
-from repro.analyze.model import FunctionInfo, Project, dotted_name
+from repro.analyze.model import FunctionInfo, Project
 from repro.analyze.rules import Finding, Pass, Rule
 
 FAMILY = "effects"
 
 ILLEGAL_YIELD = "effect-illegal-yield"
-LEAKED_WAITER = "effect-leaked-waiter"
 
 RULES: Dict[str, Rule] = {
     ILLEGAL_YIELD: Rule(
@@ -48,18 +37,10 @@ RULES: Dict[str, Rule] = {
         "delay — literal payloads, negative delays, and un-delegated "
         "generator calls raise at run time",
     ),
-    LEAKED_WAITER: Rule(
-        LEAKED_WAITER, FAMILY,
-        "Event created and subscribed but some path reaches the function "
-        "exit without the event ever being awaited, stored, or handed off",
-    ),
 }
 
 #: Engine methods whose first argument is a process body.
 _SPAWN_ATTRS = {"process", "run"}
-
-#: The one use of a waiter that is pure subscription, not consumption.
-_SUBSCRIBE_ATTRS = {"add_callback"}
 
 
 # --------------------------------------------------------------------------
@@ -215,103 +196,13 @@ def _check_yields(project: Project, fi: FunctionInfo) -> List[Finding]:
 
 
 # --------------------------------------------------------------------------
-# leaked waiters
-# --------------------------------------------------------------------------
-
-def _is_event_ctor(call: ast.Call) -> bool:
-    if isinstance(call.func, ast.Name) and call.func.id == "Event":
-        return True
-    return isinstance(call.func, ast.Attribute) and call.func.attr == "event"
-
-
-def _parents(fi: FunctionInfo) -> Dict[int, ast.AST]:
-    parent: Dict[int, ast.AST] = {}
-    stack: List[ast.AST] = [fi.node]
-    while stack:
-        node = stack.pop()
-        if node is not fi.node and isinstance(
-            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
-        ):
-            continue  # nested scopes keep their own uses
-        for child in ast.iter_child_nodes(node):
-            parent[id(child)] = node
-            stack.append(child)
-    return parent
-
-
-def _check_leaked_waiters(fi: FunctionInfo) -> List[Finding]:
-    creations: List[Tuple[str, ast.Assign]] = []
-    for node in fi.owned():
-        if (
-            isinstance(node, ast.Assign)
-            and len(node.targets) == 1
-            and isinstance(node.targets[0], ast.Name)
-            and isinstance(node.value, ast.Call)
-            and _is_event_ctor(node.value)
-        ):
-            creations.append((node.targets[0].id, node))
-    if not creations:
-        return []
-
-    cfg = fi.cfg
-    stmt_of = map_statements(fi.node)
-    parent = _parents(fi)
-    found: List[Finding] = []
-
-    for var, creation in creations:
-        subscribed = False
-        consuming_stmts: Set[int] = set()
-        for node in fi.owned():
-            if not (isinstance(node, ast.Name) and node.id == var):
-                continue
-            if isinstance(node.ctx, ast.Store):
-                continue  # (re)binding neither subscribes nor consumes
-            par = parent.get(id(node))
-            owner = stmt_of.get(id(node))
-            if owner is creation:
-                continue
-            if (
-                isinstance(par, ast.Attribute)
-                and par.attr in _SUBSCRIBE_ATTRS
-                and isinstance(parent.get(id(par)), ast.Call)
-            ):
-                subscribed = True
-                continue
-            # Any other load — yield/return/call-arg/store/succeed/... —
-            # counts as consumption: the event escaped or was completed.
-            if owner is not None:
-                nid = cfg.node_of_stmt.get(id(owner))
-                if nid is not None:
-                    consuming_stmts.add(nid)
-        if not subscribed:
-            continue
-        start = cfg.node_of_stmt.get(id(creation))
-        if start is None:
-            continue  # creation itself unreachable
-        reach = cfg.reachable_from(start, blocked=frozenset(consuming_stmts))
-        if cfg.exit in reach:
-            found.append(Finding(
-                LEAKED_WAITER, fi.path, creation.lineno,
-                f"Event {var!r} is created and subscribed here, but a path "
-                "reaches the end of the function without yielding, storing, "
-                "or completing it — its callback can never fire",
-                fi.qualname,
-            ))
-    return found
-
-
-# --------------------------------------------------------------------------
 # the pass
 # --------------------------------------------------------------------------
 
 def run(project: Project, enabled: Sequence[str]) -> List[Finding]:
     findings: List[Finding] = []
-    if ILLEGAL_YIELD in enabled:
-        for fi in _driven_closure(project, _process_roots(project)):
-            findings += _check_yields(project, fi)
-    if LEAKED_WAITER in enabled:
-        for fi in project.functions:
-            findings += _check_leaked_waiters(fi)
+    for fi in _driven_closure(project, _process_roots(project)):
+        findings += _check_yields(project, fi)
     return findings
 
 

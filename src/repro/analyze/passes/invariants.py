@@ -10,16 +10,6 @@
     ``1e-9``, ``1024**2``, ``1024**3``) must be written with the
     :mod:`repro.units` helpers (``ms``/``us``/``ns``/``MiB``/``GiB``)
     in the deterministic core.
-``dropped-return``
-    A generator process body whose ``return value`` nobody can observe:
-    ``engine.process(body(...))`` called as a bare statement discards the
-    process event, and with it the generator's return value.
-``eager-obs-payload``
-    An f-string payload handed to ``.trace(...)`` / ``obs.instant(...)``
-    / ``obs.span(...)`` formats *before* the call — even when no bus is
-    attached and the call is a no-op.  On the hot path that wastes
-    wall-clock on every unobserved run (DESIGN.md §11), so such payloads
-    in the core must sit under an ``... obs is not None`` guard.
 ``module-ownership``
     Each construct in :data:`OWNERSHIP` belongs to the modules that have
     one of its owners among their path components; anywhere else it is
@@ -57,8 +47,6 @@ FAMILY = "invariant"
 
 WALLCLOCK = "wallclock"
 RAW_UNITS = "raw-units"
-DROPPED_RETURN = "dropped-return"
-EAGER_OBS = "eager-obs-payload"
 MODULE_OWNERSHIP = "module-ownership"
 
 RULES: Dict[str, Rule] = {
@@ -69,15 +57,6 @@ RULES: Dict[str, Rule] = {
     RAW_UNITS: Rule(
         RAW_UNITS, FAMILY,
         "unit-magnitude literals must use repro.units helpers (us, MiB, ...)",
-    ),
-    DROPPED_RETURN: Rule(
-        DROPPED_RETURN, FAMILY,
-        "process body returns a value but its process event is discarded",
-    ),
-    EAGER_OBS: Rule(
-        EAGER_OBS, FAMILY,
-        "f-string payloads for trace/instant/span must sit under an "
-        "'obs is not None' guard (they format even when unobserved)",
     ),
     MODULE_OWNERSHIP: Rule(
         MODULE_OWNERSHIP, FAMILY,
@@ -162,119 +141,6 @@ def _raw_units(mod: ModuleInfo) -> Iterator[Tuple[ast.AST, str]]:
             unit = _UNIT_INTS.get(1024 ** node.right.value)
         if unit is not None:
             yield node, f"raw literal where repro.units.{unit} reads as the paper writes it"
-
-
-# -- dropped-return ----------------------------------------------------------
-
-def _returns_value(node: ast.AST) -> bool:
-    return (
-        isinstance(node, ast.Return)
-        and node.value is not None
-        and not (isinstance(node.value, ast.Constant) and node.value.value is None)
-    )
-
-
-def _dropped_return(mod: ModuleInfo) -> Iterator[Tuple[ast.AST, str]]:
-    # Generator defs (module-, class- or locally-scoped) that return a value.
-    valued: Dict[str, int] = {}
-    for fi in mod.functions:
-        if fi.is_generator:
-            lines = [n.lineno for n in fi.owned() if _returns_value(n)]
-            if lines:
-                valued[fi.name] = min(lines)
-    if not valued:
-        return
-    # Bare-statement `<x>.process(f(...))` calls discard the process event.
-    for node in ast.walk(mod.tree):
-        if not (isinstance(node, ast.Expr) and isinstance(node.value, ast.Call)):
-            continue
-        call = node.value
-        if not (isinstance(call.func, ast.Attribute) and call.func.attr == "process"):
-            continue
-        first = call.args[0] if call.args else None
-        if (
-            isinstance(first, ast.Call)
-            and isinstance(first.func, ast.Name)
-            and first.func.id in valued
-        ):
-            yield node, (
-                f"process body {first.func.id!r} returns a value (line "
-                f"{valued[first.func.id]}) but the process event is discarded "
-                "here — bind the event or drop the return value"
-            )
-
-
-# -- eager-obs-payload -------------------------------------------------------
-
-_OBS_EMIT_ATTRS = {"trace", "instant", "span", "counter"}
-
-
-def _guards_obs(test: ast.AST) -> bool:
-    for node in ast.walk(test):
-        if (
-            isinstance(node, ast.Compare)
-            and len(node.ops) == 1
-            and isinstance(node.ops[0], ast.IsNot)
-            and isinstance(node.comparators[0], ast.Constant)
-            and node.comparators[0].value is None
-        ):
-            dotted = dotted_name(node.left)
-            if dotted is not None and (dotted == "obs" or dotted.endswith(".obs")):
-                return True
-    return False
-
-
-def _eager_fstring(call: ast.Call) -> bool:
-    for value in list(call.args) + [kw.value for kw in call.keywords]:
-        for sub in ast.walk(value):
-            if isinstance(sub, ast.JoinedStr) and any(
-                isinstance(part, ast.FormattedValue) for part in sub.values
-            ):
-                return True
-    return False
-
-
-def _eager_obs_payload(mod: ModuleInfo) -> List[Tuple[ast.AST, str]]:
-    """f-strings handed to obs-emit calls outside an ``obs is not None`` guard.
-
-    The idiom the core uses is::
-
-        obs = engine.obs
-        if obs is not None:
-            obs.instant("lane", f"msg {x}", actor)
-    """
-    found: List[Tuple[ast.AST, str]] = []
-
-    def visit(node: ast.AST, guarded: bool) -> None:
-        if isinstance(node, ast.If):
-            body_guarded = guarded or _guards_obs(node.test)
-            for child in node.body:
-                visit(child, body_guarded)
-            for child in node.orelse:
-                visit(child, guarded)
-            return
-        if isinstance(node, ast.IfExp) and _guards_obs(node.test):
-            visit(node.test, guarded)
-            visit(node.body, True)
-            visit(node.orelse, guarded)
-            return
-        if (
-            not guarded
-            and isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr in _OBS_EMIT_ATTRS
-            and _eager_fstring(node)
-        ):
-            found.append((node, (
-                f".{node.func.attr}(...) payload is an f-string built outside "
-                "an 'obs is not None' guard — it formats even on unobserved "
-                "runs; hoist the call under the guard (DESIGN.md §11)"
-            )))
-        for child in ast.iter_child_nodes(node):
-            visit(child, guarded)
-
-    visit(mod.tree, False)
-    return found
 
 
 # -- module-ownership --------------------------------------------------------
@@ -420,8 +286,6 @@ def _module_ownership(mod: ModuleInfo) -> Iterator[Tuple[ast.AST, str]]:
 _CHECKS: Dict[str, Tuple[bool, Checker]] = {
     WALLCLOCK: (True, _wallclock),
     RAW_UNITS: (True, _raw_units),
-    DROPPED_RETURN: (False, _dropped_return),
-    EAGER_OBS: (True, _eager_obs_payload),
     MODULE_OWNERSHIP: (False, _module_ownership),
 }
 

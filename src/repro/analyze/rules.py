@@ -3,12 +3,11 @@
 A *rule* is a catalogue entry (id, family, summary) owned by one *pass*
 — a function ``run(project, enabled_ids) -> [Finding]`` that may emit
 findings for any of its rules.  Passes share the :class:`Project` model
-(symbol tables and CFGs are built once and memoized), which is
-what makes whole-program rules affordable.
+(parsed once, with symbol tables for call resolution).
 
 Findings feed one post-processing chain, identical for every rule:
 inline ``# repro: ignore[rule]`` suppressions (:mod:`.suppress`), then
-rendering / SARIF export.
+rendering.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.analyze.model import Project
 
 #: Pass families, in report order.
-FAMILIES = ("invariant", "effects", "determinism", "hb-static")
+FAMILIES = ("invariant", "effects", "determinism")
 
 
 @dataclass(frozen=True)
@@ -44,10 +43,6 @@ class Finding:
     def render(self) -> str:
         where = f" (in {self.function})" if self.function else ""
         return f"{self.path}:{self.line}: [{self.rule}] {self.message}{where}"
-
-    def key(self) -> Tuple[str, str, int]:
-        """Baseline identity: exact (rule, path, line)."""
-        return (self.rule, self.path, self.line)
 
 
 #: A pass: emits findings for the subset of its rules that are enabled.

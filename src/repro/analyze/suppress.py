@@ -4,7 +4,7 @@ Grammar (one marker per line, anywhere in a comment)::
 
     x = risky()                # repro: ignore[det-unordered-iter]
     y = risky2()               # repro: ignore[rule-a, rule-b]
-    # repro: ignore[hb-read-unordered]   <- suppresses the *next* line too
+    # repro: ignore[det-float-accum]     <- suppresses the *next* line too
     z = risky3()
     w = anything()             # repro: ignore
 

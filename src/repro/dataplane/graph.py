@@ -119,8 +119,7 @@ class PlanCache:
     ``(src, dst)`` and hits only a descriptor naming those very objects,
     so a new buffer that reuses a dead one's ``id()`` never replays its
     route.  Replaying a plan whose buffer has been freed since capture
-    raises :class:`GraphError` (the hazard the ``graph-capture-mutation``
-    analyzer rule flags statically).
+    raises :class:`GraphError` at that replay.
 
     Plans are **epoch-stamped** (DESIGN.md §17): a plan captured under
     fabric epoch E replays unchecked while the epoch still reads E.  After

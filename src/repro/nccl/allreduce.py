@@ -117,7 +117,7 @@ class NcclComm:
                 yield self.device.cost.launch_latency
                 recvbuf.copy_from(sendbuf)
             stream = stream or self.device.default_stream
-            return stream.enqueue(solo, label="ncclAllReduce")
+            return stream.enqueue(solo, label="ncclAllReduce", buffers=(sendbuf, recvbuf))
 
         stream = stream or self.device.default_stream
         # The op sequence number is drawn when the op *starts executing*,
@@ -127,7 +127,7 @@ class NcclComm:
         # number would rendezvous against spent flags).
         return stream.enqueue(
             lambda: self._ring_kernel(next(self._op_seq), sendbuf, recvbuf, op),
-            label="ncclAllReduce",
+            label="ncclAllReduce", buffers=(sendbuf, recvbuf),
         )
 
     # -- the fused ring kernel ------------------------------------------------------

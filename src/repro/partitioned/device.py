@@ -137,8 +137,7 @@ def parrived_device(blk: DeviceCtx, rreq: "PrecvRequest", partition: int):
             record.acquire(blk.actor, ("arr", rreq.key, partition))
             record.access(
                 blk.actor,
-                # Ordered by the is_set fast path above, which the CFG cannot see.
-                rreq.buf.partition(partition, rreq.partitions),  # repro: ignore[hb-read-unordered]
+                rreq.buf.partition(partition, rreq.partitions),
                 write=False,
                 note="parrived",
             )

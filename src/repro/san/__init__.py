@@ -14,8 +14,11 @@ Three layers (see DESIGN.md §8 and README "Sanitizing a run"):
   before ``Parrived``, send-partition overwrite in flight, uninitialized
   device reads, cross-node IPC misuse).
 
-Static companion: :mod:`repro.analyze` (``python -m repro analyze``),
-whose rules ``--list-checks`` lists beside the dynamic ones.
+Partition ordering (``read-before-parrived``, ``send-overwrite``) is
+checked here only, on the recorded run; there is no static counterpart.
+The static companion :mod:`repro.analyze` (``python -m repro analyze``)
+checks repo conventions, the process yield protocol and determinism
+hazards, and ``--list-checks`` lists its rules beside the dynamic ones.
 
 Usage::
 

@@ -649,7 +649,6 @@ class ReplayWorkload(Workload):
         for rank, rank_ops in sorted(ops.items()):
             if rank_ops:
                 # (rank, now) feeds cluster results; world mode reads the ledger.
-                # repro: ignore[dropped-return]
                 engine.process(rank_program(engine, rank, rank_ops, link),
                                name=f"replay.r{rank}")
         extra: Dict[str, Any] = {}

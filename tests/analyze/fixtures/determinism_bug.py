@@ -3,7 +3,7 @@
 Dynamically invisible — any single run picks *some* route and completes;
 only comparing runs across ``PYTHONHASHSEED`` values would expose the
 divergence, which the trace sanitizer never does.  The determinism lint
-flags all four shapes statically.
+flags both shapes statically.
 """
 
 
@@ -17,13 +17,3 @@ def pick_route(width):
 def total_latency(samples):
     observed = {float(s) for s in samples}
     return sum(observed)            # det-float-accum: hash-order accumulation
-
-
-def make_rng():
-    from random import Random
-
-    return Random()                 # det-unseeded-random
-
-
-def stable_order(requests):
-    return sorted(requests, key=lambda r: id(r))   # det-id-order

@@ -1,14 +1,11 @@
-"""Seeded effect bugs the dynamic sanitizer cannot see.
+"""A seeded illegal process yield on a branch the program never takes.
 
-Run dynamically (``python -m repro san <this file>``) the simulation is
-clean: ``VERBOSE`` is False, so the illegal yield and the waiter-leaking
-early return sit on branches no recorded run ever takes.  The static
-effect checker flags both anyway — that asymmetry is what
-tests/analyze/test_effects.py pins.
+``VERBOSE`` is False, so ``worker`` never yields the banner at run time;
+the static effect checker flags the yield anyway
+(tests/analyze/test_effects.py pins the line).
 """
 
 from repro.sim.engine import Engine
-from repro.sim.events import Event
 
 VERBOSE = False
 
@@ -27,12 +24,6 @@ def worker(engine, verbose=VERBOSE):
     yield engine.timeout(1.0)
     if verbose:
         yield bad_banner()          # effect-illegal-yield (branch never taken)
-    done = Event(engine)
-    done.add_callback(lambda ev: None)
-    if verbose:
-        return 0                    # effect-leaked-waiter: exits without awaiting
-    done.succeed()
-    yield done
     yield from ticks(engine, 2)
     return 0
 

@@ -12,20 +12,9 @@ CASES = [
     ("raw-units",
      "DELAY = 1e-6\n",
      "from repro.units import us\nDELAY = us(1)\n"),
-    ("dropped-return",
-     "def body():\n    yield 1\n    return 42\n\n"
-     "def go(engine):\n    engine.process(body())\n",
-     "def body():\n    yield 1\n    return 42\n\n"
-     "def go(engine):\n    ev = engine.process(body())\n    return ev\n"),
     ("module-ownership",
      "def f(x):\n    print(x)\n",
      "def f(obs, x):\n    obs.instant('lane', 'msg', 0)\n"),
-    ("eager-obs-payload",
-     "def f(engine, x):\n    engine.trace(f'value {x}')\n",
-     "def f(engine, x):\n"
-     "    obs = engine.obs\n"
-     "    if obs is not None:\n"
-     "        obs.instant('lane', f'value {x}', 0)\n"),
     ("module-ownership",
      "def f(fabric, desc):\n    fabric.start_transfer(desc)\n",
      "def f(fabric, desc):\n    fabric.dataplane.put(desc)\n"),

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cuda.stream import Stream
+from repro.dataplane.graph import GraphError
 from repro.hw.params import ONE_NODE, PAPER_TESTBED
 from repro.mpi.errors import MpiUsageError
 from repro.mpi.ops import MAX, SUM
@@ -119,6 +120,28 @@ def test_enqueued_on_stream_not_blocking_host():
     for host_cost, total in res:
         assert host_cost == 0.0
         assert total > 10 * us
+
+
+@pytest.mark.parametrize("P", [1, 4])
+def test_captured_allreduce_refuses_freed_buffer(P):
+    """A captured ncclAllReduce pins its buffers: freeing one after a
+    replay makes the next replay raise, as for a captured memcpy."""
+
+    def main(ctx):
+        nccl = yield from NcclComm.init(ctx)
+        buf = ctx.gpu.alloc(64, fill=1.0)
+        stream = ctx.gpu.default_stream
+        stream.begin_capture()
+        nccl.all_reduce(buf, buf)
+        graph = stream.end_capture()
+        yield from ctx.gpu.graph_launch_h(graph)
+        yield from ctx.gpu.sync_h()
+        buf.free()
+        with pytest.raises(GraphError, match="freed buffer"):
+            stream.graph_launch(graph)
+        return True
+
+    assert all(World(ONE_NODE).run(main, nprocs=P))
 
 
 def test_no_per_step_syncs_beats_partitioned():

@@ -1,6 +1,6 @@
 """The repo-invariant rules (the analyzer's ``invariant`` family):
-determinism, unit literals, dropped returns, eager obs payloads, and
-the table-driven ``module-ownership`` rule."""
+wall-clock and ambient randomness, unit literals, and the table-driven
+``module-ownership`` rule."""
 
 from pathlib import Path
 
@@ -75,50 +75,6 @@ def test_non_unit_literals_pass(lint):
     assert lint(src, "cuda/x.py") == []
 
 
-# -- dropped-return ----------------------------------------------------------
-
-DROPPED = """
-def worker():
-    yield 1
-    return 42
-
-def spawn(engine):
-    engine.process(worker())
-"""
-
-BOUND = """
-def worker():
-    yield 1
-    return 42
-
-def spawn(engine):
-    ev = engine.process(worker())
-    return ev
-"""
-
-NO_VALUE = """
-def worker():
-    yield 1
-
-def spawn(engine):
-    engine.process(worker())
-"""
-
-
-def test_dropped_return_flagged(lint):
-    findings = lint(DROPPED, "sim/x.py")
-    assert _rules(findings) == ["dropped-return"]
-    assert "'worker'" in findings[0].message
-
-
-def test_bound_process_event_passes(lint):
-    assert lint(BOUND, "sim/x.py") == []
-
-
-def test_valueless_body_passes(lint):
-    assert lint(NO_VALUE, "sim/x.py") == []
-
-
 # -- module-ownership: print in the core -------------------------------------
 
 def test_print_in_core_flagged(lint):
@@ -141,75 +97,6 @@ def test_print_outside_core_passes(lint):
 def test_other_append_calls_pass(lint):
     src = "def f(items, x):\n    items.append(x)\n"
     assert lint(src, "sim/x.py") == []
-
-
-# -- eager-obs-payload -------------------------------------------------------
-
-EAGER = """
-def f(engine, x):
-    engine.trace(f"value={x}")
-"""
-
-GUARDED = """
-def f(engine, x):
-    obs = engine.obs
-    if obs is not None:
-        obs.instant("lane", f"value={x}", ("gpu", 0))
-"""
-
-GUARDED_DOTTED = """
-def f(self, x):
-    if self.engine.obs is not None:
-        self.engine.obs.instant("lane", f"value={x}", ("gpu", 0))
-"""
-
-EAGER_KWARG = """
-def f(obs, x):
-    obs.span("lane", "name", ("gpu", 0), 0.0, 1.0, detail=f"x={x}")
-"""
-
-PLAIN_PAYLOAD = """
-def f(engine, x):
-    engine.trace("launch", grid=x)
-"""
-
-ELSE_BRANCH = """
-def f(engine, x):
-    if engine.obs is not None:
-        pass
-    else:
-        engine.trace(f"value={x}")
-"""
-
-
-def test_eager_fstring_trace_flagged(lint):
-    findings = lint(EAGER, "sim/x.py")
-    assert _rules(findings) == ["eager-obs-payload"]
-    assert "f-string" in findings[0].message
-
-
-def test_guarded_fstring_passes(lint):
-    assert lint(GUARDED, "cuda/x.py") == []
-
-
-def test_guarded_dotted_obs_passes(lint):
-    assert lint(GUARDED_DOTTED, "mpi/x.py") == []
-
-
-def test_eager_fstring_kwarg_flagged(lint):
-    assert _rules(lint(EAGER_KWARG, "sim/x.py")) == ["eager-obs-payload"]
-
-
-def test_plain_payload_passes(lint):
-    assert lint(PLAIN_PAYLOAD, "sim/x.py") == []
-
-
-def test_else_branch_not_guarded(lint):
-    assert _rules(lint(ELSE_BRANCH, "sim/x.py")) == ["eager-obs-payload"]
-
-
-def test_eager_rule_unscoped_files_exempt(lint):
-    assert lint(EAGER, "bench/x.py") == []
 
 
 # -- module-ownership: start_transfer belongs to dataplane/hw ----------------
