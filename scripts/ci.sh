@@ -193,7 +193,7 @@ print(f"workload smoke: {len(second['cells'])} cells, 100% cache hits on re-run"
 EOF
 
 echo "== static analysis (python -m repro analyze) =="
-# Fails on any finding that is not inline-suppressed (``# repro: ignore[rule]``).
+# Fails on any finding.
 PYTHONPATH=src python -m repro analyze
 
 if command -v ruff >/dev/null 2>&1; then

@@ -7,7 +7,7 @@
     python -m repro san --list-checks
     python -m repro analyze [--list]     # static analysis (repro.analyze)
     python -m repro topo <spec>          # print/validate a machine spec
-    python -m repro topo --machine fat-tree-512    # generated cluster fabrics
+    python -m repro topo fat-tree-512    # generated cluster fabrics
     python -m repro topo --list
     python -m repro profile <script> --chrome out.json --util --critical-path
     python -m repro bench [--against auto]   # simulator wall-clock suite

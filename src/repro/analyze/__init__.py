@@ -1,14 +1,11 @@
-"""repro.analyze — whole-program static analysis (DESIGN.md §13).
+"""repro.analyze — static analysis of the source tree (DESIGN.md §13).
 
-One :class:`~repro.analyze.model.Project` (module table, symbol tables,
-call resolution) shared by three pass families:
+One :class:`~repro.analyze.model.Project` (every module parsed once,
+with its functions) shared by two pass families:
 
 * ``invariant``   — per-module repo conventions: no wall-clock, unit
-  literals, dropped process returns, eager obs payloads, and the
-  table-driven ``module-ownership`` rule;
-* ``effects``     — what each simulation process generator can yield;
-* ``determinism`` — unordered-iteration / id()-ordering /
-  float-accumulation hazards.
+  literals, and the table-driven ``module-ownership`` rule;
+* ``determinism`` — unordered-iteration and float-accumulation hazards.
 
 Each rule has a row in the DESIGN.md §13 audit table: a bug planted at
 a live site that the rule flags and no other gate catches.

@@ -1,4 +1,4 @@
-"""``python -m repro analyze`` — whole-program static analysis.
+"""``python -m repro analyze`` — static analysis of the source tree.
 
 ::
 
@@ -7,9 +7,8 @@
     python -m repro analyze --list                # rule catalogue
     python -m repro analyze --rule det-unordered-iter   # one rule only
 
-Exit status: 0 when every finding is suppressed inline
-(``# repro: ignore[rule]``), 1 when any finding is left, 2 on usage
-errors and on a file that does not parse.
+Exit status: 0 with no finding, 1 with any finding, 2 on usage errors
+and on a file that does not parse.
 """
 
 from __future__ import annotations
@@ -21,23 +20,13 @@ from typing import Optional, Sequence
 
 from repro.analyze.model import ParseError, Project
 from repro.analyze.registry import all_passes, render_rules
-from repro.analyze.rules import apply_suppressions, run_passes
-
-
-def analyze_paths(
-    paths: Sequence[str], only: Optional[Sequence[str]] = None
-):
-    """-> (project, kept findings, suppressed findings)."""
-    project = Project.load([Path(p) for p in paths])
-    findings = run_passes(project, all_passes(), only=only)
-    kept, suppressed = apply_suppressions(project, findings)
-    return project, kept, suppressed
+from repro.analyze.rules import run_passes
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro analyze",
-        description="Whole-program static analysis (see repro.analyze).",
+        description="Static analysis of the source tree (see repro.analyze).",
     )
     parser.add_argument(
         "paths", nargs="*", default=["src/repro"],
@@ -57,7 +46,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0
 
     try:
-        project, kept, suppressed = analyze_paths(args.paths, only=args.rules)
+        project = Project.load([Path(p) for p in args.paths])
+        findings = run_passes(project, all_passes(), only=args.rules)
     except ParseError as exc:
         print(f"analyze: {exc}", file=sys.stderr)
         return 2
@@ -65,13 +55,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"analyze: {exc} (see --list)", file=sys.stderr)
         return 2
 
-    for f in kept:
+    for f in findings:
         print(f.render())
-    print(
-        f"analyze: {len(kept)} finding(s) "
-        f"({len(suppressed)} suppressed, {len(project.modules)} modules)"
-    )
-    return 1 if kept else 0
+    print(f"analyze: {len(findings)} finding(s) ({len(project.modules)} modules)")
+    return 1 if findings else 0
 
 
 if __name__ == "__main__":  # pragma: no cover - module smoke entry

@@ -1,23 +1,23 @@
 """The one rule registry.
 
-Every static rule in the repo — the repo invariants, the coroutine
-yield check and the determinism family — registers here and nowhere
-else.  ``python -m repro analyze --list`` and ``python -m repro san
---list-checks`` both enumerate this table, so the catalogues cannot
-drift (tests/analyze/test_registry.py pins it).
+Every static rule in the repo — the repo invariants and the
+determinism family — registers here and nowhere else.  ``python -m
+repro analyze --list`` and ``python -m repro san --list-checks`` both
+enumerate this table, so the catalogues cannot drift
+(tests/analyze/test_registry.py pins it).
 """
 
 from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.analyze.passes import determinism, effects, invariants
+from repro.analyze.passes import determinism, invariants
 from repro.analyze.rules import Pass, Rule
 
 
 def all_passes() -> List[Pass]:
     """Pass families in report order (matches rules.FAMILIES)."""
-    return [invariants.PASS, effects.PASS, determinism.PASS]
+    return [invariants.PASS, determinism.PASS]
 
 
 def all_rules() -> Dict[str, Rule]:

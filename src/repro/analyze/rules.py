@@ -3,22 +3,19 @@
 A *rule* is a catalogue entry (id, family, summary) owned by one *pass*
 — a function ``run(project, enabled_ids) -> [Finding]`` that may emit
 findings for any of its rules.  Passes share the :class:`Project` model
-(parsed once, with symbol tables for call resolution).
-
-Findings feed one post-processing chain, identical for every rule:
-inline ``# repro: ignore[rule]`` suppressions (:mod:`.suppress`), then
-rendering.
+(every module parsed once).  Every finding is reported: there is no
+inline suppression, so a finding is fixed, or its rule is.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 from repro.analyze.model import Project
 
 #: Pass families, in report order.
-FAMILIES = ("invariant", "effects", "determinism")
+FAMILIES = ("invariant", "determinism")
 
 
 @dataclass(frozen=True)
@@ -81,34 +78,3 @@ def run_passes(
         if enabled:
             findings += p.run(project, enabled)
     return sort_findings(findings)
-
-
-def apply_suppressions(
-    project: Project, findings: Iterable[Finding]
-) -> Tuple[List[Finding], List[Finding]]:
-    """Split findings into (kept, suppressed) using inline markers.
-
-    A finding is suppressed when its own line — or the line directly
-    above it (comment-only suppressions) — carries a matching
-    ``# repro: ignore[...]`` marker in the finding's module.
-    """
-    by_path = {m.path: m for m in project.modules}
-    kept: List[Finding] = []
-    suppressed: List[Finding] = []
-    for f in findings:
-        mod = by_path.get(f.path)
-        if mod is not None and _suppressed_at(mod.suppressions, f.line, f.rule):
-            suppressed.append(f)
-        else:
-            kept.append(f)
-    return kept, suppressed
-
-
-def _suppressed_at(suppressions, line: int, rule: str) -> bool:
-    for probe in (line, line - 1):
-        entry = suppressions.get(probe, False)
-        if entry is False:
-            continue
-        if entry is None or rule in entry:
-            return True
-    return False

@@ -197,8 +197,8 @@ def measure_p2p_goodput(
     iters: int = 3,
     tps: Optional[int] = None,
 ) -> float:
-    """Goodput (bytes/s) for one (grid, model) point on any machine
-    description (legacy config or :class:`MachineSpec`); warmup discarded."""
+    """Goodput (bytes/s) for one (grid, model) point on any
+    :class:`MachineSpec`; warmup discarded."""
     if iters < 2:
         raise ValueError(f"measure_p2p_goodput needs iters >= 2, got {iters}")
     if tps is None:

@@ -118,20 +118,18 @@ def main(argv=None) -> int:
         "spec", nargs="?",
         help="spec name (see --list) or generator name (fat-tree-512)",
     )
-    parser.add_argument("--machine", help="alias for the positional spec name")
     parser.add_argument("--list", action="store_true", help="list known specs")
     parser.add_argument("--routes", action="store_true", help="dump resolved routes")
     args = parser.parse_args(argv)
 
-    name = args.machine or args.spec
-    if args.list or name is None:
+    if args.list or args.spec is None:
         for spec_name, spec in SPECS.items():
             print(f"{spec_name:<14} {spec.n_nodes} node(s) x {spec.uniform_gpus_per_node} gpu(s)")
         print("generators     fat-tree-<gpus>[-r#-n#-l#-s#], dragonfly-<gpus>[-r#-n#-g#]")
         return 0
 
     try:
-        spec = resolve_machine(name)
+        spec = resolve_machine(args.spec)
     except SpecError as exc:
         parser.error(str(exc))
 

@@ -14,10 +14,12 @@
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 from typing import List, Optional
 
+from repro.hw.spec.schema import SpecError
 from repro.shard.cluster import ClusterError
 from repro.workload.base import WorkloadError
 from repro.workload.sweep import DEFAULT_CACHE_DIR, run_sweep
@@ -101,7 +103,7 @@ def main_sweep(argv=None) -> int:
             ),
             printer=print,
         )
-    except (WorkloadError, ClusterError) as exc:
+    except (WorkloadError, ClusterError, SpecError) as exc:
         print(f"sweep error: {exc}", file=sys.stderr)
         return 1
     print(f"{len(grid['cells'])} cells: {grid['hits']} hits, "
@@ -145,12 +147,19 @@ def main_replay(argv=None) -> int:
         if args.gen_llm is not None:
             from repro.workload.generators import llm_schedule
 
+            known = inspect.signature(llm_schedule).parameters
             kwargs = {}
             for pair in _split(args.gen_llm):
                 if "=" not in pair:
                     raise ReplayError(f"--gen-llm wants k=v, got {pair!r}")
                 key, value = pair.split("=", 1)
-                kwargs[key] = value if key == "name" else int(value)
+                if key not in known:
+                    raise ReplayError(f"--gen-llm has no parameter {key!r}, got {pair!r}")
+                try:
+                    kwargs[key] = value if key == "name" else int(value)
+                except ValueError:
+                    raise ReplayError(
+                        f"--gen-llm {key} wants an integer, got {pair!r}") from None
             sched = llm_schedule(**kwargs)
         elif args.from_nccl is not None:
             from repro.workload.generators import parse_nccl_log
@@ -174,7 +183,7 @@ def main_replay(argv=None) -> int:
         result = ReplayWorkload(sched).run(
             machine=args.machine, policy=args.policy, shards=args.shards,
         )
-    except (ReplayError, WorkloadError, ClusterError, FileNotFoundError) as exc:
+    except (ReplayError, WorkloadError, ClusterError, SpecError, FileNotFoundError) as exc:
         print(f"replay error: {exc}", file=sys.stderr)
         return 1
 
@@ -221,8 +230,6 @@ def main_fault(argv=None) -> int:
         print(f"  t={ev.t:<12g} {ev.action:8s} {ev.link}{extra}{scope}")
     if args.workload is None:
         return 0
-
-    from repro.hw.spec.schema import SpecError
 
     try:
         result = resolve_spec(args.workload).run(

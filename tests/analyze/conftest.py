@@ -9,7 +9,7 @@ import pytest
 
 from repro.analyze.model import Project
 from repro.analyze.registry import all_passes
-from repro.analyze.rules import apply_suppressions, run_passes
+from repro.analyze.rules import run_passes
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -18,13 +18,10 @@ REPRO_SRC = REPO_ROOT / "src" / "repro"
 
 @pytest.fixture
 def analyze_path():
-    """Analyze files/directories on disk; returns kept findings."""
+    """Analyze files/directories on disk; returns the findings."""
 
     def run(*paths, only=None):
-        project = Project.load([Path(p) for p in paths])
-        findings = run_passes(project, all_passes(), only=only)
-        findings, _ = apply_suppressions(project, findings)
-        return findings
+        return run_passes(Project.load([Path(p) for p in paths]), all_passes(), only=only)
 
     return run
 

@@ -12,8 +12,6 @@ from .conftest import REPO_ROOT
 EXPECTED_RULES = {
     # repo invariants
     "wallclock", "raw-units", "module-ownership",
-    # effects
-    "effect-illegal-yield",
     # determinism
     "det-unordered-iter", "det-float-accum",
 }
@@ -22,7 +20,7 @@ EXPECTED_RULES = {
 DELETED_RULES = {
     "dropped-return", "eager-obs-payload", "effect-leaked-waiter",
     "det-unseeded-random", "det-id-order", "hb-read-unordered",
-    "hb-send-overwrite", "graph-capture-mutation",
+    "hb-send-overwrite", "graph-capture-mutation", "effect-illegal-yield",
 }
 
 

@@ -9,7 +9,7 @@ from hypothesis import settings
 
 from repro.analyze.model import Project
 from repro.analyze.registry import all_passes
-from repro.analyze.rules import apply_suppressions, run_passes
+from repro.analyze.rules import run_passes
 from repro.cuda.device import Device
 from repro.hw.params import ONE_NODE, PAPER_TESTBED
 from repro.hw.topology import Fabric
@@ -64,14 +64,10 @@ def two_node_world():
 
 @pytest.fixture
 def analyze():
-    """Analyze in-memory ``{path: source}``; returns kept findings."""
+    """Analyze in-memory ``{path: source}``; returns the findings."""
 
-    def run(sources, only=None, suppress=True):
-        project = Project.from_sources(sources)
-        findings = run_passes(project, all_passes(), only=only)
-        if suppress:
-            findings, _ = apply_suppressions(project, findings)
-        return findings
+    def run(sources, only=None):
+        return run_passes(Project.from_sources(sources), all_passes(), only=only)
 
     return run
 

@@ -28,7 +28,7 @@ def test_list_checks_covers_both_kinds():
     text = list_checks()
     assert "dynamic checks" in text and "static rules" in text
     # Static section comes from the unified analyzer registry.
-    assert "det-unordered-iter" in text and "effect-illegal-yield" in text
+    assert "det-unordered-iter" in text and "module-ownership" in text
 
 
 def test_resolve_target_rejects_unknown():

@@ -110,3 +110,19 @@ def test_unknown_param_is_one_error_line(capsys, main, prefix, argv):
     err = capsys.readouterr().err
     assert err.startswith(f"{prefix} error: workload ") and "has no parameter" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("main, prefix, argv, names", [
+    (main_replay, "replay", [str(SCHEDULES / "llm16.jsonl"), "--machine", "nope"],
+     "unknown machine 'nope'"),
+    (main_sweep, "sweep", ["--workloads", "pingpong", "--machines", "nope", "--no-cache"],
+     "unknown machine 'nope'"),
+    (main_replay, "replay", ["--gen-llm", "dp=x"], "'dp=x'"),
+    (main_replay, "replay", ["--gen-llm", "bogus=2"], "'bogus=2'"),
+], ids=["replay-machine", "sweep-machine", "gen-llm-value", "gen-llm-key"])
+def test_bad_machine_or_gen_llm_is_one_error_line(capsys, main, prefix, argv, names):
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    [line] = err.splitlines()
+    assert line.startswith(f"{prefix} error: ") and names in line
+    assert "Traceback" not in out + err
