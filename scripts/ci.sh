@@ -38,7 +38,8 @@ echo "== hash-seed (pinned step streams under two string-hash seeds) =="
 # cluster teardown (no cyclic remainder, every mode's signature equal),
 # the observed/unobserved link-transfer drain equality, the pinned
 # per-transfer call counts, the zero sanitizer-hook calls of an unobserved
-# run and the one-profiler-key-per-code-object check must hold under any
+# run, the one-profiler-key-per-code-object check and the series digests
+# of the switch and host-staged catalog machines must hold under any
 # PYTHONHASHSEED.
 for seed in 1 2; do
     PYTHONHASHSEED=$seed PYTHONPATH=src python -m pytest -x -q \
@@ -47,7 +48,7 @@ for seed in 1 2; do
         tests/workload/test_matching.py tests/shard/test_step_digest.py \
         tests/shard/test_teardown.py tests/dataplane/test_transfer_counters.py \
         tests/dataplane/test_submit_cost.py tests/san/test_hook_gate.py \
-        tests/test_code_keys.py
+        tests/test_code_keys.py tests/hw/test_catalog_outputs.py
 done
 
 echo "== optimised mode (python -O: the allreduce result check is not an assert) =="

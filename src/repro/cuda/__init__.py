@@ -6,7 +6,8 @@ hinge on:
 * asynchronous kernel launches into FIFO **streams** and the fixed cost of
   ``cudaStreamSynchronize`` (the paper's Fig 2 motivation);
 * the **grid/block/warp/thread** hierarchy with an SM wave scheduler and an
-  HBM-bandwidth-bound block cost model;
+  HBM-bandwidth-bound block cost model, whose constants (like every GPU
+  constant) are fields of the machine's :class:`~repro.hw.params.GH200Params`;
 * **device-side actions**: computing, writing flags into pinned host memory
   (serialized over NVLink-C2C), global-memory atomics, ``__syncthreads()``,
   and intra-kernel load/store copies over NVLink — everything the paper's
@@ -20,7 +21,7 @@ block (exact; for small grids and semantics tests), while
 per-wave bulk hook (for the paper's 128K-block sweeps).
 """
 
-from repro.cuda.timing import CostModel, WorkSpec
+from repro.cuda.timing import WorkSpec
 from repro.cuda.kernel import BlockKernel, UniformKernel, Wave
 from repro.cuda.stream import Stream
 from repro.cuda.device import Device
@@ -28,7 +29,6 @@ from repro.cuda.ipc import IpcMemHandle
 
 __all__ = [
     "BlockKernel",
-    "CostModel",
     "Device",
     "IpcMemHandle",
     "Stream",

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Optional, Union
 
-from repro.cuda.timing import WorkSpec
+from repro.cuda.timing import WorkSpec, block_compute_time
 from repro.hw.memory import Buffer
 from repro.san import record
 from repro.sim import run as _run
@@ -69,11 +69,11 @@ class HostFlagWrite(Chain):
             self._acquire(self._link.port)
         elif stage == 1:  # granted
             self._t0 = self.engine._now
-            self._sleep(n * self.device.fabric.spec.params.flag_write_host)
+            self._sleep(n * self.device.params.flag_write_host)
         elif stage == 2:
             self._link.account(8 * n, self._t0, transfers=n)
             self._link.port.release()
-            self._sleep(self.device.fabric.spec.params.flag_write_base)
+            self._sleep(self.device.params.flag_write_base)
         else:
             if self.actor is not None and _run._RUN.bus is not None:
                 record.release(self.actor, ("sig", self.signal))
@@ -93,7 +93,7 @@ def multi_flag_write_proc(device: "Device", signals, actor=None):
     engine is unobserved there, hence no per-signal ``record`` calls);
     the exact path keeps per-signal chains.
     """
-    hw = device.fabric.spec.params
+    hw = device.params
     link = device.fabric.d2h_link(device.gpu_id)
     engine = device.engine
     yield link.port.acquire()
@@ -126,7 +126,7 @@ class _FencedCopy(Chain):
                 self.src, self.dst, traffic_class="cuda", name=self.name
             ).callbacks.append(self._run_callbacks)
         elif stage == 1:
-            self._sleep(self.device.fabric.spec.params.kc_fence_overhead)
+            self._sleep(self.device.params.kc_fence_overhead)
         else:
             self.succeed()
 
@@ -166,14 +166,14 @@ class DeviceCtx:
     # -- compute ----------------------------------------------------------------
     def compute(self, work: WorkSpec) -> Event:
         """This block's compute phase (isolated-block cost model)."""
-        dt = self.device.cost.block_compute_time(self.block_threads, work)
+        dt = block_compute_time(self.device.params, self.block_threads, work)
         return self.engine.timeout(dt)
 
     def syncthreads(self) -> Event:
         """``__syncthreads()`` — intra-block barrier cost."""
         if _run._RUN.bus is not None:
             record.mark("syncthreads", actor=self.actor)
-        return self.engine.timeout(self.device.cost.syncthreads_cost)
+        return self.engine.timeout(self.device.params.syncthreads_cost)
 
     # -- sanitizer annotations ----------------------------------------------------
     def note_read(self, buf: Buffer) -> None:
@@ -214,7 +214,7 @@ class DeviceCtx:
                 record.release(self.actor, ("ctr", counter))
             return counter.add(amount)
 
-        return Delayed(self.device.engine, self.device.fabric.spec.params.gmem_atomic, add)
+        return Delayed(self.device.engine, self.device.params.gmem_atomic, add)
 
     # -- intra-kernel copies (Kernel-Copy MPIX_Pready path) --------------------------
     def copy(self, src: Buffer, dst: Buffer) -> Event:

@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.cuda.devapi import DeviceCtx
 from repro.cuda.kernel import BlockKernel, KernelBase, UniformKernel, Wave
-from repro.cuda.timing import CostModel
+from repro.cuda.timing import resident_blocks, wave_plan
 from repro.hw.memory import Buffer, MemSpace
 from repro.hw.topology import Fabric
 from repro.san import record
@@ -31,14 +31,14 @@ class Device:
         self,
         fabric: Fabric,
         gpu_id: int,
-        cost: Optional[CostModel] = None,
         name: Optional[str] = None,
     ) -> None:
         self.node = fabric.spec.node_of(gpu_id)  # IndexError on a bad id
         self.fabric = fabric
         self.engine = fabric.engine
         self.gpu_id = gpu_id
-        self.cost = cost or self._spec_cost(fabric, gpu_id)
+        #: The machine's constants table (``fabric.spec.params``).
+        self.params = fabric.spec.params
         self.name = name or f"gpu{gpu_id}"
         #: The TransferGraph an open stream capture on this device is
         #: recording into, or None.  Capture-mode-global semantics: while
@@ -50,18 +50,6 @@ class Device:
         self.default_stream = Stream(self, name=f"{self.name}.s0")
         #: Every stream created on this device; :meth:`close` stops their workers.
         self.streams: List[Stream] = [self.default_stream]
-
-    @staticmethod
-    def _spec_cost(fabric: Fabric, gpu_id: int) -> CostModel:
-        """Cost model for this device, honouring the machine spec's per-GPU
-        constants (SM count, HBM bandwidth) when the spec sets them."""
-        gs = fabric.spec.gpu_spec(gpu_id)
-        overrides = {}
-        if gs.sm_count is not None:
-            overrides["sm_count"] = gs.sm_count
-        if gs.hbm_bw is not None:
-            overrides["hbm_bw"] = gs.hbm_bw
-        return CostModel().with_overrides(**overrides) if overrides else CostModel()
 
     # -- allocation --------------------------------------------------------------
     def alloc(self, n: int, dtype=np.float64, fill: Optional[float] = None, label: str = "") -> Buffer:
@@ -97,7 +85,9 @@ class Device:
         ``yield from device.launch_h(kernel)`` which also charges the
         host-side launch API cost.
         """
-        kernel.validate(self.cost)
+        if kernel.block > self.params.max_block_threads:
+            raise ValueError(f"block size {kernel.block} exceeds device max "
+                             f"{self.params.max_block_threads}")
         stream = stream or self.default_stream
         obs = self.engine.obs
         if obs is not None:
@@ -110,7 +100,7 @@ class Device:
 
     def launch_h(self, kernel: KernelBase, stream=None) -> Generator:
         """Host helper: charge launch API cost, then enqueue (returns event)."""
-        yield self.cost.launch_api_cost
+        yield self.params.launch_api_cost
         return self.launch(kernel, stream)
 
     def graph_launch_h(self, graph, stream=None) -> Generator:
@@ -122,7 +112,7 @@ class Device:
         ``launch_h`` path.
         """
         stream = stream or self.default_stream
-        yield self.cost.launch_api_cost
+        yield self.params.launch_api_cost
         return stream.graph_launch(graph)
 
     def sync_h(self, stream=None) -> Generator:
@@ -136,7 +126,7 @@ class Device:
         yield stream.drained()
         if _run._RUN.bus is not None:
             record.acquire(("host", self.gpu_id), ("drain", stream.name))
-        yield self.cost.stream_sync_cost
+        yield self.params.stream_sync_cost
         if obs is not None:
             obs.span(
                 "cuda", "sync", ("host", self.gpu_id),
@@ -161,7 +151,7 @@ class Device:
     # -- kernel execution internals ---------------------------------------------------
     def _exec_kernel(self, kernel: KernelBase, stream=None) -> Generator:
         launcher = stream.actor if stream is not None else ("host", self.gpu_id)
-        yield self.cost.launch_latency
+        yield self.params.launch_latency
         obs = self.engine.obs
         t0 = self.engine.now
         if _run._RUN.bus is not None:
@@ -190,7 +180,7 @@ class Device:
         kctx = DeviceCtx(self, kernel)
         if _run._RUN.bus is not None:
             record.acquire(kctx.actor, ("kstart", kernel))
-        plan = self.cost.wave_plan(kernel.grid, kernel.block, kernel.work)
+        plan = wave_plan(self.params, kernel.grid, kernel.block, kernel.work)
         engine = self.engine
 
         # Coalesced fast path (DESIGN.md §11): with nothing observing
@@ -232,7 +222,7 @@ class Device:
             record.release(kctx.actor, ("kdone", kernel))
 
     def _exec_blocks(self, kernel: BlockKernel) -> Generator:
-        resident = self.cost.resident_blocks(kernel.block)
+        resident = resident_blocks(self.params, kernel.block)
         slots = Resource(
             self.engine, capacity=min(resident, kernel.grid), name=f"{self.name}.sm"
         )

@@ -10,7 +10,7 @@ Two flavours (see DESIGN.md and the package docstring):
 
 :class:`UniformKernel`
     All blocks perform identical ``work``; execution follows the analytic
-    wave plan of :class:`~repro.cuda.timing.CostModel`, and an optional
+    wave plan of :func:`~repro.cuda.timing.wave_plan`, and an optional
     ``wave_hook(kctx, wave)`` runs at each wave's completion time to apply
     aggregate device-side effects (bulk ``MPIX_Pready`` signalling, kernel
     copies).  O(waves) events — use for the paper's large-grid sweeps.
@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Generator, Optional, Sequence
 
-from repro.cuda.timing import CostModel, WorkSpec
+from repro.cuda.timing import WorkSpec
 
 
 @dataclass(frozen=True)
@@ -76,12 +76,6 @@ class KernelBase:
     def block_actor(self, device, block_id: int) -> tuple:
         """Trace identity of one block of this kernel on ``device``."""
         return ("block", device.name, self.name, block_id)
-
-    def validate(self, cost: CostModel) -> None:
-        if self.block > cost.max_block_threads:
-            raise ValueError(
-                f"block size {self.block} exceeds device max {cost.max_block_threads}"
-            )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.name} <<<{self.grid},{self.block}>>>>"

@@ -1,4 +1,4 @@
-"""GPU cost model: launch/sync overheads and the SM wave timing model.
+"""The SM wave timing model: plain functions of a machine's GH200Params.
 
 Calibration targets (paper Fig 2, Section III):
 
@@ -11,16 +11,16 @@ Calibration targets (paper Fig 2, Section III):
 The wave model: an H100-class device has ``sm_count`` SMs, each holding up
 to ``max_threads_per_sm`` resident threads (and at most ``max_blocks_per_sm``
 blocks).  A grid executes in ``ceil(grid / resident_blocks)`` waves; each
-wave takes ``max(block_floor, wave_bytes / hbm_bw)``.
+wave takes ``max(block_floor, wave_bytes / sm_hbm_bw)``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import List, Tuple
 
-from repro.units import us, GBps
+from repro.hw.params import GH200Params
 
 
 @dataclass(frozen=True)
@@ -50,81 +50,55 @@ class WorkSpec:
         return cls(flops_per_thread=20.0, bytes_per_thread=3.0 * elem_bytes)
 
 
-@dataclass(frozen=True)
-class CostModel:
-    """All host-visible and SM-level GPU timing constants."""
+def resident_blocks(p: GH200Params, block_threads: int) -> int:
+    """Max concurrently-resident blocks on the whole device."""
+    if not 1 <= block_threads <= p.max_block_threads:
+        raise ValueError(
+            f"block size {block_threads} out of range 1..{p.max_block_threads}"
+        )
+    per_sm = min(p.max_threads_per_sm // block_threads, p.max_blocks_per_sm)
+    per_sm = max(per_sm, 1)
+    return per_sm * p.sm_count
 
-    # --- host API costs ---
-    launch_latency: float = 0.95 * us      # kernel launch -> first wave starts
-    launch_api_cost: float = 0.4 * us      # host-side cost of the async launch call
-    stream_sync_cost: float = 7.8 * us     # cudaStreamSynchronize fixed cost (Fig 2)
-    memcpy_api_cost: float = 1.2 * us      # cudaMemcpyAsync host-side cost
-    event_record_cost: float = 0.4 * us
-    cuda_malloc_cost: float = 60.0 * us    # cudaMalloc (driver allocation)
-    cuda_host_alloc_cost: float = 25.0 * us  # cudaMallocHost (pin pages)
 
-    # --- SM geometry (H100-class) ---
-    sm_count: int = 132
-    max_threads_per_sm: int = 2048
-    max_blocks_per_sm: int = 32
-    warp_size: int = 32
-    max_block_threads: int = 1024
+def n_waves(p: GH200Params, grid: int, block_threads: int) -> int:
+    if grid < 1:
+        raise ValueError("grid must be >= 1")
+    return math.ceil(grid / resident_blocks(p, block_threads))
 
-    # --- block/wave timing ---
-    block_floor: float = 1.15 * us         # min wave latency (issue + drain)
-    hbm_bw: float = 3500 * GBps            # achievable device memory bandwidth
-    flop_rate: float = 20e12               # achievable FP64-ish rate (flops/s)
-    syncthreads_cost: float = 0.02 * us
 
-    def with_overrides(self, **kw) -> "CostModel":
-        return replace(self, **kw)
+def block_compute_time(p: GH200Params, block_threads: int, work: WorkSpec) -> float:
+    """Time for one isolated block (no wave contention)."""
+    mem = block_threads * work.bytes_per_thread / p.sm_hbm_bw
+    flops = block_threads * work.flops_per_thread / (p.flop_rate / p.sm_count)
+    return max(p.block_floor, mem, flops)
 
-    # --- geometry ----------------------------------------------------------
-    def resident_blocks(self, block_threads: int) -> int:
-        """Max concurrently-resident blocks on the whole device."""
-        if not 1 <= block_threads <= self.max_block_threads:
-            raise ValueError(
-                f"block size {block_threads} out of range 1..{self.max_block_threads}"
-            )
-        per_sm = min(self.max_threads_per_sm // block_threads, self.max_blocks_per_sm)
-        per_sm = max(per_sm, 1)
-        return per_sm * self.sm_count
 
-    def n_waves(self, grid: int, block_threads: int) -> int:
-        if grid < 1:
-            raise ValueError("grid must be >= 1")
-        return math.ceil(grid / self.resident_blocks(block_threads))
+def wave_time(p: GH200Params, n_blocks: int, block_threads: int, work: WorkSpec) -> float:
+    """Time for one wave of ``n_blocks`` concurrently-resident blocks.
 
-    # --- timing -------------------------------------------------------------
-    def block_compute_time(self, block_threads: int, work: WorkSpec) -> float:
-        """Time for one isolated block (no wave contention)."""
-        mem = block_threads * work.bytes_per_thread / self.hbm_bw
-        flops = block_threads * work.flops_per_thread / (self.flop_rate / self.sm_count)
-        return max(self.block_floor, mem, flops)
+    Memory traffic of the whole wave shares the device HBM bandwidth;
+    compute shares the device flop rate across SMs.
+    """
+    mem = n_blocks * block_threads * work.bytes_per_thread / p.sm_hbm_bw
+    flops = n_blocks * block_threads * work.flops_per_thread / p.flop_rate
+    return max(p.block_floor, mem, flops)
 
-    def wave_time(self, n_blocks: int, block_threads: int, work: WorkSpec) -> float:
-        """Time for one wave of ``n_blocks`` concurrently-resident blocks.
 
-        Memory traffic of the whole wave shares the device HBM bandwidth;
-        compute shares the device flop rate across SMs.
-        """
-        mem = n_blocks * block_threads * work.bytes_per_thread / self.hbm_bw
-        flops = n_blocks * block_threads * work.flops_per_thread / self.flop_rate
-        return max(self.block_floor, mem, flops)
+def wave_plan(
+    p: GH200Params, grid: int, block_threads: int, work: WorkSpec
+) -> List[Tuple[range, float]]:
+    """Analytic schedule: list of (block-id range, wave duration)."""
+    resident = resident_blocks(p, block_threads)
+    plan: List[Tuple[range, float]] = []
+    start = 0
+    while start < grid:
+        n = min(resident, grid - start)
+        plan.append((range(start, start + n), wave_time(p, n, block_threads, work)))
+        start += n
+    return plan
 
-    def wave_plan(
-        self, grid: int, block_threads: int, work: WorkSpec
-    ) -> List[Tuple[range, float]]:
-        """Analytic schedule: list of (block-id range, wave duration)."""
-        resident = self.resident_blocks(block_threads)
-        plan: List[Tuple[range, float]] = []
-        start = 0
-        while start < grid:
-            n = min(resident, grid - start)
-            plan.append((range(start, start + n), self.wave_time(n, block_threads, work)))
-            start += n
-        return plan
 
-    def kernel_exec_time(self, grid: int, block_threads: int, work: WorkSpec) -> float:
-        """Closed-form launch-to-completion time of a uniform kernel."""
-        return self.launch_latency + sum(dt for _r, dt in self.wave_plan(grid, block_threads, work))
+def kernel_exec_time(p: GH200Params, grid: int, block_threads: int, work: WorkSpec) -> float:
+    """Closed-form launch-to-completion time of a uniform kernel."""
+    return p.launch_latency + sum(dt for _r, dt in wave_plan(p, grid, block_threads, work))

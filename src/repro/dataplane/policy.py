@@ -91,14 +91,8 @@ class MultiPathPolicy(PathPolicy):
     """
 
     name = "multi"
-
-    def __init__(self, min_stripe_bytes: int = 4 * MiB, max_stripes: int = 4) -> None:
-        if min_stripe_bytes < 2:
-            raise ValueError("min_stripe_bytes must be >= 2")
-        if max_stripes < 2:
-            raise ValueError("max_stripes must be >= 2")
-        self.min_stripe_bytes = min_stripe_bytes
-        self.max_stripes = max_stripes
+    min_stripe_bytes = 4 * MiB
+    max_stripes = 4
 
     def plan(self, dp, desc, primary) -> Plan:
         if desc.wire_bytes < self.min_stripe_bytes:
@@ -159,11 +153,7 @@ class CongestionAwarePolicy(PathPolicy):
     """
 
     name = "congestion"
-
-    def __init__(self, max_candidates: int = 4) -> None:
-        if max_candidates < 1:
-            raise ValueError("max_candidates must be >= 1")
-        self.max_candidates = max_candidates
+    max_candidates = 4
 
     def plan(self, dp, desc, primary) -> Plan:
         routes = dp.fabric.disjoint_routes(desc.src, desc.dst, self.max_candidates)

@@ -1,7 +1,8 @@
 """Calibration constants for the GH200 testbed (paper Section V).
 
-Every latency/bandwidth knob in the simulation lives here or in
-:class:`repro.cuda.timing.CostModel`.  Defaults are calibrated so the
+:class:`GH200Params` is the one table of model constants (links, memory,
+software costs, CUDA API costs, the SM wave model); every layer reads its
+machine's as ``spec.params``.  Defaults are calibrated so the
 paper's reported *ratios* re-emerge; absolute values are in the right
 order of magnitude for a GH200 node but are not claimed to be exact.
 
@@ -24,7 +25,7 @@ from repro.units import GBps, Gbps, us, ns
 
 @dataclass(frozen=True)
 class GH200Params:
-    """Link/memory constants for one GH200 node and the IB interconnect."""
+    """Every model constant of one machine: GPUs, links and software."""
 
     # --- intra-node GPU<->GPU (NVLink 4, 6 links/pair) ---
     nvlink_bw: float = 150 * GBps          # unidirectional, per GPU pair
@@ -40,8 +41,26 @@ class GH200Params:
     ib_rndv_handshake: float = 2.0 * us    # rendezvous RTS/CTS extra cost
 
     # --- device memory ---
-    hbm_bw: float = 3000 * GBps            # achievable HBM3 stream bandwidth
+    hbm_bw: float = 3000 * GBps            # HBM self-copy link bandwidth
     host_mem_bw: float = 400 * GBps        # LPDDR5X achievable
+
+    # --- CUDA host API costs ---
+    launch_latency: float = 0.95 * us      # kernel launch -> first wave starts
+    launch_api_cost: float = 0.4 * us      # host-side cost of the async launch call
+    stream_sync_cost: float = 7.8 * us     # cudaStreamSynchronize fixed cost (Fig 2)
+    memcpy_api_cost: float = 1.2 * us      # cudaMemcpyAsync host-side cost
+    cuda_malloc_cost: float = 60.0 * us    # cudaMalloc (driver allocation)
+    cuda_host_alloc_cost: float = 25.0 * us  # cudaMallocHost (pin pages)
+
+    # --- SM geometry and the wave model (H100-class, repro.cuda.timing) ---
+    sm_count: int = 132
+    max_threads_per_sm: int = 2048
+    max_blocks_per_sm: int = 32
+    max_block_threads: int = 1024
+    block_floor: float = 1.15 * us         # min wave latency (issue + drain)
+    sm_hbm_bw: float = 3500 * GBps         # HBM bandwidth a kernel wave shares
+    flop_rate: float = 20e12               # achievable FP64-ish rate (flops/s)
+    syncthreads_cost: float = 0.02 * us
 
     # --- fine-grained signalling costs ---
     # A single device-thread store into pinned *host* memory (over C2C,
@@ -92,6 +111,15 @@ class GH200Params:
     # Open MPI behaviour the paper benchmarks against in Fig 6/7/10/11).
     allreduce_bounce_bytes: int = 64 * 1024
     allreduce_bounce_penalty: float = 11.0 * us  # memcpy pair + sync per chunk
+
+    def __post_init__(self) -> None:
+        # The wave model divides by both: fail as a spec problem, not at launch.
+        from repro.hw.spec.schema import SpecError  # schema imports this module
+
+        if not self.sm_count >= 1:
+            raise SpecError(f"GH200Params: sm_count must be >= 1, got {self.sm_count!r}")
+        if not self.sm_hbm_bw > 0:
+            raise SpecError(f"GH200Params: sm_hbm_bw must be positive, got {self.sm_hbm_bw!r}")
 
     def with_overrides(self, **kw) -> "GH200Params":
         """Return a copy with selected constants replaced (ablations)."""

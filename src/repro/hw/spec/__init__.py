@@ -18,7 +18,6 @@ from repro.hw.spec.catalog import (
 )
 from repro.hw.spec.graph import LinkGraph, RouteSearchError
 from repro.hw.spec.schema import (
-    GpuSpec,
     Interconnect,
     LinkClass,
     MachineSpec,
@@ -27,7 +26,6 @@ from repro.hw.spec.schema import (
 )
 
 __all__ = [
-    "GpuSpec",
     "Interconnect",
     "LinkClass",
     "LinkGraph",

@@ -16,7 +16,6 @@ from typing import Dict
 
 from repro.hw.params import GH200Params
 from repro.hw.spec.schema import (
-    GpuSpec,
     Interconnect,
     LinkClass,
     MachineSpec,
@@ -32,7 +31,7 @@ _MEM_PORT_LATENCY = 0.05 * us
 def gh200_node(gpus_per_node: int, p: GH200Params) -> NodeSpec:
     """One GH200 node: NVLink pair mesh, C2C host links, NIC per superchip."""
     return NodeSpec(
-        gpus=(GpuSpec(),) * gpus_per_node,
+        n_gpus=gpus_per_node,
         interconnect=Interconnect.PAIR_MESH,
         hbm=LinkClass("hbm", p.hbm_bw, _MEM_PORT_LATENCY),
         d2d=LinkClass("nvlink", p.nvlink_bw, p.nvlink_latency),
@@ -71,7 +70,7 @@ def dgx_nvswitch_spec(n_nodes: int = 1, gpus_per_node: int = 8) -> MachineSpec:
         c2c_latency=1.4 * us,
     )
     node = NodeSpec(
-        gpus=(GpuSpec(),) * gpus_per_node,
+        n_gpus=gpus_per_node,
         interconnect=Interconnect.SWITCH,
         hbm=LinkClass("hbm", p.hbm_bw, _MEM_PORT_LATENCY),
         d2d=LinkClass("switch", 300 * GBps, 2.0 * us),
@@ -104,9 +103,11 @@ def pcie_nop2p_spec(n_nodes: int = 2, gpus_per_node: int = 2) -> MachineSpec:
         ib_bw=25 * GBps,         # 200 Gbit shared HCA
         ib_latency=4.5 * us,
         hbm_bw=1500 * GBps,      # A100-class HBM2e
+        sm_hbm_bw=1500 * GBps,
+        sm_count=108,
     )
     node = NodeSpec(
-        gpus=(GpuSpec(sm_count=108, hbm_bw=1500 * GBps),) * gpus_per_node,
+        n_gpus=gpus_per_node,
         interconnect=Interconnect.HOST_STAGED,
         hbm=LinkClass("hbm", p.hbm_bw, _MEM_PORT_LATENCY),
         d2d=None,

@@ -89,11 +89,10 @@ class Wiring:
         self._build(spec)
 
     # -- construction --------------------------------------------------------
-    def _link(self, cls: LinkClass, name: str, stage: int, bandwidth: float = None) -> int:
-        bw = cls.bandwidth if bandwidth is None else bandwidth
-        Link.check(name, bw, cls.latency, cls.overhead)
+    def _link(self, cls: LinkClass, name: str, stage: int) -> int:
+        Link.check(name, cls.bandwidth, cls.latency, cls.overhead)
         self.index.setdefault(name, len(self.rows))
-        self.rows.append(LinkRow(name, bw, cls.latency, cls.overhead, cls.kind, stage))
+        self.rows.append(LinkRow(name, cls.bandwidth, cls.latency, cls.overhead, cls.kind, stage))
         return len(self.rows) - 1
 
     def _edge(self, src: Port, dst: Port, *rows: int) -> None:
@@ -150,8 +149,7 @@ class Wiring:
 
             # Local ports: HBM self-copy and the pageable DRAM tx/rx pair.
             for g in gpus:
-                bw = spec.gpu_spec(g).hbm_bw
-                hbm = self._link(node.hbm, f"hbm{g}", STAGE_SRC_LOCAL, bandwidth=bw)
+                hbm = self._link(node.hbm, f"hbm{g}", STAGE_SRC_LOCAL)
                 self.self_routes[("gpu", g)] = (hbm,)
             tx = self._link(node.hostmem, f"hostmem_tx{n}", STAGE_HOSTMEM_TX)
             rx = self._link(node.hostmem, f"hostmem_rx{n}", STAGE_HOSTMEM_RX)

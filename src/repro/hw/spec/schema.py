@@ -86,24 +86,13 @@ class LinkClass:
 
 
 @dataclass(frozen=True)
-class GpuSpec:
-    """Per-device constants; ``None`` inherits the node/model default."""
-
-    sm_count: Optional[int] = None   # overrides CostModel.sm_count
-    hbm_bw: Optional[float] = None   # overrides the HBM self-link bandwidth
-
-    def __post_init__(self) -> None:
-        if self.sm_count is not None and not self.sm_count >= 1:
-            raise SpecError(f"GpuSpec: sm_count must be >= 1, got {self.sm_count!r}")
-        if self.hbm_bw is not None and not self.hbm_bw > 0:
-            raise SpecError(f"GpuSpec: hbm_bw must be positive, got {self.hbm_bw!r}")
-
-
-@dataclass(frozen=True)
 class NodeSpec:
-    """One node template: GPUs, intra-node wiring, NIC placement."""
+    """One node template: GPU count, intra-node wiring, NIC placement.
 
-    gpus: Tuple[GpuSpec, ...]
+    Every GPU of a machine shares the constants of its ``spec.params``.
+    """
+
+    n_gpus: int
     interconnect: Interconnect
     hbm: LinkClass                 # per-GPU local-copy port
     d2h: LinkClass                 # device -> host (C2C down, PCIe d2h)
@@ -113,17 +102,13 @@ class NodeSpec:
     nic_per_gpu: bool = True       # False: one shared NIC per node
 
     def __post_init__(self) -> None:
-        if not self.gpus:
+        if not self.n_gpus >= 1:
             raise SpecError("NodeSpec needs at least one GPU")
         needs_d2d = self.interconnect in (Interconnect.PAIR_MESH, Interconnect.SWITCH)
         if needs_d2d and self.d2d is None:
             raise SpecError(f"{self.interconnect.value} interconnect needs a d2d link class")
         if self.interconnect is Interconnect.HOST_STAGED and self.d2d is not None:
             raise SpecError("host-staged interconnect must not define a d2d link class")
-
-    @property
-    def n_gpus(self) -> int:
-        return len(self.gpus)
 
 
 @dataclass(frozen=True)
@@ -213,6 +198,7 @@ class MachineSpec:
     nodes: Tuple[NodeSpec, ...]
     nic_out: LinkClass
     nic_in: LinkClass
+    #: Every model constant, the GPUs' included (``device.params``).
     params: GH200Params = field(default_factory=GH200Params)
     #: None keeps the flat single-wire ("net",) model of the small specs;
     #: a FabricSpec compiles leaf/spine (or router) switch ports instead.
@@ -287,10 +273,6 @@ class MachineSpec:
     def node_spec_of(self, gpu: int) -> NodeSpec:
         return self.nodes[self.node_of(gpu)]
 
-    def gpu_spec(self, gpu: int) -> GpuSpec:
-        node = self.node_of(gpu)
-        return self.nodes[node].gpus[gpu - self._node_base[node]]
-
     # -- peer capability -----------------------------------------------------
     def can_peer_map(self, a: int, b: int) -> bool:
         """May GPU ``a`` map GPU ``b``'s memory (cudaIpcOpenMemHandle)?
@@ -308,10 +290,9 @@ class MachineSpec:
     def validate(self) -> None:
         """Raise :class:`SpecError` on inconsistency (dataclass hooks catch
         most; this re-checks cross-field invariants for loaded specs)."""
+        GH200Params.__post_init__(self.params)
         for node in self.nodes:
             NodeSpec.__post_init__(node)
-            for gpu in node.gpus:
-                GpuSpec.__post_init__(gpu)
             for cls in (node.hbm, node.d2h, node.h2d, node.hostmem) + (
                 (node.d2d,) if node.d2d is not None else ()
             ):

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.cuda.device import Device
-from repro.cuda.timing import CostModel
 from repro.hw.params import PAPER_TESTBED
 from repro.hw.spec.schema import MachineSpec
 from repro.hw.topology import Fabric
@@ -69,7 +68,6 @@ class World:
     def __init__(
         self,
         spec: Optional[MachineSpec] = None,
-        cost: Optional[CostModel] = None,
         fabric: Optional[Fabric] = None,
     ) -> None:
         #: Only a World that built its fabric tears the engine down in
@@ -86,11 +84,8 @@ class World:
             )
         self.fabric = fabric
         self.engine = fabric.engine
-        # An explicit cost model applies to every device; otherwise each
-        # device derives its own from the machine spec's per-GPU constants.
-        self.cost = cost
         self.devices: List[Device] = [
-            Device(self.fabric, g, cost) for g in range(self.fabric.spec.n_gpus)
+            Device(self.fabric, g) for g in range(self.fabric.spec.n_gpus)
         ]
         # Registries; close() drops every one of them.
         self._addresses: Dict[int, WorkerAddress] = {}

@@ -114,7 +114,7 @@ class NcclComm:
             raise MpiUsageError(f"count {n} not divisible by {P} ranks")
         if P == 1:
             def solo():
-                yield self.device.cost.launch_latency
+                yield self.device.params.launch_latency
                 recvbuf.copy_from(sendbuf)
             stream = stream or self.device.default_stream
             return stream.enqueue(solo, label="ncclAllReduce", buffers=(sendbuf, recvbuf))
@@ -143,10 +143,10 @@ class NcclComm:
         board = clique.board(seq, n_channels, len(steps), [None] * P)
 
         # Kernel launch + local staging window registration.
-        yield self.device.cost.launch_latency
+        yield self.device.params.launch_latency
         if not recvbuf.same_allocation(sendbuf):
             recvbuf.copy_from(sendbuf)  # local pass handled inside the kernel
-            yield sendbuf.nbytes * 2 / self.device.cost.hbm_bw
+            yield sendbuf.nbytes * 2 / self.device.params.sm_hbm_bw
         # Reusing the window is safe: this rank's next kernel on the stream
         # starts after this one exits, no peer puts into the next call's
         # slots before every rank joined its rendezvous, and this rank

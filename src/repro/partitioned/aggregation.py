@@ -25,6 +25,9 @@ from dataclasses import dataclass
 
 from repro.mpi.errors import MpiUsageError
 
+#: Threads per warp (the warp-mode signalling granularity).
+WARP_SIZE = 32
+
 
 class SignalMode(enum.Enum):
     """Granularity of device -> host ready signalling (Fig 3)."""
@@ -42,7 +45,6 @@ class AggregationSpec:
     block_threads: int
     blocks_per_partition: int = 1
     signal_mode: SignalMode = SignalMode.BLOCK
-    warp_size: int = 32
 
     def __post_init__(self) -> None:
         if self.grid < 1 or self.block_threads < 1:
@@ -71,7 +73,7 @@ class AggregationSpec:
 
     @property
     def warps_per_block(self) -> int:
-        return math.ceil(self.block_threads / self.warp_size)
+        return math.ceil(self.block_threads / WARP_SIZE)
 
     # -- mappings ---------------------------------------------------------------
     def tp_of_block(self, block_id: int) -> int:

@@ -91,7 +91,7 @@ def pready(blk: DeviceCtx, preq: Prequest):
     def proc() -> Generator:
         if mode is SignalMode.WARP:
             # Intra-warp shuffle reduction cost (cheap, on-SM).
-            yield blk.device.cost.syncthreads_cost / 2
+            yield blk.device.params.syncthreads_cost / 2
         elif mode is SignalMode.BLOCK:
             yield blk.syncthreads()
         count = yield blk.atomic_add(preq.gmem_counters[tp])

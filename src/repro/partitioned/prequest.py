@@ -120,8 +120,7 @@ class Prequest:
     # -- free ------------------------------------------------------------------------
     def free(self) -> Generator:
         """MPIX_Prequest_free: release device + pinned host allocations."""
-        cost = self.device.cost
-        yield cost.memcpy_api_cost  # cudaFree / cudaFreeHost
+        yield self.device.params.memcpy_api_cost  # cudaFree / cudaFreeHost
         self.freed = True
         if _run._RUN.bus is not None:
             record.mark("preq-free", preq=record.ident(self), req=record.ident(self.sreq))
@@ -252,19 +251,19 @@ def prequest_create(
             raise MpiUsageError(msg)
 
     rt = sreq.rt
-    cost = device.cost
+    p = rt.params
     # cudaMalloc for the device request + counters.
-    yield cost.cuda_malloc_cost
+    yield p.cuda_malloc_cost
     # cudaMallocHost for the pinned progression flags.
-    yield cost.cuda_host_alloc_cost
+    yield p.cuda_host_alloc_cost
     # Register the flag region so the progression engine / NIC can see it.
-    yield rt.params.ucp_mem_map_per_call
+    yield p.ucp_mem_map_per_call
     preq = Prequest(sreq, device, agg, mode)
     if mode is CopyMode.KERNEL_COPY:
         # Resolve the device-mapped remote pointer (cuda_ipc rkey_ptr).
         preq.mapped_remote = yield from rkey_ptr(rt.worker, sreq.rkey_data, device.gpu_id)
     # Populate the host-side staging struct and copy it to the device.
-    yield cost.memcpy_api_cost
+    yield p.memcpy_api_cost
     staging = Buffer.alloc(64, np.int8, MemSpace.PINNED, node=rt.node)
     dev_struct = Buffer.alloc(64, np.int8, MemSpace.DEVICE, node=device.node, gpu=device.gpu_id)
     yield rt.fabric.dataplane.put(

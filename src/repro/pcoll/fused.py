@@ -152,7 +152,8 @@ class FusedPallreduce(PcollRequest):
         self.done_count.add(1)
 
     # -- device MPIX_Prequest (kernel blocks trigger user partitions) -----------------
-    def _prequest_costs(self, cost):
+    def _prequest_costs(self):
         # Blocks signal in device memory, where the ring engine lives: no
         # pinned host flag page to allocate or map.
-        return (cost.cuda_malloc_cost, cost.memcpy_api_cost)
+        p = self.rt.params
+        return (p.cuda_malloc_cost, p.memcpy_api_cost)

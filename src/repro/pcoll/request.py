@@ -275,7 +275,7 @@ class PcollRequest(PersistentRequest):
         target = self._w_chunk(u, step.recv_chunk)
         if step.op is NOP:
             # Pure data movement: local device copy (DMA).
-            yield self.device.cost.memcpy_api_cost
+            yield self.device.params.memcpy_api_cost
             yield self.rt.fabric.dataplane.put(
                 slot, target, traffic_class="pcoll", name="pcoll_copy"
             )
@@ -329,7 +329,7 @@ class PcollRequest(PersistentRequest):
                 f"grid {grid} not divisible by {self.partitions} user partitions"
             )
         agg = AggregationSpec(grid, block, grid // self.partitions, signal_mode)
-        for cost in self._prequest_costs(device.cost):
+        for cost in self._prequest_costs():
             yield cost
         preq = Prequest(
             self, device, agg, CopyMode.PROGRESSION_ENGINE,
@@ -340,13 +340,14 @@ class PcollRequest(PersistentRequest):
             preq.arm_epoch()
         return preq
 
-    def _prequest_costs(self, cost) -> Tuple[float, ...]:
+    def _prequest_costs(self) -> Tuple[float, ...]:
         """Host costs of MPIX_Prequest_create, charged in order: the device
         counter, the pinned host flag page the progression engine polls,
         its UCX mapping, and the descriptor copy."""
+        p = self.rt.params
         return (
-            cost.cuda_malloc_cost,
-            cost.cuda_host_alloc_cost,
-            self.rt.params.ucp_mem_map_per_call,
-            cost.memcpy_api_cost,
+            p.cuda_malloc_cost,
+            p.cuda_host_alloc_cost,
+            p.ucp_mem_map_per_call,
+            p.memcpy_api_cost,
         )

@@ -160,7 +160,7 @@ def ring_step(
         yield flag.wait()
     target = chunk(step.recv_chunk)
     slot = board.slot(rank, lane, i)
-    hbm_bw = device.cost.hbm_bw
+    hbm_bw = device.params.sm_hbm_bw
     if step.op is not NOP:
         step.op.reduce_into(target.data, slot.data)
         yield target.nbytes * 3 / hbm_bw

@@ -95,6 +95,15 @@ def resolve_machine_arg(machine: Union[str, MachineSpec]) -> MachineSpec:
     return machine
 
 
+def _fits(default: Any, value: Any) -> bool:
+    """May ``value`` stand for a parameter defaulting to ``default``?"""
+    if isinstance(default, tuple):  # a list of items like its first
+        return isinstance(value, (tuple, list)) and all(_fits(default[0], v) for v in value)
+    if type(default) is int:  # not a bool
+        return type(value) is int
+    return isinstance(value, type(default))
+
+
 # --------------------------------------------------------------------------
 # results
 # --------------------------------------------------------------------------
@@ -221,6 +230,10 @@ class Workload:
         if unknown:
             raise WorkloadError(f"workload {self.name!r} has no parameter {', '.join(unknown)}; "
                                 f"known: {', '.join(self.defaults) or 'none'}")
+        for key, value in params.items():
+            if not _fits(self.defaults[key], value):
+                raise WorkloadError(f"workload {self.name!r}: parameter {key} wants a value "
+                                    f"like {self.defaults[key]!r}, got {value!r}")
         resolved = self.resolve_machine(machine)
         if shards is not None and not self.supports_shards:
             raise WorkloadError(

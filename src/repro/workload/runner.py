@@ -37,10 +37,9 @@ def run_ranks(
     main: Callable,
     nprocs: Optional[int] = None,
     args: Sequence[Any] = (),
-    cost=None,
 ) -> RankRun:
     """Build one World on ``machine``, run ``nprocs`` ranks of ``main``, close it."""
-    with World(machine, cost=cost) as world:
+    with World(machine) as world:
         results = world.run(main, nprocs=nprocs, args=args)
         return RankRun(
             results=results,

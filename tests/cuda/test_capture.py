@@ -114,7 +114,7 @@ def _eager(engine, gpu, launches):
         for _ in range(launches):
             # One API charge then zero-cost enqueues: the same host
             # timing shape graph_launch_h produces for the whole graph.
-            yield engine.timeout(gpu.cost.launch_api_cost)
+            yield engine.timeout(gpu.params.launch_api_cost)
             gpu.launch(_kernel(apply=apply))
             gpu.launch(_kernel(apply=apply))
             yield from gpu.sync_h()

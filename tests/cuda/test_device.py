@@ -6,7 +6,8 @@ import pytest
 from repro.cuda.device import Device
 from repro.cuda.kernel import BlockKernel, UniformKernel
 from repro.cuda.stream import Stream
-from repro.cuda.timing import WorkSpec
+from repro.cuda.timing import WorkSpec, kernel_exec_time
+from repro.hw.topology import Fabric
 from repro.hw.memory import MemSpace
 from repro.units import us
 
@@ -31,7 +32,7 @@ def test_launch_is_async(engine, gpu):
         return engine.now - t0
 
     api_time = engine.run(engine.process(host()))
-    assert api_time == pytest.approx(gpu.cost.launch_api_cost)
+    assert api_time == pytest.approx(gpu.params.launch_api_cost)
 
 
 def test_sync_cost_on_empty_stream(engine, gpu):
@@ -51,9 +52,9 @@ def test_launch_then_sync_total(engine, gpu):
 
     total = engine.run(engine.process(host()))
     expected = (
-        gpu.cost.launch_api_cost
-        + gpu.cost.kernel_exec_time(1, 1024, WORK)
-        + gpu.cost.stream_sync_cost
+        gpu.params.launch_api_cost
+        + kernel_exec_time(gpu.params, 1, 1024, WORK)
+        + gpu.params.stream_sync_cost
     )
     assert total == pytest.approx(expected)
 
@@ -99,7 +100,7 @@ def test_two_streams_run_concurrently(engine, gpu):
         return engine.now
 
     total = engine.run(engine.process(host()))
-    one = gpu.cost.kernel_exec_time(2048, 1024, WORK)
+    one = kernel_exec_time(gpu.params, 2048, 1024, WORK)
     # Streams are independent queues; our model runs them concurrently.
     assert total < 2 * one
 
@@ -111,7 +112,7 @@ def test_memcpy_h2d_timing_and_data(engine, gpu):
 
     def host():
         t0 = engine.now
-        yield gpu.cost.memcpy_api_cost  # synchronous cudaMemcpy: API cost + copy
+        yield gpu.params.memcpy_api_cost  # synchronous cudaMemcpy: API cost + copy
         yield gpu.memcpy_async(ddst, hsrc)
         return engine.now - t0
 
@@ -138,10 +139,8 @@ def test_block_kernel_runs_every_block(engine, gpu):
 
 def test_block_kernel_wave_scheduling(engine, gpu):
     """More blocks than resident slots -> at least two waves."""
-    small = gpu.cost.with_overrides(sm_count=2, max_blocks_per_sm=1)
-    from repro.cuda.device import Device
-
-    gpu2 = Device(gpu.fabric, 1, cost=small)
+    small = gpu.fabric.spec.with_params(sm_count=2, max_blocks_per_sm=1)
+    gpu2 = Device(Fabric(engine, small), 1)
     starts = []
 
     def body(blk):
@@ -184,7 +183,7 @@ def test_exec_time_closed_form_matches_simulation(engine, gpu):
         yield done
         return engine.now - t0
 
-    closed_form = gpu.cost.kernel_exec_time(k.grid, k.block, k.work)
+    closed_form = kernel_exec_time(gpu.params, k.grid, k.block, k.work)
     assert engine.run(engine.process(host())) == pytest.approx(closed_form)
 
 

@@ -5,7 +5,7 @@ import pytest
 from repro.cuda.device import Device
 from repro.cuda.kernel import UniformKernel
 from repro.cuda.stream import Stream
-from repro.cuda.timing import WorkSpec
+from repro.cuda.timing import WorkSpec, kernel_exec_time
 from repro.units import us
 
 WORK = WorkSpec.vector_add()
@@ -33,7 +33,7 @@ def test_drained_fires_after_all_ops(engine, gpu):
 
     engine.process(waiter())
     engine.run()
-    one = gpu.cost.kernel_exec_time(256, 1024, WORK)
+    one = kernel_exec_time(gpu.params, 256, 1024, WORK)
     assert times[0] == pytest.approx(3 * one)
 
 

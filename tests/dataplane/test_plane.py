@@ -135,9 +135,3 @@ def test_settings_scope_selects_policy():
     _e, fab = _mk()
     assert isinstance(fab.dataplane.policy, SinglePathPolicy)
 
-
-def test_multipath_policy_guards():
-    with pytest.raises(ValueError):
-        MultiPathPolicy(min_stripe_bytes=0)
-    with pytest.raises(ValueError):
-        MultiPathPolicy(max_stripes=1)

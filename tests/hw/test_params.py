@@ -75,3 +75,15 @@ def test_with_params_takes_software_constants_only():
     assert tuned.params.progress_poll_latency == pytest.approx(0.1 * us)
     assert tuned.nodes == PAPER_TESTBED.nodes
     assert tuned.nic_out == PAPER_TESTBED.nic_out
+
+
+def test_gpu_constants_are_params_fields():
+    """The CUDA and wave-model constants live in the one params table, so
+    ``with_params`` reaches them in a run like any software constant."""
+    from repro.workload import get
+
+    tuned = ONE_NODE.with_params(stream_sync_cost=2 * us)
+    (row,) = get("fig2").run(machine=tuned, grids=(4,)).series.rows
+    assert row["sync_us"] == pytest.approx(2.0)
+    (row,) = get("fig2").run(machine=ONE_NODE, grids=(4,)).series.rows
+    assert row["sync_us"] == pytest.approx(7.8)

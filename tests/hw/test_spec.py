@@ -13,8 +13,8 @@ import pytest
 
 from repro.cuda.ipc import IpcError, IpcMemHandle
 from repro.hw.memory import Buffer, MemSpace
+from repro.hw.params import GH200Params
 from repro.hw.spec import (
-    GpuSpec,
     Interconnect,
     LinkClass,
     MachineSpec,
@@ -194,12 +194,12 @@ def test_schema_rejects_inconsistent_nodes():
     host = LinkClass("hostmem", 400 * GBps, 0.05 * us)
     with pytest.raises(SpecError, match="needs a d2d"):
         NodeSpec(
-            gpus=(GpuSpec(),), interconnect=Interconnect.SWITCH,
+            n_gpus=1, interconnect=Interconnect.SWITCH,
             hbm=hbm, d2h=pcie, h2d=pcie, hostmem=host, d2d=None,
         )
     with pytest.raises(SpecError, match="must not define"):
         NodeSpec(
-            gpus=(GpuSpec(),), interconnect=Interconnect.HOST_STAGED,
+            n_gpus=1, interconnect=Interconnect.HOST_STAGED,
             hbm=hbm, d2h=pcie, h2d=pcie, hostmem=host, d2d=pcie,
         )
     with pytest.raises(SpecError, match="bandwidth"):
@@ -209,33 +209,34 @@ def test_schema_rejects_inconsistent_nodes():
 
 
 @pytest.mark.parametrize("field, value", [
-    ("hbm_bw", 0.0), ("hbm_bw", -1.0), ("hbm_bw", float("nan")),
+    ("sm_hbm_bw", 0.0), ("sm_hbm_bw", -1.0), ("sm_hbm_bw", float("nan")),
     ("sm_count", 0), ("sm_count", -4),
 ])
 def test_schema_rejects_bad_gpu_constants(field, value):
-    with pytest.raises(SpecError, match=f"GpuSpec: {field} must be"):
-        GpuSpec(**{field: value})
-    # A GpuSpec that slipped past its constructor fails validation as a
+    msg = f"GH200Params: {field} must be"
+    with pytest.raises(SpecError, match=msg):
+        GH200Params(**{field: value})
+    with pytest.raises(SpecError, match=msg):
+        pcie_nop2p_spec(1, 2).with_params(**{field: value})
+    # Params that slipped past their constructor fail validation as a
     # schema problem, not as a link error or a division at kernel launch.
-    bad = GpuSpec()
+    bad = GH200Params()
     object.__setattr__(bad, field, value)
-    spec = pcie_nop2p_spec(1, 2)
-    node = dataclasses.replace(spec.nodes[0], gpus=(spec.nodes[0].gpus[0], bad))
-    spec = dataclasses.replace(spec, nodes=(node,))
-    with pytest.raises(SpecError, match=f"GpuSpec: {field} must be"):
+    spec = dataclasses.replace(pcie_nop2p_spec(1, 2), params=bad)
+    with pytest.raises(SpecError, match=msg):
         spec.validate()
     (problem,) = validate_spec(spec)
-    assert problem.startswith(f"schema: GpuSpec: {field} must be")
+    assert problem.startswith(f"schema: {msg}")
 
 
 def test_per_gpu_constants_reach_the_device():
     from repro.mpi.world import World
 
-    world = World(pcie_nop2p_spec(2, 2))
-    assert all(d.cost.sm_count == 108 for d in world.devices)
-    assert world.devices[0].cost.hbm_bw == 1500 * GBps
-    gh = World(gh200_spec(1, 4))
-    assert gh.devices[0].cost.sm_count == 132  # model default preserved
+    with World(pcie_nop2p_spec(2, 2)) as world:
+        assert all(d.params.sm_count == 108 for d in world.devices)
+        assert world.devices[0].params.sm_hbm_bw == 1500 * GBps
+    with World(gh200_spec(1, 4)) as gh:
+        assert gh.devices[0].params.sm_count == 132  # model default preserved
 
 
 def test_world_runs_on_every_catalog_spec():

@@ -1,6 +1,6 @@
 """MachineSpec shape queries: constant-time tables equal the linear definitions.
 
-``n_gpus``, ``gpu_base``, ``node_of``, ``rail_of`` and ``gpu_spec`` answer
+``n_gpus``, ``gpu_base``, ``node_of`` and ``rail_of`` answer
 from a GPU->node and a node->first-GPU table that a spec builds on first
 use.  These tests pin them against the straightforward walks over
 ``spec.nodes`` they replaced, on catalog, generated and heterogeneous
@@ -9,13 +9,15 @@ specs, and check that building the tables leaves the spec's identity
 """
 
 import dataclasses
+from collections import Counter
+from functools import cached_property
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.hw.params import GH200Params
-from repro.hw.spec import GpuSpec, MachineSpec, NodeSpec
+from repro.hw.spec import MachineSpec
 from repro.hw.spec.catalog import SPECS, gh200_node
 from repro.hw.spec.generators import fat_tree, parse_machine, resolve_machine
 from repro.hw.spec.schema import FatTreeFabric, LinkClass
@@ -50,11 +52,6 @@ def linear_rail_of(spec, gpu):
     return (gpu - linear_gpu_base(spec, node)) % spec.fabric.rails
 
 
-def linear_gpu_spec(spec, gpu):
-    node = linear_node_of(spec, gpu)
-    return spec.nodes[node].gpus[gpu - linear_gpu_base(spec, node)]
-
-
 def assert_matches_linear(spec):
     n = linear_n_gpus(spec)
     assert spec.n_gpus == n
@@ -63,7 +60,6 @@ def assert_matches_linear(spec):
     for gpu in range(n):
         assert spec.node_of(gpu) == linear_node_of(spec, gpu)
         assert spec.rail_of(gpu) == linear_rail_of(spec, gpu)
-        assert spec.gpu_spec(gpu) is linear_gpu_spec(spec, gpu)
         assert spec.node_spec_of(gpu) is spec.nodes[linear_node_of(spec, gpu)]
 
 
@@ -71,7 +67,7 @@ def assert_bad_ids_raise(spec):
     n = linear_n_gpus(spec)
     for gpu in (-1, n):
         msg = f"gpu {gpu} out of range \\(n_gpus={n}\\)"
-        for query in (spec.node_of, spec.rail_of, spec.gpu_spec, spec.node_spec_of):
+        for query in (spec.node_of, spec.rail_of, spec.node_spec_of):
             with pytest.raises(IndexError, match=msg):
                 query(gpu)
         with pytest.raises(IndexError, match=msg):
@@ -105,17 +101,11 @@ def generated_specs(draw):
 
 @st.composite
 def uneven_specs(draw):
-    """Nodes of different sizes, every GPU with its own ``GpuSpec``."""
+    """Nodes of different sizes."""
     rails = draw(st.sampled_from([None, 1, 2]))
     step = rails or 1
     sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=6))
-    nodes, sm = [], 100
-    for size in sizes:
-        gpus = []
-        for _ in range(size * step):
-            gpus.append(GpuSpec(sm_count=sm))
-            sm += 1
-        nodes.append(dataclasses.replace(gh200_node(1, _P), gpus=tuple(gpus)))
+    nodes = [gh200_node(size * step, _P) for size in sizes]
     fabric = None
     if rails is not None:
         trunk = LinkClass("trunk", 2 * _P.ib_bw, 0.5 * us)
@@ -193,17 +183,21 @@ def test_topology_keeps_its_error_texts(name):
 
 
 def test_halo_reads_node_sizes_per_node_not_per_query(monkeypatch):
-    """A sequential fat-tree-512 halo reads ``NodeSpec.n_gpus`` a few
-    times per node (table and fabric builds), not once per shape query."""
+    """A sequential fat-tree-512 halo walks the node sizes into its
+    GPU->node table at most once per spec (the cluster spec and each
+    shard's cut), not once per shape query."""
     spec = fat_tree(gpus=512)
-    reads = 0
-    size = NodeSpec.n_gpus.fget
+    builds = Counter()
+    build = MachineSpec._gpu_node.func
 
-    def counted(node):
-        nonlocal reads
-        reads += 1
-        return size(node)
+    def counted(machine):
+        builds[machine.name] += 1
+        return build(machine)
 
-    monkeypatch.setattr(NodeSpec, "n_gpus", property(counted))
+    table = cached_property(counted)
+    table.__set_name__(MachineSpec, "_gpu_node")
+    monkeypatch.setattr(MachineSpec, "_gpu_node", table)
     get("halo").run(machine=spec)
-    assert 0 < reads <= 8 * spec.n_nodes
+    cuts = {f"{spec.name}#n{n}" for n in range(spec.n_nodes)}
+    assert builds and set(builds) <= {spec.name} | cuts
+    assert max(builds.values()) == 1

@@ -17,7 +17,6 @@ from repro.hw.memory import Buffer, MemSpace
 from repro.hw.spec.catalog import SPECS, gh200_spec
 from repro.hw.spec.cli import main as topo_main
 from repro.hw.spec.generators import resolve_machine
-from repro.hw.spec.schema import GpuSpec
 from repro.hw.topology import Fabric
 from repro.shard.shard import local_spec
 from repro.sim.engine import Engine
@@ -170,9 +169,9 @@ def test_a_second_node_cut_fabric_allocates_little():
 
 def test_a_bad_link_fails_when_the_fabric_is_built():
     spec = gh200_spec(1, 2)
-    bad = GpuSpec()
-    object.__setattr__(bad, "hbm_bw", 0.0)  # slips past GpuSpec's own check
-    node = dataclasses.replace(spec.nodes[0], gpus=(GpuSpec(), bad))
+    bad = dataclasses.replace(spec.nodes[0].hbm)
+    object.__setattr__(bad, "bandwidth", 0.0)  # slips past LinkClass's own check
+    node = dataclasses.replace(spec.nodes[0], hbm=bad)
     broken = dataclasses.replace(spec, nodes=(node,))
-    with pytest.raises(ValueError, match="link hbm1: bandwidth must be positive"):
+    with pytest.raises(ValueError, match="link hbm0: bandwidth must be positive"):
         Fabric(Engine(), broken)

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.workload import WorkloadError, get
 from repro.workload.cli import main_fault, main_replay, main_sweep
 
 SCHEDULES = Path(__file__).resolve().parents[2] / "examples" / "schedules"
@@ -110,6 +111,31 @@ def test_unknown_param_is_one_error_line(capsys, main, prefix, argv):
     err = capsys.readouterr().err
     assert err.startswith(f"{prefix} error: workload ") and "has no parameter" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("main, prefix, argv, name", [
+    (main_sweep, "sweep", ["--workloads", "pingpong", "--machines", "gh200-1x4",
+                           "--no-cache", "--param", "iters=abc"], "iters"),
+    (main_sweep, "sweep", ["--workloads", "fig4", "--machines", "gh200-1x4",
+                           "--no-cache", "--param", "grids=16"], "grids"),
+    (main_fault, "fault", [str(SCHEDULES / "faults_fattree512.jsonl"), "--workload", "halo",
+                           "--machine", "fat-tree-512", "--param", "chunks=1.5"], "chunks"),
+], ids=["str-for-int", "scalar-for-tuple", "float-for-int"])
+def test_mistyped_param_is_one_error_line(capsys, main, prefix, argv, name):
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    [line] = err.splitlines()
+    assert line.startswith(f"{prefix} error: workload ") and f"parameter {name} wants" in line
+    assert "Traceback" not in out + err
+
+
+def test_param_types_follow_the_defaults():
+    for bad in ({"iters": True}, {"iters": 2.0}, {"iters": [3]}):
+        with pytest.raises(WorkloadError, match="parameter iters wants"):
+            get("pingpong").run(**bad)
+    with pytest.raises(WorkloadError, match="parameter grids wants"):
+        get("fig2").run(grids=[4, "8"])
+    assert get("fig2").run(grids=[4]).series.rows[0]["grid"] == 4  # a list fits a tuple
 
 
 @pytest.mark.parametrize("main, prefix, argv, names", [
